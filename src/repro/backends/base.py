@@ -41,12 +41,12 @@ __all__ = ["ExecutionBackend", "ExecutionContext"]
 
 @dataclass
 class ExecutionContext:
-    """Per-execution workspace and statistics, threaded through dispatch.
+    """Per-execution config, statistics and digest hints, threaded through
+    dispatch.
 
     One context can span many executions (the engine keeps a long-lived
     one), so backends *accumulate* into :attr:`stats` rather than
-    overwrite.  ``scratch`` is a free-form workspace for reusable
-    buffers / pools keyed by the backend that owns them.
+    overwrite.
 
     Attributes
     ----------
@@ -56,10 +56,6 @@ class ExecutionContext:
     stats:
         Counter dict (``{"scipy_calls": 3, "sharded_shards": 8, ...}``);
         use :meth:`bump`.
-    workers:
-        Caller-suggested parallel width (``None`` = backend default).
-    scratch:
-        Backend-private workspace surviving across executions.
     operand_tokens:
         Digest hints installed by the engine: ``id(operand) →
         "pattern:value"`` token (the same digests its plan/operand
@@ -77,8 +73,6 @@ class ExecutionContext:
 
     cfg: Any = None
     stats: dict[str, int] = field(default_factory=dict)
-    workers: int | None = None
-    scratch: dict[str, Any] = field(default_factory=dict)
     operand_tokens: dict[int, str] = field(default_factory=dict)
     tracer: Any = None
 

@@ -230,9 +230,8 @@ def _worker_main(conn, inner_name: str, inner_params: tuple, unregister: bool) -
     """Worker loop: resident operands in, result arrays out via arena.
 
     Module-level (picklable under spawn).  One persistent
-    :class:`ExecutionContext` per worker so inner-backend scratch
-    buffers survive across calls; shard stats are aggregated by the
-    parent, not the workers.
+    :class:`ExecutionContext` per worker; shard stats are aggregated by
+    the parent, not the workers.
     """
     from . import get_backend
 
@@ -657,8 +656,7 @@ class ShardedBackend(ExecutionBackend):
                 f"sharded inner backend {self.inner_name!r} does not support kernel {kernel!r}"
             )
         ctx.bump("sharded_executions")
-        requested = ctx.workers if ctx.workers is not None else self.workers
-        width = min(requested or effective_cores(), effective_cores())
+        width = min(self.workers or effective_cores(), effective_cores())
         if width <= 1:
             # Topology guard: a 1-wide shard plan *is* the inner backend.
             ctx.bump("sharded_shards", 1)

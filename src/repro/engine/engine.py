@@ -18,6 +18,13 @@ needs: callers hand it matrices and get products back, while the engine
    (both wall-clock and model units) and the break-even iteration count
    at which the one-off costs amortise (paper Fig. 10, Table 4).
 
+Steps 1–3 are the *bind* step (``SpGEMMEngine._bind``), run once per
+public call; step 4 is the *run* step (``SpGEMMEngine._run``), run once
+per product.  :meth:`~SpGEMMEngine.multiply`,
+:meth:`~SpGEMMEngine.multiply_many` and :meth:`~SpGEMMEngine.power` are
+loops over one bound record, so a batch or a power pays for
+fingerprinting, plan lookup and kernel-parameter resolution once.
+
 Typical use::
 
     eng = SpGEMMEngine(policy="autotune")
@@ -33,7 +40,8 @@ import math
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field, replace
 
 from ..backends import ExecutionContext, execute as backend_execute
 from ..core.csr import CSRMatrix
@@ -234,6 +242,31 @@ class EngineStats:
         return "\n".join(lines)
 
 
+#: Stands in for the public calls' span when tracing is disabled: a
+#: shared, stateless context manager (no span, no allocation).
+_UNTRACED = nullcontext()
+
+
+def _check_inner(A: CSRMatrix, B: CSRMatrix) -> None:
+    if A.ncols != B.nrows:
+        raise ValueError(f"inner dimensions differ: {A.shape} x {B.shape}")
+
+
+@dataclass(frozen=True)
+class _Bound:
+    """One public call's binding of its left operand ``A``: everything
+    the call's products share (built by ``SpGEMMEngine._bind``)."""
+
+    plan: ExecutionPlan
+    prep: PreparedOperand
+    kernel_params: dict
+    planner: Planner
+    fp: MatrixFingerprint
+    key: str  # plan-cache (and drift-monitor) key
+    vdigest: str  # A's value digest (operand-cache key, sharded hint)
+    hit: bool  # this call's plan lookup was served from the cache
+
+
 class SpGEMMEngine:
     """Auto-tuning SpGEMM execution engine (see module docstring).
 
@@ -317,8 +350,9 @@ class SpGEMMEngine:
     tracer:
         Optional :class:`~repro.obs.Tracer` (DESIGN.md §12).  An enabled
         tracer records ``engine.multiply`` / ``engine.multiply_many`` /
-        ``engine.power`` spans (per-request latency, tagged with the
-        plan label, backend and plan-cache hit/miss), ``planner.plan`` /
+        ``engine.power`` spans (per-call latency, all three tagged alike
+        with the call's own plan-cache hit/miss, plan label, backend
+        and workload), ``planner.plan`` /
         ``planner.trial`` spans, ``backend.execute`` spans through the
         shared :class:`~repro.backends.ExecutionContext`, plan-cache
         put/evict/warm-hint events and adaptive probe/drift/replan
@@ -365,15 +399,15 @@ class SpGEMMEngine:
         if pipeline is not None:
             policy = "pipeline"
             pipeline = self._spec_with_backend(pipeline, backend)
-        kw = dict(
+        # Shared by the configured planner and every per-call variant.
+        self._planner_kw = dict(
             cfg=self.cfg,
             machine=self.machine,
             seed=self.seed,
-            kernels=kernels,
-            backend=backend,
             calibration=self.calibration,
             tracer=self.tracer,
         )
+        kw = dict(self._planner_kw, kernels=kernels, backend=backend)
         if policy == "predictor":
             kw["predictor"] = predictor
         elif policy == "autotune":
@@ -385,6 +419,15 @@ class SpGEMMEngine:
             kw.pop("backend")  # the spec carries the backend
         self.planner: Planner = make_planner(policy, **kw)
         self.policy = policy
+        # Plan-key suffix: plans embed costs measured under this config,
+        # on this machine model, from this seed — a shared PlanCache must
+        # not serve them to an engine whose machine differs from what
+        # cfg.cache_key() implies.  All three are fixed for the engine's
+        # lifetime, so the suffix is serialised once.
+        m = self.machine
+        cost = ",".join(f"{k}={v}" for k, v in sorted(asdict(m.cost).items()))
+        machine_token = f"m{m.n_threads}t{m.cache_lines}l{m.line_bytes}b[{cost}]"
+        self._key_suffix = f"{self.cfg.cache_key()}|{machine_token}|{self.seed}"
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache(persist=persist_plans)
         if self.tracer.enabled and not self.plan_cache.tracer.enabled:
             # Attach the engine's tracer to its cache (shared caches keep
@@ -394,8 +437,10 @@ class SpGEMMEngine:
         self._operand_cap = max(1, int(operand_cache_size))
         self._fingerprints: "OrderedDict[str, MatrixFingerprint]" = OrderedDict()
         self._fingerprint_cap = max(1, int(fingerprint_cache_size))
-        self._pipeline_planners: dict[str, Planner] = {}
-        self._backend_planners: dict[str, Planner] = {}
+        # Per-call planner variants, keyed by the resolved (spec, backend)
+        # pair: (spec string, None) for pipeline= calls, (None, backend)
+        # for backend-only overrides of the configured policy.
+        self._planners: "dict[tuple[str | None, str | None], Planner]" = {}
         self._exec_ctx = ExecutionContext(cfg=self.cfg, tracer=self.tracer)
         self._stats = EngineStats()
         # The serving front-end drives one engine from a dispatch thread,
@@ -448,27 +493,17 @@ class SpGEMMEngine:
                 self._fingerprints.popitem(last=False)
         return fp
 
-    def _machine_token(self) -> str:
-        # Plans embed costs measured on a specific machine model; a
-        # shared PlanCache must not serve them to an engine whose
-        # machine differs from what cfg.cache_key() implies.
-        from dataclasses import asdict
-
-        m = self.machine
-        cost = ",".join(f"{k}={v}" for k, v in sorted(asdict(m.cost).items()))
-        return f"m{m.n_threads}t{m.cache_lines}l{m.line_bytes}b[{cost}]"
-
     def _plan_key(self, fp: MatrixFingerprint, workload: str, planner: Planner) -> str:
-        return "|".join(
-            [
-                fp.key,
-                workload,
-                planner.cache_token,
-                self.cfg.cache_key(),
-                self._machine_token(),
-                str(self.seed),
-            ]
-        )
+        return f"{fp.key}|{workload}|{planner.cache_token}|{self._key_suffix}"
+
+    def _key_for(
+        self, A: CSRMatrix, workload: str, pipeline, backend
+    ) -> "tuple[Planner, MatrixFingerprint, str]":
+        """Resolve one call's planner, fingerprint ``A`` and build the
+        plan-cache key they address."""
+        planner = self._resolve_planner(pipeline, backend)
+        fp = self._fingerprint(A)
+        return planner, fp, self._plan_key(fp, workload, planner)
 
     @staticmethod
     def _spec_with_backend(pipeline, backend) -> PipelineSpec:
@@ -484,42 +519,24 @@ class SpGEMMEngine:
         per-spec fixed planner when ``pipeline=`` is given, or a
         backend-variant of the configured policy when only ``backend=``
         is (all memoised — repeated calls share plan-cache entries)."""
+        if pipeline is None:
+            if backend is None or backend == self.backend:
+                return self.planner
+            if self.policy == "pipeline":
+                # Re-pin the engine's own spec onto the requested backend.
+                pipeline = self.planner.spec
         if pipeline is not None:
-            key = str(self._spec_with_backend(pipeline, backend))
-            with self._memo_lock:
-                planner = self._pipeline_planners.get(key)
-            if planner is None:
-                planner = make_planner(
-                    "pipeline",
-                    spec=key,
-                    cfg=self.cfg,
-                    machine=self.machine,
-                    seed=self.seed,
-                    calibration=self.calibration,
-                    tracer=self.tracer,
-                )
-                with self._memo_lock:
-                    # setdefault: concurrent builders share one instance
-                    # (planners carry per-plan state, so identity matters).
-                    planner = self._pipeline_planners.setdefault(key, planner)
-            return planner
-        if backend is None or backend == self.backend:
-            return self.planner
-        if self.policy == "pipeline":
-            # Re-pin the engine's own spec onto the requested backend.
-            return self._resolve_planner(self.planner.spec, backend)
+            key = (str(self._spec_with_backend(pipeline, backend)), None)
+        else:
+            key = (None, backend)
         with self._memo_lock:
-            planner = self._backend_planners.get(backend)
-        if planner is None:
-            kw = dict(
-                cfg=self.cfg,
-                machine=self.machine,
-                seed=self.seed,
-                kernels=self.planner.kernels,
-                backend=backend,
-                calibration=self.calibration,
-                tracer=self.tracer,
-            )
+            planner = self._planners.get(key)
+        if planner is not None:
+            return planner
+        kw = dict(self._planner_kw)
+        if key[0] is not None:
+            planner = make_planner("pipeline", spec=key[0], **kw)
+        else:
             if self.policy == "autotune":
                 kw["top_k"] = self.planner.top_k
             elif self.policy == "predictor":
@@ -527,10 +544,11 @@ class SpGEMMEngine:
                 # base planner has not planned yet) instead of letting
                 # the variant planner fit a duplicate corpus.
                 kw["predictor"] = self.planner.predictor
-            planner = make_planner(self.policy, **kw)
-            with self._memo_lock:
-                planner = self._backend_planners.setdefault(backend, planner)
-        return planner
+            planner = make_planner(self.policy, kernels=self.planner.kernels, backend=backend, **kw)
+        with self._memo_lock:
+            # setdefault: concurrent builders share one instance (planners
+            # carry per-plan state, so identity matters).
+            return self._planners.setdefault(key, planner)
 
     @staticmethod
     def _infer_workload(A: CSRMatrix, B: CSRMatrix | None) -> str:
@@ -553,51 +571,41 @@ class SpGEMMEngine:
 
         Introspection API: building a missing plan is real (and
         ledgered) work, but cache lookups made here do **not** bump the
-        hit/miss counters — only :meth:`multiply` does, so the ledger
+        hit/miss counters — only the executing calls do, so the ledger
         counts executions, not displays.
         """
-        return self._plan_for(
-            A, B, workload=workload, pipeline=pipeline, backend=backend, count_lookup=False
-        )
+        workload = workload or self._infer_workload(A, B)
+        planner, fp, key = self._key_for(A, workload, pipeline, backend)
+        Bx = A if B is None else B
+        return self._lookup(A, Bx, planner, fp, key, workload, count=False)[0]
 
-    def _plan_for(
+    def _lookup(
         self,
         A: CSRMatrix,
-        B: CSRMatrix | None = None,
+        Bx: CSRMatrix,
+        planner: Planner,
+        fp: MatrixFingerprint,
+        key: str,
+        workload: str,
         *,
-        workload: str | None = None,
-        pipeline: "PipelineSpec | str | None" = None,
-        backend: str | None = None,
-        count_lookup: bool = True,
-        resolved: "tuple[Planner, MatrixFingerprint, str] | None" = None,
-    ) -> ExecutionPlan:
-        Bx = A if B is None else B
-        workload = workload or self._infer_workload(A, B)
+        count: bool = True,
+    ) -> "tuple[ExecutionPlan, bool]":
+        """The cached plan for ``key``, or a freshly built (and cached)
+        one; returns ``(plan, hit)``.  ``count=False`` keeps the lookup
+        out of the hit/miss counters."""
         t0 = time.perf_counter()
-        if resolved is not None:
-            planner, fp, key = resolved
-        else:
-            planner = self._resolve_planner(pipeline, backend)
-            fp = self._fingerprint(A)
-            key = self._plan_key(fp, workload, planner)
         plan = self.plan_cache.get(key)
-        if plan is not None:
-            if count_lookup:
-                stale = int(plan.calibration_epoch != planner.calibration_epoch)
-                self._stats.bump(plan_cache_hits=1, stale_plan_serves=stale)
-        else:
+        hit = plan is not None
+        if not hit:
             with self._plan_build_lock:
                 # Double-check under the build lock: serve's planner
                 # thread and its dispatch thread can race on a cold key,
                 # and the loser must reuse rather than rebuild (planners
                 # hand take_prepared() to whoever planned last).
                 plan = self.plan_cache.get(key)
-                if plan is not None:
-                    if count_lookup:
-                        stale = int(plan.calibration_epoch != planner.calibration_epoch)
-                        self._stats.bump(plan_cache_hits=1, stale_plan_serves=stale)
-                else:
-                    if count_lookup:
+                hit = plan is not None
+                if not hit:
+                    if count:
                         self._stats.bump(plan_cache_misses=1)
                     warm = None
                     if self._warm_start and planner.uses_warm_start:
@@ -617,32 +625,39 @@ class SpGEMMEngine:
                     prep = planner.take_prepared()
                     if prep is not None:
                         self._stats.bump(operands_prepared=1, model_pre_cost=prep.pre_cost)
-                        self._store_operand(self._operand_key(plan, A), prep)
+                        self._store_operand(self._operand_key(plan, value_digest(A)), prep)
+        if hit and count:
+            stale = int(plan.calibration_epoch != planner.calibration_epoch)
+            self._stats.bump(plan_cache_hits=1, stale_plan_serves=stale)
         self._stats.bump(planning_seconds=time.perf_counter() - t0)
-        return plan
+        return plan, hit
 
     # ------------------------------------------------------------------
     # Preparation
     # ------------------------------------------------------------------
     @staticmethod
-    def _operand_key(plan: ExecutionPlan, A: CSRMatrix) -> tuple:
+    def _operand_key(plan: ExecutionPlan, vdigest: str) -> tuple:
         # Kernel and params discriminate: the same (reordering,
         # clustering) pair prepares differently for a cluster kernel
         # (CSR_Cluster materialisation) than for a row-traversal kernel
         # (cluster order composed), and parameterised pipelines must not
-        # collide with config-default plans.
+        # collide with config-default plans.  ``vdigest`` is A's value
+        # digest: reuse is value-exact.
         return (
             plan.fingerprint_key,
             plan.reordering,
             plan.clustering,
             plan.kernel,
             plan.params,
-            value_digest(A),
+            vdigest,
         )
 
     def prepare(self, A: CSRMatrix, plan: ExecutionPlan) -> PreparedOperand:
         """Materialise (or reuse) the plan's reordered/clustered operand."""
-        key = self._operand_key(plan, A)
+        return self._prepare(A, plan, value_digest(A))
+
+    def _prepare(self, A: CSRMatrix, plan: ExecutionPlan, vdigest: str) -> PreparedOperand:
+        key = self._operand_key(plan, vdigest)
         with self._memo_lock:
             prep = self._operands.get(key)
             if prep is not None:
@@ -674,8 +689,93 @@ class SpGEMMEngine:
                 self._operands.popitem(last=False)
 
     # ------------------------------------------------------------------
-    # Execution
+    # Execution: bind once per call, run once per product
     # ------------------------------------------------------------------
+    def _span(self, name: str, A: CSRMatrix, **tags):
+        """The public calls' shared span (tagged by :meth:`_bind`); an
+        allocation-free stand-in when tracing is disabled."""
+        tracer = self.tracer
+        if not tracer.enabled:
+            return _UNTRACED
+        return tracer.span(name, n=A.nrows, nnz=A.nnz, **tags)
+
+    def _bind(
+        self, A: CSRMatrix, Bx: CSRMatrix, workload: str, pipeline, backend, span
+    ) -> _Bound:
+        """Everything one call's products share: look up (or build) the
+        plan for ``A``, prepare its operand and resolve the kernel
+        parameters.  Tags ``span`` with this call's own lookup outcome."""
+        planner, fp, key = self._key_for(A, workload, pipeline, backend)
+        vdigest = value_digest(A)
+        plan, hit = self._lookup(A, Bx, planner, fp, key, workload)
+        prep = self._prepare(A, plan, vdigest)
+        k_info = get_component("kernel", plan.kernel)
+        given = [
+            (k, v)
+            for k, v in plan.params
+            if any(k == p.name or k in p.aliases for p in k_info.params)
+        ]
+        if any(p.name == "accumulator" for p in k_info.params):
+            given.append(("accumulator", plan.accumulator))
+        kernel_params = k_info.resolve_params(given, self.cfg)
+        if plan.bin_map and getattr(k_info.factory, "accepts_bin_map", False):
+            kernel_params["bin_map"] = plan.bin_map
+        if self.tracer.enabled:
+            span.tag(
+                cache="hit" if hit else "miss",
+                plan=plan.label,
+                backend=plan.backend,
+                workload=plan.workload,
+            )
+        return _Bound(plan, prep, kernel_params, planner, fp, key, vdigest, hit)
+
+    def _run(self, bound: _Bound, A: CSRMatrix, B: CSRMatrix, *, reuse: bool = False) -> CSRMatrix:
+        """One product ``A @ B`` through the bound plan: execute,
+        un-permute and ledger it.  ``reuse`` marks a later product of a
+        batch or power, counted as a plan-cache hit plus an operand
+        reuse — what a per-product :meth:`multiply` would record.
+
+        Dispatch goes through :func:`repro.backends.execute` — the one
+        kernel-execution path, shared with
+        :meth:`~repro.pipeline.spec.BuiltPipeline.execute` — so a newly
+        registered kernel or backend is executable here with no engine
+        edit.
+        """
+        t0 = time.perf_counter()
+        plan, prep, ctx = bound.plan, bound.prep, self._exec_ctx
+        # Digest reuse (DESIGN.md §10): the sharded backend keys shm
+        # residency by the same pattern/value digests the plan and
+        # operand caches use — hint them for A² so it never re-hashes A.
+        hinted = B is A and plan.backend == "sharded"
+        if hinted:
+            ctx.operand_tokens[id(B)] = f"{bound.fp.pattern_digest[:20]}:{bound.vdigest[:20]}"
+        try:
+            C = backend_execute(
+                prep,
+                B,
+                kernel=plan.kernel,
+                kernel_params=bound.kernel_params,
+                backend=plan.backend,
+                backend_params=plan.backend_params,
+                cfg=self.cfg,
+                ctx=ctx,
+            )
+        finally:
+            if hinted:
+                ctx.operand_tokens.pop(id(B), None)
+        if prep.inv is not None:
+            C = C.permute_rows(prep.inv)
+        self._stats.bump(
+            execute_seconds=time.perf_counter() - t0,
+            multiplies=1,
+            model_executed_cost=plan.predicted_cost,
+            model_baseline_cost=plan.baseline_cost,
+            plan_cache_hits=int(reuse),
+            operands_reused=int(reuse),
+        )
+        self._stats.bump_plan(plan.label)
+        return C
+
     def multiply(
         self,
         A: CSRMatrix,
@@ -695,102 +795,70 @@ class SpGEMMEngine:
         the configuration for this call instead of consulting the
         engine's planner policy; ``backend`` pins the execution backend
         (a non-bitwise backend returns pattern-identical ``allclose``
-        results instead).
+        results instead).  Probes for drift once per call.
         """
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._multiply(A, B, workload=workload, pipeline=pipeline, backend=backend)[0]
-        hits0 = self._stats.plan_cache_hits
-        with tracer.span("engine.multiply", n=A.nrows, nnz=A.nnz) as sp:
-            C, plan = self._multiply(A, B, workload=workload, pipeline=pipeline, backend=backend)
-            sp.tag(
-                cache="hit" if self._stats.plan_cache_hits > hits0 else "miss",
-                plan=plan.label,
-                backend=plan.backend,
-                workload=plan.workload,
-            )
+        Bx = A if B is None else B
+        _check_inner(A, Bx)
+        workload = workload or self._infer_workload(A, B)
+        with self._span("engine.multiply", A) as sp:
+            bound = self._bind(A, Bx, workload, pipeline, backend, sp)
+            C = self._run(bound, A, Bx)
+            self._observe_drift(bound, A, Bx)
         return C
 
-    def _multiply(
+    def multiply_many(
         self,
         A: CSRMatrix,
-        B: CSRMatrix | None,
+        Bs,
         *,
-        workload: str | None,
-        pipeline: "PipelineSpec | str | None",
-        backend: str | None,
-    ) -> "tuple[CSRMatrix, ExecutionPlan]":
-        """:meth:`multiply`'s body; also returns the executed plan so
-        the tracing wrapper can tag its span without a second lookup."""
-        Bx = A if B is None else B
-        if A.ncols != Bx.nrows:
-            raise ValueError(f"inner dimensions differ: {A.shape} x {Bx.shape}")
-        workload = workload or self._infer_workload(A, B)
-        # Resolve (planner, fingerprint, key) once — planning and the
-        # drift probe below share them rather than re-hashing A.
-        planner = self._resolve_planner(pipeline, backend)
-        fp = self._fingerprint(A)
-        key = self._plan_key(fp, workload, planner)
-        plan = self._plan_for(A, B, workload=workload, resolved=(planner, fp, key))
-        prep = self.prepare(A, plan)
-        # Digest reuse (DESIGN.md §10): the sharded backend keys shm
-        # residency by the same pattern/value digests the plan and
-        # operand caches use — hint them so it never re-hashes A².
-        hinted = B is None and plan.backend == "sharded"
-        if hinted:
-            self._exec_ctx.operand_tokens[id(Bx)] = (
-                f"{fp.pattern_digest[:20]}:{value_digest(A)[:20]}"
-            )
-        try:
-            C = self._execute(plan, prep, Bx)
-        finally:
-            if hinted:
-                self._exec_ctx.operand_tokens.pop(id(Bx), None)
-        if self._drift is not None:
-            self._observe_drift(A, Bx, plan, prep, workload=workload, planner=planner, fp=fp, key=key)
-        return C, plan
+        workload: str | None = None,
+        pipeline: "PipelineSpec | str | None" = None,
+        backend: str | None = None,
+    ) -> list[CSRMatrix]:
+        """Batch API: ``[A @ B for B in Bs]`` with one shared plan.
 
-    def _execute(self, plan: ExecutionPlan, prep: PreparedOperand, Bx: CSRMatrix) -> CSRMatrix:
-        """Run the plan through its execution backend and record the
-        per-multiply ledger.
-
-        Dispatch goes through :func:`repro.backends.execute` — the one
-        kernel-execution path, shared with
-        :meth:`~repro.pipeline.spec.BuiltPipeline.execute` — so a newly
-        registered kernel or backend is executable here with no engine
-        edit.
+        This is the BC-frontier shape (paper §4.4): ``A`` is
+        fingerprinted, planned and prepared exactly once, then reused
+        across the whole sequence — per-wave overhead is O(1) in
+        ``nnz(A)``.  Each reuse is counted as a plan-cache hit (and an
+        operand reuse) in the ledger, matching what per-call
+        :meth:`multiply` would have recorded.  Every ``B`` is
+        dimension-checked before any work, so a rejected batch leaves
+        the ledger untouched.
         """
-        t0 = time.perf_counter()
-        k_info = get_component("kernel", plan.kernel)
-        given = [
-            (k, v)
-            for k, v in plan.params
-            if any(k == p.name or k in p.aliases for p in k_info.params)
-        ]
-        if any(p.name == "accumulator" for p in k_info.params):
-            given.append(("accumulator", plan.accumulator))
-        kernel_params = k_info.resolve_params(given, self.cfg)
-        if plan.bin_map and getattr(k_info.factory, "accepts_bin_map", False):
-            kernel_params["bin_map"] = plan.bin_map
-        C = backend_execute(
-            prep,
-            Bx,
-            kernel=plan.kernel,
-            kernel_params=kernel_params,
-            backend=plan.backend,
-            backend_params=plan.backend_params,
-            cfg=self.cfg,
-            ctx=self._exec_ctx,
-        )
-        if prep.inv is not None:
-            C = C.permute_rows(prep.inv)
-        self._stats.bump(
-            execute_seconds=time.perf_counter() - t0,
-            multiplies=1,
-            model_executed_cost=plan.predicted_cost,
-            model_baseline_cost=plan.baseline_cost,
-        )
-        self._stats.bump_plan(plan.label)
+        Bs = list(Bs)
+        for B in Bs:
+            _check_inner(A, B)
+        if not Bs:
+            return []
+        workload = workload or self._infer_workload(A, Bs[0])
+        with self._span("engine.multiply_many", A, batch=len(Bs)) as sp:
+            bound = self._bind(A, Bs[0], workload, pipeline, backend, sp)
+            out = [self._run(bound, A, B, reuse=i > 0) for i, B in enumerate(Bs)]
+            # One drift probe per batch (the whole batch ran one plan):
+            # the last frontier is the freshest evidence, and a fired
+            # re-plan takes effect for the next batch — the BC/Markov
+            # regime where values evolve while the pattern stays fixed.
+            self._observe_drift(bound, A, Bs[-1])
+        return out
+
+    def power(self, A: CSRMatrix, exponent: int) -> CSRMatrix:
+        """``A**exponent`` by repeated left-multiplication with ``A``.
+
+        Keeping ``A`` as the planned left operand means one plan and one
+        prepared operand serve all ``exponent - 1`` multiplies (bound
+        once, like :meth:`multiply_many`).  Powers never probe for drift.
+        """
+        if exponent < 1:
+            raise ValueError("exponent must be >= 1")
+        if A.nrows != A.ncols:
+            raise ValueError(f"power needs a square matrix, got {A.shape}")
+        C = A
+        with self._span("engine.power", A, exponent=exponent) as sp:
+            if exponent > 1:
+                bound = self._bind(A, A, "asquare", None, None, sp)
+                for i in range(exponent - 1):
+                    C = self._run(bound, A, C, reuse=i > 0)
         return C
 
     # ------------------------------------------------------------------
@@ -813,11 +881,9 @@ class SpGEMMEngine:
         factor = self.planner._backend_factor(plan.backend, kernel=plan.kernel, A=prep.Ar)
         return t * k_info.model_speed_factor * factor
 
-    def _observe_drift(
-        self, A: CSRMatrix, Bx: CSRMatrix, plan: ExecutionPlan, prep: PreparedOperand,
-        *, workload: str, planner: Planner, fp: MatrixFingerprint, key: str,
-    ) -> None:
-        """Probe the executed cost and re-plan when it has drifted.
+    def _observe_drift(self, bound: _Bound, A: CSRMatrix, Bx: CSRMatrix) -> None:
+        """Probe the executed cost and re-plan when it has drifted (a
+        no-op without a drift monitor).
 
         Probes are simulated executions; their model cost is tracked in
         ``model_probe_cost`` but kept out of the amortisation economics
@@ -829,10 +895,12 @@ class SpGEMMEngine:
         and replaces the cache entry, taking effect from the next call.
         """
         monitor = self._drift
-        if not monitor.should_probe(key):
+        key = bound.key
+        if monitor is None or not monitor.should_probe(key):
             return
         t0 = time.perf_counter()
-        executed = self._measure_executed(plan, prep, Bx)
+        plan, fp = bound.plan, bound.fp
+        executed = self._measure_executed(plan, bound.prep, Bx)
         self._stats.bump(drift_probes=1, model_probe_cost=executed)  # measured, not invested
         decision = monitor.observe(key, predicted=plan.predicted_cost, executed=executed)
         if self.tracer.enabled:
@@ -845,10 +913,10 @@ class SpGEMMEngine:
             self._stats.bump(drift_detected=1)
         if decision.replan:
             with self._plan_build_lock:
-                # Same serialisation as _plan_for's miss branch: the
+                # Same serialisation as _lookup's miss branch: the
                 # planner's plan/take_prepared pair must not interleave
                 # with a concurrent cold build.
-                new_plan = planner.plan(A, Bx, fp, workload)
+                new_plan = bound.planner.plan(A, Bx, fp, plan.workload)
                 if self.tracer.enabled:
                     self.tracer.event(
                         "adaptive.replan",
@@ -868,14 +936,14 @@ class SpGEMMEngine:
                         "to": new_plan.label,
                         "predicted": plan.predicted_cost,
                         "executed": executed,
-                        "workload": workload,
+                        "workload": plan.workload,
                         "fingerprint": fp.key,
                     }
                 )
-                new_prep = planner.take_prepared()
+                new_prep = bound.planner.take_prepared()
                 if new_prep is not None:
                     self._stats.bump(operands_prepared=1, model_pre_cost=new_prep.pre_cost)
-                    self._store_operand(self._operand_key(new_plan, A), new_prep)
+                    self._store_operand(self._operand_key(new_plan, bound.vdigest), new_prep)
         self._stats.bump(planning_seconds=time.perf_counter() - t0)
 
     def drift_state(self, A: CSRMatrix, *, workload: str = "asquare", backend: str | None = None) -> dict | None:
@@ -890,114 +958,7 @@ class SpGEMMEngine:
         """
         if self._drift is None:
             return None
-        planner = self._resolve_planner(None, backend)
-        key = self._plan_key(self._fingerprint(A), workload, planner)
-        return self._drift.state(key)
-
-    def multiply_many(
-        self,
-        A: CSRMatrix,
-        Bs,
-        *,
-        workload: str | None = None,
-        pipeline: "PipelineSpec | str | None" = None,
-        backend: str | None = None,
-    ) -> list[CSRMatrix]:
-        """Batch API: ``[A @ B for B in Bs]`` with one shared plan.
-
-        This is the BC-frontier shape (paper §4.4): ``A`` is
-        fingerprinted, planned and prepared exactly once, then reused
-        across the whole sequence — per-wave overhead is O(1) in
-        ``nnz(A)``.  Each reuse is counted as a plan-cache hit (and an
-        operand reuse) in the ledger, matching what per-call
-        :meth:`multiply` would have recorded.
-        """
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._multiply_many(A, Bs, workload=workload, pipeline=pipeline, backend=backend)
-        Bs = list(Bs)
-        built0 = self._stats.plans_built
-        with tracer.span("engine.multiply_many", n=A.nrows, nnz=A.nnz, batch=len(Bs)) as sp:
-            out = self._multiply_many(A, Bs, workload=workload, pipeline=pipeline, backend=backend)
-            # Batch reuses inflate plan_cache_hits by construction, so the
-            # hit/miss tag keys off whether a fresh plan had to be built.
-            sp.tag(cache="miss" if self._stats.plans_built > built0 else "hit")
-        return out
-
-    def _multiply_many(
-        self,
-        A: CSRMatrix,
-        Bs,
-        *,
-        workload: str | None,
-        pipeline: "PipelineSpec | str | None",
-        backend: str | None,
-    ) -> list[CSRMatrix]:
-        Bs = list(Bs)
-        if not Bs:
-            return []
-        wl = workload or self._infer_workload(A, Bs[0])
-        planner = self._resolve_planner(pipeline, backend)
-        fp = self._fingerprint(A)
-        key = self._plan_key(fp, wl, planner)
-        plan = self._plan_for(A, Bs[0], workload=wl, resolved=(planner, fp, key))
-        prep = self.prepare(A, plan)
-        # Coalesced A² batches (the serving tier's common shape) hand
-        # the sharded backend its residency token for free.
-        hint = (
-            f"{fp.pattern_digest[:20]}:{value_digest(A)[:20]}"
-            if plan.backend == "sharded"
-            else None
-        )
-        out = []
-        for i, B in enumerate(Bs):
-            if A.ncols != B.nrows:
-                raise ValueError(f"inner dimensions differ: {A.shape} x {B.shape}")
-            if i:
-                self._stats.bump(plan_cache_hits=1, operands_reused=1)
-            if hint is not None and B is A:
-                self._exec_ctx.operand_tokens[id(B)] = hint
-            try:
-                out.append(self._execute(plan, prep, B))
-            finally:
-                if hint is not None:
-                    self._exec_ctx.operand_tokens.pop(id(B), None)
-        # One drift probe per batch (the whole batch ran one plan): the
-        # last frontier is the freshest evidence, and a fired re-plan
-        # takes effect for the next batch — the BC/Markov regime where
-        # values evolve while the pattern stays fixed.
-        if self._drift is not None:
-            self._observe_drift(A, Bs[-1], plan, prep, workload=wl, planner=planner, fp=fp, key=key)
-        return out
-
-    def power(self, A: CSRMatrix, exponent: int) -> CSRMatrix:
-        """``A**exponent`` by repeated left-multiplication with ``A``.
-
-        Keeping ``A`` as the planned left operand means one plan and one
-        prepared operand serve all ``exponent - 1`` multiplies (resolved
-        once, like :meth:`multiply_many`).
-        """
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("engine.power", n=A.nrows, nnz=A.nnz, exponent=exponent):
-                return self._power(A, exponent)
-        return self._power(A, exponent)
-
-    def _power(self, A: CSRMatrix, exponent: int) -> CSRMatrix:
-        if exponent < 1:
-            raise ValueError("exponent must be >= 1")
-        if A.nrows != A.ncols:
-            raise ValueError(f"power needs a square matrix, got {A.shape}")
-        C = A
-        plan = prep = None
-        for _ in range(exponent - 1):
-            if plan is None:
-                plan = self._plan_for(A, C, workload="asquare")
-                prep = self.prepare(A, plan)
-            else:
-                self._stats.bump(plan_cache_hits=1, operands_reused=1)
-            C = self._execute(plan, prep, C)
-        return C
+        return self._drift.state(self._key_for(A, workload, None, backend)[2])
 
     # ------------------------------------------------------------------
     # Introspection

@@ -24,6 +24,10 @@ from hypothesis import strategies as st
 from repro.core import COOMatrix, CSRMatrix
 
 
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: long-running end-to-end test (e.g. an example script)")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

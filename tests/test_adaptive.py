@@ -24,6 +24,7 @@ from repro.engine.adaptive import density_bin, row_bin, size_bin
 from repro.experiments import ExperimentConfig
 from repro.matrices import generators as G
 from repro.matrices import perturb_values
+from repro.obs import RingSink, Tracer
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -344,9 +345,10 @@ def test_end_to_end_drift_triggers_replan_and_plan_switch(gainful_matrix):
     # Pin the historical kernel space: the scenario needs the clustered
     # plan to win so the value perturbation can degrade its profile
     # (the hybrid kernel's cost is pattern-only and would never drift).
+    sink = RingSink()
     eng = SpGEMMEngine(
         policy="autotune", config=SMALL_CFG, drift_threshold=1.5,
-        kernels=("rowwise", "cluster"),
+        kernels=("rowwise", "cluster"), tracer=Tracer(sink),
     )
     B0 = perturb_values(A, scale=0.0, seed=0)  # value-twin, same profile
     assert_bitwise_equal(eng.multiply(A, B0), spgemm_rowwise(A, B0))
@@ -368,6 +370,19 @@ def test_end_to_end_drift_triggers_replan_and_plan_switch(gainful_matrix):
     assert plan_after.label != plan_before.label  # the engine switched plans
     assert event["to"] == plan_after.label
     assert set(s.per_plan) == {plan_before.label, plan_after.label}
+
+    # Back to the full profile in batches: the second batch's probe
+    # re-plans, yet its span is tagged by its own lookup — a hit.
+    for _ in range(2):
+        for C in eng.multiply_many(A, [B0, B0]):
+            assert_bitwise_equal(C, spgemm_rowwise(A, B0))
+    assert eng.stats().replans == 2
+    replanning_batch = sink.by_name("engine.multiply_many")[-1]
+    assert replanning_batch.tags["cache"] == "hit"
+    eng.power(A, 2)
+    (power_span,) = sink.by_name("engine.power")
+    assert power_span.tags["cache"] == "miss"  # first asquare lookup
+    assert power_span.tags["plan"] == eng.plan_for(A).label
 
 
 def test_replan_hysteresis_bounds_replans_under_alternation(gainful_matrix):

@@ -90,6 +90,19 @@ def test_dimension_mismatch_raises():
         SpGEMMEngine(config=SMALL_CFG).multiply(A, B)
 
 
+def test_multiply_many_rejects_bad_batch_before_any_work(suite_matrix):
+    # Every B is checked up front: a rejected batch neither executes
+    # its leading products nor plans for A.
+    A = suite_matrix
+    bad = G.grid2d(5, 5, seed=0)
+    eng = SpGEMMEngine(config=SMALL_CFG)
+    for batch in ([A, A, bad], [bad]):
+        with pytest.raises(ValueError, match="inner dimensions"):
+            eng.multiply_many(A, batch)
+    s = eng.stats()
+    assert (s.multiplies, s.plans_built, s.plan_cache_misses) == (0, 0, 0)
+
+
 # ----------------------------------------------------------------------
 # Plan determinism
 # ----------------------------------------------------------------------

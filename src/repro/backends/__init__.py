@@ -4,7 +4,7 @@ One :class:`ExecutionBackend` contract, four built-in backends behind it:
 
 ============  ========================================================
 ``reference``  the pure-python registry kernels — the bitwise oracle
-``scipy``      native CSR matmul fast path (pattern-identical, allclose)
+``scipy``      native CSR matmul fast path (allclose, exact zeros dropped)
 ``vectorized`` numpy batch-cluster numeric phase (bitwise, ``cluster``)
 ``sharded``    process-pool row/cluster shards over any inner backend
 ============  ========================================================
@@ -174,26 +174,29 @@ def execute(
     backend_params: "Iterable[tuple[str, Any]] | Mapping[str, Any]" = (),
     cfg: Any = None,
     ctx: ExecutionContext | None = None,
+    original_order: bool = False,
 ):
     """Execute ``kernel`` on a prepared operand through ``backend``.
 
     This is the single execution path of the codebase: pipeline
     ``run()``/``execute()`` and the engine both dispatch here, so a new
     backend (or kernel) is runnable everywhere the moment it registers.
-    Returns the product in the *operand's* row order; callers apply the
-    inverse permutation.
+    Returns the product in the *operand's* row order by default;
+    ``original_order=True`` returns it in the original row order
+    (``operand.inv`` applied) through
+    :meth:`~ExecutionBackend.execute_original_order`.
     """
     require_backend_supports(backend, backend_params, kernel)
     be = get_backend(backend, backend_params)
     if ctx is None:
         ctx = ExecutionContext(cfg=cfg)
+    run = be.execute_original_order if original_order else be.execute
+    kernel_params = dict(kernel_params or {})
     tracer = ctx.tracer
     if tracer is not None and tracer.enabled:
         with tracer.span("backend.execute", backend=backend, kernel=kernel):
-            return be.execute(
-                operand, B, kernel=kernel, kernel_params=dict(kernel_params or {}), ctx=ctx
-            )
-    return be.execute(operand, B, kernel=kernel, kernel_params=dict(kernel_params or {}), ctx=ctx)
+            return run(operand, B, kernel=kernel, kernel_params=kernel_params, ctx=ctx)
+    return run(operand, B, kernel=kernel, kernel_params=kernel_params, ctx=ctx)
 
 
 def time_execution(built, B, backend_ref: "str | tuple", *, reps: int = 3) -> float:

@@ -13,16 +13,22 @@ one correctness oracle.
 Contract
 --------
 ``backend.execute(operand, B, kernel=..., kernel_params=..., ctx=...)``
-returns the product **in the operand's row order** (callers apply the
-inverse permutation), exactly like the
+returns the product **in the operand's row order**, exactly like the
 :class:`~repro.pipeline.registry.KernelBackend` protocol the kernels
-satisfy.  Every backend must reproduce the *sparsity pattern* of
-row-wise SpGEMM exactly (including structural zeros from numeric
-cancellation); backends whose :attr:`~ExecutionBackend.bitwise_reference`
-capability is ``True`` additionally preserve each output row's
-floating-point summation order, so their values are bit-identical to
-:func:`~repro.core.spgemm.spgemm_rowwise`.  Non-bitwise backends (scipy)
-guarantee ``allclose`` values on the identical pattern.
+satisfy.  ``backend.execute_original_order(...)`` returns it in the
+*original* row order (``operand.inv`` applied); its default is
+``execute`` followed by ``permute_rows(operand.inv)``, and a backend
+overrides it when it can fold the un-permute into its own output
+assembly (``scipy``).
+
+Backends whose :attr:`~ExecutionBackend.bitwise_reference` capability is
+``True`` reproduce the *sparsity pattern* of row-wise SpGEMM exactly
+(including structural zeros from numeric cancellation) and preserve
+each output row's floating-point summation order, so their values are
+bit-identical to :func:`~repro.core.spgemm.spgemm_rowwise`.  The
+non-bitwise ``scipy`` backend guarantees ``allclose`` values on the
+row-wise pattern minus entries that cancel to exactly ``0.0`` — the
+contract of raw ``scipy.sparse``.
 
 Capabilities are declared class-level (they feed the registry's
 :class:`~repro.pipeline.registry.ComponentInfo` entry) and refined
@@ -59,10 +65,13 @@ class ExecutionContext:
     operand_tokens:
         Digest hints installed by the engine: ``id(operand) →
         "pattern:value"`` token (the same digests its plan/operand
-        cache keys use), scoped to the current call.  Backends that
-        keep operands resident across process boundaries (``sharded``)
-        use these as residency keys instead of re-hashing; absent
-        entries mean "compute the token yourself".
+        cache keys use), scoped to the current call.  The engine hints
+        every ``A²`` product (``B is A``).  Backends that keep operands
+        resident across process boundaries (``sharded``) use these as
+        residency keys instead of re-hashing; ``scipy`` keys its
+        recorded product structure by them.  Absent entries mean
+        "compute the token yourself" (``sharded``) or "unhinted
+        product" (``scipy``).
     tracer:
         Optional :class:`~repro.obs.Tracer`: when set (and enabled),
         :func:`repro.backends.execute` wraps each dispatch in a
@@ -138,6 +147,21 @@ class ExecutionBackend(ABC):
         (``Ar`` always, ``Ac`` when the pipeline clustered).  Returns
         canonical CSR in the operand's row order.
         """
+
+    def execute_original_order(
+        self,
+        operand: Any,
+        B: Any,
+        *,
+        kernel: str,
+        kernel_params: dict[str, Any],
+        ctx: ExecutionContext,
+    ) -> Any:
+        """Like :meth:`execute`, but the product comes back in the
+        original row order: ``operand.inv`` (when present) is applied."""
+        C = self.execute(operand, B, kernel=kernel, kernel_params=kernel_params, ctx=ctx)
+        inv = getattr(operand, "inv", None)
+        return C if inv is None else C.permute_rows(inv)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

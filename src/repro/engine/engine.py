@@ -9,11 +9,13 @@ needs: callers hand it matrices and get products back, while the engine
 3. **prepares** the operand (reorder + cluster build), reusing the
    prepared form across calls with identical values,
 4. **executes** the plan through its execution backend
-   (:mod:`repro.backends`) and un-permutes the result — under the
-   default (bitwise) backend policy the output is bitwise-identical to
-   :func:`~repro.core.spgemm.spgemm_rowwise` on the original operands;
-   ``backend="auto"`` / pinned non-bitwise backends trade that for
-   pattern-identical ``allclose`` results at native speed,
+   (:mod:`repro.backends`), which returns the product in the original
+   row order — under the default (bitwise) backend policy the output is
+   bitwise-identical to :func:`~repro.core.spgemm.spgemm_rowwise` on
+   the original operands; ``backend="auto"`` / pinned non-bitwise
+   backends trade that for ``allclose`` results at native speed (and
+   ``scipy`` drops sums that cancel to exactly ``0.0``, as raw scipy
+   does),
 5. **accounts**: cumulative planning / preprocessing / execution time
    (both wall-clock and model units) and the break-even iteration count
    at which the one-off costs amortise (paper Fig. 10, Table 4).
@@ -293,7 +295,9 @@ class SpGEMMEngine:
     seed:
         Seed for reorderings and feature sampling (plan determinism).
     operand_cache_size:
-        Prepared-operand LRU capacity (value-exact reuse).
+        Prepared-operand LRU capacity (value-exact reuse).  A prepared
+        operand also owns its backend state (the ``scipy`` backend's
+        recorded ``A²`` structure), evicted with it.
     pipeline:
         A :class:`~repro.pipeline.spec.PipelineSpec` (or its string
         form, e.g. ``"rcm+hierarchical:max_th=8+cluster"``) to execute
@@ -311,7 +315,9 @@ class SpGEMMEngine:
         (default) keeps the engine on the ``reference`` backend — the
         bitwise contract.  ``"auto"`` lets the planner enumerate every
         planner-ranked backend (results may then be ``allclose`` rather
-        than bit-identical when a non-bitwise backend wins).  A backend
+        than bit-identical when a non-bitwise backend wins, and
+        ``scipy`` drops entries whose sum cancels to exactly ``0.0``,
+        as raw ``scipy.sparse`` does).  A backend
         name — optionally parameterised, ``"scipy"`` /
         ``"sharded:workers=4,inner=scipy"`` — pins every plan to that
         backend.  Individual calls can override via
@@ -372,7 +378,7 @@ class SpGEMMEngine:
         predictor=None,
         top_k: int = 3,
         seed: int = 0,
-        operand_cache_size: int = 8,
+        operand_cache_size: int = 16,
         pipeline: "PipelineSpec | str | None" = None,
         kernels: "tuple[str, ...] | None" = None,
         backend: str | None = None,
@@ -730,10 +736,11 @@ class SpGEMMEngine:
         return _Bound(plan, prep, kernel_params, planner, fp, key, vdigest, hit)
 
     def _run(self, bound: _Bound, A: CSRMatrix, B: CSRMatrix, *, reuse: bool = False) -> CSRMatrix:
-        """One product ``A @ B`` through the bound plan: execute,
-        un-permute and ledger it.  ``reuse`` marks a later product of a
-        batch or power, counted as a plan-cache hit plus an operand
-        reuse — what a per-product :meth:`multiply` would record.
+        """One product ``A @ B`` through the bound plan: execute (the
+        backend returns it in the original row order) and ledger it.
+        ``reuse`` marks a later product of a batch or power, counted as
+        a plan-cache hit plus an operand reuse — what a per-product
+        :meth:`multiply` would record.
 
         Dispatch goes through :func:`repro.backends.execute` — the one
         kernel-execution path, shared with
@@ -743,10 +750,11 @@ class SpGEMMEngine:
         """
         t0 = time.perf_counter()
         plan, prep, ctx = bound.plan, bound.prep, self._exec_ctx
-        # Digest reuse (DESIGN.md §10): the sharded backend keys shm
-        # residency by the same pattern/value digests the plan and
-        # operand caches use — hint them for A² so it never re-hashes A.
-        hinted = B is A and plan.backend == "sharded"
+        # Digest reuse (DESIGN.md §10): every A² product is hinted with
+        # the pattern/value digests the plan and operand caches already
+        # computed — sharded keys shm residency by them, scipy its
+        # recorded product structure.
+        hinted = B is A
         if hinted:
             ctx.operand_tokens[id(B)] = f"{bound.fp.pattern_digest[:20]}:{bound.vdigest[:20]}"
         try:
@@ -759,12 +767,11 @@ class SpGEMMEngine:
                 backend_params=plan.backend_params,
                 cfg=self.cfg,
                 ctx=ctx,
+                original_order=True,
             )
         finally:
             if hinted:
                 ctx.operand_tokens.pop(id(B), None)
-        if prep.inv is not None:
-            C = C.permute_rows(prep.inv)
         self._stats.bump(
             execute_seconds=time.perf_counter() - t0,
             multiplies=1,
@@ -794,8 +801,9 @@ class SpGEMMEngine:
         only row placement is inverted at the end.  ``pipeline`` pins
         the configuration for this call instead of consulting the
         engine's planner policy; ``backend`` pins the execution backend
-        (a non-bitwise backend returns pattern-identical ``allclose``
-        results instead).  Probes for drift once per call.
+        (a non-bitwise backend returns ``allclose`` results instead,
+        and ``scipy`` drops exact-zero sums).  Probes for drift once per
+        call.
         """
         Bx = A if B is None else B
         _check_inner(A, Bx)

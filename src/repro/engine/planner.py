@@ -14,7 +14,8 @@ engine's bitwise contract — unless constructed with ``backend="auto"``
 ``model_speed_factor`` capability hint; ``reference`` wins ties) or a
 pinned backend (every candidate targets it).  ``reference`` remains the
 correctness oracle either way: plans are validated against it and
-non-bitwise backends guarantee pattern-identical ``allclose`` results.  Three search policies are provided, mirroring the
+non-bitwise backends guarantee ``allclose`` results (``scipy`` minus
+exact-zero sums).  Three search policies are provided, mirroring the
 escalation the paper's §5 future work sketches, plus a fixed-spec one:
 
 * :class:`HeuristicPlanner` (``"heuristic"``) — ranks a candidate space
@@ -46,7 +47,7 @@ capturing the cross-row ``B``-reuse locality that reordering buys
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass, field, replace as _dc_replace
 from functools import lru_cache
 
 import numpy as np
@@ -239,6 +240,9 @@ class PreparedOperand:
     Ac: CSRCluster | None
     pre_cost: float
     params: tuple[tuple[str, float], ...] = ()
+    #: Execution-backend state owned by this operand (the ``scipy``
+    #: backend's recorded product structure); evicted with it.
+    backend_state: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _prepared_from_built(built, cost) -> PreparedOperand:

@@ -500,6 +500,9 @@ class BuiltPipeline:
     mode: str = "rows"
     cfg: Any = None
     info: dict = field(default_factory=dict)
+    #: Execution-backend state owned by this operand (the ``scipy``
+    #: backend's recorded product structure); dropped with it.
+    backend_state: dict = field(default_factory=dict, repr=False, compare=False)
 
     def pre_cost(self, cost) -> float:
         """Model preprocessing time under ``cost``, charged at each
@@ -512,8 +515,8 @@ class BuiltPipeline:
         return t
 
     def execute(self, B, *, cfg: Any = None, ctx: Any = None):
-        """Run the spec's kernel through its execution backend and
-        restore the original row order (bitwise-identical to row-wise
+        """Run the spec's kernel through its execution backend, with the
+        product in the original row order (bitwise-identical to row-wise
         SpGEMM in ``rows`` mode under a bitwise backend).
 
         Dispatch goes through :func:`repro.backends.execute` — the one
@@ -526,7 +529,7 @@ class BuiltPipeline:
         spec = self.spec
         if cfg is None:
             cfg = self.cfg
-        C = backend_execute(
+        return backend_execute(
             self,
             B,
             kernel=spec.kernel,
@@ -535,10 +538,8 @@ class BuiltPipeline:
             backend_params=spec.backend_params,
             cfg=cfg,
             ctx=ctx,
+            original_order=True,
         )
-        if self.inv is not None:
-            C = C.permute_rows(self.inv)
-        return C
 
 
 def enumerate_compatible(

@@ -269,3 +269,18 @@ def test_stats_snapshot_is_isolated(gainful_matrix):
     assert eng.stats().multiplies == 2
     eng.reset_stats()
     assert eng.stats().multiplies == 0
+
+
+def test_operand_cache_holds_ten_round_robin_inputs():
+    # Ten distinct operands cycled through the default engine must not
+    # thrash its prepared-operand LRU: the second round prepares nothing.
+    mats = [G.web_graph(60 + 7 * i, seed=i) for i in range(10)]
+    eng = SpGEMMEngine(config=SMALL_CFG, backend="scipy")
+    for A in mats:
+        eng.multiply(A)
+    first = eng.stats()
+    for A in mats:
+        eng.multiply(A)
+    second = eng.stats()
+    assert second.operands_prepared == first.operands_prepared
+    assert second.operands_reused - first.operands_reused == 10

@@ -23,6 +23,16 @@ indices and values.  Unhinted products (general B, operands without
 ``backend_state``) take the plain path: sort, then a C++ row gather when
 the original row order is asked for.
 
+Symmetric A²: when the hinted B is checked (once, bitwise) to be the
+source of a permuted rows-mode operand, the recorded product is
+``L @ L`` with ``L = P A Pᵀ`` — ``Ar`` with its columns relabelled
+through ``inv``, each row's entries kept in their stored order.  Row
+``i`` of ``L @ L`` sums the same products in the same order as row
+``perm[i]`` of raw ``A @ A``, so its values and dropped exact zeros are
+bitwise those of raw scipy; the recorded gather maps the columns back
+through ``perm``.  ``L`` costs 4 bytes per nonzero of ``A`` (int32
+indices; row pointer and values shared with the operand's handle).
+
 The backend accepts every kernel: kernels only restructure the *order*
 of the same multiply-adds, and the contract (product in the operand's
 row order) is defined by ``operand.Ar`` regardless of dataflow.  It is
@@ -55,6 +65,12 @@ def scipy_available() -> bool:
 #: recorded yet (recording on the first call costs memory for operands
 #: that are never multiplied again).
 _SEEN = "seen"
+#: ``backend_state`` keys: the operand's scipy handle of ``Ar`` and its
+#: symmetric handle ``L = P A Pᵀ``.
+_HANDLE = "handle"
+_SYMMETRIC = "symmetric"
+#: Largest product a structure is recorded for (``order`` is int32).
+_MAX_RECORDED_NNZ = np.iinfo(np.int32).max
 
 
 class _Structure(NamedTuple):
@@ -63,15 +79,83 @@ class _Structure(NamedTuple):
     ``order[k]`` is the raw-output position of canonical entry ``k``;
     ``raw_indptr`` is scipy's raw row pointer (the reuse check) and
     ``indptr`` the canonical one (int64, copied into every result).
+    ``symmetric`` records that the raw output is ``L @ L``, whose column
+    labels map back through the operand's ``perm``.
     """
 
     order: np.ndarray  # int32, nnz(C)
     raw_indptr: np.ndarray
     indptr: np.ndarray
+    symmetric: bool
 
 
-def _plain(Cs, inv) -> CSRMatrix:
-    """Canonicalise scipy's raw product: sort, row-gather, cast."""
+def _wrap(M):
+    """``M`` as a scipy CSR matrix (values shared, indices int32 when
+    they fit)."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((M.values, M.indices, M.indptr), shape=M.shape)
+
+
+def _handle(operand, state):
+    """The operand's ``Ar`` as a scipy matrix, kept in ``state`` (when
+    the operand has one) so later products skip the conversion."""
+    if state is None:
+        return _wrap(operand.Ar)
+    As = state.get(_HANDLE)
+    if As is None:
+        As = state[_HANDLE] = _wrap(operand.Ar)
+    return As
+
+
+def _symmetric_handle(operand, As, state):
+    """``L = P A Pᵀ``: ``As`` with every column relabelled through
+    ``operand.inv``, rows left in their stored order; kept in ``state``."""
+    import scipy.sparse as sp
+
+    L = state.get(_SYMMETRIC)
+    if L is None:
+        relabelled = operand.inv.astype(As.indices.dtype)[As.indices]
+        L = state[_SYMMETRIC] = sp.csr_matrix((As.data, relabelled, As.indptr), shape=As.shape)
+    return L
+
+
+def _is_source(operand, B, token, state) -> bool:
+    """Whether the hinted ``B`` is the source of a rows-mode operand:
+    ``B`` with the operand's row gather applied equals ``Ar`` bitwise.
+    Checked once per token."""
+    key = ("source", token)
+    ok = state.get(key)
+    if ok is None:
+        Ar, perm = operand.Ar, getattr(operand, "perm", None)
+        ok = getattr(operand, "mode", "rows") == "rows" and B.shape == Ar.shape
+        if ok:
+            PB = B if perm is None else B.permute_rows(perm)
+            ok = all(
+                np.array_equal(x, y)
+                for x, y in ((PB.indptr, Ar.indptr), (PB.indices, Ar.indices), (PB.values, Ar.values))
+            )
+        state[key] = ok
+    return ok
+
+
+def _right(operand, B, As, state, token):
+    """scipy form of ``B`` for ``As @ B``: the operand's own handle when
+    ``B`` is the source of an unpermuted operand."""
+    if getattr(operand, "perm", None) is None and (
+        B is operand.Ar or (token is not None and state.get(("source", token)))
+    ):
+        return As
+    return _wrap(B)
+
+
+def _plain(Cs, inv, relabel=None) -> CSRMatrix:
+    """Canonicalise scipy's raw product: relabel columns (``L @ L``),
+    sort, row-gather, cast."""
+    if relabel is not None:
+        import scipy.sparse as sp
+
+        Cs = sp.csr_matrix((Cs.data, relabel[Cs.indices], Cs.indptr), shape=Cs.shape)
     Cs.sort_indices()
     if inv is not None:
         Cs = Cs[inv]  # C++ row gather
@@ -80,32 +164,43 @@ def _plain(Cs, inv) -> CSRMatrix:
     )
 
 
-def _record(Cs, inv) -> tuple[_Structure, CSRMatrix]:
-    """Record the structure of raw product ``Cs`` and return it with the
-    canonical product (``Cs``'s indices are sorted in place)."""
+def _record(Cs, inv, relabel=None) -> tuple[_Structure, CSRMatrix]:
+    """Record the structure of raw product ``Cs`` (columns relabelled
+    through ``relabel`` for ``L @ L``) and return it with the canonical
+    product (``Cs``'s indices are relabelled and sorted in place)."""
     import scipy.sparse as sp
 
     raw_indptr = Cs.indptr.copy()
+    if relabel is not None:
+        Cs.indices = relabel[Cs.indices]  # replaced, not copied: peak memory
     # The raw positions ride through scipy's own sort and row gather as
     # the data array.
     T = sp.csr_matrix((np.arange(Cs.nnz, dtype=np.int32), Cs.indices, Cs.indptr), shape=Cs.shape)
     T.sort_indices()
     if inv is not None:
         T = T[inv]
-    rec = _Structure(T.data.astype(np.int32, copy=False), raw_indptr, T.indptr.astype(np.int64))
+    rec = _Structure(
+        T.data.astype(np.int32, copy=False),
+        raw_indptr,
+        T.indptr.astype(np.int64),
+        relabel is not None,
+    )
     C = CSRMatrix(
         rec.indptr.copy(), T.indices.astype(np.int64), Cs.data[rec.order], Cs.shape, check=False
     )
     return rec, C
 
 
-def _gather(rec: _Structure, Cs):
-    """Column indices (int32) and values of the canonical product through
-    a recorded structure, or ``None`` when the raw output no longer
+def _gather(rec: _Structure, Cs, relabel=None):
+    """Column indices and values of the canonical product through a
+    recorded structure, or ``None`` when the raw output no longer
     matches it."""
     if not np.array_equal(Cs.indptr, rec.raw_indptr):
         return None
-    idx = Cs.indices[rec.order]
+    # ``take`` gathers int32 faster than fancy indexing.
+    idx = Cs.indices.take(rec.order)
+    if relabel is not None:
+        idx = relabel.take(idx)
     # Column indices must increase strictly inside every canonical row;
     # comparisons across a row boundary are masked out.
     rising = idx[1:] > idx[:-1]
@@ -152,26 +247,36 @@ class ScipyBackend(ExecutionBackend):
         return self._product(operand, B, ctx, original_order=True)
 
     def _product(self, operand: Any, B: Any, ctx: ExecutionContext, *, original_order: bool):
-        import scipy.sparse as sp  # registration guarantees importability
-
         ctx.bump("scipy_calls")
-        Ar = operand.Ar
-        As = sp.csr_matrix((Ar.values, Ar.indices, Ar.indptr), shape=Ar.shape)
-        Bs = sp.csr_matrix((B.values, B.indices, B.indptr), shape=B.shape)
-        Cs = As @ Bs
-        del As, Bs
-        inv = getattr(operand, "inv", None) if original_order else None
         state = getattr(operand, "backend_state", None)
+        As = _handle(operand, state)
+        inv = getattr(operand, "inv", None) if original_order else None
         token = ctx.operand_tokens.get(id(B)) if state is not None else None
-        if token is None or Cs.nnz > np.iinfo(np.int32).max:  # order is int32
-            return _plain(Cs, inv)
         key = (token, original_order)
-        rec = state.get(key)
+        rec = None if token is None else state.get(key)
         if rec is None:
-            state[key] = _SEEN
-            return _plain(Cs, inv)
+            if token is not None:
+                state[key] = _SEEN
+            return _plain(As @ _right(operand, B, As, state, token), inv)
+        perm = getattr(operand, "perm", None)
+        if rec is _SEEN:
+            # Checked for unpermuted operands too: ``_right`` reuses it.
+            symmetric = _is_source(operand, B, token, state) and perm is not None
+        else:
+            symmetric = rec.symmetric
+        relabel = None
+        if symmetric:
+            # The handle's index dtype: relabelled columns stay int32.
+            relabel = perm.astype(As.indices.dtype)
+            L = _symmetric_handle(operand, As, state)
+            Cs = L @ L
+            ctx.bump("scipy_symmetric_products")
+        else:
+            Cs = As @ _right(operand, B, As, state, token)
+        if Cs.nnz > _MAX_RECORDED_NNZ:
+            return _plain(Cs, inv, relabel)
         if rec is not _SEEN:
-            got = _gather(rec, Cs)
+            got = _gather(rec, Cs, relabel)
             if got is not None:
                 ctx.bump("scipy_structure_reuses")
                 shape = Cs.shape
@@ -181,6 +286,6 @@ class ScipyBackend(ExecutionBackend):
             ctx.bump("scipy_structure_rebuilds")
         else:
             ctx.bump("scipy_structure_records")
-        rec, C = _record(Cs, inv)
+        rec, C = _record(Cs, inv, relabel)
         state[key] = rec
         return C

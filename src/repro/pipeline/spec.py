@@ -523,9 +523,18 @@ class BuiltPipeline:
         kernel-execution path shared with the engine.  ``ctx`` is an
         optional :class:`~repro.backends.base.ExecutionContext` for
         callers that accumulate backend statistics.
+
+        Only ``rows`` builds execute: a ``symmetric`` build's ``Ar`` is
+        ``P A Pᵀ``, whose product with ``B`` is not ``P·(A B)``, so it
+        raises ``ValueError`` (those builds feed the simulated sweeps).
         """
         from ..backends import execute as backend_execute
 
+        if self.mode != "rows":
+            raise ValueError(
+                f"cannot execute a mode={self.mode!r} build: its Ar is P A Pᵀ; "
+                "build with mode='rows' to execute"
+            )
         spec = self.spec
         if cfg is None:
             cfg = self.cfg

@@ -5,7 +5,7 @@ The observability acceptance bench (DESIGN.md §12): synthesise a
 bursty arrivals, occasional pattern churn) and replay it through an
 adaptive autotuning engine.  Everything the report contains — latency
 percentiles in *model cost units*, plan-cache hit rate, re-plan count,
-calibration staleness — is deterministic, so the emitted
+drift probes — is deterministic, so the emitted
 ``BENCH_trace_replay.json`` is byte-for-byte reproducible from the seed
 and its gated metrics are meaningful across machines.
 
@@ -21,7 +21,7 @@ versioned envelope, see ``benchmarks/_common.py``)::
 Run directly (``python benchmarks/bench_trace_replay.py``) or via
 pytest.  The pytest entry point asserts the ISSUE acceptance bar: the
 report carries p50/p95/p99 latency, hit rate, re-plan count and
-calibration staleness, and a second replay from the same seed
+drift probes, and a second replay from the same seed
 reproduces both trace and report byte-for-byte.
 """
 
@@ -112,7 +112,7 @@ def test_trace_replay_meets_acceptance_bar():
     assert rep["requests"] >= 500
     for pct in ("p50", "p95", "p99"):
         assert pct in rep["latency_model_units"]
-    for key in ("hit_rate", "replans", "calibration_staleness", "plans_built", "drift_probes"):
+    for key in ("hit_rate", "replans", "plans_built", "drift_probes"):
         assert key in rep
     assert 0.0 <= rep["hit_rate"] <= 1.0
     det = results["determinism"]

@@ -82,7 +82,7 @@ def main() -> None:
     print("\n=== Execution backends: '@' picks how the pipeline runs ===")
     for text in (
         "rcm+variable+cluster@vectorized",       # numpy-batched, still bitwise
-        "rcm+variable+cluster@scipy",            # native matmul, allclose
+        "rcm+variable+rowwise@scipy",            # native matmul over the cluster order, allclose
         "rcm+variable+cluster@sharded:workers=2",  # process-pool row shards
     ):
         spec = PipelineSpec.parse(text)

@@ -11,8 +11,8 @@ mandatory reason::
 
     result = spgemm_rowwise(A, A)  # repro: allow[RA001] baseline oracle
 
-    # repro: allow[RA002] calibration is a cold, deliberate wall-clock path
-    span = self.tracer.span("calibration.calibrate")
+    # repro: allow[RA002] planning is a cold, once-per-pattern path
+    span = self.tracer.span("planner.plan")
 
     # repro: allow-file[RA003] fixture exercising the determinism rule
 

@@ -202,9 +202,8 @@ def execute(
 def time_execution(built, B, backend_ref: "str | tuple", *, reps: int = 3) -> float:
     """Best-of-``reps`` wall-clock seconds executing a built pipeline.
 
-    The shared micro-benchmark primitive behind
-    :class:`~repro.engine.adaptive.BackendCalibrator` and the backend
-    benches: ``built`` is a :class:`~repro.pipeline.spec.BuiltPipeline`
+    The shared micro-benchmark primitive of the backend benches:
+    ``built`` is a :class:`~repro.pipeline.spec.BuiltPipeline`
     (preparation is the amortised one-off the engine ledgers separately,
     so only execution is timed), and one warm-up execution runs first so
     imports / process pools never pollute a timing.

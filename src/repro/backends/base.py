@@ -33,7 +33,8 @@ contract of raw ``scipy.sparse``.
 Capabilities are declared class-level (they feed the registry's
 :class:`~repro.pipeline.registry.ComponentInfo` entry) and refined
 per instance where composition demands it (``sharded`` inherits its
-inner backend's kernel support and bitwise flag).
+inner backend's kernel support, bitwise flag and
+:attr:`~ExecutionBackend.honours_kernel`).
 """
 
 from __future__ import annotations
@@ -124,6 +125,14 @@ class ExecutionBackend(ABC):
     def supported_kernels(self) -> tuple[str, ...] | None:
         """Kernel names this backend can execute (``None`` = all)."""
         return None
+
+    @property
+    def honours_kernel(self) -> bool:
+        """The plan's kernel (and its ``CSR_Cluster`` operand) reaches
+        execution.  ``False`` for a backend that runs every kernel as
+        the same product over ``operand.Ar``: only ``Ar``'s row order
+        changes its result, so planners search reorderings alone there."""
+        return True
 
     def supports_kernel(self, kernel: str) -> bool:
         supported = self.supported_kernels

@@ -35,7 +35,9 @@ indices; row pointer and values shared with the operand's handle).
 
 The backend accepts every kernel: kernels only restructure the *order*
 of the same multiply-adds, and the contract (product in the operand's
-row order) is defined by ``operand.Ar`` regardless of dataflow.  It is
+row order) is defined by ``operand.Ar`` regardless of dataflow.  So it
+declares ``honours_kernel=False``, and planners give it only
+``(reordering, None, "rowwise")`` candidates (DESIGN.md §10).  It is
 registered only when scipy imports, so environments without scipy keep a
 valid (reference-only) backend registry.
 """
@@ -223,6 +225,10 @@ class ScipyBackend(ExecutionBackend):
     @property
     def bitwise_reference(self) -> bool:
         return False
+
+    @property
+    def honours_kernel(self) -> bool:
+        return False  # every kernel runs as one matmul over Ar
 
     def execute(
         self,

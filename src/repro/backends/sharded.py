@@ -505,6 +505,10 @@ class ShardedBackend(ExecutionBackend):
         return self.inner.supported_kernels
 
     @property
+    def honours_kernel(self) -> bool:
+        return self.inner.honours_kernel
+
+    @property
     def _store(self):
         return self._resources.store
 

@@ -10,14 +10,7 @@ investment breaks even (paper Fig. 10 / Table 4, §5 future work).  See
 DESIGN.md §6 and §10.
 """
 
-from .adaptive import (
-    AdaptiveConfig,
-    BackendCalibrator,
-    CalibrationTable,
-    DriftDecision,
-    DriftMonitor,
-    calibration_path,
-)
+from .adaptive import AdaptiveConfig, DriftDecision, DriftMonitor
 from .engine import REPLAN_LOG_CAP, EngineStats, SpGEMMEngine
 from .fingerprint import MatrixFingerprint, feature_distance, fingerprint, value_digest
 from .plan import ExecutionPlan
@@ -48,9 +41,6 @@ __all__ = [
     "AdaptiveConfig",
     "DriftDecision",
     "DriftMonitor",
-    "CalibrationTable",
-    "BackendCalibrator",
-    "calibration_path",
     "MatrixFingerprint",
     "fingerprint",
     "value_digest",

@@ -1,18 +1,10 @@
-"""Adaptive runtime: measured calibration + drift-triggered re-planning.
+"""Adaptive runtime: drift-triggered re-planning.
 
 The engine's planners rank execution backends with a static
 ``model_speed_factor`` capability *hint* (scipy 0.35, vectorized 0.7 —
-DESIGN.md §10).  ``BENCH_backends.json`` shows how far hints drift from
-reality on a concrete host (scipy is ~60× the reference, not ~3×), and
-that the ``sharded`` break-even point is strongly size-dependent.  This
-module closes the runtime feedback loop in three pieces (DESIGN.md §11):
+DESIGN.md §10), and plans keep their planning-time costs.  This module
+closes the feedback loop on those costs (DESIGN.md §11):
 
-* :class:`BackendCalibrator` — micro-benchmarks every planner-ranked
-  backend on synthetic matrices binned by ``(n, nnz/row, density)`` and
-  produces a :class:`CalibrationTable` of **measured** speed factors
-  (wall-clock relative to ``reference``, same semantics as the static
-  hint).  The table persists as JSON next to the plan cache and carries
-  an *epoch* so plans record which calibration ranked them.
 * :class:`DriftMonitor` — per-plan hysteresis state machine fed by the
   engine with ``(predicted, executed)`` cost pairs.  A probe *drifts*
   when the executed/predicted ratio leaves
@@ -24,28 +16,15 @@ module closes the runtime feedback loop in three pieces (DESIGN.md §11):
   the engine constructor and the CLI (``--drift-threshold``).
 
 Nothing here runs unless the caller opts in: an engine built without
-``calibration=`` / ``drift_threshold=`` behaves exactly as before.
+``drift_threshold=`` / ``adaptive=`` behaves exactly as before.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = [
-    "AdaptiveConfig",
-    "DriftDecision",
-    "DriftMonitor",
-    "CalibrationTable",
-    "BackendCalibrator",
-    "calibration_backend_key",
-    "calibration_path",
-    "size_bin",
-    "row_bin",
-    "density_bin",
-]
+__all__ = ["AdaptiveConfig", "DriftDecision", "DriftMonitor"]
 
 
 # ----------------------------------------------------------------------
@@ -217,328 +196,3 @@ class DriftMonitor:
 
     def total_replans(self) -> int:
         return sum(st.replans for st in self._states.values())
-
-
-# ----------------------------------------------------------------------
-# Calibration bins
-# ----------------------------------------------------------------------
-def size_bin(n: int) -> int:
-    """Row-count bin: 0 (<256), 1 (<1024), 2 (<4096), 3 (≥4096)."""
-    for i, bound in enumerate((256, 1024, 4096)):
-        if n < bound:
-            return i
-    return 3
-
-
-def row_bin(nnz_row: float) -> int:
-    """Mean nnz/row bin: 0 (<4), 1 (<16), 2 (≥16)."""
-    return 0 if nnz_row < 4 else (1 if nnz_row < 16 else 2)
-
-
-def density_bin(density: float) -> int:
-    """Global density bin: 0 (<1e-2), 1 (<1e-1), 2 (≥1e-1).
-
-    ``density = nnz / (nrows * ncols)`` — a proxy for how much payload a
-    cluster row carries, which is what moves the vectorised/sharded
-    break-even points.
-    """
-    return 0 if density < 1e-2 else (1 if density < 1e-1 else 2)
-
-
-def _bin_key(backend: str, kernel: str, n: int, nnz_row: float, density: float) -> str:
-    return f"{backend}|{kernel}|s{size_bin(n)}r{row_bin(nnz_row)}d{density_bin(density)}"
-
-
-def calibration_backend_key(backend: str, params: tuple = ()) -> str:
-    """Table key for a (possibly parameterised) backend.
-
-    Parameterised configurations calibrate separately —
-    ``"sharded:workers=2"`` and ``"sharded:workers=4"`` have different
-    break-even points — using the same canonical ``name:key=value``
-    rendering as plan labels, so planner lookups and calibrator writes
-    agree byte-for-byte.
-    """
-    if not params:
-        return backend
-    return f"{backend}:" + ",".join(f"{k}={v}" for k, v in params)
-
-
-def calibration_path():
-    """On-disk calibration file, next to the persisted plans."""
-    from .plan_cache import plan_cache_dir
-
-    return plan_cache_dir() / "calibration.json"
-
-
-# ----------------------------------------------------------------------
-# Calibration table
-# ----------------------------------------------------------------------
-@dataclass
-class CalibrationTable:
-    """Measured backend speed factors, binned by matrix shape.
-
-    ``entries`` maps ``"<backend>|<kernel>|s<i>r<j>d<k>"`` to a measured
-    wall-clock factor relative to ``reference`` (< 1 = faster, same
-    semantics as the static ``model_speed_factor`` hint it replaces).
-    ``epoch`` increments on every (re-)calibration, so plans can record
-    which calibration ranked them and cache keys can tell calibrated
-    engines apart from static ones.
-    """
-
-    entries: dict[str, float] = field(default_factory=dict)
-    epoch: int = 1
-    host: str = ""
-
-    @property
-    def digest(self) -> str:
-        """Short content digest of the measured factors.
-
-        This — not the (resettable) epoch counter — is what cache
-        tokens embed: two calibrations measuring different factors can
-        share an epoch (a deleted ``calibration.json`` restarts the
-        count), but never a digest, so persisted plans ranked under
-        obsolete measurements can never be served to a newer engine.
-        """
-        import hashlib
-
-        payload = json.dumps(sorted(self.entries.items()))
-        return hashlib.sha256(payload.encode()).hexdigest()[:10]
-
-    def factor(
-        self, backend: str, kernel: str, *, n: int, nnz_row: float, density: float
-    ) -> float | None:
-        """Measured factor for one backend in one bin.
-
-        Falls back to the geomean of the backend's other measured bins
-        for the same kernel (a coarse but *measured* estimate beats the
-        static hint); a parameterised backend key
-        (``"sharded:workers=4"``) that was never calibrated falls back
-        to its bare-name measurements; ``None`` — caller keeps the
-        static hint — when nothing under the name was calibrated at all.
-        """
-        exact = self.entries.get(_bin_key(backend, kernel, n, nnz_row, density))
-        if exact is not None and exact > 0 and math.isfinite(exact):
-            return exact
-        prefix = f"{backend}|{kernel}|"
-        others = [v for k, v in self.entries.items() if k.startswith(prefix) and v > 0]
-        if not others:
-            base = backend.partition(":")[0]
-            if base != backend:
-                return self.factor(base, kernel, n=n, nnz_row=nnz_row, density=density)
-            return None
-        return math.exp(sum(math.log(v) for v in others) / len(others))
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {"epoch": self.epoch, "host": self.host, "entries": dict(sorted(self.entries.items()))}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CalibrationTable":
-        # A factor must be a positive finite ratio; anything else (a
-        # truncated or hand-edited file) would zero out every candidate
-        # estimate for that backend, so it is dropped at the door.  The
-        # epoch is clamped to >= 1: epoch 0 means "static hints", and a
-        # calibrated planner carrying it would share cache keys with
-        # uncalibrated ones — the mixup the epoch token prevents.
-        entries = {
-            str(k): float(v)
-            for k, v in d.get("entries", {}).items()
-            if float(v) > 0 and math.isfinite(float(v))
-        }
-        return cls(entries=entries, epoch=max(1, int(d.get("epoch", 1))), host=str(d.get("host", "")))
-
-    def save(self, path=None) -> None:
-        """Persist as JSON next to the plan cache (atomic replace).
-
-        Honours ``REPRO_NO_CACHE=1`` like every other disk artefact.
-        """
-        from ..experiments.cache import _disabled
-
-        if _disabled():
-            return
-        path = path or calibration_path()
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        tmp.replace(path)
-
-    @classmethod
-    def load(cls, path=None) -> "CalibrationTable | None":
-        """Load the persisted table; ``None`` when absent/disabled.
-
-        Corrupt files are reported with :func:`warnings.warn` and
-        treated as absent, matching the plan cache's behaviour.
-        """
-        from ..experiments.cache import _disabled
-
-        if _disabled():
-            return None
-        path = path or calibration_path()
-        if not path.exists():
-            return None
-        try:
-            return cls.from_dict(json.loads(path.read_text()))
-        except Exception as exc:
-            warnings.warn(
-                f"discarding corrupt calibration table {path.name}: {exc}; "
-                "re-run calibration to regenerate it",
-                stacklevel=2,
-            )
-            return None
-
-
-# ----------------------------------------------------------------------
-# The calibrator
-# ----------------------------------------------------------------------
-#: (label, builder) pairs spanning the calibration bins: small/medium
-#: sizes, thin and fat rows, sparse and dense payloads.  Sizes are kept
-#: moderate because the pure-python ``reference`` backend is timed too.
-def _calibration_matrices(seed: int):
-    from ..matrices import generators as G
-
-    return [
-        ("cal_grid8", G.grid2d(8, 8, seed=seed)),  # small, thin rows
-        ("cal_blocks40x12", G.block_diagonal(40, 12, density=0.45, seed=seed + 1)),  # medium
-        ("cal_banded600", G.banded_random(600, bandwidth=24, fill=0.8, seed=seed + 2)),  # fat rows
-        ("cal_blocks4x40", G.block_diagonal(4, 40, density=0.5, seed=seed + 3)),  # dense payload
-        ("cal_web1500", G.web_graph(1500, seed=seed + 4)),  # large, sparse payload
-        ("cal_grid68", G.grid2d(68, 68, seed=seed + 5)),  # ≥4096 rows: the top size bin
-    ]
-
-
-class BackendCalibrator:
-    """Micro-benchmark registered backends into a :class:`CalibrationTable`.
-
-    For every planner-ranked backend (plus any explicitly requested
-    one), each calibration matrix is prepared once per kernel dataflow
-    (row-wise on CSR, cluster-wise on ``CSR_Cluster``) and the
-    *execution only* is timed — preparation is the amortised one-off the
-    engine ledgers separately — best-of-``reps``, exactly like
-    ``benchmarks/bench_backends.py``.  The measured
-    ``t_backend / t_reference`` ratio lands in the matrix's
-    ``(n, nnz/row, density)`` bin.
-
-    Parameters
-    ----------
-    reps:
-        Timing repetitions per (matrix, kernel, backend); best-of.
-    seed:
-        Seed for the synthetic calibration matrices.
-    backends:
-        Backend names to calibrate; default = every planner-ranked
-        backend (the ones ``backend="auto"`` may pick).
-    pool_configs:
-        Parameterised backend specs calibrated *in addition* to the
-        planner-ranked set — by default the ``sharded`` pool
-        configuration the benches pin (``"sharded:workers=2"``).  The
-        shm data plane made these worth measuring: with operands
-        resident, the pool's factor reflects compute topology rather
-        than per-call pickling.  Each spec lands in the table under its
-        canonical :func:`calibration_backend_key`.
-    tracer:
-        Optional :class:`~repro.obs.Tracer`: an enabled tracer wraps the
-        whole run in a ``calibration.calibrate`` span and emits one
-        ``calibration.sample`` event per measured (matrix, kernel,
-        backend) cell (DESIGN.md §12).
-    """
-
-    #: (kernel, preparation spec) pairs each backend is timed on.
-    KERNEL_SPECS = (
-        ("rowwise", "original+none+rowwise"),
-        ("cluster", "original+fixed:8+cluster"),
-    )
-
-    #: Default parameterised pool specs worth their own table rows.
-    POOL_CONFIGS = ("sharded:workers=2",)
-
-    def __init__(
-        self,
-        *,
-        reps: int = 3,
-        seed: int = 0,
-        backends: tuple[str, ...] | None = None,
-        pool_configs: tuple[str, ...] | None = None,
-        tracer=None,
-    ) -> None:
-        from ..obs import NOOP_TRACER
-
-        if reps < 1:
-            raise ValueError(f"reps must be >= 1, got {reps}")
-        self.reps = int(reps)
-        self.seed = int(seed)
-        self._backends = backends
-        self.pool_configs = self.POOL_CONFIGS if pool_configs is None else tuple(pool_configs)
-        self.tracer = tracer if tracer is not None else NOOP_TRACER
-
-    def backends(self) -> tuple[str, ...]:
-        if self._backends is not None:
-            return tuple(self._backends)
-        from ..pipeline import components
-
-        return tuple(c.name for c in components("backend", planned=True))
-
-    def _specs(self) -> tuple[tuple[str, str, tuple], ...]:
-        """Everything to measure, as ``(table_key, name, params)``."""
-        from ..backends import parse_backend
-
-        out = []
-        for ref in (*self.backends(), *self.pool_configs):
-            name, params = parse_backend(ref)
-            out.append((calibration_backend_key(name, params), name, params))
-        return tuple(out)
-
-    # ------------------------------------------------------------------
-    def _time_execution(self, built, B, backend_ref) -> float:
-        """Best-of-``reps`` wall-clock seconds for one backend execution."""
-        from ..backends import time_execution
-
-        return time_execution(built, B, backend_ref, reps=self.reps)
-
-    def calibrate(self, *, previous: CalibrationTable | None = None) -> CalibrationTable:
-        """Run the micro-benchmarks and assemble the table.
-
-        ``previous`` (e.g. the persisted table) supplies the epoch to
-        increment; measured bins aggregate by geomean when several
-        matrices land in the same bin.
-        """
-        import platform
-
-        from ..backends import backend_supports
-        from ..pipeline import PipelineSpec
-
-        samples: dict[str, list[float]] = {}
-        # repro: allow[RA002] calibration is a cold once-per-process path that deliberately wraps wall-clock micro-benchmarks; span cost is irrelevant here
-        cal_span = self.tracer.span("calibration.calibrate", reps=self.reps)
-        with cal_span:
-            for _label, A in _calibration_matrices(self.seed):
-                nnz_row = A.nnz / max(1, A.nrows)
-                density = A.nnz / max(1, A.nrows * A.ncols)
-                for kernel, spec_text in self.KERNEL_SPECS:
-                    built = PipelineSpec.parse(spec_text).build(A)
-                    t_ref = self._time_execution(built, A, "reference")
-                    for table_key, name, params in self._specs():
-                        if name == "reference" or not backend_supports(name, params, kernel):
-                            continue
-                        seconds = self._time_execution(built, A, (name, params))
-                        key = _bin_key(table_key, kernel, A.nrows, nnz_row, density)
-                        samples.setdefault(key, []).append(seconds / t_ref if t_ref > 0 else 1.0)
-                        # repro: allow[RA002] one event per calibration sample, off the multiply hot path; the disabled tracer's event() no-ops
-                        self.tracer.event(
-                            "calibration.sample",
-                            matrix=_label,
-                            backend=table_key,
-                            kernel=kernel,
-                            seconds=seconds,
-                        )
-            cal_span.tag(bins=len(samples))
-        entries = {
-            key: math.exp(sum(math.log(max(v, 1e-12)) for v in vals) / len(vals))
-            for key, vals in samples.items()
-        }
-        epoch = (previous.epoch + 1) if previous is not None else 1
-        return CalibrationTable(entries=entries, epoch=epoch, host=platform.node())
-
-    def calibrate_and_save(self) -> CalibrationTable:
-        """Calibrate against the persisted table's epoch and persist."""
-        table = self.calibrate(previous=CalibrationTable.load())
-        table.save()
-        return table

@@ -51,11 +51,11 @@ from ..experiments.config import ExperimentConfig
 from ..machine import SimulatedMachine
 from ..obs import NOOP_TRACER, Tracer
 from ..pipeline import PipelineSpec, get_component
-from .adaptive import AdaptiveConfig, BackendCalibrator, CalibrationTable, DriftMonitor
+from .adaptive import AdaptiveConfig, DriftMonitor
 from .fingerprint import MatrixFingerprint, fingerprint, pattern_digest, value_digest
 from .plan import ExecutionPlan
 from .plan_cache import PlanCache
-from .planner import Planner, PreparedOperand, make_planner
+from .planner import Planner, PreparedOperand, _backend_factor, make_planner
 
 __all__ = ["SpGEMMEngine", "EngineStats", "REPLAN_LOG_CAP"]
 
@@ -103,10 +103,6 @@ class EngineStats:
     drift_detected: int = 0  # probes outside the drift band
     replans: int = 0  # drift-triggered plan rebuilds
     warm_starts: int = 0  # cold lookups seeded from a cached neighbour
-    # Cache hits served by a plan ranked under an older calibration
-    # epoch than the planner's current one — the replay report's
-    # calibration-staleness numerator.
-    stale_plan_serves: int = 0
     # Model units spent *measuring* executed cost.  Deliberately outside
     # invested_cost: a real runtime reads executed cost off a timer for
     # free — the simulation stand-in must not distort the paper-facing
@@ -323,14 +319,6 @@ class SpGEMMEngine:
         backend.  Individual calls can override via
         ``multiply(..., backend=...)``; with ``pipeline=``, the
         backend override is applied onto the spec.
-    calibration:
-        Measured backend speed factors replacing the static
-        ``model_speed_factor`` ranking hints (DESIGN.md §11): a
-        :class:`~repro.engine.adaptive.CalibrationTable`, a
-        :class:`~repro.engine.adaptive.BackendCalibrator` (calibrated
-        and persisted on the spot), or ``True`` to load the table
-        persisted next to the plan cache (silently absent → static
-        hints).  ``None`` (default) keeps the static hints.
     drift_threshold:
         Enables drift-triggered re-planning: after each
         :meth:`multiply`, the executed model cost of the plan on the
@@ -382,7 +370,6 @@ class SpGEMMEngine:
         pipeline: "PipelineSpec | str | None" = None,
         kernels: "tuple[str, ...] | None" = None,
         backend: str | None = None,
-        calibration: "CalibrationTable | BackendCalibrator | bool | None" = None,
         drift_threshold: float | None = None,
         adaptive: AdaptiveConfig | None = None,
         warm_start: bool = False,
@@ -396,7 +383,6 @@ class SpGEMMEngine:
         self.seed = int(seed)
         self.backend = backend
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self.calibration = self._resolve_calibration(calibration)
         if drift_threshold is not None:
             base = adaptive or AdaptiveConfig()
             adaptive = replace(base, drift_threshold=float(drift_threshold))
@@ -410,7 +396,6 @@ class SpGEMMEngine:
             cfg=self.cfg,
             machine=self.machine,
             seed=self.seed,
-            calibration=self.calibration,
             tracer=self.tracer,
         )
         kw = dict(self._planner_kw, kernels=kernels, backend=backend)
@@ -458,22 +443,6 @@ class SpGEMMEngine:
         # execute while a cold fingerprint plans.
         self._plan_build_lock = threading.RLock()
         self._memo_lock = threading.RLock()
-
-    @staticmethod
-    def _resolve_calibration(calibration) -> CalibrationTable | None:
-        """Normalise the constructor's ``calibration`` argument."""
-        if calibration is None or calibration is False:
-            return None
-        if calibration is True:
-            return CalibrationTable.load()  # absent/disabled → None (static hints)
-        if isinstance(calibration, BackendCalibrator):
-            return calibration.calibrate_and_save()
-        if isinstance(calibration, CalibrationTable):
-            return calibration
-        raise TypeError(
-            "calibration must be a CalibrationTable, a BackendCalibrator or a bool, "
-            f"got {type(calibration).__name__}"
-        )
 
     # ------------------------------------------------------------------
     # Planning
@@ -633,8 +602,7 @@ class SpGEMMEngine:
                         self._stats.bump(operands_prepared=1, model_pre_cost=prep.pre_cost)
                         self._store_operand(self._operand_key(plan, value_digest(A)), prep)
         if hit and count:
-            stale = int(plan.calibration_epoch != planner.calibration_epoch)
-            self._stats.bump(plan_cache_hits=1, stale_plan_serves=stale)
+            self._stats.bump(plan_cache_hits=1)
         self._stats.bump(planning_seconds=time.perf_counter() - t0)
         return plan, hit
 
@@ -886,8 +854,7 @@ class SpGEMMEngine:
             t = self.machine.run_clusterwise(prep.Ac, Bx).time
         else:
             t = self.machine.run_rowwise(prep.Ar, Bx).time
-        factor = self.planner._backend_factor(plan.backend, kernel=plan.kernel, A=prep.Ar)
-        return t * k_info.model_speed_factor * factor
+        return t * k_info.model_speed_factor * _backend_factor(plan.backend)
 
     def _observe_drift(self, bound: _Bound, A: CSRMatrix, Bx: CSRMatrix) -> None:
         """Probe the executed cost and re-plan when it has drifted (a

@@ -97,11 +97,6 @@ class ExecutionPlan:
         ``kind`` the numeric phase.  Recorded so a cached plan replays
         the exact same per-bin dispatch; ``()`` for kernels without one
         (plans persisted before the hybrid kernel load unchanged).
-    calibration_epoch:
-        Epoch of the :class:`~repro.engine.adaptive.CalibrationTable`
-        whose measured backend factors ranked this plan; ``0`` means
-        the static ``model_speed_factor`` hints did (every plan
-        persisted before the adaptive runtime loads as epoch 0).
     """
 
     reordering: str
@@ -120,7 +115,6 @@ class ExecutionPlan:
     baseline_cost: float = math.nan
     pre_cost: float = 0.0
     planning_cost: float = 0.0
-    calibration_epoch: int = 0
 
     def __post_init__(self) -> None:
         # Validation is registry-driven (lazy import: the pipeline layer
@@ -249,6 +243,8 @@ class ExecutionPlan:
         d["backend_params"] = tuple((str(k), v) for k, v in d.get("backend_params", ()))
         # Plans persisted before the hybrid kernel carry no bin_map.
         d["bin_map"] = tuple((int(e), str(k)) for e, k in d.get("bin_map", ()))
+        # Plans persisted while backend calibration existed carry its epoch.
+        d.pop("calibration_epoch", None)
         return cls(**d)
 
     def to_json(self) -> str:

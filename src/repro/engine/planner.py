@@ -12,7 +12,10 @@ by default: planners search ``reference`` only — preserving the
 engine's bitwise contract — unless constructed with ``backend="auto"``
 (enumerate every planner-ranked backend, ranked by each backend's
 ``model_speed_factor`` capability hint; ``reference`` wins ties) or a
-pinned backend (every candidate targets it).  ``reference`` remains the
+pinned backend (every candidate targets it).  On a backend that does not
+honour the kernel choice (``scipy``) only the reordering reaches the
+product, so its candidates are ``(reordering, backend)`` pairs — see
+:func:`executed_candidate`.  ``reference`` remains the
 correctness oracle either way: plans are validated against it and
 non-bitwise backends guarantee ``allclose`` results (``scipy`` minus
 exact-zero sums).  Three search policies are provided, mirroring the
@@ -81,6 +84,7 @@ __all__ = [
     "planner_kernels",
     "planner_backends",
     "replace_candidate",
+    "executed_candidate",
     "prepare_candidate",
     "default_training_corpus",
 ]
@@ -174,9 +178,10 @@ def default_candidates(
     (``None`` keeps the full registry-enumerated space); ``backends``
     extends the space along the execution-backend axis: each base
     candidate is additionally emitted per listed non-reference backend
-    that supports its kernel.  ``None`` (the default) keeps the
-    historical reference-only space, preserving the engine's bitwise
-    contract unless the caller opts in.
+    that supports its kernel, as what that backend executes
+    (:func:`executed_candidate`: reordering pairs on ``scipy``).
+    ``None`` (the default) keeps the historical reference-only space,
+    preserving the engine's bitwise contract unless the caller opts in.
     """
     if reorderings is None:
         reorderings = planner_reorderings()
@@ -203,20 +208,59 @@ def default_candidates(
     if backends:
         from ..backends import backend_supports
 
-        extra = [
+        cands += [
             replace_candidate(c, b)
             for b in backends
             if b != "reference"
             for c in cands
             if backend_supports(b, (), c.kernel)
         ]
-        cands += extra
-    return cands
+    return _executed_space(cands)
 
 
 def replace_candidate(cand: Candidate, backend: str, params: tuple = ()) -> Candidate:
     """Copy of ``cand`` re-targeted at another execution backend."""
     return _dc_replace(cand, backend=backend, backend_params=params)
+
+
+def _kernel_blind(cand: Candidate) -> bool:
+    from ..backends import get_backend
+
+    return not get_backend(cand.backend, cand.backend_params).honours_kernel
+
+
+def executed_candidate(cand: Candidate) -> Candidate:
+    """What ``cand``'s backend actually executes.
+
+    A backend that does not honour the kernel choice (``scipy``) runs
+    every kernel as the same product over ``Ar``: no ``CSR_Cluster``
+    operand and no kernel reaches it, so only the reordering changes
+    its result.  There the candidate is ``(reordering, None,
+    "rowwise")``, which builds no clustering.  Candidates on every
+    other backend are returned unchanged.
+    """
+    if not _kernel_blind(cand):
+        return cand
+    return Candidate(cand.reordering, None, "rowwise", cand.backend, cand.backend_params)
+
+
+def _executed_space(cands: list[Candidate]) -> list[Candidate]:
+    """``cands`` rewritten by :func:`executed_candidate`, duplicates
+    dropped (the first keeps its rank), with the natural order a
+    candidate on every kernel-blind backend the space reaches."""
+    out: dict[Candidate, None] = {}
+    for cand in cands:
+        if _kernel_blind(cand):
+            out.setdefault(
+                Candidate("original", None, "rowwise", cand.backend, cand.backend_params)
+            )
+        out.setdefault(executed_candidate(cand))
+    return list(out)
+
+
+def _backend_factor(backend: str) -> float:
+    """The backend's static ``model_speed_factor`` ranking hint."""
+    return get_component("backend", backend).model_speed_factor
 
 
 # ----------------------------------------------------------------------
@@ -313,8 +357,6 @@ def _estimate_candidate_costs(
     candidates: list[Candidate],
     cost,
     cfg: ExperimentConfig,
-    *,
-    backend_factor=None,
 ) -> list[float]:
     """Coarse per-multiply model-time estimate of each candidate.
 
@@ -396,13 +438,9 @@ def _estimate_candidate_costs(
         # Kernel implementation hint: same dataflow, faster numeric
         # phase (hybrid's per-bin dispatch); 1.0 for rowwise/cluster.
         t *= k_info.model_speed_factor
-        # Backend axis: same dataflow, faster implementation.  The
-        # factor is the static registry hint unless the caller supplies
-        # a (calibrated) resolver; 1.0 for reference either way.
-        if backend_factor is None:
-            t *= get_component("backend", cand.backend).model_speed_factor
-        else:
-            t *= backend_factor(cand)
+        # Backend axis: same dataflow, faster implementation (1.0 for
+        # reference).
+        t *= _backend_factor(cand.backend)
         out.append(float(t))
     return out
 
@@ -429,7 +467,6 @@ class Planner:
         reorderings: tuple[str, ...] | None = None,
         kernels: tuple[str, ...] | None = None,
         backend: "str | tuple | None" = None,
-        calibration=None,
         tracer=None,
     ) -> None:
         from ..experiments.runner import machine_for  # local: avoid import cycle at module load
@@ -446,10 +483,6 @@ class Planner:
         #: :meth:`plan` in a ``planner.plan`` span and every candidate
         #: measurement in a ``planner.trial`` span.
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        #: Optional CalibrationTable: measured backend speed factors
-        #: replace the static model_speed_factor hints wherever the
-        #: planner ranks or measures along the backend axis.
-        self.calibration = calibration
         self._warm: Candidate | None = None  # warm-start hint for one plan() call
         # Backend mode (DESIGN.md §10): None → reference only (the
         # bitwise default), "auto" → enumerate every planner-ranked
@@ -477,32 +510,10 @@ class Planner:
         return name + ":" + ",".join(f"{k}={v}" for k, v in params)
 
     @property
-    def calibration_epoch(self) -> int:
-        """Epoch of the calibration ranking this planner (0 = static hints)."""
-        return self.calibration.epoch if self.calibration is not None else 0
-
-    @property
     def cache_token(self) -> str:
-        """Discriminates plan-cache entries across planner settings.
-
-        A calibrated planner appends a *content digest* of its
-        calibration table (the epoch counter is resettable, the digest
-        is not), so plans ranked under different measurements are never
-        served to each other — and uncalibrated tokens stay
-        byte-identical to what earlier releases persisted.
-        """
+        """Discriminates plan-cache entries across planner settings."""
         kernel_token = "" if self.kernels is None else ":k=" + ",".join(self.kernels)
-        return (
-            f"{self.name}:{','.join(self.reorderings)}{kernel_token}:b={self.backend_token}"
-            + self._calibration_suffix
-        )
-
-    @property
-    def _calibration_suffix(self) -> str:
-        """``":c<digest>"`` for calibrated planners, ``""`` otherwise —
-        every ``cache_token`` (subclass overrides included) must append
-        it, or calibrated and uncalibrated plans would share keys."""
-        return f":c{self.calibration.digest}" if self.calibration is not None else ""
+        return f"{self.name}:{','.join(self.reorderings)}{kernel_token}:b={self.backend_token}"
 
     def take_prepared(self) -> PreparedOperand | None:
         """Hand over the winning candidate's materialised operand.
@@ -531,57 +542,22 @@ class Planner:
         # kernels it cannot execute leave the space entirely.
         from ..backends import backend_supports
 
-        cands = [
-            replace_candidate(c, name, params)
-            for c in cands
-            if backend_supports(name, params, c.kernel)
-        ]
+        cands = _executed_space(
+            [
+                replace_candidate(c, name, params)
+                for c in cands
+                if backend_supports(name, params, c.kernel)
+            ]
+        )
         if not cands:
             raise ValueError(
                 f"backend {name!r} supports none of the planner's kernels"
             )
         return cands
 
-    def _backend_factor(
-        self,
-        backend: str,
-        *,
-        kernel: str = "rowwise",
-        A: CSRMatrix | None = None,
-        params: tuple = (),
-    ) -> float:
-        """The backend's relative-speed factor.
-
-        With a :class:`~repro.engine.adaptive.CalibrationTable` this is
-        the *measured* wall-clock ratio for the matrix's
-        ``(n, nnz/row, density)`` bin; otherwise (or for bins the
-        calibration never visited) the static ``model_speed_factor``
-        registry hint.  Parameterised backends look up their
-        configuration-specific row first (pool widths calibrate
-        separately), falling back to the bare name inside
-        :meth:`~repro.engine.adaptive.CalibrationTable.factor`.
-        """
-        static = get_component("backend", backend).model_speed_factor
-        if self.calibration is None or A is None or backend == "reference":
-            return static
-        from .adaptive import calibration_backend_key
-
-        measured = self.calibration.factor(
-            calibration_backend_key(backend, params),
-            kernel,
-            n=A.nrows,
-            nnz_row=A.nnz / max(1, A.nrows),
-            density=A.nnz / max(1, A.nrows * A.ncols),
-        )
-        return static if measured is None else measured
-
-    def _candidate_factor_fn(self, A: CSRMatrix):
-        """Per-candidate backend-factor resolver for the cost estimator."""
-        return lambda cand: self._backend_factor(
-            cand.backend, kernel=cand.kernel, A=A, params=cand.backend_params
-        )
-
-    def _measure(self, A: CSRMatrix, B: CSRMatrix, cand: Candidate) -> tuple[float, PreparedOperand]:
+    def _measure(
+        self, A: CSRMatrix, B: CSRMatrix, cand: Candidate, baseline: float
+    ) -> tuple[float, PreparedOperand, float]:
         """Materialise ``cand`` and simulate one multiply (model time).
 
         Kernels tagged ``requires_clustering`` are simulated on the
@@ -593,13 +569,20 @@ class Planner:
         backend's ``model_speed_factor`` ranking hint (1.0 for
         ``reference``), mirroring that the same dataflow runs faster on
         a native implementation.
+
+        Returns ``(time, prep, simulated)``.  A natural-order candidate
+        without clustering and with a row kernel simulates exactly the
+        ``baseline`` run the planner already made, so it reuses that
+        time and ``simulated`` (the model time to charge) is 0.
         """
         if not self.tracer.enabled:
-            return self._measure_impl(A, B, cand)
+            return self._measure_impl(A, B, cand, baseline)
         with self.tracer.span("planner.trial", candidate=cand.label):
-            return self._measure_impl(A, B, cand)
+            return self._measure_impl(A, B, cand, baseline)
 
-    def _measure_impl(self, A: CSRMatrix, B: CSRMatrix, cand: Candidate) -> tuple[float, PreparedOperand]:
+    def _measure_impl(
+        self, A: CSRMatrix, B: CSRMatrix, cand: Candidate, baseline: float
+    ) -> tuple[float, PreparedOperand, float]:
         k_info = get_component("kernel", cand.kernel)
         prep = prepare_candidate(
             A,
@@ -610,35 +593,38 @@ class Planner:
             seed=self.seed,
             cluster_operand=k_info.requires_clustering,
         )
-        if k_info.requires_clustering:
-            res = self.machine.run_clusterwise(prep.Ac, B)
+        reused = (
+            cand.reordering == "original"
+            and cand.clustering is None
+            and not k_info.requires_clustering
+        )
+        if reused:
+            t = baseline
+        elif k_info.requires_clustering:
+            t = self.machine.run_clusterwise(prep.Ac, B).time
         else:
-            res = self.machine.run_rowwise(prep.Ar, B)
+            t = self.machine.run_rowwise(prep.Ar, B).time
         # The kernel's model_speed_factor mirrors the backend one: same
         # simulated dataflow, faster numeric phase.  The engine's drift
         # probe applies the identical factors, so an unchanged workload
         # measures exactly predicted_cost.
-        return (
-            res.time
-            * k_info.model_speed_factor
-            * self._backend_factor(cand.backend, kernel=cand.kernel, A=A, params=cand.backend_params),
-            prep,
-        )
+        predicted = t * k_info.model_speed_factor * _backend_factor(cand.backend)
+        return predicted, prep, 0.0 if reused else predicted
 
     def _baseline(self, A: CSRMatrix, B: CSRMatrix) -> float:
         return self.machine.run_rowwise(A, B).time
 
-    def _apply_backend(self, cand: Candidate, A: CSRMatrix | None = None) -> Candidate:
+    def _apply_backend(self, cand: Candidate) -> Candidate:
         """Re-target a policy-chosen candidate along the backend axis.
 
         Used by policies that pick a candidate outside
         :meth:`_candidates` (the predictor).  Pinned mode applies the
         pinned backend (a pin that cannot execute the chosen kernel is a
         configuration error); ``auto`` mode picks the planner-ranked
-        backend with the best speed factor — measured when calibrated,
-        the static ``model_speed_factor`` hint otherwise — that supports
+        backend with the best ``model_speed_factor`` hint that supports
         the kernel: same dataflow, so the factor alone orders the
-        choices (``reference`` wins ties via its rank).
+        choices (``reference`` wins ties via its rank).  Either way the
+        result is what that backend executes (:func:`executed_candidate`).
         """
         from ..backends import backend_supports
 
@@ -648,15 +634,9 @@ class Planner:
                 for c in components("backend", planned=True)
                 if backend_supports(c.name, (), cand.kernel)
             ]
-            best = min(
-                choices,
-                key=lambda c: (
-                    self._backend_factor(c.name, kernel=cand.kernel, A=A),
-                    c.planner_rank,
-                ),
-            )
+            best = min(choices, key=lambda c: (c.model_speed_factor, c.planner_rank))
             if best.name != "reference":
-                return replace_candidate(cand, best.name)
+                return executed_candidate(replace_candidate(cand, best.name))
             return cand
         if self._backend_mode != "pinned":
             return cand
@@ -665,7 +645,7 @@ class Planner:
             raise ValueError(
                 f"pinned backend {name!r} does not support the chosen kernel {cand.kernel!r}"
             )
-        return replace_candidate(cand, name, params)
+        return executed_candidate(replace_candidate(cand, name, params))
 
     def _assemble(
         self,
@@ -697,7 +677,6 @@ class Planner:
             baseline_cost=baseline,
             pre_cost=prep.pre_cost,
             planning_cost=planning,
-            calibration_epoch=self.calibration_epoch,
         )
 
     def _select(
@@ -705,9 +684,10 @@ class Planner:
     ) -> tuple[Candidate, float, PreparedOperand, float]:
         """Policy hook: return ``(winner, predicted, prep, trial_cost)``.
 
-        ``trial_cost`` is the simulation time of trials *beyond* the
-        baseline simulation and the winner's own measurement, which the
-        base class always charges.
+        ``trial_cost`` is the planning cost *beyond* the baseline
+        simulation, which the base class always charges: every trial
+        simulation the policy ran (the winner's included) plus the
+        preprocessing spent on losing trials.
         """
         raise NotImplementedError
 
@@ -718,8 +698,10 @@ class Planner:
         Returns ``None`` when the hint cannot apply (rectangular operand
         vs a square-only reordering, or a pinned backend that cannot run
         the hinted kernel) — a warm start is an optimisation, never a
-        constraint.  The engine calls this once and passes the resolved
-        :class:`Candidate` straight to :meth:`plan`.
+        constraint.  A hint on a kernel-blind backend becomes what that
+        backend executes (:func:`executed_candidate`).  The engine calls
+        this once and passes the resolved :class:`Candidate` straight to
+        :meth:`plan`.
         """
         if plan is None:
             return None
@@ -742,7 +724,7 @@ class Planner:
             if not backend_supports(name, params, cand.kernel):
                 return None
             cand = replace_candidate(cand, name, params)
-        return cand
+        return executed_candidate(cand)
 
     def plan(
         self,
@@ -780,9 +762,9 @@ class Planner:
         self._winner_prep = prep  # engine picks this up via take_prepared()
         if sp is not None:
             sp.tag(plan=cand.label)
-        # Planning charged: every simulation the planner ran — the
-        # baseline, the winner's measurement, and any extra trials.
-        planning = baseline + predicted + trial_cost
+        # Planning charged: the baseline simulation plus the policy's
+        # trials (see _select).
+        planning = baseline + trial_cost
         return self._assemble(
             cand, prep, fp, workload, predicted=predicted, baseline=baseline, planning=planning
         )
@@ -795,16 +777,12 @@ class HeuristicPlanner(Planner):
 
     def choose(self, A: CSRMatrix, B: CSRMatrix, fp: MatrixFingerprint) -> Candidate:
         cands = self._candidates(A)
-        est = _estimate_candidate_costs(
-            A, B, fp.feature_array(), cands, self.machine.cost, self.cfg,
-            backend_factor=self._candidate_factor_fn(A),
-        )
+        est = _estimate_candidate_costs(A, B, fp.feature_array(), cands, self.machine.cost, self.cfg)
         return cands[int(np.argmin(est))]
 
     def _select(self, A, B, fp, baseline):
         cand = self.choose(A, B, fp)
-        predicted, prep = self._measure(A, B, cand)
-        return cand, predicted, prep, 0.0
+        return (cand, *self._measure(A, B, cand, baseline))
 
 
 class PredictorPlanner(Planner):
@@ -855,9 +833,8 @@ class PredictorPlanner(Planner):
         return Candidate(algo, variant, "cluster")
 
     def _select(self, A, B, fp, baseline):
-        cand = self._apply_backend(self.choose(A, B, fp), A)
-        predicted, prep = self._measure(A, B, cand)
-        return cand, predicted, prep, 0.0
+        cand = self._apply_backend(self.choose(A, B, fp))
+        return (cand, *self._measure(A, B, cand, baseline))
 
 
 class AutotunePlanner(Planner):
@@ -882,10 +859,7 @@ class AutotunePlanner(Planner):
 
     def _select(self, A, B, fp, baseline):
         cands = self._candidates(A)
-        est = _estimate_candidate_costs(
-            A, B, fp.feature_array(), cands, self.machine.cost, self.cfg,
-            backend_factor=self._candidate_factor_fn(A),
-        )
+        est = _estimate_candidate_costs(A, B, fp.feature_array(), cands, self.machine.cost, self.cfg)
         order = np.argsort(est, kind="stable")[: self.top_k]
         trial_cands = [cands[int(i)] for i in order]
         # Plan-cache warm start: the nearest cached neighbour's
@@ -901,26 +875,27 @@ class AutotunePlanner(Planner):
         # measured pinned candidate wins).
         baseline_cand = Candidate("original", None, "rowwise")
         baseline_contends = self._backend_mode != "pinned"
-        measured = []
-        for cand in trial_cands:
-            if baseline_contends and cand == baseline_cand:
-                continue
-            t, prep = self._measure(A, B, cand)
-            measured.append((cand, t, prep))
+        measured = [
+            (cand, *self._measure(A, B, cand, baseline))
+            for cand in trial_cands
+            if not (baseline_contends and cand == baseline_cand)
+        ]
         if baseline_contends:
             best_cand, best_time, best_prep = baseline_cand, baseline, None
         else:
-            best_cand, best_time, best_prep = measured[0]
-        for cand, t, prep in measured:
+            best_cand, best_time, best_prep, _ = measured[0]
+        for cand, t, prep, _ in measured:
             if t < best_time:
                 best_cand, best_time, best_prep = cand, t, prep
-        # Losing trials are pure tuning bill: both their simulated
-        # multiply AND the preprocessing spent materialising them (the
-        # winner's preprocessing lives on in plan.pre_cost instead).
-        extra = sum(t + prep.pre_cost for cand, t, prep in measured if cand != best_cand)
+        # Tuning bill: every trial simulation, plus the preprocessing
+        # spent materialising losing trials (the winner's lives on in
+        # plan.pre_cost instead).
+        extra = sum(
+            simulated + (prep.pre_cost if cand != best_cand else 0.0)
+            for cand, _, prep, simulated in measured
+        )
         if best_prep is None:  # baseline won: its "preparation" is a no-op
             best_prep = prepare_candidate(A, "original", None, self.cfg, self.machine.cost, seed=self.seed)
-            extra -= baseline  # winner's measurement *is* the already-charged baseline sim
         return best_cand, best_time, best_prep, extra
 
 
@@ -942,7 +917,7 @@ class PipelinePlanner(Planner):
 
     @property
     def cache_token(self) -> str:
-        return f"{self.name}:{self.spec}" + self._calibration_suffix
+        return f"{self.name}:{self.spec}"
 
     def _select(self, A, B, fp, baseline):
         spec = self.spec
@@ -959,10 +934,8 @@ class PipelinePlanner(Planner):
         cand = Candidate(
             spec.reordering, spec.clustering, spec.kernel, spec.backend, spec.backend_params
         )
-        factor = spec.kernel_info.model_speed_factor * self._backend_factor(
-            spec.backend, kernel=spec.kernel, A=A, params=spec.backend_params
-        )
-        return cand, res.time * factor, prep, 0.0
+        predicted = res.time * spec.kernel_info.model_speed_factor * _backend_factor(spec.backend)
+        return cand, predicted, prep, predicted
 
     def _assemble(self, cand, prep, fp, workload, *, predicted, baseline, planning):
         # Serialise through the spec so reordering/kernel parameters and
@@ -977,7 +950,6 @@ class PipelinePlanner(Planner):
             baseline_cost=baseline,
             pre_cost=prep.pre_cost,
             planning_cost=planning,
-            calibration_epoch=self.calibration_epoch,
         )
 
 

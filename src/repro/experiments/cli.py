@@ -7,7 +7,7 @@ Usage::
     python -m repro.experiments.cli all --suite full
     python -m repro.experiments.cli engine --matrix pdb1 --policy autotune --iters 5
     python -m repro.experiments.cli engine --pipeline rcm+fixed:8+cluster
-    python -m repro.experiments.cli engine --pipeline rcm+fixed:8+cluster@scipy
+    python -m repro.experiments.cli engine --pipeline rcm@scipy
     python -m repro.experiments.cli engine --backend sharded:workers=2
     python -m repro.experiments.cli pipelines      # registered components
     python -m repro.experiments.cli serve --port 7077          # long-lived service
@@ -155,11 +155,10 @@ def engine_demo(args) -> str:
     amortisation ledger and plan-cache behaviour (the ``engine`` command).
 
     ``--pipeline`` pins an explicit declarative spec (e.g.
-    ``rcm+fixed:8+cluster@scipy``) instead of searching with
+    ``rcm+fixed:8+cluster``, or ``rcm@scipy`` for the native backend,
+    which reads only the reordering) instead of searching with
     ``--policy``; ``--backend`` pins (or, with ``auto``, opens up) the
-    execution backend the planner may choose.  ``--calibrate``
-    micro-benchmarks the registered backends first and plans with the
-    *measured* speed factors (persisted next to the plan cache);
+    execution backend the planner may choose.
     ``--drift-threshold`` arms drift-triggered re-planning, and
     ``--drift-demo`` exercises it end-to-end by degrading the right
     operand's value profile mid-run (DESIGN.md §11).
@@ -185,19 +184,10 @@ def engine_demo(args) -> str:
     A = get_matrix(args.matrix)
     backend = args.backend or None
     lines = []
-    calibration = None
-    if args.calibrate:
-        from ..engine import BackendCalibrator
-
-        calibration = BackendCalibrator().calibrate_and_save()
-        lines.append(
-            f"calibration: epoch {calibration.epoch}, "
-            f"{len(calibration.entries)} measured (backend, kernel, bin) factors"
-        )
     drift_threshold = args.drift_threshold
     if args.drift_demo and drift_threshold is None:
         drift_threshold = 1.5  # the demo is pointless with the monitor unarmed
-    adaptive_kw = dict(calibration=calibration, drift_threshold=drift_threshold, tracer=tracer)
+    adaptive_kw = dict(drift_threshold=drift_threshold, tracer=tracer)
     if args.pipeline:
         spec = PipelineSpec.parse(args.pipeline)
         eng = SpGEMMEngine(pipeline=spec, backend=backend, config=ExperimentConfig(), **adaptive_kw)
@@ -405,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="SPEC",
         help="explicit pipeline spec for the engine command, e.g. rcm+fixed:8+cluster"
-        " or rcm+fixed:8+cluster@scipy "
+        " or rcm@scipy (scipy reads only the reordering) "
         "(overrides --policy; see the pipelines command for components)",
     )
     parser.add_argument(
@@ -415,12 +405,6 @@ def main(argv: list[str] | None = None) -> int:
         help="execution backend for the engine command: a registered backend name "
         "optionally with parameters (scipy, sharded:workers=2,inner=scipy) or 'auto' "
         "to let the planner choose (default: reference, the bitwise oracle)",
-    )
-    parser.add_argument(
-        "--calibrate",
-        action="store_true",
-        help="micro-benchmark the registered backends first and plan with the measured "
-        "speed factors (persisted next to the plan cache; honours REPRO_NO_CACHE)",
     )
     parser.add_argument(
         "--drift-threshold",

@@ -9,7 +9,7 @@ name a SpGEMM configuration (:class:`PipelineSpec`)::
     spec = PipelineSpec.parse("rcm+hierarchical:max_th=8+cluster")
     assert PipelineSpec.parse(str(spec)) == spec      # round-trippable
     C = spec.run(A)         # bitwise-identical to spgemm_rowwise(A, A)
-    C = PipelineSpec.parse("rcm+fixed:8+cluster@scipy").run(A)  # native backend
+    C = PipelineSpec.parse("rcm@scipy").run(A)  # native backend: reads the order only
 
 The engine's planners enumerate their candidate space from registry
 capability queries, the sweep runner executes specs, and the CLI accepts

@@ -19,7 +19,8 @@ is omitted from the canonical string form).  Examples::
 
     rcm+hierarchical:max_th=8+cluster     # ISSUE acceptance spec
     rcm+fixed:8+cluster                   # positional param (cluster_size)
-    rcm+fixed:8+cluster@scipy             # same pipeline, scipy backend
+    rcm+fixed:8+cluster@vectorized        # same pipeline, numpy-batched backend
+    rcm@scipy                             # scipy: only the reordering reaches it
     fixed:8+cluster@sharded:workers=4,inner=vectorized
     original+none+rowwise                 # the baseline, fully spelled
     rabbit+tiled:tile_cols=128            # reordered tiled SpGEMM

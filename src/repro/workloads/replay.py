@@ -261,7 +261,6 @@ class ReplayReport:
     replans: int = 0
     drift_probes: int = 0
     drift_detected: int = 0
-    calibration_staleness: float = 0.0
     churn_events: int = 0
     model_speedup: float = 0.0
     wall_seconds: float = 0.0
@@ -284,7 +283,6 @@ class ReplayReport:
             "replans": self.replans,
             "drift_probes": self.drift_probes,
             "drift_detected": self.drift_detected,
-            "calibration_staleness": round(self.calibration_staleness, 9),
             "churn_events": self.churn_events,
             "model_speedup": round(self.model_speedup, 9),
         }
@@ -387,8 +385,6 @@ def replay(
     report.replans = s1.replans - s0.replans
     report.drift_probes = s1.drift_probes - s0.drift_probes
     report.drift_detected = s1.drift_detected - s0.drift_detected
-    stale = s1.stale_plan_serves - s0.stale_plan_serves
-    report.calibration_staleness = stale / hits if hits else 0.0
     if s1.model_executed_cost > s0.model_executed_cost:
         report.model_speedup = (s1.model_baseline_cost - s0.model_baseline_cost) / (
             s1.model_executed_cost - s0.model_executed_cost

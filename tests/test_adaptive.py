@@ -1,7 +1,6 @@
-"""The adaptive runtime (DESIGN.md §11): measured backend calibration,
-drift-triggered re-planning with hysteresis, cost-aware plan-cache
-eviction and warm starts — unit coverage plus the ISSUE 4 end-to-end
-acceptance scenario."""
+"""The adaptive runtime (DESIGN.md §11): drift-triggered re-planning
+with hysteresis, cost-aware plan-cache eviction and warm starts — unit
+coverage plus the end-to-end drift → re-plan scenario."""
 
 import json
 
@@ -12,15 +11,11 @@ from conftest import assert_bitwise_equal, scrambled_blocks_matrix
 from repro.core import spgemm_rowwise
 from repro.engine import (
     AdaptiveConfig,
-    BackendCalibrator,
-    CalibrationTable,
     DriftMonitor,
     PlanCache,
     SpGEMMEngine,
-    calibration_path,
     feature_distance,
 )
-from repro.engine.adaptive import density_bin, row_bin, size_bin
 from repro.experiments import ExperimentConfig
 from repro.matrices import generators as G
 from repro.matrices import perturb_values
@@ -110,193 +105,6 @@ def test_monitor_ignores_degenerate_costs():
     assert not mon.observe("k", predicted=0.0, executed=100.0)
     assert not mon.observe("k", predicted=float("nan"), executed=100.0)
     assert not mon.observe("k", predicted=100.0, executed=float("inf"))
-
-
-# ----------------------------------------------------------------------
-# CalibrationTable: bins, lookup, persistence
-# ----------------------------------------------------------------------
-def test_bins_are_monotone_partitions():
-    assert [size_bin(n) for n in (10, 256, 1024, 4096, 10**6)] == [0, 1, 2, 3, 3]
-    assert [row_bin(r) for r in (0.0, 3.9, 4.0, 15.9, 16.0)] == [0, 0, 1, 1, 2]
-    assert [density_bin(d) for d in (1e-4, 1e-2, 0.05, 0.1, 0.9)] == [0, 1, 1, 2, 2]
-
-
-def test_table_factor_exact_fallback_and_absent():
-    table = CalibrationTable(entries={"scipy|rowwise|s1r1d1": 0.02, "scipy|rowwise|s2r1d0": 0.08})
-    # Exact bin.
-    assert table.factor("scipy", "rowwise", n=500, nnz_row=8, density=0.02) == 0.02
-    # Unvisited bin → geomean of the backend's measured bins.
-    fallback = table.factor("scipy", "rowwise", n=100, nnz_row=2, density=0.5)
-    assert fallback == pytest.approx((0.02 * 0.08) ** 0.5)
-    # Never calibrated at all → None (caller keeps the static hint).
-    assert table.factor("vectorized", "cluster", n=500, nnz_row=8, density=0.02) is None
-    # Degenerate persisted factors never win a ranking: a non-positive
-    # exact entry is ignored (geomean fallback / static hint instead).
-    bad = CalibrationTable(entries={"scipy|rowwise|s1r1d1": 0.0})
-    assert bad.factor("scipy", "rowwise", n=500, nnz_row=8, density=0.02) is None
-    assert CalibrationTable.from_dict(
-        {"entries": {"scipy|rowwise|s1r1d1": 0.0, "scipy|rowwise|s2r1d0": 0.05}}
-    ).entries == {"scipy|rowwise|s2r1d0": 0.05}
-
-
-def test_table_factor_parameterised_backend_keys():
-    from repro.engine.adaptive import calibration_backend_key
-
-    assert calibration_backend_key("scipy") == "scipy"
-    assert (
-        calibration_backend_key("sharded", (("inner", "scipy"), ("workers", 2)))
-        == "sharded:inner=scipy,workers=2"
-    )
-    table = CalibrationTable(
-        entries={"sharded:workers=2|cluster|s1r1d1": 0.9, "sharded|cluster|s1r1d1": 0.6}
-    )
-    # The configuration-specific row wins over the bare name.
-    assert table.factor("sharded:workers=2", "cluster", n=500, nnz_row=8, density=0.02) == 0.9
-    # An uncalibrated configuration falls back to bare-name rows.
-    assert table.factor("sharded:workers=4", "cluster", n=500, nnz_row=8, density=0.02) == 0.6
-    # Nothing under the name at all → None.
-    assert table.factor("sharded:workers=4", "rowwise", n=500, nnz_row=8, density=0.02) is None
-
-
-def test_table_roundtrip_and_epoch(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    table = CalibrationTable(entries={"scipy|rowwise|s1r1d1": 0.02}, epoch=3, host="t")
-    table.save()
-    loaded = CalibrationTable.load()
-    assert loaded is not None
-    assert loaded.entries == table.entries and loaded.epoch == 3 and loaded.host == "t"
-
-
-def test_table_respects_no_cache_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    CalibrationTable(entries={"scipy|rowwise|s1r1d1": 0.5}).save()
-    assert not list(tmp_path.rglob("calibration.json"))
-    assert CalibrationTable.load() is None
-
-
-def test_table_warns_on_corrupt_file(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    CalibrationTable(entries={"scipy|rowwise|s1r1d1": 0.5}).save()
-    calibration_path().write_text("{broken")
-    with pytest.warns(UserWarning, match="corrupt calibration table"):
-        assert CalibrationTable.load() is None
-
-
-def test_calibrator_validates_reps():
-    with pytest.raises(ValueError, match="reps"):
-        BackendCalibrator(reps=0)
-
-
-@pytest.fixture(scope="module")
-def calibration_table():
-    """One real (cheap) calibration shared by the tests below."""
-    return BackendCalibrator(reps=1).calibrate()
-
-
-def test_calibrator_measures_planner_ranked_backends(calibration_table):
-    backends = {key.split("|")[0] for key in calibration_table.entries}
-    assert "scipy" in backends  # the test env has scipy
-    assert "vectorized" in backends
-    assert "reference" not in backends  # the unit everything is relative to
-    assert all(v > 0 for v in calibration_table.entries.values())
-    assert calibration_table.epoch == 1
-    # Re-calibrating against a previous table advances the epoch.
-    assert BackendCalibrator(reps=1).calibrate(previous=calibration_table).epoch == 2
-
-
-def test_calibrator_measures_sharded_pool_configs(calibration_table):
-    # The PR 4 remainder: with the shm data plane, sharded pool
-    # configurations are worth their own calibration rows (keyed by the
-    # canonical parameterised spec), not a guessed static factor.
-    backends = {key.split("|")[0] for key in calibration_table.entries}
-    assert "sharded:workers=2" in backends
-    assert BackendCalibrator().pool_configs == ("sharded:workers=2",)
-    # An explicit empty tuple opts out.
-    lean = BackendCalibrator(reps=1, pool_configs=())
-    assert all(name != "sharded:workers=2" for name, _, _ in lean._specs())
-
-
-def test_calibration_matrices_cover_the_top_size_bin(calibration_table):
-    # The sharded/scipy break-even is size-dependent (BENCH_backends):
-    # the n >= 4096 bin must be measured, not inferred from small bins.
-    assert any("|s3" in key for key in calibration_table.entries)
-
-
-def test_cache_token_uses_content_digest_not_epoch():
-    # Epoch counters reset when calibration.json disappears; two tables
-    # sharing an epoch but measuring different factors must never share
-    # a cache token (the digest is content-based).
-    from repro.engine.planner import HeuristicPlanner
-
-    t1 = CalibrationTable(entries={"scipy|rowwise|s1r1d1": 0.02}, epoch=1)
-    t2 = CalibrationTable(entries={"scipy|rowwise|s1r1d1": 0.70}, epoch=1)
-    p1 = HeuristicPlanner(cfg=SMALL_CFG, calibration=t1)
-    p2 = HeuristicPlanner(cfg=SMALL_CFG, calibration=t2)
-    assert t1.digest != t2.digest
-    assert p1.cache_token != p2.cache_token
-    assert CalibrationTable(entries=dict(t1.entries), epoch=9).digest == t1.digest
-
-
-# ----------------------------------------------------------------------
-# Engine integration: calibration
-# ----------------------------------------------------------------------
-def test_calibrated_plans_record_epoch_and_stay_correct(calibration_table, gainful_matrix):
-    A = gainful_matrix
-    eng = SpGEMMEngine(policy="autotune", config=SMALL_CFG, backend="auto", calibration=calibration_table)
-    plan = eng.plan_for(A)
-    assert plan.calibration_epoch == calibration_table.epoch
-    C = eng.multiply(A)
-    ref = spgemm_rowwise(A, A)
-    assert C.same_pattern(ref) and np.allclose(C.to_dense(), ref.to_dense())
-
-
-def test_uncalibrated_plans_record_epoch_zero(gainful_matrix):
-    eng = SpGEMMEngine(policy="autotune", config=SMALL_CFG)
-    plan = eng.plan_for(gainful_matrix)
-    assert plan.calibration_epoch == 0
-    # The default cache token is byte-identical to the pre-adaptive
-    # format — old persisted plans keep hitting for default engines.
-    assert ":c" not in eng.planner.cache_token
-
-
-def test_calibration_epoch_discriminates_cache_tokens(calibration_table, gainful_matrix):
-    static = SpGEMMEngine(policy="heuristic", config=SMALL_CFG)
-    calibrated = SpGEMMEngine(policy="heuristic", config=SMALL_CFG, calibration=calibration_table)
-    assert static.planner.cache_token != calibrated.planner.cache_token
-
-
-@pytest.mark.parametrize(
-    "kw",
-    [
-        {"policy": "heuristic"},
-        {"policy": "autotune"},
-        {"policy": "predictor"},
-        {"pipeline": "rcm+fixed:8+cluster"},
-    ],
-)
-def test_every_planner_token_carries_the_calibration_digest(calibration_table, kw):
-    # A subclass overriding cache_token (the pipeline planner did) must
-    # still append the digest, or calibrated and uncalibrated plans
-    # would share persisted cache keys.
-    static = SpGEMMEngine(config=SMALL_CFG, **kw)
-    calibrated = SpGEMMEngine(config=SMALL_CFG, calibration=calibration_table, **kw)
-    assert f":c{calibration_table.digest}" in calibrated.planner.cache_token
-    assert static.planner.cache_token != calibrated.planner.cache_token
-
-
-def test_engine_rejects_bad_calibration_argument():
-    with pytest.raises(TypeError, match="calibration"):
-        SpGEMMEngine(config=SMALL_CFG, calibration=42)
-
-
-def test_engine_calibration_true_without_table_is_static(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    eng = SpGEMMEngine(config=SMALL_CFG, calibration=True)
-    assert eng.calibration is None  # nothing persisted → static hints
 
 
 # ----------------------------------------------------------------------
@@ -423,13 +231,6 @@ def test_drift_state_is_read_only_and_workload_keyed(gainful_matrix):
     before = len(eng._drift._states)
     assert eng.drift_state(A)["probes"] == 0
     assert len(eng._drift._states) == before
-
-
-def test_from_dict_clamps_epoch_to_calibrated_range():
-    # Epoch 0 is reserved for "static hints"; a loaded table must never
-    # carry it or calibrated plans would share uncalibrated cache keys.
-    table = CalibrationTable.from_dict({"entries": {"scipy|rowwise|s1r1d1": 0.05}, "epoch": 0})
-    assert table.epoch == 1
 
 
 def test_warm_starts_counted_only_when_hint_applies():

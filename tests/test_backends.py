@@ -546,19 +546,26 @@ def test_plan_backend_serialisation_round_trip():
 
 def test_plan_dicts_without_backend_fields_load_as_reference():
     # A plan persisted before the backend axis *and* before the adaptive
-    # runtime: no backend fields, no calibration epoch (and its cache
-    # file carries no fingerprint features — covered in
-    # test_engine_cache).  It must still load — as reference, epoch 0 —
-    # and still execute.
+    # runtime: no backend fields (and its cache file carries no
+    # fingerprint features — covered in test_engine_cache).  It must
+    # still load — as reference — and still execute.
     d = ExecutionPlan(reordering="rcm", clustering=None, kernel="rowwise").to_dict()
     d.pop("backend")
     d.pop("backend_params")
-    d.pop("calibration_epoch")
     plan = ExecutionPlan.from_dict(d)
     assert plan.backend == "reference" and plan.backend_params == ()
-    assert plan.calibration_epoch == 0
     C = plan.pipeline().run(A)
     assert _bitwise(C)  # executes on the reference backend, bitwise
+
+
+def test_plan_dicts_with_a_calibration_epoch_still_load():
+    # Plans persisted while backend calibration existed carry its epoch;
+    # the key is dropped on load and the plan still executes.
+    want = ExecutionPlan(reordering="rcm", clustering="fixed", kernel="cluster", backend="scipy")
+    plan = ExecutionPlan.from_dict(dict(want.to_dict(), calibration_epoch=2))
+    assert plan == want
+    C = plan.pipeline().run(A)
+    assert C.same_pattern(REF) and C.allclose(REF)
 
 
 def test_plan_rejects_unknown_or_incompatible_backend():

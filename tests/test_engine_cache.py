@@ -129,19 +129,25 @@ def test_plan_cache_disk_persistence(tmp_path, monkeypatch):
 
     # Backward compat: a file persisted before the adaptive runtime is a
     # *bare* plan dict — no {"plan":…, "features":…} envelope, no
-    # backend fields, no calibration epoch.  It must load as a reference
-    # plan with no warm-start features.
+    # backend fields.  It must load as a reference plan with no
+    # warm-start features.
     import json
 
     d = plan.to_dict()
-    for legacy_missing in ("backend", "backend_params", "calibration_epoch"):
+    for legacy_missing in ("backend", "backend_params"):
         d.pop(legacy_missing)
     old = PlanCache(persist=True)
     old._path("old_key").write_text(json.dumps(d))
     loaded = old.get("old_key")
     assert loaded is not None
-    assert loaded.backend == "reference" and loaded.calibration_epoch == 0
+    assert loaded.backend == "reference"
     assert old.features_for("old_key") is None
+
+    # Plans persisted while backend calibration existed carry a
+    # calibration_epoch key; they load as the same plan.
+    enveloped = {"plan": dict(plan.to_dict(), calibration_epoch=3), "features": None}
+    old._path("epoch_key").write_text(json.dumps(enveloped))
+    assert old.get("epoch_key") == plan
 
 
 def test_plan_cache_respects_no_cache_env(tmp_path, monkeypatch):

@@ -41,6 +41,7 @@ __all__ = [
     "BUILTIN_BACKENDS",
     "register_builtin_backends",
     "get_backend",
+    "open_backend",
     "parse_backend",
     "backend_supports",
     "require_backend_supports",
@@ -119,6 +120,24 @@ def get_backend(name: str, params: "Iterable[tuple[str, Any]] | Mapping[str, Any
     return inst
 
 
+def open_backend(name: str, params: "Iterable[tuple[str, Any]] | Mapping[str, Any]" = ()) -> ExecutionBackend:
+    """An instance for one owner, who calls its ``close()`` when done.
+
+    A backend that holds OS resources (:attr:`ExecutionBackend.holds_resources`)
+    gets a fresh instance, so its worker pool and shm segments live
+    exactly as long as the owner (an engine or a built pipeline);
+    stateless backends return the shared :func:`get_backend` instance,
+    whose ``close()`` is a no-op.
+    """
+    from ..pipeline import get_component
+
+    name, canon = _canonical(name, params)
+    info = get_component("backend", name)
+    if not getattr(info.factory, "holds_resources", False):
+        return get_backend(name, canon)
+    return info.factory(**info.resolve_params(canon))
+
+
 def parse_backend(value) -> tuple[str, tuple[tuple[str, Any], ...]]:
     """Parse a backend reference into ``(name, canonical_params)``.
 
@@ -152,7 +171,10 @@ def require_backend_supports(name: str, params, kernel: str) -> None:
 
     Shared by spec construction, plan validation and :func:`execute`.
     """
-    be = get_backend(name, params)
+    _require_supports(get_backend(name, params), name, kernel)
+
+
+def _require_supports(be: ExecutionBackend, name: str, kernel: str) -> None:
     if not be.supports_kernel(kernel):
         supported = be.supported_kernels
         raise ValueError(
@@ -170,7 +192,7 @@ def execute(
     *,
     kernel: str,
     kernel_params: Mapping[str, Any] | None = None,
-    backend: str = "reference",
+    backend: "str | ExecutionBackend" = "reference",
     backend_params: "Iterable[tuple[str, Any]] | Mapping[str, Any]" = (),
     cfg: Any = None,
     ctx: ExecutionContext | None = None,
@@ -184,17 +206,23 @@ def execute(
     Returns the product in the *operand's* row order by default;
     ``original_order=True`` returns it in the original row order
     (``operand.inv`` applied) through
-    :meth:`~ExecutionBackend.execute_original_order`.
+    :meth:`~ExecutionBackend.execute_original_order`.  ``backend`` is a
+    registry name (resolved through :func:`get_backend`; then
+    ``backend_params`` applies) or an instance the caller owns (from
+    :func:`open_backend`).
     """
-    require_backend_supports(backend, backend_params, kernel)
-    be = get_backend(backend, backend_params)
+    if isinstance(backend, ExecutionBackend):
+        be = backend
+    else:
+        be = get_backend(backend, backend_params)
+    _require_supports(be, be.name, kernel)
     if ctx is None:
         ctx = ExecutionContext(cfg=cfg)
     run = be.execute_original_order if original_order else be.execute
     kernel_params = dict(kernel_params or {})
     tracer = ctx.tracer
     if tracer is not None and tracer.enabled:
-        with tracer.span("backend.execute", backend=backend, kernel=kernel):
+        with tracer.span("backend.execute", backend=be.name, kernel=kernel):
             return run(operand, B, kernel=kernel, kernel_params=kernel_params, ctx=ctx)
     return run(operand, B, kernel=kernel, kernel_params=kernel_params, ctx=ctx)
 

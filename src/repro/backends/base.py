@@ -114,6 +114,11 @@ class ExecutionBackend(ABC):
     model_speed_factor: ClassVar[float] = 1.0
     #: One-line summary for ``repro.pipeline.describe()``.
     description: ClassVar[str] = ""
+    #: Instances own OS resources (worker processes, shm segments).
+    #: Such a backend is opened per owner (:func:`repro.backends.open_backend`)
+    #: and released by that owner's :meth:`close`; stateless backends are
+    #: shared process-wide.
+    holds_resources: ClassVar[bool] = False
 
     # -- capabilities (instance-level: composites refine them) ----------
     @property
@@ -171,6 +176,10 @@ class ExecutionBackend(ABC):
         C = self.execute(operand, B, kernel=kernel, kernel_params=kernel_params, ctx=ctx)
         inv = getattr(operand, "inv", None)
         return C if inv is None else C.permute_rows(inv)
+
+    def close(self) -> None:
+        """Release the instance's OS resources (idempotent; a no-op for
+        stateless backends)."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

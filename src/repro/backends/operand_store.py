@@ -166,8 +166,8 @@ class OperandStore:
     """Parent-side registry of published operand segments.
 
     One store per :class:`~repro.backends.sharded.ShardedBackend`
-    instance (backends are memoised per canonical parameters, so the
-    store is long-lived).  Thread-safe; all segment construction in the
+    instance, which lives as long as the engine or built pipeline that
+    opened it.  Thread-safe; all segment construction in the
     codebase funnels through here (RA008).
     """
 

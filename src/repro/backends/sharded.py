@@ -470,6 +470,7 @@ class ShardedBackend(ExecutionBackend):
     planner_rank: ClassVar[int | None] = None  # composite: pin it explicitly
     model_speed_factor: ClassVar[float] = 0.6
     description: ClassVar[str] = "shm-resident row/cluster shards over an inner backend"
+    holds_resources: ClassVar[bool] = True
 
     def __init__(self, *, workers: int = 2, inner: str = "reference") -> None:
         """``workers``: requested pool width — capped at

@@ -45,7 +45,7 @@ from collections import OrderedDict, deque
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 
-from ..backends import ExecutionContext, execute as backend_execute
+from ..backends import ExecutionBackend, ExecutionContext, execute as backend_execute, open_backend
 from ..core.csr import CSRMatrix
 from ..experiments.config import ExperimentConfig
 from ..machine import SimulatedMachine
@@ -432,6 +432,10 @@ class SpGEMMEngine:
         # pair: (spec string, None) for pipeline= calls, (None, backend)
         # for backend-only overrides of the configured policy.
         self._planners: "dict[tuple[str | None, str | None], Planner]" = {}
+        # Backends this engine opened, per (name, params): a sharded
+        # backend's worker pool and shm segments belong to the engine
+        # and are released by close().
+        self._backends: "dict[tuple, ExecutionBackend]" = {}
         self._exec_ctx = ExecutionContext(cfg=self.cfg, tracer=self.tracer)
         self._stats = EngineStats()
         # The serving front-end drives one engine from a dispatch thread,
@@ -731,8 +735,7 @@ class SpGEMMEngine:
                 B,
                 kernel=plan.kernel,
                 kernel_params=bound.kernel_params,
-                backend=plan.backend,
-                backend_params=plan.backend_params,
+                backend=self._backend(plan),
                 cfg=self.cfg,
                 ctx=ctx,
                 original_order=True,
@@ -750,6 +753,16 @@ class SpGEMMEngine:
         )
         self._stats.bump_plan(plan.label)
         return C
+
+    def _backend(self, plan: ExecutionPlan) -> ExecutionBackend:
+        """The engine's own instance of the plan's backend (opened on
+        first use, released by :meth:`close`)."""
+        key = (plan.backend, plan.backend_params)
+        with self._memo_lock:
+            be = self._backends.get(key)
+            if be is None:
+                be = self._backends[key] = open_backend(plan.backend, plan.backend_params)
+        return be
 
     def multiply(
         self,
@@ -959,6 +972,23 @@ class SpGEMMEngine:
     def reset_stats(self) -> None:
         self._stats = EngineStats()
         self._exec_ctx = ExecutionContext(cfg=self.cfg, tracer=self.tracer)
+
+    def close(self) -> None:
+        """Release the backends this engine opened — a ``sharded``
+        backend's worker pool and shm segments (idempotent; a later
+        multiply opens them again)."""
+        with self._memo_lock:
+            backends = list(self._backends.values())
+            self._backends.clear()
+        for be in backends:
+            be.close()
+
+    def __enter__(self) -> "SpGEMMEngine":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.close()
+        return False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -410,7 +410,10 @@ class PipelineSpec:
         identical sparsity pattern with ``allclose`` values.
         """
         built = self.build(A, seed=seed, mode="rows", cfg=cfg)
-        return built.execute(A if B is None else B, cfg=cfg)
+        try:
+            return built.execute(A if B is None else B, cfg=cfg)
+        finally:
+            built.close()
 
     # ------------------------------------------------------------------
     # ExecutionPlan interop
@@ -504,6 +507,9 @@ class BuiltPipeline:
     #: Execution-backend state owned by this operand (the ``scipy``
     #: backend's recorded product structure); dropped with it.
     backend_state: dict = field(default_factory=dict, repr=False, compare=False)
+    #: The execution backend :meth:`execute` opened
+    #: (:func:`repro.backends.open_backend`); released by :meth:`close`.
+    _backend: Any = field(default=None, init=False, repr=False, compare=False)
 
     def pre_cost(self, cost) -> float:
         """Model preprocessing time under ``cost``, charged at each
@@ -529,7 +535,7 @@ class BuiltPipeline:
         ``P A Pᵀ``, whose product with ``B`` is not ``P·(A B)``, so it
         raises ``ValueError`` (those builds feed the simulated sweeps).
         """
-        from ..backends import execute as backend_execute
+        from ..backends import execute as backend_execute, open_backend
 
         if self.mode != "rows":
             raise ValueError(
@@ -539,17 +545,26 @@ class BuiltPipeline:
         spec = self.spec
         if cfg is None:
             cfg = self.cfg
+        if self._backend is None:
+            self._backend = open_backend(spec.backend, spec.backend_params)
         return backend_execute(
             self,
             B,
             kernel=spec.kernel,
             kernel_params=spec.kernel_info.resolve_params(spec.kernel_params, cfg),
-            backend=spec.backend,
-            backend_params=spec.backend_params,
+            backend=self._backend,
             cfg=cfg,
             ctx=ctx,
             original_order=True,
         )
+
+    def close(self) -> None:
+        """Release the backend :meth:`execute` opened — a ``sharded``
+        backend's worker pool and shm segments (idempotent; a later
+        :meth:`execute` opens a fresh one)."""
+        backend, self._backend = self._backend, None
+        if backend is not None:
+            backend.close()
 
 
 def enumerate_compatible(

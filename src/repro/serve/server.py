@@ -69,6 +69,7 @@ class SpGEMMServer:
         *,
         registry: MetricsRegistry | None = None,
     ) -> None:
+        self._owns_engine = engine is None
         self.engine = engine if engine is not None else SpGEMMEngine()
         self.config = config if config is not None else ServeConfig()
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -355,13 +356,16 @@ class SpGEMMServer:
 
     def close(self, *, drain: bool = True) -> None:
         """Graceful shutdown: stop admissions, drain (default) or reject
-        the queue, stop the planner thread, sync the ledger.  Idempotent."""
+        the queue, stop the planner thread, sync the ledger, and close
+        the engine when the server created it.  Idempotent."""
         if self._closed:
             return
         self._closed = True
         self._scheduler.close(drain=drain)
         self._planner_pool.shutdown(wait=True)
         self.sync_stats()
+        if self._owns_engine:
+            self.engine.close()
 
     def __enter__(self) -> "SpGEMMServer":
         return self

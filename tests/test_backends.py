@@ -316,6 +316,42 @@ def test_sharded_pool_matches_inprocess_across_inners(monkeypatch):
     assert ostore.leaked_segments() == []
 
 
+def test_spec_run_and_engine_close_release_their_sharded_resources(monkeypatch):
+    # A backend holding worker processes and shm segments belongs to
+    # the pipeline or engine that opened it, never to the process-wide
+    # get_backend() memo: spec.run() releases it before returning, a
+    # built pipeline or an engine keeps it resident until close().
+    from repro.backends import open_backend
+    from repro.backends import operand_store as ostore
+
+    monkeypatch.setenv("REPRO_SHARDED_CORES", "2")
+    shared = get_backend("sharded", {"workers": 2})
+    opened = open_backend("sharded", {"workers": 2})
+    assert opened is not shared and opened.workers == 2
+    opened.close()
+    assert open_backend("scipy") is get_backend("scipy")  # stateless: shared
+    before = set(ostore.leaked_segments())
+
+    spec = PipelineSpec.parse("rcm@sharded:workers=2")
+    assert _bitwise(spec.run(A))
+    assert set(ostore.leaked_segments()) == before
+    built = spec.build(A)
+    assert _bitwise(built.execute(A))
+    assert set(ostore.leaked_segments()) > before
+    built.close()
+    assert set(ostore.leaked_segments()) == before
+
+    with SpGEMMEngine(pipeline="rcm@sharded:workers=2") as eng:
+        assert _bitwise(eng.multiply(A))
+        assert _bitwise(eng.multiply(A))
+        assert set(ostore.leaked_segments()) > before  # warm operands stay resident
+    assert set(ostore.leaked_segments()) == before
+    assert _bitwise(eng.multiply(A))  # a closed engine reopens on demand
+    eng.close()
+    assert set(ostore.leaked_segments()) == before
+    assert shared._store.resident_tokens() == ()
+
+
 def test_sharded_pool_warm_calls_ship_nothing(monkeypatch):
     # The PR's acceptance number: repeated multiplies against the same B
     # must cut per-call serialized operand bytes >= 10x.  With shm

@@ -34,17 +34,13 @@ import json
 import math
 from pathlib import Path
 
-from repro.backends import get_backend, parse_backend, time_execution
+from repro.backends import get_backend, time_execution
 from repro.matrices import generators as G
 from repro.pipeline import PipelineSpec, available_components
 
 from _common import gate_metric, save_bench_json
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_backends.json"
-
-#: Sharded runs with a small fixed pool so results are comparable across
-#: machines (and with the CI smoke matrix).
-SHARDED = "sharded:workers=2"
 
 #: Generator-suite matrices (moderate sizes: the reference backend is
 #: pure python and is timed too).
@@ -57,18 +53,9 @@ MATRICES = {
 
 #: (kernel label, pipeline to prepare, backends to time).
 CASES = [
-    ("rowwise", "original+none+rowwise", ["reference", "scipy", SHARDED]),
-    ("cluster", "original+fixed:8+cluster", ["reference", "scipy", "vectorized", SHARDED]),
+    ("rowwise", "original+none+rowwise", ["reference", "scipy"]),
+    ("cluster", "original+fixed:8+cluster", ["reference", "scipy", "vectorized"]),
 ]
-
-
-def _time_execute(built, B, backend_ref: str, reps: int = 5) -> float:
-    """Best-of-``reps`` wall-clock seconds for one backend execution
-    (the shared :func:`repro.backends.time_execution` primitive).
-    Best-of-5: the sharded cells compare near-identical code paths
-    (width-1 passthrough *is* the inner backend), so the floor must be
-    tight enough that scheduler noise does not masquerade as overhead."""
-    return time_execution(built, B, backend_ref, reps=reps)
 
 
 def run_bench() -> dict:
@@ -78,24 +65,24 @@ def run_bench() -> dict:
     for mat_name, build_matrix in MATRICES.items():
         A = build_matrix()
         results["matrices"][mat_name] = {}
-        for kernel_label, spec_text, backend_refs in CASES:
+        for kernel_label, spec_text, backends in CASES:
             built = PipelineSpec.parse(spec_text).build(A)
             cell: dict = {}
             t_ref = None
-            for backend_ref in backend_refs:
-                base_name = backend_ref.split(":", 1)[0]
-                if base_name not in registered:
+            for backend in backends:
+                if backend not in registered:
                     continue  # e.g. scipy-less environment
-                seconds = _time_execute(built, A, backend_ref)
-                if base_name == "reference":
+                # Best-of-5 wall-clock seconds for one execution.
+                seconds = time_execution(built, A, backend, reps=5)
+                if backend == "reference":
                     t_ref = seconds
                 speedup = (t_ref / seconds) if t_ref else float("nan")
-                cell[backend_ref] = {
+                cell[backend] = {
                     "seconds": round(seconds, 6),
                     "speedup_vs_reference": round(speedup, 3),
-                    "bitwise": get_backend(*parse_backend(backend_ref)).bitwise_reference,
+                    "bitwise": get_backend(backend).bitwise_reference,
                 }
-                per_case.setdefault(f"{kernel_label}@{backend_ref}", []).append(speedup)
+                per_case.setdefault(f"{kernel_label}@{backend}", []).append(speedup)
             results["matrices"][mat_name][kernel_label] = cell
     for case, speedups in per_case.items():
         vals = [s for s in speedups if s > 0 and not math.isnan(s)]
@@ -116,7 +103,7 @@ def save_bench() -> dict:
         "backends",
         results,
         gate=gates,
-        config={"matrices": sorted(MATRICES), "sharded": SHARDED, "reps": 5},
+        config={"matrices": sorted(MATRICES), "reps": 5},
     )
     return results
 
@@ -128,19 +115,11 @@ def test_backend_bench_meets_acceptance_bar():
     best = 0.0
     for mat_cells in results["matrices"].values():
         for cells in mat_cells.values():
-            for backend_ref, cell in cells.items():
-                if backend_ref.split(":", 1)[0] in ("scipy", "vectorized"):
+            for backend, cell in cells.items():
+                if backend in ("scipy", "vectorized"):
                     best = max(best, cell["speedup_vs_reference"])
     assert best >= 2.0, f"fast backends peaked at {best:.2f}x vs reference"
     assert OUT_PATH.exists()
-    # ISSUE 9 acceptance: with the shm data plane (and the width-1
-    # topology passthrough on narrow hosts) ``sharded`` no longer loses
-    # to its inner backend at bench sizes.  The inner is ``reference``,
-    # so the geomean-vs-reference *is* the geomean-vs-inner; the floor
-    # leaves a noise margin below the ≥ 1.0 committed artefact numbers.
-    for case, gm in results["summary"].items():
-        if "@sharded" in case:
-            assert gm >= 0.9, f"sharded geomean vs inner fell to {gm:.3f} on {case}"
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ Reproduces, executably, the schematic figures of the paper:
 
 then runs every SpGEMM variant, shows the declarative pipeline-spec API
 naming whole configurations (including the ``@backend`` execution axis:
-scipy / vectorized / sharded executors behind one contract), and shows
+reference / scipy / vectorized executors behind one contract), and shows
 hierarchical clustering speeding up a scrambled block matrix on the
 simulated machine.
 
@@ -83,7 +83,7 @@ def main() -> None:
     for text in (
         "rcm+variable+cluster@vectorized",       # numpy-batched, still bitwise
         "rcm+variable+rowwise@scipy",            # native matmul over the cluster order, allclose
-        "rcm+variable+cluster@sharded:workers=2",  # process-pool row shards
+        "rcm+variable+cluster@reference",        # the pure-python oracle (the default)
     ):
         spec = PipelineSpec.parse(text)
         C = spec.run(A)

@@ -2,8 +2,8 @@
 
 The engine's correctness story rests on invariants that tests can only
 sample: single kernel dispatch through :func:`repro.backends.execute`,
-allocation-free tracing when disabled, seed-reproducible plans/replays,
-registry-validated pipeline specs and picklable process-pool workers.
+allocation-free tracing when disabled, seed-reproducible plans/replays
+and registry-validated pipeline specs.
 This package checks them at the AST level — ``python -m repro.analysis``
 — with no third-party imports, so CI runs it before installing anything
 (like ``scripts/check_bench_regression.py``).

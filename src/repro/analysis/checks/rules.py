@@ -11,15 +11,10 @@ RA003  determinism: no wall clock, no unseeded RNG, no set-ordered
        iteration in engine/planner/serve/replay/fingerprint code
 RA004  registry contract: ``@register`` sites declare ``family=``;
        every spec string literal validates against the registry
-RA005  pool confinement: process-pool workers are module-level
-       functions that capture no state via closures or defaults
 RA006  no registry-bypassing constants: module-level tuples of
        component names in engine code (the PR 2 shims' failure mode)
 RA007  no blocking ``time.sleep`` on the serving request path: waits
        must go through interruptible condition/event timeouts
-RA008  shm confinement: ``SharedMemory`` is constructed/attached only
-       inside ``repro/backends/operand_store.py`` — everything else
-       handles descriptors through the store API
 RA009  accumulator confinement: ``HashAccumulator``/``DenseAccumulator``
        are constructed only through ``make_accumulator`` (owners:
        ``repro/core/accumulators.py``, ``repro/core/hybrid_spgemm.py``)
@@ -391,96 +386,6 @@ class RegistryContractRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# RA005 — process-pool confinement
-# ----------------------------------------------------------------------
-class PoolConfinementRule(Rule):
-    id = "RA005"
-    title = "process-pool workers are stateless module-level functions"
-
-    _SUBMIT_METHODS = frozenset({"submit", "map", "apply_async", "starmap"})
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        if not (ctx.is_python and _in_repro(ctx)):
-            return False
-        # Thread pools may share state; only *process* pools pickle their
-        # work, so the rule activates only where one is in reach.
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Name) and node.id == "ProcessPoolExecutor":
-                return True
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                mod = getattr(node, "module", "") or ""
-                names = [a.name for a in node.names]
-                if "multiprocessing" in mod or "multiprocessing" in names:
-                    return True
-                if "ProcessPoolExecutor" in names:
-                    return True
-        return False
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        module_defs: dict[str, ast.AST] = {}
-        nested_defs: set[str] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if ctx.parent(node) is ctx.tree:
-                    module_defs[node.name] = node
-                else:
-                    nested_defs.add(node.name)
-        for node in ast.walk(ctx.tree):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-                continue
-            if node.func.attr not in self._SUBMIT_METHODS or not node.args:
-                continue
-            receiver = dotted_name(node.func.value) or ""
-            terminal = receiver.split(".")[-1].lower()
-            if not ("pool" in terminal or "executor" in terminal or terminal == "ex"):
-                continue
-            yield from self._check_worker(ctx, node, node.args[0], module_defs, nested_defs)
-
-    def _check_worker(self, ctx, call, worker, module_defs, nested_defs) -> Iterable[Finding]:
-        line, col = call.lineno, call.col_offset
-        if isinstance(worker, ast.Lambda):
-            yield self.finding(
-                ctx, line, col,
-                "lambda submitted to a process pool: it captures its defining "
-                "scope and cannot be pickled into a persistent worker",
-            )
-            return
-        if isinstance(worker, ast.Attribute):
-            root = dotted_name(worker)
-            if root is not None and root.split(".")[0] in ("self", "cls"):
-                yield self.finding(
-                    ctx, line, col,
-                    f"bound method {root}() submitted to a process pool: it "
-                    "drags the whole instance (engine/tracer/cache state) "
-                    "through pickle on every call",
-                )
-            return
-        if not isinstance(worker, ast.Name):
-            return
-        if worker.id in nested_defs and worker.id not in module_defs:
-            yield self.finding(
-                ctx, line, col,
-                f"nested function {worker.id}() submitted to a process pool: "
-                "closure-local functions cannot be pickled; hoist it to "
-                "module level and pass state as explicit arguments",
-            )
-            return
-        fn = module_defs.get(worker.id)
-        if fn is None:
-            return  # imported or parameter-passed: module-level elsewhere
-        defaults = list(fn.args.defaults) + [d for d in fn.args.kw_defaults if d is not None]
-        for d in defaults:
-            if not isinstance(d, ast.Constant):
-                yield self.finding(
-                    ctx, line, col,
-                    f"pool worker {worker.id}() has a non-constant default "
-                    f"(line {d.lineno}); defaults are evaluated in the parent "
-                    "process and smuggle live state across the pool boundary",
-                )
-                break
-
-
-# ----------------------------------------------------------------------
 # RA006 — registry-bypassing constants
 # ----------------------------------------------------------------------
 class RegistryBypassRule(Rule):
@@ -553,52 +458,6 @@ class HotPathSleepRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# RA008 — shared-memory confinement
-# ----------------------------------------------------------------------
-class SharedMemoryConfinementRule(Rule):
-    id = "RA008"
-    title = "SharedMemory is constructed only in the operand store"
-
-    #: The one module allowed to own segment lifecycle (publish /
-    #: attach / unlink) — see its module docstring's confinement
-    #: contract.
-    _OWNER = ("repro", "backends", "operand_store.py")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return (
-            ctx.is_python
-            and _in_repro(ctx)
-            and not path_has_parts(ctx, *self._OWNER)
-        )
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom):
-                if node.module and node.module.endswith("shared_memory") and any(
-                    alias.name == "SharedMemory" for alias in node.names
-                ):
-                    yield self.finding(
-                        ctx, node.lineno, node.col_offset,
-                        "importing SharedMemory outside the operand store: "
-                        "segment lifecycle (refcounts, eviction, unlink) has "
-                        "one auditable owner — go through "
-                        "repro.backends.operand_store's publish/attach API",
-                    )
-                continue
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name is not None and name.rsplit(".", 1)[-1] == "SharedMemory":
-                yield self.finding(
-                    ctx, node.lineno, node.col_offset,
-                    f"raw {name}(...) outside the operand store: a segment "
-                    "created here escapes the store's pin/evict accounting "
-                    "and its guaranteed unlink-on-close; publish through "
-                    "repro.backends.operand_store instead",
-                )
-
-
-# ----------------------------------------------------------------------
 # RA009 — accumulator confinement
 # ----------------------------------------------------------------------
 class AccumulatorConfinementRule(Rule):
@@ -642,7 +501,7 @@ class AccumulatorConfinementRule(Rule):
 
 
 # ----------------------------------------------------------------------
-ALL_RULES = ("RA001", "RA002", "RA003", "RA004", "RA005", "RA006", "RA007", "RA008", "RA009")
+ALL_RULES = ("RA001", "RA002", "RA003", "RA004", "RA006", "RA007", "RA009")
 
 
 def default_rules(repo_root: Path, only: Iterable[str] | None = None) -> list[Rule]:
@@ -653,10 +512,8 @@ def default_rules(repo_root: Path, only: Iterable[str] | None = None) -> list[Ru
         TracingGuardRule(),
         DeterminismRule(),
         RegistryContractRule(universe),
-        PoolConfinementRule(),
         RegistryBypassRule(universe),
         HotPathSleepRule(),
-        SharedMemoryConfinementRule(),
         AccumulatorConfinementRule(),
     ]
     if only is not None:

@@ -1,19 +1,18 @@
 """``repro.backends`` — the execution-backend API.
 
-One :class:`ExecutionBackend` contract, four built-in backends behind it:
+One :class:`ExecutionBackend` contract, three built-in backends behind it:
 
 ============  ========================================================
 ``reference``  the pure-python registry kernels — the bitwise oracle
 ``scipy``      native CSR matmul fast path (allclose, exact zeros dropped)
 ``vectorized`` numpy batch-cluster numeric phase (bitwise, ``cluster``)
-``sharded``    process-pool row/cluster shards over any inner backend
 ============  ========================================================
 
 Backends are registry components (``kind="backend"``), so they share the
-parameter-schema machinery, spec addressing (``rcm+fixed:8+cluster@scipy``,
-``...@sharded:workers=4,inner=scipy``) and planner capability queries
-with reorderings/clusterings/kernels.  :func:`execute` is the **single
-kernel-dispatch path** of the codebase — both
+parameter-schema machinery, spec addressing (``rcm+fixed:8+cluster@scipy``)
+and planner capability queries with reorderings/clusterings/kernels.
+:func:`execute` is the **single kernel-dispatch path** of the codebase —
+both
 :meth:`~repro.pipeline.spec.BuiltPipeline.execute` and
 :meth:`~repro.engine.engine.SpGEMMEngine` route through it.
 """
@@ -25,7 +24,6 @@ from typing import Any, Iterable, Mapping
 from .base import ExecutionBackend, ExecutionContext
 from .reference import ReferenceBackend
 from .scipy_backend import ScipyBackend, scipy_available
-from .sharded import ShardedBackend, ShardOperand
 from .vectorized import VectorizedBackend, vectorized_cluster_spgemm
 
 __all__ = [
@@ -34,14 +32,11 @@ __all__ = [
     "ReferenceBackend",
     "ScipyBackend",
     "VectorizedBackend",
-    "ShardedBackend",
-    "ShardOperand",
     "vectorized_cluster_spgemm",
     "scipy_available",
     "BUILTIN_BACKENDS",
     "register_builtin_backends",
     "get_backend",
-    "open_backend",
     "parse_backend",
     "backend_supports",
     "require_backend_supports",
@@ -54,7 +49,7 @@ __all__ = [
 #: valid, reference-only registry.
 BUILTIN_BACKENDS: tuple[type[ExecutionBackend], ...] = tuple(
     cls
-    for cls in (ReferenceBackend, ScipyBackend, VectorizedBackend, ShardedBackend)
+    for cls in (ReferenceBackend, ScipyBackend, VectorizedBackend)
     if cls is not ScipyBackend or scipy_available()
 )
 
@@ -79,7 +74,6 @@ def register_builtin_backends() -> None:
                 params=_introspect_params(cls.__init__),
                 supported_kernels=probe.supported_kernels,
                 bitwise_reference=probe.bitwise_reference,
-                parallelism=cls.parallelism,
                 model_speed_factor=cls.model_speed_factor,
                 planner_rank=cls.planner_rank,
                 description=cls.description,
@@ -120,30 +114,12 @@ def get_backend(name: str, params: "Iterable[tuple[str, Any]] | Mapping[str, Any
     return inst
 
 
-def open_backend(name: str, params: "Iterable[tuple[str, Any]] | Mapping[str, Any]" = ()) -> ExecutionBackend:
-    """An instance for one owner, who calls its ``close()`` when done.
-
-    A backend that holds OS resources (:attr:`ExecutionBackend.holds_resources`)
-    gets a fresh instance, so its worker pool and shm segments live
-    exactly as long as the owner (an engine or a built pipeline);
-    stateless backends return the shared :func:`get_backend` instance,
-    whose ``close()`` is a no-op.
-    """
-    from ..pipeline import get_component
-
-    name, canon = _canonical(name, params)
-    info = get_component("backend", name)
-    if not getattr(info.factory, "holds_resources", False):
-        return get_backend(name, canon)
-    return info.factory(**info.resolve_params(canon))
-
-
 def parse_backend(value) -> tuple[str, tuple[tuple[str, Any], ...]]:
     """Parse a backend reference into ``(name, canonical_params)``.
 
     Accepts a bare name (``"scipy"``), a spec-style segment
-    (``"sharded:workers=4,inner=scipy"``), or an already-split
-    ``(name, params)`` pair.
+    (``"name:param=value"``), or an already-split ``(name, params)``
+    pair.
     """
     from ..pipeline import get_component
 
@@ -157,11 +133,8 @@ def parse_backend(value) -> tuple[str, tuple[tuple[str, Any], ...]]:
 
 
 def backend_supports(name: str, params, kernel: str) -> bool:
-    """Whether backend ``name`` (with ``params``) can execute ``kernel``.
-
-    Instance-level: composite backends (``sharded``) answer from their
-    inner backend, which the static registry entry cannot know.
-    """
+    """Whether backend ``name`` (with ``params``) can execute ``kernel``
+    (asked of the instance, which may refine its class-level entry)."""
     return get_backend(name, params).supports_kernel(kernel)
 
 
@@ -208,8 +181,7 @@ def execute(
     (``operand.inv`` applied) through
     :meth:`~ExecutionBackend.execute_original_order`.  ``backend`` is a
     registry name (resolved through :func:`get_backend`; then
-    ``backend_params`` applies) or an instance the caller owns (from
-    :func:`open_backend`).
+    ``backend_params`` applies) or an already-resolved instance.
     """
     if isinstance(backend, ExecutionBackend):
         be = backend
@@ -234,7 +206,7 @@ def time_execution(built, B, backend_ref: "str | tuple", *, reps: int = 3) -> fl
     ``built`` is a :class:`~repro.pipeline.spec.BuiltPipeline`
     (preparation is the amortised one-off the engine ledgers separately,
     so only execution is timed), and one warm-up execution runs first so
-    imports / process pools never pollute a timing.
+    imports never pollute a timing.
     """
     import time as _time
 

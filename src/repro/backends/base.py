@@ -6,7 +6,7 @@ paper's thesis — restructure the same computation for locality — is
 backend-independent: a pipeline names *what* to compute (reordering,
 clustering, kernel dataflow), the backend names *how* (pure-python
 reference loops, scipy's native CSR matmul, a numpy-batched numeric
-phase, a process-pool of row shards).  Separating the two is what lets
+phase).  Separating the two is what lets
 the engine run "as fast as the hardware allows" (ROADMAP) while keeping
 one correctness oracle.
 
@@ -31,9 +31,9 @@ row-wise pattern minus entries that cancel to exactly ``0.0`` — the
 contract of raw ``scipy.sparse``.
 
 Capabilities are declared class-level (they feed the registry's
-:class:`~repro.pipeline.registry.ComponentInfo` entry) and refined
-per instance where composition demands it (``sharded`` inherits its
-inner backend's kernel support, bitwise flag and
+:class:`~repro.pipeline.registry.ComponentInfo` entry) and answered
+per instance (:attr:`~ExecutionBackend.supported_kernels`,
+:attr:`~ExecutionBackend.bitwise_reference`,
 :attr:`~ExecutionBackend.honours_kernel`).
 """
 
@@ -61,18 +61,15 @@ class ExecutionContext:
         Optional :class:`~repro.experiments.config.ExperimentConfig`
         supplying parameter defaults.
     stats:
-        Counter dict (``{"scipy_calls": 3, "sharded_shards": 8, ...}``);
+        Counter dict (``{"scipy_calls": 3, "reference_calls": 8, ...}``);
         use :meth:`bump`.
     operand_tokens:
         Digest hints installed by the engine: ``id(operand) →
         "pattern:value"`` token (the same digests its plan/operand
         cache keys use), scoped to the current call.  The engine hints
-        every ``A²`` product (``B is A``).  Backends that keep operands
-        resident across process boundaries (``sharded``) use these as
-        residency keys instead of re-hashing; ``scipy`` keys its
-        recorded product structure by them.  Absent entries mean
-        "compute the token yourself" (``sharded``) or "unhinted
-        product" (``scipy``).
+        every ``A²`` product (``B is A``); ``scipy`` keys its recorded
+        product structure by them.  An absent entry means an unhinted
+        product.
     tracer:
         Optional :class:`~repro.obs.Tracer`: when set (and enabled),
         :func:`repro.backends.execute` wraps each dispatch in a
@@ -96,16 +93,14 @@ class ExecutionBackend(ABC):
 
     Class attributes declare the registry capabilities; see the module
     docstring for the execution contract.  Instances may be
-    parameterised (``ShardedBackend(workers=4, inner="scipy")``) — the
-    parameter schema is introspected from ``__init__`` keyword defaults
-    exactly like kernel/clustering components, so backends are
-    spec-addressable (``...@sharded:workers=4,inner=scipy``).
+    parameterised: the parameter schema is introspected from
+    ``__init__`` keyword defaults exactly like kernel/clustering
+    components, so backends are spec-addressable
+    (``...@name:param=value``).
     """
 
     #: Registry name (unique across every component kind).
     name: ClassVar[str] = "base"
-    #: ``"serial"`` or ``"process"`` (uses worker processes).
-    parallelism: ClassVar[str] = "serial"
     #: Planner candidate rank; ``None`` keeps the backend out of the
     #: default search space (it stays spec-addressable and pinnable).
     planner_rank: ClassVar[int | None] = None
@@ -114,13 +109,8 @@ class ExecutionBackend(ABC):
     model_speed_factor: ClassVar[float] = 1.0
     #: One-line summary for ``repro.pipeline.describe()``.
     description: ClassVar[str] = ""
-    #: Instances own OS resources (worker processes, shm segments).
-    #: Such a backend is opened per owner (:func:`repro.backends.open_backend`)
-    #: and released by that owner's :meth:`close`; stateless backends are
-    #: shared process-wide.
-    holds_resources: ClassVar[bool] = False
 
-    # -- capabilities (instance-level: composites refine them) ----------
+    # -- capabilities (instance-level) ------------------------------------
     @property
     def bitwise_reference(self) -> bool:
         """Results are bit-identical to the ``reference`` backend."""
@@ -176,10 +166,6 @@ class ExecutionBackend(ABC):
         C = self.execute(operand, B, kernel=kernel, kernel_params=kernel_params, ctx=ctx)
         inv = getattr(operand, "inv", None)
         return C if inv is None else C.permute_rows(inv)
-
-    def close(self) -> None:
-        """Release the instance's OS resources (idempotent; a no-op for
-        stateless backends)."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

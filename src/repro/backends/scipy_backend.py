@@ -217,7 +217,6 @@ class ScipyBackend(ExecutionBackend):
     """Native scipy CSR matmul over the prepared operand."""
 
     name: ClassVar[str] = "scipy"
-    parallelism: ClassVar[str] = "serial"
     planner_rank: ClassVar[int | None] = 10
     model_speed_factor: ClassVar[float] = 0.35
     description: ClassVar[str] = "native scipy CSR matmul (allclose values, pattern minus exact zeros)"

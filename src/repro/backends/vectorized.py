@@ -122,7 +122,6 @@ class VectorizedBackend(ExecutionBackend):
     """numpy batch-vectorised numeric phases (cluster / rowwise / hybrid)."""
 
     name: ClassVar[str] = "vectorized"
-    parallelism: ClassVar[str] = "serial"
     planner_rank: ClassVar[int | None] = 20
     model_speed_factor: ClassVar[float] = 0.7
     description: ClassVar[str] = "numpy-batched numeric phases (bitwise; cluster/rowwise/hybrid)"

@@ -45,7 +45,7 @@ from collections import OrderedDict, deque
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 
-from ..backends import ExecutionBackend, ExecutionContext, execute as backend_execute, open_backend
+from ..backends import ExecutionBackend, ExecutionContext, execute as backend_execute, get_backend
 from ..core.csr import CSRMatrix
 from ..experiments.config import ExperimentConfig
 from ..machine import SimulatedMachine
@@ -261,8 +261,9 @@ class _Bound:
     planner: Planner
     fp: MatrixFingerprint
     key: str  # plan-cache (and drift-monitor) key
-    vdigest: str  # A's value digest (operand-cache key, sharded hint)
+    vdigest: str  # A's value digest (operand-cache key, A² hint)
     hit: bool  # this call's plan lookup was served from the cache
+    backend: ExecutionBackend  # the plan's backend, resolved once per call
 
 
 class SpGEMMEngine:
@@ -313,9 +314,8 @@ class SpGEMMEngine:
         planner-ranked backend (results may then be ``allclose`` rather
         than bit-identical when a non-bitwise backend wins, and
         ``scipy`` drops entries whose sum cancels to exactly ``0.0``,
-        as raw ``scipy.sparse`` does).  A backend
-        name — optionally parameterised, ``"scipy"`` /
-        ``"sharded:workers=4,inner=scipy"`` — pins every plan to that
+        as raw ``scipy.sparse`` does).  A backend name (``"scipy"``,
+        optionally with spec-style parameters) pins every plan to that
         backend.  Individual calls can override via
         ``multiply(..., backend=...)``; with ``pipeline=``, the
         backend override is applied onto the spec.
@@ -432,10 +432,6 @@ class SpGEMMEngine:
         # pair: (spec string, None) for pipeline= calls, (None, backend)
         # for backend-only overrides of the configured policy.
         self._planners: "dict[tuple[str | None, str | None], Planner]" = {}
-        # Backends this engine opened, per (name, params): a sharded
-        # backend's worker pool and shm segments belong to the engine
-        # and are released by close().
-        self._backends: "dict[tuple, ExecutionBackend]" = {}
         self._exec_ctx = ExecutionContext(cfg=self.cfg, tracer=self.tracer)
         self._stats = EngineStats()
         # The serving front-end drives one engine from a dispatch thread,
@@ -705,7 +701,8 @@ class SpGEMMEngine:
                 backend=plan.backend,
                 workload=plan.workload,
             )
-        return _Bound(plan, prep, kernel_params, planner, fp, key, vdigest, hit)
+        backend = get_backend(plan.backend, plan.backend_params)
+        return _Bound(plan, prep, kernel_params, planner, fp, key, vdigest, hit, backend)
 
     def _run(self, bound: _Bound, A: CSRMatrix, B: CSRMatrix, *, reuse: bool = False) -> CSRMatrix:
         """One product ``A @ B`` through the bound plan: execute (the
@@ -724,8 +721,7 @@ class SpGEMMEngine:
         plan, prep, ctx = bound.plan, bound.prep, self._exec_ctx
         # Digest reuse (DESIGN.md §10): every A² product is hinted with
         # the pattern/value digests the plan and operand caches already
-        # computed — sharded keys shm residency by them, scipy its
-        # recorded product structure.
+        # computed — scipy keys its recorded product structure by them.
         hinted = B is A
         if hinted:
             ctx.operand_tokens[id(B)] = f"{bound.fp.pattern_digest[:20]}:{bound.vdigest[:20]}"
@@ -735,7 +731,7 @@ class SpGEMMEngine:
                 B,
                 kernel=plan.kernel,
                 kernel_params=bound.kernel_params,
-                backend=self._backend(plan),
+                backend=bound.backend,
                 cfg=self.cfg,
                 ctx=ctx,
                 original_order=True,
@@ -753,16 +749,6 @@ class SpGEMMEngine:
         )
         self._stats.bump_plan(plan.label)
         return C
-
-    def _backend(self, plan: ExecutionPlan) -> ExecutionBackend:
-        """The engine's own instance of the plan's backend (opened on
-        first use, released by :meth:`close`)."""
-        key = (plan.backend, plan.backend_params)
-        with self._memo_lock:
-            be = self._backends.get(key)
-            if be is None:
-                be = self._backends[key] = open_backend(plan.backend, plan.backend_params)
-        return be
 
     def multiply(
         self,
@@ -972,23 +958,6 @@ class SpGEMMEngine:
     def reset_stats(self) -> None:
         self._stats = EngineStats()
         self._exec_ctx = ExecutionContext(cfg=self.cfg, tracer=self.tracer)
-
-    def close(self) -> None:
-        """Release the backends this engine opened — a ``sharded``
-        backend's worker pool and shm segments (idempotent; a later
-        multiply opens them again)."""
-        with self._memo_lock:
-            backends = list(self._backends.values())
-            self._backends.clear()
-        for be in backends:
-            be.close()
-
-    def __enter__(self) -> "SpGEMMEngine":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -32,7 +32,8 @@ __all__ = ["ExecutionPlan", "backend_label_suffix"]
 
 
 def backend_label_suffix(backend: str, backend_params: tuple = ()) -> str:
-    """``"@sharded:workers=2,inner=scipy"``-style label suffix.
+    """``"@scipy"``-style label suffix (``"@name:param=value"`` with
+    parameters).
 
     Parameters are included so distinct configurations of the same
     backend stay distinct in ledgers; the default ``reference`` backend
@@ -70,11 +71,10 @@ class ExecutionPlan:
     backend:
         Execution backend registry name (:mod:`repro.backends`);
         ``"reference"`` is the pure-python bitwise oracle.  The backend
-        must support the plan's kernel (validated instance-level, so
-        composite backends answer from their inner backend).
+        must support the plan's kernel (validated instance-level).
     backend_params:
-        Backend parameters as ``(name, value)`` pairs (e.g.
-        ``(("workers", 4), ("inner", "scipy"))`` for ``sharded``).
+        Backend parameters as ``(name, value)`` pairs (empty for the
+        built-in backends, none of which takes parameters).
     accumulator:
         Sparse-accumulator strategy for the row-wise kernel.
     policy:

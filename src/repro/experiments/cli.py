@@ -8,7 +8,7 @@ Usage::
     python -m repro.experiments.cli engine --matrix pdb1 --policy autotune --iters 5
     python -m repro.experiments.cli engine --pipeline rcm+fixed:8+cluster
     python -m repro.experiments.cli engine --pipeline rcm@scipy
-    python -m repro.experiments.cli engine --backend sharded:workers=2
+    python -m repro.experiments.cli engine --backend vectorized
     python -m repro.experiments.cli pipelines      # registered components
     python -m repro.experiments.cli serve --port 7077          # long-lived service
     python -m repro.experiments.cli serve --serve-requests 24  # loopback smoke
@@ -403,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="BACKEND",
         help="execution backend for the engine command: a registered backend name "
-        "optionally with parameters (scipy, sharded:workers=2,inner=scipy) or 'auto' "
+        "(reference, scipy, vectorized) or 'auto' "
         "to let the planner choose (default: reference, the bitwise oracle)",
     )
     parser.add_argument(

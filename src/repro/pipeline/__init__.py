@@ -63,8 +63,6 @@ def describe() -> str:
             if info.kind == "backend":
                 if info.bitwise_reference:
                     tags.append("bitwise")
-                if info.parallelism != "serial":
-                    tags.append(info.parallelism)
                 if info.supported_kernels is not None:
                     tags.append("kernels:" + ",".join(info.supported_kernels))
             if info.planner_rank is not None:

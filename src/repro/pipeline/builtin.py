@@ -23,7 +23,7 @@ registries to the unified one.
   (:func:`~repro.backends.register_builtin_backends`): each
   :class:`~repro.backends.base.ExecutionBackend` class registers as a
   ``kind="backend"`` component with its capability tags (supported
-  kernels, bitwise flag, parallelism, planner rank), making backends
+  kernels, bitwise flag, planner rank), making backends
   spec-addressable (``…@scipy``) and planner-visible.
 
 Both source registries are re-synced lazily on every registry query, so

@@ -148,16 +148,13 @@ class ComponentInfo:
     supported_kernels:
         Backend capability: kernel names the backend can execute, or
         ``None`` for "every registered kernel" (the declared class-level
-        contract; composite backends like ``sharded`` refine it per
-        instance — see :func:`repro.backends.backend_supports`).
+        contract; :func:`repro.backends.backend_supports` asks the
+        instance).
     bitwise_reference:
         Backend capability: results are bitwise-identical to the
         ``reference`` backend (per-row floating-point summation order
         preserved).  Non-bitwise backends guarantee the identical
         sparsity pattern and ``allclose`` values only.
-    parallelism:
-        Backend capability: ``"serial"`` or ``"process"`` (executes
-        shards in worker processes).
     model_speed_factor:
         Backend capability: multiplier applied to simulated-machine
         times when planners rank this backend.  A *ranking hint* for
@@ -188,7 +185,6 @@ class ComponentInfo:
     requires_clustering: bool = False
     supported_kernels: tuple[str, ...] | None = None
     bitwise_reference: bool = False
-    parallelism: str = "serial"
     model_speed_factor: float = 1.0
     similarity_driven: bool = False
     planner_rank: int | None = None

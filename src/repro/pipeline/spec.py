@@ -21,7 +21,6 @@ is omitted from the canonical string form).  Examples::
     rcm+fixed:8+cluster                   # positional param (cluster_size)
     rcm+fixed:8+cluster@vectorized        # same pipeline, numpy-batched backend
     rcm@scipy                             # scipy: only the reordering reaches it
-    fixed:8+cluster@sharded:workers=4,inner=vectorized
     original+none+rowwise                 # the baseline, fully spelled
     rabbit+tiled:tile_cols=128            # reordered tiled SpGEMM
 
@@ -31,8 +30,8 @@ alias-resolved, type-coerced and stored in schema order at construction.
 ``spec.build(A)`` materialises the pipeline (reorder → cluster →
 operand formats) and ``spec.run(A, B)`` executes it through the spec's
 backend.  Under a backend whose registry entry claims
-``bitwise_reference`` (``reference``, ``vectorized``, ``sharded`` over a
-bitwise inner) the product is **bitwise-identical** to
+``bitwise_reference`` (``reference``, ``vectorized``) the product is
+**bitwise-identical** to
 ``spgemm_rowwise(A, B)``: permutations gather whole rows and the
 execution preserves per-row summation order, so only row placement
 changes — and is inverted at the end.  Non-bitwise backends (``scipy``)
@@ -145,7 +144,7 @@ class PipelineSpec:
     @property
     def bitwise(self) -> bool:
         """Whether this spec's backend guarantees bitwise identity with
-        row-wise SpGEMM (instance-level: ``sharded`` asks its inner)."""
+        row-wise SpGEMM (asked of the backend instance)."""
         from ..backends import get_backend
 
         return get_backend(self.backend, self.backend_params).bitwise_reference
@@ -287,7 +286,7 @@ class PipelineSpec:
         """Copy with a different execution backend.
 
         ``name`` may carry spec-style parameters
-        (``"sharded:workers=4"``) when no keyword parameters are given.
+        (``"name:param=value"``) when no keyword parameters are given.
         """
         if ":" in name and not params:
             from ..backends import parse_backend
@@ -410,10 +409,7 @@ class PipelineSpec:
         identical sparsity pattern with ``allclose`` values.
         """
         built = self.build(A, seed=seed, mode="rows", cfg=cfg)
-        try:
-            return built.execute(A if B is None else B, cfg=cfg)
-        finally:
-            built.close()
+        return built.execute(A if B is None else B, cfg=cfg)
 
     # ------------------------------------------------------------------
     # ExecutionPlan interop
@@ -507,9 +503,6 @@ class BuiltPipeline:
     #: Execution-backend state owned by this operand (the ``scipy``
     #: backend's recorded product structure); dropped with it.
     backend_state: dict = field(default_factory=dict, repr=False, compare=False)
-    #: The execution backend :meth:`execute` opened
-    #: (:func:`repro.backends.open_backend`); released by :meth:`close`.
-    _backend: Any = field(default=None, init=False, repr=False, compare=False)
 
     def pre_cost(self, cost) -> float:
         """Model preprocessing time under ``cost``, charged at each
@@ -535,7 +528,7 @@ class BuiltPipeline:
         ``P A Pᵀ``, whose product with ``B`` is not ``P·(A B)``, so it
         raises ``ValueError`` (those builds feed the simulated sweeps).
         """
-        from ..backends import execute as backend_execute, open_backend
+        from ..backends import execute as backend_execute
 
         if self.mode != "rows":
             raise ValueError(
@@ -545,26 +538,17 @@ class BuiltPipeline:
         spec = self.spec
         if cfg is None:
             cfg = self.cfg
-        if self._backend is None:
-            self._backend = open_backend(spec.backend, spec.backend_params)
         return backend_execute(
             self,
             B,
             kernel=spec.kernel,
             kernel_params=spec.kernel_info.resolve_params(spec.kernel_params, cfg),
-            backend=self._backend,
+            backend=spec.backend,
+            backend_params=spec.backend_params,
             cfg=cfg,
             ctx=ctx,
             original_order=True,
         )
-
-    def close(self) -> None:
-        """Release the backend :meth:`execute` opened — a ``sharded``
-        backend's worker pool and shm segments (idempotent; a later
-        :meth:`execute` opens a fresh one)."""
-        backend, self._backend = self._backend, None
-        if backend is not None:
-            backend.close()
 
 
 def enumerate_compatible(

@@ -16,8 +16,7 @@ Admission control lives in :meth:`BatchScheduler.submit`: a full queue
 sheds the request with :class:`~repro.serve.errors.ServerOverloaded`
 *before* it is enqueued, so backpressure is a typed, immediate signal.
 
-Worker-death degradation (the ``sharded`` backend's fallback idiom, one
-layer up): if the dispatch loop itself dies, the scheduler marks itself
+Worker-death degradation: if the dispatch loop itself dies, the scheduler marks itself
 dead, drains every queued request through the server's per-request
 ``fallback`` callback (in-process execution), and every later
 :meth:`submit` returns ``False`` so the server runs the request on the

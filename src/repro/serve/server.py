@@ -25,9 +25,8 @@ behind an asynchronous submission API (DESIGN.md §14):
 
 Degradation: if the dispatch machinery dies the scheduler flips to dead
 and every request — queued or future — executes in-process on the
-caller's thread (the ``sharded`` backend's pool-fallback idiom one layer
-up), counted in ``serve.fallbacks``.  :meth:`close` drains by default
-and always leaves the engine ledger synced.
+caller's thread, counted in ``serve.fallbacks``.  :meth:`close` drains
+by default and always leaves the engine ledger synced.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ class SpGEMMServer:
         *,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        self._owns_engine = engine is None
         self.engine = engine if engine is not None else SpGEMMEngine()
         self.config = config if config is not None else ServeConfig()
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -165,7 +163,7 @@ class SpGEMMServer:
                 raise
         if not accepted:
             # Dispatcher dead: degrade to synchronous in-process
-            # execution on the caller's thread (sharded-fallback idiom).
+            # execution on the caller's thread.
             self._fallbacks.inc()
             self._run_inprocess(req)
         return req.future
@@ -356,16 +354,13 @@ class SpGEMMServer:
 
     def close(self, *, drain: bool = True) -> None:
         """Graceful shutdown: stop admissions, drain (default) or reject
-        the queue, stop the planner thread, sync the ledger, and close
-        the engine when the server created it.  Idempotent."""
+        the queue, stop the planner thread, sync the ledger.  Idempotent."""
         if self._closed:
             return
         self._closed = True
         self._scheduler.close(drain=drain)
         self._planner_pool.shutdown(wait=True)
         self.sync_stats()
-        if self._owns_engine:
-            self.engine.close()
 
     def __enter__(self) -> "SpGEMMServer":
         return self

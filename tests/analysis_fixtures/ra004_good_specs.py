@@ -5,7 +5,7 @@ CASES = (
     "rcm+hierarchical:max_th=8+cluster",
     "original+none+rowwise",
     "rabbit+tiled:tile_cols=128",
-    "rcm+fixed:8+cluster@sharded:workers=2,inner=scipy",
+    "original+variable+cluster@vectorized",
 )
 
 

@@ -11,10 +11,15 @@ shape-parameterised:
   operand the engine/pipeline suites use as a gainful planning target;
 * :func:`assert_bitwise_equal` — the bitwise (not allclose) oracle
   comparison backing the engine's correctness contract;
-* ``fig1`` — the paper's 6×6 worked example.
+* ``fig1`` — the paper's 6×6 worked example;
+* an autouse leak guard: a test leaves no new live non-daemon thread
+  and no new child process behind.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +31,21 @@ from repro.core import COOMatrix, CSRMatrix
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "slow: long-running end-to-end test (e.g. an example script)")
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_threads_or_children():
+    """Every thread or process a test starts has an owner whose
+    ``close()`` stops it before the test ends (a server, an RPC
+    endpoint, a trace sink); one left running would outlive the test
+    and leak into every later one."""
+    threads = {t for t in threading.enumerate() if not t.daemon}
+    children = set(multiprocessing.active_children())
+    yield
+    leaked = [t.name for t in threading.enumerate() if not t.daemon and t not in threads]
+    assert not leaked, f"test left live non-daemon threads: {leaked}"
+    spawned = [p.pid for p in multiprocessing.active_children() if p not in children]
+    assert not spawned, f"test left live child processes: {spawned}"
 
 
 @pytest.fixture

@@ -193,21 +193,6 @@ class TestRuleFixtures:
         suppressed = [f for f in found if f.suppressed]
         assert any("not_a_component" in f.message for f in suppressed)
 
-    def test_ra005_clean(self):
-        assert _active("repro/backends/ra005_clean.py", "RA005") == []
-
-    def test_ra005_lambda_and_closure(self):
-        messages = [f.message for f in _active("repro/backends/ra005_lambda.py", "RA005")]
-        assert len(messages) == 2
-        assert any("lambda" in m for m in messages)
-        assert any("closure_worker" in m for m in messages)
-
-    def test_ra005_state_capture(self):
-        messages = [f.message for f in _active("repro/backends/ra005_state_capture.py", "RA005")]
-        assert len(messages) == 2
-        assert any("bound method" in m for m in messages)
-        assert any("non-constant default" in m for m in messages)
-
     def test_ra006_bypass_tuple(self):
         found = _active("repro/engine/ra006_bypass.py", "RA006")
         assert len(found) == 1 and "PLANNER_REORDERINGS" in found[0].message
@@ -232,19 +217,6 @@ class TestRuleFixtures:
         found = _active("repro/serve/ra007_sleep.py", "RA007")
         assert sorted(f.line for f in found) == [9, 14]
         assert all("sleep" in f.message for f in found)
-
-    def test_ra008_raw_shm(self):
-        found = _active("repro/backends/ra008_raw_shm.py", "RA008")
-        # The import-from plus both call forms fire.
-        assert sorted(f.line for f in found) == [4, 8, 12]
-        assert all("operand store" in f.message or "operand_store" in f.message for f in found)
-
-    def test_ra008_clean(self):
-        assert _active("repro/backends/ra008_clean.py", "RA008") == []
-
-    def test_ra008_owner_module_is_exempt(self):
-        # repro/backends/operand_store.py is the one sanctioned owner.
-        assert _active("repro/backends/operand_store.py", "RA008") == []
 
     def test_ra009_direct_construction(self):
         found = _active("repro/core/ra009_direct_construction.py", "RA009")

@@ -41,9 +41,6 @@ def test_honours_kernel_capability():
     assert get_backend("reference").honours_kernel
     assert get_backend("vectorized").honours_kernel
     assert not get_backend("scipy").honours_kernel
-    # Composite: sharded answers from its inner backend.
-    assert not get_backend("sharded", (("inner", "scipy"),)).honours_kernel
-    assert get_backend("sharded", (("inner", "vectorized"),)).honours_kernel
 
 
 @pytest.mark.parametrize("backend", ["auto", "scipy"])

@@ -118,12 +118,9 @@ def test_mismatched_raw_row_pointer_is_rebuilt():
         "rcm@scipy",
         "rcm+fixed:8+cluster@scipy",
         "rcm+fixed:8+cluster@vectorized",
-        "rcm@sharded:workers=2",
-        "rcm+fixed:8+cluster@sharded:workers=2,inner=scipy",
     ],
 )
-def test_original_order_is_default_then_unpermute(spec, monkeypatch):
-    monkeypatch.setenv("REPRO_SHARDED_INPROCESS", "1")
+def test_original_order_is_default_then_unpermute(spec):
     A = G.web_graph(150, seed=4)
     built = PipelineSpec.parse(spec).build(A)
     assert built.inv is not None

@@ -12,12 +12,13 @@ shape-parameterised:
 * :func:`assert_bitwise_equal` — the bitwise (not allclose) oracle
   comparison backing the engine's correctness contract;
 * ``fig1`` — the paper's 6×6 worked example;
-* an autouse leak guard: a test leaves no new live non-daemon thread
-  and no new child process behind.
+* :func:`leak_guard` and its autouse fixture: a test leaves no new
+  live non-daemon thread and no new child process behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import threading
 
@@ -33,12 +34,10 @@ def pytest_configure(config):
     config.addinivalue_line("markers", "slow: long-running end-to-end test (e.g. an example script)")
 
 
-@pytest.fixture(autouse=True)
-def _no_leaked_threads_or_children():
-    """Every thread or process a test starts has an owner whose
-    ``close()`` stops it before the test ends (a server, an RPC
-    endpoint, a trace sink); one left running would outlive the test
-    and leak into every later one."""
+@contextlib.contextmanager
+def leak_guard():
+    """Fail (``AssertionError``) if the body leaves a new live
+    non-daemon thread or a new ``multiprocessing`` child running."""
     threads = {t for t in threading.enumerate() if not t.daemon}
     children = set(multiprocessing.active_children())
     yield
@@ -46,6 +45,16 @@ def _no_leaked_threads_or_children():
     assert not leaked, f"test left live non-daemon threads: {leaked}"
     spawned = [p.pid for p in multiprocessing.active_children() if p not in children]
     assert not spawned, f"test left live child processes: {spawned}"
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_threads_or_children():
+    """Every thread or process a test starts has an owner whose
+    ``close()`` stops it before the test ends (a server, an RPC
+    endpoint, a trace sink); one left running would outlive the test
+    and leak into every later one."""
+    with leak_guard():
+        yield
 
 
 @pytest.fixture

@@ -19,9 +19,13 @@ from repro.pipeline import available_components, enumerate_compatible
 #: already sweeps every reordering on the reference backend).
 REORDERINGS = ("original", "rcm")
 
+#: Three structure classes: a web graph, a banded matrix and an R-MAT
+#: power-law graph — the only one with empty rows and a hub row
+#: (12 empty rows, 71 entries in the densest).
 MATRICES = {
     "web": G.web_graph(180, seed=7),
     "banded": G.banded_random(160, bandwidth=6, fill=0.5, seed=7),
+    "powerlaw": G.rmat(7, seed=7),
 }
 
 ALL_PAIRS = enumerate_compatible(

@@ -270,6 +270,80 @@ def test_engine_multiply_many_with_backend():
         assert C.same_pattern(want) and C.allclose(want)
 
 
+@pytest.mark.parametrize("call", ["multiply", "multiply_many", "power"])
+@pytest.mark.parametrize("name", ["reference", "scipy", "vectorized"])
+def test_engine_resolves_backend_once_per_call(monkeypatch, name, call):
+    # A public call resolves its backend once, at bind time, and hands
+    # that instance to every product it runs — no per-product lookup.
+    import repro.engine.engine as engine_mod
+
+    eng = SpGEMMEngine(policy="heuristic", backend=name)
+    eng.multiply(A)  # plan and prepare outside the counted call
+    lookups, dispatched = [], []
+    real_get, real_execute = engine_mod.get_backend, engine_mod.backend_execute
+
+    def counting_get(*args, **kwargs):
+        lookups.append(args)
+        return real_get(*args, **kwargs)
+
+    def recording_execute(*args, backend, **kwargs):
+        dispatched.append(backend)
+        return real_execute(*args, backend=backend, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "get_backend", counting_get)
+    monkeypatch.setattr(engine_mod, "backend_execute", recording_execute)
+    Bs = [G.web_graph(220, seed=s) for s in (20, 21, 22)]
+    if call == "multiply":
+        outs, wants = [eng.multiply(A)], [REF]
+    elif call == "multiply_many":
+        outs, wants = eng.multiply_many(A, Bs), [spgemm_rowwise(A, B) for B in Bs]
+    else:
+        A3 = spgemm_rowwise(A, REF)
+        outs, wants = [eng.power(A, 4)], [spgemm_rowwise(A, A3)]
+    assert lookups == [(name, ())]
+    assert len(dispatched) == {"multiply": 1, "multiply_many": 3, "power": 3}[call]
+    assert all(be is real_get(name) for be in dispatched)
+    for C, want in zip(outs, wants):
+        assert C.same_pattern(want) and C.allclose(want)
+
+
+@pytest.mark.parametrize("name", ["reference", "scipy", "vectorized"])
+def test_builtin_backend_rejects_parameters(name):
+    # No built-in backend takes a parameter (``workers``/``inner`` went
+    # with the process-sharded backend): naming one is an error in the
+    # backend grammar and in a pipeline spec alike.
+    with pytest.raises(ValueError):
+        parse_backend(f"{name}:workers=2")
+    with pytest.raises(ValueError):
+        parse_backend((name, {"inner": "scipy"}))
+    with pytest.raises(ValueError):
+        PipelineSpec.parse(f"rcm+fixed:8+rowwise@{name}:workers=2")
+    assert parse_backend(f"{name}:") == (name, ())
+
+
+def test_no_source_module_starts_processes_or_shares_memory():
+    # Every built-in backend runs in the calling process, so the tier-1
+    # leak guard only has threads to watch for: nothing under src/
+    # imports multiprocessing or its shared-memory module.
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    banned = ("multiprocessing", "concurrent.futures.process", "concurrent.futures.ProcessPoolExecutor")
+    offenders = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {n}" for n in names if n.startswith(banned)]
+    assert offenders == []
+
+
 # ----------------------------------------------------------------------
 # Planner robustness: reference-only registries
 # ----------------------------------------------------------------------

@@ -17,11 +17,21 @@ product on every call.
 Product structure (DESIGN.md §10): for a product the engine *hints*
 (``B is A``: ``ctx.operand_tokens`` carries B's pattern:value digest),
 the backend records, on the operand's :attr:`backend_state`, where each
-entry of the canonical result sits in scipy's raw output.  Later calls
-skip the sort and the row un-permute: one matmul plus one gather of
+entry of the canonical result sits in scipy's raw output, and scipy's
+symbolic count of the product (``maxnnz``).  Later calls skip the sort,
+the row un-permute and scipy's counting pass: one numeric pass
+(``csr_matmat`` into buffers of ``maxnnz`` entries) plus one gather of
 indices and values.  Unhinted products (general B, operands without
 ``backend_state``) take the plain path: sort, then a C++ row gather when
 the original row order is asked for.
+
+Numeric-only calls: ``csr_matmat`` is scipy's private C++ entry point
+and writes without bounds checks, so it runs only on a square of one of
+the backend's own handles (``As @ As``, ``L @ L``), whose count was taken
+on those same index arrays.  A product with any other right operand stays
+on the public ``@``.  The entry points are imported and probed once, at
+import, against the public product on a matrix with an exactly cancelling
+entry; if either fails, every call stays on the public ``@``.
 
 Symmetric A²: when the hinted B is checked (once, bitwise) to be the
 source of a permuted rows-mode operand, the recorded product is
@@ -53,6 +63,12 @@ from .base import ExecutionBackend, ExecutionContext
 
 __all__ = ["ScipyBackend"]
 
+try:  # scipy's two C++ passes of ``S @ S``; private, so probed below
+    from scipy.sparse._sparsetools import csr_matmat as _csr_matmat
+    from scipy.sparse._sparsetools import csr_matmat_maxnnz as _csr_matmat_maxnnz
+except ImportError:  # pragma: no cover - scipy missing, or the module moved
+    _csr_matmat = _csr_matmat_maxnnz = None
+
 
 def scipy_available() -> bool:
     """Whether :mod:`scipy.sparse` imports in this environment."""
@@ -82,13 +98,16 @@ class _Structure(NamedTuple):
     ``raw_indptr`` is scipy's raw row pointer (the reuse check) and
     ``indptr`` the canonical one (int64, copied into every result).
     ``symmetric`` records that the raw output is ``L @ L``, whose column
-    labels map back through the operand's ``perm``.
+    labels map back through the operand's ``perm``.  ``maxnnz`` is
+    scipy's symbolic count of the product, taken on the backend's own
+    handle; ``None`` when the product is not a square of one.
     """
 
     order: np.ndarray  # int32, nnz(C)
     raw_indptr: np.ndarray
     indptr: np.ndarray
     symmetric: bool
+    maxnnz: int | None
 
 
 def _wrap(M):
@@ -151,6 +170,54 @@ def _right(operand, B, As, state, token):
     return _wrap(B)
 
 
+def _count(S) -> int:
+    """scipy's symbolic pass of ``S @ S``: an upper bound on nnz(S²)
+    (exact zeros not yet dropped)."""
+    n = S.shape[0]
+    return int(_csr_matmat_maxnnz(n, n, S.indptr, S.indices, S.indptr, S.indices))
+
+
+def _square(S, maxnnz: int):
+    """scipy's numeric pass of ``S @ S`` into fresh buffers of ``maxnnz``
+    entries, trimmed to the entries it stored.  ``maxnnz`` must be
+    :func:`_count` of ``S``'s own index arrays: the pass writes without
+    bounds checks."""
+    import scipy.sparse as sp
+
+    n = S.shape[0]
+    indptr = np.empty(n + 1, dtype=S.indices.dtype)
+    indices = np.empty(maxnnz, dtype=S.indices.dtype)
+    data = np.empty(maxnnz, dtype=S.dtype)
+    _csr_matmat(n, n, S.indptr, S.indices, S.data, S.indptr, S.indices, S.data, indptr, indices, data)
+    nnz = int(indptr[-1])
+    return sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=S.shape)
+
+
+def _probe() -> bool:
+    """Whether :func:`_count` and :func:`_square` reproduce the public
+    ``S @ S`` bitwise on a matrix whose square cancels an entry to
+    exactly ``0.0``."""
+    if _csr_matmat is None or _csr_matmat_maxnnz is None:
+        return False
+    try:
+        import scipy.sparse as sp
+
+        S = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 2.0], [0.0, 3.0, 0.5]]))
+        maxnnz = _count(S)
+        got, want = _square(S, maxnnz), S @ S
+        return got.nnz < maxnnz and all(
+            x.dtype == y.dtype and np.array_equal(x, y)
+            for x, y in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data))
+        )
+    except Exception:  # any failure of the private entry points disables them
+        return False
+
+
+#: Whether warm squares may call scipy's passes directly; otherwise every
+#: product takes the public ``@``.
+_NUMERIC_ONLY = _probe()
+
+
 def _plain(Cs, inv, relabel=None) -> CSRMatrix:
     """Canonicalise scipy's raw product: relabel columns (``L @ L``),
     sort, row-gather, cast."""
@@ -166,10 +233,11 @@ def _plain(Cs, inv, relabel=None) -> CSRMatrix:
     )
 
 
-def _record(Cs, inv, relabel=None) -> tuple[_Structure, CSRMatrix]:
+def _record(Cs, inv, relabel=None, maxnnz=None) -> tuple[_Structure, CSRMatrix]:
     """Record the structure of raw product ``Cs`` (columns relabelled
-    through ``relabel`` for ``L @ L``) and return it with the canonical
-    product (``Cs``'s indices are relabelled and sorted in place)."""
+    through ``relabel`` for ``L @ L``; ``maxnnz`` its symbolic count) and
+    return it with the canonical product (``Cs``'s indices are relabelled
+    and sorted in place)."""
     import scipy.sparse as sp
 
     raw_indptr = Cs.indptr.copy()
@@ -186,6 +254,7 @@ def _record(Cs, inv, relabel=None) -> tuple[_Structure, CSRMatrix]:
         raw_indptr,
         T.indptr.astype(np.int64),
         relabel is not None,
+        maxnnz,
     )
     C = CSRMatrix(
         rec.indptr.copy(), T.indices.astype(np.int64), Cs.data[rec.order], Cs.shape, check=False
@@ -273,11 +342,22 @@ class ScipyBackend(ExecutionBackend):
         if symmetric:
             # The handle's index dtype: relabelled columns stay int32.
             relabel = perm.astype(As.indices.dtype)
-            L = _symmetric_handle(operand, As, state)
-            Cs = L @ L
+            S = R = _symmetric_handle(operand, As, state)
             ctx.bump("scipy_symmetric_products")
         else:
-            Cs = As @ _right(operand, B, As, state, token)
+            S, R = As, _right(operand, B, As, state, token)
+        # Only a square of the backend's own handle runs scipy's passes
+        # directly: its count, taken once, sizes every later numeric pass.
+        counted = rec is not _SEEN and rec.maxnnz is not None
+        maxnnz = None
+        if R is S and _NUMERIC_ONLY:
+            maxnnz = rec.maxnnz if counted else _count(S)
+        if maxnnz is not None and maxnnz <= _MAX_RECORDED_NNZ:
+            Cs = _square(S, maxnnz)
+            if counted:
+                ctx.bump("scipy_numeric_products")
+        else:
+            Cs, maxnnz = S @ R, None
         if Cs.nnz > _MAX_RECORDED_NNZ:
             return _plain(Cs, inv, relabel)
         if rec is not _SEEN:
@@ -291,6 +371,6 @@ class ScipyBackend(ExecutionBackend):
             ctx.bump("scipy_structure_rebuilds")
         else:
             ctx.bump("scipy_structure_records")
-        rec, C = _record(Cs, inv, relabel)
+        rec, C = _record(Cs, inv, relabel, maxnnz)
         state[key] = rec
         return C

@@ -344,6 +344,43 @@ def test_no_source_module_starts_processes_or_shares_memory():
     assert offenders == []
 
 
+def _sparsetools_importers(root):
+    """Python files under ``root`` importing scipy's private
+    ``scipy.sparse._sparsetools`` module (or a name from it)."""
+    import ast
+
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(n.startswith("scipy.sparse._sparsetools") for n in names):
+                found.add(path.relative_to(root).as_posix())
+    return found
+
+
+def test_only_scipy_backend_imports_private_sparsetools(tmp_path):
+    # scipy's unchecked C++ passes are called only where their buffers
+    # are sized from a count taken on the same index arrays.
+    import shutil
+    from pathlib import Path
+
+    import repro
+
+    pkg = Path(repro.__file__).parent
+    assert _sparsetools_importers(pkg) == {"backends/scipy_backend.py"}
+    # An injected import anywhere else fails the scan.
+    copy = tmp_path / "repro"
+    shutil.copytree(pkg, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    for line in ("from scipy.sparse._sparsetools import csr_matmat", "from scipy.sparse import _sparsetools"):
+        (copy / "engine" / "engine.py").write_text((pkg / "engine" / "engine.py").read_text() + f"\n{line}\n")
+        assert _sparsetools_importers(copy) == {"backends/scipy_backend.py", "engine/engine.py"}
+
+
 # ----------------------------------------------------------------------
 # Planner robustness: reference-only registries
 # ----------------------------------------------------------------------

@@ -371,3 +371,128 @@ def test_concurrent_hinted_squares_share_one_operand():
     assert len(results) == 24
     for C in results:
         assert_bitwise_equal(C, raw)
+
+
+# ----------------------------------------------------------------------
+# Numeric-only warm squares: scipy's counting pass runs once per record
+# ----------------------------------------------------------------------
+def _spy_count(monkeypatch):
+    """Count the backend's calls of scipy's symbolic pass."""
+    calls = []
+    count = scipy_backend._csr_matmat_maxnnz
+    monkeypatch.setattr(scipy_backend, "_csr_matmat_maxnnz", lambda *a: calls.append(a) or count(*a))
+    return calls
+
+
+def _cancelling_grid():
+    """A scrambled grid with alternating signs: some sums of A² cancel
+    to exactly 0.0."""
+    A = scramble(G.grid2d(12, 12), seed=1)
+    return CSRMatrix(A.indptr, A.indices, np.where(A.indices % 2 == 0, 1.0, -1.0), A.shape)
+
+
+def test_probe_accepts_installed_scipy():
+    assert scipy_backend._probe()
+    assert scipy_backend._NUMERIC_ONLY
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    A=integer_square_csr(),
+    reordering=st.sampled_from(["original", "rcm"]),
+    original_order=st.booleans(),
+)
+def test_numeric_only_square_is_bitwise_raw_scipy_and_plain_path(A, reordering, original_order):
+    spec = PipelineSpec.parse(f"{reordering}@scipy")
+    plain = _run(spec.build(A), A, ExecutionContext(), original_order)
+    built = spec.build(A)
+    raw = _raw(A, built, original_order)
+    ctx = _hinted_ctx(A)
+    for _ in range(3):  # first sighting, record, numeric-only reuse
+        C = _run(built, A, ctx, original_order)
+    assert_bitwise_equal(C, raw)
+    assert_bitwise_equal(C, plain)
+    rec = built.backend_state[(TOKEN, original_order)]
+    assert rec.maxnnz >= C.nnz  # larger whenever a sum cancels
+    assert ctx.stats["scipy_numeric_products"] == 1
+    assert ctx.stats["scipy_structure_reuses"] == 1
+
+
+@pytest.mark.parametrize("spec", ["original@scipy", "rcm@scipy"])
+def test_counting_pass_runs_once_per_record_and_never_on_reuse(monkeypatch, spec):
+    calls = _spy_count(monkeypatch)
+    A = _cancelling_grid()
+    built = PipelineSpec.parse(spec).build(A)
+    ctx = _hinted_ctx(A)
+    raw = _raw(A)
+    # First sighting, record, three numeric-only reuses.
+    for want in (0, 1, 1, 1, 1):
+        assert_bitwise_equal(_run(built, A, ctx, True), raw)
+        assert len(calls) == want
+    rec = built.backend_state[(TOKEN, True)]
+    assert rec.maxnnz > raw.nnz
+    assert ctx.stats["scipy_numeric_products"] == 3
+    # The other row order is a record of its own, counted once too.
+    for _ in range(3):
+        _run(built, A, ctx, False)
+    assert len(calls) == 2
+    # A rebuilt record keeps the count: it belongs to the handle.
+    key = (TOKEN, True)
+    shuffled = np.random.default_rng(0).permutation(rec.order).astype(np.int32)
+    built.backend_state[key] = rec._replace(order=shuffled)
+    assert_bitwise_equal(_run(built, A, ctx, True), raw)
+    assert ctx.stats["scipy_structure_rebuilds"] == 1
+    assert built.backend_state[key].maxnnz == rec.maxnnz
+    assert_bitwise_equal(_run(built, A, ctx, True), raw)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("reordering", ["original", "rcm"])
+@pytest.mark.parametrize("kind", ["other_matrix", "other_values"])
+def test_hinted_non_source_never_takes_numeric_only_call(monkeypatch, reordering, kind):
+    calls = _spy_count(monkeypatch)
+    A = scramble(G.grid2d(15, 15), seed=3)
+    if kind == "other_matrix":
+        B = scramble(G.grid2d(15, 15), seed=4)
+    else:
+        B = CSRMatrix(A.indptr, A.indices, A.values * 2.0, A.shape)
+    built = PipelineSpec.parse(f"{reordering}@scipy").build(A)
+    ctx = _hinted_ctx(B)
+    expected = CSRMatrix.from_scipy(A.to_scipy() @ B.to_scipy())
+    for _ in range(4):
+        assert_bitwise_equal(_run(built, B, ctx, True), expected)
+    assert calls == []
+    assert built.backend_state[(TOKEN, True)].maxnnz is None
+    assert "scipy_numeric_products" not in ctx.stats
+    assert ctx.stats["scipy_structure_reuses"] == 2
+
+
+@pytest.mark.parametrize("broken", ["missing", "raises", "wrong_values"])
+def test_failed_probe_keeps_every_call_on_public_path(monkeypatch, broken):
+    real = scipy_backend._csr_matmat
+
+    def raises(*args):
+        raise TypeError("csr_matmat: signature changed")
+
+    def wrong_values(*args):
+        real(*args)
+        args[-1][:] += 1.0  # the output data buffer
+
+    if broken == "missing":
+        monkeypatch.setattr(scipy_backend, "_csr_matmat_maxnnz", None)
+    else:
+        monkeypatch.setattr(scipy_backend, "_csr_matmat", raises if broken == "raises" else wrong_values)
+    assert not scipy_backend._probe()
+    # The import-time flag, as a failed probe leaves it; the broken passes
+    # stay patched in, so any call of them breaks the results below.
+    monkeypatch.setattr(scipy_backend, "_NUMERIC_ONLY", scipy_backend._probe())
+    A = _cancelling_grid()
+    for spec in ("original@scipy", "rcm@scipy"):
+        plain = _run(PipelineSpec.parse(spec).build(A), A, ExecutionContext(), True)
+        built = PipelineSpec.parse(spec).build(A)
+        ctx = _hinted_ctx(A)
+        for _ in range(4):
+            assert_bitwise_equal(_run(built, A, ctx, True), plain)
+        assert ctx.stats.get("scipy_numeric_products", 0) == 0
+        assert ctx.stats["scipy_structure_reuses"] == 2
+        assert built.backend_state[(TOKEN, True)].maxnnz is None

@@ -21,17 +21,27 @@ entry of the canonical result sits in scipy's raw output, and scipy's
 symbolic count of the product (``maxnnz``).  Later calls skip the sort,
 the row un-permute and scipy's counting pass: one numeric pass
 (``csr_matmat`` into buffers of ``maxnnz`` entries) plus one gather of
-indices and values.  Unhinted products (general B, operands without
-``backend_state``) take the plain path: sort, then a C++ row gather when
-the original row order is asked for.
+indices and values.
 
-Numeric-only calls: ``csr_matmat`` is scipy's private C++ entry point
-and writes without bounds checks, so it runs only on a square of one of
-the backend's own handles (``As @ As``, ``L @ L``), whose count was taken
-on those same index arrays.  A product with any other right operand stays
-on the public ``@``.  The entry points are imported and probed once, at
-import, against the public product on a matrix with an exactly cancelling
-entry; if either fails, every call stays on the public ``@``.
+Unhinted products (a general B, every product of an operand without
+``backend_state``; not ``Ar @ Ar`` of an unpermuted operand, which
+squares its handle) keep no record, so they build no scipy object:
+scipy's C++ passes run on the :class:`CSRMatrix` arrays themselves, in
+their own int64 index dtype — count, numeric pass into fresh buffers of
+that length, row sort in place, and, for the original row order of a
+permuted operand, a row gather through ``inv``.  The result is wrapped
+without a cast.  ``C`` stays canonical, so scipy's row sort stays too.
+
+Private passes: ``csr_matmat`` writes without bounds checks, so its
+buffers are sized by ``csr_matmat_maxnnz`` on the exact index arrays it
+is given — in the same call for an unhinted product, once per record for
+a square of one of the backend's own handles (``As @ As``, ``L @ L``) —
+and both operands are validated first: ``Ar`` once per operand, an
+unhinted ``B`` on every call, a hinted ``B`` once per token.  A hinted
+product with any other right operand stays on the public ``@``.  The
+entry points are imported and probed once, at import, against the public
+product on matrices with an exactly cancelling entry; if any fails, every
+call stays on the public ``@``.
 
 Symmetric A²: when the hinted B is checked (once, bitwise) to be the
 source of a permuted rows-mode operand, the recorded product is
@@ -63,11 +73,13 @@ from .base import ExecutionBackend, ExecutionContext
 
 __all__ = ["ScipyBackend"]
 
-try:  # scipy's two C++ passes of ``S @ S``; private, so probed below
+try:  # scipy's C++ passes of ``A @ B``, row sort and row gather; private, so probed below
     from scipy.sparse._sparsetools import csr_matmat as _csr_matmat
     from scipy.sparse._sparsetools import csr_matmat_maxnnz as _csr_matmat_maxnnz
+    from scipy.sparse._sparsetools import csr_row_index as _csr_row_index
+    from scipy.sparse._sparsetools import csr_sort_indices as _csr_sort_indices
 except ImportError:  # pragma: no cover - scipy missing, or the module moved
-    _csr_matmat = _csr_matmat_maxnnz = None
+    _csr_matmat = _csr_matmat_maxnnz = _csr_row_index = _csr_sort_indices = None
 
 
 def scipy_available() -> bool:
@@ -87,6 +99,8 @@ _SEEN = "seen"
 #: symmetric handle ``L = P A Pᵀ``.
 _HANDLE = "handle"
 _SYMMETRIC = "symmetric"
+#: ``backend_state`` key: the operand's ``Ar`` passed ``CSRMatrix._check``.
+_CHECKED = "checked"
 #: Largest product a structure is recorded for (``order`` is int32).
 _MAX_RECORDED_NNZ = np.iinfo(np.int32).max
 
@@ -170,51 +184,130 @@ def _right(operand, B, As, state, token):
     return _wrap(B)
 
 
-def _count(S) -> int:
-    """scipy's symbolic pass of ``S @ S``: an upper bound on nnz(S²)
-    (exact zeros not yet dropped)."""
-    n = S.shape[0]
-    return int(_csr_matmat_maxnnz(n, n, S.indptr, S.indices, S.indptr, S.indices))
+def _count(A, B=None) -> int:
+    """scipy's symbolic pass of ``A @ B`` (``A @ A`` when ``B`` is
+    ``None``) on the operands' own index arrays: an upper bound on the
+    product's nnz (exact zeros not yet dropped)."""
+    B = A if B is None else B
+    return int(_csr_matmat_maxnnz(A.shape[0], B.shape[1], A.indptr, A.indices, B.indptr, B.indices))
+
+
+def _matmat(A, Ax, B, Bx, maxnnz: int):
+    """scipy's numeric pass of ``A @ B`` (values ``Ax``, ``Bx``) into
+    fresh buffers of ``maxnnz`` entries in ``A``'s index dtype, trimmed to
+    the entries it stored: raw ``(indptr, indices, values)``, rows
+    unsorted.  ``maxnnz`` must be :func:`_count` of these same index
+    arrays: the pass writes without bounds checks."""
+    n = A.shape[0]
+    indptr = np.empty(n + 1, dtype=A.indices.dtype)
+    indices = np.empty(maxnnz, dtype=A.indices.dtype)
+    values = np.empty(maxnnz, dtype=np.float64)
+    _csr_matmat(n, B.shape[1], A.indptr, A.indices, Ax, B.indptr, B.indices, Bx, indptr, indices, values)
+    nnz = int(indptr[-1])
+    return indptr, indices[:nnz], values[:nnz]
 
 
 def _square(S, maxnnz: int):
-    """scipy's numeric pass of ``S @ S`` into fresh buffers of ``maxnnz``
-    entries, trimmed to the entries it stored.  ``maxnnz`` must be
-    :func:`_count` of ``S``'s own index arrays: the pass writes without
-    bounds checks."""
+    """:func:`_matmat` of ``S @ S`` for a scipy handle ``S``, as a scipy
+    matrix."""
     import scipy.sparse as sp
 
-    n = S.shape[0]
-    indptr = np.empty(n + 1, dtype=S.indices.dtype)
-    indices = np.empty(maxnnz, dtype=S.indices.dtype)
-    data = np.empty(maxnnz, dtype=S.dtype)
-    _csr_matmat(n, n, S.indptr, S.indices, S.data, S.indptr, S.indices, S.data, indptr, indices, data)
-    nnz = int(indptr[-1])
-    return sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=S.shape)
+    indptr, indices, data = _matmat(S, S.data, S, S.data, maxnnz)
+    return sp.csr_matrix((data, indices, indptr), shape=S.shape)
+
+
+def _check_operand(operand, state) -> None:
+    """Validate the operand's ``Ar`` once (every call when it keeps no
+    ``state``): scipy's passes read it without bounds checks."""
+    if state is None or not state.get(_CHECKED):
+        operand.Ar._check()
+        if state is not None:
+            state[_CHECKED] = True
+
+
+def _check_right(Ar, B) -> None:
+    """Validate the right operand of ``Ar @ B`` before any scipy call."""
+    if B.shape[0] != Ar.shape[1]:
+        raise ValueError(f"dimension mismatch: {Ar.shape} @ {B.shape}")
+    B._check()
+
+
+def _sort_rows(indptr, indices, values) -> None:
+    """scipy's row sort of a raw product, in place."""
+    _csr_sort_indices(indptr.size - 1, indptr, indices, values)
+
+
+def _row_gather(indptr, indices, values, inv):
+    """Rows ``inv`` of a product, through scipy's C++ row gather into
+    fresh buffers."""
+    out_indptr = np.zeros(inv.size + 1, dtype=np.int64)
+    np.cumsum(np.diff(indptr)[inv], out=out_indptr[1:])
+    nnz = int(out_indptr[-1])
+    out_indices = np.empty(nnz, dtype=np.int64)
+    out_values = np.empty(nnz, dtype=np.float64)
+    _csr_row_index(inv.size, inv, indptr, indices, values, out_indices, out_values)
+    return out_indptr, out_indices, out_values
+
+
+def _direct(A, B, inv) -> CSRMatrix:
+    """Canonical ``A @ B`` (rows ``inv`` of it when given) from scipy's
+    C++ passes on the operands' own arrays: count and numeric pass in one
+    call, row sort, row gather.  Both operands must be validated."""
+    shape = (A.shape[0], B.shape[1])
+    maxnnz = _count(A, B)
+    if maxnnz == 0:  # as scipy's own product: no pass over A's rows
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        return CSRMatrix(indptr, indptr[:0], np.zeros(0), shape, check=False)
+    indptr, indices, values = _matmat(A, A.values, B, B.values, maxnnz)
+    _sort_rows(indptr, indices, values)
+    if inv is not None:
+        indptr, indices, values = _row_gather(indptr, indices, values, inv)
+    elif 2 * indices.size < indices.base.size:
+        # Many sums cancelled: do not keep the count's buffers alive
+        # (scipy's own rule for a trimmed product).
+        indices, values = indices.copy(), values.copy()
+    return CSRMatrix(indptr, indices, values, shape, check=False)
 
 
 def _probe() -> bool:
-    """Whether :func:`_count` and :func:`_square` reproduce the public
-    ``S @ S`` bitwise on a matrix whose square cancels an entry to
-    exactly ``0.0``."""
-    if _csr_matmat is None or _csr_matmat_maxnnz is None:
+    """Whether scipy's private passes reproduce the public product
+    bitwise: :func:`_count` and :func:`_square` against ``S @ S``, and
+    :func:`_direct`'s chain on two distinct int64 operands against
+    ``(S @ R)`` sorted and row-gathered.  Both products cancel an entry
+    to exactly ``0.0``; ``S @ R``'s raw rows are unsorted."""
+    if any(f is None for f in (_csr_matmat, _csr_matmat_maxnnz, _csr_row_index, _csr_sort_indices)):
         return False
+
+    def same(got, want) -> bool:
+        return all(np.array_equal(x, y) for x, y in zip(got, (want.indptr, want.indices, want.data)))
+
     try:
         import scipy.sparse as sp
 
         S = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 2.0], [0.0, 3.0, 0.5]]))
         maxnnz = _count(S)
         got, want = _square(S, maxnnz), S @ S
-        return got.nnz < maxnnz and all(
+        if got.nnz >= maxnnz or not all(
             x.dtype == y.dtype and np.array_equal(x, y)
             for x, y in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data))
-        )
+        ):
+            return False
+        R = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        A, B = (CSRMatrix(M.indptr, M.indices, M.data, M.shape) for M in (S, R))
+        maxnnz = _count(A, B)
+        raw, want = _matmat(A, A.values, B, B.values, maxnnz), S @ R
+        if want.has_sorted_indices or raw[1].size >= maxnnz or not same(raw, want):
+            return False
+        _sort_rows(*raw)
+        want.sort_indices()
+        inv = np.array([2, 0, 1], dtype=np.int64)
+        return same(_row_gather(*raw, inv), want[inv])
     except Exception:  # any failure of the private entry points disables them
         return False
 
 
-#: Whether warm squares may call scipy's passes directly; otherwise every
-#: product takes the public ``@``.
+#: Whether warm squares and unhinted products may call scipy's passes
+#: directly; otherwise every product takes the public ``@``.
 _NUMERIC_ONLY = _probe()
 
 
@@ -323,16 +416,27 @@ class ScipyBackend(ExecutionBackend):
     def _product(self, operand: Any, B: Any, ctx: ExecutionContext, *, original_order: bool):
         ctx.bump("scipy_calls")
         state = getattr(operand, "backend_state", None)
-        As = _handle(operand, state)
+        _check_operand(operand, state)
         inv = getattr(operand, "inv", None) if original_order else None
+        perm = getattr(operand, "perm", None)
         token = ctx.operand_tokens.get(id(B)) if state is not None else None
+        if token is None and not (perm is None and B is operand.Ar):
+            # Unhinted: no record to keep, so no scipy object either
+            # (``Ar @ Ar`` of an unpermuted operand squares its handle).
+            _check_right(operand.Ar, B)
+            if _NUMERIC_ONLY:
+                ctx.bump("scipy_direct_products")
+                return _direct(operand.Ar, B, inv)
+            return _plain(_handle(operand, state) @ _wrap(B), inv)
+        As = _handle(operand, state)
         key = (token, original_order)
         rec = None if token is None else state.get(key)
         if rec is None:
             if token is not None:
+                # Once per token: the token names B's pattern and values.
+                _check_right(operand.Ar, B)
                 state[key] = _SEEN
             return _plain(As @ _right(operand, B, As, state, token), inv)
-        perm = getattr(operand, "perm", None)
         if rec is _SEEN:
             # Checked for unpermuted operands too: ``_right`` reuses it.
             symmetric = _is_source(operand, B, token, state) and perm is not None

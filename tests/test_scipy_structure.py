@@ -8,7 +8,10 @@ sorting and un-permuting.  The gather only moves values, so the warm
 result must be bitwise-equal to the plain path; a record that no longer
 matches the raw output must be rebuilt, never trusted.  On a permuted
 operand whose hinted B is its source, the recorded product is ``L @ L``
-with ``L = P A Pᵀ``, bitwise-equal to raw scipy ``A @ A``.
+with ``L = P A Pᵀ``, bitwise-equal to raw scipy ``A @ A``.  An unhinted
+product runs scipy's C++ passes on the operands' own arrays and must be
+bitwise raw scipy's, sorted; a malformed operand must raise ``ValueError``
+before any scipy call.
 """
 
 import sys
@@ -332,12 +335,19 @@ def test_operand_handle_is_converted_once(monkeypatch):
     assert len(calls) == 1
     As = built.backend_state[scipy_backend._HANDLE]
     assert As.indices.dtype == np.int32 and np.shares_memory(As.data, A.values)
-    # A general B is converted on every call, the operand only once.
+    # An unhinted product converts nothing: B's own arrays reach scipy's
+    # numeric pass.
     calls.clear()
+    matmat_args = []
+    matmat = scipy_backend._csr_matmat
+    monkeypatch.setattr(scipy_backend, "_csr_matmat", lambda *a: matmat_args.append(a) or matmat(*a))
     built = PipelineSpec.parse("rcm@scipy").build(A)
     for _ in range(3):
         _run(built, A, ExecutionContext(), True)
-    assert len(calls) == 1 + 3
+    assert len(calls) == 0
+    assert len(matmat_args) == 3
+    for args in matmat_args:
+        assert all(np.shares_memory(x, y) for x, y in zip(args[5:8], (A.indptr, A.indices, A.values)))
 
 
 def test_concurrent_hinted_squares_share_one_operand():
@@ -496,3 +506,253 @@ def test_failed_probe_keeps_every_call_on_public_path(monkeypatch, broken):
         assert ctx.stats.get("scipy_numeric_products", 0) == 0
         assert ctx.stats["scipy_structure_reuses"] == 2
         assert built.backend_state[(TOKEN, True)].maxnnz is None
+
+
+# ----------------------------------------------------------------------
+# Unhinted products: scipy's C++ passes on the operands' own arrays
+# ----------------------------------------------------------------------
+def _raw_product(A, B, built=None, original_order=True):
+    """Raw scipy ``A @ B`` in canonical form (in the operand's row order
+    when ``original_order`` is false)."""
+    C = CSRMatrix.from_scipy(A.to_scipy() @ B.to_scipy())
+    return C if original_order or built.perm is None else C.permute_rows(built.perm)
+
+
+def _public(built, B, original_order):
+    """The fallback path: the public ``@`` on scipy objects, then
+    ``_plain``."""
+    inv = built.inv if original_order else None
+    return scipy_backend._plain(scipy_backend._wrap(built.Ar) @ scipy_backend._wrap(B), inv)
+
+
+@st.composite
+def _square_and_tall_skinny(draw):
+    """An integer-valued square A and a B of 1-8 columns with values in
+    {±1, ±2}: many sums of ``A @ B`` cancel to exactly 0."""
+    A = draw(integer_square_csr())
+    n, k = A.shape[0], draw(st.integers(1, 8))
+    cells = draw(st.lists(st.sampled_from([0.0, 0.0, -2.0, -1.0, 1.0, 2.0]), min_size=n * k, max_size=n * k))
+    return A, CSRMatrix.from_dense(np.array(cells).reshape(n, k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    operands=_square_and_tall_skinny(),
+    reordering=st.sampled_from(["original", "rcm"]),
+    original_order=st.booleans(),
+)
+def test_unhinted_product_is_bitwise_raw_scipy_and_public_path(operands, reordering, original_order):
+    A, B = operands
+    built = PipelineSpec.parse(f"{reordering}@scipy").build(A)
+    ctx = ExecutionContext()
+    C = _run(built, B, ctx, original_order)
+    assert C.indptr.dtype == C.indices.dtype == np.int64
+    assert_bitwise_equal(C, _raw_product(A, B, built, original_order))
+    assert_bitwise_equal(C, _public(built, B, original_order))
+    assert ctx.stats["scipy_direct_products"] == 1
+
+
+def _edge_operand(kind):
+    B = G.grid2d(10, 10)
+    if kind == "empty":
+        return CSRMatrix(np.zeros(101, dtype=np.int64), np.zeros(0), np.zeros(0), (100, 3))
+    if kind == "empty_rows":
+        S = sp.diags((np.arange(100) % 3 == 0) * 1.0) @ B.to_scipy()
+        S.eliminate_zeros()
+        return CSRMatrix.from_scipy(S)
+    if kind == "explicit_zeros":
+        return CSRMatrix(B.indptr, B.indices, np.where(B.indices % 3 == 0, 0.0, B.values), B.shape)
+    # exact cancellation: alternating signs cancel many sums of A @ B
+    return CSRMatrix(B.indptr, B.indices, np.where(B.indices % 2 == 0, 1.0, -1.0), B.shape)
+
+
+@pytest.mark.parametrize("kind", ["empty", "empty_rows", "explicit_zeros", "cancellation"])
+@pytest.mark.parametrize("reordering", ["original", "rcm"])
+@pytest.mark.parametrize("original_order", [True, False])
+def test_unhinted_edge_cases_are_bitwise_raw_scipy(kind, reordering, original_order):
+    A = scramble(G.grid2d(10, 10), seed=11)
+    A = CSRMatrix(A.indptr, A.indices, np.where(A.indices % 2 == 0, 1.0, -1.0), A.shape)
+    B = _edge_operand(kind)
+    built = PipelineSpec.parse(f"{reordering}@scipy").build(A)
+    ctx = ExecutionContext()
+    C = _run(built, B, ctx, original_order)
+    assert_bitwise_equal(C, _raw_product(A, B, built, original_order))
+    assert_bitwise_equal(C, _public(built, B, original_order))
+    assert ctx.stats["scipy_direct_products"] == 1
+    if kind == "cancellation":
+        assert C.nnz < spgemm_rowwise(A, B).nnz  # some sums cancel exactly
+    if kind == "empty":
+        assert C.nnz == 0 and C.shape == (100, 3)
+
+
+def test_unhinted_product_drops_buffers_of_cancelled_entries():
+    # Every sum cancels: the result must not keep the count's buffers.
+    A = CSRMatrix.from_dense(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    B = CSRMatrix.from_dense(np.array([[1.0, 2.0], [-1.0, -2.0]]))
+    C = _run(PipelineSpec.parse("original@scipy").build(A), B, ExecutionContext(), True)
+    assert C.nnz == 0
+    assert C.indices.base is None or C.indices.base.size == 0
+
+
+def test_unhinted_empty_product_skips_the_numeric_pass(monkeypatch):
+    # A count of 0 returns the empty product at once, as scipy's own
+    # ``@`` does: B's only entries sit in rows no column of A selects.
+    monkeypatch.setattr(scipy_backend, "_csr_matmat", _unreachable)
+    A = CSRMatrix.from_dense(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 3.0], [4.0, 0.0, 0.0]]))
+    B = CSRMatrix.from_dense(np.array([[0.0, 0.0], [5.0, 6.0], [0.0, 0.0]]))
+    for reordering in ("original", "rcm"):
+        built = PipelineSpec.parse(f"{reordering}@scipy").build(A)
+        for original_order in (True, False):
+            ctx = ExecutionContext()
+            C = _run(built, B, ctx, original_order)
+            assert C.nnz == 0 and C.shape == (3, 2)
+            assert C.indptr.dtype == C.indices.dtype == np.int64
+            assert_bitwise_equal(C, _raw_product(A, B))
+            assert ctx.stats["scipy_direct_products"] == 1
+
+
+def test_concurrent_unhinted_multiply_many_share_one_operand():
+    # Serve threads share operands: four threads multiply one planned
+    # operand by their own Bs.
+    A = scramble(G.grid2d(20, 20), seed=12)
+    Bs = {t: [G.grid2d(20, 20, seed=10 * t + j) for j in range(4)] for t in range(4)}
+    eng = SpGEMMEngine(backend="scipy", pipeline="rcm")
+    eng.multiply_many(A, Bs[0][:1])  # plan and prepare once
+    S = A.to_scipy()
+    results, errors = {}, []
+
+    def worker(t):
+        try:
+            results[t] = [eng.multiply_many(A, Bs[t]) for _ in range(5)]
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for t, rounds in results.items():
+        expected = [CSRMatrix.from_scipy(S @ B.to_scipy()) for B in Bs[t]]
+        assert len(rounds) == 5
+        for Cs in rounds:
+            for C, want in zip(Cs, expected):
+                assert_bitwise_equal(C, want)
+    assert eng.stats().backend_events["scipy_direct_products"] > 0
+
+
+def _malformed(kind):
+    B = G.grid2d(20, 20)
+    indptr, indices = B.indptr.copy(), B.indices.copy()
+    if kind == "decreasing_indptr":
+        indptr[10] = indptr[12]
+    else:
+        indices[5] = {"ncols": 400, "negative": -1, "huge": 100_000_000}[kind]
+    return CSRMatrix(indptr, indices, B.values, B.shape, check=False)
+
+
+def _unreachable(*args):
+    raise AssertionError("a scipy pass was reached with a malformed operand")
+
+
+@pytest.fixture
+def no_scipy_pass(monkeypatch):
+    """Every scipy entry point of the backend raises if reached, so a
+    missing check fails an assertion instead of crashing the process."""
+    for name in ("_csr_matmat", "_csr_matmat_maxnnz", "_csr_sort_indices", "_csr_row_index", "_wrap"):
+        monkeypatch.setattr(scipy_backend, name, _unreachable)
+
+
+@pytest.mark.parametrize("kind", ["ncols", "negative", "huge", "decreasing_indptr"])
+@pytest.mark.parametrize("numeric_only", [True, False])
+def test_malformed_right_operand_raises_value_error(monkeypatch, no_scipy_pass, kind, numeric_only):
+    monkeypatch.setattr(scipy_backend, "_NUMERIC_ONLY", numeric_only)
+    A, B = G.grid2d(20, 20), _malformed(kind)
+    for reordering in ("original", "rcm"):
+        built = PipelineSpec.parse(f"{reordering}@scipy").build(A)
+        for original_order in (True, False):
+            with pytest.raises(ValueError):
+                _run(built, B, ExecutionContext(), original_order)
+    with pytest.raises(ValueError):
+        SpGEMMEngine(backend="scipy", pipeline="original").multiply(A, B)
+
+
+@pytest.mark.parametrize("numeric_only", [True, False])
+def test_malformed_left_operand_raises_value_error(monkeypatch, numeric_only):
+    monkeypatch.setattr(scipy_backend, "_NUMERIC_ONLY", numeric_only)
+    A = G.grid2d(20, 20)
+    B = CSRMatrix(A.indptr.copy(), A.indices.copy(), A.values.copy(), A.shape)
+    built = PipelineSpec.parse("original@scipy").build(A)
+    column = built.Ar.indices[5]
+    built.Ar.indices[5] = 100_000_000
+    with pytest.raises(ValueError, match="column index out of range"):
+        _run(built, B, ExecutionContext(), True)
+    assert scipy_backend._CHECKED not in built.backend_state
+    built.Ar.indices[5] = column
+    assert_bitwise_equal(_run(built, B, ExecutionContext(), True), _raw_product(B, B))
+    assert built.backend_state[scipy_backend._CHECKED]
+
+
+def test_hinted_malformed_right_operand_raises_value_error(no_scipy_pass):
+    A, B = G.grid2d(20, 20), _malformed("ncols")
+    built = PipelineSpec.parse("rcm@scipy").build(A)
+    built.backend_state[scipy_backend._HANDLE] = A.to_scipy()  # no _wrap needed
+    with pytest.raises(ValueError, match="column index out of range"):
+        _run(built, B, _hinted_ctx(B), True)
+
+
+@pytest.mark.parametrize("numeric_only", [True, False])
+def test_unhinted_dimension_mismatch_raises_value_error(monkeypatch, no_scipy_pass, numeric_only):
+    monkeypatch.setattr(scipy_backend, "_NUMERIC_ONLY", numeric_only)
+    built = PipelineSpec.parse("rcm@scipy").build(G.grid2d(20, 20))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        _run(built, G.grid2d(10, 10), ExecutionContext(), True)
+
+
+@pytest.mark.parametrize("broken", ["missing", "raises", "wrong_values"])
+def test_failed_probe_keeps_unhinted_products_on_plain_path(monkeypatch, broken):
+    real = scipy_backend._csr_matmat
+
+    def wrong_values(*args):
+        real(*args)
+        args[-1][:] += 1.0  # the output data buffer
+
+    if broken == "missing":
+        monkeypatch.setattr(scipy_backend, "_csr_row_index", None)
+    else:
+        broken_pass = _unreachable if broken == "raises" else wrong_values
+        monkeypatch.setattr(scipy_backend, "_csr_matmat", broken_pass)
+    monkeypatch.setattr(scipy_backend, "_NUMERIC_ONLY", scipy_backend._probe())
+    assert not scipy_backend._NUMERIC_ONLY
+    plain_calls = []
+    plain = scipy_backend._plain
+    monkeypatch.setattr(scipy_backend, "_plain", lambda *a: plain_calls.append(a) or plain(*a))
+    A = _cancelling_grid()
+    Bs = [scramble(G.grid2d(12, 12), seed=s) for s in (13, 14)]
+    for spec in ("original@scipy", "rcm@scipy"):
+        built = PipelineSpec.parse(spec).build(A)
+        ctx = ExecutionContext()
+        for original_order in (True, False):
+            for B in Bs:
+                expected = _raw_product(A, B, built, original_order)
+                assert_bitwise_equal(_run(built, B, ctx, original_order), expected)
+        assert ctx.stats.get("scipy_direct_products", 0) == 0
+    assert len(plain_calls) == 2 * 2 * 2
+
+
+def test_probe_rejects_a_row_gather_that_misplaces_rows(monkeypatch):
+    real = scipy_backend._csr_row_index
+    monkeypatch.setattr(scipy_backend, "_csr_row_index", lambda n, rows, *a: real(n, rows[::-1].copy(), *a))
+    assert not scipy_backend._probe()
+
+
+def test_probe_rejects_a_row_sort_that_does_nothing(monkeypatch):
+    monkeypatch.setattr(scipy_backend, "_csr_sort_indices", lambda *a: None)
+    assert not scipy_backend._probe()

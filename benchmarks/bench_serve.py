@@ -3,8 +3,8 @@
 The serving acceptance bench (DESIGN.md §14): replay the same seeded
 Zipf-popularity trace through two identically-configured servers — one
 coalescing (batching window + ``max_batch=32``), one forced sequential
-(``max_batch=1``, so every request pays its own plan resolution, operand
-prep and drift probe) — and compare throughput.  Both modes run the
+(``max_batch=1``, so every request pays its own plan resolution and
+operand prep) — and compare throughput.  Both modes run the
 paused-server protocol (queue everything, then start the dispatcher), so
 queueing overhead is identical and the measured difference is precisely
 what coalescing buys.  Every product of both modes is checked bitwise

@@ -10,9 +10,8 @@ investment breaks even (paper Fig. 10 / Table 4, §5 future work).  See
 DESIGN.md §6 and §10.
 """
 
-from .adaptive import AdaptiveConfig, DriftDecision, DriftMonitor
-from .engine import REPLAN_LOG_CAP, EngineStats, SpGEMMEngine
-from .fingerprint import MatrixFingerprint, feature_distance, fingerprint, value_digest
+from .engine import EngineStats, SpGEMMEngine
+from .fingerprint import MatrixFingerprint, fingerprint, value_digest
 from .plan import ExecutionPlan
 from .plan_cache import PlanCache, plan_cache_dir
 from .planner import (
@@ -34,17 +33,12 @@ from .planner import (
 __all__ = [
     "SpGEMMEngine",
     "EngineStats",
-    "REPLAN_LOG_CAP",
     "ExecutionPlan",
     "PlanCache",
     "plan_cache_dir",
-    "AdaptiveConfig",
-    "DriftDecision",
-    "DriftMonitor",
     "MatrixFingerprint",
     "fingerprint",
     "value_digest",
-    "feature_distance",
     "Planner",
     "HeuristicPlanner",
     "PredictorPlanner",

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 
@@ -51,18 +51,12 @@ from ..experiments.config import ExperimentConfig
 from ..machine import SimulatedMachine
 from ..obs import NOOP_TRACER, Tracer
 from ..pipeline import PipelineSpec, get_component
-from .adaptive import AdaptiveConfig, DriftMonitor
 from .fingerprint import MatrixFingerprint, fingerprint, pattern_digest, value_digest
 from .plan import ExecutionPlan
 from .plan_cache import PlanCache
-from .planner import Planner, PreparedOperand, _backend_factor, make_planner
+from .planner import Planner, PreparedOperand, make_planner
 
-__all__ = ["SpGEMMEngine", "EngineStats", "REPLAN_LOG_CAP"]
-
-#: Ring-buffer capacity of :attr:`EngineStats.replan_log` — a long-lived
-#: engine keeps the most recent re-plan events instead of growing an
-#: unbounded list (older events fall off the front).
-REPLAN_LOG_CAP = 256
+__all__ = ["SpGEMMEngine", "EngineStats"]
 
 
 @dataclass
@@ -79,9 +73,9 @@ class EngineStats:
     Thread safety: the serving front-end (:mod:`repro.serve`) mutates one
     stats object from scheduler, planner and fallback (caller) threads
     concurrently, so every mutation goes through :meth:`bump` /
-    :meth:`bump_plan` / :meth:`log_replan` — additions under a
-    per-instance lock (``+=`` on an attribute is a read-modify-write and
-    silently drops updates under contention).  The lock is allocated once
+    :meth:`bump_plan` — additions under a per-instance lock (``+=`` on
+    an attribute is a read-modify-write and silently drops updates under
+    contention).  The lock is allocated once
     in ``__post_init__``; single-threaded callers pay one uncontended
     acquire per counter batch.
     """
@@ -99,25 +93,12 @@ class EngineStats:
     model_pre_cost: float = 0.0
     model_executed_cost: float = 0.0
     model_baseline_cost: float = 0.0
-    drift_probes: int = 0  # executed-cost measurements taken
-    drift_detected: int = 0  # probes outside the drift band
-    replans: int = 0  # drift-triggered plan rebuilds
-    warm_starts: int = 0  # cold lookups seeded from a cached neighbour
-    # Model units spent *measuring* executed cost.  Deliberately outside
-    # invested_cost: a real runtime reads executed cost off a timer for
-    # free — the simulation stand-in must not distort the paper-facing
-    # break-even economics (re-planning itself IS charged).
-    model_probe_cost: float = 0.0
     per_plan: dict = field(default_factory=dict)  # plan label → multiply count
     backend_events: dict = field(default_factory=dict)  # ExecutionContext counters
     # Serving-derived metrics (queue depth, coalesce ratio, shed count,
     # latency percentiles, per-client breakdowns) synced in by a
     # :class:`repro.serve.SpGEMMServer`; empty for a plain engine.
     serving: dict = field(default_factory=dict)
-    # Drift re-plan events (dicts), bounded: a long-lived engine under a
-    # churning workload re-plans indefinitely, so the log is a ring
-    # buffer keeping the most recent REPLAN_LOG_CAP events.
-    replan_log: "deque" = field(default_factory=lambda: deque(maxlen=REPLAN_LOG_CAP))
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -138,11 +119,6 @@ class EngineStats:
         """Count one multiply against plan ``label``."""
         with self._lock:
             self.per_plan[label] = self.per_plan.get(label, 0) + 1
-
-    def log_replan(self, event: dict) -> None:
-        """Append one drift re-plan event to the bounded log."""
-        with self._lock:
-            self.replan_log.append(event)
 
     # ------------------------------------------------------------------
     @property
@@ -181,17 +157,17 @@ class EngineStats:
         """JSON-serialisable snapshot: every counter field plus the
         derived amortisation metrics.
 
-        Containers are copied (``replan_log`` becomes a plain list) and
-        non-finite derived values map to ``None``, so the result passes
-        ``json.dumps`` under strict (``allow_nan=False``) settings — the
-        machine-readable contract behind the CLI's ``--stats-json``.
+        Containers are copied and non-finite derived values map to
+        ``None``, so the result passes ``json.dumps`` under strict
+        (``allow_nan=False``) settings — the machine-readable contract
+        behind the CLI's ``--stats-json``.
         """
         from dataclasses import fields
 
         def _json_safe(v):
             # Recursive: the serving block nests dicts (per-client stats,
             # latency percentiles) that may carry NaN/inf values.
-            if isinstance(v, (deque, list, tuple)):
+            if isinstance(v, (list, tuple)):
                 return [_json_safe(x) for x in v]
             if isinstance(v, dict):
                 return {k: _json_safe(x) for k, x in v.items()}
@@ -222,13 +198,6 @@ class EngineStats:
             f"model gain to date  : {self.cumulative_gain:,.0f} units (speedup {self.speedup_to_date:.2f}x)",
             f"break-even at       : {be_s} multiplies (progress {self.amortization_progress():.2f})",
         ]
-        if self.drift_probes:
-            lines.append(
-                f"drift probes        : {self.drift_probes} "
-                f"({self.drift_detected} drifting, {self.replans} re-plans)"
-            )
-        if self.warm_starts:
-            lines.append(f"warm starts         : {self.warm_starts}")
         for label, n in sorted(self.per_plan.items()):
             lines.append(f"  plan {label}: {n} multiplies")
         for key, n in sorted(self.backend_events.items()):
@@ -258,11 +227,8 @@ class _Bound:
     plan: ExecutionPlan
     prep: PreparedOperand
     kernel_params: dict
-    planner: Planner
     fp: MatrixFingerprint
-    key: str  # plan-cache (and drift-monitor) key
     vdigest: str  # A's value digest (operand-cache key, A² hint)
-    hit: bool  # this call's plan lookup was served from the cache
     backend: ExecutionBackend  # the plan's backend, resolved once per call
 
 
@@ -319,25 +285,6 @@ class SpGEMMEngine:
         backend.  Individual calls can override via
         ``multiply(..., backend=...)``; with ``pipeline=``, the
         backend override is applied onto the spec.
-    drift_threshold:
-        Enables drift-triggered re-planning: after each
-        :meth:`multiply`, the executed model cost of the plan on the
-        *actual* operands is probed and compared against
-        ``plan.predicted_cost``; when the ratio repeatedly leaves
-        ``[1/threshold, threshold]`` the plan is re-trialled (candidate
-        space *and* backend choice) and the cache entry replaced.
-        ``None`` (default) disables the monitor entirely.
-    adaptive:
-        Full :class:`~repro.engine.adaptive.AdaptiveConfig` (hysteresis
-        patience/cooldown, probe cadence, re-plan cap) when the
-        ``drift_threshold`` shorthand is not enough; a given
-        ``drift_threshold`` overrides the config's threshold.
-    warm_start:
-        Seed cold plan-cache lookups with the nearest cached
-        neighbour's plan (by fingerprint-feature distance) as the first
-        trial candidate.  Consumed by measured-trial policies
-        (``"autotune"``); ranking-only policies skip the lookup.  Off
-        by default — it can change which plan a search policy picks.
     fingerprint_cache_size:
         Capacity of the fingerprint memo LRU (feature sketches keyed by
         pattern digest).
@@ -348,10 +295,9 @@ class SpGEMMEngine:
         with the call's own plan-cache hit/miss, plan label, backend
         and workload), ``planner.plan`` /
         ``planner.trial`` spans, ``backend.execute`` spans through the
-        shared :class:`~repro.backends.ExecutionContext`, plan-cache
-        put/evict/warm-hint events and adaptive probe/drift/replan
-        events.  ``None`` (default) installs the shared no-op tracer:
-        no spans, no allocations, behaviour identical to an
+        shared :class:`~repro.backends.ExecutionContext` and plan-cache
+        put/evict events.  ``None`` (default) installs the shared no-op
+        tracer: no spans, no allocations, behaviour identical to an
         uninstrumented engine.
     """
 
@@ -370,9 +316,6 @@ class SpGEMMEngine:
         pipeline: "PipelineSpec | str | None" = None,
         kernels: "tuple[str, ...] | None" = None,
         backend: str | None = None,
-        drift_threshold: float | None = None,
-        adaptive: AdaptiveConfig | None = None,
-        warm_start: bool = False,
         fingerprint_cache_size: int = 64,
         tracer: "Tracer | None" = None,
     ) -> None:
@@ -383,11 +326,6 @@ class SpGEMMEngine:
         self.seed = int(seed)
         self.backend = backend
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        if drift_threshold is not None:
-            base = adaptive or AdaptiveConfig()
-            adaptive = replace(base, drift_threshold=float(drift_threshold))
-        self._drift: DriftMonitor | None = DriftMonitor(adaptive) if adaptive is not None else None
-        self._warm_start = bool(warm_start)
         if pipeline is not None:
             policy = "pipeline"
             pipeline = self._spec_with_backend(pipeline, backend)
@@ -582,17 +520,8 @@ class SpGEMMEngine:
                 if not hit:
                     if count:
                         self._stats.bump(plan_cache_misses=1)
-                    warm = None
-                    if self._warm_start and planner.uses_warm_start:
-                        near = self.plan_cache.nearest(fp.feature_array(), exclude=key)
-                        # Reconcile once; count only hints the planner can
-                        # actually apply — a neighbour whose reordering/backend
-                        # cannot serve this operand leaves the search fully cold.
-                        warm = planner.warm_candidate(near, A)
-                        if warm is not None:
-                            self._stats.bump(warm_starts=1)
-                    plan = planner.plan(A, Bx, fp, workload, warm_start=warm)
-                    self.plan_cache.put(key, plan, features=fp.features)
+                    plan = planner.plan(A, Bx, fp, workload)
+                    self.plan_cache.put(key, plan)
                     self._stats.bump(plans_built=1, model_planning_cost=plan.planning_cost)
                     # The planner already materialised the winning operand for
                     # its measurement — seed the operand cache with it so the
@@ -702,7 +631,7 @@ class SpGEMMEngine:
                 workload=plan.workload,
             )
         backend = get_backend(plan.backend, plan.backend_params)
-        return _Bound(plan, prep, kernel_params, planner, fp, key, vdigest, hit, backend)
+        return _Bound(plan, prep, kernel_params, fp, vdigest, backend)
 
     def _run(self, bound: _Bound, A: CSRMatrix, B: CSRMatrix, *, reuse: bool = False) -> CSRMatrix:
         """One product ``A @ B`` through the bound plan: execute (the
@@ -769,17 +698,14 @@ class SpGEMMEngine:
         the configuration for this call instead of consulting the
         engine's planner policy; ``backend`` pins the execution backend
         (a non-bitwise backend returns ``allclose`` results instead,
-        and ``scipy`` drops exact-zero sums).  Probes for drift once per
-        call.
+        and ``scipy`` drops exact-zero sums).
         """
         Bx = A if B is None else B
         _check_inner(A, Bx)
         workload = workload or self._infer_workload(A, B)
         with self._span("engine.multiply", A) as sp:
             bound = self._bind(A, Bx, workload, pipeline, backend, sp)
-            C = self._run(bound, A, Bx)
-            self._observe_drift(bound, A, Bx)
-        return C
+            return self._run(bound, A, Bx)
 
     def multiply_many(
         self,
@@ -809,20 +735,14 @@ class SpGEMMEngine:
         workload = workload or self._infer_workload(A, Bs[0])
         with self._span("engine.multiply_many", A, batch=len(Bs)) as sp:
             bound = self._bind(A, Bs[0], workload, pipeline, backend, sp)
-            out = [self._run(bound, A, B, reuse=i > 0) for i, B in enumerate(Bs)]
-            # One drift probe per batch (the whole batch ran one plan):
-            # the last frontier is the freshest evidence, and a fired
-            # re-plan takes effect for the next batch — the BC/Markov
-            # regime where values evolve while the pattern stays fixed.
-            self._observe_drift(bound, A, Bs[-1])
-        return out
+            return [self._run(bound, A, B, reuse=i > 0) for i, B in enumerate(Bs)]
 
     def power(self, A: CSRMatrix, exponent: int) -> CSRMatrix:
         """``A**exponent`` by repeated left-multiplication with ``A``.
 
         Keeping ``A`` as the planned left operand means one plan and one
         prepared operand serve all ``exponent - 1`` multiplies (bound
-        once, like :meth:`multiply_many`).  Powers never probe for drift.
+        once, like :meth:`multiply_many`).
         """
         if exponent < 1:
             raise ValueError("exponent must be >= 1")
@@ -837,104 +757,6 @@ class SpGEMMEngine:
         return C
 
     # ------------------------------------------------------------------
-    # Drift-triggered re-planning (DESIGN.md §11)
-    # ------------------------------------------------------------------
-    def _measure_executed(self, plan: ExecutionPlan, prep: PreparedOperand, Bx: CSRMatrix) -> float:
-        """The plan's *executed* model cost on the actual operands.
-
-        The same measurement the planner's trials use — a simulated run
-        of the prepared operand against the ``B`` that was really
-        multiplied, scaled by the plan's backend factor — so when
-        nothing changed, executed equals ``plan.predicted_cost`` exactly
-        and drift detection stays silent by construction.
-        """
-        k_info = get_component("kernel", plan.kernel)
-        if k_info.requires_clustering:
-            t = self.machine.run_clusterwise(prep.Ac, Bx).time
-        else:
-            t = self.machine.run_rowwise(prep.Ar, Bx).time
-        return t * k_info.model_speed_factor * _backend_factor(plan.backend)
-
-    def _observe_drift(self, bound: _Bound, A: CSRMatrix, Bx: CSRMatrix) -> None:
-        """Probe the executed cost and re-plan when it has drifted (a
-        no-op without a drift monitor).
-
-        Probes are simulated executions; their model cost is tracked in
-        ``model_probe_cost`` but kept out of the amortisation economics
-        (a real runtime reads executed cost off a timer for free — only
-        fired re-plans are invested cost).  The hysteresis lives in the
-        :class:`~repro.engine.adaptive.DriftMonitor`.  A fired re-plan
-        re-runs the engine's planner — candidate space *including* the
-        backend axis — against the operands actually being multiplied
-        and replaces the cache entry, taking effect from the next call.
-        """
-        monitor = self._drift
-        key = bound.key
-        if monitor is None or not monitor.should_probe(key):
-            return
-        t0 = time.perf_counter()
-        plan, fp = bound.plan, bound.fp
-        executed = self._measure_executed(plan, bound.prep, Bx)
-        self._stats.bump(drift_probes=1, model_probe_cost=executed)  # measured, not invested
-        decision = monitor.observe(key, predicted=plan.predicted_cost, executed=executed)
-        if self.tracer.enabled:
-            self.tracer.event(
-                "adaptive.probe", plan=plan.label, ratio=decision.ratio, drifted=decision.drifted
-            )
-            if decision.drifted:
-                self.tracer.event("adaptive.drift", plan=plan.label, ratio=decision.ratio)
-        if decision.drifted:
-            self._stats.bump(drift_detected=1)
-        if decision.replan:
-            with self._plan_build_lock:
-                # Same serialisation as _lookup's miss branch: the
-                # planner's plan/take_prepared pair must not interleave
-                # with a concurrent cold build.
-                new_plan = bound.planner.plan(A, Bx, fp, plan.workload)
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "adaptive.replan",
-                        src=plan.label,
-                        dst=new_plan.label,
-                        predicted=plan.predicted_cost,
-                        executed=executed,
-                    )
-                self.plan_cache.put(key, new_plan, features=fp.features)
-                monitor.notify_replanned(key)
-                self._stats.bump(
-                    replans=1, plans_built=1, model_planning_cost=new_plan.planning_cost
-                )
-                self._stats.log_replan(
-                    {
-                        "from": plan.label,
-                        "to": new_plan.label,
-                        "predicted": plan.predicted_cost,
-                        "executed": executed,
-                        "workload": plan.workload,
-                        "fingerprint": fp.key,
-                    }
-                )
-                new_prep = bound.planner.take_prepared()
-                if new_prep is not None:
-                    self._stats.bump(operands_prepared=1, model_pre_cost=new_prep.pre_cost)
-                    self._store_operand(self._operand_key(new_plan, bound.vdigest), new_prep)
-        self._stats.bump(planning_seconds=time.perf_counter() - t0)
-
-    def drift_state(self, A: CSRMatrix, *, workload: str = "asquare", backend: str | None = None) -> dict | None:
-        """Monitor snapshot for ``A``'s plan key (``None`` when the
-        engine was built without drift detection).
-
-        ``workload`` must match what the multiplies ran under (the
-        monitor is keyed like the plan cache): an ``A @ B`` sequence
-        with a distinct ``B`` is ``"general"``, not the default
-        ``"asquare"`` — a mismatched key reads as an untouched monitor
-        (all-zero snapshot).
-        """
-        if self._drift is None:
-            return None
-        return self._drift.state(self._key_for(A, workload, None, backend)[2])
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> EngineStats:
@@ -945,7 +767,6 @@ class SpGEMMEngine:
             snap = replace(live)  # fresh instance → fresh lock
             snap.per_plan = dict(live.per_plan)
             snap.serving = dict(live.serving)
-            snap.replan_log = list(live.replan_log)
         snap.backend_events = dict(self._exec_ctx.stats)
         return snap
 

@@ -34,7 +34,6 @@ __all__ = [
     "fingerprint",
     "pattern_digest",
     "value_digest",
-    "feature_distance",
 ]
 
 
@@ -112,22 +111,3 @@ def fingerprint(A: CSRMatrix, *, seed: int = 0, digest: str | None = None) -> Ma
 def value_digest(A: CSRMatrix) -> str:
     """Digest of the value array (prepared-operand reuse key)."""
     return _digest_arrays(A.values)
-
-
-def feature_distance(a, b) -> float:
-    """Scale-invariant distance between two fingerprint feature vectors.
-
-    The feature dimensions span wildly different magnitudes (row counts
-    vs Jaccard ratios), so each dimension contributes its *relative*
-    difference ``|a-b| / (|a|+|b|)`` ∈ [0, 1]; the result is the mean
-    over dimensions.  Used by the plan cache's warm-start neighbour
-    lookup (:meth:`~repro.engine.plan_cache.PlanCache.nearest`).
-    """
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
-        return float("inf")
-    denom = np.abs(va) + np.abs(vb)
-    diff = np.abs(va - vb)
-    rel = np.divide(diff, denom, out=np.zeros_like(diff), where=denom > 0)
-    return float(rel.mean()) if rel.size else 0.0

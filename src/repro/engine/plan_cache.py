@@ -4,29 +4,24 @@ Plans are keyed by the operand's structural fingerprint (plus workload,
 policy and config — see :meth:`repro.engine.engine.SpGEMMEngine`), so a
 "same pattern, new values" matrix reuses its plan without re-planning.
 
-Two adaptive-runtime behaviours live here (DESIGN.md §11):
-
-* **Cost-aware eviction** (the default): when over capacity, the
-  *resident* entry that is cheapest to re-plan (smallest
-  ``plan.invested_cost`` = preprocessing + planning trials) is evicted
-  first, least-recently-used breaking ties — an expensive autotuned
-  plan outlives many cheap heuristic ones.  The just-inserted entry is
-  never the victim (rejecting inserts would make the engine re-plan the
-  same pattern forever).  ``eviction="lru"`` restores the pure-LRU
-  policy.
-* **Warm-start neighbours**: each entry may carry the fingerprint
-  *features* of the pattern it was planned for (persisted with the
-  plan), so a cold lookup can ask :meth:`PlanCache.nearest` for the most
-  structurally similar cached plan and hand it to the planner as the
-  first trial candidate.
+Eviction is cost-aware (DESIGN.md §11): when over capacity, the
+*resident* entry that is cheapest to re-plan (smallest
+``plan.invested_cost`` = preprocessing + planning trials) is evicted
+first, least-recently-used breaking ties — an expensive autotuned plan
+outlives many cheap heuristic ones.  The just-inserted entry is never
+the victim (rejecting inserts would make the engine re-plan the same
+pattern forever).
 
 Persistence writes one JSON file per plan under
 ``<REPRO_CACHE_DIR>/plans`` (default ``.repro_cache/plans``), alongside
 the sweep pickles of :mod:`repro.experiments.cache`, and honours the
-same ``REPRO_NO_CACHE=1`` kill switch.  Files written before the
-adaptive runtime hold a bare plan dict (no features envelope) and keep
-loading.  Corrupt or stale entries are reported with
-:func:`warnings.warn` and treated as misses.
+same ``REPRO_NO_CACHE=1`` kill switch.  Each file holds the bare plan
+dict; files from older versions wrap it in a ``{"plan", "features"}``
+envelope and keep loading.  Every writer goes through its own temporary
+file and an atomic rename, so concurrent writers of one key (engines or
+processes sharing the directory) never see each other's half-written
+file.  Corrupt or stale entries are reported with :func:`warnings.warn`
+and treated as misses.
 """
 
 from __future__ import annotations
@@ -34,10 +29,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import tempfile
 import threading
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
 
 from .plan import ExecutionPlan
@@ -61,16 +57,10 @@ def plan_cache_dir() -> Path:
     return p
 
 
-@dataclass
-class _Entry:
-    plan: ExecutionPlan
-    features: tuple[float, ...] | None = None
-
-    @property
-    def replan_cost(self) -> float:
-        """Model units it would take to rebuild this plan from scratch."""
-        cost = self.plan.invested_cost
-        return cost if math.isfinite(cost) else 0.0
+def _replan_cost(plan: ExecutionPlan) -> float:
+    """Model units it would take to rebuild ``plan`` from scratch."""
+    cost = plan.invested_cost
+    return cost if math.isfinite(cost) else 0.0
 
 
 class PlanCache:
@@ -86,23 +76,16 @@ class PlanCache:
         :func:`plan_cache_dir` as JSON, so a new process skips planning
         for patterns it has already seen.  ``REPRO_NO_CACHE=1``
         disables the disk layer entirely.
-    eviction:
-        ``"cost"`` (default) evicts the cheapest-to-replan entry first,
-        least-recently-used breaking ties; ``"lru"`` is the classic
-        recency-only policy.
     """
 
-    def __init__(self, capacity: int = 128, *, persist: bool = False, eviction: str = "cost") -> None:
+    def __init__(self, capacity: int = 128, *, persist: bool = False) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if eviction not in ("cost", "lru"):
-            raise ValueError(f"eviction must be 'cost' or 'lru', got {eviction!r}")
         from ..obs import NOOP_TRACER
 
         self.capacity = int(capacity)
         self.persist = bool(persist)
-        self.eviction = eviction
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
+        self._entries: "OrderedDict[str, ExecutionPlan]" = OrderedDict()
         # Re-entrant: serve's planner/dispatch threads share one cache,
         # and put() → _insert() → _evict_one() nests inside the lock.
         self._lock = threading.RLock()
@@ -111,9 +94,9 @@ class PlanCache:
         self.evictions = 0
         self.disk_hits = 0
         #: Observability hook (DESIGN.md §12): an enabled tracer receives
-        #: ``plan_cache.put`` / ``plan_cache.evict`` / ``plan_cache.warm_hint``
-        #: events.  The engine attaches its own tracer when it owns one;
-        #: the default no-op tracer emits nothing.
+        #: ``plan_cache.put`` / ``plan_cache.evict`` events.  The engine
+        #: attaches its own tracer when it owns one; the default no-op
+        #: tracer emits nothing.
         self.tracer = NOOP_TRACER
 
     # ------------------------------------------------------------------
@@ -121,7 +104,7 @@ class PlanCache:
         digest = hashlib.sha256(key.encode()).hexdigest()[:24]
         return plan_cache_dir() / f"plan_{digest}.json"
 
-    def _load_disk(self, key: str) -> _Entry | None:
+    def _load_disk(self, key: str) -> ExecutionPlan | None:
         if not self.persist or _persist_disabled():
             return None
         path = self._path(key)
@@ -129,14 +112,8 @@ class PlanCache:
             return None
         try:
             d = json.loads(path.read_text())
-            if "plan" in d:  # adaptive-era envelope: plan + features
-                feats = d.get("features")
-                return _Entry(
-                    ExecutionPlan.from_dict(d["plan"]),
-                    None if feats is None else tuple(float(x) for x in feats),
-                )
-            # Pre-adaptive format: the file is the bare plan dict.
-            return _Entry(ExecutionPlan.from_dict(d))
+            # Older files wrap the plan in a {"plan", "features"} envelope.
+            return ExecutionPlan.from_dict(d["plan"] if "plan" in d else d)
         except Exception as exc:
             warnings.warn(
                 f"discarding corrupt plan-cache entry {path.name}: {exc}; the plan will be rebuilt",
@@ -144,57 +121,53 @@ class PlanCache:
             )
             return None
 
-    def _store_disk(self, key: str, entry: _Entry) -> None:
+    def _store_disk(self, key: str, plan: ExecutionPlan) -> None:
         if not self.persist or _persist_disabled():
             return
         path = self._path(key)
-        tmp = path.with_suffix(".tmp")
-        payload = {"plan": entry.plan.to_dict()}
-        if entry.features is not None:
-            payload["features"] = list(entry.features)
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        tmp.replace(path)
+        # A temporary name unique to this writer: a shared name lets a
+        # concurrent writer of the same key rename it away first.
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(json.dumps(plan.to_dict(), sort_keys=True))
+            os.chmod(tmp, 0o644)  # mkstemp's 0600 would hide the plan from other users
+            os.replace(tmp, path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> ExecutionPlan | None:
         """Look up a plan; counts a hit/miss and refreshes LRU order."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
+            plan = self._entries.get(key)
+            if plan is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return entry.plan
-            entry = self._load_disk(key)
-            if entry is not None:
+                return plan
+            plan = self._load_disk(key)
+            if plan is not None:
                 self.disk_hits += 1
                 self.hits += 1
-                self._insert(key, entry)
-                return entry.plan
+                self._insert(key, plan)
+                return plan
             self.misses += 1
             return None
 
-    def put(self, key: str, plan: ExecutionPlan, *, features=None) -> None:
-        """Insert (or replace) a plan, optionally with the fingerprint
-        features of the pattern it was planned for (the warm-start
-        neighbour coordinates)."""
-        entry = _Entry(plan, None if features is None else tuple(float(x) for x in features))
+    def put(self, key: str, plan: ExecutionPlan) -> None:
+        """Insert (or replace) a plan."""
         with self._lock:
             if self.tracer.enabled:
                 self.tracer.event(
                     "plan_cache.put", plan=plan.label, replaced=key in self._entries
                 )
-            self._insert(key, entry)
-            self._store_disk(key, entry)
+            self._insert(key, plan)
+            self._store_disk(key, plan)
 
-    def features_for(self, key: str) -> tuple[float, ...] | None:
-        """The stored fingerprint features of one entry (no LRU touch)."""
+    def _insert(self, key: str, plan: ExecutionPlan) -> None:
         with self._lock:
-            entry = self._entries.get(key)
-            return entry.features if entry is not None else None
-
-    def _insert(self, key: str, entry: _Entry) -> None:
-        with self._lock:
-            self._entries[key] = entry
+            self._entries[key] = plan
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._evict_one(protect=key)
@@ -203,53 +176,17 @@ class PlanCache:
         # The just-inserted entry is never the victim: a cache that can
         # reject its own inserts turns put() into a no-op and the engine
         # would re-plan the same pattern on every multiply forever.
-        if self.eviction == "lru":
-            victim = next(k for k in self._entries if k != protect)
-        else:
-            # Cheapest-to-replan first; OrderedDict iteration order is
-            # the LRU order, and min() is stable, so among equal costs
-            # the least-recently-used entry loses.
-            victim = min(
-                (k for k in self._entries if k != protect),
-                key=lambda k: self._entries[k].replan_cost,
-            )
+        # Cheapest-to-replan first; OrderedDict iteration order is the
+        # LRU order, and min() is stable, so among equal costs the
+        # least-recently-used entry loses.
+        victim = min(
+            (k for k in self._entries if k != protect),
+            key=lambda k: _replan_cost(self._entries[k]),
+        )
         if self.tracer.enabled:
-            self.tracer.event(
-                "plan_cache.evict",
-                plan=self._entries[victim].plan.label,
-                policy=self.eviction,
-            )
+            self.tracer.event("plan_cache.evict", plan=self._entries[victim].label)
         del self._entries[victim]
         self.evictions += 1
-
-    # ------------------------------------------------------------------
-    # Warm-start neighbours
-    # ------------------------------------------------------------------
-    def nearest(self, features, *, exclude: str | None = None) -> ExecutionPlan | None:
-        """The cached plan whose stored fingerprint features are closest
-        to ``features`` (scale-invariant distance; see
-        :func:`~repro.engine.fingerprint.feature_distance`).
-
-        Returns ``None`` when no entry carries features.  Never touches
-        hit/miss counters or LRU order — this is a planning hint, not a
-        cache access.
-        """
-        from .fingerprint import feature_distance
-
-        with self._lock:
-            candidates = [
-                (entry.plan, entry.features)
-                for key, entry in self._entries.items()
-                if key != exclude and entry.features is not None
-            ]
-        best, best_d = None, math.inf
-        for plan, feats in candidates:
-            d = feature_distance(features, feats)
-            if d < best_d:
-                best, best_d = plan, d
-        if best is not None and self.tracer.enabled:
-            self.tracer.event("plan_cache.warm_hint", plan=best.label, distance=best_d)
-        return best
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -277,7 +214,6 @@ class PlanCache:
             return {
                 "size": len(self._entries),
                 "capacity": self.capacity,
-                "eviction": self.eviction,
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,

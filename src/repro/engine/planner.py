@@ -452,11 +452,6 @@ class Planner:
     """Base planner: candidate measurement + plan assembly."""
 
     name = "base"
-    #: Whether :meth:`plan`'s ``warm_start`` hint influences the search.
-    #: Only measured-trial policies consume it (autotune); ranking-only
-    #: and fixed policies ignore the hint, so the engine skips the
-    #: neighbour lookup for them entirely.
-    uses_warm_start = False
 
     def __init__(
         self,
@@ -483,7 +478,6 @@ class Planner:
         #: :meth:`plan` in a ``planner.plan`` span and every candidate
         #: measurement in a ``planner.trial`` span.
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self._warm: Candidate | None = None  # warm-start hint for one plan() call
         # Backend mode (DESIGN.md §10): None → reference only (the
         # bitwise default), "auto" → enumerate every planner-ranked
         # backend, anything else → pin that backend for every candidate.
@@ -605,9 +599,7 @@ class Planner:
         else:
             t = self.machine.run_rowwise(prep.Ar, B).time
         # The kernel's model_speed_factor mirrors the backend one: same
-        # simulated dataflow, faster numeric phase.  The engine's drift
-        # probe applies the identical factors, so an unchanged workload
-        # measures exactly predicted_cost.
+        # simulated dataflow, faster numeric phase.
         predicted = t * k_info.model_speed_factor * _backend_factor(cand.backend)
         return predicted, prep, 0.0 if reused else predicted
 
@@ -691,74 +683,22 @@ class Planner:
         """
         raise NotImplementedError
 
-    def warm_candidate(self, plan: "ExecutionPlan | None", A: CSRMatrix) -> Candidate | None:
-        """Reconcile a warm-start hint (a neighbour's cached plan) with
-        this planner's constraints: squareness and the backend mode.
-
-        Returns ``None`` when the hint cannot apply (rectangular operand
-        vs a square-only reordering, or a pinned backend that cannot run
-        the hinted kernel) — a warm start is an optimisation, never a
-        constraint.  A hint on a kernel-blind backend becomes what that
-        backend executes (:func:`executed_candidate`).  The engine calls
-        this once and passes the resolved :class:`Candidate` straight to
-        :meth:`plan`.
-        """
-        if plan is None:
-            return None
-        if (
-            A.nrows != A.ncols
-            and plan.reordering != "original"
-            and get_component("reordering", plan.reordering).square_only
-        ):
-            return None
-        from ..backends import backend_supports
-
-        cand = Candidate(plan.reordering, plan.clustering, plan.kernel)
-        if self._backend_mode == "auto":
-            if plan.backend != "reference" and backend_supports(
-                plan.backend, plan.backend_params, plan.kernel
-            ):
-                cand = replace_candidate(cand, plan.backend, plan.backend_params)
-        elif self._backend_mode == "pinned":
-            name, params = self._pinned
-            if not backend_supports(name, params, cand.kernel):
-                return None
-            cand = replace_candidate(cand, name, params)
-        return executed_candidate(cand)
-
     def plan(
         self,
         A: CSRMatrix,
         B: CSRMatrix,
         fp: MatrixFingerprint,
         workload: str = "asquare",
-        *,
-        warm_start: "ExecutionPlan | Candidate | None" = None,
     ) -> ExecutionPlan:
-        """Produce the plan for ``A @ B``-shaped workloads on ``A``'s pattern.
-
-        ``warm_start`` is the nearest cached neighbour's plan (plan-cache
-        warm starts, DESIGN.md §11): search policies treat it as the
-        first trial candidate so structurally similar patterns start
-        from a proven configuration instead of a cold ranking.  An
-        already-reconciled :class:`Candidate` (from
-        :meth:`warm_candidate`) is used as-is.
-        """
-        if isinstance(warm_start, Candidate):
-            self._warm = warm_start
-        else:
-            self._warm = self.warm_candidate(warm_start, A)
+        """Produce the plan for ``A @ B``-shaped workloads on ``A``'s pattern."""
         if not self.tracer.enabled:
             return self._plan_impl(A, B, fp, workload, sp=None)
         with self.tracer.span("planner.plan", policy=self.name, workload=workload) as sp:
             return self._plan_impl(A, B, fp, workload, sp=sp)
 
     def _plan_impl(self, A, B, fp, workload, *, sp) -> ExecutionPlan:
-        try:
-            baseline = self._baseline(A, B)
-            cand, predicted, prep, trial_cost = self._select(A, B, fp, baseline)
-        finally:
-            self._warm = None
+        baseline = self._baseline(A, B)
+        cand, predicted, prep, trial_cost = self._select(A, B, fp, baseline)
         self._winner_prep = prep  # engine picks this up via take_prepared()
         if sp is not None:
             sp.tag(plan=cand.label)
@@ -845,7 +785,6 @@ class AutotunePlanner(Planner):
     """
 
     name = "autotune"
-    uses_warm_start = True
 
     def __init__(self, *, top_k: int = 3, **kw) -> None:
         super().__init__(**kw)
@@ -862,11 +801,6 @@ class AutotunePlanner(Planner):
         est = _estimate_candidate_costs(A, B, fp.feature_array(), cands, self.machine.cost, self.cfg)
         order = np.argsort(est, kind="stable")[: self.top_k]
         trial_cands = [cands[int(i)] for i in order]
-        # Plan-cache warm start: the nearest cached neighbour's
-        # configuration is the *first* measured trial, whether or not
-        # the cold ranking would have shortlisted it.
-        if self._warm is not None and self._warm not in trial_cands:
-            trial_cands.insert(0, self._warm)
         # The reference baseline is always a contender (never tune *into*
         # a slowdown blindly) — its measurement is the baseline
         # simulation the base class already ran, so it costs no extra

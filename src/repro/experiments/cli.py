@@ -159,9 +159,6 @@ def engine_demo(args) -> str:
     which reads only the reordering) instead of searching with
     ``--policy``; ``--backend`` pins (or, with ``auto``, opens up) the
     execution backend the planner may choose.
-    ``--drift-threshold`` arms drift-triggered re-planning, and
-    ``--drift-demo`` exercises it end-to-end by degrading the right
-    operand's value profile mid-run (DESIGN.md §11).
 
     Observability flags (DESIGN.md §12): ``--replay N`` runs a seeded
     synthetic trace of N requests through the engine instead of the
@@ -171,7 +168,7 @@ def engine_demo(args) -> str:
     (``EngineStats.to_dict``) as JSON.
     """
     from ..engine import SpGEMMEngine
-    from ..matrices import get_matrix, perturb_values
+    from ..matrices import get_matrix
     from ..pipeline import PipelineSpec
 
     tracer = None
@@ -184,16 +181,12 @@ def engine_demo(args) -> str:
     A = get_matrix(args.matrix)
     backend = args.backend or None
     lines = []
-    drift_threshold = args.drift_threshold
-    if args.drift_demo and drift_threshold is None:
-        drift_threshold = 1.5  # the demo is pointless with the monitor unarmed
-    adaptive_kw = dict(drift_threshold=drift_threshold, tracer=tracer)
     if args.pipeline:
         spec = PipelineSpec.parse(args.pipeline)
-        eng = SpGEMMEngine(pipeline=spec, backend=backend, config=ExperimentConfig(), **adaptive_kw)
+        eng = SpGEMMEngine(pipeline=spec, backend=backend, config=ExperimentConfig(), tracer=tracer)
         chosen = f"pipeline={eng.planner.spec}"
     else:
-        eng = SpGEMMEngine(policy=args.policy, backend=backend, config=ExperimentConfig(), **adaptive_kw)
+        eng = SpGEMMEngine(policy=args.policy, backend=backend, config=ExperimentConfig(), tracer=tracer)
         chosen = f"policy={args.policy}"
         if backend:
             chosen += f", backend={backend}"
@@ -201,31 +194,9 @@ def engine_demo(args) -> str:
         _engine_replay(args, eng, lines)
         _finish_obs(args, eng, trace_sink, lines)
         return "\n".join(lines)
-    iters = max(1, args.iters)
-    if args.drift_demo:
-        # Drift scenario: plan against a value-twin of A, then keep
-        # multiplying by a dropout-degraded right operand whose profile
-        # no longer matches the plan's prediction.
-        B0 = perturb_values(A, scale=0.0, seed=0)
-        eng.multiply(A, B0)
-        B1 = perturb_values(A, scale=0.1, seed=3, dropout=0.9)
-        for _ in range(iters):
-            eng.multiply(A, B1)
-        plan = eng.plan_for(A, B1)
-        s = eng.stats()
-        lines.append(
-            f"drift demo: {s.drift_probes} probes, {s.drift_detected} drifting, "
-            f"{s.replans} re-plans"
-        )
-        for ev in s.replan_log:
-            lines.append(
-                f"  re-planned {ev['from']} -> {ev['to']} "
-                f"(predicted {ev['predicted']:.0f}, executed {ev['executed']:.0f})"
-            )
-    else:
-        for _ in range(iters):
-            eng.multiply(A)
-        plan = eng.plan_for(A)
+    for _ in range(max(1, args.iters)):
+        eng.multiply(A)
+    plan = eng.plan_for(A)
     lines += [
         f"engine demo: {args.matrix} (n={A.nrows}, nnz={A.nnz}), {chosen}",
         f"plan: {plan.label}   predicted speedup {plan.predicted_speedup:.2f}x, "
@@ -407,14 +378,6 @@ def main(argv: list[str] | None = None) -> int:
         "to let the planner choose (default: reference, the bitwise oracle)",
     )
     parser.add_argument(
-        "--drift-threshold",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="arm drift-triggered re-planning: re-trial the plan (including backend "
-        "choice) when executed/predicted cost repeatedly leaves [1/RATIO, RATIO]",
-    )
-    parser.add_argument(
         "--replay",
         type=int,
         default=None,
@@ -485,13 +448,6 @@ def main(argv: list[str] | None = None) -> int:
         help="serve command: instead of serving forever, drive N seeded replay "
         "requests through a loopback client, verify bitwise against sequential "
         "multiply, print the serving stats and exit (the CI smoke path)",
-    )
-    parser.add_argument(
-        "--drift-demo",
-        action="store_true",
-        help="engine command: degrade the right operand's value profile mid-run to "
-        "demonstrate drift detection and re-planning (arms --drift-threshold 1.5 "
-        "unless one is given)",
     )
     args = parser.parse_args(argv)
     targets = list(ARTEFACTS) if args.what == "all" else [args.what]

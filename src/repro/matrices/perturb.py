@@ -53,8 +53,8 @@ def perturb_values(A: CSRMatrix, *, scale: float = 0.05, seed: int = 0, dropout:
     ``dropout > 0`` additionally zeroes that fraction of entries and
     prunes them: a *value-driven* pattern change (converged couplings,
     thresholded weights) that degrades whatever cluster/locality profile
-    the original pattern had — the drift regime the adaptive engine's
-    re-planning targets (DESIGN.md §11).
+    the original pattern had.  The new pattern has a new fingerprint,
+    so the engine plans it afresh (the trace replay's churn events).
     """
     if scale < 0:
         raise ValueError(f"scale must be >= 0, got {scale}")

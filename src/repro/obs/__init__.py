@@ -5,8 +5,8 @@ Observability for the serving stack, strictly opt-in: a span-based
 pluggable sinks — in-memory ring, JSONL file, stderr summary; the
 default :class:`NullSink` keeps every instrumented path allocation-free)
 plus :class:`Counter` / :class:`Histogram` metric primitives with
-streaming p50/p95/p99.  The engine, planners, execution backends, plan
-cache and adaptive runtime all accept a tracer; the trace-replay harness
+streaming p50/p95/p99.  The engine, planners, execution backends and
+plan cache all accept a tracer; the trace-replay harness
 (:mod:`repro.workloads.replay`) builds its latency report on the
 histogram primitives.
 """

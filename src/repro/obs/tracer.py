@@ -3,8 +3,8 @@
 The engine stack (DESIGN.md §12) is instrumented with *spans* — named
 intervals measured on the monotonic clock (:func:`time.perf_counter`),
 carrying free-form string/number tags and a link to the enclosing span —
-plus zero-duration *events* for point occurrences (a cache eviction, a
-drift probe).  A :class:`Tracer` owns one :class:`TraceSink` and a
+plus zero-duration *events* for point occurrences (a cache put, a cache
+eviction).  A :class:`Tracer` owns one :class:`TraceSink` and a
 current-span stack; instrumented code does::
 
     with tracer.span("engine.multiply", workload="asquare") as sp:

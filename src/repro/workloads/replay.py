@@ -97,7 +97,7 @@ class TraceSpec:
     churn_prob:
         Per-request probability the chosen matrix's *pattern* churns
         (value dropout via :func:`~repro.matrices.perturb.perturb_values`)
-        before executing — new fingerprint, cache miss, drift fuel.
+        before executing — new fingerprint, cache miss.
     churn_dropout:
         Dropout fraction of a churn event.
     value_jitter:
@@ -258,9 +258,6 @@ class ReplayReport:
     latency: Histogram = field(default_factory=lambda: Histogram("replay.latency_model_units"))
     hit_rate: float = 0.0
     plans_built: int = 0
-    replans: int = 0
-    drift_probes: int = 0
-    drift_detected: int = 0
     churn_events: int = 0
     model_speedup: float = 0.0
     wall_seconds: float = 0.0
@@ -280,9 +277,6 @@ class ReplayReport:
             },
             "hit_rate": round(self.hit_rate, 9),
             "plans_built": self.plans_built,
-            "replans": self.replans,
-            "drift_probes": self.drift_probes,
-            "drift_detected": self.drift_detected,
             "churn_events": self.churn_events,
             "model_speedup": round(self.model_speedup, 9),
         }
@@ -382,9 +376,6 @@ def replay(
     hits = s1.plan_cache_hits - s0.plan_cache_hits
     report.hit_rate = hits / lookups if lookups else 0.0
     report.plans_built = s1.plans_built - s0.plans_built
-    report.replans = s1.replans - s0.replans
-    report.drift_probes = s1.drift_probes - s0.drift_probes
-    report.drift_detected = s1.drift_detected - s0.drift_detected
     if s1.model_executed_cost > s0.model_executed_cost:
         report.model_speedup = (s1.model_baseline_cost - s0.model_baseline_cost) / (
             s1.model_executed_cost - s0.model_executed_cost

@@ -418,10 +418,8 @@ def test_plan_backend_serialisation_round_trip():
 
 
 def test_plan_dicts_without_backend_fields_load_as_reference():
-    # A plan persisted before the backend axis *and* before the adaptive
-    # runtime: no backend fields (and its cache file carries no
-    # fingerprint features — covered in test_engine_cache).  It must
-    # still load — as reference — and still execute.
+    # A plan persisted before the backend axis has no backend fields.
+    # It must still load — as reference — and still execute.
     d = ExecutionPlan(reordering="rcm", clustering=None, kernel="rowwise").to_dict()
     d.pop("backend")
     d.pop("backend_params")

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import is_canonical
+from conftest import assert_bitwise_equal, square_csr
+from repro.core import CSRMatrix, is_canonical, spgemm_rowwise
+from repro.engine import SpGEMMEngine, fingerprint
+from repro.experiments import ExperimentConfig
 from repro.matrices import (
     REPRESENTATIVE,
     SUITE,
@@ -11,6 +15,7 @@ from repro.matrices import (
     generators as G,
     get_entry,
     get_matrix,
+    perturb_values,
     scramble,
     scramble_partial,
     suite_names,
@@ -104,6 +109,84 @@ class TestPerturb:
     def test_scramble_partial_rejects_bad_fraction(self):
         with pytest.raises(ValueError, match="fraction"):
             scramble_partial(G.grid2d(3, 3), fraction=1.5)
+
+
+def _coords(A: CSRMatrix) -> np.ndarray:
+    rows = np.repeat(np.arange(A.nrows, dtype=np.int64), np.diff(A.indptr))
+    return rows * A.ncols + A.indices
+
+
+def check_dropout(A: CSRMatrix, *, dropout: float, seed: int, scale: float = 0.1) -> CSRMatrix:
+    """Assert what ``perturb_values(dropout=)`` promises and return it:
+    a valid CSR on A's shape whose entries are a subset of A's pattern,
+    carrying exactly the values the ``dropout=0`` call gives them."""
+    B = perturb_values(A, scale=scale, seed=seed, dropout=dropout)
+    assert B.shape == A.shape
+    CSRMatrix(B.indptr, B.indices, B.values, B.shape)  # validates
+    kept = np.isin(_coords(A), _coords(B))
+    assert int(kept.sum()) == B.nnz  # no entry outside A's pattern
+    assert is_canonical(B) == is_canonical(A)
+    # Factors are drawn before the dropout mask, so the kept values are
+    # the jittered values of the same seed without dropout.
+    full = perturb_values(A, scale=scale, seed=seed)
+    assert np.array_equal(B.values, full.values[kept])
+    return B
+
+
+class TestPerturbValuesDropout:
+    MATRICES = {
+        "grid2d": lambda: G.grid2d(12, 12, seed=1),
+        "web_graph": lambda: G.web_graph(300, seed=2),
+        "rmat": lambda: G.rmat(8, seed=3),
+    }
+
+    @pytest.mark.parametrize("dropout", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("name", list(MATRICES))
+    def test_dropout_prunes_a_subset_of_the_pattern(self, name, dropout):
+        A = self.MATRICES[name]()
+        B = check_dropout(A, dropout=dropout, seed=5)
+        # Each entry is dropped independently: stay within 5 sigma of
+        # the binomial mean.
+        dropped = A.nnz - B.nnz
+        sigma = np.sqrt(A.nnz * dropout * (1.0 - dropout))
+        assert abs(dropped - A.nnz * dropout) <= 5 * sigma
+        assert fingerprint(B).key != fingerprint(A).key
+
+    @given(A=square_csr(max_n=12, max_nnz=60), dropout=st.floats(0.0, 0.99), seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_dropout_subset_property(self, A, dropout, seed):
+        check_dropout(A, dropout=dropout, seed=seed)
+
+    def test_dropout_is_deterministic_per_seed(self):
+        A = G.web_graph(300, seed=2)
+        a = perturb_values(A, seed=7, dropout=0.3)
+        b = perturb_values(A, seed=7, dropout=0.3)
+        assert_bitwise_equal(a, b)
+        c = perturb_values(A, seed=8, dropout=0.3)
+        assert not c.same_pattern(a)
+
+    def test_zero_dropout_keeps_pattern_in_fresh_arrays(self):
+        A = G.grid2d(6, 6, seed=9)
+        B = perturb_values(A, seed=1, dropout=0.0)
+        assert B.same_pattern(A)
+        for mine, theirs in ((B.indptr, A.indptr), (B.indices, A.indices), (B.values, A.values)):
+            assert not np.shares_memory(mine, theirs)
+
+    @pytest.mark.parametrize("dropout", [-0.1, 1.0, 1.5, float("nan")])
+    def test_dropout_out_of_range_rejected(self, dropout):
+        with pytest.raises(ValueError, match="dropout"):
+            perturb_values(G.grid2d(3, 3), dropout=dropout)
+
+    def test_dropout_makes_engine_plan_afresh(self):
+        # The trace replay's churn: new values on the same pattern hit
+        # the plan cache, a pruned pattern is planned anew.
+        eng = SpGEMMEngine(config=ExperimentConfig(n_threads=2, cache_lines=128))
+        A = G.grid2d(10, 10, seed=4)
+        for M in (A, perturb_values(A, seed=1), perturb_values(A, seed=2, dropout=0.3)):
+            assert_bitwise_equal(eng.multiply(M), spgemm_rowwise(M, M))
+        stats = eng.stats()
+        assert stats.plans_built == 2
+        assert (stats.plan_cache_hits, stats.plan_cache_misses) == (1, 2)
 
 
 class TestSuite:

@@ -6,7 +6,7 @@ the baseline simulation instead of running it twice."""
 import pytest
 
 from repro.backends import get_backend
-from repro.engine import ExecutionPlan, SpGEMMEngine
+from repro.engine import SpGEMMEngine
 from repro.engine.fingerprint import fingerprint
 from repro.engine.planner import (
     Candidate,
@@ -87,13 +87,6 @@ def test_kernel_honouring_backends_keep_the_full_space():
     assert {c.kernel for c in pinned} == {"cluster", "rowwise", "hybrid"}
     auto = HeuristicPlanner(cfg=SMALL_CFG, backend="auto")._candidates(A)
     assert [c for c in auto if c.backend == "reference"] == default_candidates(square=True)
-
-
-@pytest.mark.parametrize("backend", ["auto", "scipy"])
-def test_warm_candidate_is_what_scipy_executes(backend):
-    planner = HeuristicPlanner(cfg=SMALL_CFG, backend=backend)
-    hint = ExecutionPlan(reordering="rcm", clustering="fixed", kernel="cluster", backend="scipy")
-    assert planner.warm_candidate(hint, A) == Candidate("rcm", None, "rowwise", "scipy")
 
 
 @pytest.mark.parametrize("backend", ["auto", "scipy"])

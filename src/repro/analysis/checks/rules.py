@@ -16,9 +16,9 @@ RA006  no registry-bypassing constants: module-level tuples of
 RA007  no blocking ``time.sleep`` on the serving request path: waits
        must go through interruptible condition/event timeouts
 RA009  accumulator confinement: ``HashAccumulator``/``DenseAccumulator``
-       are constructed only through ``make_accumulator`` (owners:
-       ``repro/core/accumulators.py``, ``repro/core/hybrid_spgemm.py``)
-       so capacity-hint sizing has one auditable site
+       are constructed only through ``make_accumulator`` (owner:
+       ``repro/core/accumulators.py``) so capacity-hint sizing has one
+       auditable site
 =====  ===============================================================
 
 Path scoping matches *consecutive path components* (``repro/engine``),
@@ -50,7 +50,6 @@ KERNEL_FUNCTIONS = frozenset(
         "spgemm_rowwise",
         "cluster_spgemm",
         "tiled_spgemm",
-        "hybrid_spgemm",
         "vectorized_cluster_spgemm",
         "vectorized_rowwise_spgemm",
         "threaded_spgemm_rowwise",
@@ -464,14 +463,10 @@ class AccumulatorConfinementRule(Rule):
     id = "RA009"
     title = "accumulators are constructed only through make_accumulator"
 
-    #: The modules allowed to construct accumulator classes directly:
-    #: the factory itself and the hybrid kernel's per-bin dispatch (its
-    #: numeric phases *are* the accumulator strategies).  Only *calls*
-    #: are flagged — re-exports (``repro.core.__init__``) stay legal.
-    _OWNERS = (
-        ("repro", "core", "accumulators.py"),
-        ("repro", "core", "hybrid_spgemm.py"),
-    )
+    #: The module allowed to construct accumulator classes directly:
+    #: the factory itself.  Only *calls* are flagged — re-exports
+    #: (``repro.core.__init__``) stay legal.
+    _OWNERS = (("repro", "core", "accumulators.py"),)
     _CLASSES = frozenset({"DenseAccumulator", "HashAccumulator"})
 
     def applies_to(self, ctx: FileContext) -> bool:

@@ -5,7 +5,7 @@ One :class:`ExecutionBackend` contract, three built-in backends behind it:
 ============  ========================================================
 ``reference``  the pure-python registry kernels — the bitwise oracle
 ``scipy``      native CSR matmul fast path (allclose, exact zeros dropped)
-``vectorized`` numpy batch-cluster numeric phase (bitwise, ``cluster``)
+``vectorized`` numpy-batched numeric phases (bitwise, ``cluster``/``rowwise``)
 ============  ========================================================
 
 Backends are registry components (``kind="backend"``), so they share the
@@ -44,7 +44,7 @@ __all__ = [
     "time_execution",
 ]
 
-#: Built-in backend classes, in planner-preference order.  ``scipy`` is
+#: Built-in backend classes, in registration order.  ``scipy`` is
 #: included only when importable — a scipy-less environment keeps a
 #: valid, reference-only registry.
 BUILTIN_BACKENDS: tuple[type[ExecutionBackend], ...] = tuple(
@@ -75,7 +75,6 @@ def register_builtin_backends() -> None:
                 supported_kernels=probe.supported_kernels,
                 bitwise_reference=probe.bitwise_reference,
                 model_speed_factor=cls.model_speed_factor,
-                planner_rank=cls.planner_rank,
                 description=cls.description,
             )
         )
@@ -114,22 +113,44 @@ def get_backend(name: str, params: "Iterable[tuple[str, Any]] | Mapping[str, Any
     return inst
 
 
+#: What ``backend="auto"`` resolves to.  ``scipy`` runs every kernel and
+#: has the lowest ``model_speed_factor``, so a search over backends
+#: always picked it; ``auto`` is kept as its alias.
+AUTO_BACKEND = "scipy"
+
+
 def parse_backend(value) -> tuple[str, tuple[tuple[str, Any], ...]]:
     """Parse a backend reference into ``(name, canonical_params)``.
 
     Accepts a bare name (``"scipy"``), a spec-style segment
     (``"name:param=value"``), or an already-split ``(name, params)``
-    pair.
+    pair.  ``"auto"`` is an alias of :data:`AUTO_BACKEND`; it raises
+    ``ValueError`` when that backend is not registered.
     """
     from ..pipeline import get_component
 
     if isinstance(value, tuple):
         name, params = value
-        return _canonical(str(name), params)
+        return _canonical(_unalias(str(name)), params)
     text = str(value).strip()
     name, _, ptext = text.partition(":")
-    info = get_component("backend", name.strip())
+    info = get_component("backend", _unalias(name.strip()))
     return _canonical(info.name, info.parse_params_text(ptext))
+
+
+def _unalias(name: str) -> str:
+    """Resolve ``"auto"`` to :data:`AUTO_BACKEND`; other names pass."""
+    from ..pipeline import get_component
+
+    if name != "auto":
+        return name
+    try:
+        get_component("backend", AUTO_BACKEND)
+    except KeyError:
+        raise ValueError(
+            f"backend 'auto' is an alias of {AUTO_BACKEND!r}, which is not installed"
+        ) from None
+    return AUTO_BACKEND
 
 
 def backend_supports(name: str, params, kernel: str) -> bool:

@@ -101,10 +101,7 @@ class ExecutionBackend(ABC):
 
     #: Registry name (unique across every component kind).
     name: ClassVar[str] = "base"
-    #: Planner candidate rank; ``None`` keeps the backend out of the
-    #: default search space (it stays spec-addressable and pinnable).
-    planner_rank: ClassVar[int | None] = None
-    #: Simulated-time multiplier planners rank this backend with — a
+    #: Multiplier planners apply to simulated times on this backend — a
     #: relative implementation-speed hint, not a measurement.
     model_speed_factor: ClassVar[float] = 1.0
     #: One-line summary for ``repro.pipeline.describe()``.

@@ -20,7 +20,6 @@ class ReferenceBackend(ExecutionBackend):
     """Pure-python kernels via the pipeline registry (the oracle)."""
 
     name: ClassVar[str] = "reference"
-    planner_rank: ClassVar[int | None] = 0
     model_speed_factor: ClassVar[float] = 1.0
     description: ClassVar[str] = "pure-python registry kernels (the bitwise correctness oracle)"
 
@@ -40,17 +39,4 @@ class ReferenceBackend(ExecutionBackend):
         from ..pipeline import get_component
 
         ctx.bump("reference_calls")
-        k_info = get_component("kernel", kernel)
-        # Kernels that publish work accounting (``hybrid``'s per-bin
-        # counters) declare a ``make_stats`` factory on their wrapper;
-        # collection is tracer-gated so the default path allocates
-        # nothing extra.
-        make_stats = getattr(k_info.factory, "make_stats", None)
-        tracer = ctx.tracer
-        if make_stats is not None and tracer is not None and tracer.enabled:
-            stats = make_stats()
-            C = k_info.factory(operand, B, stats=stats, **kernel_params)
-            for name, value in stats.counters().items():
-                ctx.bump(name, value)
-            return C
-        return k_info.factory(operand, B, **kernel_params)
+        return get_component("kernel", kernel).factory(operand, B, **kernel_params)

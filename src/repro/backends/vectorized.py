@@ -1,4 +1,4 @@
-"""The ``vectorized`` backend — numpy-batched cluster numeric phase.
+"""The ``vectorized`` backend — numpy-batched numeric phases.
 
 Runs the paper's cluster-wise SpGEMM (Alg. 1) with one fused
 ``np.add.at`` scatter-accumulate per cluster instead of the reference
@@ -19,12 +19,10 @@ bit-identical to the reference cluster kernel, and this backend declares
 separately from the padding mask (``np.logical_or.at``), so padded slots
 never create output entries — same as the reference.
 
-The ``rowwise`` kernel is served by the blocked dense-scatter numeric
-phase of :mod:`repro.core.hybrid_spgemm` (one ordered ``np.add.at`` per
-row panel — the same sequential-application argument as above), and the
-``hybrid`` kernel is executed directly: its bin executors are already
-the batched numpy phases this backend exists for.  All three paths are
-bitwise-identical to the reference.
+The ``rowwise`` kernel is served by a blocked dense scatter: one ordered
+``np.add.at`` per panel of rows into a dense ``(rows, ncols)`` block —
+the same sequential-application argument as above, so it is
+bitwise-identical to :func:`~repro.core.spgemm.spgemm_rowwise` too.
 """
 
 from __future__ import annotations
@@ -99,32 +97,63 @@ def vectorized_cluster_spgemm(Ac, B, *, restore_order: bool = False):
     return C
 
 
-#: All rows in the catch-all scatter bin: the blocked ``np.add.at``
-#: dense panel *is* the whole numeric phase.
-_SCATTER_ONLY = ((-1, "scatter"),)
+#: Dense-entry budget of one scatter panel (``rows_per_panel * ncols``).
+_PANEL_ENTRIES = 1 << 22
 
 
 def vectorized_rowwise_spgemm(A, B):
-    """Batch-vectorised row-wise ``A @ B`` — the PR 3 tail.
+    """Batch-vectorised row-wise ``A @ B``: a blocked dense scatter.
 
-    Runs the hybrid kernel's blocked dense-scatter executor over every
-    row: one ordered ``np.add.at`` scatter-accumulate per row panel
-    instead of the reference kernel's per-row python loop.  Bitwise-
-    identical to :func:`~repro.core.spgemm.spgemm_rowwise` (sequential
-    unbuffered application in stream order; columns emitted ascending).
+    Rows are processed in panels of ``_PANEL_ENTRIES / ncols`` rows.
+    Each panel gathers its contribution stream in the reference order
+    (rows ascending; within a row, ``A``'s columns in CSR order, each
+    expanded to its ``B`` row) and applies it with one ``np.add.at`` into
+    a dense ``(rows, ncols)`` block: the unbuffered ufunc adds in index
+    order, so every output element sums in the order
+    :func:`~repro.core.spgemm.spgemm_rowwise` does.  ``np.nonzero`` on the
+    touched mask then emits the panel's rows in order with columns
+    ascending, so the result is bitwise-identical to the reference.
     """
-    from ..core.hybrid_spgemm import hybrid_spgemm
+    from ..core.csr import CSRMatrix, _concat_ranges
+    from ..core.hybrid_spgemm import row_workloads
 
-    return hybrid_spgemm(A, B, bin_map=_SCATTER_ONLY)
+    flops, _ = row_workloads(A, B)  # also checks the inner dimensions
+    n, m = A.nrows, B.ncols
+    b_lens = np.diff(B.indptr)
+    per_panel = max(1, _PANEL_ENTRIES // max(1, m))
+    cols_parts: list[np.ndarray] = []
+    vals_parts: list[np.ndarray] = []
+    counts = np.zeros(n, dtype=np.int64)
+    for start in range(0, n, per_panel):
+        stop = min(n, start + per_panel)
+        lo, hi = A.indptr[start], A.indptr[stop]
+        ks = A.indices[lo:hi]
+        lens = b_lens[ks]
+        take = _concat_ranges(B.indptr[ks], lens)
+        gcols = B.indices[take]
+        gvals = B.values[take] * np.repeat(A.values[lo:hi], lens)
+        rloc = np.repeat(np.arange(stop - start, dtype=np.int64), flops[start:stop])
+        acc = np.zeros((stop - start, m), dtype=np.float64)
+        np.add.at(acc, (rloc, gcols), gvals)
+        touched = np.zeros((stop - start, m), dtype=bool)
+        touched[rloc, gcols] = True
+        r_idx, c_idx = np.nonzero(touched)
+        cols_parts.append(c_idx.astype(np.int64, copy=False))
+        vals_parts.append(acc[r_idx, c_idx])
+        counts[start:stop] = np.bincount(r_idx, minlength=stop - start)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.concatenate(cols_parts) if cols_parts else np.zeros(0, np.int64)
+    values = np.concatenate(vals_parts) if vals_parts else np.zeros(0, np.float64)
+    return CSRMatrix(indptr, indices, values, (n, m), check=False)
 
 
 class VectorizedBackend(ExecutionBackend):
-    """numpy batch-vectorised numeric phases (cluster / rowwise / hybrid)."""
+    """numpy batch-vectorised numeric phases (cluster / rowwise)."""
 
     name: ClassVar[str] = "vectorized"
-    planner_rank: ClassVar[int | None] = 20
     model_speed_factor: ClassVar[float] = 0.7
-    description: ClassVar[str] = "numpy-batched numeric phases (bitwise; cluster/rowwise/hybrid)"
+    description: ClassVar[str] = "numpy-batched numeric phases (bitwise; cluster/rowwise)"
 
     @property
     def bitwise_reference(self) -> bool:
@@ -132,7 +161,7 @@ class VectorizedBackend(ExecutionBackend):
 
     @property
     def supported_kernels(self) -> tuple[str, ...] | None:
-        return ("cluster", "rowwise", "hybrid")
+        return ("cluster", "rowwise")
 
     def execute(
         self,
@@ -157,10 +186,6 @@ class VectorizedBackend(ExecutionBackend):
             # accumulator is bitwise-identical and the scatter panel IS
             # the dense one.
             return vectorized_rowwise_spgemm(operand.Ar, B)
-        if kernel == "hybrid":
-            from ..core.hybrid_spgemm import hybrid_spgemm
-
-            return hybrid_spgemm(operand.Ar, B, **kernel_params)
         raise ValueError(
             f"vectorized backend supports {self.supported_kernels}, got kernel {kernel!r}"
         )

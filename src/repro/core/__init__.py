@@ -6,8 +6,8 @@ Public surface:
   :class:`~repro.core.csr_cluster.CSRCluster` — storage formats.
 * :func:`~repro.core.spgemm.spgemm_rowwise` — Gustavson row-wise SpGEMM.
 * :func:`~repro.core.cluster_spgemm.cluster_spgemm` — paper Alg. 1.
-* :func:`~repro.core.hybrid_spgemm.hybrid_spgemm` — row-binned hybrid
-  numeric phase (per-bin accumulator dispatch, DESIGN.md §15).
+* :func:`~repro.core.hybrid_spgemm.row_workloads` — per-row flops and
+  output-nnz bounds (the symbolic pre-pass).
 * :func:`~repro.core.topk.spgemm_topk_similarity` — paper Alg. 3's
   candidate generation.
 """
@@ -17,13 +17,7 @@ from .cluster_spgemm import ClusterSpGEMMStats, cluster_spgemm, padded_flops
 from .coo import COOMatrix
 from .csr import CSRMatrix
 from .csr_cluster import CSRCluster
-from .hybrid_spgemm import (
-    DEFAULT_BIN_MAP,
-    HybridStats,
-    hybrid_spgemm,
-    row_workloads,
-    validate_bin_map,
-)
+from .hybrid_spgemm import row_workloads
 from .spgemm import SpGEMMStats, flops_rowwise, spgemm_rowwise, spgemm_symbolic
 from .tiled_spgemm import TiledSpGEMMStats, split_column_tiles, tiled_spgemm
 from .topk import CandidatePairs, spgemm_topk_similarity
@@ -46,11 +40,7 @@ __all__ = [
     "tiled_spgemm",
     "cluster_spgemm",
     "padded_flops",
-    "DEFAULT_BIN_MAP",
-    "HybridStats",
-    "hybrid_spgemm",
     "row_workloads",
-    "validate_bin_map",
     "CandidatePairs",
     "spgemm_topk_similarity",
     "assert_canonical",

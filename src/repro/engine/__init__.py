@@ -25,7 +25,6 @@ from .planner import (
     default_candidates,
     default_training_corpus,
     make_planner,
-    planner_backends,
     planner_reorderings,
     prepare_candidate,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "default_candidates",
     "default_training_corpus",
     "make_planner",
-    "planner_backends",
     "planner_reorderings",
     "prepare_candidate",
 ]

@@ -12,10 +12,10 @@ needs: callers hand it matrices and get products back, while the engine
    (:mod:`repro.backends`), which returns the product in the original
    row order — under the default (bitwise) backend policy the output is
    bitwise-identical to :func:`~repro.core.spgemm.spgemm_rowwise` on
-   the original operands; ``backend="auto"`` / pinned non-bitwise
-   backends trade that for ``allclose`` results at native speed (and
-   ``scipy`` drops sums that cancel to exactly ``0.0``, as raw scipy
-   does),
+   the original operands; a non-bitwise backend (``backend="scipy"``,
+   or its alias ``"auto"``) trades that for ``allclose`` results at
+   native speed (and drops sums that cancel to exactly ``0.0``, as raw
+   scipy does),
 5. **accounts**: cumulative planning / preprocessing / execution time
    (both wall-clock and model units) and the break-even iteration count
    at which the one-off costs amortise (paper Fig. 10, Table 4).
@@ -183,9 +183,6 @@ class EngineStats:
             d["amortization_progress"] = _json_safe(self.amortization_progress())
         return d
 
-    #: Backwards-compatible alias (pre-observability name).
-    as_dict = to_dict
-
     def summary(self) -> str:
         be = self.break_even_iterations()
         be_s = f"{be:.1f}" if be != float("inf") else "inf"
@@ -267,22 +264,15 @@ class SpGEMMEngine:
         for every multiply instead of searching — the declarative
         entry point.  Individual calls can also override the planner
         per-multiply via ``multiply(..., pipeline=...)``.
-    kernels:
-        Pins the planners' kernel axis to a subset of the planned
-        kernels (e.g. ``("rowwise", "cluster")`` to exclude
-        ``hybrid``); ``None`` (default) searches the full
-        registry-enumerated kernel space.  Mirrors the planners'
-        ``reorderings`` pin and is recorded in the plan-cache token.
     backend:
-        Execution-backend policy (:mod:`repro.backends`).  ``None``
-        (default) keeps the engine on the ``reference`` backend — the
-        bitwise contract.  ``"auto"`` lets the planner enumerate every
-        planner-ranked backend (results may then be ``allclose`` rather
-        than bit-identical when a non-bitwise backend wins, and
-        ``scipy`` drops entries whose sum cancels to exactly ``0.0``,
-        as raw ``scipy.sparse`` does).  A backend name (``"scipy"``,
-        optionally with spec-style parameters) pins every plan to that
-        backend.  Individual calls can override via
+        Execution backend (:mod:`repro.backends`) every plan targets.
+        ``None`` (default) keeps the engine on the ``reference`` backend
+        — the bitwise contract.  A backend name (optionally with
+        spec-style parameters) pins every plan to that backend;
+        ``"auto"`` is an alias of ``"scipy"``, whose results are
+        ``allclose`` rather than bit-identical and drop entries whose
+        sum cancels to exactly ``0.0``, as raw ``scipy.sparse`` does.
+        Individual calls can override via
         ``multiply(..., backend=...)``; with ``pipeline=``, the
         backend override is applied onto the spec.
     fingerprint_cache_size:
@@ -314,7 +304,6 @@ class SpGEMMEngine:
         seed: int = 0,
         operand_cache_size: int = 16,
         pipeline: "PipelineSpec | str | None" = None,
-        kernels: "tuple[str, ...] | None" = None,
         backend: str | None = None,
         fingerprint_cache_size: int = 64,
         tracer: "Tracer | None" = None,
@@ -336,7 +325,7 @@ class SpGEMMEngine:
             seed=self.seed,
             tracer=self.tracer,
         )
-        kw = dict(self._planner_kw, kernels=kernels, backend=backend)
+        kw = dict(self._planner_kw, backend=backend)
         if policy == "predictor":
             kw["predictor"] = predictor
         elif policy == "autotune":
@@ -420,10 +409,10 @@ class SpGEMMEngine:
 
     @staticmethod
     def _spec_with_backend(pipeline, backend) -> PipelineSpec:
-        """Apply a backend override onto a pipeline spec (``"auto"`` and
-        ``None`` keep the spec's own backend)."""
+        """Apply a backend override onto a pipeline spec (``None`` keeps
+        the spec's own backend)."""
         spec = PipelineSpec.parse(pipeline)
-        if backend and backend != "auto":
+        if backend:
             spec = spec.with_backend(backend)
         return spec
 
@@ -457,7 +446,7 @@ class SpGEMMEngine:
                 # base planner has not planned yet) instead of letting
                 # the variant planner fit a duplicate corpus.
                 kw["predictor"] = self.planner.predictor
-            planner = make_planner(self.policy, kernels=self.planner.kernels, backend=backend, **kw)
+            planner = make_planner(self.policy, backend=backend, **kw)
         with self._memo_lock:
             # setdefault: concurrent builders share one instance (planners
             # carry per-plan state, so identity matters).
@@ -621,8 +610,6 @@ class SpGEMMEngine:
         if any(p.name == "accumulator" for p in k_info.params):
             given.append(("accumulator", plan.accumulator))
         kernel_params = k_info.resolve_params(given, self.cfg)
-        if plan.bin_map and getattr(k_info.factory, "accepts_bin_map", False):
-            kernel_params["bin_map"] = plan.bin_map
         if self.tracer.enabled:
             span.tag(
                 cache="hit" if hit else "miss",

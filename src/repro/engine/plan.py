@@ -90,13 +90,6 @@ class ExecutionPlan:
     params:
         Clustering parameters as a sorted tuple of ``(name, value)``
         pairs (kept as a tuple so the plan stays hashable).
-    bin_map:
-        Row-bin ladder of the ``hybrid`` kernel as ``(edge, kind)``
-        pairs (DESIGN.md §15): ``edge`` is the inclusive upper bound on
-        a row's symbolic output-nnz bound, ``-1`` the catch-all, and
-        ``kind`` the numeric phase.  Recorded so a cached plan replays
-        the exact same per-bin dispatch; ``()`` for kernels without one
-        (plans persisted before the hybrid kernel load unchanged).
     """
 
     reordering: str
@@ -110,7 +103,6 @@ class ExecutionPlan:
     fingerprint_key: str = ""
     seed: int = 0
     params: tuple[tuple[str, float], ...] = ()
-    bin_map: tuple[tuple[int, str], ...] = ()
     predicted_cost: float = math.nan
     baseline_cost: float = math.nan
     pre_cost: float = 0.0
@@ -147,12 +139,6 @@ class ExecutionPlan:
         from ..backends import require_backend_supports
 
         require_backend_supports(self.backend, self.backend_params, self.kernel)
-        if self.bin_map:
-            if not getattr(kernel.factory, "accepts_bin_map", False):
-                raise ValueError(f"kernel {self.kernel!r} takes no bin_map")
-            from ..core.hybrid_spgemm import validate_bin_map
-
-            object.__setattr__(self, "bin_map", validate_bin_map(self.bin_map))
 
     # ------------------------------------------------------------------
     # Cost / amortisation accounting
@@ -232,7 +218,6 @@ class ExecutionPlan:
         d = asdict(self)
         d["params"] = [list(p) for p in self.params]
         d["backend_params"] = [list(p) for p in self.backend_params]
-        d["bin_map"] = [list(p) for p in self.bin_map]
         return d
 
     @classmethod
@@ -241,10 +226,10 @@ class ExecutionPlan:
         d["params"] = tuple((str(k), v) for k, v in d.get("params", ()))
         # Plans persisted before the backend axis load as reference.
         d["backend_params"] = tuple((str(k), v) for k, v in d.get("backend_params", ()))
-        # Plans persisted before the hybrid kernel carry no bin_map.
-        d["bin_map"] = tuple((int(e), str(k)) for e, k in d.get("bin_map", ()))
-        # Plans persisted while backend calibration existed carry its epoch.
+        # Plans persisted while backend calibration or the row-binned
+        # kernel existed carry its epoch or a bin map.
         d.pop("calibration_epoch", None)
+        d.pop("bin_map", None)
         return cls(**d)
 
     def to_json(self) -> str:

@@ -3,23 +3,21 @@
 A planner turns ``(A, B, fingerprint, workload)`` into an
 :class:`~repro.engine.plan.ExecutionPlan`.  The candidate space is
 enumerated from :mod:`repro.pipeline` registry capability queries
-(:func:`planner_reorderings`, :func:`planner_backends`,
+(:func:`planner_reorderings`, :func:`planner_kernels`,
 :func:`default_candidates`) — registering a component with the right
 tags makes it planned, with no lists to keep in sync here.
 
-The space has an execution-*backend* axis (:mod:`repro.backends`), off
-by default: planners search ``reference`` only — preserving the
-engine's bitwise contract — unless constructed with ``backend="auto"``
-(enumerate every planner-ranked backend, ranked by each backend's
-``model_speed_factor`` capability hint; ``reference`` wins ties) or a
-pinned backend (every candidate targets it).  On a backend that does not
-honour the kernel choice (``scipy``) only the reordering reaches the
-product, so its candidates are ``(reordering, backend)`` pairs — see
-:func:`executed_candidate`.  ``reference`` remains the
-correctness oracle either way: plans are validated against it and
-non-bitwise backends guarantee ``allclose`` results (``scipy`` minus
-exact-zero sums).  Three search policies are provided, mirroring the
-escalation the paper's §5 future work sketches, plus a fixed-spec one:
+Every planner targets one execution backend (:mod:`repro.backends`):
+``reference`` by default — preserving the engine's bitwise contract —
+or the backend it is constructed with (``"auto"`` is an alias of
+``scipy``).  On a backend that does not honour the kernel choice
+(``scipy``) only the reordering reaches the product, so its candidates
+are ``(reordering, backend)`` pairs — see :func:`executed_candidate`.
+``reference`` remains the correctness oracle either way: plans are
+validated against it and non-bitwise backends guarantee ``allclose``
+results (``scipy`` minus exact-zero sums).  Three search policies are
+provided, mirroring the escalation the paper's §5 future work sketches,
+plus a fixed-spec one:
 
 * :class:`HeuristicPlanner` (``"heuristic"``) — ranks a candidate space
   with closed-form :class:`~repro.machine.cost.CostModel` estimates
@@ -82,7 +80,6 @@ __all__ = [
     "default_candidates",
     "planner_reorderings",
     "planner_kernels",
-    "planner_backends",
     "replace_candidate",
     "executed_candidate",
     "prepare_candidate",
@@ -147,51 +144,25 @@ def _cluster_kernels() -> tuple[str, ...]:
     )
 
 
-def planner_backends() -> tuple[str, ...]:
-    """Backends the planners may consider, by registry query.
-
-    Every backend registered with a ``planner_rank`` participates (in
-    rank order, ``reference`` first).  The default planner *mode* still
-    restricts the space to ``reference`` — see :class:`Planner` — so
-    this set only enters the search when the caller opts in with
-    ``backend="auto"``.
-    """
-    return tuple(c.name for c in components("backend", planned=True))
-
-
 def default_candidates(
     *,
     square: bool,
     reorderings: tuple[str, ...] | None = None,
-    kernels: tuple[str, ...] | None = None,
-    backends: tuple[str, ...] | None = None,
 ) -> list[Candidate]:
-    """The candidate space planners search, enumerated from the registry.
+    """The reference-backend candidate space, enumerated from the
+    registry.
 
     Non-square operands cannot take the graph reorderings (they need a
     square adjacency), so their space reduces to clustering choices on
     the natural order.  Clusterings tagged ``embeds_reordering``
     (hierarchical, paper §3.4) are paired only with the natural order —
     their cluster formation *is* a reordering.
-
-    ``kernels`` pins the kernel axis to a subset of the planned kernels
-    (``None`` keeps the full registry-enumerated space); ``backends``
-    extends the space along the execution-backend axis: each base
-    candidate is additionally emitted per listed non-reference backend
-    that supports its kernel, as what that backend executes
-    (:func:`executed_candidate`: reordering pairs on ``scipy``).
-    ``None`` (the default) keeps the historical reference-only space,
-    preserving the engine's bitwise contract unless the caller opts in.
     """
     if reorderings is None:
         reorderings = planner_reorderings()
     clusterings = components("clustering")
-    row_kernels = planner_kernels()
+    kernels = planner_kernels()
     cluster_kernels = _cluster_kernels()
-    if kernels is not None:
-        row_kernels = tuple(k for k in row_kernels if k in kernels)
-        cluster_kernels = tuple(k for k in cluster_kernels if k in kernels)
-    kernels = row_kernels
     cands = [Candidate("original", None, k) for k in kernels]
     cands += [
         Candidate("original", c.name, ck) for c in clusterings for ck in cluster_kernels
@@ -205,17 +176,7 @@ def default_candidates(
                 if not c.embeds_reordering
                 for ck in cluster_kernels
             )
-    if backends:
-        from ..backends import backend_supports
-
-        cands += [
-            replace_candidate(c, b)
-            for b in backends
-            if b != "reference"
-            for c in cands
-            if backend_supports(b, (), c.kernel)
-        ]
-    return _executed_space(cands)
+    return cands
 
 
 def replace_candidate(cand: Candidate, backend: str, params: tuple = ()) -> Candidate:
@@ -435,9 +396,6 @@ def _estimate_candidate_costs(
                 + cost.stream_byte * (padded * 8 + nnz_a * 4)
                 + cost.gamma_brow * visits
             )
-        # Kernel implementation hint: same dataflow, faster numeric
-        # phase (hybrid's per-bin dispatch); 1.0 for rowwise/cluster.
-        t *= k_info.model_speed_factor
         # Backend axis: same dataflow, faster implementation (1.0 for
         # reference).
         t *= _backend_factor(cand.backend)
@@ -460,7 +418,6 @@ class Planner:
         machine: SimulatedMachine | None = None,
         seed: int = 0,
         reorderings: tuple[str, ...] | None = None,
-        kernels: tuple[str, ...] | None = None,
         backend: "str | tuple | None" = None,
         tracer=None,
     ) -> None:
@@ -471,34 +428,24 @@ class Planner:
         self.machine = machine or machine_for(self.cfg)
         self.seed = int(seed)
         self.reorderings = planner_reorderings() if reorderings is None else tuple(reorderings)
-        #: ``None`` → full registry-enumerated kernel space; a tuple
-        #: pins the planner to that subset (mirrors ``reorderings``).
-        self.kernels = None if kernels is None else tuple(kernels)
         #: Observability hook (DESIGN.md §12): an enabled tracer wraps
         #: :meth:`plan` in a ``planner.plan`` span and every candidate
         #: measurement in a ``planner.trial`` span.
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        # Backend mode (DESIGN.md §10): None → reference only (the
-        # bitwise default), "auto" → enumerate every planner-ranked
-        # backend, anything else → pin that backend for every candidate.
-        if backend is None or backend == "reference":
-            self._backend_mode, self._pinned = "reference", ("reference", ())
-        elif backend == "auto":
-            self._backend_mode, self._pinned = "auto", ("reference", ())
-        else:
-            from ..backends import parse_backend
+        # The backend every candidate targets (DESIGN.md §10): None →
+        # reference (the bitwise default), anything else is parsed
+        # ("auto" resolves to scipy there).
+        from ..backends import parse_backend
 
-            self._backend_mode, self._pinned = "pinned", parse_backend(backend)
+        self._backend = ("reference", ()) if backend is None else parse_backend(backend)
         self._winner_prep: PreparedOperand | None = None  # see take_prepared()
 
     @property
     def backend_token(self) -> str:
-        """Cache-key component naming the backend search setting, so a
-        plan tuned under one backend policy is never served to another
+        """Cache-key component naming the backend the planner targets,
+        so a plan tuned for one backend is never served to another
         (e.g. a ``scipy`` plan to a reference-only engine)."""
-        if self._backend_mode == "auto":
-            return "auto"
-        name, params = self._pinned
+        name, params = self._backend
         if not params:
             return name
         return name + ":" + ",".join(f"{k}={v}" for k, v in params)
@@ -506,8 +453,7 @@ class Planner:
     @property
     def cache_token(self) -> str:
         """Discriminates plan-cache entries across planner settings."""
-        kernel_token = "" if self.kernels is None else ":k=" + ",".join(self.kernels)
-        return f"{self.name}:{','.join(self.reorderings)}{kernel_token}:b={self.backend_token}"
+        return f"{self.name}:{','.join(self.reorderings)}:b={self.backend_token}"
 
     def take_prepared(self) -> PreparedOperand | None:
         """Hand over the winning candidate's materialised operand.
@@ -520,20 +466,12 @@ class Planner:
 
     # -- shared machinery ------------------------------------------------
     def _candidates(self, A: CSRMatrix) -> list[Candidate]:
-        square = A.nrows == A.ncols
-        if self._backend_mode == "auto":
-            return default_candidates(
-                square=square,
-                reorderings=self.reorderings,
-                kernels=self.kernels,
-                backends=planner_backends(),
-            )
-        cands = default_candidates(square=square, reorderings=self.reorderings, kernels=self.kernels)
-        name, params = self._pinned
+        cands = default_candidates(square=A.nrows == A.ncols, reorderings=self.reorderings)
+        name, params = self._backend
         if name == "reference":
             return cands
-        # Pinned non-reference backend: every candidate targets it, and
-        # kernels it cannot execute leave the space entirely.
+        # Every candidate targets the planner's backend, and kernels it
+        # cannot execute leave the space entirely.
         from ..backends import backend_supports
 
         cands = _executed_space(
@@ -598,9 +536,7 @@ class Planner:
             t = self.machine.run_clusterwise(prep.Ac, B).time
         else:
             t = self.machine.run_rowwise(prep.Ar, B).time
-        # The kernel's model_speed_factor mirrors the backend one: same
-        # simulated dataflow, faster numeric phase.
-        predicted = t * k_info.model_speed_factor * _backend_factor(cand.backend)
+        predicted = t * _backend_factor(cand.backend)
         return predicted, prep, 0.0 if reused else predicted
 
     def _baseline(self, A: CSRMatrix, B: CSRMatrix) -> float:
@@ -610,32 +546,19 @@ class Planner:
         """Re-target a policy-chosen candidate along the backend axis.
 
         Used by policies that pick a candidate outside
-        :meth:`_candidates` (the predictor).  Pinned mode applies the
-        pinned backend (a pin that cannot execute the chosen kernel is a
-        configuration error); ``auto`` mode picks the planner-ranked
-        backend with the best ``model_speed_factor`` hint that supports
-        the kernel: same dataflow, so the factor alone orders the
-        choices (``reference`` wins ties via its rank).  Either way the
-        result is what that backend executes (:func:`executed_candidate`).
+        :meth:`_candidates` (the predictor).  The result is what the
+        planner's backend executes (:func:`executed_candidate`); a
+        backend that cannot execute the chosen kernel is a configuration
+        error.
         """
         from ..backends import backend_supports
 
-        if self._backend_mode == "auto":
-            choices = [
-                c
-                for c in components("backend", planned=True)
-                if backend_supports(c.name, (), cand.kernel)
-            ]
-            best = min(choices, key=lambda c: (c.model_speed_factor, c.planner_rank))
-            if best.name != "reference":
-                return executed_candidate(replace_candidate(cand, best.name))
+        name, params = self._backend
+        if name == "reference":
             return cand
-        if self._backend_mode != "pinned":
-            return cand
-        name, params = self._pinned
         if not backend_supports(name, params, cand.kernel):
             raise ValueError(
-                f"pinned backend {name!r} does not support the chosen kernel {cand.kernel!r}"
+                f"backend {name!r} does not support the chosen kernel {cand.kernel!r}"
             )
         return executed_candidate(replace_candidate(cand, name, params))
 
@@ -650,16 +573,12 @@ class Planner:
         baseline: float,
         planning: float,
     ) -> ExecutionPlan:
-        # Kernels with a binned dispatch record their ladder so cached
-        # plans replay the exact same per-bin execution.
-        k_info = get_component("kernel", cand.kernel)
         return ExecutionPlan(
             reordering=cand.reordering,
             clustering=cand.clustering,
             kernel=cand.kernel,
             backend=cand.backend,
             backend_params=cand.backend_params,
-            bin_map=getattr(k_info.factory, "default_bin_map", ()),
             policy=self.name,
             workload=workload,
             fingerprint_key=fp.key,
@@ -732,9 +651,8 @@ class PredictorPlanner(Planner):
     can be supplied; otherwise a small built-in corpus of synthetic
     matrices is swept once (per config) and cached in-process.  The
     predictor models the (reordering, clustering, kernel) triple only;
-    the backend axis is applied afterwards via
-    :meth:`Planner._apply_backend` (pinned backend, or the best-ranked
-    supporting backend under ``backend="auto"``).
+    the planner's backend is applied afterwards via
+    :meth:`Planner._apply_backend`.
     """
 
     name = "predictor"
@@ -804,11 +722,11 @@ class AutotunePlanner(Planner):
         # The reference baseline is always a contender (never tune *into*
         # a slowdown blindly) — its measurement is the baseline
         # simulation the base class already ran, so it costs no extra
-        # trial.  A *pinned* non-reference backend is the user's explicit
-        # choice, so the reference baseline leaves the contest (the best
-        # measured pinned candidate wins).
+        # trial.  A non-reference backend is the user's explicit choice,
+        # so the reference baseline leaves the contest (the best measured
+        # candidate on that backend wins).
         baseline_cand = Candidate("original", None, "rowwise")
-        baseline_contends = self._backend_mode != "pinned"
+        baseline_contends = self._backend[0] == "reference"
         measured = [
             (cand, *self._measure(A, B, cand, baseline))
             for cand in trial_cands
@@ -868,7 +786,7 @@ class PipelinePlanner(Planner):
         cand = Candidate(
             spec.reordering, spec.clustering, spec.kernel, spec.backend, spec.backend_params
         )
-        predicted = res.time * spec.kernel_info.model_speed_factor * _backend_factor(spec.backend)
+        predicted = res.time * _backend_factor(spec.backend)
         return cand, predicted, prep, predicted
 
     def _assemble(self, cand, prep, fp, workload, *, predicted, baseline, planning):

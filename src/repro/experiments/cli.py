@@ -157,8 +157,8 @@ def engine_demo(args) -> str:
     ``--pipeline`` pins an explicit declarative spec (e.g.
     ``rcm+fixed:8+cluster``, or ``rcm@scipy`` for the native backend,
     which reads only the reordering) instead of searching with
-    ``--policy``; ``--backend`` pins (or, with ``auto``, opens up) the
-    execution backend the planner may choose.
+    ``--policy``; ``--backend`` pins the execution backend every plan
+    targets (``auto`` is an alias of ``scipy``).
 
     Observability flags (DESIGN.md §12): ``--replay N`` runs a seeded
     synthetic trace of N requests through the engine instead of the
@@ -374,8 +374,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="BACKEND",
         help="execution backend for the engine command: a registered backend name "
-        "(reference, scipy, vectorized) or 'auto' "
-        "to let the planner choose (default: reference, the bitwise oracle)",
+        "(reference, scipy, vectorized); 'auto' is an alias of scipy "
+        "(default: reference, the bitwise oracle)",
     )
     parser.add_argument(
         "--replay",

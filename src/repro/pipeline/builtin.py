@@ -13,9 +13,8 @@ registries to the unified one.
   from :data:`PARAM_EXTRAS`.
 * **Kernels** are :class:`~repro.pipeline.registry.KernelBackend`
   wrappers over :func:`~repro.core.spgemm.spgemm_rowwise`,
-  :func:`~repro.core.cluster_spgemm.cluster_spgemm`,
-  :func:`~repro.core.tiled_spgemm.tiled_spgemm` and
-  :func:`~repro.core.hybrid_spgemm.hybrid_spgemm`.  Each returns the
+  :func:`~repro.core.cluster_spgemm.cluster_spgemm` and
+  :func:`~repro.core.tiled_spgemm.tiled_spgemm`.  Each returns the
   product in the *operand's* row order and preserves per-row summation
   order, so any pipeline stays bitwise-identical to the row-wise
   reference after the final inverse gather.
@@ -23,8 +22,8 @@ registries to the unified one.
   (:func:`~repro.backends.register_builtin_backends`): each
   :class:`~repro.backends.base.ExecutionBackend` class registers as a
   ``kind="backend"`` component with its capability tags (supported
-  kernels, bitwise flag, planner rank), making backends
-  spec-addressable (``…@scipy``) and planner-visible.
+  kernels, bitwise flag, speed hint), making backends
+  spec-addressable (``…@scipy``).
 
 Both source registries are re-synced lazily on every registry query, so
 an algorithm registered at runtime is immediately addressable in specs
@@ -51,11 +50,9 @@ PARAM_EXTRAS: dict[str, dict[str, Any]] = {
     "accumulator": {"aliases": ("acc",), "config_attr": None},
 }
 
-# Threaded separately by their owning layers, not spec-addressable:
-# ``seed`` for plan determinism, ``bin_map`` via ExecutionPlan.bin_map
-# (structured, not a scalar), ``stats`` injected by the reference
-# backend when tracing.
-_SKIP_PARAMS = {"seed", "bin_map", "stats"}
+# Threaded separately by every caller for plan determinism, not
+# spec-addressable.
+_SKIP_PARAMS = {"seed"}
 
 
 def _introspect_params(fn: Callable[..., Any]) -> tuple[ParamSpec, ...]:
@@ -113,24 +110,6 @@ def tiled_kernel(operand, B, *, tile_cols: int = 256):
     from ..core.tiled_spgemm import tiled_spgemm
 
     return tiled_spgemm(operand.Ar, B, tile_cols=tile_cols)  # repro: allow[RA001] registry kernel wrapper: this IS the callable backends.execute dispatches
-
-
-def hybrid_kernel(operand, B, *, bin_map=None, stats=None):
-    """Row-binned hybrid SpGEMM: per-bin accumulator dispatch (DESIGN.md §15)."""
-    from ..core.hybrid_spgemm import hybrid_spgemm
-
-    return hybrid_spgemm(operand.Ar, B, bin_map=bin_map, stats=stats)  # repro: allow[RA001] registry kernel wrapper: this IS the callable backends.execute dispatches
-
-
-# Capability markers read by the plan/engine/backends layers: the plan
-# records and replays a ``bin_map`` for kernels that accept one, and the
-# reference backend collects per-bin counters when tracing is on.
-from ..core.hybrid_spgemm import DEFAULT_BIN_MAP as _HYBRID_DEFAULT_BIN_MAP
-from ..core.hybrid_spgemm import HybridStats as _HybridStats
-
-hybrid_kernel.accepts_bin_map = True
-hybrid_kernel.default_bin_map = _HYBRID_DEFAULT_BIN_MAP
-hybrid_kernel.make_stats = _HybridStats
 
 
 # ----------------------------------------------------------------------
@@ -207,9 +186,7 @@ def register_builtin() -> None:
 
     # ``planner_rank`` puts a kernel in the planners' default candidate
     # space (rank order; ``rowwise`` first, so exact cost ties keep the
-    # historical choice); ``model_speed_factor`` is the same ranking
-    # hint backends carry — hybrid's binned numeric phase runs the same
-    # dataflow faster than the uniform row-wise loop.
+    # historical choice).
     register_component(
         ComponentInfo(
             name="rowwise",
@@ -238,17 +215,6 @@ def register_builtin() -> None:
             factory=tiled_kernel,
             params=_introspect_params(tiled_kernel),
             description="column-tiled SpGEMM (paper §5 alternative dataflow)",
-        )
-    )
-    register_component(
-        ComponentInfo(
-            name="hybrid",
-            kind="kernel",
-            factory=hybrid_kernel,
-            params=_introspect_params(hybrid_kernel),
-            planner_rank=2,
-            model_speed_factor=0.85,
-            description="row-binned hybrid SpGEMM: per-bin accumulator dispatch (DESIGN.md §15)",
         )
     )
     # Execution backends register after the kernels they support.

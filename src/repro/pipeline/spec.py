@@ -286,14 +286,14 @@ class PipelineSpec:
         """Copy with a different execution backend.
 
         ``name`` may carry spec-style parameters
-        (``"name:param=value"``) when no keyword parameters are given.
+        (``"name:param=value"``) when no keyword parameters are given;
+        it is resolved by :func:`~repro.backends.parse_backend`, so
+        ``"auto"`` pins ``scipy``.
         """
-        if ":" in name and not params:
-            from ..backends import parse_backend
+        from ..backends import parse_backend
 
-            name, parsed = parse_backend(name)
-            return replace(self, backend=name, backend_params=parsed)
-        return replace(self, backend=name, backend_params=tuple(params.items()))
+        name, parsed = parse_backend((name, params) if params else name)
+        return replace(self, backend=name, backend_params=parsed)
 
     # ------------------------------------------------------------------
     # Build & run
@@ -432,11 +432,6 @@ class PipelineSpec:
                 params.append((name, float(value) if isinstance(value, (int, float)) else value))
         for name, value in self.reordering_params:
             params.append((name, float(value) if isinstance(value, (int, float)) else value))
-        # Kernels with a binned dispatch (hybrid) record their ladder so
-        # the plan replays the exact same per-bin execution.
-        default_bin_map = getattr(self.kernel_info.factory, "default_bin_map", None)
-        if default_bin_map is not None:
-            overrides.setdefault("bin_map", default_bin_map)
         return ExecutionPlan(
             reordering=self.reordering,
             clustering=self.clustering,

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import get_backend
+from conftest import assert_bitwise_equal, square_csr
+from repro.backends import get_backend, vectorized
 from repro.core import CSRMatrix, spgemm_rowwise
 from repro.core.cluster_spgemm import cluster_spgemm
 from repro.matrices import generators as G
@@ -41,7 +42,7 @@ def test_backend_axis_enumerates_every_compatible_pair():
     by_backend = {}
     for s in ALL_PAIRS:
         by_backend.setdefault(s.backend, set()).add(s.kernel)
-    assert by_backend["vectorized"] == {"cluster", "rowwise", "hybrid"}
+    assert by_backend["vectorized"] == {"cluster", "rowwise"}
     assert by_backend["scipy"] == by_backend["reference"]  # scipy accepts every kernel
 
 
@@ -79,3 +80,37 @@ def test_vectorized_numeric_phase_is_bitwise_on_random_clusterings(n, density, s
     got = vectorized_cluster_spgemm(Ac, A, restore_order=True)
     assert got.same_pattern(want)
     assert np.array_equal(got.values, want.values)
+
+
+@given(square_csr())
+@settings(max_examples=30, deadline=None)
+def test_vectorized_rowwise_bitwise_identical(A):
+    assert_bitwise_equal(vectorized.vectorized_rowwise_spgemm(A, A), spgemm_rowwise(A, A))
+
+
+def _wide_B_operands():
+    rng = np.random.default_rng(3)
+    n, m = 20, 1 << 19
+    A = CSRMatrix.from_dense(np.where(rng.random((n, n)) < 0.3, rng.standard_normal((n, n)), 0.0))
+    cols = np.sort(rng.choice(m, size=(n, 6), replace=False), axis=1)
+    B = CSRMatrix(
+        np.arange(0, 6 * n + 1, 6, dtype=np.int64),
+        cols.ravel().astype(np.int64),
+        rng.standard_normal(6 * n),
+        (n, m),
+    )
+    return A, B
+
+
+@pytest.mark.parametrize("rows_per_panel", [1, 7, pytest.param(None, id="wide_B")])
+def test_vectorized_rowwise_is_bitwise_for_any_panel_height(rows_per_panel, monkeypatch):
+    # Every case takes several panels, the last one short: a forced
+    # panel height on a square operand, or the real budget against a B
+    # with 2**19 columns (8 rows per panel, so 20 rows take three).
+    if rows_per_panel is None:
+        A, B = _wide_B_operands()
+        assert -(-A.nrows // (vectorized._PANEL_ENTRIES // B.ncols)) == 3
+    else:
+        A = B = MATRICES["powerlaw"]
+        monkeypatch.setattr(vectorized, "_PANEL_ENTRIES", rows_per_panel * A.ncols)
+    assert_bitwise_equal(vectorized.vectorized_rowwise_spgemm(A, B), spgemm_rowwise(A, B))

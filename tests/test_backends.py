@@ -35,11 +35,12 @@ def test_builtin_backends_registered_with_capabilities():
     ref = get_component("backend", "reference")
     assert ref.bitwise_reference and ref.supported_kernels is None
     vec = get_component("backend", "vectorized")
-    assert vec.bitwise_reference and vec.supported_kernels == ("cluster", "rowwise", "hybrid")
-    # Every built-in backend is planner-ranked and takes no parameters.
+    assert vec.bitwise_reference and vec.supported_kernels == ("cluster", "rowwise")
+    # No built-in backend takes parameters, and none is a planned
+    # candidate: a planner targets the one backend it is given.
     for name in names:
         info = get_component("backend", name)
-        assert info.planner_rank is not None and info.params == (), name
+        assert info.planner_rank is None and info.params == (), name
 
 
 def test_scipy_backend_registered_when_scipy_importable():
@@ -48,7 +49,6 @@ def test_scipy_backend_registered_when_scipy_importable():
     info = get_component("backend", "scipy")
     assert not info.bitwise_reference  # allclose + identical pattern only
     assert info.model_speed_factor < 1.0
-    assert info.planner_rank is not None
 
 
 def test_get_backend_memoises_per_canonical_params():
@@ -82,7 +82,7 @@ def test_describe_lists_backends():
     assert "backends:" in text
     backend_lines = text.split("backends:")[1].splitlines()[1:]
     assert [line.split()[0] for line in backend_lines] == ["reference", "scipy", "vectorized"]
-    assert "kernels:cluster,rowwise,hybrid" in text
+    assert "kernels:cluster,rowwise" in text
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +212,7 @@ def test_engine_per_call_backend_override():
     plan = eng.plan_for(A, backend="vectorized")
     assert plan.backend == "vectorized" and plan.backend_params == ()
     # Pinning vectorized restricts the space to the kernels it supports.
-    assert plan.kernel in {"cluster", "rowwise", "hybrid"}
+    assert plan.kernel in {"cluster", "rowwise"}
     assert eng.stats().backend_events["vectorized_calls"] == 1
 
 
@@ -236,21 +236,39 @@ def test_engine_auto_backend_plans_and_matches_pattern():
     eng = SpGEMMEngine(policy="autotune", backend="auto")
     C = eng.multiply(A)
     plan = eng.plan_for(A)
-    # Whatever backend wins, the execution contract holds.
+    # "auto" is scipy: its execution contract holds.
     assert C.same_pattern(REF) and C.allclose(REF)
-    assert plan.backend in available_components("backend")
+    assert plan.backend == "scipy"
 
 
 def test_predictor_policy_honours_auto_backend():
-    # backend="auto" is an explicit opt-in; the predictor applies it by
-    # re-targeting its chosen triple at the best-ranked supporting
-    # backend (scipy, given its model_speed_factor), not by silently
-    # staying on reference.
+    # The predictor re-targets its chosen triple at the engine's backend
+    # ("auto" is scipy) rather than silently staying on reference.
     eng = SpGEMMEngine(policy="predictor", backend="auto")
     C = eng.multiply(A)
     plan = eng.plan_for(A)
-    assert plan.backend != "reference"
+    assert plan.backend == "scipy"
     assert C.same_pattern(REF) and C.allclose(REF)
+
+
+def test_auto_backend_pins_a_pipeline_spec_to_scipy(capsys):
+    # "auto" with a fixed pipeline pins the spec to scipy, like any other
+    # backend name: at construction, per call, and per call on a
+    # pipeline-policy engine (which re-pins its own spec).
+    from repro.experiments.cli import main
+
+    eng = SpGEMMEngine(pipeline="rcm", backend="auto")
+    assert eng.plan_for(A).backend == "scipy"
+    assert eng.planner.spec.label == "rcm+csr/rowwise@scipy"
+    C = SpGEMMEngine().multiply(A, pipeline="rcm", backend="auto")
+    assert C.same_pattern(REF) and C.allclose(REF)
+    pinned = SpGEMMEngine(pipeline="rcm")
+    C = pinned.multiply(A, backend="auto")
+    assert C.same_pattern(REF) and C.allclose(REF)
+    assert pinned.plan_for(A, backend="auto").backend == "scipy"
+    assert pinned.plan_for(A).backend == "reference"
+    rc = main(["engine", "--matrix", "pdb1", "--pipeline", "rcm", "--backend", "auto", "--iters", "1"])
+    assert rc == 0 and "plan: rcm+csr/rowwise@scipy" in capsys.readouterr().out
 
 
 def test_engine_pipeline_spec_with_backend():
@@ -385,20 +403,26 @@ def test_only_scipy_backend_imports_private_sparsetools(tmp_path):
 # Planner robustness: reference-only registries
 # ----------------------------------------------------------------------
 def test_planner_valid_with_only_reference_registered(monkeypatch):
-    from repro.engine.planner import HeuristicPlanner, planner_backends
+    from repro.engine.fingerprint import fingerprint
+    from repro.engine.planner import HeuristicPlanner
     from repro.pipeline import registry as reg
 
     only_ref = {
         k: v for k, v in reg._REGISTRY.items() if v.kind != "backend" or v.name == "reference"
     }
     monkeypatch.setattr(reg, "_REGISTRY", only_ref)
-    assert planner_backends() == ("reference",)
-    planner = HeuristicPlanner(backend="auto", seed=0)
-    from repro.engine.fingerprint import fingerprint
-
+    planner = HeuristicPlanner(seed=0)
     plan = planner.plan(A, A, fingerprint(A), "asquare")
     assert plan.backend == "reference"
     assert {c.backend for c in planner._candidates(A)} == {"reference"}
+    # "auto" is an alias of scipy, which this registry lacks: the error
+    # names the alias instead of a bare registry miss.
+    for make in (
+        lambda: HeuristicPlanner(backend="auto", seed=0),
+        lambda: PipelineSpec.parse("rcm").with_backend("auto"),
+    ):
+        with pytest.raises(ValueError, match="'auto' is an alias of 'scipy', which is not installed"):
+            make()
 
 
 # ----------------------------------------------------------------------

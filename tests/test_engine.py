@@ -206,9 +206,7 @@ def test_plan_break_even_math(gainful_matrix):
 def test_baseline_plan_never_amortizes(suite_matrix):
     # pdb1 arrives well-ordered: when the planner keeps the baseline
     # (original order, plain CSR, *row-wise* kernel) the break-even
-    # count is infinite (nothing invested to recoup a gain).  The
-    # hybrid kernel rides the same original-order prep, so it can win
-    # here with a genuine per-multiply gain — that is not the baseline.
+    # count is infinite (nothing invested to recoup a gain).
     eng = SpGEMMEngine(policy="autotune", config=SMALL_CFG)
     plan = eng.plan_for(suite_matrix)
     if plan.reordering == "original" and plan.clustering is None and plan.kernel == "rowwise":

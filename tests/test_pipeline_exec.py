@@ -3,12 +3,14 @@ registry-compatible triple runs and is bitwise-identical to row-wise
 SpGEMM), the ISSUE acceptance spec through engine and runner, and the
 CLI ``--pipeline`` path."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from conftest import assert_bitwise_equal, scrambled_blocks_matrix
 from repro import PipelineSpec, SpGEMMEngine
-from repro.core import spgemm_rowwise
+from repro.core import COOMatrix, CSRMatrix, spgemm_rowwise
 from repro.experiments import ExperimentConfig
 from repro.experiments.runner import run_pipeline
 from repro.matrices import generators as G
@@ -36,10 +38,45 @@ def small_ref(small_matrix):
 ALL_TRIPLES = enumerate_compatible(square=True)
 
 
-@pytest.mark.parametrize("spec", ALL_TRIPLES, ids=[str(s) for s in ALL_TRIPLES])
-def test_every_compatible_triple_is_bitwise_exact(spec, small_matrix, small_ref):
-    C = spec.run(small_matrix, seed=0)
-    assert_bitwise_equal(C, small_ref)
+def _one_heavy_row(n: int = 40) -> CSRMatrix:
+    """Row 0 touches every column; every other row is empty."""
+    cols = np.arange(n, dtype=np.int64)
+    return CSRMatrix.from_coo(COOMatrix(np.zeros(n, np.int64), cols, np.linspace(0.5, 2.0, n), (n, n)))
+
+
+def _rectangular_B(n: int, m: int, seed: int) -> CSRMatrix:
+    rng = np.random.default_rng(seed)
+    return CSRMatrix.from_dense(np.where(rng.random((n, m)) < 0.2, rng.standard_normal((n, m)), 0.0))
+
+
+#: ``(A, B)`` pairs (``B is None`` squares ``A``): the scrambled mesh of
+#: ``small_matrix``, the degenerate all-empty and single-ultra-heavy-row
+#: operands, and a rectangular right operand.
+TRIPLE_INPUTS = {
+    "grid": lambda: (scramble(G.grid2d(5, 5, seed=3), seed=1), None),
+    "empty_rows": lambda: (CSRMatrix.empty((6, 6)), None),
+    "heavy_row": lambda: (_one_heavy_row(), G.banded_random(40, bandwidth=3, fill=0.9, seed=1)),
+    "rectangular": lambda: (scramble(G.grid2d(5, 5, seed=3), seed=1), _rectangular_B(25, 9, seed=7)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _triple_input(name: str):
+    A, B = TRIPLE_INPUTS[name]()
+    return A, B, spgemm_rowwise(A, A if B is None else B)
+
+
+TRIPLE_CASES = [(spec, name) for name in TRIPLE_INPUTS for spec in ALL_TRIPLES]
+
+
+@pytest.mark.parametrize(
+    "spec,name",
+    TRIPLE_CASES,
+    ids=[str(spec) if name == "grid" else f"{spec}-{name}" for spec, name in TRIPLE_CASES],
+)
+def test_every_compatible_triple_is_bitwise_exact(spec, name):
+    A, B, ref = _triple_input(name)
+    assert_bitwise_equal(spec.run(A, B, seed=0), ref)
 
 
 def test_rectangular_space_excludes_square_only_components():

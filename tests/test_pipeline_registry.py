@@ -19,7 +19,7 @@ from repro.reordering import available_reorderings, get_reordering_meta
 def test_every_reordering_and_clustering_is_mirrored():
     assert available_components("reordering") == available_reorderings()
     assert available_components("clustering") == available_clusterings()
-    assert set(available_components("kernel")) == {"rowwise", "cluster", "tiled", "hybrid"}
+    assert set(available_components("kernel")) == {"rowwise", "cluster", "tiled"}
 
 
 def test_available_clusterings_symmetric_to_reorderings():

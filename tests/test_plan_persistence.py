@@ -54,6 +54,24 @@ def plan_files(root) -> list:
 # ----------------------------------------------------------------------
 _TRUNCATED = json.dumps(make_plan().to_dict(), sort_keys=True)[:40]
 
+#: Plan files as the row-binned ``hybrid`` kernel's releases wrote them:
+#: every plan carries a ``bin_map``, empty unless the kernel is hybrid.
+_BINNED_ROWWISE = (
+    b'{"accumulator": "sort", "backend": "scipy", "backend_params": [], '
+    b'"baseline_cost": 100.0, "bin_map": [], "clustering": null, '
+    b'"fingerprint_key": "k", "kernel": "rowwise", "params": [], '
+    b'"planning_cost": 5.0, "policy": "heuristic", "pre_cost": 5.0, '
+    b'"predicted_cost": 50.0, "reordering": "rcm", "seed": 0, "workload": "asquare"}'
+)
+_BINNED_HYBRID = (
+    b'{"accumulator": "sort", "backend": "reference", "backend_params": [], '
+    b'"baseline_cost": 100.0, "bin_map": [[0, "empty"], [128, "merge"], [512, "hash"], '
+    b'[2048, "dense"], [-1, "scatter"]], "clustering": null, '
+    b'"fingerprint_key": "k", "kernel": "hybrid", "params": [], '
+    b'"planning_cost": 5.0, "policy": "heuristic", "pre_cost": 5.0, '
+    b'"predicted_cost": 50.0, "reordering": "rcm", "seed": 0, "workload": "asquare"}'
+)
+
 CORRUPT = {
     "empty": b"",
     "json_list": b"[]",
@@ -61,6 +79,7 @@ CORRUPT = {
     "truncated": _TRUNCATED.encode(),
     "envelope_without_plan_fields": b'{"plan": {}, "features": null}',
     "unknown_kernel": json.dumps(dict(make_plan().to_dict(), kernel="gpu")).encode(),
+    "deleted_hybrid_kernel": _BINNED_HYBRID,
     "not_utf8": b"\xff\xfe\x00plan",
 }
 
@@ -78,6 +97,28 @@ def test_corrupt_plan_file_warns_misses_and_is_rewritten(plan_dir, content):
     fresh = PlanCache(persist=True)
     assert fresh.get("key") == plan
     assert fresh.disk_hits == 1
+
+
+def test_plan_file_with_an_empty_bin_map_loads_into_an_equal_plan(plan_dir):
+    cache = PlanCache(persist=True)
+    cache._path("key").write_bytes(_BINNED_ROWWISE)
+    want = ExecutionPlan(
+        reordering="rcm",
+        clustering=None,
+        kernel="rowwise",
+        backend="scipy",
+        policy="heuristic",
+        workload="asquare",
+        fingerprint_key="k",
+        seed=0,
+        predicted_cost=50.0,
+        baseline_cost=100.0,
+        pre_cost=5.0,
+        planning_cost=5.0,
+    )
+    assert cache.get("key") == want
+    assert cache.disk_hits == 1
+    assert "bin_map" not in want.to_dict()
 
 
 def test_failed_plan_write_keeps_previous_file_and_no_temporary(plan_dir, monkeypatch):

@@ -1,12 +1,13 @@
 """The planners' candidate space per backend: a kernel-blind backend
-(``scipy``) is searched over reorderings only, every other backend keeps
-the full kernel × clustering space, and a natural-order winner reuses
-the baseline simulation instead of running it twice."""
+(``scipy``, and ``auto``, its alias) is searched over reorderings only,
+every other backend keeps the full kernel × clustering space, and a
+natural-order winner reuses the baseline simulation instead of running
+it twice."""
 
 import pytest
 
 from repro.backends import get_backend
-from repro.engine import SpGEMMEngine
+from repro.engine import PlanCache, SpGEMMEngine
 from repro.engine.fingerprint import fingerprint
 from repro.engine.planner import (
     Candidate,
@@ -20,7 +21,7 @@ from repro.engine.planner import (
 from repro.experiments import ExperimentConfig
 from repro.matrices import generators as G
 from repro.matrices.perturb import scramble
-from repro.pipeline import components, get_component
+from repro.pipeline import components
 from repro.workloads import bc_frontiers
 
 SMALL_CFG = ExperimentConfig(n_threads=2, cache_lines=128)
@@ -52,13 +53,7 @@ def test_scipy_candidates_are_reordering_pairs(backend):
         "original",
         *planner_reorderings(),
     }
-
-
-def test_pinned_kernel_subset_keeps_the_natural_order_on_scipy():
-    # Only cluster kernels pinned: every scipy candidate still collapses
-    # to a reordering pair, and the natural order stays in the space.
-    planner = HeuristicPlanner(cfg=SMALL_CFG, backend="scipy", kernels=("cluster",))
-    _assert_reordering_pairs(planner._candidates(A))
+    assert cands == HeuristicPlanner(cfg=SMALL_CFG, backend="scipy")._candidates(A)
 
 
 def test_reference_only_space_is_unchanged():
@@ -84,9 +79,7 @@ def test_reference_only_space_is_unchanged():
 def test_kernel_honouring_backends_keep_the_full_space():
     pinned = HeuristicPlanner(cfg=SMALL_CFG, backend="vectorized")._candidates(A)
     assert any(c.clustering is not None for c in pinned)
-    assert {c.kernel for c in pinned} == {"cluster", "rowwise", "hybrid"}
-    auto = HeuristicPlanner(cfg=SMALL_CFG, backend="auto")._candidates(A)
-    assert [c for c in auto if c.backend == "reference"] == default_candidates(square=True)
+    assert {c.kernel for c in pinned} == {"cluster", "rowwise"}
 
 
 @pytest.mark.parametrize("backend", ["auto", "scipy"])
@@ -95,11 +88,28 @@ def test_predictor_candidates_are_what_scipy_executes(backend):
     for chosen in (
         Candidate("original", "hierarchical", "cluster"),
         Candidate("rcm", "variable", "cluster"),
-        Candidate("rabbit", None, "hybrid"),
+        Candidate("rabbit", None, "tiled"),
     ):
         got = planner._apply_backend(chosen)
         assert got == Candidate(chosen.reordering, None, "rowwise", "scipy")
         assert executed_candidate(got) == got
+        assert got == PredictorPlanner(cfg=SMALL_CFG, backend="scipy")._apply_backend(chosen)
+
+
+@pytest.mark.parametrize("policy", ["heuristic", "predictor", "autotune"])
+def test_auto_and_scipy_engines_share_one_plan(policy):
+    cache = PlanCache()
+    auto = SpGEMMEngine(policy=policy, backend="auto", plan_cache=cache)
+    scipy = SpGEMMEngine(policy=policy, backend="scipy", plan_cache=cache)
+    assert auto.planner.cache_token == scipy.planner.cache_token
+    assert ":b=scipy" in auto.planner.cache_token
+    label = auto.plan_for(A).label
+    assert scipy.plan_for(A).label == label and label.endswith("@scipy")
+    assert len(cache) == 1
+    assert (auto.stats().plans_built, scipy.stats().plans_built) == (1, 0)
+    # A per-call "auto" on the scipy engine addresses the same entry.
+    scipy.multiply(A, backend="auto")
+    assert scipy.stats().plan_cache_hits == 1 and len(cache) == 1
 
 
 def test_pipeline_specs_are_untouched():
@@ -137,8 +147,7 @@ def test_natural_order_winner_reuses_the_baseline_simulation(backend, monkeypatc
     plan = planner.plan(B, B, fingerprint(B), "asquare")
     assert plan.reordering == "original" and plan.clustering is None
     assert len(calls) == 1
-    k_factor = get_component("kernel", plan.kernel).model_speed_factor
-    b_factor = get_component("backend", plan.backend).model_speed_factor
-    assert plan.predicted_cost == fresh * k_factor * b_factor
+    b_factor = get_backend(plan.backend).model_speed_factor
+    assert plan.predicted_cost == fresh * b_factor
     assert plan.baseline_cost == fresh
     assert plan.planning_cost == fresh  # the one simulation, charged once

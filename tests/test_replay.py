@@ -194,10 +194,6 @@ class TestEngineStats:
         assert d["multiplies"] == 1
         assert "break_even_iterations" in d and "amortization_progress" in d
 
-    def test_as_dict_alias(self):
-        s = EngineStats()
-        assert s.as_dict() == s.to_dict()
-
 
 # ----------------------------------------------------------------------
 # CLI

@@ -5,6 +5,7 @@ Core invariants exercised on random inputs:
 * row-wise output matches the scipy oracle for every accumulator,
 * cluster-wise matches row-wise for *arbitrary* row partitions,
 * the symbolic phase agrees with the numeric pattern,
+* the per-row workload pre-pass matches a brute-force count,
 * permutation equivariance: ``(PAPᵀ)(PBQ?) = P(AB)…`` for our modes.
 """
 
@@ -15,9 +16,21 @@ from conftest import random_partition, square_csr
 from repro.core import (
     CSRCluster,
     cluster_spgemm,
+    row_workloads,
     spgemm_rowwise,
     spgemm_symbolic,
 )
+
+
+@given(square_csr())
+@settings(max_examples=30, deadline=None)
+def test_row_workloads_match_bruteforce(A):
+    flops, ub = row_workloads(A, A)
+    b_lens = np.diff(A.indptr)
+    for i in range(A.nrows):
+        expect = int(sum(b_lens[j] for j in A.row_cols(i)))
+        assert flops[i] == expect
+        assert ub[i] == min(expect, A.ncols)
 
 
 @given(square_csr(), st.sampled_from(["sort", "dense", "hash"]))

@@ -32,14 +32,27 @@ and repeat, in µs:
   counting pass, its numeric pass, its row sort, and its row gather
   (0 for an unpermuted plan).
 
-Every result of both paths is checked bitwise against raw scipy
-(``result_mismatches``).  The gate is per input, not a geomean: the
+The whole batch also runs through the backend's ``execute_many``, in
+alternated pairs, as ``multiply_many`` hands it over (medians in µs):
+
+* ``serial_batch_us`` — the serial loop (split threshold raised out of
+  reach);
+* ``split_batch_us`` — the batch at the backend's own threshold, which
+  ``split_taken`` says it reached (two threads, DESIGN.md §10), with
+  ``split_speedup`` = serial / split and the mean estimated work per
+  product, ``work_per_product``.
+
+Every result of every path is checked bitwise against raw scipy
+(``result_mismatches``).  The gates are per input, not a geomean: the
 smallest ratio of public to direct time (``summary.min_public_over_direct``)
-must stay at or above 1.0.
+must stay at or above 1.0, every input that splits must keep
+``split_speedup`` at or above 0.95 (``summary.min_split_speedup``, 1.0
+when nothing splits) and no serve member may split
+(``summary.serve_splits``).
 
 Emits ``BENCH_unhinted.json`` at the repository root (envelope of
 ``benchmarks/_common.py``).  Run directly
-(``PYTHONPATH=src python benchmarks/bench_unhinted.py``, about 20 s
+(``PYTHONPATH=src python benchmarks/bench_unhinted.py``, about 30 s
 on a 2-core host) or via pytest.
 """
 
@@ -47,6 +60,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 import time
 from itertools import cycle, islice
 from pathlib import Path
@@ -77,6 +91,10 @@ BC_GRAPHS = {
 }
 #: Timed passes over every product of an input.
 REPEATS = {"serve": 5, "bc": 3}
+#: Alternated (serial, split) pairs of whole-batch calls per input.
+BATCH_PAIRS = {"serve": 8, "bc": 6}
+#: Smallest ``split_speedup`` allowed on an input that splits.
+MIN_SPLIT_SPEEDUP = 0.95
 
 
 def serve_inputs() -> dict:
@@ -122,7 +140,24 @@ def _layers(prep, B, inv) -> dict:
     return t
 
 
-def measure(A: CSRMatrix, Bs: list, repeats: int) -> dict:
+def _batch(backend, prep, plan, Bs, *, serial: bool):
+    """One timed ``execute_many`` over the whole batch: µs, results and
+    thread count.  ``serial`` raises the split threshold out of reach."""
+    limit = scipy_backend._SPLIT_MIN_WORK
+    if serial:
+        scipy_backend._SPLIT_MIN_WORK = sys.maxsize
+    try:
+        us, (Cs, threads) = _us(
+            lambda: backend.execute_many(
+                prep, Bs, kernel=plan.kernel, kernel_params={}, ctx=ExecutionContext(), original_order=True
+            )
+        )
+    finally:
+        scipy_backend._SPLIT_MIN_WORK = limit
+    return us, Cs, threads
+
+
+def measure(A: CSRMatrix, Bs: list, repeats: int, pairs: int) -> dict:
     eng = SpGEMMEngine(backend="auto")
     plan = eng.plan_for(A, Bs[0])
     if plan.backend != "scipy":
@@ -159,6 +194,15 @@ def measure(A: CSRMatrix, Bs: list, repeats: int) -> dict:
                     samples.setdefault(k, []).append(v)
     finally:
         scipy_backend._NUMERIC_ONLY = flag
+    threads = set()
+    for rep in range(pairs):
+        for serial in (True, False) if rep % 2 == 0 else (False, True):
+            us, Cs, n = _batch(backend, prep, plan, Bs, serial=serial)
+            samples.setdefault("serial_batch_us" if serial else "split_batch_us", []).append(us)
+            mismatches += sum(not _bitwise(C, ref) for C, ref in zip(Cs, refs))
+            if not serial:
+                threads.add(n)
+            del Cs
     row = {"plan": plan.label, "products": len(Bs), "nnz_A": A.nnz}
     row["nnz_C_median"] = int(statistics.median(ref.nnz for ref in refs))
     row.update({k: statistics.median(v) for k, v in samples.items()})
@@ -167,6 +211,9 @@ def measure(A: CSRMatrix, Bs: list, repeats: int) -> dict:
         result_mismatches=mismatches,
         public_over_direct=row["public_us"] / row["direct_us"],
         raw_over_direct=row["raw_us"] / row["direct_us"],
+        split_taken=threads == {2},
+        split_speedup=row["serial_batch_us"] / row["split_batch_us"],
+        work_per_product=float(scipy_backend._work(prep.Ar, Bs).mean()),
     )
     return {k: round(v, 3) if isinstance(v, float) else v for k, v in row.items()}
 
@@ -177,12 +224,16 @@ def _geomean(xs) -> float:
 
 
 def run_bench() -> dict:
-    inputs = {f"serve/{m}": (A, Bs, REPEATS["serve"]) for m, (A, Bs) in serve_inputs().items()}
-    inputs.update({f"bc/{m}": (A, Bs, REPEATS["bc"]) for m, (A, Bs) in bc_inputs().items()})
-    rows = {name: measure(A, Bs, repeats) for name, (A, Bs, repeats) in inputs.items()}
+    inputs = {f"serve/{m}": (A, Bs, "serve") for m, (A, Bs) in serve_inputs().items()}
+    inputs.update({f"bc/{m}": (A, Bs, "bc") for m, (A, Bs) in bc_inputs().items()})
+    rows = {name: measure(A, Bs, REPEATS[kind], BATCH_PAIRS[kind]) for name, (A, Bs, kind) in inputs.items()}
+    split = [r["split_speedup"] for r in rows.values() if r["split_taken"]]
     return {
         "inputs": rows,
         "summary": {
+            "min_split_speedup": round(min(split, default=1.0), 3),
+            "serve_splits": sum(r["split_taken"] for name, r in rows.items() if name.startswith("serve/")),
+            "bc_splits": sum(r["split_taken"] for name, r in rows.items() if name.startswith("bc/")),
             "min_public_over_direct": round(min(r["public_over_direct"] for r in rows.values()), 3),
             "geomean_public_over_direct": round(_geomean(r["public_over_direct"] for r in rows.values()), 3),
             "geomean_raw_over_direct": round(_geomean(r["raw_over_direct"] for r in rows.values()), 3),
@@ -196,6 +247,8 @@ def _gates(results: dict) -> list[dict]:
     return [
         gate_metric("summary.min_public_over_direct", s["min_public_over_direct"], "higher"),
         gate_metric("summary.result_mismatches", s["result_mismatches"], "lower"),
+        gate_metric("summary.min_split_speedup", s["min_split_speedup"], "higher"),
+        gate_metric("summary.serve_splits", s["serve_splits"], "lower"),
     ]
 
 
@@ -211,6 +264,8 @@ def save_bench() -> dict:
             "trace_requests": TRACE_REQUESTS,
             "bc_graphs": sorted(BC_GRAPHS),
             "repeats": REPEATS,
+            "batch_pairs": BATCH_PAIRS,
+            "split_min_work": scipy_backend._SPLIT_MIN_WORK,
             "backend": "scipy",
         },
     )
@@ -218,12 +273,16 @@ def save_bench() -> dict:
 
 
 def test_unhinted_bench_meets_acceptance_bar():
-    """Every result of both paths is raw scipy's, every input ran the
-    direct path, and no input is slower direct than public."""
+    """Every result of every path is raw scipy's, every input ran the
+    direct path, no input is slower direct than public, no input that
+    splits loses more than 5% to the serial loop, and no serve member
+    splits."""
     results = save_bench()
     assert results["summary"]["result_mismatches"] == 0
     assert all(r["direct_products"] > 0 for r in results["inputs"].values())
     assert results["summary"]["min_public_over_direct"] >= 1.0
+    assert results["summary"]["min_split_speedup"] >= MIN_SPLIT_SPEEDUP
+    assert results["summary"]["serve_splits"] == 0
     assert OUT_PATH.exists()
 
 
@@ -237,5 +296,13 @@ if __name__ == "__main__":
             f"count {r['count_us']:.0f}  numeric {r['numeric_us']:.0f}  sort {r['sort_us']:.0f}  "
             f"gather {r['gather_us']:.0f}"
         )
+        print(
+            f"  {'':>13} batch of {r['products']}: serial {r['serial_batch_us']:.0f}  "
+            f"split {r['split_batch_us']:.0f} us (x{r['split_speedup']:.2f}, "
+            f"{'split' if r['split_taken'] else 'serial'}, work/product {r['work_per_product']:.0f})"
+        )
     s = res["summary"]
-    print(f"  min public/direct: x{s['min_public_over_direct']}  mismatches: {s['result_mismatches']}")
+    print(
+        f"  min public/direct: x{s['min_public_over_direct']}  min split speedup: x{s['min_split_speedup']}  "
+        f"serve splits: {s['serve_splits']}  mismatches: {s['result_mismatches']}"
+    )

@@ -52,7 +52,6 @@ KERNEL_FUNCTIONS = frozenset(
         "tiled_spgemm",
         "vectorized_cluster_spgemm",
         "vectorized_rowwise_spgemm",
-        "threaded_spgemm_rowwise",
     }
 )
 

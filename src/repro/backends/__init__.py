@@ -12,9 +12,10 @@ Backends are registry components (``kind="backend"``), so they share the
 parameter-schema machinery, spec addressing (``rcm+fixed:8+cluster@scipy``)
 and planner capability queries with reorderings/clusterings/kernels.
 :func:`execute` is the **single kernel-dispatch path** of the codebase —
-both
-:meth:`~repro.pipeline.spec.BuiltPipeline.execute` and
-:meth:`~repro.engine.engine.SpGEMMEngine` route through it.
+:meth:`~repro.pipeline.spec.BuiltPipeline.execute` routes through it,
+and :class:`~repro.engine.engine.SpGEMMEngine` through its batch form
+:func:`execute_many`, which hands a whole batch of products on one
+operand to the backend.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "backend_supports",
     "require_backend_supports",
     "execute",
+    "execute_many",
     "time_execution",
 ]
 
@@ -195,8 +197,9 @@ def execute(
     """Execute ``kernel`` on a prepared operand through ``backend``.
 
     This is the single execution path of the codebase: pipeline
-    ``run()``/``execute()`` and the engine both dispatch here, so a new
-    backend (or kernel) is runnable everywhere the moment it registers.
+    ``run()``/``execute()`` dispatch here and the engine through the
+    batch form :func:`execute_many`, so a new backend (or kernel) is
+    runnable everywhere the moment it registers.
     Returns the product in the *operand's* row order by default;
     ``original_order=True`` returns it in the original row order
     (``operand.inv`` applied) through
@@ -204,13 +207,7 @@ def execute(
     registry name (resolved through :func:`get_backend`; then
     ``backend_params`` applies) or an already-resolved instance.
     """
-    if isinstance(backend, ExecutionBackend):
-        be = backend
-    else:
-        be = get_backend(backend, backend_params)
-    _require_supports(be, be.name, kernel)
-    if ctx is None:
-        ctx = ExecutionContext(cfg=cfg)
+    be, ctx = _dispatch_target(backend, backend_params, kernel, cfg, ctx)
     run = be.execute_original_order if original_order else be.execute
     kernel_params = dict(kernel_params or {})
     tracer = ctx.tracer
@@ -218,6 +215,54 @@ def execute(
         with tracer.span("backend.execute", backend=be.name, kernel=kernel):
             return run(operand, B, kernel=kernel, kernel_params=kernel_params, ctx=ctx)
     return run(operand, B, kernel=kernel, kernel_params=kernel_params, ctx=ctx)
+
+
+def execute_many(
+    operand,
+    Bs,
+    *,
+    kernel: str,
+    kernel_params: Mapping[str, Any] | None = None,
+    backend: "str | ExecutionBackend" = "reference",
+    backend_params: "Iterable[tuple[str, Any]] | Mapping[str, Any]" = (),
+    cfg: Any = None,
+    ctx: ExecutionContext | None = None,
+    original_order: bool = False,
+) -> list:
+    """:func:`execute` for a batch: the products ``operand @ B`` for every
+    ``B`` in ``Bs``, in input order, through one
+    :meth:`~ExecutionBackend.execute_many` call.
+
+    The backend may run the batch's products on more than one thread
+    (``scipy`` does for large unhinted batches, DESIGN.md §10); the one
+    ``backend.execute`` span of the batch is tagged with its product and
+    thread counts.
+    """
+    be, ctx = _dispatch_target(backend, backend_params, kernel, cfg, ctx)
+    Bs = list(Bs)
+    kernel_params = dict(kernel_params or {})
+    tracer = ctx.tracer
+    if tracer is not None and tracer.enabled:
+        with tracer.span("backend.execute", backend=be.name, kernel=kernel, products=len(Bs)) as span:
+            Cs, threads = be.execute_many(
+                operand, Bs, kernel=kernel, kernel_params=kernel_params, ctx=ctx, original_order=original_order
+            )
+            span.tag(threads=threads)
+            return Cs
+    return be.execute_many(
+        operand, Bs, kernel=kernel, kernel_params=kernel_params, ctx=ctx, original_order=original_order
+    )[0]
+
+
+def _dispatch_target(backend, backend_params, kernel: str, cfg, ctx):
+    """The backend instance a dispatch runs on (after the kernel gate)
+    and its context (a fresh one when none is given)."""
+    if isinstance(backend, ExecutionBackend):
+        be = backend
+    else:
+        be = get_backend(backend, backend_params)
+    _require_supports(be, be.name, kernel)
+    return be, ExecutionContext(cfg=cfg) if ctx is None else ctx
 
 
 def time_execution(built, B, backend_ref: "str | tuple", *, reps: int = 3) -> float:

@@ -19,7 +19,11 @@ satisfy.  ``backend.execute_original_order(...)`` returns it in the
 *original* row order (``operand.inv`` applied); its default is
 ``execute`` followed by ``permute_rows(operand.inv)``, and a backend
 overrides it when it can fold the un-permute into its own output
-assembly (``scipy``).
+assembly (``scipy``).  ``backend.execute_many(operand, Bs, ...)`` runs a
+batch of products on one operand and returns them in input order, with
+the number of threads that ran them; its default loops over the two
+methods above in the calling thread, and a backend overrides it when it
+can run the batch's products side by side (``scipy``).
 
 Backends whose :attr:`~ExecutionBackend.bitwise_reference` capability is
 ``True`` reproduce the *sparsity pattern* of row-wise SpGEMM exactly
@@ -39,6 +43,7 @@ per instance (:attr:`~ExecutionBackend.supported_kernels`,
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
@@ -62,7 +67,8 @@ class ExecutionContext:
         supplying parameter defaults.
     stats:
         Counter dict (``{"scipy_calls": 3, "reference_calls": 8, ...}``);
-        use :meth:`bump`.
+        use :meth:`bump`, which is atomic: a serving engine's dispatch
+        and caller threads share one context.
     operand_tokens:
         Digest hints installed by the engine: ``id(operand) →
         "pattern:value"`` token (the same digests its plan/operand
@@ -83,9 +89,14 @@ class ExecutionContext:
     operand_tokens: dict[int, str] = field(default_factory=dict)
     tracer: Any = None
 
+    def __post_init__(self) -> None:
+        self._lock = threading.Lock()
+
     def bump(self, key: str, n: int = 1) -> None:
-        """Accumulate a named counter."""
-        self.stats[key] = self.stats.get(key, 0) + n
+        """Accumulate a named counter atomically (a read-modify-write of
+        ``stats`` drops updates under contention)."""
+        with self._lock:
+            self.stats[key] = self.stats.get(key, 0) + n
 
 
 class ExecutionBackend(ABC):
@@ -163,6 +174,24 @@ class ExecutionBackend(ABC):
         C = self.execute(operand, B, kernel=kernel, kernel_params=kernel_params, ctx=ctx)
         inv = getattr(operand, "inv", None)
         return C if inv is None else C.permute_rows(inv)
+
+    def execute_many(
+        self,
+        operand: Any,
+        Bs: list,
+        *,
+        kernel: str,
+        kernel_params: dict[str, Any],
+        ctx: ExecutionContext,
+        original_order: bool = False,
+    ) -> tuple[list, int]:
+        """Run the products ``operand @ B`` for every ``B`` in ``Bs``:
+        :meth:`execute_original_order` when ``original_order`` is set,
+        :meth:`execute` otherwise.  Returns the products in input order
+        and the number of threads that ran them (1: one after another in
+        the calling thread)."""
+        run = self.execute_original_order if original_order else self.execute
+        return [run(operand, B, kernel=kernel, kernel_params=kernel_params, ctx=ctx) for B in Bs], 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

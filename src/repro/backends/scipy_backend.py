@@ -43,6 +43,18 @@ entry points are imported and probed once, at import, against the public
 product on matrices with an exactly cancelling entry; if any fails, every
 call stays on the public ``@``.
 
+Batches (DESIGN.md §10): :meth:`ScipyBackend.execute_many` runs a batch
+of unhinted products on one operand over the same chain.  It validates
+``Ar`` and every ``B`` in the calling thread before any product starts,
+then, when the batch's mean estimated work per product (``A.nrows +
+A.nnz`` plus the product's flops) reaches :data:`_SPLIT_MIN_WORK` and the
+process may run on two cores, cuts the batch into two shares of
+near-equal work and runs one share on a second thread, started and
+joined inside the call.  scipy's passes release the GIL, so the shares
+overlap; each product is computed exactly as in series, so results are
+bitwise those of the serial loop.  Hinted products, batches of one and
+1-core hosts keep the serial loop.
+
 Symmetric A²: when the hinted B is checked (once, bitwise) to be the
 source of a permuted rows-mode operand, the recorded product is
 ``L @ L`` with ``L = P A Pᵀ`` — ``Ar`` with its columns relabelled
@@ -64,6 +76,8 @@ valid (reference-only) backend registry.
 
 from __future__ import annotations
 
+import os
+from threading import Thread
 from typing import Any, ClassVar, NamedTuple
 
 import numpy as np
@@ -103,6 +117,12 @@ _SYMMETRIC = "symmetric"
 _CHECKED = "checked"
 #: Largest product a structure is recorded for (``order`` is int32).
 _MAX_RECORDED_NNZ = np.iinfo(np.int32).max
+#: Smallest mean estimated work per product (:func:`_work`) of a batch
+#: split across two threads.  Below it a product is mostly Python run
+#: under the GIL, and a second thread only adds its start and switches:
+#: the ``serve_zipf`` members estimate at most about 48k per product, the
+#: ``bc_frontiers`` graphs 275k (``road_scr``) to 2.5M (``web_scr``).
+_SPLIT_MIN_WORK = 100_000
 
 
 class _Structure(NamedTuple):
@@ -269,6 +289,57 @@ def _direct(A, B, inv) -> CSRMatrix:
     return CSRMatrix(indptr, indices, values, shape, check=False)
 
 
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def _work(A, Bs) -> np.ndarray:
+    """Estimated work of each product ``A @ B``: ``A.nrows + A.nnz`` plus
+    its flops, ``bincount(A.indices) @ diff(B.indptr)``.  Every operand
+    must be validated."""
+    per_column = np.bincount(A.indices, minlength=A.shape[1])
+    return np.array([A.shape[0] + A.nnz + int(per_column @ np.diff(B.indptr)) for B in Bs])
+
+
+def _halves(work) -> tuple[list, list]:
+    """Two shares of a batch's products with near-equal total work: each
+    product, largest first, joins the lighter share."""
+    shares, loads = ([], []), [0, 0]
+    for i in np.argsort(-work, kind="stable").tolist():
+        lighter = int(loads[1] < loads[0])
+        shares[lighter].append(i)
+        loads[lighter] += int(work[i])
+    return shares
+
+
+def _run_shares(run, shares) -> None:
+    """``run(share)`` for each share: the first in the calling thread,
+    the others on threads started and joined here.  A thread's exception
+    is re-raised after every thread has been joined."""
+    errors = []
+
+    def worker(share):
+        try:
+            run(share)
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+
+    threads = [Thread(target=worker, args=(share,), name="repro-scipy-batch") for share in shares[1:]]
+    for t in threads:
+        t.start()
+    try:
+        run(shares[0])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
 def _probe() -> bool:
     """Whether scipy's private passes reproduce the public product
     bitwise: :func:`_count` and :func:`_square` against ``S @ S``, and
@@ -411,6 +482,53 @@ class ScipyBackend(ExecutionBackend):
         ctx: ExecutionContext,
     ) -> Any:
         return self._product(operand, B, ctx, original_order=True)
+
+    def execute_many(
+        self,
+        operand: Any,
+        Bs: list,
+        *,
+        kernel: str,
+        kernel_params: dict[str, Any],
+        ctx: ExecutionContext,
+        original_order: bool = False,
+    ) -> tuple[list, int]:
+        """The batch on :func:`_direct`'s chain, split across two threads
+        when large enough (module docstring); otherwise the serial loop."""
+        state = getattr(operand, "backend_state", None)
+        Ar, perm = operand.Ar, getattr(operand, "perm", None)
+        tokens = ctx.operand_tokens if state is not None else {}
+        if (
+            not _NUMERIC_ONLY
+            or len(Bs) < 2
+            or _cores() < 2
+            or any(id(B) in tokens or (perm is None and B is Ar) for B in Bs)
+        ):
+            return super().execute_many(
+                operand, Bs, kernel=kernel, kernel_params=kernel_params, ctx=ctx, original_order=original_order
+            )
+        # Every unhinted product, validated before any starts.
+        _check_operand(operand, state)
+        for B in Bs:
+            _check_right(Ar, B)
+        inv = getattr(operand, "inv", None) if original_order else None
+        work = _work(Ar, Bs)
+        if work.mean() >= _SPLIT_MIN_WORK:
+            shares = [share for share in _halves(work) if share]
+        else:
+            shares = [range(len(Bs))]
+        Cs = [None] * len(Bs)
+
+        def run(share):
+            for i in share:
+                Cs[i] = _direct(Ar, Bs[i], inv)
+
+        _run_shares(run, shares)
+        ctx.bump("scipy_calls", len(Bs))
+        ctx.bump("scipy_direct_products", len(Bs))
+        if len(shares) > 1:
+            ctx.bump("scipy_split_batches")
+        return Cs, len(shares)
 
     def _product(self, operand: Any, B: Any, ctx: ExecutionContext, *, original_order: bool):
         ctx.bump("scipy_calls")

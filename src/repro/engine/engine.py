@@ -22,10 +22,12 @@ needs: callers hand it matrices and get products back, while the engine
 
 Steps 1–3 are the *bind* step (``SpGEMMEngine._bind``), run once per
 public call; step 4 is the *run* step (``SpGEMMEngine._run``), run once
-per product.  :meth:`~SpGEMMEngine.multiply`,
-:meth:`~SpGEMMEngine.multiply_many` and :meth:`~SpGEMMEngine.power` are
-loops over one bound record, so a batch or a power pays for
-fingerprinting, plan lookup and kernel-parameter resolution once.
+per batch: :meth:`~SpGEMMEngine.multiply` runs a batch of one,
+:meth:`~SpGEMMEngine.multiply_many` one batch of all its products, and
+:meth:`~SpGEMMEngine.power` a batch of one per step of its chain.  So a
+batch or a power pays for fingerprinting, plan lookup and
+kernel-parameter resolution once, and the backend sees a whole batch
+(``scipy`` may run its products on two threads, DESIGN.md §10).
 
 Typical use::
 
@@ -45,7 +47,7 @@ from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 
-from ..backends import ExecutionBackend, ExecutionContext, execute as backend_execute, get_backend
+from ..backends import ExecutionBackend, ExecutionContext, execute_many as backend_execute_many, get_backend
 from ..core.csr import CSRMatrix
 from ..experiments.config import ExperimentConfig
 from ..machine import SimulatedMachine
@@ -109,16 +111,21 @@ class EngineStats:
         consistent update or snapshot."""
         return self._lock
 
-    def bump(self, **deltas) -> None:
-        """Add ``deltas`` to the named counter fields atomically."""
+    def bump(self, *, repeat: int = 1, **deltas) -> None:
+        """Add ``deltas`` to the named counter fields atomically,
+        ``repeat`` times over: a batch of ``repeat`` products ledgers the
+        same float sums as ``repeat`` single ones."""
         with self._lock:
             for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
+                total = getattr(self, name)
+                for _ in range(repeat):
+                    total += delta
+                setattr(self, name, total)
 
-    def bump_plan(self, label: str) -> None:
-        """Count one multiply against plan ``label``."""
+    def bump_plan(self, label: str, n: int = 1) -> None:
+        """Count ``n`` multiplies against plan ``label``."""
         with self._lock:
-            self.per_plan[label] = self.per_plan.get(label, 0) + 1
+            self.per_plan[label] = self.per_plan.get(label, 0) + n
 
     # ------------------------------------------------------------------
     @property
@@ -620,15 +627,16 @@ class SpGEMMEngine:
         backend = get_backend(plan.backend, plan.backend_params)
         return _Bound(plan, prep, kernel_params, fp, vdigest, backend)
 
-    def _run(self, bound: _Bound, A: CSRMatrix, B: CSRMatrix, *, reuse: bool = False) -> CSRMatrix:
-        """One product ``A @ B`` through the bound plan: execute (the
-        backend returns it in the original row order) and ledger it.
-        ``reuse`` marks a later product of a batch or power, counted as
-        a plan-cache hit plus an operand reuse — what a per-product
-        :meth:`multiply` would record.
+    def _run(self, bound: _Bound, A: CSRMatrix, Bs: list, *, reuse: bool = False) -> list[CSRMatrix]:
+        """The products ``A @ B`` for every ``B`` in ``Bs`` through the
+        bound plan: execute them as one batch (the backend returns them
+        in the original row order) and ledger them.  Every product after
+        the first — and the first too when ``reuse`` marks a later step
+        of a power — is counted as a plan-cache hit plus an operand
+        reuse: what per-product :meth:`multiply` calls would record.
 
-        Dispatch goes through :func:`repro.backends.execute` — the one
-        kernel-execution path, shared with
+        Dispatch goes through :func:`repro.backends.execute_many` — the
+        batch form of the one kernel-execution path, shared with
         :meth:`~repro.pipeline.spec.BuiltPipeline.execute` — so a newly
         registered kernel or backend is executable here with no engine
         edit.
@@ -638,13 +646,13 @@ class SpGEMMEngine:
         # Digest reuse (DESIGN.md §10): every A² product is hinted with
         # the pattern/value digests the plan and operand caches already
         # computed — scipy keys its recorded product structure by them.
-        hinted = B is A
+        hinted = any(B is A for B in Bs)
         if hinted:
-            ctx.operand_tokens[id(B)] = f"{bound.fp.pattern_digest[:20]}:{bound.vdigest[:20]}"
+            ctx.operand_tokens[id(A)] = f"{bound.fp.pattern_digest[:20]}:{bound.vdigest[:20]}"
         try:
-            C = backend_execute(
+            Cs = backend_execute_many(
                 prep,
-                B,
+                Bs,
                 kernel=plan.kernel,
                 kernel_params=bound.kernel_params,
                 backend=bound.backend,
@@ -654,17 +662,19 @@ class SpGEMMEngine:
             )
         finally:
             if hinted:
-                ctx.operand_tokens.pop(id(B), None)
+                ctx.operand_tokens.pop(id(A), None)
+        n, reused = len(Bs), len(Bs) - 1 + int(reuse)
         self._stats.bump(
             execute_seconds=time.perf_counter() - t0,
-            multiplies=1,
-            model_executed_cost=plan.predicted_cost,
-            model_baseline_cost=plan.baseline_cost,
-            plan_cache_hits=int(reuse),
-            operands_reused=int(reuse),
+            multiplies=n,
+            plan_cache_hits=reused,
+            operands_reused=reused,
         )
-        self._stats.bump_plan(plan.label)
-        return C
+        self._stats.bump(
+            repeat=n, model_executed_cost=plan.predicted_cost, model_baseline_cost=plan.baseline_cost
+        )
+        self._stats.bump_plan(plan.label, n)
+        return Cs
 
     def multiply(
         self,
@@ -692,7 +702,7 @@ class SpGEMMEngine:
         workload = workload or self._infer_workload(A, B)
         with self._span("engine.multiply", A) as sp:
             bound = self._bind(A, Bx, workload, pipeline, backend, sp)
-            return self._run(bound, A, Bx)
+            return self._run(bound, A, [Bx])[0]
 
     def multiply_many(
         self,
@@ -712,7 +722,9 @@ class SpGEMMEngine:
         operand reuse) in the ledger, matching what per-call
         :meth:`multiply` would have recorded.  Every ``B`` is
         dimension-checked before any work, so a rejected batch leaves
-        the ledger untouched.
+        the ledger untouched.  The products run as one backend batch
+        (``scipy`` may split it across two threads); a ``B`` the
+        backend rejects raises before any product is ledgered.
         """
         Bs = list(Bs)
         for B in Bs:
@@ -722,7 +734,7 @@ class SpGEMMEngine:
         workload = workload or self._infer_workload(A, Bs[0])
         with self._span("engine.multiply_many", A, batch=len(Bs)) as sp:
             bound = self._bind(A, Bs[0], workload, pipeline, backend, sp)
-            return [self._run(bound, A, B, reuse=i > 0) for i, B in enumerate(Bs)]
+            return self._run(bound, A, Bs)
 
     def power(self, A: CSRMatrix, exponent: int) -> CSRMatrix:
         """``A**exponent`` by repeated left-multiplication with ``A``.
@@ -740,7 +752,7 @@ class SpGEMMEngine:
             if exponent > 1:
                 bound = self._bind(A, A, "asquare", None, None, sp)
                 for i in range(exponent - 1):
-                    C = self._run(bound, A, C, reuse=i > 0)
+                    C = self._run(bound, A, [C], reuse=i > 0)[0]
         return C
 
     # ------------------------------------------------------------------

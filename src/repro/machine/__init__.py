@@ -10,7 +10,6 @@ from .parallel import (
     SimulatedMachine,
     amortization_iterations,
     balanced_contiguous_partition,
-    threaded_spgemm_rowwise,
 )
 from .trace import b_row_sequence_trace, clusterwise_b_trace, rowwise_b_trace
 
@@ -27,7 +26,6 @@ __all__ = [
     "SimulatedMachine",
     "amortization_iterations",
     "balanced_contiguous_partition",
-    "threaded_spgemm_rowwise",
     "b_row_sequence_trace",
     "clusterwise_b_trace",
     "rowwise_b_trace",

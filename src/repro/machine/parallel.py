@@ -1,4 +1,4 @@
-"""Simulated shared-memory parallel machine + real threaded execution.
+"""Simulated shared-memory parallel machine.
 
 The paper runs on 64 OpenMP threads with per-core private caches.  The
 :class:`SimulatedMachine` reproduces that setting deterministically:
@@ -10,22 +10,16 @@ The paper runs on 64 OpenMP threads with per-core private caches.  The
   trace;
 * the machine's time is the *makespan* (max thread time) under the cost
   model, matching how wall-clock behaves for a parallel-for.
-
-A real ``ThreadPoolExecutor`` execution path is also provided so the
-pytest-benchmark harness can measure genuine wall-clock of the kernels.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.cluster_spgemm import padded_flops
-from ..core.csr import CSRMatrix, _concat_ranges
+from ..core.csr import CSRMatrix
 from ..core.csr_cluster import CSRCluster
-from ..core.spgemm import spgemm_rowwise
 from .cache import CacheStats, LRUCache
 from .cost import CostModel, KernelCost
 from .layout import BLayout, ENTRY_BYTES
@@ -35,7 +29,6 @@ __all__ = [
     "MachineResult",
     "SimulatedMachine",
     "balanced_contiguous_partition",
-    "threaded_spgemm_rowwise",
     "amortization_iterations",
 ]
 
@@ -222,39 +215,3 @@ def amortization_iterations(pre_time: float, baseline_time: float, optimized_tim
     if gain <= 0:
         return float("inf")
     return pre_time / gain
-
-
-# ----------------------------------------------------------------------
-# Real threaded execution (wall-clock benches)
-# ----------------------------------------------------------------------
-def threaded_spgemm_rowwise(A: CSRMatrix, B: CSRMatrix, *, n_threads: int = 2) -> CSRMatrix:
-    """Row-wise SpGEMM with rows processed by a thread pool.
-
-    Semantically identical to :func:`repro.core.spgemm.spgemm_rowwise`;
-    used by the wall-clock benchmark harness.  Thread chunks are balanced
-    by flops like the simulated machine.
-    """
-    b_lens = np.diff(B.indptr)
-    row_flops = np.zeros(A.nrows, dtype=np.int64)
-    if A.nnz:
-        row_of = np.repeat(np.arange(A.nrows, dtype=np.int64), np.diff(A.indptr))
-        np.add.at(row_flops, row_of, b_lens[A.indices])
-    chunks = [c for c in balanced_contiguous_partition(row_flops, n_threads) if c.size]
-
-    def run_chunk(rows: np.ndarray):
-        sub = A.extract_rows(rows)
-        # repro: allow[RA001] threaded kernel implementation: the per-chunk body of the registered threaded_spgemm_rowwise kernel itself
-        return spgemm_rowwise(sub, B, two_phase=False)
-
-    if len(chunks) <= 1:
-        # repro: allow[RA001] single-chunk fall-through inside the threaded kernel's own implementation
-        return spgemm_rowwise(A, B, two_phase=False)
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(run_chunk, chunks))
-    indptr = np.zeros(A.nrows + 1, dtype=np.int64)
-    nnz_parts = [p.nnz for p in parts]
-    lens = np.concatenate([np.diff(p.indptr) for p in parts])
-    np.cumsum(lens, out=indptr[1:])
-    indices = np.concatenate([p.indices for p in parts]) if sum(nnz_parts) else np.zeros(0, np.int64)
-    values = np.concatenate([p.values for p in parts]) if sum(nnz_parts) else np.zeros(0, np.float64)
-    return CSRMatrix(indptr, indices, values, (A.nrows, B.ncols), check=False)

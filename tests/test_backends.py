@@ -167,6 +167,33 @@ def test_context_accumulates_stats_across_executions():
     assert ctx.stats["reference_calls"] == 2
 
 
+def test_context_bump_is_atomic_across_threads():
+    # A serving engine's dispatch and caller threads share one context:
+    # two threads of 200k bumps each must count 400k, not lose updates
+    # to an unlocked read-modify-write.
+    import sys
+    import threading
+
+    ctx = ExecutionContext()
+
+    def hammer():
+        for _ in range(200_000):
+            ctx.bump("scipy_calls")
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert ctx.stats == {"scipy_calls": 400_000}
+
+
 def test_vectorized_matches_cluster_kernel_bitwise():
     from repro.backends import vectorized_cluster_spgemm
     from repro.clustering import get_clustering
@@ -298,7 +325,7 @@ def test_engine_resolves_backend_once_per_call(monkeypatch, name, call):
     eng = SpGEMMEngine(policy="heuristic", backend=name)
     eng.multiply(A)  # plan and prepare outside the counted call
     lookups, dispatched = [], []
-    real_get, real_execute = engine_mod.get_backend, engine_mod.backend_execute
+    real_get, real_execute = engine_mod.get_backend, engine_mod.backend_execute_many
 
     def counting_get(*args, **kwargs):
         lookups.append(args)
@@ -309,7 +336,7 @@ def test_engine_resolves_backend_once_per_call(monkeypatch, name, call):
         return real_execute(*args, backend=backend, **kwargs)
 
     monkeypatch.setattr(engine_mod, "get_backend", counting_get)
-    monkeypatch.setattr(engine_mod, "backend_execute", recording_execute)
+    monkeypatch.setattr(engine_mod, "backend_execute_many", recording_execute)
     Bs = [G.web_graph(220, seed=s) for s in (20, 21, 22)]
     if call == "multiply":
         outs, wants = [eng.multiply(A)], [REF]
@@ -319,7 +346,9 @@ def test_engine_resolves_backend_once_per_call(monkeypatch, name, call):
         A3 = spgemm_rowwise(A, REF)
         outs, wants = [eng.power(A, 4)], [spgemm_rowwise(A, A3)]
     assert lookups == [(name, ())]
-    assert len(dispatched) == {"multiply": 1, "multiply_many": 3, "power": 3}[call]
+    # One dispatch per batch: multiply_many hands over all its products
+    # at once, power one per step of its chain.
+    assert len(dispatched) == {"multiply": 1, "multiply_many": 1, "power": 3}[call]
     assert all(be is real_get(name) for be in dispatched)
     for C, want in zip(outs, wants):
         assert C.same_pattern(want) and C.allclose(want)

@@ -1,16 +1,15 @@
-"""Simulated machine, cost model and threaded execution tests."""
+"""Simulated machine and cost model tests."""
 
 import numpy as np
 import pytest
 
-from repro.core import CSRCluster, CSRMatrix, spgemm_rowwise
+from repro.core import CSRCluster
 from repro.machine import (
     CacheStats,
     CostModel,
     SimulatedMachine,
     amortization_iterations,
     balanced_contiguous_partition,
-    threaded_spgemm_rowwise,
 )
 
 from conftest import random_csr
@@ -121,14 +120,3 @@ class TestAmortization:
     def test_no_gain_is_inf(self):
         assert amortization_iterations(100.0, 10.0, 10.0) == float("inf")
         assert amortization_iterations(100.0, 10.0, 12.0) == float("inf")
-
-
-class TestThreadedExecution:
-    def test_matches_serial(self):
-        A = random_csr(60, 60, 0.1, seed=10)
-        B = random_csr(60, 40, 0.1, seed=11)
-        assert threaded_spgemm_rowwise(A, B, n_threads=3).allclose(spgemm_rowwise(A, B))
-
-    def test_single_thread_path(self):
-        A = random_csr(20, 20, 0.2, seed=12)
-        assert threaded_spgemm_rowwise(A, A, n_threads=1).allclose(spgemm_rowwise(A, A))

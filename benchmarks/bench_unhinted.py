@@ -169,7 +169,8 @@ def measure(A: CSRMatrix, Bs: list, repeats: int, pairs: int) -> dict:
     refs = [CSRMatrix.from_scipy(S @ R) for R in rights]
 
     def call(B, ctx):
-        return backend.execute_original_order(prep, B, kernel=plan.kernel, kernel_params={}, ctx=ctx)
+        Cs, _ = backend.execute_many(prep, [B], kernel=plan.kernel, kernel_params={}, ctx=ctx, original_order=True)
+        return Cs[0]
 
     ctx = ExecutionContext()
     call(Bs[0], ctx)  # warm-up: the operand's one-off validation

@@ -1,5 +1,5 @@
 """Warm A² bench — the layer split of a warm scipy ``engine.multiply(A)``
-and the public-path baseline it beats (DESIGN.md §10).
+and the plain-path baseline it beats (DESIGN.md §10).
 
 scipy's ``S @ S`` runs two C++ passes: ``csr_matmat_maxnnz`` counts the
 product's entries, ``csr_matmat`` fills them.  The scipy backend records
@@ -16,7 +16,9 @@ the median wall-clock time of:
 * ``warm_numeric_ms`` — warm ``engine.multiply(A)`` on the numeric-only
   path;
 * ``warm_public_ms`` — the same call with the numeric-only flag forced
-  off, so the product goes through the public ``@`` (the baseline).
+  off, as a failed probe leaves it: the product takes the plain path
+  (public ``@``, sort, row gather, casts) and records nothing (the
+  baseline).
 
 The two warm modes alternate call by call on one engine.  Every warm
 product is checked bitwise against raw scipy (``result_mismatches``).
@@ -77,10 +79,12 @@ def _bitwise(C: CSRMatrix, ref: CSRMatrix) -> bool:
     )
 
 
-def _recorded(state: dict):
-    """The operand's recorded A² structure and the handle it squares."""
+def _recorded(prep):
+    """The operand's recorded A² structure and the handle it squares
+    (``L`` for a permuted operand)."""
+    state = prep.backend_state
     rec = next(v for v in state.values() if isinstance(v, scipy_backend._Structure))
-    S = state[scipy_backend._SYMMETRIC if rec.symmetric else scipy_backend._HANDLE]
+    S = state[scipy_backend._HANDLE if prep.perm is None else scipy_backend._SYMMETRIC]
     return rec, S
 
 
@@ -92,8 +96,8 @@ def measure(A: CSRMatrix) -> dict:
     for _ in range(3):  # cold, recording, first numeric-only call
         eng.multiply(A)
     prep = eng.prepare(A, plan)
-    rec, S = _recorded(prep.backend_state)
-    relabel = prep.perm.astype(S.indices.dtype) if rec.symmetric else None
+    rec, S = _recorded(prep)
+    relabel = None if prep.perm is None else prep.perm.astype(S.indices.dtype)
     Cs = scipy_backend._square(S, rec.maxnnz)
 
     row = {

@@ -11,11 +11,12 @@ One :class:`ExecutionBackend` contract, three built-in backends behind it:
 Backends are registry components (``kind="backend"``), so they share the
 parameter-schema machinery, spec addressing (``rcm+fixed:8+cluster@scipy``)
 and planner capability queries with reorderings/clusterings/kernels.
-:func:`execute` is the **single kernel-dispatch path** of the codebase —
-:meth:`~repro.pipeline.spec.BuiltPipeline.execute` routes through it,
-and :class:`~repro.engine.engine.SpGEMMEngine` through its batch form
-:func:`execute_many`, which hands a whole batch of products on one
-operand to the backend.
+:func:`execute_many` is the **single kernel-dispatch path** of the
+codebase: it hands a whole batch of products on one operand to the
+backend's :meth:`~ExecutionBackend.execute_many`.
+:class:`~repro.engine.engine.SpGEMMEngine` calls it directly;
+:func:`execute`, which :meth:`~repro.pipeline.spec.BuiltPipeline.execute`
+routes through, is its batch of one.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ def register_builtin_backends() -> None:
                 params=_introspect_params(cls.__init__),
                 supported_kernels=probe.supported_kernels,
                 bitwise_reference=probe.bitwise_reference,
-                model_speed_factor=cls.model_speed_factor,
                 description=cls.description,
             )
         )
@@ -116,8 +116,8 @@ def get_backend(name: str, params: "Iterable[tuple[str, Any]] | Mapping[str, Any
 
 
 #: What ``backend="auto"`` resolves to.  ``scipy`` runs every kernel and
-#: has the lowest ``model_speed_factor``, so a search over backends
-#: always picked it; ``auto`` is kept as its alias.
+#: was the fastest, so a search over backends always picked it; ``auto``
+#: is kept as its alias.
 AUTO_BACKEND = "scipy"
 
 
@@ -194,27 +194,28 @@ def execute(
     ctx: ExecutionContext | None = None,
     original_order: bool = False,
 ):
-    """Execute ``kernel`` on a prepared operand through ``backend``.
-
-    This is the single execution path of the codebase: pipeline
-    ``run()``/``execute()`` dispatch here and the engine through the
-    batch form :func:`execute_many`, so a new backend (or kernel) is
-    runnable everywhere the moment it registers.
+    """Execute ``kernel`` on a prepared operand through ``backend``: a
+    batch of one through :func:`execute_many`, the single execution path
+    of the codebase (pipeline ``run()``/``execute()`` dispatch here, the
+    engine there), so a new backend (or kernel) is runnable everywhere
+    the moment it registers.
     Returns the product in the *operand's* row order by default;
     ``original_order=True`` returns it in the original row order
-    (``operand.inv`` applied) through
-    :meth:`~ExecutionBackend.execute_original_order`.  ``backend`` is a
-    registry name (resolved through :func:`get_backend`; then
-    ``backend_params`` applies) or an already-resolved instance.
+    (``operand.inv`` applied).  ``backend`` is a registry name (resolved
+    through :func:`get_backend`; then ``backend_params`` applies) or an
+    already-resolved instance.
     """
-    be, ctx = _dispatch_target(backend, backend_params, kernel, cfg, ctx)
-    run = be.execute_original_order if original_order else be.execute
-    kernel_params = dict(kernel_params or {})
-    tracer = ctx.tracer
-    if tracer is not None and tracer.enabled:
-        with tracer.span("backend.execute", backend=be.name, kernel=kernel):
-            return run(operand, B, kernel=kernel, kernel_params=kernel_params, ctx=ctx)
-    return run(operand, B, kernel=kernel, kernel_params=kernel_params, ctx=ctx)
+    return execute_many(
+        operand,
+        [B],
+        kernel=kernel,
+        kernel_params=kernel_params,
+        backend=backend,
+        backend_params=backend_params,
+        cfg=cfg,
+        ctx=ctx,
+        original_order=original_order,
+    )[0]
 
 
 def execute_many(
@@ -229,9 +230,9 @@ def execute_many(
     ctx: ExecutionContext | None = None,
     original_order: bool = False,
 ) -> list:
-    """:func:`execute` for a batch: the products ``operand @ B`` for every
-    ``B`` in ``Bs``, in input order, through one
-    :meth:`~ExecutionBackend.execute_many` call.
+    """The products ``operand @ B`` for every ``B`` in ``Bs``, in input
+    order, through one :meth:`~ExecutionBackend.execute_many` call, after
+    the backend–kernel gate; arguments as :func:`execute`.
 
     The backend may run the batch's products on more than one thread
     (``scipy`` does for large unhinted batches, DESIGN.md §10); the one

@@ -15,15 +15,15 @@ Contract
 ``backend.execute(operand, B, kernel=..., kernel_params=..., ctx=...)``
 returns the product **in the operand's row order**, exactly like the
 :class:`~repro.pipeline.registry.KernelBackend` protocol the kernels
-satisfy.  ``backend.execute_original_order(...)`` returns it in the
-*original* row order (``operand.inv`` applied); its default is
-``execute`` followed by ``permute_rows(operand.inv)``, and a backend
-overrides it when it can fold the un-permute into its own output
-assembly (``scipy``).  ``backend.execute_many(operand, Bs, ...)`` runs a
-batch of products on one operand and returns them in input order, with
-the number of threads that ran them; its default loops over the two
-methods above in the calling thread, and a backend overrides it when it
-can run the batch's products side by side (``scipy``).
+satisfy.  ``backend.execute_many(operand, Bs, ..., original_order=)``
+runs a batch of products on one operand and returns them in input
+order, with the number of threads that ran them; ``original_order=True``
+returns each in the *original* row order (``operand.inv`` applied).  It
+is the only method the dispatchers call.  Its default loops over
+``execute`` in the calling thread and applies ``operand.inv`` itself; a
+backend overrides it when it can fold the un-permute into its own output
+assembly or run the batch's products side by side (``scipy``, whose
+``execute`` is a batch of one).
 
 Backends whose :attr:`~ExecutionBackend.bitwise_reference` capability is
 ``True`` reproduce the *sparsity pattern* of row-wise SpGEMM exactly
@@ -78,10 +78,10 @@ class ExecutionContext:
         product.
     tracer:
         Optional :class:`~repro.obs.Tracer`: when set (and enabled),
-        :func:`repro.backends.execute` wraps each dispatch in a
-        ``backend.execute`` span tagged with backend and kernel — the
-        per-backend phase timing of DESIGN.md §12.  ``None`` (default)
-        keeps dispatch span-free.
+        :func:`repro.backends.execute_many` wraps each dispatch in a
+        ``backend.execute`` span tagged with backend, kernel, product
+        and thread counts — the per-backend phase timing of DESIGN.md
+        §12.  ``None`` (default) keeps dispatch span-free.
     """
 
     cfg: Any = None
@@ -112,9 +112,6 @@ class ExecutionBackend(ABC):
 
     #: Registry name (unique across every component kind).
     name: ClassVar[str] = "base"
-    #: Multiplier planners apply to simulated times on this backend — a
-    #: relative implementation-speed hint, not a measurement.
-    model_speed_factor: ClassVar[float] = 1.0
     #: One-line summary for ``repro.pipeline.describe()``.
     description: ClassVar[str] = ""
 
@@ -160,21 +157,6 @@ class ExecutionBackend(ABC):
         canonical CSR in the operand's row order.
         """
 
-    def execute_original_order(
-        self,
-        operand: Any,
-        B: Any,
-        *,
-        kernel: str,
-        kernel_params: dict[str, Any],
-        ctx: ExecutionContext,
-    ) -> Any:
-        """Like :meth:`execute`, but the product comes back in the
-        original row order: ``operand.inv`` (when present) is applied."""
-        C = self.execute(operand, B, kernel=kernel, kernel_params=kernel_params, ctx=ctx)
-        inv = getattr(operand, "inv", None)
-        return C if inv is None else C.permute_rows(inv)
-
     def execute_many(
         self,
         operand: Any,
@@ -185,13 +167,15 @@ class ExecutionBackend(ABC):
         ctx: ExecutionContext,
         original_order: bool = False,
     ) -> tuple[list, int]:
-        """Run the products ``operand @ B`` for every ``B`` in ``Bs``:
-        :meth:`execute_original_order` when ``original_order`` is set,
-        :meth:`execute` otherwise.  Returns the products in input order
-        and the number of threads that ran them (1: one after another in
-        the calling thread)."""
-        run = self.execute_original_order if original_order else self.execute
-        return [run(operand, B, kernel=kernel, kernel_params=kernel_params, ctx=ctx) for B in Bs], 1
+        """Run the products ``operand @ B`` for every ``B`` in ``Bs``
+        through :meth:`execute`, in the original row order
+        (``operand.inv`` applied, when present) if ``original_order`` is
+        set.  Returns the products in input order and the number of
+        threads that ran them (1: one after another in the calling
+        thread)."""
+        Cs = [self.execute(operand, B, kernel=kernel, kernel_params=kernel_params, ctx=ctx) for B in Bs]
+        inv = getattr(operand, "inv", None) if original_order else None
+        return (Cs if inv is None else [C.permute_rows(inv) for C in Cs]), 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

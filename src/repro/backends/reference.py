@@ -20,7 +20,6 @@ class ReferenceBackend(ExecutionBackend):
     """Pure-python kernels via the pipeline registry (the oracle)."""
 
     name: ClassVar[str] = "reference"
-    model_speed_factor: ClassVar[float] = 1.0
     description: ClassVar[str] = "pure-python registry kernels (the bitwise correctness oracle)"
 
     @property

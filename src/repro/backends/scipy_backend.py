@@ -14,49 +14,52 @@ zeros — the same as raw ``scipy.sparse`` — and identical to it whenever
 nothing cancels.  Keeping the zeros would need a second, symbolic scipy
 product on every call.
 
-Product structure (DESIGN.md §10): for a product the engine *hints*
-(``B is A``: ``ctx.operand_tokens`` carries B's pattern:value digest),
-the backend records, on the operand's :attr:`backend_state`, where each
-entry of the canonical result sits in scipy's raw output, and scipy's
-symbolic count of the product (``maxnnz``).  Later calls skip the sort,
-the row un-permute and scipy's counting pass: one numeric pass
-(``csr_matmat`` into buffers of ``maxnnz`` entries) plus one gather of
-indices and values.
+One entry point, three paths (DESIGN.md §10).  Every product goes
+through :meth:`ScipyBackend.execute_many`, which validates the operand
+and every right operand first, then picks one path per product from what
+it can observe:
 
-Unhinted products (a general B, every product of an operand without
-``backend_state``; not ``Ar @ Ar`` of an unpermuted operand, which
-squares its handle) keep no record, so they build no scipy object:
-scipy's C++ passes run on the :class:`CSRMatrix` arrays themselves, in
-their own int64 index dtype — count, numeric pass into fresh buffers of
-that length, row sort in place, and, for the original row order of a
-permuted operand, a row gather through ``inv``.  The result is wrapped
-without a cast.  ``C`` stays canonical, so scipy's row sort stays too.
+* **direct** — an unhinted product (``ctx.operand_tokens`` has no entry
+  for ``B``).  scipy's C++ passes run on the :class:`CSRMatrix` arrays
+  themselves, in their own int64 index dtype: count, numeric pass into
+  fresh buffers of that length, row sort in place, and, for the original
+  row order of a permuted operand, a row gather through ``inv``.  The
+  result is wrapped without a cast; no scipy object is built and nothing
+  is recorded.
+* **recorded square** — a hinted product (the engine hints ``B is A``)
+  whose ``B`` is the operand's source (checked once per token, bitwise),
+  from its second sighting on.  The backend squares its own handle —
+  ``Ar`` as a scipy matrix, or ``L = P A Pᵀ`` for a permuted operand —
+  with scipy's numeric pass alone, its symbolic count (``maxnnz``) taken
+  once, and gathers the canonical product through a structure recorded
+  on the operand's :attr:`backend_state`: where each entry of the
+  canonical result sits in scipy's raw output.  No sort, no row
+  un-permute, no counting pass.
+* **plain** — everything else: the public ``@`` of the operand's handle
+  and ``B``, sorted, row-gathered and cast, with nothing recorded.  That
+  is a hinted product's first sighting (a one-off operand pays for no
+  record, and the int32 public product beats the int64 direct chain), a
+  hinted ``B`` that is not the operand's source, a square whose count
+  exceeds :data:`_MAX_RECORDED_NNZ`, and every product when the probe
+  below fails.
 
 Private passes: ``csr_matmat`` writes without bounds checks, so its
 buffers are sized by ``csr_matmat_maxnnz`` on the exact index arrays it
-is given — in the same call for an unhinted product, once per record for
-a square of one of the backend's own handles (``As @ As``, ``L @ L``) —
-and both operands are validated first: ``Ar`` once per operand, an
-unhinted ``B`` on every call, a hinted ``B`` once per token.  A hinted
-product with any other right operand stays on the public ``@``.  The
-entry points are imported and probed once, at import, against the public
-product on matrices with an exactly cancelling entry; if any fails, every
-call stays on the public ``@``.
+is given — in the same call for a direct product, once per record for a
+recorded square — and both operands are validated first: ``Ar`` once per
+operand, an unhinted ``B`` on every call, a hinted ``B`` once per token.
+The entry points are imported and probed once, at import, against the
+public product on matrices with an exactly cancelling entry.
 
-Batches (DESIGN.md §10): :meth:`ScipyBackend.execute_many` runs a batch
-of unhinted products on one operand over the same chain.  It validates
-``Ar`` and every ``B`` in the calling thread before any product starts,
-then, when the batch's mean estimated work per product (``A.nrows +
-A.nnz`` plus the product's flops) reaches :data:`_SPLIT_MIN_WORK` and the
-process may run on two cores, cuts the batch into two shares of
-near-equal work and runs one share on a second thread, started and
-joined inside the call.  scipy's passes release the GIL, so the shares
-overlap; each product is computed exactly as in series, so results are
-bitwise those of the serial loop.  Hinted products, batches of one and
-1-core hosts keep the serial loop.
+Batches: a batch of two or more direct products, on a process that may
+run on two cores, whose mean estimated work per product (``A.nrows +
+A.nnz`` plus the product's flops) reaches :data:`_SPLIT_MIN_WORK`, is cut
+into two shares of near-equal work, one run on a second thread started
+and joined inside the call.  scipy's passes release the GIL, so the
+shares overlap; each product is computed exactly as in series, so
+results are bitwise those of the serial loop.
 
-Symmetric A²: when the hinted B is checked (once, bitwise) to be the
-source of a permuted rows-mode operand, the recorded product is
+Symmetric A²: the recorded square of a permuted rows-mode operand is
 ``L @ L`` with ``L = P A Pᵀ`` — ``Ar`` with its columns relabelled
 through ``inv``, each row's entries kept in their stored order.  Row
 ``i`` of ``L @ L`` sums the same products in the same order as row
@@ -131,17 +134,13 @@ class _Structure(NamedTuple):
     ``order[k]`` is the raw-output position of canonical entry ``k``;
     ``raw_indptr`` is scipy's raw row pointer (the reuse check) and
     ``indptr`` the canonical one (int64, copied into every result).
-    ``symmetric`` records that the raw output is ``L @ L``, whose column
-    labels map back through the operand's ``perm``.  ``maxnnz`` is
-    scipy's symbolic count of the product, taken on the backend's own
-    handle; ``None`` when the product is not a square of one.
+    ``maxnnz`` is scipy's symbolic count of the squared handle.
     """
 
     order: np.ndarray  # int32, nnz(C)
     raw_indptr: np.ndarray
     indptr: np.ndarray
-    symmetric: bool
-    maxnnz: int | None
+    maxnnz: int
 
 
 def _wrap(M):
@@ -192,16 +191,6 @@ def _is_source(operand, B, token, state) -> bool:
             )
         state[key] = ok
     return ok
-
-
-def _right(operand, B, As, state, token):
-    """scipy form of ``B`` for ``As @ B``: the operand's own handle when
-    ``B`` is the source of an unpermuted operand."""
-    if getattr(operand, "perm", None) is None and (
-        B is operand.Ar or (token is not None and state.get(("source", token)))
-    ):
-        return As
-    return _wrap(B)
 
 
 def _count(A, B=None) -> int:
@@ -377,18 +366,17 @@ def _probe() -> bool:
         return False
 
 
-#: Whether warm squares and unhinted products may call scipy's passes
-#: directly; otherwise every product takes the public ``@``.
+#: Whether the direct and recorded-square paths may call scipy's passes
+#: directly; otherwise every product takes the plain path.
 _NUMERIC_ONLY = _probe()
 
 
-def _plain(Cs, inv, relabel=None) -> CSRMatrix:
-    """Canonicalise scipy's raw product: relabel columns (``L @ L``),
-    sort, row-gather, cast."""
-    if relabel is not None:
-        import scipy.sparse as sp
-
-        Cs = sp.csr_matrix((Cs.data, relabel[Cs.indices], Cs.indptr), shape=Cs.shape)
+def _plain(operand, B, state, inv) -> CSRMatrix:
+    """The plain path: the public ``Ar @ B`` on the operand's scipy
+    handle (both operands when ``B`` is ``Ar``), sorted, rows ``inv`` of
+    it when given, cast."""
+    As = _handle(operand, state)
+    Cs = As @ (As if B is operand.Ar else _wrap(B))
     Cs.sort_indices()
     if inv is not None:
         Cs = Cs[inv]  # C++ row gather
@@ -397,7 +385,7 @@ def _plain(Cs, inv, relabel=None) -> CSRMatrix:
     )
 
 
-def _record(Cs, inv, relabel=None, maxnnz=None) -> tuple[_Structure, CSRMatrix]:
+def _record(Cs, inv, relabel, maxnnz: int) -> tuple[_Structure, CSRMatrix]:
     """Record the structure of raw product ``Cs`` (columns relabelled
     through ``relabel`` for ``L @ L``; ``maxnnz`` its symbolic count) and
     return it with the canonical product (``Cs``'s indices are relabelled
@@ -413,20 +401,14 @@ def _record(Cs, inv, relabel=None, maxnnz=None) -> tuple[_Structure, CSRMatrix]:
     T.sort_indices()
     if inv is not None:
         T = T[inv]
-    rec = _Structure(
-        T.data.astype(np.int32, copy=False),
-        raw_indptr,
-        T.indptr.astype(np.int64),
-        relabel is not None,
-        maxnnz,
-    )
+    rec = _Structure(T.data.astype(np.int32, copy=False), raw_indptr, T.indptr.astype(np.int64), maxnnz)
     C = CSRMatrix(
         rec.indptr.copy(), T.indices.astype(np.int64), Cs.data[rec.order], Cs.shape, check=False
     )
     return rec, C
 
 
-def _gather(rec: _Structure, Cs, relabel=None):
+def _gather(rec: _Structure, Cs, relabel):
     """Column indices and values of the canonical product through a
     recorded structure, or ``None`` when the raw output no longer
     matches it."""
@@ -446,11 +428,57 @@ def _gather(rec: _Structure, Cs, relabel=None):
     return idx, Cs.data[rec.order]
 
 
+def _recorded_square(operand, B, token, state, inv, original_order, ctx) -> CSRMatrix | None:
+    """The recorded-square path of a hinted product: ``S @ S`` by scipy's
+    numeric pass alone (``S`` the operand's handle, ``L`` when permuted),
+    canonicalised through the structure recorded on the product's second
+    sighting.  ``None`` sends the product to the plain path: its first
+    sighting, a ``B`` that is not the operand's source, or a count over
+    :data:`_MAX_RECORDED_NNZ`."""
+    key = (token, original_order)
+    rec = state.get(key)
+    if rec is None:
+        state[key] = _SEEN
+        return None
+    if not _is_source(operand, B, token, state):
+        return None
+    S = _handle(operand, state)
+    perm = getattr(operand, "perm", None)
+    relabel = None
+    if perm is not None:
+        # The handle's index dtype: relabelled columns stay int32.
+        relabel = perm.astype(S.indices.dtype)
+        S = _symmetric_handle(operand, S, state)
+    if rec is _SEEN:
+        maxnnz = _count(S)
+        if maxnnz > _MAX_RECORDED_NNZ:
+            return None
+    else:
+        maxnnz = rec.maxnnz
+    if perm is not None:
+        ctx.bump("scipy_symmetric_products")
+    Cs = _square(S, maxnnz)
+    if rec is _SEEN:
+        ctx.bump("scipy_structure_records")
+    else:
+        ctx.bump("scipy_numeric_products")
+        got = _gather(rec, Cs, relabel)
+        if got is not None:
+            ctx.bump("scipy_structure_reuses")
+            shape = Cs.shape
+            del Cs  # free the raw product before the int64 cast
+            idx, values = got
+            return CSRMatrix(rec.indptr.copy(), idx.astype(np.int64), values, shape, check=False)
+        ctx.bump("scipy_structure_rebuilds")
+    rec, C = _record(Cs, inv, relabel, maxnnz)
+    state[key] = rec
+    return C
+
+
 class ScipyBackend(ExecutionBackend):
     """Native scipy CSR matmul over the prepared operand."""
 
     name: ClassVar[str] = "scipy"
-    model_speed_factor: ClassVar[float] = 0.35
     description: ClassVar[str] = "native scipy CSR matmul (allclose values, pattern minus exact zeros)"
 
     @property
@@ -470,18 +498,7 @@ class ScipyBackend(ExecutionBackend):
         kernel_params: dict[str, Any],
         ctx: ExecutionContext,
     ) -> Any:
-        return self._product(operand, B, ctx, original_order=False)
-
-    def execute_original_order(
-        self,
-        operand: Any,
-        B: Any,
-        *,
-        kernel: str,
-        kernel_params: dict[str, Any],
-        ctx: ExecutionContext,
-    ) -> Any:
-        return self._product(operand, B, ctx, original_order=True)
+        return self.execute_many(operand, [B], kernel=kernel, kernel_params=kernel_params, ctx=ctx)[0][0]
 
     def execute_many(
         self,
@@ -493,105 +510,45 @@ class ScipyBackend(ExecutionBackend):
         ctx: ExecutionContext,
         original_order: bool = False,
     ) -> tuple[list, int]:
-        """The batch on :func:`_direct`'s chain, split across two threads
-        when large enough (module docstring); otherwise the serial loop."""
+        """Every product on its path, a large batch of direct products
+        split across two threads (module docstring)."""
         state = getattr(operand, "backend_state", None)
-        Ar, perm = operand.Ar, getattr(operand, "perm", None)
-        tokens = ctx.operand_tokens if state is not None else {}
-        if (
-            not _NUMERIC_ONLY
-            or len(Bs) < 2
-            or _cores() < 2
-            or any(id(B) in tokens or (perm is None and B is Ar) for B in Bs)
-        ):
-            return super().execute_many(
-                operand, Bs, kernel=kernel, kernel_params=kernel_params, ctx=ctx, original_order=original_order
-            )
-        # Every unhinted product, validated before any starts.
-        _check_operand(operand, state)
-        for B in Bs:
-            _check_right(Ar, B)
+        Ar = operand.Ar
         inv = getattr(operand, "inv", None) if original_order else None
-        work = _work(Ar, Bs)
-        if work.mean() >= _SPLIT_MIN_WORK:
-            shares = [share for share in _halves(work) if share]
-        else:
-            shares = [range(len(Bs))]
+        tokens = [None if state is None else ctx.operand_tokens.get(id(B)) for B in Bs]
+        # Every operand validated before any product starts; a token
+        # names B's pattern and values, so a hinted B once per token.
+        _check_operand(operand, state)
+        for B, token in zip(Bs, tokens):
+            if token is None or state.get((token, original_order)) is None:
+                _check_right(Ar, B)
+        direct = sum(token is None for token in tokens) if _NUMERIC_ONLY else 0
+        shares = [range(len(Bs))]
+        if len(Bs) > 1 and direct == len(Bs) and _cores() > 1:
+            work = _work(Ar, Bs)
+            if work.mean() >= _SPLIT_MIN_WORK:
+                shares = [share for share in _halves(work) if share]
+
+        def product(B, token):
+            if _NUMERIC_ONLY:
+                if token is None:
+                    return _direct(Ar, B, inv)
+                C = _recorded_square(operand, B, token, state, inv, original_order, ctx)
+                if C is not None:
+                    return C
+            ctx.bump("scipy_plain_products")
+            return _plain(operand, B, state, inv)
+
         Cs = [None] * len(Bs)
 
         def run(share):
             for i in share:
-                Cs[i] = _direct(Ar, Bs[i], inv)
+                Cs[i] = product(Bs[i], tokens[i])
 
         _run_shares(run, shares)
         ctx.bump("scipy_calls", len(Bs))
-        ctx.bump("scipy_direct_products", len(Bs))
+        if direct:
+            ctx.bump("scipy_direct_products", direct)
         if len(shares) > 1:
             ctx.bump("scipy_split_batches")
         return Cs, len(shares)
-
-    def _product(self, operand: Any, B: Any, ctx: ExecutionContext, *, original_order: bool):
-        ctx.bump("scipy_calls")
-        state = getattr(operand, "backend_state", None)
-        _check_operand(operand, state)
-        inv = getattr(operand, "inv", None) if original_order else None
-        perm = getattr(operand, "perm", None)
-        token = ctx.operand_tokens.get(id(B)) if state is not None else None
-        if token is None and not (perm is None and B is operand.Ar):
-            # Unhinted: no record to keep, so no scipy object either
-            # (``Ar @ Ar`` of an unpermuted operand squares its handle).
-            _check_right(operand.Ar, B)
-            if _NUMERIC_ONLY:
-                ctx.bump("scipy_direct_products")
-                return _direct(operand.Ar, B, inv)
-            return _plain(_handle(operand, state) @ _wrap(B), inv)
-        As = _handle(operand, state)
-        key = (token, original_order)
-        rec = None if token is None else state.get(key)
-        if rec is None:
-            if token is not None:
-                # Once per token: the token names B's pattern and values.
-                _check_right(operand.Ar, B)
-                state[key] = _SEEN
-            return _plain(As @ _right(operand, B, As, state, token), inv)
-        if rec is _SEEN:
-            # Checked for unpermuted operands too: ``_right`` reuses it.
-            symmetric = _is_source(operand, B, token, state) and perm is not None
-        else:
-            symmetric = rec.symmetric
-        relabel = None
-        if symmetric:
-            # The handle's index dtype: relabelled columns stay int32.
-            relabel = perm.astype(As.indices.dtype)
-            S = R = _symmetric_handle(operand, As, state)
-            ctx.bump("scipy_symmetric_products")
-        else:
-            S, R = As, _right(operand, B, As, state, token)
-        # Only a square of the backend's own handle runs scipy's passes
-        # directly: its count, taken once, sizes every later numeric pass.
-        counted = rec is not _SEEN and rec.maxnnz is not None
-        maxnnz = None
-        if R is S and _NUMERIC_ONLY:
-            maxnnz = rec.maxnnz if counted else _count(S)
-        if maxnnz is not None and maxnnz <= _MAX_RECORDED_NNZ:
-            Cs = _square(S, maxnnz)
-            if counted:
-                ctx.bump("scipy_numeric_products")
-        else:
-            Cs, maxnnz = S @ R, None
-        if Cs.nnz > _MAX_RECORDED_NNZ:
-            return _plain(Cs, inv, relabel)
-        if rec is not _SEEN:
-            got = _gather(rec, Cs, relabel)
-            if got is not None:
-                ctx.bump("scipy_structure_reuses")
-                shape = Cs.shape
-                del Cs  # free the raw product before the int64 cast
-                idx, values = got
-                return CSRMatrix(rec.indptr.copy(), idx.astype(np.int64), values, shape, check=False)
-            ctx.bump("scipy_structure_rebuilds")
-        else:
-            ctx.bump("scipy_structure_records")
-        rec, C = _record(Cs, inv, relabel, maxnnz)
-        state[key] = rec
-        return C

@@ -152,7 +152,6 @@ class VectorizedBackend(ExecutionBackend):
     """numpy batch-vectorised numeric phases (cluster / rowwise)."""
 
     name: ClassVar[str] = "vectorized"
-    model_speed_factor: ClassVar[float] = 0.7
     description: ClassVar[str] = "numpy-batched numeric phases (bitwise; cluster/rowwise)"
 
     @property

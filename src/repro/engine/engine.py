@@ -234,6 +234,8 @@ class _Bound:
     fp: MatrixFingerprint
     vdigest: str  # A's value digest (operand-cache key, A² hint)
     backend: ExecutionBackend  # the plan's backend, resolved once per call
+    hit: bool  # the plan came from the cache (ledgered once a batch ran)
+    reused: bool  # the operand came from the cache (likewise)
 
 
 class SpGEMMEngine:
@@ -500,8 +502,8 @@ class SpGEMMEngine:
         count: bool = True,
     ) -> "tuple[ExecutionPlan, bool]":
         """The cached plan for ``key``, or a freshly built (and cached)
-        one; returns ``(plan, hit)``.  ``count=False`` keeps the lookup
-        out of the hit/miss counters."""
+        one; returns ``(plan, hit)``.  A miss is ledgered here unless
+        ``count=False``; a hit is left to the caller (:meth:`_run`)."""
         t0 = time.perf_counter()
         plan = self.plan_cache.get(key)
         hit = plan is not None
@@ -526,8 +528,6 @@ class SpGEMMEngine:
                     if prep is not None:
                         self._stats.bump(operands_prepared=1, model_pre_cost=prep.pre_cost)
                         self._store_operand(self._operand_key(plan, value_digest(A)), prep)
-        if hit and count:
-            self._stats.bump(plan_cache_hits=1)
         self._stats.bump(planning_seconds=time.perf_counter() - t0)
         return plan, hit
 
@@ -553,17 +553,21 @@ class SpGEMMEngine:
 
     def prepare(self, A: CSRMatrix, plan: ExecutionPlan) -> PreparedOperand:
         """Materialise (or reuse) the plan's reordered/clustered operand."""
-        return self._prepare(A, plan, value_digest(A))
+        prep, reused = self._prepare(A, plan, value_digest(A))
+        if reused:
+            self._stats.bump(operands_reused=1)
+        return prep
 
-    def _prepare(self, A: CSRMatrix, plan: ExecutionPlan, vdigest: str) -> PreparedOperand:
+    def _prepare(self, A: CSRMatrix, plan: ExecutionPlan, vdigest: str) -> tuple[PreparedOperand, bool]:
+        """The plan's operand and whether it came from the operand cache
+        (a reuse is left to the caller to ledger)."""
         key = self._operand_key(plan, vdigest)
         with self._memo_lock:
             prep = self._operands.get(key)
             if prep is not None:
                 self._operands.move_to_end(key)
         if prep is not None:
-            self._stats.bump(operands_reused=1)
-            return prep
+            return prep, True
         t0 = time.perf_counter()
         # Rebuild through the plan's pipeline spec so every component
         # parameter (reordering, clustering, kernel) is honoured.  Built
@@ -579,7 +583,7 @@ class SpGEMMEngine:
             model_pre_cost=prep.pre_cost,
         )
         self._store_operand(key, prep)
-        return prep
+        return prep, False
 
     def _store_operand(self, key: tuple, prep: PreparedOperand) -> None:
         with self._memo_lock:
@@ -607,7 +611,7 @@ class SpGEMMEngine:
         planner, fp, key = self._key_for(A, workload, pipeline, backend)
         vdigest = value_digest(A)
         plan, hit = self._lookup(A, Bx, planner, fp, key, workload)
-        prep = self._prepare(A, plan, vdigest)
+        prep, reused = self._prepare(A, plan, vdigest)
         k_info = get_component("kernel", plan.kernel)
         given = [
             (k, v)
@@ -625,7 +629,7 @@ class SpGEMMEngine:
                 workload=plan.workload,
             )
         backend = get_backend(plan.backend, plan.backend_params)
-        return _Bound(plan, prep, kernel_params, fp, vdigest, backend)
+        return _Bound(plan, prep, kernel_params, fp, vdigest, backend, hit, reused)
 
     def _run(self, bound: _Bound, A: CSRMatrix, Bs: list, *, reuse: bool = False) -> list[CSRMatrix]:
         """The products ``A @ B`` for every ``B`` in ``Bs`` through the
@@ -633,11 +637,14 @@ class SpGEMMEngine:
         in the original row order) and ledger them.  Every product after
         the first — and the first too when ``reuse`` marks a later step
         of a power — is counted as a plan-cache hit plus an operand
-        reuse: what per-product :meth:`multiply` calls would record.
+        reuse: what per-product :meth:`multiply` calls would record.  The
+        bind's own hit and reuse are counted with the first batch, once
+        it has run: a batch the backend rejects ledgers nothing.
 
         Dispatch goes through :func:`repro.backends.execute_many` — the
-        batch form of the one kernel-execution path, shared with
-        :meth:`~repro.pipeline.spec.BuiltPipeline.execute` — so a newly
+        one kernel-execution path, which
+        :meth:`~repro.pipeline.spec.BuiltPipeline.execute` reaches as a
+        batch of one — so a newly
         registered kernel or backend is executable here with no engine
         edit.
         """
@@ -663,12 +670,12 @@ class SpGEMMEngine:
         finally:
             if hinted:
                 ctx.operand_tokens.pop(id(A), None)
-        n, reused = len(Bs), len(Bs) - 1 + int(reuse)
+        n = len(Bs)
         self._stats.bump(
             execute_seconds=time.perf_counter() - t0,
             multiplies=n,
-            plan_cache_hits=reused,
-            operands_reused=reused,
+            plan_cache_hits=n - 1 + (1 if reuse else int(bound.hit)),
+            operands_reused=n - 1 + (1 if reuse else int(bound.reused)),
         )
         self._stats.bump(
             repeat=n, model_executed_cost=plan.predicted_cost, model_baseline_cost=plan.baseline_cost
@@ -724,7 +731,8 @@ class SpGEMMEngine:
         dimension-checked before any work, so a rejected batch leaves
         the ledger untouched.  The products run as one backend batch
         (``scipy`` may split it across two threads); a ``B`` the
-        backend rejects raises before any product is ledgered.
+        backend rejects raises before any product, plan-cache hit or
+        operand reuse is ledgered.
         """
         Bs = list(Bs)
         for B in Bs:

@@ -219,11 +219,6 @@ def _executed_space(cands: list[Candidate]) -> list[Candidate]:
     return list(out)
 
 
-def _backend_factor(backend: str) -> float:
-    """The backend's static ``model_speed_factor`` ranking hint."""
-    return get_component("backend", backend).model_speed_factor
-
-
 # ----------------------------------------------------------------------
 # Candidate materialisation (shared with the engine's prepare step)
 # ----------------------------------------------------------------------
@@ -396,9 +391,6 @@ def _estimate_candidate_costs(
                 + cost.stream_byte * (padded * 8 + nnz_a * 4)
                 + cost.gamma_brow * visits
             )
-        # Backend axis: same dataflow, faster implementation (1.0 for
-        # reference).
-        t *= _backend_factor(cand.backend)
         out.append(float(t))
     return out
 
@@ -497,10 +489,7 @@ class Planner:
         the row-wise path over the prepared (possibly
         cluster-order-composed) operand — for ``tiled`` this is a proxy
         estimate, since the simulated machine models dataflow through
-        row traversal.  The simulated time is scaled by the candidate
-        backend's ``model_speed_factor`` ranking hint (1.0 for
-        ``reference``), mirroring that the same dataflow runs faster on
-        a native implementation.
+        row traversal.
 
         Returns ``(time, prep, simulated)``.  A natural-order candidate
         without clustering and with a row kernel simulates exactly the
@@ -536,8 +525,7 @@ class Planner:
             t = self.machine.run_clusterwise(prep.Ac, B).time
         else:
             t = self.machine.run_rowwise(prep.Ar, B).time
-        predicted = t * _backend_factor(cand.backend)
-        return predicted, prep, 0.0 if reused else predicted
+        return t, prep, 0.0 if reused else t
 
     def _baseline(self, A: CSRMatrix, B: CSRMatrix) -> float:
         return self.machine.run_rowwise(A, B).time
@@ -786,8 +774,7 @@ class PipelinePlanner(Planner):
         cand = Candidate(
             spec.reordering, spec.clustering, spec.kernel, spec.backend, spec.backend_params
         )
-        predicted = res.time * _backend_factor(spec.backend)
-        return cand, predicted, prep, predicted
+        return cand, res.time, prep, res.time
 
     def _assemble(self, cand, prep, fp, workload, *, predicted, baseline, planning):
         # Serialise through the spec so reordering/kernel parameters and

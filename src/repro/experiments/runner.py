@@ -257,10 +257,7 @@ def run_pipeline(
         res = machine.run_clusterwise(built.Ac, Bx)
     else:
         res = machine.run_rowwise(built.Ar, Bx)
-    # Same backend scaling the planners rank with: the dataflow is
-    # simulated once, the backend's relative-speed hint adjusts it.
-    t = res.time * spec.backend_info.model_speed_factor
-    rec = RunRecord(t, built.pre_cost(machine.cost), res.cost.cache.misses, res.cost.work)
+    rec = RunRecord(res.time, built.pre_cost(machine.cost), res.cost.cache.misses, res.cost.work)
     return PipelineRunResult(spec=spec, C=C, record=rec, baseline_time=base.time)
 
 

@@ -155,11 +155,6 @@ class ComponentInfo:
         ``reference`` backend (per-row floating-point summation order
         preserved).  Non-bitwise backends guarantee the identical
         sparsity pattern and ``allclose`` values only.
-    model_speed_factor:
-        Backend capability: multiplier applied to simulated-machine
-        times when planners rank this backend.  A *ranking hint* for
-        relative implementation speed (native scipy ≪ vectorised numpy
-        < pure python), not a measurement; ``reference`` is 1.0.
     similarity_driven:
         Clustering capability: groups rows by measured pattern
         similarity (variable/hierarchical) rather than blind position
@@ -185,7 +180,6 @@ class ComponentInfo:
     requires_clustering: bool = False
     supported_kernels: tuple[str, ...] | None = None
     bitwise_reference: bool = False
-    model_speed_factor: float = 1.0
     similarity_driven: bool = False
     planner_rank: int | None = None
     pre_cost_kind: str = "kernel"

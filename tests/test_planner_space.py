@@ -4,6 +4,8 @@ every other backend keeps the full kernel × clustering space, and a
 natural-order winner reuses the baseline simulation instead of running
 it twice."""
 
+import math
+
 import pytest
 
 from repro.backends import get_backend
@@ -147,7 +149,17 @@ def test_natural_order_winner_reuses_the_baseline_simulation(backend, monkeypatc
     plan = planner.plan(B, B, fingerprint(B), "asquare")
     assert plan.reordering == "original" and plan.clustering is None
     assert len(calls) == 1
-    b_factor = get_backend(plan.backend).model_speed_factor
-    assert plan.predicted_cost == fresh * b_factor
-    assert plan.baseline_cost == fresh
+    assert plan.predicted_cost == plan.baseline_cost == fresh
     assert plan.planning_cost == fresh  # the one simulation, charged once
+
+
+@pytest.mark.parametrize("pipeline", ["original", "original@scipy"])
+def test_identity_plan_predicts_no_gain_on_any_backend(pipeline):
+    # A plan that neither reorders nor clusters runs the baseline's
+    # dataflow: its predicted cost is the baseline's, whatever backend
+    # executes it, so it never breaks even.
+    A = G.grid2d(40, 40)
+    plan = SpGEMMEngine(config=SMALL_CFG, pipeline=pipeline).plan_for(A)
+    assert plan.predicted_cost == plan.baseline_cost
+    assert plan.predicted_speedup == 1.0
+    assert plan.break_even_iterations() == math.inf

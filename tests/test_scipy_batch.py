@@ -260,10 +260,17 @@ def test_malformed_b_in_second_half_raises_before_any_product(monkeypatch, split
     bad = Bs[:4] + [_malformed(Bs[4])] + Bs[5:]
     with pytest.raises(ValueError, match="column index out of range"):
         eng.multiply_many(A, bad)
-    # The call's bind looked the plan and operand up (and ledgered that);
-    # no product ran or was ledgered.
+    # No product ran, and nothing of the call was ledgered: not even its
+    # bind's plan-cache hit and operand reuse.
     after = eng.stats()
-    for field in ("multiplies", "execute_seconds", "model_executed_cost", "model_baseline_cost"):
+    for field in (
+        "multiplies",
+        "execute_seconds",
+        "model_executed_cost",
+        "model_baseline_cost",
+        "plan_cache_hits",
+        "operands_reused",
+    ):
         assert getattr(after, field) == getattr(before, field), field
     assert after.per_plan == before.per_plan
     assert after.backend_events == before.backend_events

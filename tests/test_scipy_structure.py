@@ -1,17 +1,17 @@
-"""The ``scipy`` backend's recorded product structure and the dispatcher's
+"""The ``scipy`` backend's three paths and the dispatcher's
 ``original_order`` contract.
 
-For a hinted product (``ctx.operand_tokens`` names B) the backend records,
-on the operand's ``backend_state``, where each canonical entry sits in
-scipy's raw output, and later calls gather through that record instead of
-sorting and un-permuting.  The gather only moves values, so the warm
-result must be bitwise-equal to the plain path; a record that no longer
-matches the raw output must be rebuilt, never trusted.  On a permuted
-operand whose hinted B is its source, the recorded product is ``L @ L``
-with ``L = P A Pᵀ``, bitwise-equal to raw scipy ``A @ A``.  An unhinted
-product runs scipy's C++ passes on the operands' own arrays and must be
-bitwise raw scipy's, sorted; a malformed operand must raise ``ValueError``
-before any scipy call.
+Each product takes one path, chosen from what the backend can observe:
+an unhinted product runs scipy's C++ passes on the operands' own arrays
+(direct); a hinted product (``ctx.operand_tokens`` names B) whose B is the
+operand's source squares the backend's own handle from its second
+sighting on and gathers through a structure recorded on the operand's
+``backend_state`` (recorded square); everything else takes the public
+``@`` and records nothing (plain).  Every path must be bitwise raw
+scipy's, sorted.  A record that no longer matches the raw output must be
+rebuilt, never trusted.  On a permuted operand the recorded product is
+``L @ L`` with ``L = P A Pᵀ``.  A malformed operand must raise
+``ValueError`` before any scipy call.
 """
 
 import sys
@@ -236,34 +236,17 @@ def test_symmetric_handle_built_only_on_second_sighting():
     assert built.backend_state[scipy_backend._SYMMETRIC] is L
 
 
-@pytest.mark.parametrize("kind", ["other_matrix", "other_values"])
-def test_hinted_token_of_another_matrix_never_uses_symmetric_handle(kind):
-    A = scramble(G.grid2d(15, 15), seed=3)
-    if kind == "other_matrix":
-        B = scramble(G.grid2d(15, 15), seed=4)
-    else:
-        B = CSRMatrix(A.indptr, A.indices, A.values * 2.0, A.shape)
-    built = PipelineSpec.parse("rcm@scipy").build(A)
-    ctx = _hinted_ctx(B)
-    expected = CSRMatrix.from_scipy(A.to_scipy() @ B.to_scipy())
-    for _ in range(4):
-        assert_bitwise_equal(_run(built, B, ctx, True), expected)
-    assert scipy_backend._SYMMETRIC not in built.backend_state
-    assert "scipy_symmetric_products" not in ctx.stats
-    assert ctx.stats["scipy_structure_reuses"] == 2
-
-
 def test_shuffled_order_on_symmetric_record_is_rebuilt_not_trusted():
     A = scramble(G.grid2d(15, 15), seed=5)
     built, ctx, key = _recorded(A)
     rec = built.backend_state[key]
-    assert rec.symmetric
+    assert ctx.stats["scipy_symmetric_products"] == 1  # recorded from L @ L
     shuffled = np.random.default_rng(1).permutation(rec.order).astype(np.int32)
     built.backend_state[key] = rec._replace(order=shuffled)
     raw = _raw(A)
     assert_bitwise_equal(_run(built, A, ctx, True), raw)
     assert ctx.stats["scipy_structure_rebuilds"] == 1
-    assert built.backend_state[key].symmetric
+    assert ctx.stats["scipy_symmetric_products"] == 2  # rebuilt from L @ L
     assert_bitwise_equal(_run(built, A, ctx, True), raw)
     assert ctx.stats["scipy_structure_reuses"] == 1
 
@@ -288,15 +271,21 @@ def test_symmetric_build_refuses_execute():
 
 
 def test_unrecordable_symmetric_product_takes_plain_path(monkeypatch):
+    # The count decides before any numeric pass: every sighting of a
+    # square over the limit runs the public ``@`` and records nothing.
     monkeypatch.setattr(scipy_backend, "_MAX_RECORDED_NNZ", 0)
+    calls = _spy_count(monkeypatch)
     A = scramble(G.grid2d(15, 15), seed=6)
     built = PipelineSpec.parse("rcm@scipy").build(A)
     ctx = _hinted_ctx(A)
     for original_order in (True, False):
         for _ in range(3):
             assert_bitwise_equal(_run(built, A, ctx, original_order), _raw(A, built, original_order))
-    assert ctx.stats["scipy_symmetric_products"] == 4
+    assert len(calls) == 4  # sightings 2 and 3 of each row order
+    assert ctx.stats["scipy_plain_products"] == 6
+    assert "scipy_symmetric_products" not in ctx.stats
     assert not any(k.startswith("scipy_structure") for k in ctx.stats)
+    assert not any(isinstance(v, scipy_backend._Structure) for v in built.backend_state.values())
 
 
 def test_engine_power_and_multiply_many_leave_symmetric_handle_unused():
@@ -460,6 +449,9 @@ def test_counting_pass_runs_once_per_record_and_never_on_reuse(monkeypatch, spec
 @pytest.mark.parametrize("reordering", ["original", "rcm"])
 @pytest.mark.parametrize("kind", ["other_matrix", "other_values"])
 def test_hinted_non_source_never_takes_numeric_only_call(monkeypatch, reordering, kind):
+    # A hinted B that is not the operand's source (a token of another
+    # matrix, or of A's pattern with other values) stays on the plain
+    # path: no count, no symmetric handle, no record.
     calls = _spy_count(monkeypatch)
     A = scramble(G.grid2d(15, 15), seed=3)
     if kind == "other_matrix":
@@ -472,9 +464,10 @@ def test_hinted_non_source_never_takes_numeric_only_call(monkeypatch, reordering
     for _ in range(4):
         assert_bitwise_equal(_run(built, B, ctx, True), expected)
     assert calls == []
-    assert built.backend_state[(TOKEN, True)].maxnnz is None
-    assert "scipy_numeric_products" not in ctx.stats
-    assert ctx.stats["scipy_structure_reuses"] == 2
+    assert built.backend_state[(TOKEN, True)] is scipy_backend._SEEN
+    assert scipy_backend._SYMMETRIC not in built.backend_state
+    assert ctx.stats["scipy_plain_products"] == 4
+    assert not any(k.startswith(("scipy_structure", "scipy_numeric", "scipy_symmetric")) for k in ctx.stats)
 
 
 @pytest.mark.parametrize("broken", ["missing", "raises", "wrong_values"])
@@ -497,15 +490,15 @@ def test_failed_probe_keeps_every_call_on_public_path(monkeypatch, broken):
     # stay patched in, so any call of them breaks the results below.
     monkeypatch.setattr(scipy_backend, "_NUMERIC_ONLY", scipy_backend._probe())
     A = _cancelling_grid()
+    raw = _raw(A)
     for spec in ("original@scipy", "rcm@scipy"):
-        plain = _run(PipelineSpec.parse(spec).build(A), A, ExecutionContext(), True)
         built = PipelineSpec.parse(spec).build(A)
         ctx = _hinted_ctx(A)
         for _ in range(4):
-            assert_bitwise_equal(_run(built, A, ctx, True), plain)
-        assert ctx.stats.get("scipy_numeric_products", 0) == 0
-        assert ctx.stats["scipy_structure_reuses"] == 2
-        assert built.backend_state[(TOKEN, True)].maxnnz is None
+            assert_bitwise_equal(_run(built, A, ctx, True), raw)
+        # Every sighting on the public ``@``, nothing recorded.
+        assert ctx.stats == {"scipy_calls": 4, "scipy_plain_products": 4}
+        assert (TOKEN, True) not in built.backend_state
 
 
 # ----------------------------------------------------------------------
@@ -519,10 +512,8 @@ def _raw_product(A, B, built=None, original_order=True):
 
 
 def _public(built, B, original_order):
-    """The fallback path: the public ``@`` on scipy objects, then
-    ``_plain``."""
-    inv = built.inv if original_order else None
-    return scipy_backend._plain(scipy_backend._wrap(built.Ar) @ scipy_backend._wrap(B), inv)
+    """The plain path: the public ``@`` on scipy objects."""
+    return scipy_backend._plain(built, B, None, built.inv if original_order else None)
 
 
 @st.composite
@@ -756,3 +747,52 @@ def test_probe_rejects_a_row_gather_that_misplaces_rows(monkeypatch):
 def test_probe_rejects_a_row_sort_that_does_nothing(monkeypatch):
     monkeypatch.setattr(scipy_backend, "_csr_sort_indices", lambda *a: None)
     assert not scipy_backend._probe()
+
+
+# ----------------------------------------------------------------------
+# Path selection: one path per product, chosen from observable facts
+# ----------------------------------------------------------------------
+#: The counter each path bumps once per product it runs.
+PATH_COUNTERS = {
+    "direct": "scipy_direct_products",
+    "recorded": "scipy_numeric_products",
+    "plain": "scipy_plain_products",
+}
+
+
+@pytest.mark.parametrize(
+    "case, path",
+    [
+        ("unhinted", "direct"),
+        ("unhinted_square", "direct"),
+        ("first_sighting", "plain"),
+        ("warm_source", "recorded"),
+        ("non_source", "plain"),
+        ("over_max_recorded_nnz", "plain"),
+        ("failed_probe", "plain"),
+    ],
+)
+@pytest.mark.parametrize("reordering", ["original", "rcm"])
+def test_each_product_takes_the_path_its_case_selects(monkeypatch, reordering, case, path):
+    A = _cancelling_grid()
+    B = scramble(G.grid2d(12, 12), seed=15) if case in ("unhinted", "non_source") else A
+    if case == "over_max_recorded_nnz":
+        monkeypatch.setattr(scipy_backend, "_MAX_RECORDED_NNZ", 0)
+    elif case == "failed_probe":
+        monkeypatch.setattr(scipy_backend, "_NUMERIC_ONLY", False)
+    built = PipelineSpec.parse(f"{reordering}@scipy").build(A)
+    ctx = ExecutionContext() if case.startswith("unhinted") else _hinted_ctx(B)
+    for _ in range(0 if case == "first_sighting" else 2):  # the earlier sightings
+        _run(built, B, ctx, True)
+    before = dict(ctx.stats)
+    C = _run(built, B, ctx, True)
+    ran = {k: v - before.get(k, 0) for k, v in ctx.stats.items() if v != before.get(k, 0)}
+    expected = {"scipy_calls": 1, PATH_COUNTERS[path]: 1}
+    if path == "recorded":
+        expected["scipy_structure_reuses"] = 1
+        if built.perm is not None:
+            expected["scipy_symmetric_products"] = 1
+    assert ran == expected
+    if path == "plain":
+        assert not any(isinstance(v, scipy_backend._Structure) for v in built.backend_state.values())
+    assert_bitwise_equal(C, _raw_product(A, B))

@@ -7,9 +7,10 @@ example runs it end to end:
 
 1. sweep a training set of suite matrices (results are disk-cached),
 2. fit the k-NN :class:`ConfigurationPredictor` on structural features,
-3. serve held-out matrices through an :class:`SpGEMMEngine` running the
-   ``predictor`` policy (backed by the fitted predictor), comparing the
-   engine's chosen plan against the sweep oracle,
+3. predict a configuration for each held-out matrix, turn it into a
+   :class:`PipelineSpec` and serve the matrix through an
+   :class:`SpGEMMEngine` that runs that spec, comparing the prediction
+   against the sweep oracle,
 4. contrast with the ``autotune`` policy, which needs no training but
    pays measured trials at planning time.
 
@@ -20,6 +21,7 @@ from repro.analysis import ConfigurationPredictor
 from repro.engine import SpGEMMEngine
 from repro.experiments import ExperimentConfig, cached_matrix_sweep
 from repro.matrices import get_matrix
+from repro.pipeline import PipelineSpec
 
 TRAIN = [
     "grid2d_5pt_1", "grid2d_scr_0", "trimesh_1", "trimesh_scr_1",
@@ -29,6 +31,16 @@ TRAIN = [
 TEST = ["M6", "pdb1", "GAP-road", "cage12", "wb"]
 
 
+def predicted_spec(pred: ConfigurationPredictor, A) -> PipelineSpec:
+    """The pipeline a ``(reordering, variant)`` prediction names."""
+    algo, variant = pred.predict(A)
+    if variant == "cluster":  # ("hierarchical", "cluster"): its own order
+        return PipelineSpec(clustering=algo, kernel="cluster")
+    if variant == "rowwise":
+        return PipelineSpec(reordering=algo)
+    return PipelineSpec(reordering=algo, clustering=variant, kernel="cluster")
+
+
 def main() -> None:
     cfg = ExperimentConfig()
     print(f"sweeping {len(TRAIN)} training matrices (cached)…")
@@ -36,13 +48,13 @@ def main() -> None:
     train_sweeps = [cached_matrix_sweep(n, cfg) for n in TRAIN]
 
     pred = ConfigurationPredictor(k=3).fit(train_mats, train_sweeps)
-    pred_engine = SpGEMMEngine(policy="predictor", predictor=pred, config=cfg)
     tune_engine = SpGEMMEngine(policy="autotune", config=cfg)
 
     print(f"\n{'matrix':<10} {'predictor plan':<26} {'autotune plan':<26} {'achieved':>9} {'oracle':>9}")
     for name in TEST:
         A = get_matrix(name)
         sweep = cached_matrix_sweep(name, cfg)
+        pred_engine = SpGEMMEngine(pipeline=predicted_spec(pred, A), config=cfg)
         p_plan = pred_engine.plan_for(A)
         t_plan = tune_engine.plan_for(A)
         if p_plan.clustering == "hierarchical":
@@ -58,9 +70,10 @@ def main() -> None:
     # both amortisation ledgers have an entry (note the autotune
     # ledger's larger invested cost: its measured trials are charged).
     A = get_matrix(TEST[0])
+    pred_engine = SpGEMMEngine(pipeline=predicted_spec(pred, A), config=cfg)
     pred_engine.multiply(A)
     tune_engine.multiply(A)
-    print("\npredictor-policy engine ledger after one multiply:")
+    print(f"\npredicted-pipeline engine ({pred_engine.planner.spec}) ledger after one multiply:")
     print(pred_engine.stats().summary())
     print("\nautotune-policy engine ledger after one multiply:")
     print(tune_engine.stats().summary())

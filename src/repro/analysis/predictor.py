@@ -32,16 +32,8 @@ from ..core.csr import CSRMatrix
 __all__ = [
     "matrix_features",
     "FEATURE_NAMES",
-    "DEFAULT_TRAINING_REORDERINGS",
     "ConfigurationPredictor",
 ]
-
-#: Reorderings the built-in on-demand training corpus sweeps (one cheap
-#: representative per effective family: RCM for the bandwidth reducers,
-#: degree and Rabbit for the hub/community orders).  This is predictor
-#: *training data*, chosen for sweep affordability — the planner's
-#: candidate space is registry-derived and independent of it.
-DEFAULT_TRAINING_REORDERINGS = ("rcm", "degree", "rabbit")
 
 FEATURE_NAMES = (
     "log_nrows",

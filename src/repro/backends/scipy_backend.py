@@ -40,8 +40,8 @@ it can observe:
   is a hinted product's first sighting (a one-off operand pays for no
   record, and the int32 public product beats the int64 direct chain), a
   hinted ``B`` that is not the operand's source, a square whose count
-  exceeds :data:`_MAX_RECORDED_NNZ`, and every product when the probe
-  below fails.
+  exceeds :data:`_MAX_RECORDED_NNZ` (counted once, then remembered), and
+  every product when the probe below fails.
 
 Private passes: ``csr_matmat`` writes without bounds checks, so its
 buffers are sized by ``csr_matmat_maxnnz`` on the exact index arrays it
@@ -112,6 +112,10 @@ def scipy_available() -> bool:
 #: recorded yet (recording on the first call costs memory for operands
 #: that are never multiplied again).
 _SEEN = "seen"
+#: ``backend_state`` marker: the hinted product's count exceeded
+#: :data:`_MAX_RECORDED_NNZ`, so every later sighting takes the plain path
+#: without counting again.
+_UNRECORDABLE = "unrecordable"
 #: ``backend_state`` keys: the operand's scipy handle of ``Ar`` and its
 #: symmetric handle ``L = P A Pᵀ``.
 _HANDLE = "handle"
@@ -434,11 +438,13 @@ def _recorded_square(operand, B, token, state, inv, original_order, ctx) -> CSRM
     canonicalised through the structure recorded on the product's second
     sighting.  ``None`` sends the product to the plain path: its first
     sighting, a ``B`` that is not the operand's source, or a count over
-    :data:`_MAX_RECORDED_NNZ`."""
+    :data:`_MAX_RECORDED_NNZ` (counted once per key)."""
     key = (token, original_order)
     rec = state.get(key)
     if rec is None:
         state[key] = _SEEN
+        return None
+    if rec is _UNRECORDABLE:
         return None
     if not _is_source(operand, B, token, state):
         return None
@@ -452,6 +458,7 @@ def _recorded_square(operand, B, token, state, inv, original_order, ctx) -> CSRM
     if rec is _SEEN:
         maxnnz = _count(S)
         if maxnnz > _MAX_RECORDED_NNZ:
+            state[key] = _UNRECORDABLE
             return None
     else:
         maxnnz = rec.maxnnz

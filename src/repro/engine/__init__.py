@@ -20,10 +20,8 @@ from .planner import (
     HeuristicPlanner,
     PipelinePlanner,
     Planner,
-    PredictorPlanner,
     PreparedOperand,
     default_candidates,
-    default_training_corpus,
     make_planner,
     planner_reorderings,
     prepare_candidate,
@@ -40,13 +38,11 @@ __all__ = [
     "value_digest",
     "Planner",
     "HeuristicPlanner",
-    "PredictorPlanner",
     "AutotunePlanner",
     "PipelinePlanner",
     "Candidate",
     "PreparedOperand",
     "default_candidates",
-    "default_training_corpus",
     "make_planner",
     "planner_reorderings",
     "prepare_candidate",

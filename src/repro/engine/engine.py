@@ -4,8 +4,9 @@ The engine is the serving layer the ROADMAP's production north star
 needs: callers hand it matrices and get products back, while the engine
 
 1. **fingerprints** the left operand (O(nnz), pattern-only),
-2. **plans** via the configured policy (heuristic / predictor /
-   autotune) — or reuses a cached plan when the pattern was seen before,
+2. **plans** via the configured policy (heuristic / autotune, or one
+   fixed ``pipeline=`` spec) — or reuses a cached plan when the pattern
+   was seen before,
 3. **prepares** the operand (reorder + cluster build), reusing the
    prepared form across calls with identical values,
 4. **executes** the plan through its execution backend
@@ -28,6 +29,11 @@ per batch: :meth:`~SpGEMMEngine.multiply` runs a batch of one,
 batch or a power pays for fingerprinting, plan lookup and
 kernel-parameter resolution once, and the backend sees a whole batch
 (``scipy`` may run its products on two threads, DESIGN.md §10).
+
+Every call runs the engine's one planner: the policy, backend and
+pipeline are fixed at construction, so an engine with another backend
+or spec is another :class:`SpGEMMEngine` (engines may share one
+:class:`~repro.engine.plan_cache.PlanCache`).
 
 Typical use::
 
@@ -59,6 +65,14 @@ from .plan_cache import PlanCache
 from .planner import Planner, PreparedOperand, make_planner
 
 __all__ = ["SpGEMMEngine", "EngineStats"]
+
+#: Prepared-operand LRU capacity (value-exact reuse).  A prepared
+#: operand also owns its backend state (the ``scipy`` backend's recorded
+#: ``A²`` structure), evicted with it.
+OPERAND_CACHE_SIZE = 16
+#: Fingerprint memo LRU capacity (feature sketches keyed by pattern
+#: digest).
+FINGERPRINT_CACHE_SIZE = 64
 
 
 @dataclass
@@ -244,7 +258,7 @@ class SpGEMMEngine:
     Parameters
     ----------
     policy:
-        ``"heuristic"``, ``"predictor"`` or ``"autotune"`` — see
+        ``"heuristic"`` or ``"autotune"`` — see
         :mod:`repro.engine.planner`.
     config:
         :class:`~repro.experiments.config.ExperimentConfig` supplying
@@ -253,26 +267,15 @@ class SpGEMMEngine:
         Simulated machine used for planning trials and cost accounting.
     plan_cache:
         Shared :class:`~repro.engine.plan_cache.PlanCache`; a private
-        in-memory cache is created when omitted.
-    persist_plans:
-        Convenience flag: create the private cache with on-disk
-        persistence (ignored when ``plan_cache`` is given).
-    predictor:
-        Optional fitted predictor for the ``"predictor"`` policy.
-    top_k:
-        Trial budget for the ``"autotune"`` policy.
+        in-memory cache is created when omitted (pass
+        ``PlanCache(persist=True)`` to keep plans on disk).
     seed:
         Seed for reorderings and feature sampling (plan determinism).
-    operand_cache_size:
-        Prepared-operand LRU capacity (value-exact reuse).  A prepared
-        operand also owns its backend state (the ``scipy`` backend's
-        recorded ``A²`` structure), evicted with it.
     pipeline:
         A :class:`~repro.pipeline.spec.PipelineSpec` (or its string
         form, e.g. ``"rcm+hierarchical:max_th=8+cluster"``) to execute
         for every multiply instead of searching — the declarative
-        entry point.  Individual calls can also override the planner
-        per-multiply via ``multiply(..., pipeline=...)``.
+        entry point.
     backend:
         Execution backend (:mod:`repro.backends`) every plan targets.
         ``None`` (default) keeps the engine on the ``reference`` backend
@@ -281,12 +284,7 @@ class SpGEMMEngine:
         ``"auto"`` is an alias of ``"scipy"``, whose results are
         ``allclose`` rather than bit-identical and drop entries whose
         sum cancels to exactly ``0.0``, as raw ``scipy.sparse`` does.
-        Individual calls can override via
-        ``multiply(..., backend=...)``; with ``pipeline=``, the
-        backend override is applied onto the spec.
-    fingerprint_cache_size:
-        Capacity of the fingerprint memo LRU (feature sketches keyed by
-        pattern digest).
+        With ``pipeline=``, the backend is applied onto the spec.
     tracer:
         Optional :class:`~repro.obs.Tracer` (DESIGN.md §12).  An enabled
         tracer records ``engine.multiply`` / ``engine.multiply_many`` /
@@ -307,14 +305,9 @@ class SpGEMMEngine:
         config: ExperimentConfig | None = None,
         machine: SimulatedMachine | None = None,
         plan_cache: PlanCache | None = None,
-        persist_plans: bool = False,
-        predictor=None,
-        top_k: int = 3,
         seed: int = 0,
-        operand_cache_size: int = 16,
         pipeline: "PipelineSpec | str | None" = None,
         backend: str | None = None,
-        fingerprint_cache_size: int = 64,
         tracer: "Tracer | None" = None,
     ) -> None:
         from ..experiments.runner import machine_for
@@ -322,59 +315,45 @@ class SpGEMMEngine:
         self.cfg = config or ExperimentConfig()
         self.machine = machine or machine_for(self.cfg)
         self.seed = int(seed)
-        self.backend = backend
         self.tracer = tracer if tracer is not None else NOOP_TRACER
+        kw = dict(cfg=self.cfg, machine=self.machine, seed=self.seed, tracer=self.tracer)
         if pipeline is not None:
             policy = "pipeline"
-            pipeline = self._spec_with_backend(pipeline, backend)
-        # Shared by the configured planner and every per-call variant.
-        self._planner_kw = dict(
-            cfg=self.cfg,
-            machine=self.machine,
-            seed=self.seed,
-            tracer=self.tracer,
-        )
-        kw = dict(self._planner_kw, backend=backend)
-        if policy == "predictor":
-            kw["predictor"] = predictor
-        elif policy == "autotune":
-            kw["top_k"] = top_k
+            spec = PipelineSpec.parse(pipeline)
+            # The spec carries the backend.
+            kw["spec"] = spec.with_backend(backend) if backend else spec
         elif policy == "pipeline":
-            if pipeline is None:
-                raise ValueError("policy='pipeline' needs a pipeline= spec")
-            kw["spec"] = pipeline
-            kw.pop("backend")  # the spec carries the backend
+            raise ValueError("policy='pipeline' needs a pipeline= spec")
+        else:
+            kw["backend"] = backend
         self.planner: Planner = make_planner(policy, **kw)
         self.policy = policy
-        # Plan-key suffix: plans embed costs measured under this config,
-        # on this machine model, from this seed — a shared PlanCache must
-        # not serve them to an engine whose machine differs from what
-        # cfg.cache_key() implies.  All three are fixed for the engine's
+        # Plan-key suffix: plans are made by this planner and embed costs
+        # measured under this config, on this machine model, from this
+        # seed — a shared PlanCache must not serve them to an engine that
+        # differs in any of these (the machine may differ from what
+        # cfg.cache_key() implies).  All four are fixed for the engine's
         # lifetime, so the suffix is serialised once.
         m = self.machine
         cost = ",".join(f"{k}={v}" for k, v in sorted(asdict(m.cost).items()))
         machine_token = f"m{m.n_threads}t{m.cache_lines}l{m.line_bytes}b[{cost}]"
-        self._key_suffix = f"{self.cfg.cache_key()}|{machine_token}|{self.seed}"
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache(persist=persist_plans)
+        self._key_suffix = (
+            f"{self.planner.cache_token}|{self.cfg.cache_key()}|{machine_token}|{self.seed}"
+        )
+        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         if self.tracer.enabled and not self.plan_cache.tracer.enabled:
             # Attach the engine's tracer to its cache (shared caches keep
             # whichever enabled tracer reached them first).
             self.plan_cache.tracer = self.tracer
         self._operands: "OrderedDict[tuple, PreparedOperand]" = OrderedDict()
-        self._operand_cap = max(1, int(operand_cache_size))
         self._fingerprints: "OrderedDict[str, MatrixFingerprint]" = OrderedDict()
-        self._fingerprint_cap = max(1, int(fingerprint_cache_size))
-        # Per-call planner variants, keyed by the resolved (spec, backend)
-        # pair: (spec string, None) for pipeline= calls, (None, backend)
-        # for backend-only overrides of the configured policy.
-        self._planners: "dict[tuple[str | None, str | None], Planner]" = {}
         self._exec_ctx = ExecutionContext(cfg=self.cfg, tracer=self.tracer)
         self._stats = EngineStats()
         # The serving front-end drives one engine from a dispatch thread,
         # a planner thread and (on fallback) arbitrary caller threads.
         # _plan_build_lock serialises planner.plan + take_prepared (the
         # planner hands its prepared operand to whoever planned last);
-        # _memo_lock guards the fingerprint/operand/planner memo dicts.
+        # _memo_lock guards the fingerprint and operand memo dicts.
         # Neither is held across backend execution, so warm requests
         # execute while a cold fingerprint plans.
         self._plan_build_lock = threading.RLock()
@@ -400,66 +379,14 @@ class SpGEMMEngine:
         fp = fingerprint(A, seed=self.seed, digest=digest)
         with self._memo_lock:
             self._fingerprints[digest] = fp
-            while len(self._fingerprints) > self._fingerprint_cap:
+            while len(self._fingerprints) > FINGERPRINT_CACHE_SIZE:
                 self._fingerprints.popitem(last=False)
         return fp
 
-    def _plan_key(self, fp: MatrixFingerprint, workload: str, planner: Planner) -> str:
-        return f"{fp.key}|{workload}|{planner.cache_token}|{self._key_suffix}"
-
-    def _key_for(
-        self, A: CSRMatrix, workload: str, pipeline, backend
-    ) -> "tuple[Planner, MatrixFingerprint, str]":
-        """Resolve one call's planner, fingerprint ``A`` and build the
-        plan-cache key they address."""
-        planner = self._resolve_planner(pipeline, backend)
+    def _key_for(self, A: CSRMatrix, workload: str) -> "tuple[MatrixFingerprint, str]":
+        """Fingerprint ``A`` and build the plan-cache key it addresses."""
         fp = self._fingerprint(A)
-        return planner, fp, self._plan_key(fp, workload, planner)
-
-    @staticmethod
-    def _spec_with_backend(pipeline, backend) -> PipelineSpec:
-        """Apply a backend override onto a pipeline spec (``None`` keeps
-        the spec's own backend)."""
-        spec = PipelineSpec.parse(pipeline)
-        if backend:
-            spec = spec.with_backend(backend)
-        return spec
-
-    def _resolve_planner(self, pipeline, backend=None) -> Planner:
-        """The planner for one call: the engine's configured policy, a
-        per-spec fixed planner when ``pipeline=`` is given, or a
-        backend-variant of the configured policy when only ``backend=``
-        is (all memoised — repeated calls share plan-cache entries)."""
-        if pipeline is None:
-            if backend is None or backend == self.backend:
-                return self.planner
-            if self.policy == "pipeline":
-                # Re-pin the engine's own spec onto the requested backend.
-                pipeline = self.planner.spec
-        if pipeline is not None:
-            key = (str(self._spec_with_backend(pipeline, backend)), None)
-        else:
-            key = (None, backend)
-        with self._memo_lock:
-            planner = self._planners.get(key)
-        if planner is not None:
-            return planner
-        kw = dict(self._planner_kw)
-        if key[0] is not None:
-            planner = make_planner("pipeline", spec=key[0], **kw)
-        else:
-            if self.policy == "autotune":
-                kw["top_k"] = self.planner.top_k
-            elif self.policy == "predictor":
-                # Share the fitted predictor (fitting on demand if the
-                # base planner has not planned yet) instead of letting
-                # the variant planner fit a duplicate corpus.
-                kw["predictor"] = self.planner.predictor
-            planner = make_planner(self.policy, backend=backend, **kw)
-        with self._memo_lock:
-            # setdefault: concurrent builders share one instance (planners
-            # carry per-plan state, so identity matters).
-            return self._planners.setdefault(key, planner)
+        return fp, f"{fp.key}|{workload}|{self._key_suffix}"
 
     @staticmethod
     def _infer_workload(A: CSRMatrix, B: CSRMatrix | None) -> str:
@@ -475,8 +402,6 @@ class SpGEMMEngine:
         B: CSRMatrix | None = None,
         *,
         workload: str | None = None,
-        pipeline: "PipelineSpec | str | None" = None,
-        backend: str | None = None,
     ) -> ExecutionPlan:
         """The plan the engine would execute for ``A @ B``.
 
@@ -486,15 +411,14 @@ class SpGEMMEngine:
         counts executions, not displays.
         """
         workload = workload or self._infer_workload(A, B)
-        planner, fp, key = self._key_for(A, workload, pipeline, backend)
+        fp, key = self._key_for(A, workload)
         Bx = A if B is None else B
-        return self._lookup(A, Bx, planner, fp, key, workload, count=False)[0]
+        return self._lookup(A, Bx, fp, key, workload, count=False)[0]
 
     def _lookup(
         self,
         A: CSRMatrix,
         Bx: CSRMatrix,
-        planner: Planner,
         fp: MatrixFingerprint,
         key: str,
         workload: str,
@@ -518,13 +442,13 @@ class SpGEMMEngine:
                 if not hit:
                     if count:
                         self._stats.bump(plan_cache_misses=1)
-                    plan = planner.plan(A, Bx, fp, workload)
+                    plan = self.planner.plan(A, Bx, fp, workload)
                     self.plan_cache.put(key, plan)
                     self._stats.bump(plans_built=1, model_planning_cost=plan.planning_cost)
                     # The planner already materialised the winning operand for
                     # its measurement — seed the operand cache with it so the
                     # preprocessing is never paid twice.
-                    prep = planner.take_prepared()
+                    prep = self.planner.take_prepared()
                     if prep is not None:
                         self._stats.bump(operands_prepared=1, model_pre_cost=prep.pre_cost)
                         self._store_operand(self._operand_key(plan, value_digest(A)), prep)
@@ -588,7 +512,7 @@ class SpGEMMEngine:
     def _store_operand(self, key: tuple, prep: PreparedOperand) -> None:
         with self._memo_lock:
             self._operands[key] = prep
-            while len(self._operands) > self._operand_cap:
+            while len(self._operands) > OPERAND_CACHE_SIZE:
                 self._operands.popitem(last=False)
 
     # ------------------------------------------------------------------
@@ -602,15 +526,13 @@ class SpGEMMEngine:
             return _UNTRACED
         return tracer.span(name, n=A.nrows, nnz=A.nnz, **tags)
 
-    def _bind(
-        self, A: CSRMatrix, Bx: CSRMatrix, workload: str, pipeline, backend, span
-    ) -> _Bound:
+    def _bind(self, A: CSRMatrix, Bx: CSRMatrix, workload: str, span) -> _Bound:
         """Everything one call's products share: look up (or build) the
         plan for ``A``, prepare its operand and resolve the kernel
         parameters.  Tags ``span`` with this call's own lookup outcome."""
-        planner, fp, key = self._key_for(A, workload, pipeline, backend)
+        fp, key = self._key_for(A, workload)
         vdigest = value_digest(A)
-        plan, hit = self._lookup(A, Bx, planner, fp, key, workload)
+        plan, hit = self._lookup(A, Bx, fp, key, workload)
         prep, reused = self._prepare(A, plan, vdigest)
         k_info = get_component("kernel", plan.kernel)
         given = [
@@ -689,8 +611,6 @@ class SpGEMMEngine:
         B: CSRMatrix | None = None,
         *,
         workload: str | None = None,
-        pipeline: "PipelineSpec | str | None" = None,
-        backend: str | None = None,
     ) -> CSRMatrix:
         """Compute ``A @ B`` (``A²`` when ``B`` is omitted) via the plan.
 
@@ -698,17 +618,15 @@ class SpGEMMEngine:
         :func:`~repro.core.spgemm.spgemm_rowwise` on the original
         operands bitwise: the plan's permutation gathers whole rows
         (``P·A``), so each output row's summation order is unchanged and
-        only row placement is inverted at the end.  ``pipeline`` pins
-        the configuration for this call instead of consulting the
-        engine's planner policy; ``backend`` pins the execution backend
-        (a non-bitwise backend returns ``allclose`` results instead,
-        and ``scipy`` drops exact-zero sums).
+        only row placement is inverted at the end.  A non-bitwise
+        backend returns ``allclose`` results instead, and ``scipy``
+        drops exact-zero sums.
         """
         Bx = A if B is None else B
         _check_inner(A, Bx)
         workload = workload or self._infer_workload(A, B)
         with self._span("engine.multiply", A) as sp:
-            bound = self._bind(A, Bx, workload, pipeline, backend, sp)
+            bound = self._bind(A, Bx, workload, sp)
             return self._run(bound, A, [Bx])[0]
 
     def multiply_many(
@@ -717,8 +635,6 @@ class SpGEMMEngine:
         Bs,
         *,
         workload: str | None = None,
-        pipeline: "PipelineSpec | str | None" = None,
-        backend: str | None = None,
     ) -> list[CSRMatrix]:
         """Batch API: ``[A @ B for B in Bs]`` with one shared plan.
 
@@ -741,7 +657,7 @@ class SpGEMMEngine:
             return []
         workload = workload or self._infer_workload(A, Bs[0])
         with self._span("engine.multiply_many", A, batch=len(Bs)) as sp:
-            bound = self._bind(A, Bs[0], workload, pipeline, backend, sp)
+            bound = self._bind(A, Bs[0], workload, sp)
             return self._run(bound, A, Bs)
 
     def power(self, A: CSRMatrix, exponent: int) -> CSRMatrix:
@@ -758,7 +674,7 @@ class SpGEMMEngine:
         C = A
         with self._span("engine.power", A, exponent=exponent) as sp:
             if exponent > 1:
-                bound = self._bind(A, A, "asquare", None, None, sp)
+                bound = self._bind(A, A, "asquare", sp)
                 for i in range(exponent - 1):
                     C = self._run(bound, A, [C], reuse=i > 0)[0]
         return C

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Any
 
 __all__ = ["ExecutionPlan", "backend_label_suffix"]
@@ -193,26 +193,6 @@ class ExecutionPlan:
         from ..pipeline import PipelineSpec
 
         return PipelineSpec.from_plan(self)
-
-    def param_dict(self) -> dict:
-        return dict(self.params)
-
-    def with_accounting(
-        self,
-        *,
-        predicted_cost: float,
-        baseline_cost: float,
-        pre_cost: float,
-        planning_cost: float,
-    ) -> "ExecutionPlan":
-        """Copy of the plan with the accounting fields filled in."""
-        return replace(
-            self,
-            predicted_cost=predicted_cost,
-            baseline_cost=baseline_cost,
-            pre_cost=pre_cost,
-            planning_cost=planning_cost,
-        )
 
     def to_dict(self) -> dict:
         d = asdict(self)

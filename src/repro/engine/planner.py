@@ -1,4 +1,4 @@
-"""Pluggable planning policies: heuristic, predictor, autotune, pipeline.
+"""Pluggable planning policies: heuristic, autotune, pipeline.
 
 A planner turns ``(A, B, fingerprint, workload)`` into an
 :class:`~repro.engine.plan.ExecutionPlan`.  The candidate space is
@@ -15,27 +15,28 @@ or the backend it is constructed with (``"auto"`` is an alias of
 are ``(reordering, backend)`` pairs — see :func:`executed_candidate`.
 ``reference`` remains the correctness oracle either way: plans are
 validated against it and non-bitwise backends guarantee ``allclose``
-results (``scipy`` minus exact-zero sums).  Three search policies are
-provided, mirroring the escalation the paper's §5 future work sketches,
-plus a fixed-spec one:
+results (``scipy`` minus exact-zero sums).  Two search policies are
+provided, plus a fixed-spec one:
 
 * :class:`HeuristicPlanner` (``"heuristic"``) — ranks a candidate space
   with closed-form :class:`~repro.machine.cost.CostModel` estimates
   driven by the fingerprint's structural features, then materialises and
   simulates only the winner.  Cheapest; no training data.
-* :class:`PredictorPlanner` (``"predictor"``) — delegates the choice to
-  the k-NN :class:`~repro.analysis.predictor.ConfigurationPredictor`
-  (trained from sweeps; a small built-in corpus is swept on demand when
-  no fitted predictor is supplied).
 * :class:`AutotunePlanner` (``"autotune"``) — measured trial: takes the
-  heuristic ranking's top-k candidates, actually reorders/clusters and
-  simulates each on the machine model, and picks the fastest.  The trial
+  heuristic ranking's top :data:`AUTOTUNE_TRIALS` candidates, actually
+  reorders/clusters and simulates each on the machine model, and picks
+  the fastest.  The trial
   cost is charged to ``plan.planning_cost`` so the engine's break-even
   accounting stays honest.
 * :class:`PipelinePlanner` (``"pipeline"``) — no search: executes one
   explicit :class:`~repro.pipeline.spec.PipelineSpec` (the engine's
   ``pipeline=`` argument / the CLI's ``--pipeline``), still measured
   once so cost accounting and plan caching behave like searched plans.
+
+The k-NN :class:`~repro.analysis.predictor.ConfigurationPredictor` (the
+paper's §5 learned choice) is not a policy: fitted on sweeps, its
+prediction becomes a :class:`~repro.pipeline.spec.PipelineSpec` run by
+the ``pipeline`` policy (``examples/autotune_predictor.py``).
 
 Candidates are applied as **row permutations** (gather ``P·A``), not the
 symmetric ``P A Pᵀ`` of the sweep runner: row gathering leaves every row's
@@ -49,15 +50,10 @@ capturing the cross-row ``B``-reuse locality that reordering buys
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as _dc_replace
-from functools import lru_cache
 
 import numpy as np
 
-from ..analysis.predictor import (
-    DEFAULT_TRAINING_REORDERINGS,
-    FEATURE_NAMES,
-    ConfigurationPredictor,
-)
+from ..analysis.predictor import FEATURE_NAMES
 from ..core.csr import CSRMatrix
 from ..core.csr_cluster import CSRCluster
 from ..core.spgemm import flops_rowwise
@@ -73,7 +69,6 @@ __all__ = [
     "PreparedOperand",
     "Planner",
     "HeuristicPlanner",
-    "PredictorPlanner",
     "AutotunePlanner",
     "PipelinePlanner",
     "make_planner",
@@ -83,8 +78,12 @@ __all__ = [
     "replace_candidate",
     "executed_candidate",
     "prepare_candidate",
-    "default_training_corpus",
+    "AUTOTUNE_TRIALS",
 ]
+
+#: Candidates the ``autotune`` policy measures (the heuristic ranking's
+#: top ones); part of its plan-cache token (``:k3``).
+AUTOTUNE_TRIALS = 3
 
 
 def planner_reorderings() -> tuple[str, ...]:
@@ -409,7 +408,6 @@ class Planner:
         cfg: ExperimentConfig | None = None,
         machine: SimulatedMachine | None = None,
         seed: int = 0,
-        reorderings: tuple[str, ...] | None = None,
         backend: "str | tuple | None" = None,
         tracer=None,
     ) -> None:
@@ -419,7 +417,8 @@ class Planner:
         self.cfg = cfg or ExperimentConfig()
         self.machine = machine or machine_for(self.cfg)
         self.seed = int(seed)
-        self.reorderings = planner_reorderings() if reorderings is None else tuple(reorderings)
+        # Read once, so the candidate space and the cache token agree.
+        self.reorderings = planner_reorderings()
         #: Observability hook (DESIGN.md §12): an enabled tracer wraps
         #: :meth:`plan` in a ``planner.plan`` span and every candidate
         #: measurement in a ``planner.trial`` span.
@@ -530,26 +529,6 @@ class Planner:
     def _baseline(self, A: CSRMatrix, B: CSRMatrix) -> float:
         return self.machine.run_rowwise(A, B).time
 
-    def _apply_backend(self, cand: Candidate) -> Candidate:
-        """Re-target a policy-chosen candidate along the backend axis.
-
-        Used by policies that pick a candidate outside
-        :meth:`_candidates` (the predictor).  The result is what the
-        planner's backend executes (:func:`executed_candidate`); a
-        backend that cannot execute the chosen kernel is a configuration
-        error.
-        """
-        from ..backends import backend_supports
-
-        name, params = self._backend
-        if name == "reference":
-            return cand
-        if not backend_supports(name, params, cand.kernel):
-            raise ValueError(
-                f"backend {name!r} does not support the chosen kernel {cand.kernel!r}"
-            )
-        return executed_candidate(replace_candidate(cand, name, params))
-
     def _assemble(
         self,
         cand: Candidate,
@@ -632,59 +611,9 @@ class HeuristicPlanner(Planner):
         return (cand, *self._measure(A, B, cand, baseline))
 
 
-class PredictorPlanner(Planner):
-    """Delegate the configuration choice to the k-NN predictor (§5).
-
-    A fitted :class:`~repro.analysis.predictor.ConfigurationPredictor`
-    can be supplied; otherwise a small built-in corpus of synthetic
-    matrices is swept once (per config) and cached in-process.  The
-    predictor models the (reordering, clustering, kernel) triple only;
-    the planner's backend is applied afterwards via
-    :meth:`Planner._apply_backend`.
-    """
-
-    name = "predictor"
-
-    def __init__(self, *, predictor: ConfigurationPredictor | None = None, **kw) -> None:
-        super().__init__(**kw)
-        self._predictor = predictor
-
-    @property
-    def predictor(self) -> ConfigurationPredictor:
-        if self._predictor is None:
-            mats, sweeps = default_training_corpus(self.cfg, seed=self.seed)
-            self._predictor = ConfigurationPredictor(k=3).fit(mats, sweeps)
-        return self._predictor
-
-    def choose(self, A: CSRMatrix, B: CSRMatrix, fp: MatrixFingerprint) -> Candidate:
-        # Reuse the fingerprint's feature vector only when its sampling
-        # seed matches the predictor's training convention (seed 0,
-        # matrix_features' default); otherwise let the predictor sample
-        # its own so query and training features stay comparable.
-        features = fp.feature_array() if self.seed == 0 else None
-        algo, variant = self.predictor.predict(A, features=features)
-        if variant == "cluster":
-            # Label shape ("<clustering>", "cluster"): the clustering
-            # embeds its own order, so it rides the natural order.
-            return Candidate("original", algo, "cluster")
-        if (
-            A.nrows != A.ncols
-            and algo != "original"
-            and get_component("reordering", algo).square_only
-        ):
-            algo = "original"  # graph reorderings need a square adjacency
-        if variant == "rowwise":
-            return Candidate(algo, None, "rowwise")
-        # Any other variant names a clustering scheme.
-        return Candidate(algo, variant, "cluster")
-
-    def _select(self, A, B, fp, baseline):
-        cand = self._apply_backend(self.choose(A, B, fp))
-        return (cand, *self._measure(A, B, cand, baseline))
-
-
 class AutotunePlanner(Planner):
-    """Measured trial of the heuristic ranking's top-k candidates.
+    """Measured trial of the heuristic ranking's top
+    :data:`AUTOTUNE_TRIALS` candidates.
 
     Every trial's simulated time is charged to ``planning_cost``: the
     engine reports break-even iterations *including* the tuning bill.
@@ -692,20 +621,14 @@ class AutotunePlanner(Planner):
 
     name = "autotune"
 
-    def __init__(self, *, top_k: int = 3, **kw) -> None:
-        super().__init__(**kw)
-        if top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        self.top_k = int(top_k)
-
     @property
     def cache_token(self) -> str:
-        return f"{super().cache_token}:k{self.top_k}"
+        return f"{super().cache_token}:k{AUTOTUNE_TRIALS}"
 
     def _select(self, A, B, fp, baseline):
         cands = self._candidates(A)
         est = _estimate_candidate_costs(A, B, fp.feature_array(), cands, self.machine.cost, self.cfg)
-        order = np.argsort(est, kind="stable")[: self.top_k]
+        order = np.argsort(est, kind="stable")[:AUTOTUNE_TRIALS]
         trial_cands = [cands[int(i)] for i in order]
         # The reference baseline is always a contender (never tune *into*
         # a slowdown blindly) — its measurement is the baseline
@@ -792,57 +715,8 @@ class PipelinePlanner(Planner):
         )
 
 
-# ----------------------------------------------------------------------
-# Built-in predictor training corpus
-# ----------------------------------------------------------------------
-@lru_cache(maxsize=4)
-def _corpus_cached(cfg: ExperimentConfig, seed: int):
-    from ..matrices import generators as G
-    from ..matrices.perturb import scramble
-    from ..experiments.runner import run_matrix_sweep
-
-    builders = [
-        ("train_grid", lambda: G.grid2d(16, 16, seed=seed)),
-        ("train_grid_scr", lambda: scramble(G.grid2d(16, 16, seed=seed + 1), seed=seed + 1)),
-        ("train_block", lambda: G.block_diagonal(12, 10, density=0.5, seed=seed + 2)),
-        ("train_block_scr", lambda: scramble(G.block_diagonal(12, 10, density=0.5, seed=seed + 3), seed=seed + 3)),
-        ("train_web", lambda: G.web_graph(260, seed=seed + 4)),
-        ("train_banded", lambda: G.banded_random(240, bandwidth=8, fill=0.4, seed=seed + 5)),
-    ]
-    train_cfg = ExperimentConfig(
-        n_threads=cfg.n_threads,
-        cache_lines=cfg.cache_lines,
-        line_bytes=cfg.line_bytes,
-        jacc_th=cfg.jacc_th,
-        max_cluster_th=cfg.max_cluster_th,
-        fixed_cluster_size=cfg.fixed_cluster_size,
-        column_cap=cfg.column_cap,
-        seed=seed,
-        reorderings=DEFAULT_TRAINING_REORDERINGS,
-    )
-    mats, sweeps = [], []
-    for name, build in builders:
-        A = build()
-        mats.append(A)
-        sweeps.append(run_matrix_sweep(name, train_cfg, A=A))
-    return tuple(mats), tuple(sweeps)
-
-
-def default_training_corpus(cfg: ExperimentConfig, *, seed: int = 0):
-    """Small synthetic (matrices, sweeps) corpus for the predictor policy.
-
-    Swept once per ``(config, seed)`` and memoised in-process; the
-    matrices span the structural families of the suite (mesh, block,
-    web, banded — each in ordered and scrambled form) at tiny sizes so
-    the first predictor-policy plan stays affordable.
-    """
-    mats, sweeps = _corpus_cached(cfg, int(seed))
-    return list(mats), list(sweeps)
-
-
 _POLICIES = {
     "heuristic": HeuristicPlanner,
-    "predictor": PredictorPlanner,
     "autotune": AutotunePlanner,
     "pipeline": PipelinePlanner,
 }

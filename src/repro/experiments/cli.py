@@ -357,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--policy",
         default="autotune",
-        choices=["heuristic", "predictor", "autotune"],
+        choices=["heuristic", "autotune"],
         help="planner policy for the engine command",
     )
     parser.add_argument("--iters", type=int, default=5, help="multiplies to run in the engine command")

@@ -48,15 +48,6 @@ class ExperimentConfig:
     # ------------------------------------------------------------------
     # Pipeline-spec view of the config
     # ------------------------------------------------------------------
-    def component_params(self, kind: str, name: str) -> dict:
-        """The parameters this config implies for one registered
-        component, resolved through the pipeline registry's
-        ``config_attr`` mapping (e.g. ``fixed`` → ``{"cluster_size":
-        self.fixed_cluster_size}``)."""
-        from ..pipeline import get_component
-
-        return get_component(kind, name).resolve_params((), self)
-
     def sweep_pipelines(
         self,
         reorderings: tuple[str, ...] | None = None,

@@ -138,10 +138,6 @@ class PipelineSpec:
         return get_component("kernel", self.kernel)
 
     @property
-    def backend_info(self) -> ComponentInfo:
-        return get_component("backend", self.backend)
-
-    @property
     def bitwise(self) -> bool:
         """Whether this spec's backend guarantees bitwise identity with
         row-wise SpGEMM (asked of the backend instance)."""

@@ -13,13 +13,16 @@ shape-parameterised:
   comparison backing the engine's correctness contract;
 * ``fig1`` — the paper's 6×6 worked example;
 * :func:`leak_guard` and its autouse fixture: a test leaves no new
-  live non-daemon thread and no new child process behind.
+  live non-daemon or ``repro-*`` thread, no new child process and (on
+  Linux) no new open file descriptor behind.
 """
 
 from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import os
+import sys
 import threading
 
 import numpy as np
@@ -34,24 +37,41 @@ def pytest_configure(config):
     config.addinivalue_line("markers", "slow: long-running end-to-end test (e.g. an example script)")
 
 
+def _guarded(t: threading.Thread) -> bool:
+    """A thread the guard watches: every non-daemon thread, and every
+    thread the package starts (named ``repro-*``), daemon or not."""
+    return not t.daemon or t.name.startswith("repro-")
+
+
+def _open_fds() -> set[str]:
+    """This process's open file descriptors (Linux only; empty elsewhere)."""
+    if not sys.platform.startswith("linux"):
+        return set()
+    return set(os.listdir("/proc/self/fd"))
+
+
 @contextlib.contextmanager
 def leak_guard():
     """Fail (``AssertionError``) if the body leaves a new live
-    non-daemon thread or a new ``multiprocessing`` child running."""
-    threads = {t for t in threading.enumerate() if not t.daemon}
+    non-daemon or ``repro-*`` thread, a new ``multiprocessing`` child
+    running or, on Linux, a new open file descriptor."""
+    threads = {t for t in threading.enumerate() if _guarded(t)}
     children = set(multiprocessing.active_children())
+    fds = _open_fds()
     yield
-    leaked = [t.name for t in threading.enumerate() if not t.daemon and t not in threads]
-    assert not leaked, f"test left live non-daemon threads: {leaked}"
+    leaked = [t.name for t in threading.enumerate() if _guarded(t) and t not in threads]
+    assert not leaked, f"test left live threads: {leaked}"
     spawned = [p.pid for p in multiprocessing.active_children() if p not in children]
     assert not spawned, f"test left live child processes: {spawned}"
+    opened = sorted(_open_fds() - fds, key=int)
+    assert not opened, f"test left open file descriptors: {opened}"
 
 
 @pytest.fixture(autouse=True)
 def _no_leaked_threads_or_children():
-    """Every thread or process a test starts has an owner whose
-    ``close()`` stops it before the test ends (a server, an RPC
-    endpoint, a trace sink); one left running would outlive the test
+    """Every thread, process or file a test opens has an owner whose
+    ``close()`` stops or closes it before the test ends (a server, an
+    RPC endpoint, a trace sink); one left open would outlive the test
     and leak into every later one."""
     with leak_guard():
         yield

@@ -13,7 +13,7 @@ from repro.backends import (
     parse_backend,
 )
 from repro.core import spgemm_rowwise
-from repro.engine import ExecutionPlan, SpGEMMEngine
+from repro.engine import ExecutionPlan, PlanCache, SpGEMMEngine
 from repro.matrices import generators as G
 from repro.pipeline import PipelineSpec, available_components, components, get_component
 
@@ -230,12 +230,11 @@ def test_engine_constructor_backend_pins_every_plan():
     assert eng.stats().backend_events.get("scipy_calls") == 1
 
 
-def test_engine_per_call_backend_override():
-    eng = SpGEMMEngine(policy="heuristic")
-    eng.multiply(A)
-    C = eng.multiply(A, backend="vectorized")
+def test_engine_vectorized_backend_plans_its_kernels():
+    eng = SpGEMMEngine(policy="heuristic", backend="vectorized")
+    C = eng.multiply(A)
     assert _bitwise(C)
-    plan = eng.plan_for(A, backend="vectorized")
+    plan = eng.plan_for(A)
     assert plan.backend == "vectorized" and plan.backend_params == ()
     # Pinning vectorized restricts the space to the kernels it supports.
     assert plan.kernel in {"cluster", "rowwise"}
@@ -243,19 +242,23 @@ def test_engine_per_call_backend_override():
 
 
 def test_plan_cache_keys_include_backend():
-    # A plan tuned for scipy must never be served to a reference call:
-    # the two calls build two distinct cache entries.
-    eng = SpGEMMEngine(policy="heuristic")
-    eng.multiply(A)
-    eng.multiply(A, backend="scipy")
-    st = eng.stats()
-    assert st.plans_built == 2 and st.plan_cache_hits == 0
-    assert len(eng.plan_cache) == 2
-    # And repeating each call hits its own entry.
-    eng.multiply(A)
-    eng.multiply(A, backend="scipy")
-    assert eng.stats().plan_cache_hits == 2
-    assert eng.stats().plans_built == 2
+    # A plan tuned for scipy must never be served to a reference engine:
+    # two engines sharing one cache build two distinct entries.
+    cache = PlanCache()
+    ref = SpGEMMEngine(policy="heuristic", plan_cache=cache)
+    scipy = SpGEMMEngine(policy="heuristic", backend="scipy", plan_cache=cache)
+    ref.multiply(A)
+    scipy.multiply(A)
+    for eng in (ref, scipy):
+        assert eng.stats().plans_built == 1 and eng.stats().plan_cache_hits == 0
+    assert len(cache) == 2
+    assert (ref.plan_for(A).backend, scipy.plan_for(A).backend) == ("reference", "scipy")
+    # And repeating each engine's call hits its own entry.
+    ref.multiply(A)
+    scipy.multiply(A)
+    for eng in (ref, scipy):
+        assert eng.stats().plans_built == 1 and eng.stats().plan_cache_hits == 1
+    assert len(cache) == 2
 
 
 def test_engine_auto_backend_plans_and_matches_pattern():
@@ -267,32 +270,17 @@ def test_engine_auto_backend_plans_and_matches_pattern():
     assert plan.backend == "scipy"
 
 
-def test_predictor_policy_honours_auto_backend():
-    # The predictor re-targets its chosen triple at the engine's backend
-    # ("auto" is scipy) rather than silently staying on reference.
-    eng = SpGEMMEngine(policy="predictor", backend="auto")
-    C = eng.multiply(A)
-    plan = eng.plan_for(A)
-    assert plan.backend == "scipy"
-    assert C.same_pattern(REF) and C.allclose(REF)
-
-
 def test_auto_backend_pins_a_pipeline_spec_to_scipy(capsys):
     # "auto" with a fixed pipeline pins the spec to scipy, like any other
-    # backend name: at construction, per call, and per call on a
-    # pipeline-policy engine (which re-pins its own spec).
+    # backend name, in the engine and in the CLI.
     from repro.experiments.cli import main
 
     eng = SpGEMMEngine(pipeline="rcm", backend="auto")
     assert eng.plan_for(A).backend == "scipy"
     assert eng.planner.spec.label == "rcm+csr/rowwise@scipy"
-    C = SpGEMMEngine().multiply(A, pipeline="rcm", backend="auto")
+    C = eng.multiply(A)
     assert C.same_pattern(REF) and C.allclose(REF)
-    pinned = SpGEMMEngine(pipeline="rcm")
-    C = pinned.multiply(A, backend="auto")
-    assert C.same_pattern(REF) and C.allclose(REF)
-    assert pinned.plan_for(A, backend="auto").backend == "scipy"
-    assert pinned.plan_for(A).backend == "reference"
+    assert SpGEMMEngine(pipeline="rcm").plan_for(A).backend == "reference"
     rc = main(["engine", "--matrix", "pdb1", "--pipeline", "rcm", "--backend", "auto", "--iters", "1"])
     assert rc == 0 and "plan: rcm+csr/rowwise@scipy" in capsys.readouterr().out
 
@@ -307,8 +295,8 @@ def test_engine_pipeline_spec_with_backend():
 
 def test_engine_multiply_many_with_backend():
     Bs = [G.web_graph(220, seed=s) for s in (10, 11)]
-    eng = SpGEMMEngine(policy="heuristic")
-    outs = eng.multiply_many(A, Bs, backend="scipy")
+    eng = SpGEMMEngine(policy="heuristic", backend="scipy")
+    outs = eng.multiply_many(A, Bs)
     for B, C in zip(Bs, outs):
         want = spgemm_rowwise(A, B)
         assert C.same_pattern(want) and C.allclose(want)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import ExecutionPlan, PlanCache, SpGEMMEngine, fingerprint, value_digest
+from repro.engine import engine as engine_mod
 from repro.engine.fingerprint import pattern_digest
 from repro.experiments import ExperimentConfig
 from repro.experiments.cache import _load
@@ -63,13 +64,18 @@ def test_fingerprint_features_deterministic():
 
 
 # ----------------------------------------------------------------------
-# The engine's fingerprint memo (constructor-parameterised LRU)
+# The engine's fingerprint memo (an LRU of FINGERPRINT_CACHE_SIZE)
 # ----------------------------------------------------------------------
 SMALL_CFG = ExperimentConfig(n_threads=2, cache_lines=128)
 
 
-def test_fingerprint_cache_size_is_constructor_parameter():
-    eng = SpGEMMEngine(config=SMALL_CFG, fingerprint_cache_size=2)
+@pytest.fixture
+def two_fingerprints(monkeypatch):
+    monkeypatch.setattr(engine_mod, "FINGERPRINT_CACHE_SIZE", 2)
+
+
+def test_fingerprint_memo_capacity_is_bounded(two_fingerprints):
+    eng = SpGEMMEngine(config=SMALL_CFG)
     mats = [G.grid2d(4 + i, 4, seed=i) for i in range(3)]
     for A in mats:
         eng._fingerprint(A)
@@ -82,8 +88,8 @@ def test_fingerprint_cache_size_is_constructor_parameter():
     assert fp.key.startswith(f"{mats[0].nrows}x")
 
 
-def test_fingerprint_memo_is_lru_not_fifo():
-    eng = SpGEMMEngine(config=SMALL_CFG, fingerprint_cache_size=2)
+def test_fingerprint_memo_is_lru_not_fifo(two_fingerprints):
+    eng = SpGEMMEngine(config=SMALL_CFG)
     A, B, C = (G.grid2d(4 + i, 4, seed=i) for i in range(3))
     eng._fingerprint(A)
     eng._fingerprint(B)
@@ -91,6 +97,24 @@ def test_fingerprint_memo_is_lru_not_fifo():
     eng._fingerprint(C)
     assert pattern_digest(A) in eng._fingerprints
     assert pattern_digest(B) not in eng._fingerprints
+
+
+@pytest.mark.parametrize(
+    "kw, token",
+    [
+        (dict(), "heuristic:rcm,amd,rabbit,degree,slashburn:b=reference"),
+        (dict(backend="scipy"), "heuristic:rcm,amd,rabbit,degree,slashburn:b=scipy"),
+        (dict(policy="autotune"), "autotune:rcm,amd,rabbit,degree,slashburn:b=reference:k3"),
+        (dict(policy="autotune", backend="auto"), "autotune:rcm,amd,rabbit,degree,slashburn:b=scipy:k3"),
+        (dict(pipeline="rcm+variable+cluster"), "pipeline:rcm+variable+cluster"),
+        (dict(pipeline="rcm", backend="auto"), "pipeline:rcm+none+rowwise@scipy"),
+    ],
+    ids=["heuristic", "heuristic-scipy", "autotune", "autotune-auto", "pipeline", "pipeline-auto"],
+)
+def test_planner_cache_tokens_are_stable(kw, token):
+    # Plan-cache keys embed the token: a changed token orphans every
+    # persisted plan, so the strings are pinned.
+    assert SpGEMMEngine(**kw).planner.cache_token == token
 
 
 # ----------------------------------------------------------------------

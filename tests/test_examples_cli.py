@@ -61,3 +61,13 @@ def test_cli_rejects_unknown():
         cwd=EXAMPLES.parent,
     )
     assert r.returncode != 0
+
+
+@pytest.mark.parametrize("command", ["engine", "serve"])
+def test_cli_rejects_predictor_policy(command, capsys):
+    from repro.experiments.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--policy", "predictor"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'predictor'" in capsys.readouterr().err

@@ -117,18 +117,17 @@ def test_acceptance_spec_round_trips_builds_and_runs_everywhere():
     assert np.isfinite(result.baseline_time)
 
 
-def test_engine_per_call_pipeline_override(small_matrix, small_ref):
-    eng = SpGEMMEngine(policy="heuristic", config=SMALL_CFG)
-    assert_bitwise_equal(eng.multiply(small_matrix, pipeline="rcm+fixed:4+cluster"), small_ref)
-    assert_bitwise_equal(eng.multiply(small_matrix), small_ref)  # policy path intact
-    assert_bitwise_equal(
-        eng.multiply(small_matrix, pipeline="rabbit+tiled:tile_cols=8"), small_ref
-    )
+@pytest.mark.parametrize(
+    "spec, label",
+    [("rcm+fixed:4+cluster", "rcm+fixed/cluster"), ("rabbit+tiled:tile_cols=8", "rabbit+csr/tiled")],
+)
+def test_engine_pipeline_spec_runs_its_plan(small_matrix, small_ref, spec, label):
+    eng = SpGEMMEngine(pipeline=spec, config=SMALL_CFG)
+    assert_bitwise_equal(eng.multiply(small_matrix), small_ref)
+    assert_bitwise_equal(eng.multiply(small_matrix), small_ref)
     s = eng.stats()
-    assert s.multiplies == 3
-    labels = set(s.per_plan)
-    assert "rcm+fixed/cluster" in labels
-    assert "rabbit+csr/tiled" in labels
+    assert s.multiplies == 2 and s.plans_built == 1
+    assert s.per_plan == {label: 2}
 
 
 def test_engine_pipeline_plans_are_deterministic(small_matrix):
@@ -150,9 +149,11 @@ def test_engine_pipeline_plans_are_cached(small_matrix):
 def test_engine_pipeline_with_distinct_params_do_not_share_operands(small_matrix, small_ref):
     # Same (reordering, clustering) with different parameters must not
     # collide in the prepared-operand cache.
-    eng = SpGEMMEngine(policy="heuristic", config=SMALL_CFG)
-    assert_bitwise_equal(eng.multiply(small_matrix, pipeline="original+fixed:2+cluster"), small_ref)
-    assert_bitwise_equal(eng.multiply(small_matrix, pipeline="original+fixed:8+cluster"), small_ref)
+    eng = SpGEMMEngine(pipeline="original+fixed:2+cluster", config=SMALL_CFG)
+    assert_bitwise_equal(eng.multiply(small_matrix), small_ref)
+    wide = SpGEMMEngine(pipeline="original+fixed:8+cluster", config=SMALL_CFG).plan_for(small_matrix)
+    prep = eng.prepare(small_matrix, wide)
+    assert prep.params == wide.params != eng.plan_for(small_matrix).params
     assert eng.stats().operands_prepared == 2
 
 
@@ -164,9 +165,9 @@ def test_pipeline_policy_requires_spec():
 def test_engine_rejects_square_only_pipeline_on_rectangle():
     A = G.grid2d(5, 5, seed=0).extract_rows(np.arange(15))
     B = G.grid2d(5, 5, seed=0)
-    eng = SpGEMMEngine(config=SMALL_CFG)
+    eng = SpGEMMEngine(pipeline="rcm+rowwise", config=SMALL_CFG)
     with pytest.raises(ValueError, match="square"):
-        eng.multiply(A, B, pipeline="rcm+rowwise")
+        eng.multiply(A, B)
 
 
 def test_run_pipeline_accepts_suite_names_and_strings():

@@ -207,16 +207,6 @@ def test_component_names_unique_across_kinds():
         )
 
 
-def test_predictor_training_corpus_is_predictor_data():
-    # The built-in corpus sweeps the predictor module's documented
-    # training set (not a planner-space slice), preserving pre-pipeline
-    # predictor behaviour.
-    from repro.analysis.predictor import DEFAULT_TRAINING_REORDERINGS
-
-    assert DEFAULT_TRAINING_REORDERINGS == ("rcm", "degree", "rabbit")
-    assert set(DEFAULT_TRAINING_REORDERINGS) <= set(available_reorderings())
-
-
 def test_reordering_meta_accessible():
     meta = get_reordering_meta("rcm")
     assert meta.family == "bandwidth"

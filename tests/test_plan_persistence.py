@@ -220,7 +220,7 @@ def test_plan_with_unknown_replan_cost_is_evicted_first():
 # ----------------------------------------------------------------------
 ENGINE_KW = {
     "heuristic": dict(policy="heuristic"),
-    "autotune": dict(policy="autotune", top_k=2),
+    "autotune": dict(policy="autotune"),
     "pipeline": dict(pipeline="rcm+fixed:8+cluster"),
 }
 
@@ -229,12 +229,12 @@ ENGINE_KW = {
 def test_fresh_engine_reuses_persisted_plan(plan_dir, kw):
     A = G.grid2d(10, 10, seed=3)
     ref = spgemm_rowwise(A, A)
-    first = SpGEMMEngine(config=SMALL_CFG, persist_plans=True, **kw)
+    first = SpGEMMEngine(config=SMALL_CFG, plan_cache=PlanCache(persist=True), **kw)
     assert_bitwise_equal(first.multiply(A), ref)
     assert first.stats().plans_built == 1
     assert len(plan_files(plan_dir)) == 1
 
-    fresh = SpGEMMEngine(config=SMALL_CFG, persist_plans=True, **kw)
+    fresh = SpGEMMEngine(config=SMALL_CFG, plan_cache=PlanCache(persist=True), **kw)
     assert_bitwise_equal(fresh.multiply(A), ref)
     assert fresh.stats().plans_built == 0
     assert fresh.plan_cache.disk_hits == 1
@@ -244,7 +244,7 @@ def test_fresh_engine_reuses_persisted_plan(plan_dir, kw):
 def test_engines_sharing_a_plan_dir_multiply_concurrently(plan_dir):
     A = G.grid2d(8, 8, seed=1)
     ref = spgemm_rowwise(A, A)
-    engines = [SpGEMMEngine(config=SMALL_CFG, persist_plans=True) for _ in range(4)]
+    engines = [SpGEMMEngine(config=SMALL_CFG, plan_cache=PlanCache(persist=True)) for _ in range(4)]
     barrier = threading.Barrier(len(engines))
     results: list = []
     errors: list = []
@@ -276,7 +276,7 @@ def test_no_cache_env_makes_every_engine_plan(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     A = G.grid2d(8, 8, seed=2)
     for _ in range(2):
-        eng = SpGEMMEngine(config=SMALL_CFG, persist_plans=True)
+        eng = SpGEMMEngine(config=SMALL_CFG, plan_cache=PlanCache(persist=True))
         eng.multiply(A)
         assert eng.stats().plans_built == 1
         assert eng.plan_cache.disk_hits == 0
@@ -285,8 +285,8 @@ def test_no_cache_env_makes_every_engine_plan(tmp_path, monkeypatch):
 
 def test_persisted_plans_are_keyed_by_engine_seed(plan_dir):
     A = G.grid2d(8, 8, seed=4)
-    SpGEMMEngine(config=SMALL_CFG, persist_plans=True, seed=0).multiply(A)
-    other = SpGEMMEngine(config=SMALL_CFG, persist_plans=True, seed=1)
+    SpGEMMEngine(config=SMALL_CFG, plan_cache=PlanCache(persist=True), seed=0).multiply(A)
+    other = SpGEMMEngine(config=SMALL_CFG, plan_cache=PlanCache(persist=True), seed=1)
     other.multiply(A)
     # Plans embed costs measured from their seed: another seed re-plans.
     assert other.stats().plans_built == 1

@@ -14,9 +14,7 @@ from repro.engine.fingerprint import fingerprint
 from repro.engine.planner import (
     Candidate,
     HeuristicPlanner,
-    PredictorPlanner,
     default_candidates,
-    executed_candidate,
     planner_kernels,
     planner_reorderings,
 )
@@ -84,21 +82,7 @@ def test_kernel_honouring_backends_keep_the_full_space():
     assert {c.kernel for c in pinned} == {"cluster", "rowwise"}
 
 
-@pytest.mark.parametrize("backend", ["auto", "scipy"])
-def test_predictor_candidates_are_what_scipy_executes(backend):
-    planner = PredictorPlanner(cfg=SMALL_CFG, backend=backend)
-    for chosen in (
-        Candidate("original", "hierarchical", "cluster"),
-        Candidate("rcm", "variable", "cluster"),
-        Candidate("rabbit", None, "tiled"),
-    ):
-        got = planner._apply_backend(chosen)
-        assert got == Candidate(chosen.reordering, None, "rowwise", "scipy")
-        assert executed_candidate(got) == got
-        assert got == PredictorPlanner(cfg=SMALL_CFG, backend="scipy")._apply_backend(chosen)
-
-
-@pytest.mark.parametrize("policy", ["heuristic", "predictor", "autotune"])
+@pytest.mark.parametrize("policy", ["heuristic", "autotune"])
 def test_auto_and_scipy_engines_share_one_plan(policy):
     cache = PlanCache()
     auto = SpGEMMEngine(policy=policy, backend="auto", plan_cache=cache)
@@ -109,8 +93,8 @@ def test_auto_and_scipy_engines_share_one_plan(policy):
     assert scipy.plan_for(A).label == label and label.endswith("@scipy")
     assert len(cache) == 1
     assert (auto.stats().plans_built, scipy.stats().plans_built) == (1, 0)
-    # A per-call "auto" on the scipy engine addresses the same entry.
-    scipy.multiply(A, backend="auto")
+    # Executing on the scipy engine addresses the same entry.
+    scipy.multiply(A)
     assert scipy.stats().plan_cache_hits == 1 and len(cache) == 1
 
 

@@ -10,7 +10,7 @@ Reproduces, executably, the schematic figures of the paper:
 
 then runs every SpGEMM variant, shows the declarative pipeline-spec API
 naming whole configurations (including the ``@backend`` execution axis:
-reference / scipy / vectorized executors behind one contract), and shows
+scipy and reference executors behind one result contract), and shows
 hierarchical clustering speeding up a scrambled block matrix on the
 simulated machine.
 
@@ -80,15 +80,15 @@ def main() -> None:
         print(f"  {text:38s} -> {spec}   bitwise vs row-wise: {ok}")
 
     print("\n=== Execution backends: '@' picks how the pipeline runs ===")
+    # One contract: bitwise-equal to row-wise once exact-zero sums are dropped.
+    want = C_ref.drop_explicit_zeros()
     for text in (
-        "rcm+variable+cluster@vectorized",       # numpy-batched, still bitwise
-        "rcm+variable+rowwise@scipy",            # native matmul over the cluster order, allclose
-        "rcm+variable+cluster@reference",        # the pure-python oracle (the default)
+        "rcm+variable+rowwise@scipy",            # native matmul over the cluster order
+        "rcm+variable+cluster@reference",        # the pure-python oracle (a spec's default)
     ):
-        spec = PipelineSpec.parse(text)
-        C = spec.run(A)
-        same = "bitwise" if np.array_equal(C.values, C_ref.values) else "allclose"
-        print(f"  {text:42s} claims bitwise={spec.bitwise!s:5s} got: {same}, pattern ok: {C.same_pattern(C_ref)}")
+        C = PipelineSpec.parse(text).run(A).drop_explicit_zeros()
+        same = C.same_pattern(want) and np.array_equal(C.values, want.values)
+        print(f"  {text:42s} bitwise vs row-wise (exact zeros dropped): {same}")
 
     print("\n=== Hierarchical clustering on a scrambled block matrix ===")
     big = scramble(G.block_diagonal(24, 16, density=0.5, seed=1), seed=7)

@@ -17,7 +17,7 @@ The package is organised bottom-up (see DESIGN.md):
 * :mod:`repro.pipeline` — unified component registry + declarative
   :class:`PipelineSpec` (the one public way to name a configuration).
 * :mod:`repro.backends` — execution backends behind one
-  :class:`ExecutionBackend` contract (reference / scipy / vectorized);
+  :class:`ExecutionBackend` contract (scipy / reference);
   the single kernel-dispatch path.
 * :mod:`repro.obs` — zero-dependency tracing + metrics layer (spans,
   sinks, streaming percentiles); strictly opt-in, disabled by default.

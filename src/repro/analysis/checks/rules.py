@@ -45,15 +45,7 @@ from .registry_scan import (
 __all__ = ["ALL_RULES", "default_rules"]
 
 #: The kernel entry points behind :func:`repro.backends.execute`.
-KERNEL_FUNCTIONS = frozenset(
-    {
-        "spgemm_rowwise",
-        "cluster_spgemm",
-        "tiled_spgemm",
-        "vectorized_cluster_spgemm",
-        "vectorized_rowwise_spgemm",
-    }
-)
+KERNEL_FUNCTIONS = frozenset({"spgemm_rowwise", "cluster_spgemm", "tiled_spgemm"})
 
 
 def _in_repro(ctx: FileContext) -> bool:

@@ -80,7 +80,7 @@ def matrix_features(A: CSRMatrix, *, sample: int = 256, seed: int = 0) -> np.nda
         probes = rng.choice(A.nrows, size=min(64, A.nrows), replace=False)
         best = []
         for r in probes:
-            partners = rng.choice(A.nrows, size=8, replace=False)
+            partners = rng.choice(A.nrows, size=min(8, A.nrows), replace=False)
             scores = [A.jaccard_similarity(int(r), int(p)) for p in partners if abs(int(p) - int(r)) > 1]
             if scores:
                 best.append(max(scores))

@@ -1,16 +1,19 @@
 """``repro.backends`` — the execution-backend API.
 
-One :class:`ExecutionBackend` contract, three built-in backends behind it:
+One :class:`ExecutionBackend` contract, two built-in backends behind it:
 
-============  ========================================================
-``reference``  the pure-python registry kernels — the bitwise oracle
-``scipy``      native CSR matmul fast path (allclose, exact zeros dropped)
-``vectorized`` numpy-batched numeric phases (bitwise, ``cluster``/``rowwise``)
-============  ========================================================
+=============  =======================================================
+``scipy``      native CSR matmul — the engine's default backend
+``reference``  the pure-python registry kernels — the tests' oracle
+=============  =======================================================
+
+Both return products bitwise-equal to
+:func:`~repro.core.spgemm.spgemm_rowwise` once exact-zero sums are
+dropped, NaN entries matched by position (see :mod:`.base`).
 
 Backends are registry components (``kind="backend"``), so they share the
-parameter-schema machinery, spec addressing (``rcm+fixed:8+cluster@scipy``)
-and planner capability queries with reorderings/clusterings/kernels.
+parameter-schema machinery and spec addressing
+(``rcm+fixed:8+cluster@scipy``) with reorderings/clusterings/kernels.
 :func:`execute_many` is the **single kernel-dispatch path** of the
 codebase: it hands a whole batch of products on one operand to the
 backend's :meth:`~ExecutionBackend.execute_many`.
@@ -26,22 +29,18 @@ from typing import Any, Iterable, Mapping
 from .base import ExecutionBackend, ExecutionContext
 from .reference import ReferenceBackend
 from .scipy_backend import ScipyBackend, scipy_available
-from .vectorized import VectorizedBackend, vectorized_cluster_spgemm
 
 __all__ = [
     "ExecutionBackend",
     "ExecutionContext",
     "ReferenceBackend",
     "ScipyBackend",
-    "VectorizedBackend",
-    "vectorized_cluster_spgemm",
     "scipy_available",
     "BUILTIN_BACKENDS",
     "register_builtin_backends",
     "get_backend",
     "parse_backend",
-    "backend_supports",
-    "require_backend_supports",
+    "default_backend",
     "execute",
     "execute_many",
     "time_execution",
@@ -52,7 +51,7 @@ __all__ = [
 #: valid, reference-only registry.
 BUILTIN_BACKENDS: tuple[type[ExecutionBackend], ...] = tuple(
     cls
-    for cls in (ReferenceBackend, ScipyBackend, VectorizedBackend)
+    for cls in (ReferenceBackend, ScipyBackend)
     if cls is not ScipyBackend or scipy_available()
 )
 
@@ -68,15 +67,12 @@ def register_builtin_backends() -> None:
     from ..pipeline.registry import ComponentInfo, register_component
 
     for cls in BUILTIN_BACKENDS:
-        probe = cls()  # capability defaults for the registry entry
         register_component(
             ComponentInfo(
                 name=cls.name,
                 kind="backend",
                 factory=cls,
                 params=_introspect_params(cls.__init__),
-                supported_kernels=probe.supported_kernels,
-                bitwise_reference=probe.bitwise_reference,
                 description=cls.description,
             )
         )
@@ -155,28 +151,15 @@ def _unalias(name: str) -> str:
     return AUTO_BACKEND
 
 
-def backend_supports(name: str, params, kernel: str) -> bool:
-    """Whether backend ``name`` (with ``params``) can execute ``kernel``
-    (asked of the instance, which may refine its class-level entry)."""
-    return get_backend(name, params).supports_kernel(kernel)
+def default_backend() -> tuple[str, tuple[tuple[str, Any], ...]]:
+    """What ``backend=None`` plans on: :data:`AUTO_BACKEND` (``scipy``)
+    when it is registered, else ``reference``, so a scipy-less registry
+    stays valid."""
+    from ..pipeline import available_components
 
-
-def require_backend_supports(name: str, params, kernel: str) -> None:
-    """The one backend–kernel compatibility gate: raise a uniform
-    ``ValueError`` when the backend cannot execute the kernel.
-
-    Shared by spec construction, plan validation and :func:`execute`.
-    """
-    _require_supports(get_backend(name, params), name, kernel)
-
-
-def _require_supports(be: ExecutionBackend, name: str, kernel: str) -> None:
-    if not be.supports_kernel(kernel):
-        supported = be.supported_kernels
-        raise ValueError(
-            f"backend {name!r} does not support kernel {kernel!r}"
-            + (f"; supported kernels: {list(supported)}" if supported is not None else "")
-        )
+    if AUTO_BACKEND in available_components("backend"):
+        return AUTO_BACKEND, ()
+    return "reference", ()
 
 
 # ----------------------------------------------------------------------
@@ -231,15 +214,16 @@ def execute_many(
     original_order: bool = False,
 ) -> list:
     """The products ``operand @ B`` for every ``B`` in ``Bs``, in input
-    order, through one :meth:`~ExecutionBackend.execute_many` call, after
-    the backend–kernel gate; arguments as :func:`execute`.
+    order, through one :meth:`~ExecutionBackend.execute_many` call;
+    arguments as :func:`execute`.
 
     The backend may run the batch's products on more than one thread
     (``scipy`` does for large unhinted batches, DESIGN.md §10); the one
     ``backend.execute`` span of the batch is tagged with its product and
     thread counts.
     """
-    be, ctx = _dispatch_target(backend, backend_params, kernel, cfg, ctx)
+    be = backend if isinstance(backend, ExecutionBackend) else get_backend(backend, backend_params)
+    ctx = ExecutionContext(cfg=cfg) if ctx is None else ctx
     Bs = list(Bs)
     kernel_params = dict(kernel_params or {})
     tracer = ctx.tracer
@@ -253,17 +237,6 @@ def execute_many(
     return be.execute_many(
         operand, Bs, kernel=kernel, kernel_params=kernel_params, ctx=ctx, original_order=original_order
     )[0]
-
-
-def _dispatch_target(backend, backend_params, kernel: str, cfg, ctx):
-    """The backend instance a dispatch runs on (after the kernel gate)
-    and its context (a fresh one when none is given)."""
-    if isinstance(backend, ExecutionBackend):
-        be = backend
-    else:
-        be = get_backend(backend, backend_params)
-    _require_supports(be, be.name, kernel)
-    return be, ExecutionContext(cfg=cfg) if ctx is None else ctx
 
 
 def time_execution(built, B, backend_ref: "str | tuple", *, reps: int = 3) -> float:

@@ -4,11 +4,10 @@
 A *backend* is how a planned SpGEMM configuration actually runs.  The
 paper's thesis — restructure the same computation for locality — is
 backend-independent: a pipeline names *what* to compute (reordering,
-clustering, kernel dataflow), the backend names *how* (pure-python
-reference loops, scipy's native CSR matmul, a numpy-batched numeric
-phase).  Separating the two is what lets
-the engine run "as fast as the hardware allows" (ROADMAP) while keeping
-one correctness oracle.
+clustering, kernel dataflow), the backend names *how* (scipy's native
+CSR matmul, or the pure-python reference loops).  Separating the two is
+what lets the engine run "as fast as the hardware allows" (ROADMAP)
+while keeping one correctness oracle.
 
 Contract
 --------
@@ -25,20 +24,21 @@ backend overrides it when it can fold the un-permute into its own output
 assembly or run the batch's products side by side (``scipy``, whose
 ``execute`` is a batch of one).
 
-Backends whose :attr:`~ExecutionBackend.bitwise_reference` capability is
-``True`` reproduce the *sparsity pattern* of row-wise SpGEMM exactly
-(including structural zeros from numeric cancellation) and preserve
-each output row's floating-point summation order, so their values are
-bit-identical to :func:`~repro.core.spgemm.spgemm_rowwise`.  The
-non-bitwise ``scipy`` backend guarantees ``allclose`` values on the
-row-wise pattern minus entries that cancel to exactly ``0.0`` — the
-contract of raw ``scipy.sparse``.
+Every backend returns a product **bitwise-equal to**
+:func:`~repro.core.spgemm.spgemm_rowwise` **once exact-zero sums are
+dropped, with NaN entries matched by position**: the same pattern minus
+entries whose products cancel to exactly ``0.0`` (or ``-0.0``), and the
+same bits in every non-NaN value.  Each output entry adds its products in
+the order of the left operand's stored row entries — the row-wise
+(Gustavson) order, which scipy's ``csr_matmat`` follows too — and a
+row permutation moves whole rows, so that order survives every plan.
+``reference`` keeps the exact-zero entries; ``scipy`` drops them, as raw
+``scipy.sparse`` does.  A NaN's sign and payload are not part of the
+contract: they differ between backends where NaNs of both signs, or an
+``inf * 0``, meet in one sum.
 
-Capabilities are declared class-level (they feed the registry's
-:class:`~repro.pipeline.registry.ComponentInfo` entry) and answered
-per instance (:attr:`~ExecutionBackend.supported_kernels`,
-:attr:`~ExecutionBackend.bitwise_reference`,
-:attr:`~ExecutionBackend.honours_kernel`).
+The one capability a backend declares is
+:attr:`~ExecutionBackend.honours_kernel`.
 """
 
 from __future__ import annotations
@@ -117,26 +117,12 @@ class ExecutionBackend(ABC):
 
     # -- capabilities (instance-level) ------------------------------------
     @property
-    def bitwise_reference(self) -> bool:
-        """Results are bit-identical to the ``reference`` backend."""
-        return False
-
-    @property
-    def supported_kernels(self) -> tuple[str, ...] | None:
-        """Kernel names this backend can execute (``None`` = all)."""
-        return None
-
-    @property
     def honours_kernel(self) -> bool:
         """The plan's kernel (and its ``CSR_Cluster`` operand) reaches
         execution.  ``False`` for a backend that runs every kernel as
         the same product over ``operand.Ar``: only ``Ar``'s row order
         changes its result, so planners search reorderings alone there."""
         return True
-
-    def supports_kernel(self, kernel: str) -> bool:
-        supported = self.supported_kernels
-        return supported is None or kernel in supported
 
     # -- execution ------------------------------------------------------
     @abstractmethod

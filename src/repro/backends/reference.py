@@ -2,9 +2,8 @@
 
 Dispatches to the registered pure-python kernel components
 (:mod:`repro.pipeline.builtin`), which are the paper's algorithms
-implemented exactly as written.  Every other backend is validated
-against this one: pattern-identical always, bit-identical when it
-claims :attr:`~repro.backends.base.ExecutionBackend.bitwise_reference`.
+implemented exactly as written.  The tests validate every other backend
+against this one under the contract of :mod:`repro.backends.base`.
 """
 
 from __future__ import annotations
@@ -21,10 +20,6 @@ class ReferenceBackend(ExecutionBackend):
 
     name: ClassVar[str] = "reference"
     description: ClassVar[str] = "pure-python registry kernels (the bitwise correctness oracle)"
-
-    @property
-    def bitwise_reference(self) -> bool:
-        return True
 
     def execute(
         self,

@@ -3,12 +3,14 @@
 Replaces the numeric computation wholesale: the prepared operand's CSR
 form is handed to :mod:`scipy.sparse` (compiled SMMP matmul, the
 row-by-row sparse product algorithm), and the product is canonicalised
-back into our :class:`~repro.core.csr.CSRMatrix`.  Values are
-``allclose`` but not bitwise: scipy's per-row accumulation order
-differs, so this backend declares ``bitwise_reference=False``.
+back into our :class:`~repro.core.csr.CSRMatrix`.  scipy's numeric pass
+adds each output entry's products in the order of A's stored row
+entries, as Gustavson row-wise SpGEMM does, so every value is bitwise
+that of :func:`~repro.core.spgemm.spgemm_rowwise` (NaNs by position;
+the contract of :mod:`repro.backends.base`).
 
-Pattern contract: scipy's numeric phase stores only nonzero sums, so an
-entry whose products cancel to exactly ``0.0`` is *dropped*.  The output
+Pattern: scipy's numeric phase stores only nonzero sums, so an entry
+whose products cancel to exactly ``0.0`` is *dropped*.  The output
 pattern is therefore the row-wise SpGEMM pattern minus exact numeric
 zeros — the same as raw ``scipy.sparse`` — and identical to it whenever
 nothing cancels.  Keeping the zeros would need a second, symbolic scipy
@@ -486,11 +488,7 @@ class ScipyBackend(ExecutionBackend):
     """Native scipy CSR matmul over the prepared operand."""
 
     name: ClassVar[str] = "scipy"
-    description: ClassVar[str] = "native scipy CSR matmul (allclose values, pattern minus exact zeros)"
-
-    @property
-    def bitwise_reference(self) -> bool:
-        return False
+    description: ClassVar[str] = "native scipy CSR matmul (row-wise values, pattern minus exact zeros)"
 
     @property
     def honours_kernel(self) -> bool:

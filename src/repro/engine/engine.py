@@ -10,13 +10,11 @@ needs: callers hand it matrices and get products back, while the engine
 3. **prepares** the operand (reorder + cluster build), reusing the
    prepared form across calls with identical values,
 4. **executes** the plan through its execution backend
-   (:mod:`repro.backends`), which returns the product in the original
-   row order — under the default (bitwise) backend policy the output is
-   bitwise-identical to :func:`~repro.core.spgemm.spgemm_rowwise` on
-   the original operands; a non-bitwise backend (``backend="scipy"``,
-   or its alias ``"auto"``) trades that for ``allclose`` results at
-   native speed (and drops sums that cancel to exactly ``0.0``, as raw
-   scipy does),
+   (:mod:`repro.backends`; ``scipy`` by default), which returns the
+   product in the original row order, bitwise-identical to
+   :func:`~repro.core.spgemm.spgemm_rowwise` on the original operands
+   once exact-zero sums are dropped (NaNs by position) — ``scipy``
+   drops them, as raw scipy does; ``reference`` keeps them,
 5. **accounts**: cumulative planning / preprocessing / execution time
    (both wall-clock and model units) and the break-even iteration count
    at which the one-off costs amortise (paper Fig. 10, Table 4).
@@ -278,13 +276,13 @@ class SpGEMMEngine:
         entry point.
     backend:
         Execution backend (:mod:`repro.backends`) every plan targets.
-        ``None`` (default) keeps the engine on the ``reference`` backend
-        — the bitwise contract.  A backend name (optionally with
+        ``None`` (default) plans on ``scipy``, or on ``reference`` when
+        scipy is not registered.  A backend name (optionally with
         spec-style parameters) pins every plan to that backend;
-        ``"auto"`` is an alias of ``"scipy"``, whose results are
-        ``allclose`` rather than bit-identical and drop entries whose
-        sum cancels to exactly ``0.0``, as raw ``scipy.sparse`` does.
-        With ``pipeline=``, the backend is applied onto the spec.
+        ``"auto"`` is an alias of ``"scipy"``.  Every backend meets one
+        contract: bitwise-equal to row-wise SpGEMM once exact-zero sums
+        are dropped.  With ``pipeline=``, the backend is applied onto
+        the spec; without one, the spec keeps its own ``@backend``.
     tracer:
         Optional :class:`~repro.obs.Tracer` (DESIGN.md §12).  An enabled
         tracer records ``engine.multiply`` / ``engine.multiply_many`` /
@@ -614,13 +612,11 @@ class SpGEMMEngine:
     ) -> CSRMatrix:
         """Compute ``A @ B`` (``A²`` when ``B`` is omitted) via the plan.
 
-        Under the default (bitwise) backend policy the result equals
-        :func:`~repro.core.spgemm.spgemm_rowwise` on the original
-        operands bitwise: the plan's permutation gathers whole rows
+        The result equals :func:`~repro.core.spgemm.spgemm_rowwise` on
+        the original operands bitwise once exact-zero sums are dropped
+        (``scipy`` drops them): the plan's permutation gathers whole rows
         (``P·A``), so each output row's summation order is unchanged and
-        only row placement is inverted at the end.  A non-bitwise
-        backend returns ``allclose`` results instead, and ``scipy``
-        drops exact-zero sums.
+        only row placement is inverted at the end.
         """
         Bx = A if B is None else B
         _check_inner(A, Bx)

@@ -70,8 +70,7 @@ class ExecutionPlan:
         ``"cluster"`` requires a clustering.
     backend:
         Execution backend registry name (:mod:`repro.backends`);
-        ``"reference"`` is the pure-python bitwise oracle.  The backend
-        must support the plan's kernel (validated instance-level).
+        ``"reference"`` is the pure-python bitwise oracle.
     backend_params:
         Backend parameters as ``(name, value)`` pairs (empty for the
         built-in backends, none of which takes parameters).
@@ -133,12 +132,9 @@ class ExecutionPlan:
         if kernel.requires_clustering and self.clustering is None:
             raise ValueError(f"{self.kernel} kernel requires a clustering scheme")
         try:
-            get_component("backend", self.backend)
+            get_component("backend", self.backend).canonical_params(self.backend_params)
         except KeyError as e:
             raise ValueError(f"unknown backend {self.backend!r} ({e})") from None
-        from ..backends import require_backend_supports
-
-        require_backend_supports(self.backend, self.backend_params, self.kernel)
 
     # ------------------------------------------------------------------
     # Cost / amortisation accounting

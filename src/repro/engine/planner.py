@@ -8,15 +8,14 @@ enumerated from :mod:`repro.pipeline` registry capability queries
 tags makes it planned, with no lists to keep in sync here.
 
 Every planner targets one execution backend (:mod:`repro.backends`):
-``reference`` by default — preserving the engine's bitwise contract —
-or the backend it is constructed with (``"auto"`` is an alias of
-``scipy``).  On a backend that does not honour the kernel choice
-(``scipy``) only the reordering reaches the product, so its candidates
-are ``(reordering, backend)`` pairs — see :func:`executed_candidate`.
-``reference`` remains the correctness oracle either way: plans are
-validated against it and non-bitwise backends guarantee ``allclose``
-results (``scipy`` minus exact-zero sums).  Two search policies are
-provided, plus a fixed-spec one:
+the one it is constructed with (``"auto"`` is an alias of ``scipy``),
+or by default ``scipy`` — ``reference`` when scipy is not registered
+(:func:`~repro.backends.default_backend`).  Either way the product is
+bitwise-equal to row-wise SpGEMM once exact-zero sums are dropped.  On
+a backend that does not honour the kernel choice (``scipy``) only the
+reordering reaches the product, so its candidates are
+``(reordering, backend)`` pairs — see :func:`executed_candidate`.  Two
+search policies are provided, plus a fixed-spec one:
 
 * :class:`HeuristicPlanner` (``"heuristic"``) — ranks a candidate space
   with closed-form :class:`~repro.machine.cost.CostModel` estimates
@@ -424,11 +423,11 @@ class Planner:
         #: measurement in a ``planner.trial`` span.
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         # The backend every candidate targets (DESIGN.md §10): None →
-        # reference (the bitwise default), anything else is parsed
+        # scipy (reference without scipy), anything else is parsed
         # ("auto" resolves to scipy there).
-        from ..backends import parse_backend
+        from ..backends import default_backend, parse_backend
 
-        self._backend = ("reference", ()) if backend is None else parse_backend(backend)
+        self._backend = default_backend() if backend is None else parse_backend(backend)
         self._winner_prep: PreparedOperand | None = None  # see take_prepared()
 
     @property
@@ -458,25 +457,8 @@ class Planner:
     # -- shared machinery ------------------------------------------------
     def _candidates(self, A: CSRMatrix) -> list[Candidate]:
         cands = default_candidates(square=A.nrows == A.ncols, reorderings=self.reorderings)
-        name, params = self._backend
-        if name == "reference":
-            return cands
-        # Every candidate targets the planner's backend, and kernels it
-        # cannot execute leave the space entirely.
-        from ..backends import backend_supports
-
-        cands = _executed_space(
-            [
-                replace_candidate(c, name, params)
-                for c in cands
-                if backend_supports(name, params, c.kernel)
-            ]
-        )
-        if not cands:
-            raise ValueError(
-                f"backend {name!r} supports none of the planner's kernels"
-            )
-        return cands
+        # Every candidate targets the planner's backend.
+        return _executed_space([replace_candidate(c, *self._backend) for c in cands])
 
     def _measure(
         self, A: CSRMatrix, B: CSRMatrix, cand: Candidate, baseline: float

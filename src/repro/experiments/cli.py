@@ -8,7 +8,7 @@ Usage::
     python -m repro.experiments.cli engine --matrix pdb1 --policy autotune --iters 5
     python -m repro.experiments.cli engine --pipeline rcm+fixed:8+cluster
     python -m repro.experiments.cli engine --pipeline rcm@scipy
-    python -m repro.experiments.cli engine --backend vectorized
+    python -m repro.experiments.cli engine --backend reference
     python -m repro.experiments.cli pipelines      # registered components
     python -m repro.experiments.cli serve --port 7077          # long-lived service
     python -m repro.experiments.cli serve --serve-requests 24  # loopback smoke
@@ -50,6 +50,16 @@ def _suite(args) -> list[str]:
     return suite_names(args.suite)
 
 
+#: ``--suite quick`` for the representative-dataset figures (8, 9): the
+#: two of :data:`REPRESENTATIVE` that sweep fastest from an empty cache
+#: (about 1.6 and 6.6 s on a 2-core host; ``conf5`` takes 38 s).
+QUICK_REPRESENTATIVE = ["pdb1", "AS365"]
+
+
+def _representative(args) -> list[str]:
+    return QUICK_REPRESENTATIVE if args.suite == "quick" else REPRESENTATIVE
+
+
 def fig2(args) -> str:
     sweeps = sweep_suite(_suite(args), ExperimentConfig(), verbose=args.verbose)
     per = {a: [s.speedup("rowwise", a) for s in sweeps] for a in REORDER_ORDER}
@@ -73,24 +83,26 @@ def fig3(args) -> str:
 
 def fig8(args) -> str:
     cfg = ExperimentConfig()
+    names = _representative(args)
     series = {"fixed": [], "variable": [], "hierarchical": []}
-    for name in REPRESENTATIVE:
+    for name in names:
         s = cached_matrix_sweep(name, cfg)
         series["fixed"].append(s.speedup("fixed", "original"))
         series["variable"].append(s.speedup("variable", "original"))
         series["hierarchical"].append(s.baseline_time / s.hierarchical.time)
-    return render_dataset_bars("Figure 8: cluster-wise SpGEMM on representative datasets", REPRESENTATIVE, series)
+    return render_dataset_bars("Figure 8: cluster-wise SpGEMM on representative datasets", names, series)
 
 
 def fig9(args) -> str:
     cfg = ExperimentConfig()
     algos = ["amd", "rcm", "gp", "hp"]
+    names = _representative(args)
     series = {a: [] for a in algos}
-    for name in REPRESENTATIVE:
+    for name in names:
         s = cached_matrix_sweep(name, cfg)
         for a in algos:
             series[a].append(s.speedup("rowwise", a))
-    return render_dataset_bars("Figure 9: row-wise SpGEMM speedup (AMD/RCM/GP/HP)", REPRESENTATIVE, series)
+    return render_dataset_bars("Figure 9: row-wise SpGEMM speedup (AMD/RCM/GP/HP)", names, series)
 
 
 def fig10(args) -> str:
@@ -374,8 +386,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="BACKEND",
         help="execution backend for the engine command: a registered backend name "
-        "(reference, scipy, vectorized); 'auto' is an alias of scipy "
-        "(default: reference, the bitwise oracle)",
+        "(scipy, or reference, the pure-python oracle); 'auto' is an alias of scipy "
+        "(default: scipy, or reference when scipy is not installed)",
     )
     parser.add_argument(
         "--replay",

@@ -60,11 +60,6 @@ def describe() -> str:
                 tags.append("embeds-reordering")
             if info.requires_clustering:
                 tags.append("requires-clustering")
-            if info.kind == "backend":
-                if info.bitwise_reference:
-                    tags.append("bitwise")
-                if info.supported_kernels is not None:
-                    tags.append("kernels:" + ",".join(info.supported_kernels))
             if info.planner_rank is not None:
                 tags.append(f"planner#{info.planner_rank}")
             if info.family not in ("", "other"):

@@ -145,16 +145,6 @@ class ComponentInfo:
         with the natural order.
     requires_clustering:
         Kernel capability: needs a ``CSR_Cluster`` operand.
-    supported_kernels:
-        Backend capability: kernel names the backend can execute, or
-        ``None`` for "every registered kernel" (the declared class-level
-        contract; :func:`repro.backends.backend_supports` asks the
-        instance).
-    bitwise_reference:
-        Backend capability: results are bitwise-identical to the
-        ``reference`` backend (per-row floating-point summation order
-        preserved).  Non-bitwise backends guarantee the identical
-        sparsity pattern and ``allclose`` values only.
     similarity_driven:
         Clustering capability: groups rows by measured pattern
         similarity (variable/hierarchical) rather than blind position
@@ -178,8 +168,6 @@ class ComponentInfo:
     family: str = "other"
     embeds_reordering: bool = False
     requires_clustering: bool = False
-    supported_kernels: tuple[str, ...] | None = None
-    bitwise_reference: bool = False
     similarity_driven: bool = False
     planner_rank: int | None = None
     pre_cost_kind: str = "kernel"
@@ -251,18 +239,6 @@ class ComponentInfo:
                     )
                 positional.append(token)
         return self.bind_positional(positional) + named
-
-    def supports_kernel(self, kernel: str) -> bool:
-        """Backend capability check: can this backend run ``kernel``?
-
-        ``supported_kernels=None`` means every registered kernel.  Only
-        meaningful for ``kind == "backend"`` entries (always ``True``
-        otherwise); composite backends are refined per instance by
-        :func:`repro.backends.backend_supports`.
-        """
-        if self.kind != "backend" or self.supported_kernels is None:
-            return True
-        return kernel in self.supported_kernels
 
     def resolve_params(self, given: Iterable[tuple[str, Any]], cfg: Any = None) -> dict[str, Any]:
         """Full parameter dict for a build: spec values, then config

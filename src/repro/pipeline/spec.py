@@ -19,7 +19,6 @@ is omitted from the canonical string form).  Examples::
 
     rcm+hierarchical:max_th=8+cluster     # ISSUE acceptance spec
     rcm+fixed:8+cluster                   # positional param (cluster_size)
-    rcm+fixed:8+cluster@vectorized        # same pipeline, numpy-batched backend
     rcm@scipy                             # scipy: only the reordering reaches it
     original+none+rowwise                 # the baseline, fully spelled
     rabbit+tiled:tile_cols=128            # reordered tiled SpGEMM
@@ -29,13 +28,11 @@ alias-resolved, type-coerced and stored in schema order at construction.
 
 ``spec.build(A)`` materialises the pipeline (reorder → cluster →
 operand formats) and ``spec.run(A, B)`` executes it through the spec's
-backend.  Under a backend whose registry entry claims
-``bitwise_reference`` (``reference``, ``vectorized``) the product is
-**bitwise-identical** to
-``spgemm_rowwise(A, B)``: permutations gather whole rows and the
-execution preserves per-row summation order, so only row placement
-changes — and is inverted at the end.  Non-bitwise backends (``scipy``)
-return the identical sparsity pattern with ``allclose`` values.
+backend.  Under every backend the product is **bitwise-identical** to
+``spgemm_rowwise(A, B)`` once exact-zero sums are dropped (NaNs by
+position; :mod:`repro.backends.base`): permutations gather whole rows
+and the execution preserves per-row summation order, so only row
+placement changes — and is inverted at the end.
 """
 
 from __future__ import annotations
@@ -115,12 +112,6 @@ class PipelineSpec:
                 f"kernel {self.kernel!r} requires a clustering; "
                 f"available: {[c.name for c in components('clustering')]}"
             )
-        # Backend–kernel compatibility is instance-level (composite
-        # backends answer from their inner backend), so ask the backend
-        # layer rather than the static registry entry.
-        from ..backends import require_backend_supports
-
-        require_backend_supports(self.backend, self.backend_params, self.kernel)
 
     # ------------------------------------------------------------------
     # Registry access
@@ -136,14 +127,6 @@ class PipelineSpec:
     @property
     def kernel_info(self) -> ComponentInfo:
         return get_component("kernel", self.kernel)
-
-    @property
-    def bitwise(self) -> bool:
-        """Whether this spec's backend guarantees bitwise identity with
-        row-wise SpGEMM (asked of the backend instance)."""
-        from ..backends import get_backend
-
-        return get_backend(self.backend, self.backend_params).bitwise_reference
 
     @property
     def square_only(self) -> bool:
@@ -400,9 +383,8 @@ class PipelineSpec:
 
         Builds in ``rows`` mode and inverts the row gather at the end,
         so the result is bitwise-identical to ``spgemm_rowwise(A, B)``
-        for every spec whose backend claims :attr:`bitwise` (the
-        default ``reference`` always does); other backends return the
-        identical sparsity pattern with ``allclose`` values.
+        once exact-zero sums are dropped, on every backend (the spec's
+        default ``reference`` keeps them too).
         """
         built = self.build(A, seed=seed, mode="rows", cfg=cfg)
         return built.execute(A if B is None else B, cfg=cfg)
@@ -552,14 +534,11 @@ def enumerate_compatible(
     registry calls compatible, as default-parameter specs.
 
     Compatibility rules (all registry-tag driven): square-only
-    reorderings are dropped for rectangular operands, kernels that
-    require a clustering pair only with actual clusterings, and — when
-    ``backends`` is given (``None`` keeps the historical
-    reference-only enumeration) — each triple is emitted once per
-    backend that supports its kernel.
+    reorderings are dropped for rectangular operands, and kernels that
+    require a clustering pair only with actual clusterings.  When
+    ``backends`` is given (``None`` keeps the historical reference-only
+    enumeration), each triple is emitted once per backend.
     """
-    from ..backends import backend_supports
-
     r_names = [
         c.name
         for c in components("reordering", square_ok=None if square else False)
@@ -572,10 +551,8 @@ def enumerate_compatible(
             for k in components("kernel"):
                 if k.requires_clustering and c is None:
                     continue
-                for b in b_names:
-                    if not backend_supports(b, (), k.name):
-                        continue
-                    out.append(
-                        PipelineSpec(reordering=r, clustering=c, kernel=k.name, backend=b)
-                    )
+                out += [
+                    PipelineSpec(reordering=r, clustering=c, kernel=k.name, backend=b)
+                    for b in b_names
+                ]
     return out

@@ -5,7 +5,7 @@ CASES = (
     "rcm+hierarchical:max_th=8+cluster",
     "original+none+rowwise",
     "rabbit+tiled:tile_cols=128",
-    "original+variable+cluster@vectorized",
+    "original+variable+cluster@reference",
 )
 
 

@@ -9,12 +9,17 @@ shape-parameterised:
   :func:`random_partition` — hypothesis strategies for property tests;
 * :func:`scrambled_blocks_matrix` — the "hidden block structure"
   operand the engine/pipeline suites use as a gainful planning target;
-* :func:`assert_bitwise_equal` — the bitwise (not allclose) oracle
-  comparison backing the engine's correctness contract;
+* :func:`assert_bitwise_equal` — the bitwise (not allclose) comparison
+  of two results, explicit zeros included;
+* :func:`assert_contract_equal` — the engine's result contract against
+  a row-wise oracle: bitwise once exact zeros are dropped, NaNs by
+  position;
 * ``fig1`` — the paper's 6×6 worked example;
 * :func:`leak_guard` and its autouse fixture: a test leaves no new
   live non-daemon or ``repro-*`` thread, no new child process and (on
-  Linux) no new open file descriptor behind.
+  Linux) no new open file descriptor behind;
+* ``REPRO_TEST_SHUFFLE=<seed>`` runs the collected tests in a seeded
+  random order, to show that none depends on another having run first.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
+import random
 import sys
 import threading
 
@@ -35,6 +41,18 @@ from repro.core import COOMatrix, CSRMatrix
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "slow: long-running end-to-end test (e.g. an example script)")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Shuffle the collected tests when ``REPRO_TEST_SHUFFLE`` names a seed."""
+    seed = os.environ.get("REPRO_TEST_SHUFFLE")
+    if seed:
+        random.Random(int(seed)).shuffle(items)
+
+
+def pytest_report_header(config):
+    seed = os.environ.get("REPRO_TEST_SHUFFLE")
+    return f"test order shuffled with REPRO_TEST_SHUFFLE={seed}" if seed else None
 
 
 def _guarded(t: threading.Thread) -> bool:
@@ -147,6 +165,21 @@ def assert_bitwise_equal(C, ref):
     assert np.array_equal(C.indptr, ref.indptr)
     assert np.array_equal(C.indices, ref.indices)
     assert np.array_equal(C.values, ref.values)  # bitwise, not allclose
+
+
+def assert_contract_equal(C, ref):
+    """The engine's result contract: ``C`` equals the row-wise product
+    ``ref`` once both drop their exact-zero entries — identical pattern,
+    bit-identical non-NaN values, and NaN at the same positions (a
+    NaN's sign and payload are not compared)."""
+    C, ref = C.drop_explicit_zeros(), ref.drop_explicit_zeros()
+    assert C.shape == ref.shape
+    assert np.array_equal(C.indptr, ref.indptr)
+    assert np.array_equal(C.indices, ref.indices)
+    nan = np.isnan(ref.values)
+    assert np.array_equal(np.isnan(C.values), nan)
+    # No zero is left, so float equality is bit equality here.
+    assert np.array_equal(C.values[~nan], ref.values[~nan])
 
 
 # ----------------------------------------------------------------------

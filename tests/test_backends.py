@@ -1,17 +1,13 @@
-"""The execution-backend API: registry entries and capability tags, the
-``@backend`` spec grammar, the single dispatch path, engine integration
-and backend-aware plan-cache keys."""
+"""The execution-backend API: registry entries, the ``@backend`` spec
+grammar, the single dispatch path, engine integration (``scipy`` by
+default, under the one result contract) and backend-aware plan-cache
+keys."""
 
 import numpy as np
 import pytest
 
-from repro.backends import (
-    ExecutionContext,
-    backend_supports,
-    execute,
-    get_backend,
-    parse_backend,
-)
+from conftest import assert_contract_equal
+from repro.backends import ExecutionContext, execute, get_backend, parse_backend
 from repro.core import spgemm_rowwise
 from repro.engine import ExecutionPlan, PlanCache, SpGEMMEngine
 from repro.matrices import generators as G
@@ -26,16 +22,12 @@ def _bitwise(C):
 
 
 # ----------------------------------------------------------------------
-# Registry entries and capability tags
+# Registry entries
 # ----------------------------------------------------------------------
 def test_builtin_backends_registered_with_capabilities():
     names = available_components("backend")
-    assert names[0] == "reference"
-    assert set(names) == {"reference", "scipy", "vectorized"}
-    ref = get_component("backend", "reference")
-    assert ref.bitwise_reference and ref.supported_kernels is None
-    vec = get_component("backend", "vectorized")
-    assert vec.bitwise_reference and vec.supported_kernels == ("cluster", "rowwise")
+    assert names == ["reference", "scipy"]
+    assert get_backend("reference").honours_kernel and not get_backend("scipy").honours_kernel
     # No built-in backend takes parameters, and none is a planned
     # candidate: a planner targets the one backend it is given.
     for name in names:
@@ -47,31 +39,27 @@ def test_scipy_backend_registered_when_scipy_importable():
     import scipy  # noqa: F401  (the test env has it; skip-free assertion)
 
     info = get_component("backend", "scipy")
-    assert not info.bitwise_reference  # allclose + identical pattern only
+    assert info.kind == "backend" and isinstance(get_backend("scipy"), info.factory)
 
 
 def test_get_backend_memoises_per_canonical_params():
     assert get_backend("reference") is get_backend("reference")
     # Tuple pairs and mappings name the same canonical (empty) params.
-    a = get_backend("vectorized", ())
-    assert get_backend("vectorized", {}) is a and a.name == "vectorized"
+    a = get_backend("reference", ())
+    assert get_backend("reference", {}) is a and a.name == "reference"
     assert get_backend("scipy") is not a
     with pytest.raises(KeyError) as e:
         get_backend("nope")
     assert "reference" in str(e.value)
 
 
-def test_parse_backend_and_supports():
+def test_parse_backend():
     assert parse_backend("scipy") == ("scipy", ())
-    assert parse_backend(" vectorized ") == ("vectorized", ())
+    assert parse_backend(" reference ") == ("reference", ())
     assert parse_backend(("reference", {})) == ("reference", ())
     # No built-in backend takes parameters: any given one is unknown.
     with pytest.raises(ValueError):
         parse_backend("scipy:workers=2")
-    assert backend_supports("vectorized", (), "cluster")
-    assert backend_supports("vectorized", (), "rowwise")
-    assert not backend_supports("vectorized", (), "tiled")
-    assert backend_supports("scipy", (), "tiled")  # every kernel runs as one matmul
 
 
 def test_describe_lists_backends():
@@ -80,8 +68,7 @@ def test_describe_lists_backends():
     text = describe()
     assert "backends:" in text
     backend_lines = text.split("backends:")[1].splitlines()[1:]
-    assert [line.split()[0] for line in backend_lines] == ["reference", "scipy", "vectorized"]
-    assert "kernels:cluster,rowwise" in text
+    assert [line.split()[0] for line in backend_lines] == ["reference", "scipy"]
 
 
 # ----------------------------------------------------------------------
@@ -91,8 +78,8 @@ def test_spec_backend_round_trip():
     for s in (
         "rcm+fixed:8+cluster@scipy",
         "rcm@scipy",
-        "original+variable+cluster@vectorized",
-        "rcm+hierarchical:max_th=8+cluster@vectorized",
+        "original+variable+cluster@scipy",
+        "rcm+hierarchical:max_th=8+tiled@scipy",
     ):
         spec = PipelineSpec.parse(s)
         assert PipelineSpec.parse(str(spec)) == spec
@@ -127,11 +114,6 @@ def test_spec_backend_errors():
     # Backend names are not '+' segments.
     with pytest.raises(ValueError, match="@scipy"):
         PipelineSpec.parse("rcm+scipy")
-    # Backend–kernel incompatibility is a construction error.
-    with pytest.raises(ValueError, match="support"):
-        PipelineSpec.parse("rcm+tiled@vectorized")
-    with pytest.raises(ValueError, match="support"):
-        PipelineSpec(kernel="tiled", backend="vectorized")
     # Backend parameters go through the backend's (empty) schema.
     with pytest.raises(ValueError, match="workers"):
         PipelineSpec.parse("rcm@scipy:workers=2")
@@ -139,25 +121,18 @@ def test_spec_backend_errors():
 
 def test_spec_with_backend_and_label():
     spec = PipelineSpec.parse("rcm+fixed:8+cluster")
-    s2 = spec.with_backend("vectorized")
-    assert s2.backend == "vectorized" and s2.backend_params == ()
+    s2 = spec.with_backend("scipy")
+    assert s2.backend == "scipy" and s2.backend_params == ()
     # Labels carry the backend so distinct configurations stay distinct
     # in the engine ledger.
-    assert s2.label == "rcm+fixed/cluster@vectorized"
-    assert spec.with_backend("scipy").label.endswith("@scipy")
+    assert s2.label == "rcm+fixed/cluster@scipy"
     assert spec.label == "rcm+fixed/cluster"
-    assert spec.bitwise and s2.bitwise and not spec.with_backend("scipy").bitwise
+    assert s2.with_backend("reference") == spec
 
 
 # ----------------------------------------------------------------------
 # Dispatch: one path, correct results
 # ----------------------------------------------------------------------
-def test_execute_rejects_incompatible_kernel():
-    built = PipelineSpec.parse("original+none+tiled").build(A)
-    with pytest.raises(ValueError, match="support"):
-        execute(built, A, kernel="tiled", backend="vectorized")
-
-
 def test_context_accumulates_stats_across_executions():
     ctx = ExecutionContext()
     built = PipelineSpec.parse("original+none+rowwise").build(A)
@@ -193,30 +168,22 @@ def test_context_bump_is_atomic_across_threads():
     assert ctx.stats == {"scipy_calls": 400_000}
 
 
-def test_vectorized_matches_cluster_kernel_bitwise():
-    from repro.backends import vectorized_cluster_spgemm
-    from repro.clustering import get_clustering
-    from repro.core.cluster_spgemm import cluster_spgemm
-
-    for name, kw in (("fixed", {"cluster_size": 8}), ("variable", {}), ("hierarchical", {})):
-        cl = get_clustering(name)(A, **kw)
-        Ac = cl.to_csr_cluster(A)
-        want = cluster_spgemm(Ac, A, restore_order=True)
-        got = vectorized_cluster_spgemm(Ac, A, restore_order=True)
-        assert got.same_pattern(want)
-        assert np.array_equal(got.values, want.values), name
-
-
-def test_scipy_backend_pattern_identical_allclose():
-    C = PipelineSpec.parse("rcm+fixed:8+cluster@scipy").run(A)
-    assert C.same_pattern(REF) and C.allclose(REF)
+def test_scipy_backend_meets_the_contract():
+    assert_contract_equal(PipelineSpec.parse("rcm+fixed:8+cluster@scipy").run(A), REF)
 
 
 # ----------------------------------------------------------------------
 # Engine integration
 # ----------------------------------------------------------------------
-def test_engine_default_backend_stays_bitwise():
+def test_engine_default_backend_is_scipy():
     eng = SpGEMMEngine(policy="heuristic")
+    assert_contract_equal(eng.multiply(A), REF)
+    assert eng.plan_for(A).backend == "scipy"
+    assert eng.stats().backend_events.get("scipy_calls") == 1
+
+
+def test_engine_reference_backend_stays_bitwise():
+    eng = SpGEMMEngine(policy="heuristic", backend="reference")
     assert _bitwise(eng.multiply(A))
     assert eng.plan_for(A).backend == "reference"
 
@@ -226,26 +193,15 @@ def test_engine_constructor_backend_pins_every_plan():
     C = eng.multiply(A)
     plan = eng.plan_for(A)
     assert plan.backend == "scipy" and plan.label.endswith("@scipy")
-    assert C.same_pattern(REF) and C.allclose(REF)
+    assert_contract_equal(C, REF)
     assert eng.stats().backend_events.get("scipy_calls") == 1
-
-
-def test_engine_vectorized_backend_plans_its_kernels():
-    eng = SpGEMMEngine(policy="heuristic", backend="vectorized")
-    C = eng.multiply(A)
-    assert _bitwise(C)
-    plan = eng.plan_for(A)
-    assert plan.backend == "vectorized" and plan.backend_params == ()
-    # Pinning vectorized restricts the space to the kernels it supports.
-    assert plan.kernel in {"cluster", "rowwise"}
-    assert eng.stats().backend_events["vectorized_calls"] == 1
 
 
 def test_plan_cache_keys_include_backend():
     # A plan tuned for scipy must never be served to a reference engine:
     # two engines sharing one cache build two distinct entries.
     cache = PlanCache()
-    ref = SpGEMMEngine(policy="heuristic", plan_cache=cache)
+    ref = SpGEMMEngine(policy="heuristic", backend="reference", plan_cache=cache)
     scipy = SpGEMMEngine(policy="heuristic", backend="scipy", plan_cache=cache)
     ref.multiply(A)
     scipy.multiply(A)
@@ -265,8 +221,8 @@ def test_engine_auto_backend_plans_and_matches_pattern():
     eng = SpGEMMEngine(policy="autotune", backend="auto")
     C = eng.multiply(A)
     plan = eng.plan_for(A)
-    # "auto" is scipy: its execution contract holds.
-    assert C.same_pattern(REF) and C.allclose(REF)
+    # "auto" is scipy: the execution contract holds.
+    assert_contract_equal(C, REF)
     assert plan.backend == "scipy"
 
 
@@ -278,19 +234,19 @@ def test_auto_backend_pins_a_pipeline_spec_to_scipy(capsys):
     eng = SpGEMMEngine(pipeline="rcm", backend="auto")
     assert eng.plan_for(A).backend == "scipy"
     assert eng.planner.spec.label == "rcm+csr/rowwise@scipy"
-    C = eng.multiply(A)
-    assert C.same_pattern(REF) and C.allclose(REF)
+    assert_contract_equal(eng.multiply(A), REF)
+    # Without a backend= the spec keeps its own (reference) backend.
     assert SpGEMMEngine(pipeline="rcm").plan_for(A).backend == "reference"
     rc = main(["engine", "--matrix", "pdb1", "--pipeline", "rcm", "--backend", "auto", "--iters", "1"])
     assert rc == 0 and "plan: rcm+csr/rowwise@scipy" in capsys.readouterr().out
 
 
 def test_engine_pipeline_spec_with_backend():
-    eng = SpGEMMEngine(pipeline="rcm+fixed:8+cluster@vectorized")
+    eng = SpGEMMEngine(pipeline="rcm+fixed:8+cluster@reference")
     assert _bitwise(eng.multiply(A))
     plan = eng.plan_for(A)
-    assert plan.backend == "vectorized" and plan.pipeline().backend == "vectorized"
-    assert eng.stats().backend_events["vectorized_calls"] == 1
+    assert plan.backend == "reference" and plan.pipeline().backend == "reference"
+    assert eng.stats().backend_events == {"reference_calls": 1}
 
 
 def test_engine_multiply_many_with_backend():
@@ -298,12 +254,11 @@ def test_engine_multiply_many_with_backend():
     eng = SpGEMMEngine(policy="heuristic", backend="scipy")
     outs = eng.multiply_many(A, Bs)
     for B, C in zip(Bs, outs):
-        want = spgemm_rowwise(A, B)
-        assert C.same_pattern(want) and C.allclose(want)
+        assert_contract_equal(C, spgemm_rowwise(A, B))
 
 
 @pytest.mark.parametrize("call", ["multiply", "multiply_many", "power"])
-@pytest.mark.parametrize("name", ["reference", "scipy", "vectorized"])
+@pytest.mark.parametrize("name", ["reference", "scipy"])
 def test_engine_resolves_backend_once_per_call(monkeypatch, name, call):
     # A public call resolves its backend once, at bind time, and hands
     # that instance to every product it runs — no per-product lookup.
@@ -338,10 +293,10 @@ def test_engine_resolves_backend_once_per_call(monkeypatch, name, call):
     assert len(dispatched) == {"multiply": 1, "multiply_many": 1, "power": 3}[call]
     assert all(be is real_get(name) for be in dispatched)
     for C, want in zip(outs, wants):
-        assert C.same_pattern(want) and C.allclose(want)
+        assert_contract_equal(C, want)
 
 
-@pytest.mark.parametrize("name", ["reference", "scipy", "vectorized"])
+@pytest.mark.parametrize("name", ["reference", "scipy"])
 def test_builtin_backend_rejects_parameters(name):
     # No built-in backend takes a parameter (``workers``/``inner`` went
     # with the process-sharded backend): naming one is an error in the
@@ -419,6 +374,7 @@ def test_only_scipy_backend_imports_private_sparsetools(tmp_path):
 # Planner robustness: reference-only registries
 # ----------------------------------------------------------------------
 def test_planner_valid_with_only_reference_registered(monkeypatch):
+    from repro.backends import default_backend
     from repro.engine.fingerprint import fingerprint
     from repro.engine.planner import HeuristicPlanner
     from repro.pipeline import registry as reg
@@ -427,6 +383,8 @@ def test_planner_valid_with_only_reference_registered(monkeypatch):
         k: v for k, v in reg._REGISTRY.items() if v.kind != "backend" or v.name == "reference"
     }
     monkeypatch.setattr(reg, "_REGISTRY", only_ref)
+    # Without scipy, the default backend falls back to reference.
+    assert default_backend() == ("reference", ())
     planner = HeuristicPlanner(seed=0)
     plan = planner.plan(A, A, fingerprint(A), "asquare")
     assert plan.backend == "reference"
@@ -449,12 +407,12 @@ def test_plan_backend_serialisation_round_trip():
         reordering="rcm",
         clustering="fixed",
         kernel="cluster",
-        backend="vectorized",
+        backend="scipy",
         predicted_cost=10.0,
         baseline_cost=12.0,
     )
     again = ExecutionPlan.from_json(plan.to_json())
-    assert again == plan and again.backend == "vectorized" and again.backend_params == ()
+    assert again == plan and again.backend == "scipy" and again.backend_params == ()
 
 
 def test_plan_dicts_without_backend_fields_load_as_reference():
@@ -475,14 +433,14 @@ def test_plan_dicts_with_a_calibration_epoch_still_load():
     want = ExecutionPlan(reordering="rcm", clustering="fixed", kernel="cluster", backend="scipy")
     plan = ExecutionPlan.from_dict(dict(want.to_dict(), calibration_epoch=2))
     assert plan == want
-    C = plan.pipeline().run(A)
-    assert C.same_pattern(REF) and C.allclose(REF)
+    assert_contract_equal(plan.pipeline().run(A), REF)
 
 
-def test_plan_rejects_unknown_or_incompatible_backend():
+def test_plan_rejects_unknown_backend():
     with pytest.raises(ValueError, match="unknown backend"):
         ExecutionPlan(reordering="original", clustering=None, kernel="rowwise", backend="nope")
-    with pytest.raises(ValueError, match="support"):
+    with pytest.raises(ValueError, match="workers"):
         ExecutionPlan(
-            reordering="original", clustering=None, kernel="tiled", backend="vectorized"
+            reordering="original", clustering=None, kernel="rowwise", backend="scipy",
+            backend_params=(("workers", 2),),
         )

@@ -102,14 +102,20 @@ def test_fingerprint_memo_is_lru_not_fifo(two_fingerprints):
 @pytest.mark.parametrize(
     "kw, token",
     [
-        (dict(), "heuristic:rcm,amd,rabbit,degree,slashburn:b=reference"),
+        (dict(backend="reference"), "heuristic:rcm,amd,rabbit,degree,slashburn:b=reference"),
         (dict(backend="scipy"), "heuristic:rcm,amd,rabbit,degree,slashburn:b=scipy"),
-        (dict(policy="autotune"), "autotune:rcm,amd,rabbit,degree,slashburn:b=reference:k3"),
+        (dict(policy="autotune", backend="reference"), "autotune:rcm,amd,rabbit,degree,slashburn:b=reference:k3"),
         (dict(policy="autotune", backend="auto"), "autotune:rcm,amd,rabbit,degree,slashburn:b=scipy:k3"),
         (dict(pipeline="rcm+variable+cluster"), "pipeline:rcm+variable+cluster"),
         (dict(pipeline="rcm", backend="auto"), "pipeline:rcm+none+rowwise@scipy"),
+        # The default engine plans on scipy: it shares the scipy engine's token.
+        (dict(), "heuristic:rcm,amd,rabbit,degree,slashburn:b=scipy"),
+        (dict(policy="autotune"), "autotune:rcm,amd,rabbit,degree,slashburn:b=scipy:k3"),
     ],
-    ids=["heuristic", "heuristic-scipy", "autotune", "autotune-auto", "pipeline", "pipeline-auto"],
+    ids=[
+        "heuristic", "heuristic-scipy", "autotune", "autotune-auto", "pipeline", "pipeline-auto",
+        "default", "autotune-default",
+    ],
 )
 def test_planner_cache_tokens_are_stable(kw, token):
     # Plan-cache keys embed the token: a changed token orphans every

@@ -1,5 +1,6 @@
 """Smoke tests: every example script and the experiments CLI must run."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -44,13 +45,17 @@ def test_bc_example():
     assert "top-5 central vertices" in r.stdout
 
 
-def test_cli_fig8(tmp_path, monkeypatch):
-    env_args = ["-m", "repro.experiments.cli", "fig8"]
+def test_cli_fig8(tmp_path):
+    # The quick representative subset, swept into a private cache: the
+    # run neither reads nor writes the working tree's .repro_cache.
+    env = {**os.environ, "REPRO_CACHE_DIR": str(tmp_path)}
     r = subprocess.run(
-        [sys.executable, *env_args], capture_output=True, text=True, timeout=600, cwd=EXAMPLES.parent
+        [sys.executable, "-m", "repro.experiments.cli", "fig8", "--suite", "quick"],
+        capture_output=True, text=True, timeout=600, cwd=EXAMPLES.parent, env=env,
     )
     assert r.returncode == 0, r.stderr
     assert "Figure 8" in r.stdout
+    assert all(name in r.stdout for name in ("pdb1", "AS365"))
 
 
 def test_cli_rejects_unknown():

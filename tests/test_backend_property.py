@@ -95,3 +95,57 @@ def test_default_engine_meets_the_contract_on_special_values(pipeline, data):
     for _ in range(2):
         want = spgemm_rowwise(A, want).drop_explicit_zeros()
     assert_contract_equal(eng.power(A, 3), want)
+
+
+#: Value families for the accumulator cross-check: exact cancellation to
+#: ±0.0, infinities meeting finite values (and inf - inf), NaN operands,
+#: products that overflow to ±inf, and inexact values whose rounded sums
+#: change with the order of addition.
+VALUE_FAMILIES = {
+    "signed_halves": (0.0, -0.0, 0.5, -0.5, 1.0, -1.0),
+    "infinities": (np.inf, -np.inf, 1.0, -1.0, 0.5, -0.5, 0.0, -0.0),
+    "nan": (np.nan, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, -0.0),
+    "huge": (1e308, -1e308, 1.0, -0.5),
+    "inexact": (0.1, -0.3, 1 / 3, -1e-17, 1e16, 7.0),
+}
+
+
+def _with_values(A, family, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.choice(np.array(VALUE_FAMILIES[family]), size=A.nnz)
+    return CSRMatrix(A.indptr.copy(), A.indices.copy(), vals, A.shape)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf, inf * 0
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # 1e308 * 1e308
+@pytest.mark.parametrize("matname", sorted(MATRICES))
+@pytest.mark.parametrize("accumulator", ["sort", "dense", "hash"])
+@pytest.mark.parametrize("family", sorted(VALUE_FAMILIES))
+def test_default_engine_matches_every_rowwise_accumulator(family, accumulator, matname):
+    """The three accumulators add each entry's products in one order, the
+    order of A's stored row entries, so the default (scipy) engine meets
+    the contract against each of them on the suite's structure classes."""
+    A = _with_values(MATRICES[matname], family, seed=len(family))
+    eng = SpGEMMEngine()
+    assert eng.plan_for(A).backend == "scipy"
+    assert_contract_equal(eng.multiply(A), spgemm_rowwise(A, A, accumulator=accumulator))
+
+
+SCIPY_PIPELINES = [s for s in ALL_PAIRS if s.backend == "scipy"]
+
+
+@pytest.mark.parametrize("spec", SCIPY_PIPELINES, ids=str)
+def test_every_scipy_pipeline_meets_the_contract_in_a_batch(spec):
+    """``multiply_many`` with a fixed scipy pipeline: one plan of ``A``
+    (reordered and clustered as the spec says) against tall-skinny
+    operands, each product under the contract."""
+    A = MATRICES["powerlaw"]
+    rng = np.random.default_rng(11)
+    Bs = [
+        CSRMatrix.from_dense(np.where(rng.random((A.ncols, 9)) < 0.2, rng.standard_normal((A.ncols, 9)), 0.0))
+        for _ in range(3)
+    ]
+    eng = SpGEMMEngine(pipeline=spec)
+    assert eng.plan_for(A).backend == "scipy"
+    for C, B in zip(eng.multiply_many(A, Bs), Bs):
+        assert_contract_equal(C, spgemm_rowwise(A, B))

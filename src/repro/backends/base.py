@@ -11,18 +11,18 @@ while keeping one correctness oracle.
 
 Contract
 --------
-``backend.execute(operand, B, kernel=..., kernel_params=..., ctx=...)``
-returns the product **in the operand's row order**, exactly like the
+A backend has one method.  ``backend.execute_many(operand, Bs,
+kernel=..., kernel_params=..., ctx=..., original_order=)`` runs a batch
+of products on one prepared operand (a
+:class:`~repro.pipeline.spec.BuiltPipeline`) and returns them in input
+order, with the number of threads that ran them.  Each product is in the
+**operand's row order**, exactly like the
 :class:`~repro.pipeline.registry.KernelBackend` protocol the kernels
-satisfy.  ``backend.execute_many(operand, Bs, ..., original_order=)``
-runs a batch of products on one operand and returns them in input
-order, with the number of threads that ran them; ``original_order=True``
-returns each in the *original* row order (``operand.inv`` applied).  It
-is the only method the dispatchers call.  Its default loops over
-``execute`` in the calling thread and applies ``operand.inv`` itself; a
-backend overrides it when it can fold the un-permute into its own output
-assembly or run the batch's products side by side (``scipy``, whose
-``execute`` is a batch of one).
+satisfy, or with ``original_order=True`` in the *original* row order
+(``operand.inv`` applied).  ``reference`` runs the products one after
+another and gathers the rows afterwards; ``scipy`` folds the un-permute
+into its own output assembly and may run a batch's products side by
+side.  :func:`repro.backends.execute` is the batch of one.
 
 Every backend returns a product **bitwise-equal to**
 :func:`~repro.core.spgemm.spgemm_rowwise` **once exact-zero sums are
@@ -126,23 +126,6 @@ class ExecutionBackend(ABC):
 
     # -- execution ------------------------------------------------------
     @abstractmethod
-    def execute(
-        self,
-        operand: Any,
-        B: Any,
-        *,
-        kernel: str,
-        kernel_params: dict[str, Any],
-        ctx: ExecutionContext,
-    ) -> Any:
-        """Run ``kernel`` on the prepared ``operand`` against ``B``.
-
-        ``operand`` satisfies the
-        :class:`~repro.pipeline.registry.ClusteredOperand` protocol
-        (``Ar`` always, ``Ac`` when the pipeline clustered).  Returns
-        canonical CSR in the operand's row order.
-        """
-
     def execute_many(
         self,
         operand: Any,
@@ -153,15 +136,16 @@ class ExecutionBackend(ABC):
         ctx: ExecutionContext,
         original_order: bool = False,
     ) -> tuple[list, int]:
-        """Run the products ``operand @ B`` for every ``B`` in ``Bs``
-        through :meth:`execute`, in the original row order
-        (``operand.inv`` applied, when present) if ``original_order`` is
-        set.  Returns the products in input order and the number of
-        threads that ran them (1: one after another in the calling
-        thread)."""
-        Cs = [self.execute(operand, B, kernel=kernel, kernel_params=kernel_params, ctx=ctx) for B in Bs]
-        inv = getattr(operand, "inv", None) if original_order else None
-        return (Cs if inv is None else [C.permute_rows(inv) for C in Cs]), 1
+        """Run ``kernel`` on the prepared ``operand`` against every ``B``
+        in ``Bs``.
+
+        ``operand`` is a :class:`~repro.pipeline.spec.BuiltPipeline`
+        (``Ar`` always, ``Ac`` when the pipeline clustered, ``inv`` when
+        it permuted).  Returns the products as canonical CSR in input
+        order — in the operand's row order, or the original one when
+        ``original_order`` is set — and the number of threads that ran
+        them.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

@@ -21,16 +21,26 @@ class ReferenceBackend(ExecutionBackend):
     name: ClassVar[str] = "reference"
     description: ClassVar[str] = "pure-python registry kernels (the bitwise correctness oracle)"
 
-    def execute(
+    def execute_many(
         self,
         operand: Any,
-        B: Any,
+        Bs: list,
         *,
         kernel: str,
         kernel_params: dict[str, Any],
         ctx: ExecutionContext,
-    ) -> Any:
+        original_order: bool = False,
+    ) -> tuple[list, int]:
+        """The registered kernel on every product, one after another in
+        the calling thread; the rows gathered through ``operand.inv``
+        afterwards when ``original_order`` is set."""
         from ..pipeline import get_component
 
-        ctx.bump("reference_calls")
-        return get_component("kernel", kernel).factory(operand, B, **kernel_params)
+        run = get_component("kernel", kernel).factory
+        inv = operand.inv if original_order else None
+        Cs = []
+        for B in Bs:
+            ctx.bump("reference_calls")
+            C = run(operand, B, **kernel_params)
+            Cs.append(C if inv is None else C.permute_rows(inv))
+        return Cs, 1

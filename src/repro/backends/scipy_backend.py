@@ -158,10 +158,8 @@ def _wrap(M):
 
 
 def _handle(operand, state):
-    """The operand's ``Ar`` as a scipy matrix, kept in ``state`` (when
-    the operand has one) so later products skip the conversion."""
-    if state is None:
-        return _wrap(operand.Ar)
+    """The operand's ``Ar`` as a scipy matrix, kept in ``state`` so later
+    products skip the conversion."""
     As = state.get(_HANDLE)
     if As is None:
         As = state[_HANDLE] = _wrap(operand.Ar)
@@ -187,8 +185,8 @@ def _is_source(operand, B, token, state) -> bool:
     key = ("source", token)
     ok = state.get(key)
     if ok is None:
-        Ar, perm = operand.Ar, getattr(operand, "perm", None)
-        ok = getattr(operand, "mode", "rows") == "rows" and B.shape == Ar.shape
+        Ar, perm = operand.Ar, operand.perm
+        ok = operand.mode == "rows" and B.shape == Ar.shape
         if ok:
             PB = B if perm is None else B.permute_rows(perm)
             ok = all(
@@ -232,12 +230,11 @@ def _square(S, maxnnz: int):
 
 
 def _check_operand(operand, state) -> None:
-    """Validate the operand's ``Ar`` once (every call when it keeps no
-    ``state``): scipy's passes read it without bounds checks."""
-    if state is None or not state.get(_CHECKED):
+    """Validate the operand's ``Ar`` once: scipy's passes read it without
+    bounds checks."""
+    if not state.get(_CHECKED):
         operand.Ar._check()
-        if state is not None:
-            state[_CHECKED] = True
+        state[_CHECKED] = True
 
 
 def _check_right(Ar, B) -> None:
@@ -451,7 +448,7 @@ def _recorded_square(operand, B, token, state, inv, original_order, ctx) -> CSRM
     if not _is_source(operand, B, token, state):
         return None
     S = _handle(operand, state)
-    perm = getattr(operand, "perm", None)
+    perm = operand.perm
     relabel = None
     if perm is not None:
         # The handle's index dtype: relabelled columns stay int32.
@@ -494,17 +491,6 @@ class ScipyBackend(ExecutionBackend):
     def honours_kernel(self) -> bool:
         return False  # every kernel runs as one matmul over Ar
 
-    def execute(
-        self,
-        operand: Any,
-        B: Any,
-        *,
-        kernel: str,
-        kernel_params: dict[str, Any],
-        ctx: ExecutionContext,
-    ) -> Any:
-        return self.execute_many(operand, [B], kernel=kernel, kernel_params=kernel_params, ctx=ctx)[0][0]
-
     def execute_many(
         self,
         operand: Any,
@@ -517,10 +503,10 @@ class ScipyBackend(ExecutionBackend):
     ) -> tuple[list, int]:
         """Every product on its path, a large batch of direct products
         split across two threads (module docstring)."""
-        state = getattr(operand, "backend_state", None)
+        state = operand.backend_state
         Ar = operand.Ar
-        inv = getattr(operand, "inv", None) if original_order else None
-        tokens = [None if state is None else ctx.operand_tokens.get(id(B)) for B in Bs]
+        inv = operand.inv if original_order else None
+        tokens = [ctx.operand_tokens.get(id(B)) for B in Bs]
         # Every operand validated before any product starts; a token
         # names B's pattern and values, so a hinted B once per token.
         _check_operand(operand, state)

@@ -1,14 +1,18 @@
 """The :class:`SpGEMMEngine` facade — plan once, execute many times.
 
-The engine is the serving layer the ROADMAP's production north star
-needs: callers hand it matrices and get products back, while the engine
+Callers hand the engine matrices and get products back, while the
+engine
 
-1. **fingerprints** the left operand (O(nnz), pattern-only),
+1. **digests** the left operand's pattern (O(nnz)), which keys the plan
+   cache,
 2. **plans** via the configured policy (heuristic / autotune, or one
    fixed ``pipeline=`` spec) — or reuses a cached plan when the pattern
-   was seen before,
-3. **prepares** the operand (reorder + cluster build), reusing the
-   prepared form across calls with identical values,
+   was seen before; only a plan build reads the operand's structural
+   features (:func:`~repro.engine.fingerprint.fingerprint`),
+3. **prepares** the operand (reorder + cluster build) as a
+   :class:`~repro.pipeline.spec.BuiltPipeline`, reusing it across calls
+   with identical values (a new plan's operand is the one the planner
+   built while measuring it),
 4. **executes** the plan through its execution backend
    (:mod:`repro.backends`; ``scipy`` by default), which returns the
    product in the original row order, bitwise-identical to
@@ -24,7 +28,7 @@ public call; step 4 is the *run* step (``SpGEMMEngine._run``), run once
 per batch: :meth:`~SpGEMMEngine.multiply` runs a batch of one,
 :meth:`~SpGEMMEngine.multiply_many` one batch of all its products, and
 :meth:`~SpGEMMEngine.power` a batch of one per step of its chain.  So a
-batch or a power pays for fingerprinting, plan lookup and
+batch or a power pays for digesting, plan lookup and
 kernel-parameter resolution once, and the backend sees a whole batch
 (``scipy`` may run its products on two threads, DESIGN.md §10).
 
@@ -56,21 +60,19 @@ from ..core.csr import CSRMatrix
 from ..experiments.config import ExperimentConfig
 from ..machine import SimulatedMachine
 from ..obs import NOOP_TRACER, Tracer
-from ..pipeline import PipelineSpec, get_component
-from .fingerprint import MatrixFingerprint, fingerprint, pattern_digest, value_digest
+from ..pipeline import BuiltPipeline, PipelineSpec, get_component
+from .fingerprint import fingerprint, pattern_digest, pattern_key, value_digest
 from .plan import ExecutionPlan
 from .plan_cache import PlanCache
-from .planner import Planner, PreparedOperand, make_planner
+from .planner import Planner, make_planner
 
 __all__ = ["SpGEMMEngine", "EngineStats"]
 
-#: Prepared-operand LRU capacity (value-exact reuse).  A prepared
-#: operand also owns its backend state (the ``scipy`` backend's recorded
-#: ``A²`` structure), evicted with it.
+#: Prepared-operand LRU capacity (value-exact reuse).  A
+#: :class:`~repro.pipeline.spec.BuiltPipeline` also owns its backend
+#: state (the ``scipy`` backend's recorded ``A²`` structure), evicted
+#: with it.
 OPERAND_CACHE_SIZE = 16
-#: Fingerprint memo LRU capacity (feature sketches keyed by pattern
-#: digest).
-FINGERPRINT_CACHE_SIZE = 64
 
 
 @dataclass
@@ -241,9 +243,9 @@ class _Bound:
     the call's products share (built by ``SpGEMMEngine._bind``)."""
 
     plan: ExecutionPlan
-    prep: PreparedOperand
+    built: BuiltPipeline
     kernel_params: dict
-    fp: MatrixFingerprint
+    pdigest: str  # A's pattern digest (plan-cache key, A² hint)
     vdigest: str  # A's value digest (operand-cache key, A² hint)
     backend: ExecutionBackend  # the plan's backend, resolved once per call
     hit: bool  # the plan came from the cache (ledgered once a batch ran)
@@ -343,48 +345,24 @@ class SpGEMMEngine:
             # Attach the engine's tracer to its cache (shared caches keep
             # whichever enabled tracer reached them first).
             self.plan_cache.tracer = self.tracer
-        self._operands: "OrderedDict[tuple, PreparedOperand]" = OrderedDict()
-        self._fingerprints: "OrderedDict[str, MatrixFingerprint]" = OrderedDict()
+        self._operands: "OrderedDict[tuple, BuiltPipeline]" = OrderedDict()
         self._exec_ctx = ExecutionContext(cfg=self.cfg, tracer=self.tracer)
         self._stats = EngineStats()
         # The serving front-end drives one engine from a dispatch thread,
         # a planner thread and (on fallback) arbitrary caller threads.
-        # _plan_build_lock serialises planner.plan + take_prepared (the
-        # planner hands its prepared operand to whoever planned last);
-        # _memo_lock guards the fingerprint and operand memo dicts.
-        # Neither is held across backend execution, so warm requests
-        # execute while a cold fingerprint plans.
+        # _plan_build_lock stops two of them building the same cold plan;
+        # _memo_lock guards the operand LRU.  Neither is held across
+        # backend execution, so warm requests execute while a cold
+        # pattern plans.
         self._plan_build_lock = threading.RLock()
         self._memo_lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _fingerprint(self, A: CSRMatrix) -> MatrixFingerprint:
-        # The digest is recomputed every call (a fast C-level hash); only
-        # the sampled feature sketch is memoised, keyed by that digest —
-        # so the memo can never serve a stale entry for a different
-        # pattern, however objects are allocated.
-        digest = pattern_digest(A)
-        with self._memo_lock:
-            fp = self._fingerprints.get(digest)
-            if fp is not None:
-                self._fingerprints.move_to_end(digest)
-                return fp
-        # Sketch outside the lock: fingerprint() is deterministic in
-        # (pattern, seed), so a concurrent duplicate build is identical
-        # and last-writer-wins is harmless.
-        fp = fingerprint(A, seed=self.seed, digest=digest)
-        with self._memo_lock:
-            self._fingerprints[digest] = fp
-            while len(self._fingerprints) > FINGERPRINT_CACHE_SIZE:
-                self._fingerprints.popitem(last=False)
-        return fp
-
-    def _key_for(self, A: CSRMatrix, workload: str) -> "tuple[MatrixFingerprint, str]":
-        """Fingerprint ``A`` and build the plan-cache key it addresses."""
-        fp = self._fingerprint(A)
-        return fp, f"{fp.key}|{workload}|{self._key_suffix}"
+    def _key_for(self, A: CSRMatrix, digest: str, workload: str) -> str:
+        """The plan-cache key ``A`` (pattern digest ``digest``) addresses."""
+        return f"{pattern_key(A.shape, A.nnz, digest)}|{workload}|{self._key_suffix}"
 
     @staticmethod
     def _infer_workload(A: CSRMatrix, B: CSRMatrix | None) -> str:
@@ -408,48 +386,53 @@ class SpGEMMEngine:
         hit/miss counters — only the executing calls do, so the ledger
         counts executions, not displays.
         """
-        workload = workload or self._infer_workload(A, B)
-        fp, key = self._key_for(A, workload)
         Bx = A if B is None else B
-        return self._lookup(A, Bx, fp, key, workload, count=False)[0]
+        _check_inner(A, Bx)
+        workload = workload or self._infer_workload(A, B)
+        return self._lookup(A, Bx, pattern_digest(A), workload, count=False)[0]
 
     def _lookup(
         self,
         A: CSRMatrix,
         Bx: CSRMatrix,
-        fp: MatrixFingerprint,
-        key: str,
+        digest: str,
         workload: str,
+        vdigest: str | None = None,
         *,
         count: bool = True,
     ) -> "tuple[ExecutionPlan, bool]":
-        """The cached plan for ``key``, or a freshly built (and cached)
-        one; returns ``(plan, hit)``.  A miss is ledgered here unless
-        ``count=False``; a hit is left to the caller (:meth:`_run`)."""
+        """The cached plan for ``A`` (pattern digest ``digest``), or a
+        freshly built (and cached) one; returns ``(plan, hit)``.  A build
+        caches the planner's operand under ``vdigest`` (``A``'s value
+        digest, computed here when not given).  A miss is ledgered here
+        unless ``count=False``; a hit is left to the caller
+        (:meth:`_run`)."""
         t0 = time.perf_counter()
+        key = self._key_for(A, digest, workload)
         plan = self.plan_cache.get(key)
         hit = plan is not None
         if not hit:
             with self._plan_build_lock:
                 # Double-check under the build lock: serve's planner
                 # thread and its dispatch thread can race on a cold key,
-                # and the loser must reuse rather than rebuild (planners
-                # hand take_prepared() to whoever planned last).
+                # and the loser must reuse rather than rebuild.
                 plan = self.plan_cache.get(key)
                 hit = plan is not None
                 if not hit:
                     if count:
                         self._stats.bump(plan_cache_misses=1)
-                    plan = self.planner.plan(A, Bx, fp, workload)
+                    fp = fingerprint(A, seed=self.seed, digest=digest)
+                    plan, built = self.planner.plan(A, Bx, fp, workload)
                     self.plan_cache.put(key, plan)
-                    self._stats.bump(plans_built=1, model_planning_cost=plan.planning_cost)
-                    # The planner already materialised the winning operand for
-                    # its measurement — seed the operand cache with it so the
-                    # preprocessing is never paid twice.
-                    prep = self.planner.take_prepared()
-                    if prep is not None:
-                        self._stats.bump(operands_prepared=1, model_pre_cost=prep.pre_cost)
-                        self._store_operand(self._operand_key(plan, value_digest(A)), prep)
+                    self._stats.bump(
+                        plans_built=1,
+                        model_planning_cost=plan.planning_cost,
+                        operands_prepared=1,
+                        model_pre_cost=plan.pre_cost,
+                    )
+                    if vdigest is None:
+                        vdigest = value_digest(A)
+                    self._store_operand(self._operand_key(plan, vdigest), built)
         self._stats.bump(planning_seconds=time.perf_counter() - t0)
         return plan, hit
 
@@ -473,43 +456,40 @@ class SpGEMMEngine:
             vdigest,
         )
 
-    def prepare(self, A: CSRMatrix, plan: ExecutionPlan) -> PreparedOperand:
-        """Materialise (or reuse) the plan's reordered/clustered operand."""
-        prep, reused = self._prepare(A, plan, value_digest(A))
+    def prepare(self, A: CSRMatrix, plan: ExecutionPlan) -> BuiltPipeline:
+        """Build (or reuse) the plan's reordered/clustered operand."""
+        built, reused = self._prepare(A, plan, value_digest(A))
         if reused:
             self._stats.bump(operands_reused=1)
-        return prep
+        return built
 
-    def _prepare(self, A: CSRMatrix, plan: ExecutionPlan, vdigest: str) -> tuple[PreparedOperand, bool]:
+    def _prepare(self, A: CSRMatrix, plan: ExecutionPlan, vdigest: str) -> tuple[BuiltPipeline, bool]:
         """The plan's operand and whether it came from the operand cache
         (a reuse is left to the caller to ledger)."""
         key = self._operand_key(plan, vdigest)
         with self._memo_lock:
-            prep = self._operands.get(key)
-            if prep is not None:
+            built = self._operands.get(key)
+            if built is not None:
                 self._operands.move_to_end(key)
-        if prep is not None:
-            return prep, True
+        if built is not None:
+            return built, True
         t0 = time.perf_counter()
         # Rebuild through the plan's pipeline spec so every component
         # parameter (reordering, clustering, kernel) is honoured.  Built
         # outside the memo lock: preparation is the expensive step, and a
         # concurrent duplicate build is deterministic-identical.
-        from .planner import _prepared_from_built
-
         built = plan.pipeline().build(A, seed=plan.seed, mode="rows", cfg=self.cfg)
-        prep = _prepared_from_built(built, self.machine.cost)
         self._stats.bump(
             preprocess_seconds=time.perf_counter() - t0,
             operands_prepared=1,
-            model_pre_cost=prep.pre_cost,
+            model_pre_cost=built.pre_cost(self.machine.cost),
         )
-        self._store_operand(key, prep)
-        return prep, False
+        self._store_operand(key, built)
+        return built, False
 
-    def _store_operand(self, key: tuple, prep: PreparedOperand) -> None:
+    def _store_operand(self, key: tuple, built: BuiltPipeline) -> None:
         with self._memo_lock:
-            self._operands[key] = prep
+            self._operands[key] = built
             while len(self._operands) > OPERAND_CACHE_SIZE:
                 self._operands.popitem(last=False)
 
@@ -528,10 +508,9 @@ class SpGEMMEngine:
         """Everything one call's products share: look up (or build) the
         plan for ``A``, prepare its operand and resolve the kernel
         parameters.  Tags ``span`` with this call's own lookup outcome."""
-        fp, key = self._key_for(A, workload)
-        vdigest = value_digest(A)
-        plan, hit = self._lookup(A, Bx, fp, key, workload)
-        prep, reused = self._prepare(A, plan, vdigest)
+        pdigest, vdigest = pattern_digest(A), value_digest(A)
+        plan, hit = self._lookup(A, Bx, pdigest, workload, vdigest)
+        built, reused = self._prepare(A, plan, vdigest)
         k_info = get_component("kernel", plan.kernel)
         given = [
             (k, v)
@@ -549,7 +528,7 @@ class SpGEMMEngine:
                 workload=plan.workload,
             )
         backend = get_backend(plan.backend, plan.backend_params)
-        return _Bound(plan, prep, kernel_params, fp, vdigest, backend, hit, reused)
+        return _Bound(plan, built, kernel_params, pdigest, vdigest, backend, hit, reused)
 
     def _run(self, bound: _Bound, A: CSRMatrix, Bs: list, *, reuse: bool = False) -> list[CSRMatrix]:
         """The products ``A @ B`` for every ``B`` in ``Bs`` through the
@@ -569,16 +548,16 @@ class SpGEMMEngine:
         edit.
         """
         t0 = time.perf_counter()
-        plan, prep, ctx = bound.plan, bound.prep, self._exec_ctx
+        plan, ctx = bound.plan, self._exec_ctx
         # Digest reuse (DESIGN.md §10): every A² product is hinted with
         # the pattern/value digests the plan and operand caches already
         # computed — scipy keys its recorded product structure by them.
         hinted = any(B is A for B in Bs)
         if hinted:
-            ctx.operand_tokens[id(A)] = f"{bound.fp.pattern_digest[:20]}:{bound.vdigest[:20]}"
+            ctx.operand_tokens[id(A)] = f"{bound.pdigest[:20]}:{bound.vdigest[:20]}"
         try:
             Cs = backend_execute_many(
-                prep,
+                bound.built,
                 Bs,
                 kernel=plan.kernel,
                 kernel_params=bound.kernel_params,

@@ -10,10 +10,12 @@ but perturbed values must hit the cache and reuse the plan.
 
 Two digests are provided:
 
-* :func:`fingerprint` → :class:`MatrixFingerprint` — shape, nnz, a
-  SHA-256 digest of the pattern arrays, and the
-  :func:`~repro.analysis.predictor.matrix_features` vector (computed
-  once here, in O(nnz), and reused by every planner policy).
+* :func:`pattern_digest` — a SHA-256 digest of the pattern arrays;
+  with shape and nnz it makes the plan-cache key (:func:`pattern_key`),
+  so a warm lookup hashes the pattern and nothing else.
+  :func:`fingerprint` → :class:`MatrixFingerprint` adds the
+  :func:`~repro.analysis.predictor.matrix_features` vector (O(nnz)),
+  which only a plan build reads.
 * :func:`value_digest` — a digest of the value array, used by the
   engine's prepared-operand cache (reordered/clustered operands can only
   be reused when the values match exactly).
@@ -33,6 +35,7 @@ __all__ = [
     "MatrixFingerprint",
     "fingerprint",
     "pattern_digest",
+    "pattern_key",
     "value_digest",
 ]
 
@@ -71,7 +74,7 @@ class MatrixFingerprint:
     @property
     def key(self) -> str:
         """Compact cache-key string (pattern identity only)."""
-        return f"{self.shape[0]}x{self.shape[1]}_{self.nnz}_{self.pattern_digest[:20]}"
+        return pattern_key(self.shape, self.nnz, self.pattern_digest)
 
     def feature_array(self) -> np.ndarray:
         return np.array(self.features, dtype=np.float64)
@@ -88,6 +91,12 @@ def pattern_digest(A: CSRMatrix) -> str:
     """SHA-256 of ``A``'s sparsity pattern (shape + indptr + indices)."""
     shape_tag = np.array(A.shape, dtype=np.int64)
     return _digest_arrays(shape_tag, A.indptr, A.indices)
+
+
+def pattern_key(shape: tuple[int, int], nnz: int, digest: str) -> str:
+    """Compact cache-key string of a pattern: shape, nnz and the leading
+    characters of its :func:`pattern_digest`."""
+    return f"{shape[0]}x{shape[1]}_{nnz}_{digest[:20]}"
 
 
 def fingerprint(A: CSRMatrix, *, seed: int = 0, digest: str | None = None) -> MatrixFingerprint:

@@ -89,8 +89,8 @@ class PlanCache:
         # Re-entrant: serve's planner/dispatch threads share one cache,
         # and put() → _insert() → _evict_one() nests inside the lock.
         self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
+        # Hits and misses are the engine's to count (EngineStats): it
+        # looks a cold key up twice, once more under its build lock.
         self.evictions = 0
         self.disk_hits = 0
         #: Observability hook (DESIGN.md §12): an enabled tracer receives
@@ -139,21 +139,18 @@ class PlanCache:
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> ExecutionPlan | None:
-        """Look up a plan; counts a hit/miss and refreshes LRU order."""
+        """Look up a plan (refreshing LRU order), loading it from disk
+        when persisting; counts a disk hit."""
         with self._lock:
             plan = self._entries.get(key)
             if plan is not None:
                 self._entries.move_to_end(key)
-                self.hits += 1
                 return plan
             plan = self._load_disk(key)
             if plan is not None:
                 self.disk_hits += 1
-                self.hits += 1
                 self._insert(key, plan)
-                return plan
-            self.misses += 1
-            return None
+            return plan
 
     def put(self, key: str, plan: ExecutionPlan) -> None:
         """Insert (or replace) a plan."""
@@ -196,7 +193,7 @@ class PlanCache:
     def __contains__(self, key: str) -> bool:
         """In-memory membership only — ``get`` may still succeed from
         disk when persistence is on, and unlike ``get`` this never
-        touches counters or LRU order."""
+        touches LRU order or the disk."""
         return key in self._entries
 
     def clear(self, *, disk: bool = False) -> None:
@@ -214,8 +211,6 @@ class PlanCache:
             return {
                 "size": len(self._entries),
                 "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
                 "evictions": self.evictions,
                 "disk_hits": self.disk_hits,
             }

@@ -1,7 +1,10 @@
 """Pluggable planning policies: heuristic, autotune, pipeline.
 
 A planner turns ``(A, B, fingerprint, workload)`` into an
-:class:`~repro.engine.plan.ExecutionPlan`.  The candidate space is
+:class:`~repro.engine.plan.ExecutionPlan` plus the
+:class:`~repro.pipeline.spec.BuiltPipeline` it measured, which the
+engine caches as the plan's prepared operand.  Every candidate is a
+:class:`~repro.pipeline.spec.PipelineSpec`.  The candidate space is
 enumerated from :mod:`repro.pipeline` registry capability queries
 (:func:`planner_reorderings`, :func:`planner_kernels`,
 :func:`default_candidates`) — registering a component with the right
@@ -14,7 +17,7 @@ or by default ``scipy`` — ``reference`` when scipy is not registered
 bitwise-equal to row-wise SpGEMM once exact-zero sums are dropped.  On
 a backend that does not honour the kernel choice (``scipy``) only the
 reordering reaches the product, so its candidates are
-``(reordering, backend)`` pairs — see :func:`executed_candidate`.  Two
+``reordering@backend`` specs — see :meth:`Planner._candidates`.  Two
 search policies are provided, plus a fixed-spec one:
 
 * :class:`HeuristicPlanner` (``"heuristic"``) — ranks a candidate space
@@ -48,24 +51,19 @@ capturing the cross-row ``B``-reuse locality that reordering buys
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as _dc_replace
-
 import numpy as np
 
 from ..analysis.predictor import FEATURE_NAMES
 from ..core.csr import CSRMatrix
-from ..core.csr_cluster import CSRCluster
 from ..core.spgemm import flops_rowwise
 from ..experiments.config import ExperimentConfig
 from ..machine import SimulatedMachine
 from ..machine.layout import ENTRY_BYTES
-from ..pipeline import PipelineSpec, components, get_component
+from ..pipeline import BuiltPipeline, PipelineSpec, components, get_component
 from .fingerprint import MatrixFingerprint
 from .plan import ExecutionPlan
 
 __all__ = [
-    "Candidate",
-    "PreparedOperand",
     "Planner",
     "HeuristicPlanner",
     "AutotunePlanner",
@@ -74,9 +72,6 @@ __all__ = [
     "default_candidates",
     "planner_reorderings",
     "planner_kernels",
-    "replace_candidate",
-    "executed_candidate",
-    "prepare_candidate",
     "AUTOTUNE_TRIALS",
 ]
 
@@ -100,24 +95,6 @@ def planner_reorderings() -> tuple[str, ...]:
 def _family(reordering: str) -> str:
     """The registry's family affinity tag for one reordering."""
     return get_component("reordering", reordering).family
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One point of the (reordering, clustering, kernel, backend) space."""
-
-    reordering: str
-    clustering: str | None
-    kernel: str
-    backend: str = "reference"
-    backend_params: tuple[tuple[str, float], ...] = ()
-
-    @property
-    def label(self) -> str:
-        from .plan import backend_label_suffix
-
-        suffix = backend_label_suffix(self.backend, self.backend_params)
-        return f"{self.reordering}+{self.clustering or 'csr'}/{self.kernel}{suffix}"
 
 
 def planner_kernels() -> tuple[str, ...]:
@@ -146,159 +123,48 @@ def default_candidates(
     *,
     square: bool,
     reorderings: tuple[str, ...] | None = None,
-) -> list[Candidate]:
-    """The reference-backend candidate space, enumerated from the
-    registry.
+    cfg: ExperimentConfig | None = None,
+    backend: tuple[str, tuple] = ("reference", ()),
+) -> list[PipelineSpec]:
+    """The candidate space of a backend that honours the kernel choice,
+    enumerated from the registry (``backend`` is its ``(name, params)``;
+    by default ``reference``).
 
     Non-square operands cannot take the graph reorderings (they need a
     square adjacency), so their space reduces to clustering choices on
     the natural order.  Clusterings tagged ``embeds_reordering``
     (hierarchical, paper §3.4) are paired only with the natural order —
-    their cluster formation *is* a reordering.
+    their cluster formation *is* a reordering.  Each clustering carries
+    its parameters resolved under ``cfg`` (default
+    :class:`~repro.experiments.config.ExperimentConfig`), so a
+    candidate's :meth:`~repro.pipeline.spec.PipelineSpec.to_plan` records
+    the values its build uses.
     """
     if reorderings is None:
         reorderings = planner_reorderings()
-    clusterings = components("clustering")
+    cfg = cfg or ExperimentConfig()
+    name, params = backend
+    clusterings = [
+        (c, tuple(c.resolve_params((), cfg).items())) for c in components("clustering")
+    ]
     kernels = planner_kernels()
     cluster_kernels = _cluster_kernels()
-    cands = [Candidate("original", None, k) for k in kernels]
-    cands += [
-        Candidate("original", c.name, ck) for c in clusterings for ck in cluster_kernels
-    ]
+
+    def specs(r: str, with_clusterings) -> list[PipelineSpec]:
+        out = [PipelineSpec(r, None, k, name, backend_params=params) for k in kernels]
+        out += [
+            PipelineSpec(r, c.name, ck, name, clustering_params=c_params, backend_params=params)
+            for c, c_params in with_clusterings
+            for ck in cluster_kernels
+        ]
+        return out
+
+    cands = specs("original", clusterings)
     if square:
+        ordered = [(c, c_params) for c, c_params in clusterings if not c.embeds_reordering]
         for r in reorderings:
-            cands.extend(Candidate(r, None, k) for k in kernels)
-            cands.extend(
-                Candidate(r, c.name, ck)
-                for c in clusterings
-                if not c.embeds_reordering
-                for ck in cluster_kernels
-            )
+            cands += specs(r, ordered)
     return cands
-
-
-def replace_candidate(cand: Candidate, backend: str, params: tuple = ()) -> Candidate:
-    """Copy of ``cand`` re-targeted at another execution backend."""
-    return _dc_replace(cand, backend=backend, backend_params=params)
-
-
-def _kernel_blind(cand: Candidate) -> bool:
-    from ..backends import get_backend
-
-    return not get_backend(cand.backend, cand.backend_params).honours_kernel
-
-
-def executed_candidate(cand: Candidate) -> Candidate:
-    """What ``cand``'s backend actually executes.
-
-    A backend that does not honour the kernel choice (``scipy``) runs
-    every kernel as the same product over ``Ar``: no ``CSR_Cluster``
-    operand and no kernel reaches it, so only the reordering changes
-    its result.  There the candidate is ``(reordering, None,
-    "rowwise")``, which builds no clustering.  Candidates on every
-    other backend are returned unchanged.
-    """
-    if not _kernel_blind(cand):
-        return cand
-    return Candidate(cand.reordering, None, "rowwise", cand.backend, cand.backend_params)
-
-
-def _executed_space(cands: list[Candidate]) -> list[Candidate]:
-    """``cands`` rewritten by :func:`executed_candidate`, duplicates
-    dropped (the first keeps its rank), with the natural order a
-    candidate on every kernel-blind backend the space reaches."""
-    out: dict[Candidate, None] = {}
-    for cand in cands:
-        if _kernel_blind(cand):
-            out.setdefault(
-                Candidate("original", None, "rowwise", cand.backend, cand.backend_params)
-            )
-        out.setdefault(executed_candidate(cand))
-    return list(out)
-
-
-# ----------------------------------------------------------------------
-# Candidate materialisation (shared with the engine's prepare step)
-# ----------------------------------------------------------------------
-@dataclass
-class PreparedOperand:
-    """A materialised left operand: reordered and (optionally) clustered.
-
-    ``Ar`` is ``P·A`` (row gather; ``perm is None`` means the natural
-    order), ``Ac`` its ``CSR_Cluster`` form when the plan clusters, and
-    ``pre_cost`` the model preprocessing time actually spent building
-    both — the quantity the engine amortises.
-    """
-
-    reordering: str
-    clustering: str | None
-    perm: np.ndarray | None
-    inv: np.ndarray | None
-    Ar: CSRMatrix
-    Ac: CSRCluster | None
-    pre_cost: float
-    params: tuple[tuple[str, float], ...] = ()
-    #: Execution-backend state owned by this operand (the ``scipy``
-    #: backend's recorded product structure); evicted with it.
-    backend_state: dict = field(default_factory=dict, repr=False, compare=False)
-
-
-def _prepared_from_built(built, cost) -> PreparedOperand:
-    """Wrap a :class:`~repro.pipeline.spec.BuiltPipeline` as the engine's
-    :class:`PreparedOperand`, emitting the resolved clustering parameters
-    in the plan's legacy ``(name, float)`` convention."""
-    spec = built.spec
-    params: tuple[tuple[str, float], ...] = ()
-    c_info = spec.clustering_info
-    if c_info is not None:
-        resolved = c_info.resolve_params(spec.clustering_params, built.cfg)
-        params = tuple(
-            (p.name, float(resolved[p.name])) for p in c_info.params if p.name in resolved
-        )
-    return PreparedOperand(
-        spec.reordering,
-        spec.clustering,
-        built.perm,
-        built.inv,
-        built.Ar,
-        built.Ac,
-        built.pre_cost(cost),
-        params,
-    )
-
-
-def prepare_candidate(
-    A: CSRMatrix,
-    reordering: str,
-    clustering: str | None,
-    cfg: ExperimentConfig,
-    cost,
-    *,
-    seed: int = 0,
-    clustering_params: tuple[tuple[str, float], ...] = (),
-    cluster_operand: bool = True,
-) -> PreparedOperand:
-    """Materialise a candidate: run the reordering and cluster build.
-
-    A thin wrapper over :meth:`PipelineSpec.build` (the pipeline layer
-    owns preparation now).  Returns the prepared operand with its model
-    preprocessing cost, each stage charged at its registry rate
-    (reordering at graph rates, clustering at kernel rates — the same
-    accounting as the Fig. 10 sweep runner).  ``clustering_params``
-    overrides the config-supplied clustering parameters;
-    ``cluster_operand=False`` consumes the clustering as its implicit
-    row reordering instead of materialising ``CSR_Cluster`` (for
-    non-cluster kernels).
-    """
-    kernel = "cluster" if (clustering is not None and cluster_operand) else "rowwise"
-    spec = PipelineSpec(
-        reordering=reordering,
-        clustering=clustering,
-        kernel=kernel,
-        clustering_params=tuple(clustering_params),
-    )
-    built = spec.build(A, seed=seed, mode="rows", cfg=cfg)
-    return _prepared_from_built(built, cost)
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +174,7 @@ def _estimate_candidate_costs(
     A: CSRMatrix,
     B: CSRMatrix,
     feats: np.ndarray,
-    candidates: list[Candidate],
+    candidates: list[PipelineSpec],
     cost,
     cfg: ExperimentConfig,
 ) -> list[float]:
@@ -362,8 +228,7 @@ def _estimate_candidate_costs(
     out: list[float] = []
     for cand in candidates:
         loc = locality_after(cand.reordering)
-        k_info = get_component("kernel", cand.kernel)
-        if not k_info.requires_clustering:
+        if not cand.kernel_info.requires_clustering:
             t = (
                 cost.alpha_rowwise * fl
                 + cost.beta_miss_byte * miss_bytes(loc)
@@ -371,8 +236,8 @@ def _estimate_candidate_costs(
                 + cost.gamma_brow * nnz_a
             )
         else:
-            c_info = get_component("clustering", cand.clustering)
-            c_params = c_info.resolve_params((), cfg)
+            c_info = cand.clustering_info
+            c_params = c_info.resolve_params(cand.clustering_params, cfg)
             if c_info.similarity_driven:
                 cap = c_params.get("max_cluster_th", cfg.max_cluster_th)
                 size = 1.0 + potential * (cap - 1)
@@ -397,7 +262,11 @@ def _estimate_candidate_costs(
 # Planner policies
 # ----------------------------------------------------------------------
 class Planner:
-    """Base planner: candidate measurement + plan assembly."""
+    """Base planner: candidate measurement + plan assembly.
+
+    Stateless once constructed: :meth:`plan` returns the plan together
+    with the operand it built, so concurrent callers never share a
+    result."""
 
     name = "base"
 
@@ -428,7 +297,6 @@ class Planner:
         from ..backends import default_backend, parse_backend
 
         self._backend = default_backend() if backend is None else parse_backend(backend)
-        self._winner_prep: PreparedOperand | None = None  # see take_prepared()
 
     @property
     def backend_token(self) -> str:
@@ -445,104 +313,70 @@ class Planner:
         """Discriminates plan-cache entries across planner settings."""
         return f"{self.name}:{','.join(self.reorderings)}:b={self.backend_token}"
 
-    def take_prepared(self) -> PreparedOperand | None:
-        """Hand over the winning candidate's materialised operand.
-
-        One-shot: the engine seeds its operand cache with this so the
-        preprocessing paid during planning is never repeated.
-        """
-        prep, self._winner_prep = self._winner_prep, None
-        return prep
-
     # -- shared machinery ------------------------------------------------
-    def _candidates(self, A: CSRMatrix) -> list[Candidate]:
-        cands = default_candidates(square=A.nrows == A.ncols, reorderings=self.reorderings)
-        # Every candidate targets the planner's backend.
-        return _executed_space([replace_candidate(c, *self._backend) for c in cands])
+    def _candidates(self, A: CSRMatrix) -> list[PipelineSpec]:
+        """Every candidate, on the planner's backend.
+
+        A backend that does not honour the kernel choice (``scipy``)
+        runs every kernel as the same product over ``Ar``: no
+        ``CSR_Cluster`` operand and no kernel reaches it, so only the
+        reordering changes its result.  Its space is the
+        ``reordering@backend`` specs, natural order first, which build no
+        clustering.
+        """
+        from ..backends import get_backend
+
+        square = A.nrows == A.ncols
+        name, params = self._backend
+        if get_backend(name, params).honours_kernel:
+            return default_candidates(
+                square=square, reorderings=self.reorderings, cfg=self.cfg, backend=self._backend
+            )
+        orders = ("original", *self.reorderings) if square else ("original",)
+        return [PipelineSpec(r, backend=name, backend_params=params) for r in orders]
 
     def _measure(
-        self, A: CSRMatrix, B: CSRMatrix, cand: Candidate, baseline: float
-    ) -> tuple[float, PreparedOperand, float]:
-        """Materialise ``cand`` and simulate one multiply (model time).
+        self, A: CSRMatrix, B: CSRMatrix, spec: PipelineSpec, baseline: float
+    ) -> tuple[float, BuiltPipeline, float]:
+        """Build ``spec`` and simulate one multiply (model time).
 
         Kernels tagged ``requires_clustering`` are simulated on the
         machine model's cluster-wise path; every other kernel runs on
-        the row-wise path over the prepared (possibly
+        the row-wise path over the built (possibly
         cluster-order-composed) operand — for ``tiled`` this is a proxy
         estimate, since the simulated machine models dataflow through
         row traversal.
 
-        Returns ``(time, prep, simulated)``.  A natural-order candidate
+        Returns ``(time, built, simulated)``.  A natural-order spec
         without clustering and with a row kernel simulates exactly the
         ``baseline`` run the planner already made, so it reuses that
         time and ``simulated`` (the model time to charge) is 0.
         """
         if not self.tracer.enabled:
-            return self._measure_impl(A, B, cand, baseline)
-        with self.tracer.span("planner.trial", candidate=cand.label):
-            return self._measure_impl(A, B, cand, baseline)
+            return self._measure_impl(A, B, spec, baseline)
+        with self.tracer.span("planner.trial", candidate=spec.label):
+            return self._measure_impl(A, B, spec, baseline)
 
     def _measure_impl(
-        self, A: CSRMatrix, B: CSRMatrix, cand: Candidate, baseline: float
-    ) -> tuple[float, PreparedOperand, float]:
-        k_info = get_component("kernel", cand.kernel)
-        prep = prepare_candidate(
-            A,
-            cand.reordering,
-            cand.clustering,
-            self.cfg,
-            self.machine.cost,
-            seed=self.seed,
-            cluster_operand=k_info.requires_clustering,
-        )
-        reused = (
-            cand.reordering == "original"
-            and cand.clustering is None
-            and not k_info.requires_clustering
-        )
-        if reused:
-            t = baseline
-        elif k_info.requires_clustering:
-            t = self.machine.run_clusterwise(prep.Ac, B).time
+        self, A: CSRMatrix, B: CSRMatrix, spec: PipelineSpec, baseline: float
+    ) -> tuple[float, BuiltPipeline, float]:
+        built = spec.build(A, seed=self.seed, mode="rows", cfg=self.cfg)
+        clustered = spec.kernel_info.requires_clustering
+        if spec.reordering == "original" and spec.clustering is None and not clustered:
+            return baseline, built, 0.0
+        if clustered:
+            t = self.machine.run_clusterwise(built.Ac, B).time
         else:
-            t = self.machine.run_rowwise(prep.Ar, B).time
-        return t, prep, 0.0 if reused else t
+            t = self.machine.run_rowwise(built.Ar, B).time
+        return t, built, t
 
     def _baseline(self, A: CSRMatrix, B: CSRMatrix) -> float:
         return self.machine.run_rowwise(A, B).time
 
-    def _assemble(
-        self,
-        cand: Candidate,
-        prep: PreparedOperand,
-        fp: MatrixFingerprint,
-        workload: str,
-        *,
-        predicted: float,
-        baseline: float,
-        planning: float,
-    ) -> ExecutionPlan:
-        return ExecutionPlan(
-            reordering=cand.reordering,
-            clustering=cand.clustering,
-            kernel=cand.kernel,
-            backend=cand.backend,
-            backend_params=cand.backend_params,
-            policy=self.name,
-            workload=workload,
-            fingerprint_key=fp.key,
-            seed=self.seed,
-            params=prep.params,
-            predicted_cost=predicted,
-            baseline_cost=baseline,
-            pre_cost=prep.pre_cost,
-            planning_cost=planning,
-        )
-
     def _select(
         self, A: CSRMatrix, B: CSRMatrix, fp: MatrixFingerprint, baseline: float
-    ) -> tuple[Candidate, float, PreparedOperand, float]:
-        """Policy hook: return ``(winner, predicted, prep, trial_cost)``.
+    ) -> tuple[PipelineSpec, float, BuiltPipeline, float]:
+        """Policy hook: return ``(winner, predicted, built, trial_cost)``.
 
         ``trial_cost`` is the planning cost *beyond* the baseline
         simulation, which the base class always charges: every trial
@@ -557,25 +391,33 @@ class Planner:
         B: CSRMatrix,
         fp: MatrixFingerprint,
         workload: str = "asquare",
-    ) -> ExecutionPlan:
-        """Produce the plan for ``A @ B``-shaped workloads on ``A``'s pattern."""
+    ) -> tuple[ExecutionPlan, BuiltPipeline]:
+        """The plan for ``A @ B``-shaped workloads on ``A``'s pattern, and
+        the winning operand built while measuring it (the engine caches
+        it, so the preprocessing is never paid twice)."""
         if not self.tracer.enabled:
             return self._plan_impl(A, B, fp, workload, sp=None)
         with self.tracer.span("planner.plan", policy=self.name, workload=workload) as sp:
             return self._plan_impl(A, B, fp, workload, sp=sp)
 
-    def _plan_impl(self, A, B, fp, workload, *, sp) -> ExecutionPlan:
+    def _plan_impl(self, A, B, fp, workload, *, sp) -> tuple[ExecutionPlan, BuiltPipeline]:
         baseline = self._baseline(A, B)
-        cand, predicted, prep, trial_cost = self._select(A, B, fp, baseline)
-        self._winner_prep = prep  # engine picks this up via take_prepared()
+        spec, predicted, built, trial_cost = self._select(A, B, fp, baseline)
         if sp is not None:
-            sp.tag(plan=cand.label)
-        # Planning charged: the baseline simulation plus the policy's
-        # trials (see _select).
-        planning = baseline + trial_cost
-        return self._assemble(
-            cand, prep, fp, workload, predicted=predicted, baseline=baseline, planning=planning
+            sp.tag(plan=spec.label)
+        plan = spec.to_plan(
+            policy=self.name,
+            workload=workload,
+            fingerprint_key=fp.key,
+            seed=self.seed,
+            predicted_cost=predicted,
+            baseline_cost=baseline,
+            pre_cost=built.pre_cost(self.machine.cost),
+            # Planning charged: the baseline simulation plus the
+            # policy's trials (see _select).
+            planning_cost=baseline + trial_cost,
         )
+        return plan, built
 
 
 class HeuristicPlanner(Planner):
@@ -583,14 +425,14 @@ class HeuristicPlanner(Planner):
 
     name = "heuristic"
 
-    def choose(self, A: CSRMatrix, B: CSRMatrix, fp: MatrixFingerprint) -> Candidate:
+    def choose(self, A: CSRMatrix, B: CSRMatrix, fp: MatrixFingerprint) -> PipelineSpec:
         cands = self._candidates(A)
         est = _estimate_candidate_costs(A, B, fp.feature_array(), cands, self.machine.cost, self.cfg)
         return cands[int(np.argmin(est))]
 
     def _select(self, A, B, fp, baseline):
-        cand = self.choose(A, B, fp)
-        return (cand, *self._measure(A, B, cand, baseline))
+        spec = self.choose(A, B, fp)
+        return (spec, *self._measure(A, B, spec, baseline))
 
 
 class AutotunePlanner(Planner):
@@ -611,37 +453,38 @@ class AutotunePlanner(Planner):
         cands = self._candidates(A)
         est = _estimate_candidate_costs(A, B, fp.feature_array(), cands, self.machine.cost, self.cfg)
         order = np.argsort(est, kind="stable")[:AUTOTUNE_TRIALS]
-        trial_cands = [cands[int(i)] for i in order]
+        trial_specs = [cands[int(i)] for i in order]
         # The reference baseline is always a contender (never tune *into*
         # a slowdown blindly) — its measurement is the baseline
         # simulation the base class already ran, so it costs no extra
         # trial.  A non-reference backend is the user's explicit choice,
         # so the reference baseline leaves the contest (the best measured
         # candidate on that backend wins).
-        baseline_cand = Candidate("original", None, "rowwise")
+        baseline_spec = PipelineSpec()
         baseline_contends = self._backend[0] == "reference"
         measured = [
-            (cand, *self._measure(A, B, cand, baseline))
-            for cand in trial_cands
-            if not (baseline_contends and cand == baseline_cand)
+            (spec, *self._measure(A, B, spec, baseline))
+            for spec in trial_specs
+            if not (baseline_contends and spec == baseline_spec)
         ]
         if baseline_contends:
-            best_cand, best_time, best_prep = baseline_cand, baseline, None
+            best_spec, best_time, best_built = baseline_spec, baseline, None
         else:
-            best_cand, best_time, best_prep, _ = measured[0]
-        for cand, t, prep, _ in measured:
+            best_spec, best_time, best_built, _ = measured[0]
+        for spec, t, built, _ in measured:
             if t < best_time:
-                best_cand, best_time, best_prep = cand, t, prep
+                best_spec, best_time, best_built = spec, t, built
         # Tuning bill: every trial simulation, plus the preprocessing
         # spent materialising losing trials (the winner's lives on in
         # plan.pre_cost instead).
+        cost = self.machine.cost
         extra = sum(
-            simulated + (prep.pre_cost if cand != best_cand else 0.0)
-            for cand, _, prep, simulated in measured
+            simulated + (built.pre_cost(cost) if spec != best_spec else 0.0)
+            for spec, _, built, simulated in measured
         )
-        if best_prep is None:  # baseline won: its "preparation" is a no-op
-            best_prep = prepare_candidate(A, "original", None, self.cfg, self.machine.cost, seed=self.seed)
-        return best_cand, best_time, best_prep, extra
+        if best_built is None:  # baseline won: its "preparation" is a no-op
+            best_built = baseline_spec.build(A, seed=self.seed, mode="rows", cfg=self.cfg)
+        return best_spec, best_time, best_built, extra
 
 
 class PipelinePlanner(Planner):
@@ -649,9 +492,11 @@ class PipelinePlanner(Planner):
     :class:`~repro.pipeline.spec.PipelineSpec` instead of searching.
 
     This is how explicit ``--pipeline`` requests flow through the engine
-    with full cost accounting: the spec's operand is materialised and
-    simulated once (like any candidate), so break-even book-keeping and
-    plan caching behave exactly as for searched plans.
+    with full cost accounting: the spec is built and simulated once
+    (like any candidate), so break-even book-keeping and plan caching
+    behave exactly as for searched plans, and its reordering/kernel
+    parameters and accumulator survive into the plan (and round-trip
+    back via ``ExecutionPlan.pipeline()``).
     """
 
     name = "pipeline"
@@ -670,31 +515,7 @@ class PipelinePlanner(Planner):
             raise ValueError(
                 f"pipeline {spec} needs a square left operand, got {A.shape}"
             )
-        built = spec.build(A, seed=self.seed, mode="rows", cfg=self.cfg)
-        prep = _prepared_from_built(built, self.machine.cost)
-        if spec.kernel_info.requires_clustering:
-            res = self.machine.run_clusterwise(prep.Ac, B)
-        else:
-            res = self.machine.run_rowwise(prep.Ar, B)
-        cand = Candidate(
-            spec.reordering, spec.clustering, spec.kernel, spec.backend, spec.backend_params
-        )
-        return cand, res.time, prep, res.time
-
-    def _assemble(self, cand, prep, fp, workload, *, predicted, baseline, planning):
-        # Serialise through the spec so reordering/kernel parameters and
-        # the accumulator survive into the plan (and round-trip back via
-        # ExecutionPlan.pipeline()).
-        return self.spec.to_plan(
-            policy=self.name,
-            workload=workload,
-            fingerprint_key=fp.key,
-            seed=self.seed,
-            predicted_cost=predicted,
-            baseline_cost=baseline,
-            pre_cost=prep.pre_cost,
-            planning_cost=planning,
-        )
+        return (spec, *self._measure(A, B, spec, baseline))
 
 
 _POLICIES = {

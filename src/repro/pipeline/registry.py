@@ -49,8 +49,9 @@ class ClusteredOperand(Protocol):
 
     ``Ar`` is the (possibly row-gathered) CSR matrix; ``Ac`` its
     ``CSR_Cluster`` materialisation when the pipeline clusters (``None``
-    otherwise).  Both :class:`repro.pipeline.spec.BuiltPipeline` and
-    :class:`repro.engine.planner.PreparedOperand` satisfy this.
+    otherwise).  :class:`repro.pipeline.spec.BuiltPipeline`, the one
+    prepared operand the planners build, the engine caches and the
+    execution backends receive, satisfies this.
     """
 
     Ar: Any

@@ -451,8 +451,11 @@ class BuiltPipeline:
     """A materialised pipeline: the prepared left operand plus the
     preprocessing accounting needed by the amortisation studies.
 
-    Satisfies the :class:`~repro.pipeline.registry.ClusteredOperand`
-    protocol (``Ar`` / ``Ac``) consumed by kernel backends.
+    The one prepared operand: planners build it while measuring a
+    candidate, the engine caches it, and every execution backend
+    receives it.  Satisfies the
+    :class:`~repro.pipeline.registry.ClusteredOperand` protocol
+    (``Ar`` / ``Ac``) consumed by kernels.
     ``reorder_perm`` / ``Ar_reordered`` preserve the reordering-stage
     intermediates so later builds can reuse them via ``build(base=…)``
     even when the final ``Ar`` composes a clustering order on top.

@@ -386,8 +386,8 @@ def test_planner_valid_with_only_reference_registered(monkeypatch):
     # Without scipy, the default backend falls back to reference.
     assert default_backend() == ("reference", ())
     planner = HeuristicPlanner(seed=0)
-    plan = planner.plan(A, A, fingerprint(A), "asquare")
-    assert plan.backend == "reference"
+    plan, built = planner.plan(A, A, fingerprint(A), "asquare")
+    assert plan.backend == "reference" and built.spec.backend == "reference"
     assert {c.backend for c in planner._candidates(A)} == {"reference"}
     # "auto" is an alias of scipy, which this registry lacks: the error
     # names the alias instead of a bare registry miss.

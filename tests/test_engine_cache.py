@@ -1,6 +1,6 @@
-"""Unit tests: fingerprints and the engine's fingerprint memo, execution
-plans, the plan cache (cost-aware eviction, persistence), and the
-experiments cache's corrupt-entry warning."""
+"""Unit tests: fingerprints, plan keys, pinned plans and the engine's
+lookup, execution plans, the plan cache (cost-aware eviction,
+persistence), and the experiments cache's corrupt-entry warning."""
 
 import json
 import math
@@ -14,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine import ExecutionPlan, PlanCache, SpGEMMEngine, fingerprint, value_digest
 from repro.engine import engine as engine_mod
-from repro.engine.fingerprint import pattern_digest
 from repro.experiments import ExperimentConfig
 from repro.experiments.cache import _load
 from repro.matrices import generators as G
 from repro.matrices import perturb_values, scramble
+from repro.pipeline import PipelineSpec
 
 
 def make_plan(**over) -> ExecutionPlan:
@@ -64,39 +64,9 @@ def test_fingerprint_features_deterministic():
 
 
 # ----------------------------------------------------------------------
-# The engine's fingerprint memo (an LRU of FINGERPRINT_CACHE_SIZE)
+# Plan keys, pinned plans and the engine's lookup
 # ----------------------------------------------------------------------
 SMALL_CFG = ExperimentConfig(n_threads=2, cache_lines=128)
-
-
-@pytest.fixture
-def two_fingerprints(monkeypatch):
-    monkeypatch.setattr(engine_mod, "FINGERPRINT_CACHE_SIZE", 2)
-
-
-def test_fingerprint_memo_capacity_is_bounded(two_fingerprints):
-    eng = SpGEMMEngine(config=SMALL_CFG)
-    mats = [G.grid2d(4 + i, 4, seed=i) for i in range(3)]
-    for A in mats:
-        eng._fingerprint(A)
-    assert len(eng._fingerprints) == 2  # capacity bound respected
-    # The oldest entry was evicted; the two recent ones survive.
-    assert pattern_digest(mats[0]) not in eng._fingerprints
-    assert pattern_digest(mats[2]) in eng._fingerprints
-    # Re-fingerprinting an evicted pattern is correct (recomputed, re-memoised).
-    fp = eng._fingerprint(mats[0])
-    assert fp.key.startswith(f"{mats[0].nrows}x")
-
-
-def test_fingerprint_memo_is_lru_not_fifo(two_fingerprints):
-    eng = SpGEMMEngine(config=SMALL_CFG)
-    A, B, C = (G.grid2d(4 + i, 4, seed=i) for i in range(3))
-    eng._fingerprint(A)
-    eng._fingerprint(B)
-    eng._fingerprint(A)  # touch A → B is now least-recently-used
-    eng._fingerprint(C)
-    assert pattern_digest(A) in eng._fingerprints
-    assert pattern_digest(B) not in eng._fingerprints
 
 
 @pytest.mark.parametrize(
@@ -121,6 +91,105 @@ def test_planner_cache_tokens_are_stable(kw, token):
     # Plan-cache keys embed the token: a changed token orphans every
     # persisted plan, so the strings are pinned.
     assert SpGEMMEngine(**kw).planner.cache_token == token
+
+
+# Whole plans, costs included, pinned as JSON on two inputs: a change
+# to how the planners search, build or simulate shows up here.
+PLAN_PINS = {
+    ("web", "heuristic", "scipy"): '{"accumulator": "sort", "backend": "scipy", "backend_params": [], "baseline_cost": 56087.0, "clustering": null, "fingerprint_key": "300x300_2579_a6c7b4aea9abbe094c05", "kernel": "rowwise", "params": [], "planning_cost": 56087.0, "policy": "heuristic", "pre_cost": 0.0, "predicted_cost": 56087.0, "reordering": "original", "seed": 0, "workload": "asquare"}',
+    ("web", "heuristic", "reference"): '{"accumulator": "sort", "backend": "reference", "backend_params": [], "baseline_cost": 56087.0, "clustering": null, "fingerprint_key": "300x300_2579_a6c7b4aea9abbe094c05", "kernel": "rowwise", "params": [], "planning_cost": 56087.0, "policy": "heuristic", "pre_cost": 0.0, "predicted_cost": 56087.0, "reordering": "original", "seed": 0, "workload": "asquare"}',
+    ("web", "autotune", "scipy"): '{"accumulator": "sort", "backend": "scipy", "backend_params": [], "baseline_cost": 56087.0, "clustering": null, "fingerprint_key": "300x300_2579_a6c7b4aea9abbe094c05", "kernel": "rowwise", "params": [], "planning_cost": 3335139.0, "policy": "autotune", "pre_cost": 0.0, "predicted_cost": 56087.0, "reordering": "original", "seed": 0, "workload": "asquare"}',
+    ("web", "autotune", "reference"): '{"accumulator": "sort", "backend": "reference", "backend_params": [], "baseline_cost": 56087.0, "clustering": null, "fingerprint_key": "300x300_2579_a6c7b4aea9abbe094c05", "kernel": "rowwise", "params": [], "planning_cost": 3335139.0, "policy": "autotune", "pre_cost": 0.0, "predicted_cost": 56087.0, "reordering": "original", "seed": 0, "workload": "asquare"}',
+    ("web", "pipeline", "scipy"): '{"accumulator": "sort", "backend": "scipy", "backend_params": [], "baseline_cost": 56087.0, "clustering": "variable", "fingerprint_key": "300x300_2579_a6c7b4aea9abbe094c05", "kernel": "cluster", "params": [], "planning_cost": 128665.0, "policy": "pipeline", "pre_cost": 552951.0, "predicted_cost": 72578.0, "reordering": "rcm", "seed": 0, "workload": "asquare"}',
+    ("web", "pipeline", "reference"): '{"accumulator": "sort", "backend": "reference", "backend_params": [], "baseline_cost": 56087.0, "clustering": "variable", "fingerprint_key": "300x300_2579_a6c7b4aea9abbe094c05", "kernel": "cluster", "params": [], "planning_cost": 128665.0, "policy": "pipeline", "pre_cost": 552951.0, "predicted_cost": 72578.0, "reordering": "rcm", "seed": 0, "workload": "asquare"}',
+    ("grid", "heuristic", "scipy"): '{"accumulator": "sort", "backend": "scipy", "backend_params": [], "baseline_cost": 36241.0, "clustering": null, "fingerprint_key": "196x196_924_b45e4c79122c5bb0af66", "kernel": "rowwise", "params": [], "planning_cost": 60219.0, "policy": "heuristic", "pre_cost": 87360.0, "predicted_cost": 23978.0, "reordering": "rcm", "seed": 0, "workload": "asquare"}',
+    ("grid", "heuristic", "reference"): '{"accumulator": "sort", "backend": "reference", "backend_params": [], "baseline_cost": 36241.0, "clustering": "variable", "fingerprint_key": "196x196_924_b45e4c79122c5bb0af66", "kernel": "cluster", "params": [["jacc_th", 0.3], ["max_cluster_th", 8.0]], "planning_cost": 71356.0, "policy": "heuristic", "pre_cost": 5517.0, "predicted_cost": 35115.0, "reordering": "original", "seed": 0, "workload": "asquare"}',
+    ("grid", "autotune", "scipy"): '{"accumulator": "sort", "backend": "scipy", "backend_params": [], "baseline_cost": 36241.0, "clustering": null, "fingerprint_key": "196x196_924_b45e4c79122c5bb0af66", "kernel": "rowwise", "params": [], "planning_cost": 459264.0, "policy": "autotune", "pre_cost": 87360.0, "predicted_cost": 23978.0, "reordering": "rcm", "seed": 0, "workload": "asquare"}',
+    ("grid", "autotune", "reference"): '{"accumulator": "sort", "backend": "reference", "backend_params": [], "baseline_cost": 36241.0, "clustering": "variable", "fingerprint_key": "196x196_924_b45e4c79122c5bb0af66", "kernel": "cluster", "params": [["jacc_th", 0.3], ["max_cluster_th", 8.0]], "planning_cost": 150227.0, "policy": "autotune", "pre_cost": 92880.0, "predicted_cost": 23307.0, "reordering": "rcm", "seed": 0, "workload": "asquare"}',
+    ("grid", "pipeline", "scipy"): '{"accumulator": "sort", "backend": "scipy", "backend_params": [], "baseline_cost": 36241.0, "clustering": "variable", "fingerprint_key": "196x196_924_b45e4c79122c5bb0af66", "kernel": "cluster", "params": [], "planning_cost": 59548.0, "policy": "pipeline", "pre_cost": 92880.0, "predicted_cost": 23307.0, "reordering": "rcm", "seed": 0, "workload": "asquare"}',
+    ("grid", "pipeline", "reference"): '{"accumulator": "sort", "backend": "reference", "backend_params": [], "baseline_cost": 36241.0, "clustering": "variable", "fingerprint_key": "196x196_924_b45e4c79122c5bb0af66", "kernel": "cluster", "params": [], "planning_cost": 59548.0, "policy": "pipeline", "pre_cost": 92880.0, "predicted_cost": 23307.0, "reordering": "rcm", "seed": 0, "workload": "asquare"}',
+}
+PIN_MATRICES = {
+    "web": lambda: G.web_graph(300, seed=5),
+    "grid": lambda: scramble(G.grid2d(14, 14, seed=0), seed=7),
+}
+PIN_ENGINES = {
+    "heuristic": dict(policy="heuristic"),
+    "autotune": dict(policy="autotune"),
+    "pipeline": dict(pipeline="rcm+variable+cluster"),
+}
+
+
+@pytest.mark.parametrize("case", list(PLAN_PINS), ids=["-".join(case) for case in PLAN_PINS])
+def test_plans_are_pinned(case):
+    matrix, engine, backend = case
+    plan = SpGEMMEngine(backend=backend, **PIN_ENGINES[engine]).plan_for(PIN_MATRICES[matrix]())
+    assert plan.to_json() == PLAN_PINS[case]
+
+
+def test_cold_multiply_caches_the_planners_own_build(monkeypatch):
+    # The operand the planner built while measuring its winner is the
+    # one the engine caches and executes: nothing is built twice.
+    A = scramble(G.grid2d(14, 14, seed=0), seed=7)
+    eng = SpGEMMEngine(config=SMALL_CFG, backend="reference")
+    builds = []
+    build = PipelineSpec.build
+
+    def spy(spec, *args, **kw):
+        built = build(spec, *args, **kw)
+        builds.append(built)
+        return built
+
+    monkeypatch.setattr(PipelineSpec, "build", spy)
+    eng.multiply(A)
+    (built,) = builds
+    assert built.Ac is not None  # the clustered winner of the pinned plan
+    (cached,) = eng._operands.values()
+    assert cached is built
+    s = eng.stats()
+    # The call's own bind reuses it as the first cached operand.
+    assert (s.operands_prepared, s.operands_reused, s.plan_cache_misses) == (1, 1, 1)
+    eng.multiply(A)
+    assert len(builds) == 1
+    s = eng.stats()
+    assert (s.operands_prepared, s.operands_reused, s.plan_cache_hits) == (1, 2, 1)
+
+
+def test_lookup_hashes_only_what_it_needs(monkeypatch):
+    # A warm call keys its plan by the pattern digest alone and never
+    # computes structural features; a cold call computes them once and
+    # hashes A's values once.
+    A = G.web_graph(200, seed=4)
+    calls = {"fingerprint": 0, "value_digest": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+
+        monkeypatch.setattr(engine_mod, name, wrapped)
+
+    counting("fingerprint", engine_mod.fingerprint)
+    counting("value_digest", engine_mod.value_digest)
+    eng = SpGEMMEngine(config=SMALL_CFG)
+    eng.multiply(A)
+    assert calls == {"fingerprint": 1, "value_digest": 1}
+    eng.multiply(A)
+    eng.multiply_many(A, [A, A])
+    assert calls == {"fingerprint": 1, "value_digest": 3}
+    assert eng.stats().plans_built == 1
+
+
+@pytest.mark.parametrize("n", [300, 50], ids=["wider", "narrower"])
+def test_plan_for_checks_the_inner_dimension(n):
+    A, B = G.web_graph(200), G.web_graph(n)
+    eng = SpGEMMEngine(config=SMALL_CFG)
+    with pytest.raises(ValueError, match="inner dimensions differ"):
+        eng.plan_for(A, B)
+    assert len(eng.plan_cache) == 0
+    s = eng.stats()
+    assert (s.plans_built, s.plan_cache_misses, s.operands_prepared) == (0, 0, 0)
+    assert not eng._operands
 
 
 # ----------------------------------------------------------------------
@@ -165,13 +234,16 @@ def test_plan_validation():
 # PlanCache
 # ----------------------------------------------------------------------
 def test_plan_cache_hit_miss_counters():
+    # Hits and misses are the engine's ledger (EngineStats): the cache
+    # returns what it holds and counts only disk hits and evictions.
     cache = PlanCache(capacity=4)
-    assert cache.get("a") is None
+    assert cache.get("a") is None and len(cache) == 0
     plan = make_plan()
     cache.put("a", plan)
-    assert cache.get("a") is plan
-    assert cache.stats()["hits"] == 1
-    assert cache.stats()["misses"] == 1
+    assert cache.get("a") is plan and len(cache) == 1
+    stats = cache.stats()
+    assert "hits" not in stats and "misses" not in stats
+    assert (stats["disk_hits"], stats["evictions"]) == (0, 0)
 
 
 def test_plan_cache_lru_eviction():
@@ -296,7 +368,7 @@ def test_bare_and_enveloped_plan_files_both_load_as_disk_hits(plan_dir):
     )
     assert cache.get("bare") == plan
     assert cache.get("envelope") == plan
-    assert cache.disk_hits == 2 and cache.misses == 0
+    assert cache.disk_hits == 2 and len(cache) == 2
 
 
 def test_concurrent_writers_of_one_key_never_raise(plan_dir):

@@ -152,8 +152,9 @@ def test_engine_pipeline_with_distinct_params_do_not_share_operands(small_matrix
     eng = SpGEMMEngine(pipeline="original+fixed:2+cluster", config=SMALL_CFG)
     assert_bitwise_equal(eng.multiply(small_matrix), small_ref)
     wide = SpGEMMEngine(pipeline="original+fixed:8+cluster", config=SMALL_CFG).plan_for(small_matrix)
-    prep = eng.prepare(small_matrix, wide)
-    assert prep.params == wide.params != eng.plan_for(small_matrix).params
+    built = eng.prepare(small_matrix, wide)
+    assert built.spec.clustering_params == (("cluster_size", 8),)
+    assert built.spec.to_plan().params == wide.params != eng.plan_for(small_matrix).params
     assert eng.stats().operands_prepared == 2
 
 

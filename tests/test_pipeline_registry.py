@@ -8,6 +8,7 @@ from repro.clustering import available_clusterings, get_clustering
 from repro.engine.planner import default_candidates, planner_reorderings
 from repro.pipeline import (
     KINDS,
+    PipelineSpec,
     available_components,
     components,
     find_component,
@@ -81,6 +82,9 @@ def test_planner_reorderings_derived_from_registry_ranks():
 
 def test_default_candidates_cover_every_planned_component():
     cands = default_candidates(square=True)
+    # Candidates are specs; a clustered one carries its build's parameters.
+    assert all(isinstance(c, PipelineSpec) for c in cands)
+    assert all(c.clustering_params for c in cands if c.clustering is not None)
     reorderings = {c.reordering for c in cands}
     clusterings = {c.clustering for c in cands if c.clustering}
     assert reorderings == {"original", *planner_reorderings()}
@@ -115,7 +119,6 @@ def test_late_registration_is_visible_everywhere():
         # …and spec-addressable, bitwise-correct through run().
         from repro.core import spgemm_rowwise
         from repro.matrices import generators as G
-        from repro.pipeline import PipelineSpec
 
         A = G.grid2d(5, 5, seed=0)
         C = PipelineSpec.parse("test_reversed+fixed:4+cluster").run(A)

@@ -12,7 +12,6 @@ from repro.backends import get_backend
 from repro.engine import PlanCache, SpGEMMEngine
 from repro.engine.fingerprint import fingerprint
 from repro.engine.planner import (
-    Candidate,
     HeuristicPlanner,
     default_candidates,
     planner_kernels,
@@ -21,7 +20,7 @@ from repro.engine.planner import (
 from repro.experiments import ExperimentConfig
 from repro.matrices import generators as G
 from repro.matrices.perturb import scramble
-from repro.pipeline import components
+from repro.pipeline import PipelineSpec, components
 from repro.workloads import bc_frontiers
 
 SMALL_CFG = ExperimentConfig(n_threads=2, cache_lines=128)
@@ -29,12 +28,13 @@ A = G.web_graph(220, seed=3)
 
 
 def _assert_reordering_pairs(cands, backend="scipy"):
-    """Every ``backend`` candidate is ``(r, None, "rowwise")``, the
-    natural order is one of them, and none repeats."""
+    """Every ``backend`` candidate is ``r@backend`` (no clustering, the
+    ``rowwise`` kernel), the natural order is one of them, and none
+    repeats."""
     blind = [c for c in cands if c.backend == backend]
     assert blind
     assert all(c.clustering is None and c.kernel == "rowwise" for c in blind), blind
-    assert Candidate("original", None, "rowwise", blind[0].backend, blind[0].backend_params) in blind
+    assert PipelineSpec(backend=blind[0].backend, backend_params=blind[0].backend_params) in blind
     assert len(set(cands)) == len(cands)
 
 
@@ -62,17 +62,35 @@ def test_reference_only_space_is_unchanged():
     row = planner_kernels()
     cluster_kernels = [c.name for c in components("kernel", planned=True) if c.requires_clustering]
     clusterings = components("clustering")
-    expected = [Candidate("original", None, k) for k in row]
-    expected += [Candidate("original", c.name, k) for c in clusterings for k in cluster_kernels]
+    cfg = ExperimentConfig()
+
+    def clustered(r, c, k):
+        # Candidates carry their clustering parameters resolved under
+        # the planner's config, as the build uses them.
+        return PipelineSpec(r, c.name, k, clustering_params=tuple(c.resolve_params((), cfg).items()))
+
+    expected = [PipelineSpec("original", None, k) for k in row]
+    expected += [clustered("original", c, k) for c in clusterings for k in cluster_kernels]
     for r in planner_reorderings():
-        expected += [Candidate(r, None, k) for k in row]
+        expected += [PipelineSpec(r, None, k) for k in row]
         expected += [
-            Candidate(r, c.name, k)
+            clustered(r, c, k)
             for c in clusterings
             if not c.embeds_reordering
             for k in cluster_kernels
         ]
     assert cands == expected
+    assert all(c.clustering_params for c in cands if c.clustering is not None)
+
+
+def test_candidate_params_follow_the_planner_config():
+    # A clustering parameter set on the config reaches the candidate
+    # spec, and through it the plan's params.
+    cfg = ExperimentConfig(n_threads=2, cache_lines=128, max_cluster_th=4)
+    cands = HeuristicPlanner(cfg=cfg, backend="reference")._candidates(A)
+    variable = [c for c in cands if c.clustering == "variable"]
+    assert variable and all(dict(c.clustering_params)["max_cluster_th"] == 4 for c in variable)
+    assert ("max_cluster_th", 4.0) in variable[0].to_plan().params
 
 
 @pytest.mark.parametrize("policy", ["heuristic", "autotune"])
@@ -123,7 +141,8 @@ def test_natural_order_winner_reuses_the_baseline_simulation(backend, monkeypatc
         return run_rowwise(*args, **kw)
 
     monkeypatch.setattr(planner.machine, "run_rowwise", spy)
-    plan = planner.plan(B, B, fingerprint(B), "asquare")
+    plan, built = planner.plan(B, B, fingerprint(B), "asquare")
+    assert built.perm is None and built.Ac is None
     assert plan.reordering == "original" and plan.clustering is None
     assert len(calls) == 1
     assert plan.predicted_cost == plan.baseline_cost == fresh
@@ -134,9 +153,11 @@ def test_natural_order_winner_reuses_the_baseline_simulation(backend, monkeypatc
 def test_identity_plan_predicts_no_gain_on_any_backend(pipeline):
     # A plan that neither reorders nor clusters runs the baseline's
     # dataflow: its predicted cost is the baseline's, whatever backend
-    # executes it, so it never breaks even.
+    # executes it, so it never breaks even.  Like a searched
+    # natural-order winner, it reuses the baseline simulation, charged
+    # once.
     A = G.grid2d(40, 40)
     plan = SpGEMMEngine(config=SMALL_CFG, pipeline=pipeline).plan_for(A)
-    assert plan.predicted_cost == plan.baseline_cost
+    assert plan.predicted_cost == plan.baseline_cost == plan.planning_cost
     assert plan.predicted_speedup == 1.0
     assert plan.break_even_iterations() == math.inf

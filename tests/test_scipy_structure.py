@@ -511,7 +511,7 @@ def _raw_product(A, B, built=None, original_order=True):
 
 def _public(built, B, original_order):
     """The plain path: the public ``@`` on scipy objects."""
-    return scipy_backend._plain(built, B, None, built.inv if original_order else None)
+    return scipy_backend._plain(built, B, {}, built.inv if original_order else None)
 
 
 @st.composite

@@ -1,12 +1,9 @@
 #!/usr/bin/env python3
 """Static checks gate: byte-compile ``src`` and run the analyzer suite.
 
-Stdlib only, like ``scripts/check_bench_regression.py``, so CI runs it
-*before* installing anything — which is itself the proof that the
-checker subtree (:mod:`repro.analysis.checks`) imports without numpy.
-``repro/__init__.py`` does import numpy, so outside an installed
-environment this script maps a bare package shell over ``src/repro``
-first and imports only the checks subtree through it.
+Needs numpy and scipy: RA004 and RA006 read the live component registry
+(:mod:`repro.pipeline.registry`) and RA004 validates spec literals with
+the runtime parser.
 
 Steps, each fatal on failure:
 
@@ -25,7 +22,6 @@ import compileall
 import io
 import json
 import sys
-import types
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -37,32 +33,6 @@ ANALYSIS_PATHS = ("src", "benchmarks", "examples", "README.md", "DESIGN.md")
 def fail(msg: str) -> None:
     print(f"FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
-
-
-def import_checks_cli():
-    """Import ``repro.analysis.checks.cli`` without the numpy stack.
-
-    When ``repro`` is importable (installed env, or numpy present) the
-    normal import is used.  Otherwise ``repro`` and ``repro.analysis``
-    are stubbed as bare namespace shells pointing into ``src`` so only
-    the stdlib-only ``checks`` subtree executes.
-    """
-    sys.path.insert(0, str(SRC))
-    try:
-        from repro.analysis.checks import cli  # type: ignore
-
-        return cli
-    except ImportError:
-        for name, path in (
-            ("repro", SRC / "repro"),
-            ("repro.analysis", SRC / "repro" / "analysis"),
-        ):
-            stub = types.ModuleType(name)
-            stub.__path__ = [str(path)]
-            sys.modules[name] = stub
-        from repro.analysis.checks import cli  # type: ignore
-
-        return cli
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -78,7 +48,9 @@ def main(argv: list[str] | None = None) -> int:
         fail("compileall found syntax errors under src/")
     print(f"compileall: OK ({SRC})")
 
-    cli = import_checks_cli()
+    sys.path.insert(0, str(SRC))
+    from repro.analysis.checks import cli
+
     paths = args.paths or [str(REPO_ROOT / p) for p in ANALYSIS_PATHS]
 
     # JSON pass first: the envelope must be schema-versioned whatever

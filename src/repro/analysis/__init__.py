@@ -1,46 +1,41 @@
 """Evaluation metrics, cumulative profiles, paper-style table renderers —
 and the static-analysis checker suite (:mod:`repro.analysis.checks`).
-
-The numeric helpers below need numpy; the checker suite deliberately does
-not (CI runs ``python -m repro.analysis`` before installing anything).
-Re-exports are therefore lazy (PEP 562): importing :mod:`repro.analysis`
-pulls in nothing, and ``from repro.analysis import geomean`` resolves the
-submodule on first touch.
 """
 
-_LAZY = {
-    "SpeedupSummary": "metrics",
-    "best_of": "metrics",
-    "geomean": "metrics",
-    "positive_fraction": "metrics",
-    "positive_geomean": "metrics",
-    "summarize_speedups": "metrics",
-    "FEATURE_NAMES": "predictor",
-    "ConfigurationPredictor": "predictor",
-    "matrix_features": "predictor",
-    "Profile": "profiles",
-    "amortization_profile": "profiles",
-    "ratio_profile": "profiles",
-    "render_box_figure": "tables",
-    "render_table2": "tables",
-    "render_dataset_bars": "tables",
-    "render_profile": "tables",
-    "render_matrix_table": "tables",
-}
+from .metrics import (
+    SpeedupSummary,
+    best_of,
+    geomean,
+    positive_fraction,
+    positive_geomean,
+    summarize_speedups,
+)
+from .predictor import FEATURE_NAMES, ConfigurationPredictor, matrix_features
+from .profiles import Profile, amortization_profile, ratio_profile
+from .tables import (
+    render_box_figure,
+    render_dataset_bars,
+    render_matrix_table,
+    render_profile,
+    render_table2,
+)
 
-__all__ = sorted(_LAZY)
-
-
-def __getattr__(name: str):
-    submodule = _LAZY.get(name)
-    if submodule is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(f".{submodule}", __name__), name)
-    globals()[name] = value  # cache: resolve each name once
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+__all__ = [
+    "FEATURE_NAMES",
+    "ConfigurationPredictor",
+    "Profile",
+    "SpeedupSummary",
+    "amortization_profile",
+    "best_of",
+    "geomean",
+    "matrix_features",
+    "positive_fraction",
+    "positive_geomean",
+    "ratio_profile",
+    "render_box_figure",
+    "render_dataset_bars",
+    "render_matrix_table",
+    "render_profile",
+    "render_table2",
+    "summarize_speedups",
+]

@@ -1,12 +1,12 @@
-"""Stdlib-only static-analysis framework enforcing the repo's contracts.
+"""Static-analysis framework enforcing the repo's contracts.
 
 The engine's correctness story rests on invariants that tests can only
 sample: single kernel dispatch through :func:`repro.backends.execute`,
 allocation-free tracing when disabled, seed-reproducible plans/replays
 and registry-validated pipeline specs.
-This package checks them at the AST level — ``python -m repro.analysis``
-— with no third-party imports, so CI runs it before installing anything
-(like ``scripts/check_bench_regression.py``).
+This package checks them at the AST level — ``python -m repro.analysis``.
+The registry rules (RA004, RA006) read the live component registry, so
+the checker runs with the package's own dependencies installed.
 
 Layout:
 
@@ -15,9 +15,8 @@ Layout:
     per-file :class:`FileContext` (AST + parent map + suppressions), and
     the ``# repro: allow[RA00x] reason`` suppression grammar.
 ``registry_scan``
-    Static extraction of the component registry (reorderings,
-    clusterings, kernels, backends) from source, plus a no-build
-    validator for ``PipelineSpec`` string literals.
+    The lexical filter that picks spec-shaped string literals for
+    RA004 to parse.
 ``rules``
     The rule pack, RA001–RA007 (see DESIGN.md §13 for the catalogue).
 ``report``

@@ -4,8 +4,7 @@ Exit status is 1 when any unsuppressed finding remains (the CI gate), 0
 otherwise.  Default paths are the trees the acceptance criteria name:
 ``src``, ``benchmarks``, ``examples`` plus the spec-bearing top-level
 docs — all resolved against the repository root, which is derived from
-this file's location so the command works from any cwd and before any
-install.
+this file's location so the command works from any cwd.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ def main(argv=None) -> int:
     )
     ap.add_argument(
         "--root", type=Path, default=REPO_ROOT,
-        help="repository root (for the registry scan and relative paths)",
+        help="repository root (for default and relative paths)",
     )
     ap.add_argument(
         "--show-suppressed", action="store_true",
@@ -56,7 +55,7 @@ def main(argv=None) -> int:
 
     root = args.root.resolve()
     only = args.rules.split(",") if args.rules else None
-    rules = default_rules(root, only=only)
+    rules = default_rules(only=only)
     if args.list_rules:
         for rule in rules:
             print(f"{rule.id}  {rule.title}")

@@ -1,7 +1,6 @@
 """Finding/severity model, rule base class, suppressions and the driver.
 
-Everything here is stdlib-only (``ast``, ``re``, ``dataclasses``): the
-checker must run before CI installs the scientific stack.
+Everything here is stdlib-only (``ast``, ``re``, ``dataclasses``).
 
 Suppression grammar
 -------------------

@@ -10,7 +10,7 @@ RA002  hot-path tracing guard: ``tracer.span``/``event`` sites in
 RA003  determinism: no wall clock, no unseeded RNG, no set-ordered
        iteration in engine/planner/serve/replay/fingerprint code
 RA004  registry contract: ``@register`` sites declare ``family=``;
-       every spec string literal validates against the registry
+       every spec string literal parses against the live registry
 RA006  no registry-bypassing constants: module-level tuples of
        component names in engine code (the PR 2 shims' failure mode)
 RA007  no blocking ``time.sleep`` on the serving request path: waits
@@ -30,17 +30,12 @@ from __future__ import annotations
 
 import ast
 import re
-from pathlib import Path
 from typing import Iterable
 
+from ...pipeline import PipelineSpec, components
+from ...pipeline.spec import _NONE_NAMES
 from .framework import FileContext, Finding, Rule, dotted_name, path_has_parts
-from .registry_scan import (
-    NONE_NAMES,
-    ComponentUniverse,
-    load_universe,
-    spec_shaped,
-    validate_spec,
-)
+from .registry_scan import spec_shaped
 
 __all__ = ["ALL_RULES", "default_rules"]
 
@@ -287,11 +282,11 @@ class RegistryContractRule(Rule):
     id = "RA004"
     title = "@register declares its tags; spec literals validate"
 
-    def __init__(self, universe: ComponentUniverse) -> None:
-        self.universe = universe
+    def __init__(self, names: frozenset[str]) -> None:
+        self.names = names
 
     def applies_to(self, ctx: FileContext) -> bool:
-        return not self.universe.empty  # md included: fenced specs validate too
+        return True  # md included: fenced specs validate too
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         if ctx.is_python:
@@ -366,13 +361,13 @@ class RegistryContractRule(Rule):
         names = [seg.partition(":")[0] for seg in core.split("+") if seg]
         if btext:
             names.append(btext.partition(":")[0])
-        return any(
-            self.universe.kind_of(n) is not None or n in NONE_NAMES for n in names
-        )
+        return any(n in self.names or n in _NONE_NAMES for n in names)
 
     def _validate(self, ctx: FileContext, text: str, line: int, col: int) -> Iterable[Finding]:
-        for err in validate_spec(text, self.universe):
-            yield self.finding(ctx, line, col, err)
+        try:
+            PipelineSpec.parse(text)
+        except (KeyError, ValueError) as exc:
+            yield self.finding(ctx, line, col, f"spec {text!r}: {exc.args[0]}")
 
 
 # ----------------------------------------------------------------------
@@ -382,15 +377,11 @@ class RegistryBypassRule(Rule):
     id = "RA006"
     title = "no hardcoded component-name tuples in engine code"
 
-    def __init__(self, universe: ComponentUniverse) -> None:
-        self.universe = universe
+    def __init__(self, names: frozenset[str]) -> None:
+        self.names = names
 
     def applies_to(self, ctx: FileContext) -> bool:
-        return (
-            ctx.is_python
-            and not self.universe.empty
-            and path_has_parts(ctx, "repro", "engine")
-        )
+        return ctx.is_python and path_has_parts(ctx, "repro", "engine")
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         for node in ctx.tree.body:
@@ -405,7 +396,7 @@ class RegistryBypassRule(Rule):
             names = [e.value for e in value.elts if isinstance(e, ast.Constant) and isinstance(e.value, str)]
             if len(names) < 2 or len(names) != len(value.elts):
                 continue
-            if all(self.universe.kind_of(n) is not None for n in names):
+            if all(n in self.names for n in names):
                 label = ", ".join(
                     t.id for t in targets if isinstance(t, ast.Name)
                 ) or "<constant>"
@@ -490,15 +481,18 @@ class AccumulatorConfinementRule(Rule):
 ALL_RULES = ("RA001", "RA002", "RA003", "RA004", "RA006", "RA007", "RA009")
 
 
-def default_rules(repo_root: Path, only: Iterable[str] | None = None) -> list[Rule]:
-    """The full rule pack (``only`` filters by rule id)."""
-    universe = load_universe(Path(repo_root))
+def default_rules(only: Iterable[str] | None = None) -> list[Rule]:
+    """The full rule pack (``only`` filters by rule id).
+
+    RA004 and RA006 read the component names registered when the pack
+    is built."""
+    names = frozenset(c.name for c in components())
     rules: list[Rule] = [
         SingleDispatchRule(),
         TracingGuardRule(),
         DeterminismRule(),
-        RegistryContractRule(universe),
-        RegistryBypassRule(universe),
+        RegistryContractRule(names),
+        RegistryBypassRule(names),
         HotPathSleepRule(),
         AccumulatorConfinementRule(),
     ]

@@ -26,6 +26,13 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
+from ..pipeline.registry import (
+    ComponentInfo,
+    _introspect_params,
+    available_components,
+    get_component,
+    register_component,
+)
 from .base import ExecutionBackend, ExecutionContext
 from .reference import ReferenceBackend
 from .scipy_backend import ScipyBackend, scipy_available
@@ -63,9 +70,6 @@ def register_builtin_backends() -> None:
     registry bootstrap; idempotent against double registration is not
     needed (the bootstrap runs once).
     """
-    from ..pipeline.builtin import _introspect_params
-    from ..pipeline.registry import ComponentInfo, register_component
-
     for cls in BUILTIN_BACKENDS:
         register_component(
             ComponentInfo(
@@ -85,8 +89,6 @@ _INSTANCES: dict[tuple[str, tuple[tuple[str, Any], ...]], ExecutionBackend] = {}
 
 
 def _canonical(name: str, params) -> tuple[str, tuple[tuple[str, Any], ...]]:
-    from ..pipeline import get_component
-
     info = get_component("backend", name)
     if isinstance(params, Mapping):
         params = tuple(params.items())
@@ -100,8 +102,6 @@ def get_backend(name: str, params: "Iterable[tuple[str, Any]] | Mapping[str, Any
     parameters; defaults come from the backend's ``__init__`` schema.
     Unknown names raise ``KeyError`` listing the registered backends.
     """
-    from ..pipeline import get_component
-
     name, canon = _canonical(name, params)
     inst = _INSTANCES.get((name, canon))
     if inst is None:
@@ -125,8 +125,6 @@ def parse_backend(value) -> tuple[str, tuple[tuple[str, Any], ...]]:
     pair.  ``"auto"`` is an alias of :data:`AUTO_BACKEND`; it raises
     ``ValueError`` when that backend is not registered.
     """
-    from ..pipeline import get_component
-
     if isinstance(value, tuple):
         name, params = value
         return _canonical(_unalias(str(name)), params)
@@ -138,8 +136,6 @@ def parse_backend(value) -> tuple[str, tuple[tuple[str, Any], ...]]:
 
 def _unalias(name: str) -> str:
     """Resolve ``"auto"`` to :data:`AUTO_BACKEND`; other names pass."""
-    from ..pipeline import get_component
-
     if name != "auto":
         return name
     try:
@@ -155,8 +151,6 @@ def default_backend() -> tuple[str, tuple[tuple[str, Any], ...]]:
     """What ``backend=None`` plans on: :data:`AUTO_BACKEND` (``scipy``)
     when it is registered, else ``reference``, so a scipy-less registry
     stays valid."""
-    from ..pipeline import available_components
-
     if AUTO_BACKEND in available_components("backend"):
         return AUTO_BACKEND, ()
     return "reference", ()

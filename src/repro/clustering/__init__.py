@@ -1,19 +1,15 @@
 """Clustering strategies of the paper (§3): fixed-length, variable-length
 (Alg. 2) and hierarchical (Alg. 3).
 
-Importing this package registers every strategy behind a name registry
-symmetric to :mod:`repro.reordering`'s: :func:`get_clustering` returns a
+Importing this package registers every strategy in the component
+registry, like :mod:`repro.reordering`'s algorithms:
+``repro.pipeline.get_component("clustering", name).factory`` is a
 uniform ``(A, **params) -> Clustering`` builder and
-:func:`available_clusterings` lists the registered scheme names.
+``repro.pipeline.available_components("clustering")`` lists the scheme
+names.
 """
 
-from .base import (
-    Clustering,
-    available_clusterings,
-    clustering_stats,
-    get_clustering,
-    register_clustering,
-)
+from .base import Clustering, clustering_stats, register_clustering
 from .fixed import fixed_length_clustering
 from .hierarchical import hierarchical_clustering
 from .unionfind import UnionFind
@@ -23,8 +19,6 @@ __all__ = [
     "Clustering",
     "clustering_stats",
     "register_clustering",
-    "get_clustering",
-    "available_clusterings",
     "UnionFind",
     "fixed_length_clustering",
     "variable_length_clustering",

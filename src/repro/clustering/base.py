@@ -1,10 +1,15 @@
-"""Shared clustering result type and statistics.
+"""Shared clustering result type, statistics and registration decorator.
 
 Every clustering strategy (fixed, variable, hierarchical) returns a
 :class:`Clustering`: an ordered partition of the matrix rows.  The order
 of the clusters — and of rows inside each cluster — *is* the implicit
 row reordering the paper discusses (hierarchical clustering "inherently
 performs row reordering during cluster formation", §3.4).
+
+:func:`register_clustering` enters a strategy into the component
+registry (:mod:`repro.pipeline.registry`); list them with
+``repro.pipeline.available_components("clustering")`` and look one up
+with ``repro.pipeline.get_component("clustering", name)``.
 """
 
 from __future__ import annotations
@@ -16,51 +21,50 @@ import numpy as np
 
 from ..core.csr import CSRMatrix
 from ..core.csr_cluster import CSRCluster
+from ..pipeline.registry import (
+    ComponentInfo,
+    _first_line,
+    _introspect_params,
+    register_component,
+)
 
 __all__ = [
     "Clustering",
     "clustering_stats",
     "register_clustering",
-    "get_clustering",
-    "available_clusterings",
 ]
 
-# ----------------------------------------------------------------------
-# Clustering registry — symmetric to repro.reordering's registry
-# ----------------------------------------------------------------------
-_REGISTRY: dict[str, Callable[..., "Clustering"]] = {}
-
-
-def register_clustering(name: str):
+def register_clustering(name: str, *, embeds_reordering: bool = False):
     """Decorator registering a strategy under the paper's scheme name.
 
     Every registered strategy exposes the uniform signature
-    ``(A: CSRMatrix, **params) -> Clustering`` so callers (the pipeline
-    registry, the engine planner, the sweep runner) can build any scheme
-    without per-method constructors.
+    ``(A: CSRMatrix, **params) -> Clustering`` so callers (the engine
+    planner, the sweep runner) can build any scheme without per-method
+    constructors.  ``embeds_reordering`` marks a strategy whose cluster
+    formation reorders rows itself (hierarchical, paper §3.4); planners
+    pair it only with the natural order.  A ``jacc_th`` parameter marks
+    the strategy as similarity-driven.
     """
 
     def deco(fn: Callable[..., "Clustering"]):
-        if name in _REGISTRY:
-            raise ValueError(f"duplicate clustering name {name!r}")
-        _REGISTRY[name] = fn
-        fn.clustering_name = name
+        params = _introspect_params(fn)
+        register_component(
+            ComponentInfo(
+                name=name,
+                kind="clustering",
+                factory=fn,
+                params=params,
+                embeds_reordering=embeds_reordering,
+                # A similarity threshold in the schema marks the strategy as
+                # similarity-driven (vs blind positional grouping).
+                similarity_driven=any(p.name == "jacc_th" for p in params),
+                pre_cost_kind="kernel",
+                description=_first_line(fn),
+            )
+        )
         return fn
 
     return deco
-
-
-def get_clustering(name: str) -> Callable[..., "Clustering"]:
-    """The registered builder ``(A, **params) -> Clustering`` for ``name``."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown clustering {name!r}; available: {sorted(_REGISTRY)}") from None
-
-
-def available_clusterings() -> list[str]:
-    """Registered scheme names, in registration (paper §3) order."""
-    return list(_REGISTRY)
 
 
 @dataclass

@@ -38,7 +38,7 @@ from .variable import jaccard_sorted
 __all__ = ["hierarchical_clustering"]
 
 
-@register_clustering("hierarchical")
+@register_clustering("hierarchical", embeds_reordering=True)
 def hierarchical_clustering(
     A: CSRMatrix,
     *,

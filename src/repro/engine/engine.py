@@ -415,8 +415,10 @@ class SpGEMMEngine:
             with self._plan_build_lock:
                 # Double-check under the build lock: serve's planner
                 # thread and its dispatch thread can race on a cold key,
-                # and the loser must reuse rather than rebuild.
-                plan = self.plan_cache.get(key)
+                # and the loser must reuse rather than rebuild.  The
+                # winner's plan is in memory, so the disk is not probed
+                # again.
+                plan = self.plan_cache.get(key) if key in self.plan_cache else None
                 hit = plan is not None
                 if not hit:
                     if count:

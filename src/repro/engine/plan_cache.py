@@ -90,7 +90,8 @@ class PlanCache:
         # and put() → _insert() → _evict_one() nests inside the lock.
         self._lock = threading.RLock()
         # Hits and misses are the engine's to count (EngineStats): it
-        # looks a cold key up twice, once more under its build lock.
+        # looks a cold key up twice, the second time in memory only,
+        # under its build lock.
         self.evictions = 0
         self.disk_hits = 0
         #: Observability hook (DESIGN.md §12): an enabled tracer receives

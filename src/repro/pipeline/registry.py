@@ -8,25 +8,27 @@ an enumerable configuration space: every component is described by a
 (:class:`ParamSpec`), and capability tags (square-only, embedded
 reordering, preprocessing cost kind, planner rank, family affinity).
 
-Components are *sourced*, not duplicated: reorderings mirror
-:mod:`repro.reordering`'s registry (with the :class:`ReorderingMeta`
-tags declared at their ``@register`` sites), clusterings mirror
-:mod:`repro.clustering`'s registry, and kernels are
-:data:`KernelBackend` wrappers over the concrete SpGEMM implementations
-(:mod:`repro.pipeline.builtin`).  Registries registered *after*
-import — e.g. a user algorithm added at runtime — are picked up lazily
-on the next query, so new components become spec-addressable and
-planner-visible without touching any other layer.
+This module holds the only copy of the list.  Reorderings and
+clusterings write their entries here when their decorators run
+(:func:`repro.reordering.register`,
+:func:`repro.clustering.register_clustering`), with parameter schemas
+introspected from their keyword defaults (:func:`_introspect_params`).
+The first query imports those packages and registers the kernels and
+execution backends (:mod:`repro.pipeline.builtin`); later queries are
+plain dict reads.  A component registered at runtime is therefore
+spec-addressable, and planned if it carries a ``planner_rank``, as soon
+as its decorator returns.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Protocol, runtime_checkable
 
 __all__ = [
     "KINDS",
+    "PARAM_EXTRAS",
     "ParamSpec",
     "ComponentInfo",
     "KernelBackend",
@@ -255,6 +257,51 @@ class ComponentInfo:
         return out
 
 
+#: Aliases and ExperimentConfig attribute mappings for well-known
+#: parameters, applied by name during signature introspection.
+PARAM_EXTRAS: dict[str, dict[str, Any]] = {
+    "cluster_size": {"aliases": ("size",), "config_attr": "fixed_cluster_size"},
+    "jacc_th": {"aliases": ("th",), "config_attr": "jacc_th"},
+    "max_cluster_th": {"aliases": ("max_th",), "config_attr": "max_cluster_th"},
+    "column_cap": {"aliases": ("cap",), "config_attr": "column_cap"},
+    "tile_cols": {"aliases": ("tile",), "config_attr": None},
+    "accumulator": {"aliases": ("acc",), "config_attr": None},
+}
+
+# Threaded separately by every caller for plan determinism, not
+# spec-addressable.
+_SKIP_PARAMS = {"seed"}
+
+
+def _introspect_params(fn: Callable[..., Any]) -> tuple[ParamSpec, ...]:
+    """Derive a :class:`ParamSpec` schema from keyword(-only) defaults."""
+    specs: list[ParamSpec] = []
+    for p in inspect.signature(fn).parameters.values():
+        if p.kind not in (p.KEYWORD_ONLY, p.POSITIONAL_OR_KEYWORD):
+            continue
+        if p.default is inspect.Parameter.empty or p.name in _SKIP_PARAMS:
+            continue
+        extras = PARAM_EXTRAS.get(p.name, {})
+        ptype = type(p.default) if isinstance(p.default, (int, float, str)) else str
+        if isinstance(p.default, bool):  # bool is an int subclass; keep it out
+            continue
+        specs.append(
+            ParamSpec(
+                name=p.name,
+                type=ptype,
+                default=p.default,
+                aliases=tuple(extras.get("aliases", ())),
+                config_attr=extras.get("config_attr"),
+            )
+        )
+    return tuple(specs)
+
+
+def _first_line(obj: Any) -> str:
+    doc = inspect.getdoc(obj) or ""
+    return doc.splitlines()[0] if doc else ""
+
+
 # ----------------------------------------------------------------------
 # The registry proper
 # ----------------------------------------------------------------------
@@ -283,25 +330,21 @@ def register_component(info: ComponentInfo) -> ComponentInfo:
     return info
 
 
-def _ensure_current() -> None:
-    """Bootstrap the built-in components and pick up late registrations
-    in the reordering / clustering source registries."""
+def _bootstrap() -> None:
+    """Register the built-in kernels and backends and import the packages
+    whose decorators register the reorderings and clusterings.  Runs on
+    the first query only."""
     global _bootstrapped
-    import importlib
+    _bootstrapped = True
+    from .builtin import register_builtin
 
-    # importlib, not ``from . import``: the package re-exports the
-    # ``components()`` query function, which shadows the submodule name.
-    _components = importlib.import_module(".builtin", package=__package__)
-
-    if not _bootstrapped:
-        _bootstrapped = True
-        _components.register_builtin()
-    _components.sync_source_registries()
+    register_builtin()
 
 
 def get_component(kind: str, name: str) -> ComponentInfo:
     """Look up one component, with a listing ``KeyError`` on a miss."""
-    _ensure_current()
+    if not _bootstrapped:
+        _bootstrap()
     if kind not in KINDS:
         raise ValueError(f"unknown component kind {kind!r}; expected one of {KINDS}")
     try:
@@ -319,7 +362,8 @@ def find_component(name: str) -> ComponentInfo:
     its kind; unknown names raise a ``KeyError`` listing every valid
     name per kind (the satellite requirement for bad spec strings).
     """
-    _ensure_current()
+    if not _bootstrapped:
+        _bootstrap()
     hits = [info for (kind, n), info in _REGISTRY.items() if n == name]
     if len(hits) == 1:
         return hits[0]
@@ -331,7 +375,8 @@ def find_component(name: str) -> ComponentInfo:
 
 def available_components(kind: str) -> list[str]:
     """Registered names of one kind, in registration order."""
-    _ensure_current()
+    if not _bootstrapped:
+        _bootstrap()
     return [n for (k, n) in _REGISTRY if k == kind]
 
 
@@ -350,7 +395,8 @@ def components(
     derives its candidate space from — there is no hardcoded algorithm
     list anywhere downstream.
     """
-    _ensure_current()
+    if not _bootstrapped:
+        _bootstrap()
     out = [info for info in _REGISTRY.values() if kind is None or info.kind == kind]
     if family is not None:
         out = [c for c in out if c.family == family]

@@ -1,7 +1,8 @@
 """The 10 reordering algorithms of paper Table 1 plus the baselines.
 
-Importing this package registers every algorithm; use
-:func:`repro.reordering.reorder` / :func:`available_reorderings`.
+Importing this package registers every algorithm in the component
+registry; run one with :func:`repro.reordering.reorder` and list them
+with ``repro.pipeline.available_components("reordering")``.
 
 Registry names (paper Table 1):
 ``original``, ``shuffled``, ``rcm``, ``amd``, ``nd``, ``gp``, ``hp``,
@@ -12,13 +13,9 @@ an ordering; :mod:`repro.experiments` treats it via
 """
 
 from .base import (
-    ReorderingMeta,
     ReorderingResult,
     apply_permutation,
-    available_reorderings,
     bandwidth,
-    get_reordering,
-    get_reordering_meta,
     register,
     reorder,
 )
@@ -51,12 +48,8 @@ TABLE1_ORDER = [
 
 __all__ = [
     "ReorderingResult",
-    "ReorderingMeta",
     "reorder",
     "register",
-    "get_reordering",
-    "get_reordering_meta",
-    "available_reorderings",
     "apply_permutation",
     "bandwidth",
     "Adjacency",

@@ -1,7 +1,11 @@
-"""Reordering registry and result type (paper Table 1).
+"""Reordering result type and registration decorator (paper Table 1).
 
-Every algorithm is a function ``(A: CSRMatrix, seed: int) ->
-ReorderingResult`` registered under the paper's name.  Results carry a
+Every algorithm is a function ``(A: CSRMatrix, *, seed: int, **params)
+-> ReorderingResult`` that :func:`register` enters into the component
+registry (:mod:`repro.pipeline.registry`) under the paper's name, with
+its capability tags.  List them with
+``repro.pipeline.available_components("reordering")`` and look one up
+with ``repro.pipeline.get_component("reordering", name)``.  Results carry a
 *gather* permutation (new row ``k`` ← old row ``perm[k]``) plus the
 preprocessing ``work`` counter consumed by the Fig. 10 amortisation
 study (model work units — same scale as SpGEMM flops; see DESIGN.md).
@@ -22,14 +26,17 @@ from typing import Callable
 import numpy as np
 
 from ..core.csr import CSRMatrix
+from ..pipeline.registry import (
+    ComponentInfo,
+    _first_line,
+    _introspect_params,
+    get_component,
+    register_component,
+)
 
 __all__ = [
     "ReorderingResult",
-    "ReorderingMeta",
     "register",
-    "get_reordering",
-    "get_reordering_meta",
-    "available_reorderings",
     "reorder",
     "apply_permutation",
 ]
@@ -70,39 +77,6 @@ class ReorderingResult:
         return inv
 
 
-_REGISTRY: dict[str, Callable[..., ReorderingResult]] = {}
-_META: dict[str, "ReorderingMeta"] = {}
-
-
-@dataclass(frozen=True)
-class ReorderingMeta:
-    """Capability tags attached at the ``@register`` site.
-
-    The unified pipeline registry (:mod:`repro.pipeline`) derives its
-    component capabilities — and the engine planner derives its candidate
-    space — from these, so an algorithm registered here is automatically
-    plannable without touching the planner.
-
-    Attributes
-    ----------
-    family:
-        ``"bandwidth"`` (fill/bandwidth reducers that like regular
-        degree distributions), ``"hub"`` (community/degree orders that
-        like skewed distributions) or ``"baseline"``.  Drives the
-        heuristic planner's affinity term.
-    square_only:
-        Vertex orderings derived from the adjacency graph need a square
-        operand; only the identity order works on rectangles.
-    planner_rank:
-        When non-``None``, the algorithm is part of the planners'
-        default candidate space, tried in ascending rank order.
-    """
-
-    family: str = "other"
-    square_only: bool = True
-    planner_rank: int | None = None
-
-
 def register(
     name: str,
     *,
@@ -112,44 +86,37 @@ def register(
 ):
     """Decorator registering a reordering under the paper's name.
 
-    Keyword arguments declare the algorithm's :class:`ReorderingMeta`
-    capability tags (consumed by :mod:`repro.pipeline` and the engine
-    planner).
+    Keyword arguments are the algorithm's capability tags (see
+    :class:`~repro.pipeline.registry.ComponentInfo`): ``family``
+    (``"bandwidth"``, ``"hub"`` or ``"baseline"``; the heuristic
+    planner's affinity term), ``square_only`` (adjacency-based orders
+    need a square operand) and ``planner_rank`` (membership and order in
+    the planners' default candidate space).  The parameter schema comes
+    from the function's keyword defaults (``seed`` excluded).
     """
 
     def deco(fn: Callable[..., ReorderingResult]):
-        if name in _REGISTRY:
-            raise ValueError(f"duplicate reordering name {name!r}")
-        _REGISTRY[name] = fn
-        _META[name] = ReorderingMeta(family=family, square_only=square_only, planner_rank=planner_rank)
-        fn.reordering_name = name
+        register_component(
+            ComponentInfo(
+                name=name,
+                kind="reordering",
+                factory=fn,
+                params=_introspect_params(fn),
+                square_only=square_only,
+                family=family,
+                planner_rank=planner_rank,
+                pre_cost_kind="graph",
+                description=_first_line(fn),
+            )
+        )
         return fn
 
     return deco
 
 
-def get_reordering_meta(name: str) -> ReorderingMeta:
-    """Capability tags of a registered reordering."""
-    if name not in _META:
-        raise KeyError(f"unknown reordering {name!r}; available: {sorted(_REGISTRY)}")
-    return _META[name]
-
-
-def get_reordering(name: str) -> Callable[..., ReorderingResult]:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown reordering {name!r}; available: {sorted(_REGISTRY)}") from None
-
-
-def available_reorderings() -> list[str]:
-    """Registered algorithm names, in registration (Table 1) order."""
-    return list(_REGISTRY)
-
-
 def reorder(A: CSRMatrix, name: str, *, seed: int = 0, **kwargs) -> ReorderingResult:
     """Run the named reordering on ``A``."""
-    return get_reordering(name)(A, seed=seed, **kwargs)
+    return get_component("reordering", name).factory(A, seed=seed, **kwargs)
 
 
 def apply_permutation(A: CSRMatrix, perm: np.ndarray, *, mode: str = "symmetric") -> CSRMatrix:

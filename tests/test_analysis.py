@@ -116,7 +116,6 @@ from pathlib import Path
 
 from repro.analysis.checks import SCHEMA_VERSION, analyze_paths, render_json
 from repro.analysis.checks.framework import analyze_file
-from repro.analysis.checks.registry_scan import load_universe, validate_spec
 from repro.analysis.checks.rules import ALL_RULES, default_rules
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -124,7 +123,7 @@ FIXTURES = REPO_ROOT / "tests" / "analysis_fixtures"
 
 
 def _findings(path, *rule_ids):
-    rules = default_rules(REPO_ROOT, only=rule_ids or None)
+    rules = default_rules(only=rule_ids or None)
     return analyze_file(FIXTURES / path, rules, REPO_ROOT)
 
 
@@ -179,17 +178,20 @@ class TestRuleFixtures:
         assert _active("ra004_good_specs.py", "RA004") == []
 
     def test_ra004_bad_specs(self):
+        # Messages are the runtime parser's (PipelineSpec.parse).
         messages = [f.message for f in _active("ra004_bad_specs.py", "RA004")]
-        assert any("unknown component 'nosuchclustering'" in m for m in messages)
-        assert any("requires a clustering" in m for m in messages)
-        assert any("is a backend" in m for m in messages)
-        assert any("vectorized_magic" in m for m in messages)  # PipelineSpec.parse arg
+        assert len(messages) == 4
+        assert any("unknown pipeline component 'nosuchclustering'" in m for m in messages)
+        assert any("kernel 'cluster' requires a clustering" in m for m in messages)
+        assert any("'scipy' is an execution backend" in m for m in messages)
+        assert any("unknown pipeline component 'vectorized_magic'" in m for m in messages)  # PipelineSpec.parse arg
 
     def test_ra004_markdown(self):
         found = _findings("ra004_bad_specs.md", "RA004")
         active = [f for f in found if not f.suppressed]
-        assert any("bogus_stage" in f.message for f in active)
-        assert any("nosuchbackend" in f.message for f in active)  # fenced block
+        assert len(active) == 2
+        assert any("unknown pipeline component 'bogus_stage'" in f.message for f in active)
+        assert any("unknown backend 'nosuchbackend'" in f.message for f in active)  # fenced block
         suppressed = [f for f in found if f.suppressed]
         assert any("not_a_component" in f.message for f in suppressed)
 
@@ -251,7 +253,7 @@ class TestReportAndCli:
     def test_json_envelope_schema(self):
         findings, files = analyze_paths(
             [FIXTURES / "repro" / "engine" / "ra001_direct_call.py"],
-            default_rules(REPO_ROOT),
+            default_rules(),
             REPO_ROOT,
         )
         env = json.loads(render_json(findings, files, rules={"RA001": "t"}))
@@ -277,7 +279,7 @@ class TestReportAndCli:
         # unsuppressed finding (suppressions all carry reasons).
         findings, files = analyze_paths(
             [REPO_ROOT / p for p in ("src", "benchmarks", "examples", "README.md", "DESIGN.md")],
-            default_rules(REPO_ROOT),
+            default_rules(),
             REPO_ROOT,
         )
         active = [f for f in findings if not f.suppressed]
@@ -285,37 +287,21 @@ class TestReportAndCli:
         assert files > 50
 
 
-class TestStaticRegistryScan:
-    def test_universe_matches_live_registry(self):
-        # The static AST extraction must agree with what actually
-        # registers at import time — otherwise RA004 drifts silently.
-        from repro.pipeline import components
+def test_ra004_accepts_a_name_registered_at_runtime(tmp_path):
+    # RA004 reads the live registry: no static copy to fall behind.
+    from repro.pipeline import registry as preg
+    from repro.reordering import ReorderingResult, register
 
-        uni = load_universe(REPO_ROOT)
-        for kind, static_names in (
-            ("reordering", set(uni.reorderings)),
-            ("clustering", set(uni.clusterings)),
-            ("kernel", set(uni.kernels)),
-            ("backend", set(uni.backends)),
-        ):
-            live = {c.name for c in components(kind)}
-            assert static_names >= live, (kind, live - static_names)
+    spec_file = tmp_path / "specs.py"
+    spec_file.write_text('SPEC = "test_runtime_order+fixed:4+cluster"\n')
+    before = analyze_file(spec_file, default_rules(only=["RA004"]), tmp_path)
+    assert any("test_runtime_order" in f.message for f in before)
+    try:
 
-    def test_static_validation_agrees_with_parse(self):
-        from repro.pipeline import PipelineSpec
+        @register("test_runtime_order", family="other", square_only=False)
+        def runtime_order(A, *, seed=0):
+            return ReorderingResult(list(range(A.nrows)), "test_runtime_order")
 
-        uni = load_universe(REPO_ROOT)
-        valid = ["rcm+fixed:8+cluster", "original+none+rowwise", "rcm+fixed:8+cluster@scipy"]
-        for text in valid:
-            assert validate_spec(text, uni) == []
-            PipelineSpec.parse(text)  # and the runtime agrees
-        invalid = ["rcm+nope+cluster", "rcm+fixed:8+cluster+scipy", "rcm+none+cluster"]
-        for text in invalid:
-            assert validate_spec(text, uni), text
-            with pytest.raises((KeyError, ValueError)):
-                PipelineSpec.parse(text)
-
-    def test_kernel_tags_extracted(self):
-        uni = load_universe(REPO_ROOT)
-        assert uni.kernels["cluster"] is True  # requires_clustering
-        assert uni.kernels["rowwise"] is False
+        assert analyze_file(spec_file, default_rules(only=["RA004"]), tmp_path) == []
+    finally:
+        preg._REGISTRY.pop(("reordering", "test_runtime_order"), None)

@@ -1,36 +1,92 @@
-"""The unified component registry: capability queries, the clustering
-registry, planner-space derivation (no drift), late registration, and the
-removal of the legacy (pre-registry) entry points."""
+"""The unified component registry: capability queries, registration
+order, planner-space derivation (no drift), runtime registration through
+the decorators, and the removal of the legacy (pre-registry) entry
+points."""
 
 import pytest
 
-from repro.clustering import available_clusterings, get_clustering
 from repro.engine.planner import default_candidates, planner_reorderings
 from repro.pipeline import (
     KINDS,
     PipelineSpec,
     available_components,
     components,
+    describe,
     find_component,
     get_component,
 )
-from repro.reordering import available_reorderings, get_reordering_meta
+
+# Candidate order breaks exact cost ties, so each kind's registration
+# order is part of the planners' behaviour.
+REGISTRATION_ORDER = {
+    "reordering": [
+        "original", "shuffled", "degree", "gray", "rcm", "amd", "nd", "gp", "hp", "rabbit", "slashburn",
+    ],
+    "clustering": ["fixed", "variable", "hierarchical"],
+    "kernel": ["rowwise", "cluster", "tiled"],
+    "backend": ["reference", "scipy"],
+}
+
+DESCRIBE = """\
+reorderings:
+  original [baseline] — Identity permutation (the paper's baseline order).
+  shuffled [square-only baseline] — Uniform random permutation (paper's extreme baseline).
+  degree [square-only planner#4 hub] — Rows sorted by descending degree (nnz), ties by original index.
+  gray (blocks,dense_threshold) [square-only bandwidth] — Gray-code ordering [51].
+  rcm [square-only planner#1 bandwidth] — Reverse Cuthill–McKee over the undirected graph of ``A``.
+  amd (work_budget) [square-only planner#2 bandwidth] — Approximate minimum degree ordering (quotient-graph based).
+  nd (leaf_size) [square-only bandwidth] — Nested-dissection ordering of the graph of ``A``.
+  gp (k,target_rows) [square-only bandwidth] — Graph-partitioning ordering (edge-cut objective, recursive bisection).
+  hp (k,target_rows,method,clique_cap) [square-only bandwidth] — Column-net hypergraph partitioning ordering (see module docstring).
+  rabbit [square-only planner#3 hub] — Rabbit-style community merge ordering (see module docstring).
+  slashburn (k_ratio,max_rounds) [square-only planner#5 hub] — SlashBurn with hub fraction ``k_ratio`` per round (paper default 0.5%).
+clusterings:
+  fixed (cluster_size) — Cluster consecutive rows of ``A`` into groups of ``cluster_size``.
+  variable (jacc_th,max_cluster_th) — Build variable-length clusters of consecutive similar rows (Alg. 2).
+  hierarchical (jacc_th,max_cluster_th,column_cap) [embeds-reordering] — Build hierarchical clusters of ``A`` (paper Alg. 3).
+kernels:
+  rowwise (accumulator) [planner#0] — row-wise Gustavson SpGEMM (two-phase; the bitwise reference)
+  cluster [requires-clustering planner#1] — cluster-wise SpGEMM over CSR_Cluster fibers (paper Alg. 1)
+  tiled (tile_cols) — column-tiled SpGEMM (paper §5 alternative dataflow)
+backends:
+  reference — pure-python registry kernels (the bitwise correctness oracle)
+  scipy — native scipy CSR matmul (row-wise values, pattern minus exact zeros)"""
 
 
-def test_every_reordering_and_clustering_is_mirrored():
-    assert available_components("reordering") == available_reorderings()
-    assert available_components("clustering") == available_clusterings()
-    assert set(available_components("kernel")) == {"rowwise", "cluster", "tiled"}
+@pytest.mark.parametrize("kind", KINDS)
+def test_registration_order_is_pinned(kind):
+    assert available_components(kind) == REGISTRATION_ORDER[kind]
+    assert [c.name for c in components(kind)] == REGISTRATION_ORDER[kind]
 
 
-def test_available_clusterings_symmetric_to_reorderings():
-    assert available_clusterings() == ["fixed", "variable", "hierarchical"]
+def test_describe_listing_is_pinned():
+    assert describe() == DESCRIBE
+
+
+def test_registered_clusterings_share_one_signature():
     # The uniform registered signature: (A, **params) -> Clustering.
     from repro.matrices import generators as G
 
-    cl = get_clustering("fixed")(G.grid2d(4, 4, seed=0), cluster_size=4)
+    cl = get_component("clustering", "fixed").factory(G.grid2d(4, 4, seed=0), cluster_size=4)
     assert cl.method == "fixed"
     assert cl.nclusters == 4
+
+
+def test_query_after_bootstrap_imports_nothing(monkeypatch):
+    import builtins
+    import importlib
+
+    available_components("kernel")  # bootstrap, if nothing has yet
+
+    def no_import(*args, **kwargs):
+        raise AssertionError(f"registry query imported {args[0]!r}")
+
+    monkeypatch.setattr(importlib, "import_module", no_import)
+    monkeypatch.setattr(builtins, "__import__", no_import)
+    get_component("reordering", "rcm")
+    find_component("hierarchical")
+    components("clustering", planned=False)
+    available_components("backend")
 
 
 def test_capability_tags():
@@ -88,7 +144,7 @@ def test_default_candidates_cover_every_planned_component():
     reorderings = {c.reordering for c in cands}
     clusterings = {c.clustering for c in cands if c.clustering}
     assert reorderings == {"original", *planner_reorderings()}
-    assert clusterings == set(available_clusterings())
+    assert clusterings == set(available_components("clustering"))
     # Order-embedding clusterings pair only with the natural order.
     for c in cands:
         if c.clustering and get_component("clustering", c.clustering).embeds_reordering:
@@ -97,47 +153,61 @@ def test_default_candidates_cover_every_planned_component():
     assert {c.reordering for c in default_candidates(square=False)} == {"original"}
 
 
-def test_late_registration_is_visible_everywhere():
-    from repro.clustering.base import _REGISTRY as CLUSTER_REGISTRY
-    from repro.reordering.base import _META, _REGISTRY, ReorderingMeta
-
+def test_runtime_registration_through_the_decorators():
     import numpy as np
 
-    from repro.reordering.base import ReorderingResult
+    from repro.clustering import fixed_length_clustering, register_clustering
+    from repro.core import spgemm_rowwise
+    from repro.matrices import generators as G
+    from repro.pipeline import registry as preg
+    from repro.reordering import ReorderingResult, register
 
-    def reversed_order(A, *, seed=0):
-        return ReorderingResult(np.arange(A.nrows, dtype=np.int64)[::-1].copy(), "test_reversed")
-
-    _REGISTRY["test_reversed"] = reversed_order
-    _META["test_reversed"] = ReorderingMeta(family="other", square_only=False, planner_rank=99)
+    available_components("kernel")  # every built-in kind is registered
     try:
-        # Visible in the unified registry without any pipeline edit…
-        assert "test_reversed" in available_components("reordering")
-        # …planned automatically (the drift the satellite kills)…
+
+        @register("test_reversed", family="other", square_only=False, planner_rank=99)
+        def reversed_order(A, *, seed=0):
+            """Rows in reverse order."""
+            return ReorderingResult(np.arange(A.nrows, dtype=np.int64)[::-1].copy(), "test_reversed")
+
+        @register_clustering("test_pairs")
+        def pairs(A, *, cluster_size=2):
+            """Consecutive row pairs."""
+            return fixed_length_clustering(A, cluster_size=cluster_size)
+
+        # Planned last (the highest rank)…
         assert planner_reorderings()[-1] == "test_reversed"
-        assert any(c.reordering == "test_reversed" for c in default_candidates(square=True))
-        # …and spec-addressable, bitwise-correct through run().
-        from repro.core import spgemm_rowwise
-        from repro.matrices import generators as G
-
+        cands = default_candidates(square=True)
+        assert cands[-1].reordering == "test_reversed"
+        # …the clustering joins the default candidate space…
+        assert any(c.clustering == "test_pairs" for c in cands)
+        # …and both are spec-addressable, bitwise-correct through run().
         A = G.grid2d(5, 5, seed=0)
-        C = PipelineSpec.parse("test_reversed+fixed:4+cluster").run(A)
         ref = spgemm_rowwise(A, A)
-        assert np.array_equal(C.values, ref.values)
-        assert np.array_equal(C.indices, ref.indices)
+        for text in ("test_reversed+fixed:4+cluster", "rcm+test_pairs:3+cluster"):
+            C = PipelineSpec.parse(text).run(A)
+            assert np.array_equal(C.indptr, ref.indptr), text
+            assert np.array_equal(C.indices, ref.indices), text
+            assert np.array_equal(C.values, ref.values), text
+
+        # Names are unique across kinds, checked at the decorator.
+        with pytest.raises(ValueError, match="unique across kinds"):
+
+            @register_clustering("rcm")
+            def clash(A):
+                return None
+
+        with pytest.raises(ValueError, match="unique across kinds"):
+
+            @register("rowwise", family="other")
+            def clash_kernel(A, *, seed=0):
+                return None
+
     finally:
-        _REGISTRY.pop("test_reversed")
-        _META.pop("test_reversed")
-        # The mirror keeps its entry (source registries are append-only
-        # in normal use); drop it so other tests see a clean space.
-        from repro.pipeline import registry as preg
-
         preg._REGISTRY.pop(("reordering", "test_reversed"), None)
-        from repro.pipeline import builtin as pbuiltin
-
-        pbuiltin._seen_reorderings.discard("test_reversed")
-    assert "test_reversed" not in available_components("reordering")
-    assert CLUSTER_REGISTRY  # unrelated registry untouched
+        preg._REGISTRY.pop(("clustering", "test_pairs"), None)
+    assert available_components("reordering") == REGISTRATION_ORDER["reordering"]
+    assert available_components("clustering") == REGISTRATION_ORDER["clustering"]
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +241,7 @@ def test_engine_modules_pass_registry_bypass_rule():
     from repro.analysis.checks.rules import default_rules
 
     repo_root = pathlib.Path(__file__).resolve().parent.parent
-    rules = default_rules(repo_root, only=["RA006"])
+    rules = default_rules(only=["RA006"])
     engine_dir = repo_root / "src" / "repro" / "engine"
     findings = [
         f
@@ -190,7 +260,7 @@ def test_planner_module_has_no_hardcoded_algorithm_tuples():
     import repro.engine.planner as planner_mod
 
     source = pathlib.Path(planner_mod.__file__).read_text()
-    algorithm_names = set(available_reorderings()) | set(available_clusterings())
+    algorithm_names = set(available_components("reordering")) | set(available_components("clustering"))
     algorithm_names.discard("original")  # the identity is a structural constant
     for name in algorithm_names:
         assert f'"{name}"' not in source and f"'{name}'" not in source, name
@@ -210,9 +280,9 @@ def test_component_names_unique_across_kinds():
         )
 
 
-def test_reordering_meta_accessible():
-    meta = get_reordering_meta("rcm")
-    assert meta.family == "bandwidth"
-    assert meta.planner_rank == 1
+def test_reordering_tags_come_from_the_register_site():
+    info = get_component("reordering", "rcm")
+    assert info.family == "bandwidth"
+    assert info.planner_rank == 1
     with pytest.raises(KeyError, match="available"):
-        get_reordering_meta("nope")
+        get_component("reordering", "nope")

@@ -4,7 +4,7 @@ ExecutionPlan interop (ISSUE 2 satellite: spec parsing coverage)."""
 import pytest
 
 from repro.engine import ExecutionPlan
-from repro.pipeline import PipelineSpec
+from repro.pipeline import PipelineSpec, get_component
 
 # ----------------------------------------------------------------------
 # Round-trips: parse(str(spec)) == spec
@@ -79,10 +79,8 @@ def test_unknown_component_raises_keyerror_listing_names():
 
 
 def test_unknown_clustering_name_lists_clusterings():
-    from repro.clustering import get_clustering
-
     with pytest.raises(KeyError) as e:
-        get_clustering("quantum")
+        get_component("clustering", "quantum")
     assert "fixed" in str(e.value) and "hierarchical" in str(e.value)
 
 

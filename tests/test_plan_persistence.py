@@ -241,6 +241,25 @@ def test_fresh_engine_reuses_persisted_plan(plan_dir, kw):
     assert fresh.plan_for(A) == first.plan_for(A)
 
 
+def test_cold_multiply_probes_the_plan_file_once(plan_dir, monkeypatch):
+    # The engine re-checks a cold key under its build lock, in memory
+    # only: a plan another thread built is already there.
+    probes = []
+    load_disk = PlanCache._load_disk
+
+    def spy(self, key):
+        probes.append(key)
+        return load_disk(self, key)
+
+    monkeypatch.setattr(PlanCache, "_load_disk", spy)
+    A = G.grid2d(8, 8, seed=5)
+    eng = SpGEMMEngine(config=SMALL_CFG, plan_cache=PlanCache(persist=True))
+    eng.multiply(A)
+    assert len(probes) == 1 and eng.stats().plans_built == 1
+    eng.multiply(A)  # warm: served from memory
+    assert len(probes) == 1
+
+
 def test_engines_sharing_a_plan_dir_multiply_concurrently(plan_dir):
     A = G.grid2d(8, 8, seed=1)
     ref = spgemm_rowwise(A, A)

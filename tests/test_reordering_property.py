@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import square_csr
 from repro.core import spgemm_rowwise
-from repro.reordering import apply_permutation, available_reorderings, bandwidth, reorder
+from repro.pipeline import available_components
+from repro.reordering import apply_permutation, bandwidth, reorder
 from repro.reordering.simple import _gray_decode
 
 
@@ -14,7 +15,7 @@ def small_square():
     return square_csr(max_n=16, max_nnz=48, unit_values=True)
 
 
-@given(small_square(), st.sampled_from(sorted(set(available_reorderings()) - {"original"})))
+@given(small_square(), st.sampled_from(sorted(set(available_components("reordering")) - {"original"})))
 @settings(max_examples=60, deadline=None)
 def test_every_algorithm_yields_permutation(A, algo):
     res = reorder(A, algo, seed=0)
@@ -54,5 +55,5 @@ def test_gray_decode_is_bijective_involution_property(xs):
 @given(small_square())
 @settings(max_examples=20, deadline=None)
 def test_preprocessing_work_nonnegative_all_algorithms(A):
-    for algo in available_reorderings():
+    for algo in available_components("reordering"):
         assert reorder(A, algo).work >= 0

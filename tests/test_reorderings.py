@@ -5,14 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core import CSRMatrix
-from repro.reordering import (
-    TABLE1_ORDER,
-    apply_permutation,
-    available_reorderings,
-    bandwidth,
-    get_reordering,
-    reorder,
-)
+from repro.pipeline import available_components
+from repro.reordering import TABLE1_ORDER, apply_permutation, bandwidth, reorder
 from repro.reordering.graph import Adjacency, bfs_levels, connected_components, pseudo_peripheral_node
 
 from conftest import random_csr
@@ -29,7 +23,7 @@ def banded_shuffled(n=200, seed=3):
 
 class TestRegistry:
     def test_all_table1_algorithms_registered(self):
-        avail = set(available_reorderings())
+        avail = set(available_components("reordering"))
         for name in ALL_ALGOS:
             assert name in avail
         for name in TABLE1_ORDER:
@@ -37,7 +31,7 @@ class TestRegistry:
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown reordering"):
-            get_reordering("magic")
+            reorder(random_csr(4, 4, 0.5, seed=0), "magic")
 
 
 @pytest.mark.parametrize("algo", ALL_ALGOS)

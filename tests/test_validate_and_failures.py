@@ -86,10 +86,11 @@ class TestGracefulEmptyInputs:
             assert cluster_spgemm(Ac, A).nnz == 0
 
     def test_empty_matrix_reorderings(self):
-        from repro.reordering import available_reorderings, reorder
+        from repro.pipeline import available_components
+        from repro.reordering import reorder
 
         A = CSRMatrix.empty((6, 6))
-        for name in available_reorderings():
+        for name in available_components("reordering"):
             res = reorder(A, name)
             assert sorted(res.perm.tolist()) == list(range(6)), name
 

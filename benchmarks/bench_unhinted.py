@@ -149,7 +149,7 @@ def _batch(backend, prep, plan, Bs, *, serial: bool):
     try:
         us, (Cs, threads) = _us(
             lambda: backend.execute_many(
-                prep, Bs, kernel=plan.kernel, kernel_params={}, ctx=ExecutionContext(), original_order=True
+                prep, Bs, kernel=plan.spec.kernel, kernel_params={}, ctx=ExecutionContext(), original_order=True
             )
         )
     finally:
@@ -160,7 +160,7 @@ def _batch(backend, prep, plan, Bs, *, serial: bool):
 def measure(A: CSRMatrix, Bs: list, repeats: int, pairs: int) -> dict:
     eng = SpGEMMEngine(backend="auto")
     plan = eng.plan_for(A, Bs[0])
-    if plan.backend != "scipy":
+    if plan.spec.backend != "scipy":
         raise RuntimeError(f"expected a scipy plan, got {plan.label}")
     prep = eng.prepare(A, plan)
     backend = get_backend("scipy")
@@ -169,7 +169,7 @@ def measure(A: CSRMatrix, Bs: list, repeats: int, pairs: int) -> dict:
     refs = [CSRMatrix.from_scipy(S @ R) for R in rights]
 
     def call(B, ctx):
-        Cs, _ = backend.execute_many(prep, [B], kernel=plan.kernel, kernel_params={}, ctx=ctx, original_order=True)
+        Cs, _ = backend.execute_many(prep, [B], kernel=plan.spec.kernel, kernel_params={}, ctx=ctx, original_order=True)
         return Cs[0]
 
     ctx = ExecutionContext()

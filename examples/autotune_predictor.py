@@ -57,12 +57,13 @@ def main() -> None:
         pred_engine = SpGEMMEngine(pipeline=predicted_spec(pred, A), config=cfg)
         p_plan = pred_engine.plan_for(A)
         t_plan = tune_engine.plan_for(A)
-        if p_plan.clustering == "hierarchical":
+        p_spec = p_plan.spec
+        if p_spec.clustering == "hierarchical":
             achieved = sweep.baseline_time / sweep.hierarchical.time
-        elif p_plan.clustering in ("fixed", "variable"):
-            achieved = sweep.speedup(p_plan.clustering, p_plan.reordering)
+        elif p_spec.clustering in ("fixed", "variable"):
+            achieved = sweep.speedup(p_spec.clustering, p_spec.reordering)
         else:
-            achieved = sweep.speedup("rowwise", p_plan.reordering)
+            achieved = sweep.speedup("rowwise", p_spec.reordering)
         _, oracle = ConfigurationPredictor.best_configuration(sweep)
         print(f"{name:<10} {p_plan.label:<26} {t_plan.label:<26} {achieved:>8.2f}x {oracle:>8.2f}x")
 

@@ -4,7 +4,8 @@ The engine turns the repository's measurement machinery into a runtime:
 :class:`SpGEMMEngine` fingerprints operands, selects a
 :class:`~repro.pipeline.spec.PipelineSpec` (reordering, clustering,
 kernel, backend) via a pluggable planner policy, caches the resulting
-:class:`ExecutionPlan` keyed by sparsity pattern and the built operand
+:class:`ExecutionPlan` (that spec plus its model costs) in memory, keyed
+by sparsity pattern, and the built operand
 (:class:`~repro.pipeline.spec.BuiltPipeline`) keyed by values, executes
 it through :mod:`repro.backends`, amortises preprocessing across
 repeated multiplies, and accounts for when the investment breaks even
@@ -14,7 +15,7 @@ repeated multiplies, and accounts for when the investment breaks even
 from .engine import EngineStats, SpGEMMEngine
 from .fingerprint import MatrixFingerprint, fingerprint, value_digest
 from .plan import ExecutionPlan
-from .plan_cache import PlanCache, plan_cache_dir
+from .plan_cache import PlanCache
 from .planner import (
     AutotunePlanner,
     HeuristicPlanner,
@@ -30,7 +31,6 @@ __all__ = [
     "EngineStats",
     "ExecutionPlan",
     "PlanCache",
-    "plan_cache_dir",
     "MatrixFingerprint",
     "fingerprint",
     "value_digest",

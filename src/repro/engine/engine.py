@@ -60,7 +60,7 @@ from ..core.csr import CSRMatrix
 from ..experiments.config import ExperimentConfig
 from ..machine import SimulatedMachine
 from ..obs import NOOP_TRACER, Tracer
-from ..pipeline import BuiltPipeline, PipelineSpec, get_component
+from ..pipeline import BuiltPipeline, PipelineSpec
 from .fingerprint import fingerprint, pattern_digest, pattern_key, value_digest
 from .plan import ExecutionPlan
 from .plan_cache import PlanCache
@@ -266,9 +266,9 @@ class SpGEMMEngine:
     machine:
         Simulated machine used for planning trials and cost accounting.
     plan_cache:
-        Shared :class:`~repro.engine.plan_cache.PlanCache`; a private
-        in-memory cache is created when omitted (pass
-        ``PlanCache(persist=True)`` to keep plans on disk).
+        Shared in-memory :class:`~repro.engine.plan_cache.PlanCache`; a
+        private one is created when omitted.  Plans are not kept across
+        processes.
     seed:
         Seed for reorderings and feature sampling (plan determinism).
     pipeline:
@@ -415,10 +415,8 @@ class SpGEMMEngine:
             with self._plan_build_lock:
                 # Double-check under the build lock: serve's planner
                 # thread and its dispatch thread can race on a cold key,
-                # and the loser must reuse rather than rebuild.  The
-                # winner's plan is in memory, so the disk is not probed
-                # again.
-                plan = self.plan_cache.get(key) if key in self.plan_cache else None
+                # and the loser must reuse rather than rebuild.
+                plan = self.plan_cache.get(key)
                 hit = plan is not None
                 if not hit:
                     if count:
@@ -443,20 +441,13 @@ class SpGEMMEngine:
     # ------------------------------------------------------------------
     @staticmethod
     def _operand_key(plan: ExecutionPlan, vdigest: str) -> tuple:
-        # Kernel and params discriminate: the same (reordering,
-        # clustering) pair prepares differently for a cluster kernel
-        # (CSR_Cluster materialisation) than for a row-traversal kernel
-        # (cluster order composed), and parameterised pipelines must not
-        # collide with config-default plans.  ``vdigest`` is A's value
-        # digest: reuse is value-exact.
-        return (
-            plan.fingerprint_key,
-            plan.reordering,
-            plan.clustering,
-            plan.kernel,
-            plan.params,
-            vdigest,
-        )
+        # The whole spec discriminates: the same (reordering, clustering)
+        # pair prepares differently for a cluster kernel (CSR_Cluster
+        # materialisation) than for a row-traversal kernel (cluster order
+        # composed), and parameterised pipelines must not collide with
+        # config-default plans.  ``vdigest`` is A's value digest: reuse
+        # is value-exact.
+        return (plan.fingerprint_key, plan.spec, vdigest)
 
     def prepare(self, A: CSRMatrix, plan: ExecutionPlan) -> BuiltPipeline:
         """Build (or reuse) the plan's reordered/clustered operand."""
@@ -476,11 +467,9 @@ class SpGEMMEngine:
         if built is not None:
             return built, True
         t0 = time.perf_counter()
-        # Rebuild through the plan's pipeline spec so every component
-        # parameter (reordering, clustering, kernel) is honoured.  Built
-        # outside the memo lock: preparation is the expensive step, and a
-        # concurrent duplicate build is deterministic-identical.
-        built = plan.pipeline().build(A, seed=plan.seed, mode="rows", cfg=self.cfg)
+        # Built outside the memo lock: preparation is the expensive step,
+        # and a concurrent duplicate build is deterministic-identical.
+        built = plan.spec.build(A, seed=plan.seed, mode="rows", cfg=self.cfg)
         self._stats.bump(
             preprocess_seconds=time.perf_counter() - t0,
             operands_prepared=1,
@@ -513,23 +502,16 @@ class SpGEMMEngine:
         pdigest, vdigest = pattern_digest(A), value_digest(A)
         plan, hit = self._lookup(A, Bx, pdigest, workload, vdigest)
         built, reused = self._prepare(A, plan, vdigest)
-        k_info = get_component("kernel", plan.kernel)
-        given = [
-            (k, v)
-            for k, v in plan.params
-            if any(k == p.name or k in p.aliases for p in k_info.params)
-        ]
-        if any(p.name == "accumulator" for p in k_info.params):
-            given.append(("accumulator", plan.accumulator))
-        kernel_params = k_info.resolve_params(given, self.cfg)
+        spec = plan.spec
+        kernel_params = spec.kernel_info.resolve_params(spec.kernel_params, self.cfg)
         if self.tracer.enabled:
             span.tag(
                 cache="hit" if hit else "miss",
                 plan=plan.label,
-                backend=plan.backend,
+                backend=spec.backend,
                 workload=plan.workload,
             )
-        backend = get_backend(plan.backend, plan.backend_params)
+        backend = get_backend(spec.backend, spec.backend_params)
         return _Bound(plan, built, kernel_params, pdigest, vdigest, backend, hit, reused)
 
     def _run(self, bound: _Bound, A: CSRMatrix, Bs: list, *, reuse: bool = False) -> list[CSRMatrix]:
@@ -561,7 +543,7 @@ class SpGEMMEngine:
             Cs = backend_execute_many(
                 bound.built,
                 Bs,
-                kernel=plan.kernel,
+                kernel=plan.spec.kernel,
                 kernel_params=bound.kernel_params,
                 backend=bound.backend,
                 cfg=self.cfg,

@@ -1,9 +1,9 @@
-"""Immutable execution plans with cost and amortisation accounting.
+"""Immutable execution plans: a pipeline spec plus its cost accounting.
 
-An :class:`ExecutionPlan` records *everything* needed to execute one
-SpGEMM configuration deterministically — the reordering, the clustering
-scheme and its parameters, the kernel and accumulator — plus the model
-costs the planner established:
+An :class:`ExecutionPlan` is the :class:`~repro.pipeline.spec.PipelineSpec`
+the planner chose (reordering, clustering, kernel, backend and their
+parameters — the configuration) together with the model costs the
+planner established (the bill for it):
 
 * ``baseline_cost`` — model time of row-wise SpGEMM on the original
   order (the universal baseline of the paper's evaluation);
@@ -15,38 +15,19 @@ costs the planner established:
 
 All costs are in simulated-machine model units
 (:class:`~repro.machine.cost.CostModel`); wall-clock never enters a
-plan, which keeps plans deterministic and serialisable.  Plans are
-frozen dataclasses with JSON round-trip (:meth:`ExecutionPlan.to_json` /
-:meth:`ExecutionPlan.from_json`) so the plan cache can persist them on
-disk next to :mod:`repro.experiments.cache`.
+plan, which keeps plans deterministic.  The spec validated itself
+against the component registry when it was built, so a plan holds no
+second copy of the configuration and repeats no check.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import dataclass
 
-__all__ = ["ExecutionPlan", "backend_label_suffix"]
+from ..pipeline import PipelineSpec
 
-
-def backend_label_suffix(backend: str, backend_params: tuple = ()) -> str:
-    """``"@scipy"``-style label suffix (``"@name:param=value"`` with
-    parameters).
-
-    Parameters are included so distinct configurations of the same
-    backend stay distinct in ledgers; the default ``reference`` backend
-    contributes nothing (labels predating the backend axis are stable).
-    """
-    if backend == "reference":
-        return ""
-    suffix = f"@{backend}"
-    if backend_params:
-        suffix += ":" + ",".join(f"{k}={v}" for k, v in backend_params)
-    return suffix
-
-_ACCUMULATORS = ("sort", "dense", "hash")
+__all__ = ["ExecutionPlan"]
 
 
 @dataclass(frozen=True)
@@ -55,27 +36,11 @@ class ExecutionPlan:
 
     Attributes
     ----------
-    reordering:
-        Registry name from :mod:`repro.reordering` (``"original"`` for
-        the natural order).  Applied as a *row* permutation (gather) so
-        execution results are bitwise-identical to row-wise SpGEMM on
-        the original operand after un-permuting.
-    clustering:
-        ``None`` (plain CSR) or one of ``fixed`` / ``variable`` /
-        ``hierarchical``.  Hierarchical clustering performs its own row
-        reordering (paper §3.4), so it composes with
-        ``reordering="original"``.
-    kernel:
-        ``"rowwise"`` (Gustavson) or ``"cluster"`` (paper Alg. 1);
-        ``"cluster"`` requires a clustering.
-    backend:
-        Execution backend registry name (:mod:`repro.backends`);
-        ``"reference"`` is the pure-python bitwise oracle.
-    backend_params:
-        Backend parameters as ``(name, value)`` pairs (empty for the
-        built-in backends, none of which takes parameters).
-    accumulator:
-        Sparse-accumulator strategy for the row-wise kernel.
+    spec:
+        The configuration the plan executes.  Its reordering is applied
+        as a *row* permutation (gather) so execution results are
+        bitwise-identical to row-wise SpGEMM on the original operand
+        after un-permuting.
     policy:
         Name of the planner policy that produced the plan.
     workload:
@@ -86,55 +51,17 @@ class ExecutionPlan:
         operand pattern the plan was made for.
     seed:
         Seed used for the reordering / feature sampling.
-    params:
-        Clustering parameters as a sorted tuple of ``(name, value)``
-        pairs (kept as a tuple so the plan stays hashable).
     """
 
-    reordering: str
-    clustering: str | None
-    kernel: str
-    backend: str = "reference"
-    backend_params: tuple[tuple[str, Any], ...] = ()
-    accumulator: str = "sort"
+    spec: PipelineSpec
     policy: str = "heuristic"
     workload: str = "asquare"
     fingerprint_key: str = ""
     seed: int = 0
-    params: tuple[tuple[str, float], ...] = ()
     predicted_cost: float = math.nan
     baseline_cost: float = math.nan
     pre_cost: float = 0.0
     planning_cost: float = 0.0
-
-    def __post_init__(self) -> None:
-        # Validation is registry-driven (lazy import: the pipeline layer
-        # links back to ExecutionPlan for serialisation): any registered
-        # component composition the registry calls compatible is a valid
-        # plan, with no name list to keep in sync here.
-        from ..pipeline import get_component
-
-        try:
-            get_component("reordering", self.reordering)
-        except KeyError as e:
-            raise ValueError(f"unknown reordering {self.reordering!r} ({e})") from None
-        try:
-            kernel = get_component("kernel", self.kernel)
-        except KeyError as e:
-            raise ValueError(f"unknown kernel {self.kernel!r} ({e})") from None
-        if self.clustering is not None:
-            try:
-                get_component("clustering", self.clustering)
-            except KeyError as e:
-                raise ValueError(f"unknown clustering {self.clustering!r} ({e})") from None
-        if self.accumulator not in _ACCUMULATORS:
-            raise ValueError(f"unknown accumulator {self.accumulator!r}")
-        if kernel.requires_clustering and self.clustering is None:
-            raise ValueError(f"{self.kernel} kernel requires a clustering scheme")
-        try:
-            get_component("backend", self.backend).canonical_params(self.backend_params)
-        except KeyError as e:
-            raise ValueError(f"unknown backend {self.backend!r} ({e})") from None
 
     # ------------------------------------------------------------------
     # Cost / amortisation accounting
@@ -172,45 +99,14 @@ class ExecutionPlan:
         return self.invested_cost / iterations + self.predicted_cost
 
     # ------------------------------------------------------------------
-    # Presentation & serialisation
+    # Presentation
     # ------------------------------------------------------------------
     @property
     def label(self) -> str:
-        """Short human-readable configuration name."""
-        cl = self.clustering or "csr"
-        return (
-            f"{self.reordering}+{cl}/{self.kernel}"
-            f"{backend_label_suffix(self.backend, self.backend_params)}"
-        )
+        """Short human-readable configuration name (the spec's label)."""
+        return self.spec.label
 
-    def pipeline(self):
+    def pipeline(self) -> PipelineSpec:
         """The :class:`~repro.pipeline.spec.PipelineSpec` this plan
-        executes (round-trippable: ``spec.to_plan()`` inverts it)."""
-        from ..pipeline import PipelineSpec
-
-        return PipelineSpec.from_plan(self)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["params"] = [list(p) for p in self.params]
-        d["backend_params"] = [list(p) for p in self.backend_params]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExecutionPlan":
-        d = dict(d)
-        d["params"] = tuple((str(k), v) for k, v in d.get("params", ()))
-        # Plans persisted before the backend axis load as reference.
-        d["backend_params"] = tuple((str(k), v) for k, v in d.get("backend_params", ()))
-        # Plans persisted while backend calibration or the row-binned
-        # kernel existed carry its epoch or a bin map.
-        d.pop("calibration_epoch", None)
-        d.pop("bin_map", None)
-        return cls(**d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExecutionPlan":
-        return cls.from_dict(json.loads(text))
+        executes."""
+        return self.spec

@@ -136,9 +136,8 @@ def default_candidates(
     (hierarchical, paper §3.4) are paired only with the natural order —
     their cluster formation *is* a reordering.  Each clustering carries
     its parameters resolved under ``cfg`` (default
-    :class:`~repro.experiments.config.ExperimentConfig`), so a
-    candidate's :meth:`~repro.pipeline.spec.PipelineSpec.to_plan` records
-    the values its build uses.
+    :class:`~repro.experiments.config.ExperimentConfig`), so a plan's
+    spec records the values its build uses.
     """
     if reorderings is None:
         reorderings = planner_reorderings()
@@ -405,7 +404,8 @@ class Planner:
         spec, predicted, built, trial_cost = self._select(A, B, fp, baseline)
         if sp is not None:
             sp.tag(plan=spec.label)
-        plan = spec.to_plan(
+        plan = ExecutionPlan(
+            spec,
             policy=self.name,
             workload=workload,
             fingerprint_key=fp.key,
@@ -494,9 +494,8 @@ class PipelinePlanner(Planner):
     This is how explicit ``--pipeline`` requests flow through the engine
     with full cost accounting: the spec is built and simulated once
     (like any candidate), so break-even book-keeping and plan caching
-    behave exactly as for searched plans, and its reordering/kernel
-    parameters and accumulator survive into the plan (and round-trip
-    back via ``ExecutionPlan.pipeline()``).
+    behave exactly as for searched plans, and the plan's ``spec`` is
+    this spec, parameters included.
     """
 
     name = "pipeline"

@@ -10,12 +10,11 @@ Environment variables
 ---------------------
 ``REPRO_CACHE_DIR``
     Cache directory root (default ``.repro_cache`` under the current
-    working directory).  The engine's plan cache persists beneath it as
-    ``<REPRO_CACHE_DIR>/plans``.
+    working directory).
 ``REPRO_NO_CACHE``
     Any value other than empty/``0`` disables the cache entirely (no
-    reads, no writes) — every sweep and plan is recomputed.  CI sets
-    this so results never depend on stale artefacts.
+    reads, no writes) — every sweep is recomputed.  CI sets this so
+    results never depend on stale artefacts.
 """
 
 from __future__ import annotations

@@ -181,7 +181,6 @@ def engine_demo(args) -> str:
     """
     from ..engine import SpGEMMEngine
     from ..matrices import get_matrix
-    from ..pipeline import PipelineSpec
 
     tracer = None
     trace_sink = None
@@ -194,8 +193,7 @@ def engine_demo(args) -> str:
     backend = args.backend or None
     lines = []
     if args.pipeline:
-        spec = PipelineSpec.parse(args.pipeline)
-        eng = SpGEMMEngine(pipeline=spec, backend=backend, config=ExperimentConfig(), tracer=tracer)
+        eng = SpGEMMEngine(pipeline=args.pipeline, backend=backend, config=ExperimentConfig(), tracer=tracer)
         chosen = f"pipeline={eng.planner.spec}"
     else:
         eng = SpGEMMEngine(policy=args.policy, backend=backend, config=ExperimentConfig(), tracer=tracer)
@@ -213,7 +211,7 @@ def engine_demo(args) -> str:
         f"engine demo: {args.matrix} (n={A.nrows}, nnz={A.nnz}), {chosen}",
         f"plan: {plan.label}   predicted speedup {plan.predicted_speedup:.2f}x, "
         f"break-even after {plan.break_even_iterations():.1f} multiplies",
-        f"spec: {plan.pipeline()}",
+        f"spec: {plan.spec}",
         "",
         eng.stats().summary(),
     ]
@@ -337,6 +335,29 @@ def _serve_demo(args, host: str, port: int) -> list[str]:
     return lines
 
 
+def _pipeline_arg(text: str):
+    """``--pipeline`` values: a parsed spec, or a usage error carrying the
+    parser's message (which names a bad component and lists the valid
+    ones)."""
+    from ..pipeline import PipelineSpec
+
+    try:
+        return PipelineSpec.parse(text)
+    except (KeyError, ValueError) as e:
+        raise argparse.ArgumentTypeError(e.args[0]) from None
+
+
+def _backend_arg(text: str) -> str:
+    """``--backend`` values: checked against the registry, kept as given."""
+    from ..backends import parse_backend
+
+    try:
+        parse_backend(text)
+    except (KeyError, ValueError) as e:
+        raise argparse.ArgumentTypeError(e.args[0]) from None
+    return text
+
+
 def pipelines_cmd(args) -> str:
     """List the registered pipeline components (the ``pipelines`` command)."""
     from ..pipeline import describe
@@ -375,6 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--iters", type=int, default=5, help="multiplies to run in the engine command")
     parser.add_argument(
         "--pipeline",
+        type=_pipeline_arg,
         default=None,
         metavar="SPEC",
         help="explicit pipeline spec for the engine command, e.g. rcm+fixed:8+cluster"
@@ -383,6 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
+        type=_backend_arg,
         default=None,
         metavar="BACKEND",
         help="execution backend for the engine command: a registered backend name "

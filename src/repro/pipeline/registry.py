@@ -92,6 +92,10 @@ class ParamSpec:
         Name of the :class:`~repro.experiments.config.ExperimentConfig`
         attribute that supplies the default under a config, keeping
         specs and sweep configs consistent without an elif-chain.
+    choices:
+        The accepted values, when the parameter names one of a fixed set
+        (the ``rowwise`` accumulator); empty accepts any value of
+        ``type``.
     """
 
     name: str
@@ -99,6 +103,7 @@ class ParamSpec:
     default: Any = None
     aliases: tuple[str, ...] = ()
     config_attr: str | None = None
+    choices: tuple[Any, ...] = ()
 
     def coerce(self, value: Any) -> Any:
         """Coerce ``value`` (possibly a spec-string token) to the
@@ -108,16 +113,21 @@ class ParamSpec:
                 coerced = int(float(value))
                 if float(value) != coerced:
                     raise ValueError
-                return coerced
-            if self.type is float:
-                return float(value)
-            if self.type is str:
-                return str(value)
-            return self.type(value)
+            elif self.type is float:
+                coerced = float(value)
+            elif self.type is str:
+                coerced = str(value)
+            else:
+                coerced = self.type(value)
         except (TypeError, ValueError):
             raise ValueError(
                 f"parameter {self.name!r} expects {self.type.__name__}, got {value!r}"
             ) from None
+        if self.choices and coerced not in self.choices:
+            raise ValueError(
+                f"unknown {self.name} {coerced!r}; expected one of {list(self.choices)}"
+            )
+        return coerced
 
 
 @dataclass(frozen=True)
@@ -265,7 +275,7 @@ PARAM_EXTRAS: dict[str, dict[str, Any]] = {
     "max_cluster_th": {"aliases": ("max_th",), "config_attr": "max_cluster_th"},
     "column_cap": {"aliases": ("cap",), "config_attr": "column_cap"},
     "tile_cols": {"aliases": ("tile",), "config_attr": None},
-    "accumulator": {"aliases": ("acc",), "config_attr": None},
+    "accumulator": {"aliases": ("acc",), "config_attr": None, "choices": ("sort", "dense", "hash")},
 }
 
 # Threaded separately by every caller for plan determinism, not
@@ -292,6 +302,7 @@ def _introspect_params(fn: Callable[..., Any]) -> tuple[ParamSpec, ...]:
                 default=p.default,
                 aliases=tuple(extras.get("aliases", ())),
                 config_attr=extras.get("config_attr"),
+                choices=tuple(extras.get("choices", ())),
             )
         )
     return tuple(specs)
@@ -305,7 +316,7 @@ def _first_line(obj: Any) -> str:
 # ----------------------------------------------------------------------
 # The registry proper
 # ----------------------------------------------------------------------
-_REGISTRY: dict[tuple[str, str], ComponentInfo] = {}
+_REGISTRY: dict[str, ComponentInfo] = {}
 _bootstrapped = False
 
 
@@ -317,16 +328,15 @@ def register_component(info: ComponentInfo) -> ComponentInfo:
     spec strings ambiguous — rejected here rather than discovered at
     parse time.
     """
-    key = (info.kind, info.name)
-    if key in _REGISTRY:
-        raise ValueError(f"duplicate {info.kind} component {info.name!r}")
-    for other_kind, name in _REGISTRY:
-        if name == info.name:
-            raise ValueError(
-                f"component name {info.name!r} already registered as a {other_kind}; "
-                "names must be unique across kinds (spec segments resolve by name)"
-            )
-    _REGISTRY[key] = info
+    other = _REGISTRY.get(info.name)
+    if other is not None:
+        if other.kind == info.kind:
+            raise ValueError(f"duplicate {info.kind} component {info.name!r}")
+        raise ValueError(
+            f"component name {info.name!r} already registered as a {other.kind}; "
+            "names must be unique across kinds (spec segments resolve by name)"
+        )
+    _REGISTRY[info.name] = info
     return info
 
 
@@ -345,14 +355,12 @@ def get_component(kind: str, name: str) -> ComponentInfo:
     """Look up one component, with a listing ``KeyError`` on a miss."""
     if not _bootstrapped:
         _bootstrap()
+    info = _REGISTRY.get(name)
+    if info is not None and info.kind == kind:
+        return info
     if kind not in KINDS:
         raise ValueError(f"unknown component kind {kind!r}; expected one of {KINDS}")
-    try:
-        return _REGISTRY[(kind, name)]
-    except KeyError:
-        raise KeyError(
-            f"unknown {kind} {name!r}; available: {available_components(kind)}"
-        ) from None
+    raise KeyError(f"unknown {kind} {name!r}; available: {available_components(kind)}")
 
 
 def find_component(name: str) -> ComponentInfo:
@@ -360,24 +368,22 @@ def find_component(name: str) -> ComponentInfo:
 
     Kind namespaces are disjoint by construction, so a name identifies
     its kind; unknown names raise a ``KeyError`` listing every valid
-    name per kind (the satellite requirement for bad spec strings).
+    name per kind.
     """
     if not _bootstrapped:
         _bootstrap()
-    hits = [info for (kind, n), info in _REGISTRY.items() if n == name]
-    if len(hits) == 1:
-        return hits[0]
-    if hits:  # pragma: no cover - registration guards make this unreachable
-        raise KeyError(f"ambiguous component name {name!r}: {[h.kind for h in hits]}")
-    listing = "; ".join(f"{kind}s: {available_components(kind)}" for kind in KINDS)
-    raise KeyError(f"unknown pipeline component {name!r}; {listing}")
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        listing = "; ".join(f"{kind}s: {available_components(kind)}" for kind in KINDS)
+        raise KeyError(f"unknown pipeline component {name!r}; {listing}") from None
 
 
 def available_components(kind: str) -> list[str]:
     """Registered names of one kind, in registration order."""
     if not _bootstrapped:
         _bootstrap()
-    return [n for (k, n) in _REGISTRY if k == kind]
+    return [n for n, info in _REGISTRY.items() if info.kind == kind]
 
 
 def components(

@@ -153,11 +153,12 @@ class PipelineSpec:
 
     @property
     def label(self) -> str:
-        """Engine-style short label (matches ``ExecutionPlan.label``)."""
-        from ..engine.plan import backend_label_suffix
-
-        suffix = backend_label_suffix(self.backend, self.backend_params)
-        return f"{self.reordering}+{self.clustering or 'csr'}/{self.kernel}{suffix}"
+        """Engine-style short label (``ExecutionPlan.label``): component
+        names only, with the same backend suffix as :meth:`__str__`."""
+        text = f"{self.reordering}+{self.clustering or 'csr'}/{self.kernel}"
+        if self.backend != "reference":
+            text += "@" + _segment(self.backend, self.backend_params)
+        return text
 
     @classmethod
     def parse(cls, text: str) -> "PipelineSpec":
@@ -388,62 +389,6 @@ class PipelineSpec:
         """
         built = self.build(A, seed=seed, mode="rows", cfg=cfg)
         return built.execute(A if B is None else B, cfg=cfg)
-
-    # ------------------------------------------------------------------
-    # ExecutionPlan interop
-    # ------------------------------------------------------------------
-    def to_plan(self, **overrides: Any):
-        """Serialise into an :class:`~repro.engine.plan.ExecutionPlan`.
-
-        Numeric parameters are flattened (as floats, the plan's legacy
-        convention) into ``plan.params``; a ``rowwise`` accumulator
-        parameter maps onto the plan's ``accumulator`` field.  Cost /
-        policy fields are left for the planner via ``overrides``.
-        """
-        from ..engine.plan import ExecutionPlan
-
-        params: list[tuple[str, Any]] = []
-        for name, value in (*self.clustering_params, *self.kernel_params):
-            if name == "accumulator":
-                overrides.setdefault("accumulator", value)
-            else:
-                params.append((name, float(value) if isinstance(value, (int, float)) else value))
-        for name, value in self.reordering_params:
-            params.append((name, float(value) if isinstance(value, (int, float)) else value))
-        return ExecutionPlan(
-            reordering=self.reordering,
-            clustering=self.clustering,
-            kernel=self.kernel,
-            backend=self.backend,
-            backend_params=self.backend_params,
-            params=tuple(params),
-            **overrides,
-        )
-
-    @classmethod
-    def from_plan(cls, plan) -> "PipelineSpec":
-        """Recover the spec a plan describes (inverse of :meth:`to_plan`)."""
-        r_info = get_component("reordering", plan.reordering)
-        c_info = None if plan.clustering is None else get_component("clustering", plan.clustering)
-        k_info = get_component("kernel", plan.kernel)
-        r_params, c_params, k_params = [], [], []
-        for name, value in plan.params:
-            for info, bucket in ((c_info, c_params), (k_info, k_params), (r_info, r_params)):
-                if info is not None and any(name == p.name or name in p.aliases for p in info.params):
-                    bucket.append((name, value))
-                    break
-        if plan.accumulator != "sort" and any(p.name == "accumulator" for p in k_info.params):
-            k_params.append(("accumulator", plan.accumulator))
-        return cls(
-            reordering=plan.reordering,
-            clustering=plan.clustering,
-            kernel=plan.kernel,
-            backend=plan.backend,
-            reordering_params=tuple(r_params),
-            clustering_params=tuple(c_params),
-            kernel_params=tuple(k_params),
-            backend_params=plan.backend_params,
-        )
 
 
 @dataclass

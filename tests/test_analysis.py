@@ -304,4 +304,4 @@ def test_ra004_accepts_a_name_registered_at_runtime(tmp_path):
 
         assert analyze_file(spec_file, default_rules(only=["RA004"]), tmp_path) == []
     finally:
-        preg._REGISTRY.pop(("reordering", "test_runtime_order"), None)
+        preg._REGISTRY.pop("test_runtime_order", None)

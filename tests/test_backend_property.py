@@ -84,7 +84,7 @@ def test_default_engine_meets_the_contract_on_special_values(pipeline, data):
     m = data.draw(st.integers(1, 12), label="m")
     Bs = [data.draw(special_csr(n, m), label=f"B{i}") for i in range(2)]
     eng = SpGEMMEngine(pipeline=pipeline)
-    assert eng.plan_for(A).backend == "scipy"
+    assert eng.plan_for(A).spec.backend == "scipy"
     ref = spgemm_rowwise(A, A)
     for _ in range(3):  # cold, then warm (recorded and numeric-only) squares
         assert_contract_equal(eng.multiply(A), ref)
@@ -127,7 +127,7 @@ def test_default_engine_matches_every_rowwise_accumulator(family, accumulator, m
     the contract against each of them on the suite's structure classes."""
     A = _with_values(MATRICES[matname], family, seed=len(family))
     eng = SpGEMMEngine()
-    assert eng.plan_for(A).backend == "scipy"
+    assert eng.plan_for(A).spec.backend == "scipy"
     assert_contract_equal(eng.multiply(A), spgemm_rowwise(A, A, accumulator=accumulator))
 
 
@@ -146,6 +146,6 @@ def test_every_scipy_pipeline_meets_the_contract_in_a_batch(spec):
         for _ in range(3)
     ]
     eng = SpGEMMEngine(pipeline=spec)
-    assert eng.plan_for(A).backend == "scipy"
+    assert eng.plan_for(A).spec.backend == "scipy"
     for C, B in zip(eng.multiply_many(A, Bs), Bs):
         assert_contract_equal(C, spgemm_rowwise(A, B))

@@ -9,7 +9,7 @@ import pytest
 from conftest import assert_contract_equal
 from repro.backends import ExecutionContext, execute, get_backend, parse_backend
 from repro.core import spgemm_rowwise
-from repro.engine import ExecutionPlan, PlanCache, SpGEMMEngine
+from repro.engine import PlanCache, SpGEMMEngine
 from repro.matrices import generators as G
 from repro.pipeline import PipelineSpec, available_components, components, get_component
 
@@ -178,21 +178,21 @@ def test_scipy_backend_meets_the_contract():
 def test_engine_default_backend_is_scipy():
     eng = SpGEMMEngine(policy="heuristic")
     assert_contract_equal(eng.multiply(A), REF)
-    assert eng.plan_for(A).backend == "scipy"
+    assert eng.plan_for(A).spec.backend == "scipy"
     assert eng.stats().backend_events.get("scipy_calls") == 1
 
 
 def test_engine_reference_backend_stays_bitwise():
     eng = SpGEMMEngine(policy="heuristic", backend="reference")
     assert _bitwise(eng.multiply(A))
-    assert eng.plan_for(A).backend == "reference"
+    assert eng.plan_for(A).spec.backend == "reference"
 
 
 def test_engine_constructor_backend_pins_every_plan():
     eng = SpGEMMEngine(policy="heuristic", backend="scipy")
     C = eng.multiply(A)
     plan = eng.plan_for(A)
-    assert plan.backend == "scipy" and plan.label.endswith("@scipy")
+    assert plan.spec.backend == "scipy" and plan.label.endswith("@scipy")
     assert_contract_equal(C, REF)
     assert eng.stats().backend_events.get("scipy_calls") == 1
 
@@ -208,7 +208,7 @@ def test_plan_cache_keys_include_backend():
     for eng in (ref, scipy):
         assert eng.stats().plans_built == 1 and eng.stats().plan_cache_hits == 0
     assert len(cache) == 2
-    assert (ref.plan_for(A).backend, scipy.plan_for(A).backend) == ("reference", "scipy")
+    assert (ref.plan_for(A).spec.backend, scipy.plan_for(A).spec.backend) == ("reference", "scipy")
     # And repeating each engine's call hits its own entry.
     ref.multiply(A)
     scipy.multiply(A)
@@ -223,7 +223,7 @@ def test_engine_auto_backend_plans_and_matches_pattern():
     plan = eng.plan_for(A)
     # "auto" is scipy: the execution contract holds.
     assert_contract_equal(C, REF)
-    assert plan.backend == "scipy"
+    assert plan.spec.backend == "scipy"
 
 
 def test_auto_backend_pins_a_pipeline_spec_to_scipy(capsys):
@@ -232,11 +232,11 @@ def test_auto_backend_pins_a_pipeline_spec_to_scipy(capsys):
     from repro.experiments.cli import main
 
     eng = SpGEMMEngine(pipeline="rcm", backend="auto")
-    assert eng.plan_for(A).backend == "scipy"
+    assert eng.plan_for(A).spec.backend == "scipy"
     assert eng.planner.spec.label == "rcm+csr/rowwise@scipy"
     assert_contract_equal(eng.multiply(A), REF)
     # Without a backend= the spec keeps its own (reference) backend.
-    assert SpGEMMEngine(pipeline="rcm").plan_for(A).backend == "reference"
+    assert SpGEMMEngine(pipeline="rcm").plan_for(A).spec.backend == "reference"
     rc = main(["engine", "--matrix", "pdb1", "--pipeline", "rcm", "--backend", "auto", "--iters", "1"])
     assert rc == 0 and "plan: rcm+csr/rowwise@scipy" in capsys.readouterr().out
 
@@ -245,7 +245,7 @@ def test_engine_pipeline_spec_with_backend():
     eng = SpGEMMEngine(pipeline="rcm+fixed:8+cluster@reference")
     assert _bitwise(eng.multiply(A))
     plan = eng.plan_for(A)
-    assert plan.backend == "reference" and plan.pipeline().backend == "reference"
+    assert plan.spec.backend == "reference" and plan.pipeline() is plan.spec
     assert eng.stats().backend_events == {"reference_calls": 1}
 
 
@@ -387,7 +387,7 @@ def test_planner_valid_with_only_reference_registered(monkeypatch):
     assert default_backend() == ("reference", ())
     planner = HeuristicPlanner(seed=0)
     plan, built = planner.plan(A, A, fingerprint(A), "asquare")
-    assert plan.backend == "reference" and built.spec.backend == "reference"
+    assert plan.spec.backend == "reference" and built.spec is plan.spec
     assert {c.backend for c in planner._candidates(A)} == {"reference"}
     # "auto" is an alias of scipy, which this registry lacks: the error
     # names the alias instead of a bare registry miss.
@@ -400,47 +400,10 @@ def test_planner_valid_with_only_reference_registered(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Plan serialisation with the backend axis
+# Backend validation happens where the spec is built
 # ----------------------------------------------------------------------
-def test_plan_backend_serialisation_round_trip():
-    plan = ExecutionPlan(
-        reordering="rcm",
-        clustering="fixed",
-        kernel="cluster",
-        backend="scipy",
-        predicted_cost=10.0,
-        baseline_cost=12.0,
-    )
-    again = ExecutionPlan.from_json(plan.to_json())
-    assert again == plan and again.backend == "scipy" and again.backend_params == ()
-
-
-def test_plan_dicts_without_backend_fields_load_as_reference():
-    # A plan persisted before the backend axis has no backend fields.
-    # It must still load — as reference — and still execute.
-    d = ExecutionPlan(reordering="rcm", clustering=None, kernel="rowwise").to_dict()
-    d.pop("backend")
-    d.pop("backend_params")
-    plan = ExecutionPlan.from_dict(d)
-    assert plan.backend == "reference" and plan.backend_params == ()
-    C = plan.pipeline().run(A)
-    assert _bitwise(C)  # executes on the reference backend, bitwise
-
-
-def test_plan_dicts_with_a_calibration_epoch_still_load():
-    # Plans persisted while backend calibration existed carry its epoch;
-    # the key is dropped on load and the plan still executes.
-    want = ExecutionPlan(reordering="rcm", clustering="fixed", kernel="cluster", backend="scipy")
-    plan = ExecutionPlan.from_dict(dict(want.to_dict(), calibration_epoch=2))
-    assert plan == want
-    assert_contract_equal(plan.pipeline().run(A), REF)
-
-
-def test_plan_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="unknown backend"):
-        ExecutionPlan(reordering="original", clustering=None, kernel="rowwise", backend="nope")
+def test_spec_rejects_unknown_backend_and_backend_params():
+    with pytest.raises(KeyError, match="unknown backend 'nope'"):
+        PipelineSpec(backend="nope")
     with pytest.raises(ValueError, match="workers"):
-        ExecutionPlan(
-            reordering="original", clustering=None, kernel="rowwise", backend="scipy",
-            backend_params=(("workers", 2),),
-        )
+        PipelineSpec(backend="scipy", backend_params=(("workers", 2),))

@@ -74,7 +74,7 @@ def test_rectangular_left_operand_skips_reorderings():
     eng = SpGEMMEngine(policy="autotune", config=SMALL_CFG)
     B = G.grid2d(8, 8, seed=3)
     plan = eng.plan_for(A, B)
-    assert plan.reordering == "original"
+    assert plan.spec.reordering == "original"
     assert_bitwise_equal(eng.multiply(A, B), spgemm_rowwise(A, B))
 
 
@@ -118,7 +118,6 @@ def test_plan_deterministic_under_fixed_seed(policy, gainful_matrix):
     p1 = SpGEMMEngine(policy=policy, config=SMALL_CFG, seed=0).plan_for(A)
     p2 = SpGEMMEngine(policy=policy, config=SMALL_CFG, seed=0).plan_for(A)
     assert p1 == p2
-    assert p1.to_dict() == p2.to_dict()
 
 
 def test_plan_records_fingerprint_and_policy(gainful_matrix):
@@ -215,7 +214,7 @@ def test_baseline_plan_never_amortizes(suite_matrix):
     # count is infinite (nothing invested to recoup a gain).
     eng = SpGEMMEngine(policy="autotune", config=SMALL_CFG)
     plan = eng.plan_for(suite_matrix)
-    if plan.reordering == "original" and plan.clustering is None and plan.kernel == "rowwise":
+    if (plan.spec.reordering, plan.spec.clustering, plan.spec.kernel) == ("original", None, "rowwise"):
         assert plan.break_even_iterations() == float("inf")
 
 
@@ -245,23 +244,26 @@ def test_plan_for_is_a_noncounting_peek(gainful_matrix):
     assert eng.stats().plan_cache_hits == before
 
 
-def test_shared_plan_cache_does_not_cross_machines(gainful_matrix):
+@pytest.mark.parametrize("other", ["machine", "seed"])
+def test_shared_plan_cache_does_not_cross_machines(gainful_matrix, other):
     # Two engines sharing a PlanCache but running different machine
-    # models must not serve each other plans (costs are machine-bound).
+    # models, or planning from different seeds, must not serve each
+    # other plans (costs are machine- and seed-bound).
     from repro.engine import PlanCache
     from repro.machine import SimulatedMachine
 
     shared = PlanCache()
     e1 = SpGEMMEngine(config=SMALL_CFG, plan_cache=shared)
-    e2 = SpGEMMEngine(
-        config=SMALL_CFG,
-        machine=SimulatedMachine(n_threads=2, cache_lines=8),
-        plan_cache=shared,
-    )
+    if other == "machine":
+        kw = dict(machine=SimulatedMachine(n_threads=2, cache_lines=8))
+    else:
+        kw = dict(seed=1)
+    e2 = SpGEMMEngine(config=SMALL_CFG, plan_cache=shared, **kw)
     e1.multiply(gainful_matrix)
     e2.multiply(gainful_matrix)
     assert e1.stats().plans_built == 1
-    assert e2.stats().plans_built == 1  # not a stale hit from e1's machine
+    assert e2.stats().plans_built == 1  # not a stale hit from e1's plan
+    assert len(shared) == 2
 
 
 def test_stats_snapshot_is_isolated(gainful_matrix):

@@ -1,10 +1,9 @@
 """Unit tests: fingerprints, plan keys, pinned plans and the engine's
-lookup, execution plans, the plan cache (cost-aware eviction,
-persistence), and the experiments cache's corrupt-entry warning."""
+lookup, execution plans, the in-memory plan cache (cost-aware eviction,
+capacity, membership, tracer events, engines sharing one cache), and the
+experiments cache's corrupt-entry warning."""
 
-import json
 import math
-import sys
 import threading
 import warnings
 
@@ -12,25 +11,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import assert_bitwise_equal
+from repro.core import spgemm_rowwise
 from repro.engine import ExecutionPlan, PlanCache, SpGEMMEngine, fingerprint, value_digest
 from repro.engine import engine as engine_mod
 from repro.experiments import ExperimentConfig
 from repro.experiments.cache import _load
 from repro.matrices import generators as G
 from repro.matrices import perturb_values, scramble
+from repro.obs import RingSink, Tracer
 from repro.pipeline import PipelineSpec
+
+PLAN_SPEC = PipelineSpec.parse("rcm+variable:jacc_th=0.3,max_cluster_th=8+cluster")
 
 
 def make_plan(**over) -> ExecutionPlan:
     base = dict(
-        reordering="rcm",
-        clustering="variable",
-        kernel="cluster",
+        spec=PLAN_SPEC,
         policy="autotune",
         workload="asquare",
         fingerprint_key="k",
         seed=0,
-        params=(("jacc_th", 0.3), ("max_cluster_th", 8.0)),
         predicted_cost=50.0,
         baseline_cost=100.0,
         pre_cost=200.0,
@@ -88,26 +89,28 @@ SMALL_CFG = ExperimentConfig(n_threads=2, cache_lines=128)
     ],
 )
 def test_planner_cache_tokens_are_stable(kw, token):
-    # Plan-cache keys embed the token: a changed token orphans every
-    # persisted plan, so the strings are pinned.
+    # Plan-cache keys embed the token, and engines share a cache's plans
+    # only when their tokens agree, so the strings are pinned.
     assert SpGEMMEngine(**kw).planner.cache_token == token
 
 
-# Whole plans, costs included, pinned as JSON on two inputs: a change
-# to how the planners search, build or simulate shows up here.
+# Whole plans, costs included, pinned on two inputs: the spec string,
+# policy, workload, fingerprint key, seed and the four model costs
+# (predicted, baseline, pre, planning).  A change to how the planners
+# search, build or simulate shows up here.
 PLAN_PINS = {
-    ("web", "heuristic", "scipy"): '{"accumulator": "sort", "backend": "scipy", "backend_params": [], "baseline_cost": 56087.0, "clustering": null, "fingerprint_key": "300x300_2579_a6c7b4aea9abbe094c05", "kernel": "rowwise", "params": [], "planning_cost": 56087.0, "policy": "heuristic", "pre_cost": 0.0, "predicted_cost": 56087.0, "reordering": "original", "seed": 0, "workload": "asquare"}',
-    ("web", "heuristic", "reference"): '{"accumulator": "sort", "backend": "reference", "backend_params": [], "baseline_cost": 56087.0, "clustering": null, "fingerprint_key": "300x300_2579_a6c7b4aea9abbe094c05", "kernel": "rowwise", "params": [], "planning_cost": 56087.0, "policy": "heuristic", "pre_cost": 0.0, "predicted_cost": 56087.0, "reordering": "original", "seed": 0, "workload": "asquare"}',
-    ("web", "autotune", "scipy"): '{"accumulator": "sort", "backend": "scipy", "backend_params": [], "baseline_cost": 56087.0, "clustering": null, "fingerprint_key": "300x300_2579_a6c7b4aea9abbe094c05", "kernel": "rowwise", "params": [], "planning_cost": 3335139.0, "policy": "autotune", "pre_cost": 0.0, "predicted_cost": 56087.0, "reordering": "original", "seed": 0, "workload": "asquare"}',
-    ("web", "autotune", "reference"): '{"accumulator": "sort", "backend": "reference", "backend_params": [], "baseline_cost": 56087.0, "clustering": null, "fingerprint_key": "300x300_2579_a6c7b4aea9abbe094c05", "kernel": "rowwise", "params": [], "planning_cost": 3335139.0, "policy": "autotune", "pre_cost": 0.0, "predicted_cost": 56087.0, "reordering": "original", "seed": 0, "workload": "asquare"}',
-    ("web", "pipeline", "scipy"): '{"accumulator": "sort", "backend": "scipy", "backend_params": [], "baseline_cost": 56087.0, "clustering": "variable", "fingerprint_key": "300x300_2579_a6c7b4aea9abbe094c05", "kernel": "cluster", "params": [], "planning_cost": 128665.0, "policy": "pipeline", "pre_cost": 552951.0, "predicted_cost": 72578.0, "reordering": "rcm", "seed": 0, "workload": "asquare"}',
-    ("web", "pipeline", "reference"): '{"accumulator": "sort", "backend": "reference", "backend_params": [], "baseline_cost": 56087.0, "clustering": "variable", "fingerprint_key": "300x300_2579_a6c7b4aea9abbe094c05", "kernel": "cluster", "params": [], "planning_cost": 128665.0, "policy": "pipeline", "pre_cost": 552951.0, "predicted_cost": 72578.0, "reordering": "rcm", "seed": 0, "workload": "asquare"}',
-    ("grid", "heuristic", "scipy"): '{"accumulator": "sort", "backend": "scipy", "backend_params": [], "baseline_cost": 36241.0, "clustering": null, "fingerprint_key": "196x196_924_b45e4c79122c5bb0af66", "kernel": "rowwise", "params": [], "planning_cost": 60219.0, "policy": "heuristic", "pre_cost": 87360.0, "predicted_cost": 23978.0, "reordering": "rcm", "seed": 0, "workload": "asquare"}',
-    ("grid", "heuristic", "reference"): '{"accumulator": "sort", "backend": "reference", "backend_params": [], "baseline_cost": 36241.0, "clustering": "variable", "fingerprint_key": "196x196_924_b45e4c79122c5bb0af66", "kernel": "cluster", "params": [["jacc_th", 0.3], ["max_cluster_th", 8.0]], "planning_cost": 71356.0, "policy": "heuristic", "pre_cost": 5517.0, "predicted_cost": 35115.0, "reordering": "original", "seed": 0, "workload": "asquare"}',
-    ("grid", "autotune", "scipy"): '{"accumulator": "sort", "backend": "scipy", "backend_params": [], "baseline_cost": 36241.0, "clustering": null, "fingerprint_key": "196x196_924_b45e4c79122c5bb0af66", "kernel": "rowwise", "params": [], "planning_cost": 459264.0, "policy": "autotune", "pre_cost": 87360.0, "predicted_cost": 23978.0, "reordering": "rcm", "seed": 0, "workload": "asquare"}',
-    ("grid", "autotune", "reference"): '{"accumulator": "sort", "backend": "reference", "backend_params": [], "baseline_cost": 36241.0, "clustering": "variable", "fingerprint_key": "196x196_924_b45e4c79122c5bb0af66", "kernel": "cluster", "params": [["jacc_th", 0.3], ["max_cluster_th", 8.0]], "planning_cost": 150227.0, "policy": "autotune", "pre_cost": 92880.0, "predicted_cost": 23307.0, "reordering": "rcm", "seed": 0, "workload": "asquare"}',
-    ("grid", "pipeline", "scipy"): '{"accumulator": "sort", "backend": "scipy", "backend_params": [], "baseline_cost": 36241.0, "clustering": "variable", "fingerprint_key": "196x196_924_b45e4c79122c5bb0af66", "kernel": "cluster", "params": [], "planning_cost": 59548.0, "policy": "pipeline", "pre_cost": 92880.0, "predicted_cost": 23307.0, "reordering": "rcm", "seed": 0, "workload": "asquare"}',
-    ("grid", "pipeline", "reference"): '{"accumulator": "sort", "backend": "reference", "backend_params": [], "baseline_cost": 36241.0, "clustering": "variable", "fingerprint_key": "196x196_924_b45e4c79122c5bb0af66", "kernel": "cluster", "params": [], "planning_cost": 59548.0, "policy": "pipeline", "pre_cost": 92880.0, "predicted_cost": 23307.0, "reordering": "rcm", "seed": 0, "workload": "asquare"}',
+    ("web", "heuristic", "scipy"): ("original+none+rowwise@scipy", "heuristic", "asquare", "300x300_2579_a6c7b4aea9abbe094c05", 0, 56087.0, 56087.0, 0.0, 56087.0),
+    ("web", "heuristic", "reference"): ("original+none+rowwise", "heuristic", "asquare", "300x300_2579_a6c7b4aea9abbe094c05", 0, 56087.0, 56087.0, 0.0, 56087.0),
+    ("web", "autotune", "scipy"): ("original+none+rowwise@scipy", "autotune", "asquare", "300x300_2579_a6c7b4aea9abbe094c05", 0, 56087.0, 56087.0, 0.0, 3335139.0),
+    ("web", "autotune", "reference"): ("original+none+rowwise", "autotune", "asquare", "300x300_2579_a6c7b4aea9abbe094c05", 0, 56087.0, 56087.0, 0.0, 3335139.0),
+    ("web", "pipeline", "scipy"): ("rcm+variable+cluster@scipy", "pipeline", "asquare", "300x300_2579_a6c7b4aea9abbe094c05", 0, 72578.0, 56087.0, 552951.0, 128665.0),
+    ("web", "pipeline", "reference"): ("rcm+variable+cluster", "pipeline", "asquare", "300x300_2579_a6c7b4aea9abbe094c05", 0, 72578.0, 56087.0, 552951.0, 128665.0),
+    ("grid", "heuristic", "scipy"): ("rcm+none+rowwise@scipy", "heuristic", "asquare", "196x196_924_b45e4c79122c5bb0af66", 0, 23978.0, 36241.0, 87360.0, 60219.0),
+    ("grid", "heuristic", "reference"): ("original+variable:jacc_th=0.3,max_cluster_th=8+cluster", "heuristic", "asquare", "196x196_924_b45e4c79122c5bb0af66", 0, 35115.0, 36241.0, 5517.0, 71356.0),
+    ("grid", "autotune", "scipy"): ("rcm+none+rowwise@scipy", "autotune", "asquare", "196x196_924_b45e4c79122c5bb0af66", 0, 23978.0, 36241.0, 87360.0, 459264.0),
+    ("grid", "autotune", "reference"): ("rcm+variable:jacc_th=0.3,max_cluster_th=8+cluster", "autotune", "asquare", "196x196_924_b45e4c79122c5bb0af66", 0, 23307.0, 36241.0, 92880.0, 150227.0),
+    ("grid", "pipeline", "scipy"): ("rcm+variable+cluster@scipy", "pipeline", "asquare", "196x196_924_b45e4c79122c5bb0af66", 0, 23307.0, 36241.0, 92880.0, 59548.0),
+    ("grid", "pipeline", "reference"): ("rcm+variable+cluster", "pipeline", "asquare", "196x196_924_b45e4c79122c5bb0af66", 0, 23307.0, 36241.0, 92880.0, 59548.0),
 }
 PIN_MATRICES = {
     "web": lambda: G.web_graph(300, seed=5),
@@ -124,7 +127,11 @@ PIN_ENGINES = {
 def test_plans_are_pinned(case):
     matrix, engine, backend = case
     plan = SpGEMMEngine(backend=backend, **PIN_ENGINES[engine]).plan_for(PIN_MATRICES[matrix]())
-    assert plan.to_json() == PLAN_PINS[case]
+    got = (
+        str(plan.spec), plan.policy, plan.workload, plan.fingerprint_key, plan.seed,
+        plan.predicted_cost, plan.baseline_cost, plan.pre_cost, plan.planning_cost,
+    )
+    assert got == PLAN_PINS[case]
 
 
 def test_cold_multiply_caches_the_planners_own_build(monkeypatch):
@@ -195,12 +202,6 @@ def test_plan_for_checks_the_inner_dimension(n):
 # ----------------------------------------------------------------------
 # ExecutionPlan
 # ----------------------------------------------------------------------
-def test_plan_json_roundtrip():
-    plan = make_plan()
-    back = ExecutionPlan.from_json(plan.to_json())
-    assert back == plan
-
-
 def test_plan_accounting():
     plan = make_plan()
     assert plan.predicted_gain == 50.0
@@ -215,19 +216,31 @@ def test_plan_without_gain_never_breaks_even():
     assert plan.break_even_iterations() == math.inf
 
 
+def test_plan_label_and_pipeline_come_from_its_spec():
+    plan = make_plan()
+    assert plan.pipeline() is plan.spec is PLAN_SPEC
+    assert plan.label == PLAN_SPEC.label == "rcm+variable/cluster"
+    scipy_plan = make_plan(spec=PLAN_SPEC.with_backend("scipy"))
+    assert scipy_plan.label == "rcm+variable/cluster@scipy"
+
+
 def test_plan_validation():
-    with pytest.raises(ValueError, match="cluster kernel"):
-        make_plan(clustering=None)
+    # A plan holds a spec, which validated itself against the registry
+    # when it was built: every invalid configuration fails there.
+    with pytest.raises(ValueError, match="kernel 'cluster' requires a clustering"):
+        PipelineSpec("rcm", None, "cluster")
     # Since the pipeline-spec API, hierarchical clustering composes with
     # an explicit reordering (it is built on the reordered operand), so
     # rcm+hierarchical is a *valid* plan now.
-    assert make_plan(clustering="hierarchical").clustering == "hierarchical"
-    with pytest.raises(ValueError, match="kernel"):
-        make_plan(kernel="gpu")
-    with pytest.raises(ValueError, match="clustering"):
-        make_plan(clustering="quantum")
-    with pytest.raises(ValueError, match="reordering"):
-        make_plan(reordering="quantum")
+    assert make_plan(spec=PLAN_SPEC.with_clustering("hierarchical")).spec.clustering == "hierarchical"
+    with pytest.raises(KeyError, match="unknown kernel 'gpu'"):
+        PipelineSpec("rcm", "variable", "gpu")
+    with pytest.raises(KeyError, match="unknown clustering 'quantum'"):
+        PipelineSpec("rcm", "quantum", "cluster")
+    with pytest.raises(KeyError, match="unknown reordering 'quantum'"):
+        PipelineSpec("quantum")
+    with pytest.raises(ValueError, match="unknown accumulator 'bogus'"):
+        PipelineSpec(kernel_params=(("accumulator", "bogus"),))
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +248,7 @@ def test_plan_validation():
 # ----------------------------------------------------------------------
 def test_plan_cache_hit_miss_counters():
     # Hits and misses are the engine's ledger (EngineStats): the cache
-    # returns what it holds and counts only disk hits and evictions.
+    # returns what it holds and counts only evictions.
     cache = PlanCache(capacity=4)
     assert cache.get("a") is None and len(cache) == 0
     plan = make_plan()
@@ -243,7 +256,7 @@ def test_plan_cache_hit_miss_counters():
     assert cache.get("a") is plan and len(cache) == 1
     stats = cache.stats()
     assert "hits" not in stats and "misses" not in stats
-    assert (stats["disk_hits"], stats["evictions"]) == (0, 0)
+    assert stats == {"size": 1, "capacity": 4, "evictions": 0}
 
 
 def test_plan_cache_lru_eviction():
@@ -311,118 +324,75 @@ def test_cost_aware_eviction_never_evicts_priciest_while_cheaper_exists(data):
     assert cache.evictions == n - capacity
 
 
-def test_plan_cache_disk_persistence(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+def test_contains_never_touches_counters_or_recency():
+    cache = PlanCache(capacity=2)
+    cache.put("a", _plan(50.0))
+    cache.put("b", _plan(50.0))
+    before = cache.stats()
+    assert "a" in cache and "missing" not in cache
+    assert cache.stats() == before
+    # A get() would have refreshed "a"; membership must not.
+    cache.put("c", _plan(50.0))
+    assert "a" not in cache and "b" in cache
+
+
+@pytest.mark.parametrize("capacity", [0, -3])
+def test_nonpositive_capacity_rejected(capacity):
+    with pytest.raises(ValueError, match="capacity"):
+        PlanCache(capacity=capacity)
+
+
+def test_put_event_flags_replacement():
+    sink = RingSink()
+    cache = PlanCache()
+    cache.tracer = Tracer(sink)
     plan = make_plan()
-    PlanCache(persist=True).put("key1", plan)
-    fresh = PlanCache(persist=True)
-    got = fresh.get("key1")
-    assert got == plan
-    assert fresh.disk_hits == 1
-
-    # Backward compat: a file persisted before the backend axis is a
-    # bare plan dict with no backend fields.  It must load as a
-    # reference plan.
-    d = plan.to_dict()
-    for legacy_missing in ("backend", "backend_params"):
-        d.pop(legacy_missing)
-    old = PlanCache(persist=True)
-    old._path("old_key").write_text(json.dumps(d))
-    loaded = old.get("old_key")
-    assert loaded is not None
-    assert loaded.backend == "reference"
-
-    # Plans persisted while backend calibration existed carry a
-    # calibration_epoch key; they load as the same plan.
-    enveloped = {"plan": dict(plan.to_dict(), calibration_epoch=3), "features": None}
-    old._path("epoch_key").write_text(json.dumps(enveloped))
-    assert old.get("epoch_key") == plan
+    cache.put("key", plan)
+    cache.put("key", plan)
+    puts = sink.by_name("plan_cache.put")
+    assert [e.tags["replaced"] for e in puts] == [False, True]
+    assert all(e.tags["plan"] == plan.label for e in puts)
+    assert len(cache) == 1 and cache.evictions == 0
 
 
-@pytest.fixture
-def plan_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    return tmp_path
+def test_plan_with_unknown_replan_cost_is_evicted_first():
+    cache = PlanCache(capacity=2)
+    cache.put("unknown", make_plan(pre_cost=float("inf"), planning_cost=0.0))
+    cache.put("cheap", _plan(1.0))
+    cache.put("new", _plan(5.0))
+    assert "unknown" not in cache
+    assert "cheap" in cache and "new" in cache
 
 
-def test_plans_persist_as_bare_plan_dicts(plan_dir):
-    plan = _plan(10.0)
-    PlanCache(persist=True).put("key1", plan)
-    fresh = PlanCache(persist=True)
-    assert fresh.get("key1") == plan
-    (path,) = list(plan_dir.rglob("plan_*.json"))
-    assert json.loads(path.read_text()) == plan.to_dict()
-    assert not list(plan_dir.rglob("*.tmp"))  # no temporary file left behind
-
-
-def test_bare_and_enveloped_plan_files_both_load_as_disk_hits(plan_dir):
-    # Older files wrap the plan in a {"plan", "features"} envelope;
-    # existing cache directories must keep hitting.
-    plan = _plan(10.0)
-    cache = PlanCache(persist=True)
-    cache._path("bare").write_text(json.dumps(plan.to_dict()))
-    cache._path("envelope").write_text(
-        json.dumps({"plan": plan.to_dict(), "features": [1.0, 2.0, 3.0]})
-    )
-    assert cache.get("bare") == plan
-    assert cache.get("envelope") == plan
-    assert cache.disk_hits == 2 and len(cache) == 2
-
-
-def test_concurrent_writers_of_one_key_never_raise(plan_dir):
-    # Separate caches on one directory stand in for engines (or
-    # processes) persisting the same pattern at once.  Each writer must
-    # go through its own temporary file: with a shared one, a writer's
-    # rename finds the file already renamed away by another.
-    plan = _plan(10.0)
-    caches = [PlanCache(persist=True) for _ in range(4)]
-    barrier = threading.Barrier(len(caches))
+def test_engines_sharing_a_plan_cache_multiply_concurrently():
+    A = G.grid2d(8, 8, seed=1)
+    ref = spgemm_rowwise(A, A)
+    shared = PlanCache()
+    engines = [SpGEMMEngine(config=SMALL_CFG, plan_cache=shared) for _ in range(4)]
+    barrier = threading.Barrier(len(engines))
+    results: list = []
     errors: list = []
 
-    def writer(cache: PlanCache) -> None:
+    def run(eng: SpGEMMEngine) -> None:
         barrier.wait()
         try:
-            for _ in range(1000):
-                cache.put("same-key", plan)
+            results.append(eng.multiply(A))
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
-    threads = [threading.Thread(target=writer, args=(c,)) for c in caches]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
+    threads = [threading.Thread(target=run, args=(e,)) for e in engines]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    (path,) = list(plan_dir.rglob("plan_*.json"))
-    assert ExecutionPlan.from_dict(json.loads(path.read_text())) == plan
-    assert not list(plan_dir.rglob("*.tmp"))
-
-
-def test_plan_cache_respects_no_cache_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    PlanCache(persist=True).put("key1", make_plan())
-    assert not list(tmp_path.rglob("plan_*.json"))
-    assert PlanCache(persist=True).get("key1") is None
-
-
-def test_plan_cache_warns_on_corrupt_disk_entry(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    cache = PlanCache(persist=True)
-    cache.put("key1", make_plan())
-    (path,) = list(tmp_path.rglob("plan_*.json"))
-    path.write_text("{not json")
-    with pytest.warns(UserWarning, match="corrupt plan-cache entry"):
-        assert PlanCache(persist=True).get("key1") is None
+    assert len(results) == len(engines)
+    for C in results:
+        assert_bitwise_equal(C, ref)
+    # One key: the engines agree on it, so they hold one entry between them.
+    assert len(shared) == 1
+    assert all(eng.plan_for(A) == engines[0].plan_for(A) for eng in engines)
 
 
 # ----------------------------------------------------------------------

@@ -76,3 +76,31 @@ def test_cli_rejects_predictor_policy(command, capsys):
         main([command, "--policy", "predictor"])
     assert exc.value.code == 2
     assert "invalid choice: 'predictor'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--pipeline", "rcm+bogus+cluster"],
+            "argument --pipeline: unknown pipeline component 'bogus'; reorderings: ['original',",
+        ),
+        (["--backend", "nosuch"], "argument --backend: unknown backend 'nosuch'; available: ['reference', 'scipy']"),
+        (
+            ["--pipeline", "rowwise:accumulator=bogus@scipy"],
+            "argument --pipeline: unknown accumulator 'bogus'; expected one of ['sort', 'dense', 'hash']",
+        ),
+    ],
+    ids=["component", "backend", "accumulator"],
+)
+def test_cli_rejects_unknown_components_as_usage_errors(argv, message, capsys):
+    # A bad name is a usage error that names it and lists the valid
+    # ones, not a traceback from the registry.
+    from repro.experiments.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["engine", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and message in err
+    assert "Traceback" not in err

@@ -154,7 +154,7 @@ def test_engine_pipeline_with_distinct_params_do_not_share_operands(small_matrix
     wide = SpGEMMEngine(pipeline="original+fixed:8+cluster", config=SMALL_CFG).plan_for(small_matrix)
     built = eng.prepare(small_matrix, wide)
     assert built.spec.clustering_params == (("cluster_size", 8),)
-    assert built.spec.to_plan().params == wide.params != eng.plan_for(small_matrix).params
+    assert built.spec == wide.spec != eng.plan_for(small_matrix).spec
     assert eng.stats().operands_prepared == 2
 
 

@@ -204,8 +204,8 @@ def test_runtime_registration_through_the_decorators():
                 return None
 
     finally:
-        preg._REGISTRY.pop(("reordering", "test_reversed"), None)
-        preg._REGISTRY.pop(("clustering", "test_pairs"), None)
+        preg._REGISTRY.pop("test_reversed", None)
+        preg._REGISTRY.pop("test_pairs", None)
     assert available_components("reordering") == REGISTRATION_ORDER["reordering"]
     assert available_components("clustering") == REGISTRATION_ORDER["clustering"]
 

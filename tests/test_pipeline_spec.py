@@ -1,9 +1,8 @@
-"""PipelineSpec: string grammar, round-trips, validation errors, and
-ExecutionPlan interop (ISSUE 2 satellite: spec parsing coverage)."""
+"""PipelineSpec: string grammar, round-trips and validation errors."""
 
 import pytest
 
-from repro.engine import ExecutionPlan
+from repro.engine import SpGEMMEngine
 from repro.pipeline import PipelineSpec, get_component
 
 # ----------------------------------------------------------------------
@@ -111,25 +110,15 @@ def test_clustering_params_without_clustering_raise():
         PipelineSpec(clustering=None, clustering_params=(("cluster_size", 8),))
 
 
-# ----------------------------------------------------------------------
-# ExecutionPlan interop
-# ----------------------------------------------------------------------
-def test_to_plan_from_plan_round_trip():
-    spec = PipelineSpec.parse("rcm+hierarchical:max_th=8+cluster")
-    plan = spec.to_plan()
-    assert isinstance(plan, ExecutionPlan)
-    assert (plan.reordering, plan.clustering, plan.kernel) == ("rcm", "hierarchical", "cluster")
-    assert dict(plan.params)["max_cluster_th"] == 8.0
-    assert PipelineSpec.from_plan(plan) == spec
-    assert plan.pipeline() == spec
-
-
-def test_accumulator_survives_plan_round_trip():
-    spec = PipelineSpec.parse("degree+rowwise:accumulator=hash")
-    plan = spec.to_plan()
-    assert plan.accumulator == "hash"
-    assert "accumulator" not in dict(plan.params)
-    assert plan.pipeline() == spec
+def test_unknown_accumulator_raises_at_parse():
+    # The rowwise kernel's schema lists its accumulators, so a bad one
+    # fails where the spec is built, for direct runs and engines alike.
+    text = "rowwise:accumulator=bogus@scipy"
+    with pytest.raises(ValueError, match="unknown accumulator 'bogus'"):
+        PipelineSpec.parse(text)
+    with pytest.raises(ValueError, match="unknown accumulator 'bogus'"):
+        SpGEMMEngine(pipeline=text)
+    assert PipelineSpec.parse("rowwise:acc=hash").kernel_params == (("accumulator", "hash"),)
 
 
 def test_with_clustering_preserves_explicit_kernels():

@@ -85,12 +85,11 @@ def test_reference_only_space_is_unchanged():
 
 def test_candidate_params_follow_the_planner_config():
     # A clustering parameter set on the config reaches the candidate
-    # spec, and through it the plan's params.
+    # spec, and so the plan made from it.
     cfg = ExperimentConfig(n_threads=2, cache_lines=128, max_cluster_th=4)
     cands = HeuristicPlanner(cfg=cfg, backend="reference")._candidates(A)
     variable = [c for c in cands if c.clustering == "variable"]
     assert variable and all(dict(c.clustering_params)["max_cluster_th"] == 4 for c in variable)
-    assert ("max_cluster_th", 4.0) in variable[0].to_plan().params
 
 
 @pytest.mark.parametrize("policy", ["heuristic", "autotune"])
@@ -112,7 +111,7 @@ def test_auto_and_scipy_engines_share_one_plan(policy):
 def test_pipeline_specs_are_untouched():
     eng = SpGEMMEngine(config=SMALL_CFG, pipeline="rcm+fixed:8+cluster@scipy")
     plan = eng.plan_for(A)
-    assert (plan.reordering, plan.clustering, plan.kernel) == ("rcm", "fixed", "cluster")
+    assert plan.spec == PipelineSpec.parse("rcm+fixed:8+cluster@scipy")
 
 
 def test_auto_engine_builds_no_clustering_for_scipy():
@@ -123,7 +122,7 @@ def test_auto_engine_builds_no_clustering_for_scipy():
     eng = SpGEMMEngine(backend="auto")
     eng.multiply_many(R, Bs)
     plan = eng.plan_for(R, Bs[0])
-    assert plan.backend == "scipy" and plan.label.endswith("+csr/rowwise@scipy")
+    assert plan.spec.backend == "scipy" and plan.label.endswith("+csr/rowwise@scipy")
     (prep,) = eng._operands.values()
     assert prep.Ac is None
 
@@ -143,7 +142,7 @@ def test_natural_order_winner_reuses_the_baseline_simulation(backend, monkeypatc
     monkeypatch.setattr(planner.machine, "run_rowwise", spy)
     plan, built = planner.plan(B, B, fingerprint(B), "asquare")
     assert built.perm is None and built.Ac is None
-    assert plan.reordering == "original" and plan.clustering is None
+    assert plan.spec.reordering == "original" and plan.spec.clustering is None
     assert len(calls) == 1
     assert plan.predicted_cost == plan.baseline_cost == fresh
     assert plan.planning_cost == fresh  # the one simulation, charged once

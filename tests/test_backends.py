@@ -407,3 +407,17 @@ def test_spec_rejects_unknown_backend_and_backend_params():
         PipelineSpec(backend="nope")
     with pytest.raises(ValueError, match="workers"):
         PipelineSpec(backend="scipy", backend_params=(("workers", 2),))
+
+
+def test_plan_rejects_unknown_backend():
+    # A plan is built from a spec, so no path hands the engine a plan on
+    # an unregistered backend: the engine, its pipeline spec and a spec
+    # re-targeted from a valid plan all fail with the registry's listing.
+    plan = SpGEMMEngine(policy="heuristic").plan_for(A)
+    for make in (
+        lambda: SpGEMMEngine(policy="heuristic", backend="nope"),
+        lambda: SpGEMMEngine(pipeline="rcm@nope"),
+        lambda: plan.spec.with_backend("nope"),
+    ):
+        with pytest.raises(KeyError, match=r"unknown backend 'nope'; available: \['reference', 'scipy'\]"):
+            make()

@@ -3,7 +3,9 @@ lookup, execution plans, the in-memory plan cache (cost-aware eviction,
 capacity, membership, tracer events, engines sharing one cache), and the
 experiments cache's corrupt-entry warning."""
 
+import dataclasses
 import math
+import sys
 import threading
 import warnings
 
@@ -224,6 +226,21 @@ def test_plan_label_and_pipeline_come_from_its_spec():
     assert scipy_plan.label == "rcm+variable/cluster@scipy"
 
 
+def test_plan_is_a_frozen_spec_plus_its_costs():
+    # The spec is the plan's only configuration field; nothing copies
+    # it into flat fields, and a plan has no serialised form.
+    assert [f.name for f in dataclasses.fields(ExecutionPlan)] == [
+        "spec", "policy", "workload", "fingerprint_key", "seed",
+        "predicted_cost", "baseline_cost", "pre_cost", "planning_cost",
+    ]
+    plan = make_plan()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.spec = PLAN_SPEC.with_backend("scipy")
+    for name in ("to_dict", "from_dict", "to_json"):
+        assert not hasattr(ExecutionPlan, name), name
+    assert make_plan() == plan and hash(make_plan()) == hash(plan)
+
+
 def test_plan_validation():
     # A plan holds a spec, which validated itself against the registry
     # when it was built: every invalid configuration fails there.
@@ -393,6 +410,86 @@ def test_engines_sharing_a_plan_cache_multiply_concurrently():
     # One key: the engines agree on it, so they hold one entry between them.
     assert len(shared) == 1
     assert all(eng.plan_for(A) == engines[0].plan_for(A) for eng in engines)
+
+
+def test_concurrent_writers_of_one_key_never_raise():
+    # Serve's planner and dispatch threads put into one cache; replacing
+    # one key from many threads at once must neither raise nor leave a
+    # second entry behind.
+    plan = _plan(10.0)
+    cache = PlanCache(capacity=2)
+    barrier = threading.Barrier(4)
+    errors: list = []
+
+    def writer() -> None:
+        barrier.wait()
+        try:
+            for _ in range(1000):
+                cache.put("same-key", plan)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(cache) == 1 and cache.get("same-key") is plan
+    assert cache.evictions == 0
+
+
+ENGINE_KW = {
+    "heuristic": dict(policy="heuristic"),
+    "autotune": dict(policy="autotune"),
+    "pipeline": dict(pipeline="rcm+fixed:8+cluster"),
+}
+
+
+@pytest.mark.parametrize("kw", list(ENGINE_KW.values()), ids=list(ENGINE_KW))
+def test_fresh_engine_reuses_a_shared_caches_plan(kw):
+    A = G.grid2d(10, 10, seed=3)
+    ref = spgemm_rowwise(A, A)
+    shared = PlanCache()
+    first = SpGEMMEngine(config=SMALL_CFG, plan_cache=shared, **kw)
+    assert_bitwise_equal(first.multiply(A), ref)
+    assert first.stats().plans_built == 1
+
+    fresh = SpGEMMEngine(config=SMALL_CFG, plan_cache=shared, **kw)
+    assert_bitwise_equal(fresh.multiply(A), ref)
+    assert fresh.stats().plans_built == 0
+    assert fresh.stats().plan_cache_hits == 1
+    assert fresh.plan_for(A) is first.plan_for(A)
+
+
+@pytest.mark.parametrize("kw", list(ENGINE_KW.values()), ids=list(ENGINE_KW))
+def test_no_engine_path_writes_plan_files(tmp_path, monkeypatch, kw):
+    # Plans live only in memory: with the cache directory enabled, a
+    # second engine on its own cache plans again and nothing is written.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    A = G.grid2d(8, 8, seed=2)
+    for _ in range(2):
+        eng = SpGEMMEngine(config=SMALL_CFG, plan_cache=PlanCache(), **kw)
+        eng.multiply(A)
+        assert eng.stats().plans_built == 1
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_evicted_plan_is_rebuilt_on_the_next_multiply():
+    A = G.grid2d(8, 8, seed=1)
+    B = G.grid2d(9, 9, seed=1)
+    eng = SpGEMMEngine(config=SMALL_CFG, plan_cache=PlanCache(capacity=1))
+    for M in (A, B, A):
+        assert_bitwise_equal(eng.multiply(M), spgemm_rowwise(M, M))
+    assert eng.stats().plans_built == 3
+    assert eng.plan_cache.evictions == 2 and len(eng.plan_cache) == 1
 
 
 # ----------------------------------------------------------------------

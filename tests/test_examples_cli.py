@@ -90,8 +90,17 @@ def test_cli_rejects_predictor_policy(command, capsys):
             ["--pipeline", "rowwise:accumulator=bogus@scipy"],
             "argument --pipeline: unknown accumulator 'bogus'; expected one of ['sort', 'dense', 'hash']",
         ),
+        (["--pipeline", "rcm@nosuch"], "argument --pipeline: unknown backend 'nosuch'; available: ['reference', 'scipy']"),
+        (
+            ["--pipeline", "rcm+fixed:bogus=1+cluster"],
+            "argument --pipeline: clustering 'fixed' has no parameter 'bogus'; valid parameters: ['cluster_size']",
+        ),
+        (
+            ["--pipeline", "rcm+none+cluster"],
+            "argument --pipeline: kernel 'cluster' requires a clustering; available: ['fixed', 'variable', 'hierarchical']",
+        ),
     ],
-    ids=["component", "backend", "accumulator"],
+    ids=["component", "backend", "accumulator", "spec_backend", "param", "kernel_needs_clustering"],
 )
 def test_cli_rejects_unknown_components_as_usage_errors(argv, message, capsys):
     # A bad name is a usage error that names it and lists the valid

@@ -112,6 +112,25 @@ def test_find_component_resolves_kind_and_lists_on_miss():
         assert kind in str(e.value)
 
 
+ALL_COMPONENTS = [(kind, name) for kind, names in REGISTRATION_ORDER.items() for name in names]
+
+
+@pytest.mark.parametrize(
+    "kind, name", ALL_COMPONENTS, ids=[name for _, name in ALL_COMPONENTS]
+)
+def test_name_lookup_checks_the_kind(kind, name):
+    # One registry keyed by name: the bare-name lookup and the kinded one
+    # return the same entry, and asking for it under another kind is a
+    # miss that lists that kind's components.
+    info = find_component(name)
+    assert (info.kind, info.name) == (kind, name)
+    assert get_component(kind, name) is info
+    for other in KINDS:
+        if other != kind:
+            with pytest.raises(KeyError, match=f"unknown {other} '{name}'; available: "):
+                get_component(other, name)
+
+
 def test_param_schema_carries_aliases_and_config_mapping():
     info = get_component("clustering", "hierarchical")
     names = [p.name for p in info.params]

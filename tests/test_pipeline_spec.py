@@ -2,8 +2,13 @@
 
 import pytest
 
+from conftest import assert_bitwise_equal
+from repro.core import spgemm_rowwise
 from repro.engine import SpGEMMEngine
+from repro.matrices import generators as G
 from repro.pipeline import PipelineSpec, get_component
+
+A = G.grid2d(9, 9, seed=4)
 
 # ----------------------------------------------------------------------
 # Round-trips: parse(str(spec)) == spec
@@ -119,6 +124,28 @@ def test_unknown_accumulator_raises_at_parse():
     with pytest.raises(ValueError, match="unknown accumulator 'bogus'"):
         SpGEMMEngine(pipeline=text)
     assert PipelineSpec.parse("rowwise:acc=hash").kernel_params == (("accumulator", "hash"),)
+
+
+def test_accumulator_survives_plan_round_trip():
+    # The plan holds the spec it was given: the accumulator goes into the
+    # plan and comes back out of pipeline() unchanged.
+    spec = PipelineSpec.parse("degree+rowwise:accumulator=hash")
+    eng = SpGEMMEngine(pipeline=spec)
+    plan = eng.plan_for(A)
+    assert plan.pipeline() == spec
+    assert dict(plan.spec.kernel_params) == {"accumulator": "hash"}
+    assert plan.label == spec.label
+
+
+@pytest.mark.parametrize("accumulator", ["sort", "dense", "hash"])
+def test_every_accumulator_parses_and_runs_as_rowwise(accumulator):
+    # Each name the schema accepts reaches the kernel, through a direct
+    # run and through the engine's bind step alike.
+    spec = PipelineSpec.parse(f"rcm+rowwise:acc={accumulator}")
+    assert spec.kernel_params == (("accumulator", accumulator),)
+    want = spgemm_rowwise(A, A, accumulator=accumulator)
+    assert_bitwise_equal(spec.run(A), want)
+    assert_bitwise_equal(SpGEMMEngine(pipeline=spec).multiply(A), want)
 
 
 def test_with_clustering_preserves_explicit_kernels():

@@ -102,6 +102,11 @@ def get_backend(name: str, params: "Iterable[tuple[str, Any]] | Mapping[str, Any
     parameters; defaults come from the backend's ``__init__`` schema.
     Unknown names raise ``KeyError`` listing the registered backends.
     """
+    # A spec's backend parameters are already canonical: a warm lookup
+    # finds them in the memo without canonicalising them again.
+    inst = _INSTANCES.get((name, params)) if isinstance(params, tuple) else None
+    if inst is not None:
+        return inst
     name, canon = _canonical(name, params)
     inst = _INSTANCES.get((name, canon))
     if inst is None:

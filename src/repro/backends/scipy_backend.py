@@ -32,11 +32,11 @@ it can observe:
   whose ``B`` is the operand's source (checked once per token, bitwise),
   from its second sighting on.  The backend squares its own handle —
   ``Ar`` as a scipy matrix, or ``L = P A Pᵀ`` for a permuted operand —
-  with scipy's numeric pass alone, its symbolic count (``maxnnz``) taken
-  once, and gathers the canonical product through a structure recorded
-  on the operand's :attr:`backend_state`: where each entry of the
-  canonical result sits in scipy's raw output.  No sort, no row
-  un-permute, no counting pass.
+  with scipy's numeric pass alone, its symbolic count taken once, and
+  gathers the canonical product through a structure recorded on the
+  operand's :attr:`backend_state`: where each entry of the canonical
+  result sits in scipy's raw output.  No sort, no row un-permute, no
+  counting pass.  A large square runs in two row halves (below).
 * **plain** — everything else: the public ``@`` of the operand's handle
   and ``B``, sorted, row-gathered and cast, with nothing recorded.  That
   is a hinted product's first sighting (a one-off operand pays for no
@@ -53,13 +53,23 @@ operand, an unhinted ``B`` on every call, a hinted ``B`` once per token.
 The entry points are imported and probed once, at import, against the
 public product on matrices with an exactly cancelling entry.
 
-Batches: a batch of two or more direct products, on a process that may
-run on two cores, whose mean estimated work per product (``A.nrows +
-A.nnz`` plus the product's flops) reaches :data:`_SPLIT_MIN_WORK`, is cut
-into two shares of near-equal work, one run on a second thread started
-and joined inside the call.  scipy's passes release the GIL, so the
-shares overlap; each product is computed exactly as in series, so
-results are bitwise those of the serial loop.
+Two threads: scipy's passes and numpy's ``take`` release the GIL, so
+work cut in two overlaps on a process that may run on two cores.  The
+second share runs on a thread started and joined inside the call, and
+every product is computed exactly as in series, so results are bitwise
+those of the serial loop.
+
+* Batches: a batch of two or more direct products whose mean estimated
+  work per product (``A.nrows + A.nnz`` plus the product's flops)
+  reaches :data:`_SPLIT_MIN_WORK` is cut into two shares of near-equal
+  work.
+* Recorded squares: a square whose work reaches the same threshold is
+  recorded with a cut row at its flop midpoint and a symbolic count for
+  each row half.  Each half's numeric pass writes into its own slice of
+  one pair of buffers; a gap left by exact zeros the first half dropped
+  is closed, so the raw output and its record are those of one pass.
+  The recorded gather is cut at the canonical rows' entry midpoint.
+  Every output row runs the same C++ loop over the same entries.
 
 Symmetric A²: the recorded square of a permuted rows-mode operand is
 ``L @ L`` with ``L = P A Pᵀ`` — ``Ar`` with its columns relabelled
@@ -132,6 +142,9 @@ _MAX_RECORDED_NNZ = np.iinfo(np.int32).max
 #: the ``serve_zipf`` members estimate at most about 48k per product, the
 #: ``bc_frontiers`` graphs 275k (``road_scr``) to 2.5M (``web_scr``).
 _SPLIT_MIN_WORK = 100_000
+#: Entries a recorded gather moves per step: its temporaries stay this
+#: small beside the raw product and the result.
+_GATHER_CHUNK = 1 << 18
 
 
 class _Structure(NamedTuple):
@@ -140,13 +153,20 @@ class _Structure(NamedTuple):
     ``order[k]`` is the raw-output position of canonical entry ``k``;
     ``raw_indptr`` is scipy's raw row pointer (the reuse check) and
     ``indptr`` the canonical one (int64, copied into every result).
-    ``maxnnz`` is scipy's symbolic count of the squared handle.
+    ``cut`` is the row at which the squared handle's numeric pass is cut
+    in two (:func:`_cut`), ``counts`` scipy's symbolic count of each half.
     """
 
     order: np.ndarray  # int32, nnz(C)
     raw_indptr: np.ndarray
     indptr: np.ndarray
-    maxnnz: int
+    cut: int
+    counts: tuple[int, int]
+
+    @property
+    def maxnnz(self) -> int:
+        """scipy's symbolic count of the whole square."""
+        return sum(self.counts)
 
 
 def _wrap(M):
@@ -197,11 +217,10 @@ def _is_source(operand, B, token, state) -> bool:
     return ok
 
 
-def _count(A, B=None) -> int:
-    """scipy's symbolic pass of ``A @ B`` (``A @ A`` when ``B`` is
-    ``None``) on the operands' own index arrays: an upper bound on the
-    product's nnz (exact zeros not yet dropped)."""
-    B = A if B is None else B
+def _count(A, B) -> int:
+    """scipy's symbolic pass of ``A @ B`` on the operands' own index
+    arrays: an upper bound on the product's nnz (exact zeros not yet
+    dropped)."""
     return int(_csr_matmat_maxnnz(A.shape[0], B.shape[1], A.indptr, A.indices, B.indptr, B.indices))
 
 
@@ -220,13 +239,75 @@ def _matmat(A, Ax, B, Bx, maxnnz: int):
     return indptr, indices[:nnz], values[:nnz]
 
 
-def _square(S, maxnnz: int):
-    """:func:`_matmat` of ``S @ S`` for a scipy handle ``S``, as a scipy
-    matrix."""
+def _cut(S) -> int:
+    """The row that cuts ``S @ S`` into two halves of near-equal flops
+    (summed per row, as Nagasaka et al. balance rows), or ``n`` (no cut)
+    when the square's work, ``n + nnz`` plus its flops, is below
+    :data:`_SPLIT_MIN_WORK`."""
+    n = S.shape[0]
+    flops = np.zeros(S.nnz + 1, dtype=np.int64)
+    np.cumsum(np.diff(S.indptr)[S.indices], out=flops[1:])
+    before = flops[S.indptr]  # flops of the rows above each row
+    total = int(before[-1])
+    if n < 2 or n + S.nnz + total < _SPLIT_MIN_WORK:
+        return n
+    return min(max(int(np.searchsorted(before, total // 2)), 1), n - 1)
+
+
+def _row_halves(S, cut: int) -> tuple:
+    """The row-pointer slices of rows ``[0, cut)`` and ``[cut, n)`` of
+    ``S``; the second is empty when ``cut`` is ``n``."""
+    return S.indptr[: cut + 1], S.indptr[cut:]
+
+
+def _counts(S, cut: int) -> tuple[int, int]:
+    """scipy's symbolic count of each row half of ``S @ S``, taken on the
+    exact row-pointer slice its numeric pass is given."""
+    n, j = S.shape[0], S.indices
+    return tuple(
+        int(_csr_matmat_maxnnz(rows.size - 1, n, rows, j, S.indptr, j)) if rows.size > 1 else 0
+        for rows in _row_halves(S, cut)
+    )
+
+
+def _square(S, cut: int, counts: tuple[int, int], split: bool = False):
+    """``S @ S`` for a scipy handle ``S`` by scipy's numeric pass alone,
+    as a scipy matrix with rows unsorted.  Rows ``[0, cut)`` and
+    ``[cut, n)`` each write into their own slice of one pair of buffers,
+    sized by their :func:`_counts`; the second half runs on a thread of
+    its own when ``split``.  A gap left by exact zeros the first half
+    dropped is closed, so the raw output is that of one pass over every
+    row."""
     import scipy.sparse as sp
 
-    indptr, indices, data = _matmat(S, S.data, S, S.data, maxnnz)
-    return sp.csr_matrix((data, indices, indptr), shape=S.shape)
+    n, p, j, x = S.shape[0], S.indptr, S.indices, S.data
+    indptr = np.empty(n + 1, dtype=j.dtype)
+    tail = np.empty(n - cut + 1, dtype=j.dtype)  # the second half's row pointer
+    indices = np.empty(sum(counts), dtype=j.dtype)
+    data = np.empty(sum(counts), dtype=np.float64)
+    top, bottom = _row_halves(S, cut)
+    jobs = [(top, indptr[: cut + 1], slice(0, counts[0]))]
+    if cut < n:
+        jobs.append((bottom, tail, slice(counts[0], None)))
+
+    def run(job):
+        rows, out_indptr, out = job
+        _csr_matmat(rows.size - 1, n, rows, j, x, p, j, x, out_indptr, indices[out], data[out])
+
+    if split:
+        _run_shares(run, jobs)
+    else:
+        for job in jobs:
+            run(job)
+    head = int(indptr[cut])
+    nnz = head
+    if cut < n:
+        nnz += int(tail[-1])
+        if head < counts[0]:
+            indices[head:nnz] = indices[counts[0] : counts[0] + nnz - head]
+            data[head:nnz] = data[counts[0] : counts[0] + nnz - head]
+        np.add(tail[1:], head, out=indptr[cut + 1 :])
+    return sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=S.shape)
 
 
 def _check_operand(operand, state) -> None:
@@ -334,10 +415,11 @@ def _run_shares(run, shares) -> None:
 
 def _probe() -> bool:
     """Whether scipy's private passes reproduce the public product
-    bitwise: :func:`_count` and :func:`_square` against ``S @ S``, and
-    :func:`_direct`'s chain on two distinct int64 operands against
-    ``(S @ R)`` sorted and row-gathered.  Both products cancel an entry
-    to exactly ``0.0``; ``S @ R``'s raw rows are unsorted."""
+    bitwise: :func:`_counts` and :func:`_square`, whole and cut after
+    row 0, against ``S @ S``, and :func:`_direct`'s chain on two distinct
+    int64 operands against ``(S @ R)`` sorted and row-gathered.  Both
+    products cancel an entry to exactly ``0.0`` (in ``S @ S``, in row 0);
+    ``S @ R``'s raw rows are unsorted."""
     if any(f is None for f in (_csr_matmat, _csr_matmat_maxnnz, _csr_row_index, _csr_sort_indices)):
         return False
 
@@ -348,13 +430,15 @@ def _probe() -> bool:
         import scipy.sparse as sp
 
         S = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 2.0], [0.0, 3.0, 0.5]]))
-        maxnnz = _count(S)
-        got, want = _square(S, maxnnz), S @ S
-        if got.nnz >= maxnnz or not all(
-            x.dtype == y.dtype and np.array_equal(x, y)
-            for x, y in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data))
-        ):
-            return False
+        want = S @ S
+        for cut in (S.shape[0], 1):
+            counts = _counts(S, cut)
+            got = _square(S, cut, counts)
+            if got.nnz >= sum(counts) or not all(
+                x.dtype == y.dtype and np.array_equal(x, y)
+                for x, y in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data))
+            ):
+                return False
         R = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
         A, B = (CSRMatrix(M.indptr, M.indices, M.data, M.shape) for M in (S, R))
         maxnnz = _count(A, B)
@@ -388,11 +472,11 @@ def _plain(operand, B, state, inv) -> CSRMatrix:
     )
 
 
-def _record(Cs, inv, relabel, maxnnz: int) -> tuple[_Structure, CSRMatrix]:
+def _record(Cs, inv, relabel, cut: int, counts: tuple[int, int]) -> tuple[_Structure, CSRMatrix]:
     """Record the structure of raw product ``Cs`` (columns relabelled
-    through ``relabel`` for ``L @ L``; ``maxnnz`` its symbolic count) and
-    return it with the canonical product (``Cs``'s indices are relabelled
-    and sorted in place)."""
+    through ``relabel`` for ``L @ L``; ``cut`` and ``counts`` those of its
+    numeric pass) and return it with the canonical product (``Cs``'s
+    indices are relabelled and sorted in place)."""
     import scipy.sparse as sp
 
     raw_indptr = Cs.indptr.copy()
@@ -404,39 +488,72 @@ def _record(Cs, inv, relabel, maxnnz: int) -> tuple[_Structure, CSRMatrix]:
     T.sort_indices()
     if inv is not None:
         T = T[inv]
-    rec = _Structure(T.data.astype(np.int32, copy=False), raw_indptr, T.indptr.astype(np.int64), maxnnz)
+    rec = _Structure(T.data.astype(np.int32, copy=False), raw_indptr, T.indptr.astype(np.int64), cut, counts)
     C = CSRMatrix(
         rec.indptr.copy(), T.indices.astype(np.int64), Cs.data[rec.order], Cs.shape, check=False
     )
     return rec, C
 
 
-def _gather(rec: _Structure, Cs, relabel):
-    """Column indices and values of the canonical product through a
-    recorded structure, or ``None`` when the raw output no longer
-    matches it."""
+def _gather(rec: _Structure, Cs, perm, split: bool):
+    """Column indices (int64) and values of the canonical product through
+    a recorded structure (columns mapped back through ``perm`` for
+    ``L @ L``), or ``None`` when the raw output no longer matches it.
+    When ``split``, the canonical rows are cut in two at the entry
+    midpoint and the second half is gathered on a thread of its own
+    (``take`` releases the GIL)."""
     if not np.array_equal(Cs.indptr, rec.raw_indptr):
         return None
-    # ``take`` gathers int32 faster than fancy indexing.
-    idx = Cs.indices.take(rec.order)
-    if relabel is not None:
-        idx = relabel.take(idx)
-    # Column indices must increase strictly inside every canonical row;
-    # comparisons across a row boundary are masked out.
-    rising = idx[1:] > idx[:-1]
-    starts = rec.indptr[1:-1]
-    rising[starts[(starts > 0) & (starts < idx.size)] - 1] = True
-    if not rising.all():
+    n, nnz = rec.indptr.size - 1, rec.order.size
+    indices = np.empty(nnz, dtype=np.int64)
+    values = np.empty(nnz, dtype=np.float64)
+    relabel = None if perm is None else perm.astype(np.int64, copy=False)
+    rows = [(0, n)]
+    if split:
+        middle = int(np.searchsorted(rec.indptr, nnz // 2))
+        rows = [(0, middle), (middle, n)]
+    rising = [True] * len(rows)
+
+    def run(k):
+        lo, hi = rows[k]
+        starts = rec.indptr[lo + 1 : hi]  # row starts inside the half
+        a, b = int(rec.indptr[lo]), int(rec.indptr[hi])
+        # In chunks, so that the temporaries stay small beside the raw
+        # product and the result.  ``take`` runs without bounds checks
+        # (every position lies below the raw nnz once the raw row pointer
+        # matched) and into ``out``: its checked mode buffers ``out``.
+        for c in range(a, b, _GATHER_CHUNK):
+            e = min(c + _GATHER_CHUNK, b)
+            order, out = rec.order[c:e], indices[c:e]
+            if relabel is None:
+                out[:] = Cs.indices.take(order, mode="clip")
+            else:
+                relabel.take(Cs.indices.take(order, mode="clip"), out=out, mode="clip")
+            Cs.data.take(order, out=values[c:e], mode="clip")
+            # Column indices must increase strictly inside every
+            # canonical row: entry p against entry p - 1, except where p
+            # starts a row.
+            p = max(c, a + 1)
+            up = indices[p:e] > indices[p - 1 : e - 1]
+            row_starts = starts[np.searchsorted(starts, p) : np.searchsorted(starts, e)]
+            up[row_starts - p] = True
+            if not up.all():
+                rising[k] = False
+                return
+
+    _run_shares(run, range(len(rows)))
+    if not all(rising):
         return None
-    return idx, Cs.data[rec.order]
+    return indices, values
 
 
-def _recorded_square(operand, B, token, state, inv, original_order, ctx) -> CSRMatrix | None:
+def _recorded_square(operand, B, token, state, inv, original_order, ctx) -> tuple[CSRMatrix, bool] | None:
     """The recorded-square path of a hinted product: ``S @ S`` by scipy's
     numeric pass alone (``S`` the operand's handle, ``L`` when permuted),
     canonicalised through the structure recorded on the product's second
-    sighting.  ``None`` sends the product to the plain path: its first
-    sighting, a ``B`` that is not the operand's source, or a count over
+    sighting, and whether it was split across two threads.  ``None``
+    sends the product to the plain path: its first sighting, a ``B`` that
+    is not the operand's source, or a count over
     :data:`_MAX_RECORDED_NNZ` (counted once per key)."""
     key = (token, original_order)
     rec = state.get(key)
@@ -449,36 +566,37 @@ def _recorded_square(operand, B, token, state, inv, original_order, ctx) -> CSRM
         return None
     S = _handle(operand, state)
     perm = operand.perm
-    relabel = None
     if perm is not None:
-        # The handle's index dtype: relabelled columns stay int32.
-        relabel = perm.astype(S.indices.dtype)
         S = _symmetric_handle(operand, S, state)
     if rec is _SEEN:
-        maxnnz = _count(S)
-        if maxnnz > _MAX_RECORDED_NNZ:
+        cut = _cut(S)
+        counts = _counts(S, cut)
+        if sum(counts) > _MAX_RECORDED_NNZ:
             state[key] = _UNRECORDABLE
             return None
     else:
-        maxnnz = rec.maxnnz
+        cut, counts = rec.cut, rec.counts
+    split = cut < S.shape[0] and _cores() > 1
     if perm is not None:
         ctx.bump("scipy_symmetric_products")
-    Cs = _square(S, maxnnz)
+    if split:
+        ctx.bump("scipy_split_squares")
+    Cs = _square(S, cut, counts, split)
     if rec is _SEEN:
         ctx.bump("scipy_structure_records")
     else:
         ctx.bump("scipy_numeric_products")
-        got = _gather(rec, Cs, relabel)
+        got = _gather(rec, Cs, perm, split)
         if got is not None:
             ctx.bump("scipy_structure_reuses")
-            shape = Cs.shape
-            del Cs  # free the raw product before the int64 cast
             idx, values = got
-            return CSRMatrix(rec.indptr.copy(), idx.astype(np.int64), values, shape, check=False)
+            return CSRMatrix(rec.indptr.copy(), idx, values, Cs.shape, check=False), split
         ctx.bump("scipy_structure_rebuilds")
-    rec, C = _record(Cs, inv, relabel, maxnnz)
+    # The handle's index dtype: relabelled columns stay int32.
+    relabel = None if perm is None else perm.astype(S.indices.dtype)
+    rec, C = _record(Cs, inv, relabel, cut, counts)
     state[key] = rec
-    return C
+    return C, split
 
 
 class ScipyBackend(ExecutionBackend):
@@ -521,20 +639,23 @@ class ScipyBackend(ExecutionBackend):
                 shares = [share for share in _halves(work) if share]
 
         def product(B, token):
+            """``A @ B`` and the number of threads that ran it."""
             if _NUMERIC_ONLY:
                 if token is None:
-                    return _direct(Ar, B, inv)
-                C = _recorded_square(operand, B, token, state, inv, original_order, ctx)
-                if C is not None:
-                    return C
+                    return _direct(Ar, B, inv), 1
+                got = _recorded_square(operand, B, token, state, inv, original_order, ctx)
+                if got is not None:
+                    C, split = got
+                    return C, 1 + split
             ctx.bump("scipy_plain_products")
-            return _plain(operand, B, state, inv)
+            return _plain(operand, B, state, inv), 1
 
         Cs = [None] * len(Bs)
+        threads = [1] * len(Bs)
 
         def run(share):
             for i in share:
-                Cs[i] = product(Bs[i], tokens[i])
+                Cs[i], threads[i] = product(Bs[i], tokens[i])
 
         _run_shares(run, shares)
         ctx.bump("scipy_calls", len(Bs))
@@ -542,4 +663,4 @@ class ScipyBackend(ExecutionBackend):
             ctx.bump("scipy_direct_products", direct)
         if len(shares) > 1:
             ctx.bump("scipy_split_batches")
-        return Cs, len(shares)
+        return Cs, max([len(shares), *threads])

@@ -350,11 +350,10 @@ class SpGEMMEngine:
         self._stats = EngineStats()
         # The serving front-end drives one engine from a dispatch thread,
         # a planner thread and (on fallback) arbitrary caller threads.
-        # _plan_build_lock stops two of them building the same cold plan;
-        # _memo_lock guards the operand LRU.  Neither is held across
-        # backend execution, so warm requests execute while a cold
-        # pattern plans.
-        self._plan_build_lock = threading.RLock()
+        # The plan cache builds each cold plan once across all of them
+        # (PlanCache.get_or_build); _memo_lock guards the operand LRU.
+        # Neither is held across backend execution, so warm requests
+        # execute while a cold pattern plans.
         self._memo_lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -408,31 +407,23 @@ class SpGEMMEngine:
         unless ``count=False``; a hit is left to the caller
         (:meth:`_run`)."""
         t0 = time.perf_counter()
-        key = self._key_for(A, digest, workload)
-        plan = self.plan_cache.get(key)
-        hit = plan is not None
-        if not hit:
-            with self._plan_build_lock:
-                # Double-check under the build lock: serve's planner
-                # thread and its dispatch thread can race on a cold key,
-                # and the loser must reuse rather than rebuild.
-                plan = self.plan_cache.get(key)
-                hit = plan is not None
-                if not hit:
-                    if count:
-                        self._stats.bump(plan_cache_misses=1)
-                    fp = fingerprint(A, seed=self.seed, digest=digest)
-                    plan, built = self.planner.plan(A, Bx, fp, workload)
-                    self.plan_cache.put(key, plan)
-                    self._stats.bump(
-                        plans_built=1,
-                        model_planning_cost=plan.planning_cost,
-                        operands_prepared=1,
-                        model_pre_cost=plan.pre_cost,
-                    )
-                    if vdigest is None:
-                        vdigest = value_digest(A)
-                    self._store_operand(self._operand_key(plan, vdigest), built)
+
+        def build() -> ExecutionPlan:
+            if count:
+                self._stats.bump(plan_cache_misses=1)
+            fp = fingerprint(A, seed=self.seed, digest=digest)
+            plan, built = self.planner.plan(A, Bx, fp, workload)
+            self._stats.bump(
+                plans_built=1,
+                model_planning_cost=plan.planning_cost,
+                operands_prepared=1,
+                model_pre_cost=plan.pre_cost,
+            )
+            self._store_operand(self._operand_key(plan, vdigest or value_digest(A)), built)
+            return plan
+
+        plan, built = self.plan_cache.get_or_build(self._key_for(A, digest, workload), build)
+        hit = not built
         self._stats.bump(planning_seconds=time.perf_counter() - t0)
         return plan, hit
 

@@ -52,9 +52,10 @@ class PlanCache:
         # Re-entrant: serve's planner/dispatch threads share one cache,
         # and put() → _evict_one() nests inside the lock.
         self._lock = threading.RLock()
-        # Hits and misses are the engine's to count (EngineStats): it
-        # looks a cold key up twice, the second time under its build
-        # lock.
+        # Keys whose build is in flight (get_or_build), each with the
+        # event its waiters block on.
+        self._building: dict[str, threading.Event] = {}
+        # Hits and misses are the engine's to count (EngineStats).
         self.evictions = 0
         #: Observability hook (DESIGN.md §12): an enabled tracer receives
         #: ``plan_cache.put`` / ``plan_cache.evict`` events.  The engine
@@ -70,6 +71,31 @@ class PlanCache:
             if plan is not None:
                 self._entries.move_to_end(key)
             return plan
+
+    def get_or_build(self, key: str, build) -> "tuple[ExecutionPlan, bool]":
+        """The plan under ``key``, or ``build()``'s plan, cached; returns
+        ``(plan, built)``.  At most one build per key runs at a time
+        across every caller of this cache: a caller that finds one in
+        flight waits for it and looks again (and builds itself only if
+        that build raised).  No lock is held while ``build`` runs."""
+        while True:
+            with self._lock:
+                plan = self.get(key)
+                if plan is not None:
+                    return plan, False
+                flight = self._building.get(key)
+                if flight is None:
+                    flight = self._building[key] = threading.Event()
+                    break
+            flight.wait()
+        try:
+            plan = build()
+            self.put(key, plan)
+        finally:
+            with self._lock:
+                del self._building[key]
+            flight.set()
+        return plan, True
 
     def put(self, key: str, plan: ExecutionPlan) -> None:
         """Insert (or replace) a plan."""

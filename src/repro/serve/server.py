@@ -17,7 +17,7 @@ behind an asynchronous submission API (DESIGN.md §14):
   results are bitwise-identical to sequential ones.
 * Cold fingerprints are planned on a dedicated planner thread while the
   dispatch thread executes warm groups: planning overlaps execution, and
-  the engine's plan-build lock makes the handoff safe.
+  the plan cache's single-flight build makes the handoff safe.
 * Per-request latency lands in a :mod:`repro.obs` histogram
   (p50/p95/p99), per-client counts in a small ledger; everything is
   mirrored into :attr:`EngineStats.serving` so the CLI's

@@ -15,6 +15,8 @@ shape-parameterised:
   a row-wise oracle: bitwise once exact zeros are dropped, NaNs by
   position;
 * ``fig1`` — the paper's 6×6 worked example;
+* ``thread_starts`` — the names of the threads the ``scipy`` backend
+  starts during a test;
 * :func:`leak_guard` and its autouse fixture: a test leaves no new
   live non-daemon or ``repro-*`` thread, no new child process and (on
   Linux) no new open file descriptor behind;
@@ -36,6 +38,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
+from repro.backends import scipy_backend
 from repro.core import COOMatrix, CSRMatrix
 
 
@@ -93,6 +96,20 @@ def _no_leaked_threads_or_children():
     and leak into every later one."""
     with leak_guard():
         yield
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Names of the threads the ``scipy`` backend starts."""
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(scipy_backend, "Thread", Recording)
+    return started
 
 
 @pytest.fixture

@@ -53,6 +53,24 @@ def test_get_backend_memoises_per_canonical_params():
     assert "reference" in str(e.value)
 
 
+def test_warm_get_backend_skips_canonicalising(monkeypatch):
+    # A spec's backend parameters are canonical already: once the
+    # instance exists, looking it up again canonicalises nothing.
+    from repro import backends
+
+    inst = get_backend("scipy", ())
+    calls = []
+    canonical = backends._canonical
+    monkeypatch.setattr(backends, "_canonical", lambda *a: calls.append(a) or canonical(*a))
+    spec = PipelineSpec.parse("rcm@scipy")
+    assert get_backend(spec.backend, spec.backend_params) is inst
+    assert calls == []
+    assert get_backend("scipy", {}) is inst  # a mapping still canonicalises
+    assert len(calls) == 1
+    with pytest.raises(KeyError, match=r"unknown backend 'nope'; available: \['reference', 'scipy'\]"):
+        get_backend("nope", ())
+
+
 def test_parse_backend():
     assert parse_backend("scipy") == ("scipy", ())
     assert parse_backend(" reference ") == ("reference", ())

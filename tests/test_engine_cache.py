@@ -7,6 +7,7 @@ import dataclasses
 import math
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from conftest import assert_bitwise_equal
 from repro.core import spgemm_rowwise
 from repro.engine import ExecutionPlan, PlanCache, SpGEMMEngine, fingerprint, value_digest
 from repro.engine import engine as engine_mod
+from repro.engine.planner import Planner
 from repro.experiments import ExperimentConfig
 from repro.experiments.cache import _load
 from repro.matrices import generators as G
@@ -410,6 +412,66 @@ def test_engines_sharing_a_plan_cache_multiply_concurrently():
     # One key: the engines agree on it, so they hold one entry between them.
     assert len(shared) == 1
     assert all(eng.plan_for(A) == engines[0].plan_for(A) for eng in engines)
+
+
+def test_engines_sharing_a_plan_cache_build_each_cold_plan_once(monkeypatch):
+    # Four engines miss one cold key at once; the planner is slowed so
+    # their lookups overlap.  The cache lets one of them build, and the
+    # others wait for its plan.
+    A = G.grid2d(8, 8, seed=1)
+    ref = spgemm_rowwise(A, A)
+    plan = Planner.plan
+
+    def slow_plan(self, *args, **kwargs):
+        time.sleep(0.2)
+        return plan(self, *args, **kwargs)
+
+    monkeypatch.setattr(Planner, "plan", slow_plan)
+    shared = PlanCache()
+    engines = [SpGEMMEngine(config=SMALL_CFG, plan_cache=shared) for _ in range(4)]
+    barrier = threading.Barrier(len(engines))
+    results: list = []
+    errors: list = []
+
+    def run(eng: SpGEMMEngine) -> None:
+        barrier.wait()
+        try:
+            results.append(eng.multiply(A))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(e,)) for e in engines]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == len(engines)
+    for C in results:
+        assert_bitwise_equal(C, results[0])
+        assert_bitwise_equal(C, ref)
+    assert sum(eng.stats().plans_built for eng in engines) == 1
+    assert sum(eng.stats().plan_cache_misses for eng in engines) == 1
+    assert sum(eng.stats().plan_cache_hits for eng in engines) == 3
+
+
+def test_get_or_build_builds_once_and_retries_after_a_failed_build():
+    cache = PlanCache()
+    plan = _plan(10.0)
+    builds = []
+
+    def failing():
+        builds.append("failed")
+        raise RuntimeError("planner failed")
+
+    with pytest.raises(RuntimeError, match="planner failed"):
+        cache.get_or_build("k", failing)
+    assert "k" not in cache
+    # A failed build leaves no flight behind: the next caller builds.
+    assert cache.get_or_build("k", lambda: builds.append("built") or plan) == (plan, True)
+    assert cache.get_or_build("k", failing) == (plan, False)
+    assert builds == ["failed", "built"]
 
 
 def test_concurrent_writers_of_one_key_never_raise():

@@ -65,20 +65,6 @@ def split_on(monkeypatch):
     _two_cpus(monkeypatch)
 
 
-@pytest.fixture
-def thread_starts(monkeypatch):
-    """Names of the threads the backend starts."""
-    started = []
-
-    class Recording(threading.Thread):
-        def start(self):
-            started.append(self.name)
-            super().start()
-
-    monkeypatch.setattr(scipy_backend, "Thread", Recording)
-    return started
-
-
 def _batch(n=6, size=30, seed=0):
     """A scrambled grid and ``n`` tall-skinny right operands."""
     A = scramble(G.grid2d(size, size), seed=seed)

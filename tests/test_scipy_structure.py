@@ -12,8 +12,15 @@ scipy's, sorted.  A record that no longer matches the raw output must be
 rebuilt, never trusted.  On a permuted operand the recorded product is
 ``L @ L`` with ``L = P A Pᵀ``.  A malformed operand must raise
 ``ValueError`` before any scipy call.
+
+A recorded square large enough to split runs each row half of its
+numeric pass and of its gather on a thread of its own; it must stay
+bitwise the serial square's, count each half once per record, start no
+thread on one CPU or below the threshold, and re-raise a worker's
+exception after the join.
 """
 
+import os
 import sys
 import threading
 
@@ -30,6 +37,7 @@ from repro.core import CSRMatrix, spgemm_rowwise
 from repro.engine import SpGEMMEngine
 from repro.matrices import generators as G
 from repro.matrices.perturb import scramble
+from repro.obs import RingSink, Tracer
 from repro.pipeline import PipelineSpec, components
 
 TOKEN = "pattern:value"
@@ -794,3 +802,262 @@ def test_each_product_takes_the_path_its_case_selects(monkeypatch, reordering, c
     if path == "plain":
         assert not any(isinstance(v, scipy_backend._Structure) for v in built.backend_state.values())
     assert_bitwise_equal(C, _raw_product(A, B))
+
+
+# ----------------------------------------------------------------------
+# Split squares: two row halves on two threads
+# ----------------------------------------------------------------------
+def _force_split(mp):
+    """Every recorded square splits: no work threshold, two CPUs."""
+    mp.setattr(scipy_backend, "_SPLIT_MIN_WORK", 0)
+    mp.setattr(scipy_backend, "_cores", lambda: 2)
+
+
+@pytest.fixture
+def split_on(monkeypatch):
+    _force_split(monkeypatch)
+
+
+def _squared_handle(built):
+    """The handle a recorded square multiplies by itself."""
+    state = built.backend_state
+    return state[scipy_backend._HANDLE if built.perm is None else scipy_backend._SYMMETRIC]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    A=st.one_of(square_csr(max_n=24, max_nnz=120), integer_square_csr()),
+    reordering=st.sampled_from(["original", "rcm"]),
+    original_order=st.booleans(),
+)
+def test_split_square_is_bitwise_serial_square_and_raw_scipy(A, reordering, original_order):
+    spec = PipelineSpec.parse(f"{reordering}@scipy")
+    serial_built, serial_ctx = spec.build(A), _hinted_ctx(A)
+    for _ in range(3):  # first sighting, record, reuse
+        serial = _run(serial_built, A, serial_ctx, original_order)
+    assert "scipy_split_squares" not in serial_ctx.stats  # below the real threshold
+    with pytest.MonkeyPatch.context() as mp:
+        _force_split(mp)
+        mp.setattr(scipy_backend, "_GATHER_CHUNK", 5)
+        built, ctx = spec.build(A), _hinted_ctx(A)
+        for _ in range(3):
+            C = _run(built, A, ctx, original_order)
+    assert_bitwise_equal(C, _raw(A, built, original_order))
+    assert_bitwise_equal(C, serial)
+    assert ctx.stats["scipy_split_squares"] == 2 and ctx.stats["scipy_structure_reuses"] == 1
+    # The halves' counts sum to the whole count, and the split pass's raw
+    # output is laid out as one pass over every row: the same record.
+    key = (TOKEN, original_order)
+    rec, serial_rec = built.backend_state[key], serial_built.backend_state[key]
+    assert 0 < rec.cut < A.nrows and serial_rec.cut == A.nrows
+    assert rec.maxnnz == serial_rec.maxnnz == serial_rec.counts[0]
+    for x, y in zip(rec[:3], serial_rec[:3]):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("reordering", ["original", "rcm"])
+def test_top_half_dropping_exact_zeros_leaves_no_gap(split_on, reordering):
+    A = _cancelling_grid()
+    built = PipelineSpec.parse(f"{reordering}@scipy").build(A)
+    ctx = _hinted_ctx(A)
+    for _ in range(3):
+        assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+    assert ctx.stats["scipy_structure_reuses"] == 1
+    S = _squared_handle(built)
+    whole = S @ S  # scipy's raw rows, unsorted
+    n = A.nrows
+    dropped = 0
+    for cut in range(1, n):
+        counts = scipy_backend._counts(S, cut)
+        dropped += whole.indptr[cut] < counts[0]  # the top half dropped exact zeros
+        got = scipy_backend._square(S, cut, counts, split=True)
+        for x, y in ((got.indptr, whole.indptr), (got.indices, whole.indices), (got.data, whole.data)):
+            assert x.dtype == y.dtype and np.array_equal(x, y), cut
+    assert dropped > n // 2
+    rec = built.backend_state[(TOKEN, True)]
+    assert whole.indptr[rec.cut] < rec.counts[0]
+
+
+def test_each_half_counted_once_per_record_and_never_on_reuse(monkeypatch, split_on):
+    calls = _spy_count(monkeypatch)
+    passes = []
+    matmat = scipy_backend._csr_matmat
+    monkeypatch.setattr(scipy_backend, "_csr_matmat", lambda *a: passes.append(a) or matmat(*a))
+    A = _cancelling_grid()
+    built = PipelineSpec.parse("rcm@scipy").build(A)
+    ctx = _hinted_ctx(A)
+    for want in (0, 2, 2, 2):  # first sighting, record, two reuses
+        assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+        assert len(calls) == want
+    rec = built.backend_state[(TOKEN, True)]
+    n, S = A.nrows, _squared_handle(built)
+    assert [c[0] for c in calls] == [rec.cut, n - rec.cut]
+    assert sum(rec.counts) == scipy_backend._count(S, S)
+    # Every numeric pass of a half writes into a buffer of exactly the
+    # symbolic count of the index arrays it is given.
+    assert len(passes) == 6
+    for n_row, n_col, Ap, Aj, _, Bp, Bj, _, _, Cj, Cx in passes:
+        count = scipy_backend._csr_matmat_maxnnz(n_row, n_col, Ap, Aj, Bp, Bj)
+        assert Cj.size == Cx.size == count
+    assert ctx.stats["scipy_split_squares"] == 3
+
+
+@pytest.mark.parametrize("case", ["one_cpu", "below_threshold"])
+def test_serial_square_starts_no_thread(monkeypatch, thread_starts, case):
+    A = _cancelling_grid()
+    if case == "one_cpu":
+        monkeypatch.setattr(scipy_backend, "_SPLIT_MIN_WORK", 0)
+        monkeypatch.setattr(scipy_backend.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.setattr(scipy_backend.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert scipy_backend._work(A, [A])[0] < scipy_backend._SPLIT_MIN_WORK
+    built = PipelineSpec.parse("rcm@scipy").build(A)
+    ctx = _hinted_ctx(A)
+    for _ in range(4):
+        assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+    assert thread_starts == []
+    assert "scipy_split_squares" not in ctx.stats and ctx.stats["scipy_structure_reuses"] == 2
+    # One CPU keeps the halves recorded, run one after the other.
+    rec = built.backend_state[(TOKEN, True)]
+    assert (rec.cut < A.nrows) == (case == "one_cpu")
+
+
+def test_square_splits_at_the_real_threshold(monkeypatch, thread_starts):
+    monkeypatch.setattr(scipy_backend.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    A = scramble(G.grid2d(80, 80), seed=1)
+    assert scipy_backend._work(A, [A])[0] >= scipy_backend._SPLIT_MIN_WORK
+    built = PipelineSpec.parse("rcm@scipy").build(A)
+    ctx = _hinted_ctx(A)
+    for _ in range(3):
+        assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+    # Record: the numeric pass; reuse: the numeric pass and the gather.
+    assert thread_starts == ["repro-scipy-batch"] * 3
+    assert ctx.stats["scipy_split_squares"] == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API on this platform")
+def test_real_affinity_decides_the_square_split(monkeypatch, thread_starts):
+    # No affinity patch: a 1-core process (``taskset -c 0``) keeps the
+    # halves serial, a 2-core one splits them.
+    monkeypatch.setattr(scipy_backend, "_SPLIT_MIN_WORK", 0)
+    A = _cancelling_grid()
+    built = PipelineSpec.parse("rcm@scipy").build(A)
+    ctx = _hinted_ctx(A)
+    for _ in range(3):
+        assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+    split = len(os.sched_getaffinity(0)) >= 2
+    assert len(thread_starts) == (3 if split else 0)
+    assert ctx.stats.get("scipy_split_squares", 0) == (2 if split else 0)
+
+
+class _FailsOffCaller(np.ndarray):
+    """An array whose slices raise on any thread the backend started."""
+
+    def __getitem__(self, key):
+        if threading.current_thread().name.startswith("repro-"):
+            raise MemoryError("injected")
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("stage", ["numeric", "gather"])
+def test_exception_in_worker_half_is_raised_after_join(monkeypatch, split_on, stage):
+    A = _cancelling_grid()
+    built = PipelineSpec.parse("rcm@scipy").build(A)
+    ctx = _hinted_ctx(A)
+    for _ in range(2):
+        _run(built, A, ctx, True)
+    key = (TOKEN, True)
+    rec = built.backend_state[key]
+    if stage == "numeric":
+        matmat = scipy_backend._csr_matmat
+
+        def failing(*args):
+            if threading.current_thread().name.startswith("repro-"):
+                raise MemoryError("injected")
+            return matmat(*args)
+
+        monkeypatch.setattr(scipy_backend, "_csr_matmat", failing)
+    else:
+        built.backend_state[key] = rec._replace(order=rec.order.view(_FailsOffCaller))
+    calls = ctx.stats["scipy_calls"]
+    with pytest.raises(MemoryError, match="injected"):
+        _run(built, A, ctx, True)
+    assert not [t for t in threading.enumerate() if t.name.startswith("repro-")]
+    assert ctx.stats["scipy_calls"] == calls
+    monkeypatch.undo()
+    _force_split(monkeypatch)
+    built.backend_state[key] = rec
+    assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("reordering", ["original", "rcm"])
+def test_gather_checks_rows_across_chunk_boundaries(monkeypatch, split_on, chunk, reordering):
+    # The gather moves and checks a few entries at a time: a record whose
+    # order swaps two entries of one row across a chunk boundary must
+    # still be rebuilt, and an intact one reused.
+    monkeypatch.setattr(scipy_backend, "_GATHER_CHUNK", chunk)
+    A = _cancelling_grid()
+    built = PipelineSpec.parse(f"{reordering}@scipy").build(A)
+    ctx = _hinted_ctx(A)
+    for _ in range(3):
+        assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+    assert ctx.stats["scipy_structure_reuses"] == 1
+    key = (TOKEN, True)
+    rec = built.backend_state[key]
+    starts = set(rec.indptr.tolist())
+    c = next(c for c in range(chunk * 3, rec.order.size, chunk) if c not in starts)
+    swapped = rec.order.copy()
+    swapped[[c - 1, c]] = swapped[[c, c - 1]]
+    built.backend_state[key] = rec._replace(order=swapped)
+    assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+    assert ctx.stats["scipy_structure_rebuilds"] == 1
+    rebuilt = built.backend_state[key]
+    assert (rebuilt.cut, rebuilt.counts) == (rec.cut, rec.counts)
+    assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+    assert ctx.stats["scipy_structure_reuses"] == 2
+
+
+def test_concurrent_split_squares_share_one_operand(split_on):
+    # Four threads race to record and reuse one operand's split square,
+    # each starting its own worker threads; every product must still be
+    # raw scipy's, and the leak guard sees every worker joined.
+    A = scramble(G.grid2d(20, 20), seed=10)
+    built = PipelineSpec.parse("rcm@scipy").build(A)
+    raw = _raw(A)
+    results, errors, splits = [], [], []
+
+    def worker():
+        try:
+            ctx = _hinted_ctx(A)
+            for _ in range(6):
+                results.append(_run(built, A, ctx, True))
+            splits.append(ctx.stats.get("scipy_split_squares", 0))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 24 and sum(splits) >= 4 * 4
+    for C in results:
+        assert_bitwise_equal(C, raw)
+
+
+def test_engine_reports_two_threads_for_a_split_square(split_on):
+    A = _cancelling_grid()
+    sink = RingSink()
+    eng = SpGEMMEngine(backend="scipy", pipeline="rcm", tracer=Tracer(sink))
+    for _ in range(3):
+        assert_bitwise_equal(eng.multiply(A), _raw(A))
+    assert [s.tags["threads"] for s in sink.by_name("backend.execute")] == [1, 2, 2]
+    assert eng.stats().backend_events["scipy_split_squares"] == 2

@@ -2,7 +2,7 @@
 
 The serving acceptance bench (DESIGN.md §14): replay the same seeded
 Zipf-popularity trace through two identically-configured servers — one
-coalescing (batching window + ``max_batch=32``), one forced sequential
+coalescing (``max_batch=32``), one forced sequential
 (``max_batch=1``, so every request pays its own plan resolution and
 operand prep) — and compare throughput.  Both modes run the
 paused-server protocol (queue everything, then start the dispatcher), so
@@ -47,7 +47,7 @@ OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 SPEC = TraceSpec(requests=120, seed=0)
 
 #: Both servers share these; only ``max_batch`` differs between modes.
-SERVE_KW = dict(window_s=0.0, max_pending=4096, autostart=False)
+SERVE_KW = dict(max_pending=4096, autostart=False)
 COALESCED_MAX_BATCH = 32
 
 

@@ -348,12 +348,12 @@ class SpGEMMEngine:
         self._operands: "OrderedDict[tuple, BuiltPipeline]" = OrderedDict()
         self._exec_ctx = ExecutionContext(cfg=self.cfg, tracer=self.tracer)
         self._stats = EngineStats()
-        # The serving front-end drives one engine from a dispatch thread,
-        # a planner thread and (on fallback) arbitrary caller threads.
-        # The plan cache builds each cold plan once across all of them
+        # The serving front-end drives one engine from its dispatch
+        # thread and (on fallback) arbitrary caller threads.  The plan
+        # cache builds each cold plan once across all of them
         # (PlanCache.get_or_build); _memo_lock guards the operand LRU.
-        # Neither is held across backend execution, so warm requests
-        # execute while a cold pattern plans.
+        # Neither is held across backend execution, so a caller's warm
+        # request executes while another thread plans a cold pattern.
         self._memo_lock = threading.RLock()
 
     # ------------------------------------------------------------------

@@ -260,9 +260,9 @@ def serve_cmd(args) -> str:
     default, blocking mode) or — with ``--serve-requests N`` — drives N
     seeded replay requests through a loopback :class:`ServeClient`,
     checks every answer bitwise against a sequential engine, and reports
-    the serving stats (the CI smoke path).  ``--window-ms``,
-    ``--max-batch`` and ``--max-pending`` shape the batching window and
-    admission control; ``--policy``, ``--backend``, ``--trace`` and
+    the serving stats (the CI smoke path).  ``--max-batch`` and
+    ``--max-pending`` bound batches and admission control;
+    ``--policy``, ``--backend``, ``--trace`` and
     ``--stats-json`` mean the same as for the ``engine`` command.
     """
     from ..engine import SpGEMMEngine
@@ -278,11 +278,7 @@ def serve_cmd(args) -> str:
     eng = SpGEMMEngine(
         policy=args.policy, backend=args.backend or None, config=ExperimentConfig(), tracer=tracer
     )
-    cfg = ServeConfig(
-        window_s=args.window_ms / 1000.0,
-        max_batch=args.max_batch,
-        max_pending=args.max_pending,
-    )
+    cfg = ServeConfig(max_batch=args.max_batch, max_pending=args.max_pending)
     server = SpGEMMServer(eng, cfg)
     rpc = ServeRPCServer(server, host=args.host, port=args.port)
     rpc.start()
@@ -453,19 +449,11 @@ def main(argv: list[str] | None = None) -> int:
         help="serve command: TCP port (0 binds an ephemeral port and prints it)",
     )
     parser.add_argument(
-        "--window-ms",
-        type=float,
-        default=2.0,
-        metavar="MS",
-        help="serve command: batching window — how long the scheduler holds the "
-        "first request of a batch waiting for coalescible company",
-    )
-    parser.add_argument(
         "--max-batch",
         type=int,
         default=32,
         metavar="N",
-        help="serve command: dispatch a group as soon as it reaches N requests",
+        help="serve command: largest request group run as one multiply_many call",
     )
     parser.add_argument(
         "--max-pending",

@@ -2,13 +2,13 @@
 
 The serving tier of the ROADMAP's production north star (DESIGN.md §14):
 a long-lived :class:`SpGEMMServer` accepts concurrent ``multiply``
-submissions, coalesces requests that share a pattern fingerprint within
-a batching window into single
+submissions; its one dispatch thread drains whatever queued while it
+was busy and coalesces requests that share a fingerprint into single
 :meth:`~repro.engine.engine.SpGEMMEngine.multiply_many` dispatches
-(plan resolved once per group, planning for cold fingerprints overlapped
-with execution of warm ones), applies admission control and typed load
-shedding, records p50/p95/p99 request latency through :mod:`repro.obs`,
-and degrades to in-process execution if its dispatch machinery dies.
+(plan resolved once per group, a cold one built inline), applies
+admission control and typed load shedding, records p50/p95/p99 request
+latency through :mod:`repro.obs`, and degrades to in-process execution
+if its dispatch machinery dies.
 :class:`ServeRPCServer` / :class:`ServeClient` expose the same API over
 a JSONL TCP socket.
 
@@ -16,7 +16,7 @@ Quick start::
 
     from repro.serve import ServeConfig, SpGEMMServer
 
-    with SpGEMMServer(config=ServeConfig(window_s=0.005)) as srv:
+    with SpGEMMServer(config=ServeConfig(max_batch=16)) as srv:
         fut = srv.submit(A, B, client="svc-a")
         C = fut.result()
         print(srv.stats().serving["coalesce_ratio"])

@@ -1,4 +1,4 @@
-"""Serving configuration: batching window, queue bounds, lifecycle knobs."""
+"""Serving configuration: batch and queue bounds, lifecycle knobs."""
 
 from __future__ import annotations
 
@@ -13,14 +13,6 @@ class ServeConfig:
 
     Parameters
     ----------
-    window_s:
-        Batching window in seconds: after the first request of a batch
-        arrives, the dispatcher keeps collecting until the window
-        elapses (or ``max_batch`` requests are queued), so concurrent
-        submissions sharing a fingerprint coalesce into one
-        ``multiply_many`` call.  ``0`` disables the wait — each drain
-        takes whatever is queued at that instant (coalescing then
-        depends on queue pressure alone).
     max_batch:
         Largest request group dispatched as one ``multiply_many`` call;
         bigger groups are split (bounds per-batch latency).
@@ -32,9 +24,6 @@ class ServeConfig:
         server paused — submissions queue (up to ``max_pending``) until
         :meth:`~repro.serve.server.SpGEMMServer.start`, which is how
         tests and benchmarks force deterministic maximal coalescing.
-    default_client:
-        Client label used for per-client stats when a submission names
-        none.
     max_restarts:
         How many times a dead dispatch thread may be restarted
         (:meth:`~repro.serve.scheduler.BatchScheduler.restart`) before
@@ -47,17 +36,13 @@ class ServeConfig:
         in-process fallback instead of thrashing threads.
     """
 
-    window_s: float = 0.002
     max_batch: int = 32
     max_pending: int = 256
     autostart: bool = True
-    default_client: str = "anon"
     max_restarts: int = 2
     restart_backoff_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.window_s < 0:
-            raise ValueError(f"window_s must be >= 0, got {self.window_s}")
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_pending < 1:

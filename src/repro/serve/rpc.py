@@ -18,8 +18,9 @@ in-process API would.
 
 Connections are handled by a :class:`socketserver.ThreadingTCPServer` —
 one handler thread per connection, all funnelling into the shared
-:class:`~repro.serve.server.SpGEMMServer`, whose batching window is what
-coalesces concurrent connections' requests into shared engine batches.
+:class:`~repro.serve.server.SpGEMMServer`, whose dispatcher coalesces
+the requests that concurrent connections queue while it is busy into
+shared engine batches.
 """
 
 from __future__ import annotations

@@ -5,11 +5,12 @@ The :class:`BatchScheduler` owns a bounded FIFO of
 
 1. blocks until a request arrives (condition wait — **never**
    ``time.sleep``, so shutdown can interrupt any wait immediately),
-2. holds the batching window open (:attr:`ServeConfig.window_s`),
-   collecting further arrivals up to :attr:`ServeConfig.max_batch`,
-3. drains the queue, groups requests by ``group_key`` (same workload +
-   pattern + values → eligible for one ``multiply_many`` call)
-   preserving arrival order, splits oversized groups, and
+2. drains whatever is queued at that instant (there is no timer: the
+   requests that arrived while the previous batch executed are what
+   coalesces),
+3. groups requests by ``group_key`` (same workload + pattern + values →
+   eligible for one ``multiply_many`` call) preserving arrival order,
+   splits oversized groups, and
 4. hands the grouped batch to the server's ``run_batch`` callback.
 
 Admission control lives in :meth:`BatchScheduler.submit`: a full queue
@@ -27,7 +28,6 @@ instead of hanging futures.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -58,7 +58,7 @@ class ServeRequest:
 
 
 class BatchScheduler:
-    """Bounded queue + window-batching dispatch thread (module docstring).
+    """Bounded queue + draining dispatch thread (module docstring).
 
     Parameters
     ----------
@@ -222,7 +222,7 @@ class BatchScheduler:
                     self._fallback(req)
 
     def _next_batch(self) -> "list[ServeRequest] | None":
-        """Block for work, hold the batching window, drain the queue.
+        """Block for work, then drain the queue.
 
         Returns ``None`` exactly once: when closing and the queue is
         empty (the loop's exit signal).
@@ -232,15 +232,6 @@ class BatchScheduler:
                 self._cond.wait()
             if not self._queue:
                 return None
-            if self.cfg.window_s > 0 and not self._closing:
-                # Window waits use the monotonic clock via Condition.wait
-                # timeouts (RA007): close() can interrupt at any instant.
-                deadline = time.monotonic() + self.cfg.window_s
-                while len(self._queue) < self.cfg.max_batch and not self._closing:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
             batch = list(self._queue)
             self._queue.clear()
             return batch

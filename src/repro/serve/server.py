@@ -8,16 +8,15 @@ behind an asynchronous submission API (DESIGN.md §14):
   the left operand — and enqueues it on the
   :class:`~repro.serve.scheduler.BatchScheduler`; the caller gets a
   :class:`~concurrent.futures.Future`.
-* The dispatch thread drains the queue after the batching window and
-  hands request groups back to :meth:`_run_batch`, which resolves each
-  group's plan **once** and executes it through one
-  :meth:`~repro.engine.engine.SpGEMMEngine.multiply_many` call — the
-  same kernels, same plan keys and same summation order as sequential
+* The server's one thread, the scheduler's dispatcher, drains whatever
+  is queued and hands request groups back to :meth:`_run_batch`, which
+  runs them in arrival order, each through one
+  :meth:`~repro.engine.engine.SpGEMMEngine.multiply_many` call: the
+  group's plan is resolved **once** (a cold one is built inline, once,
+  by the plan cache's single-flight ``get_or_build``), with the same
+  kernels, plan keys and summation order as sequential
   :meth:`~repro.engine.engine.SpGEMMEngine.multiply`, so coalesced
   results are bitwise-identical to sequential ones.
-* Cold fingerprints are planned on a dedicated planner thread while the
-  dispatch thread executes warm groups: planning overlaps execution, and
-  the plan cache's single-flight build makes the handoff safe.
 * Per-request latency lands in a :mod:`repro.obs` histogram
   (p50/p95/p99), per-client counts in a small ledger; everything is
   mirrored into :attr:`EngineStats.serving` so the CLI's
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 
 from ..core.csr import CSRMatrix
 from ..engine.engine import SpGEMMEngine
@@ -44,6 +43,9 @@ from .errors import ServerClosed, ServerOverloaded
 from .scheduler import BatchScheduler, ServeRequest
 
 __all__ = ["SpGEMMServer"]
+
+#: Client label for per-client stats when a submission names none.
+DEFAULT_CLIENT = "anon"
 
 
 class SpGEMMServer:
@@ -83,15 +85,6 @@ class SpGEMMServer:
         self._coalesced = self.registry.counter("serve.coalesced_requests")
         self._clients: dict[str, dict] = {}
         self._clients_lock = threading.Lock()
-        #: ``(workload, pattern_digest)`` pairs already planned — the
-        #: cold/warm split for planning/execution overlap.  Guarded by
-        #: its own lock (checked on the dispatch thread, marked after
-        #: execution).
-        self._planned: set = set()
-        self._planned_lock = threading.Lock()
-        self._planner_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-planner"
-        )
         #: Restart backoff state (monotonic deadline — never a sleep):
         #: attempts before the deadline skip straight to in-process
         #: fallback; the gate doubles on every granted restart.
@@ -135,7 +128,7 @@ class SpGEMMServer:
         if A.ncols != Bx.nrows:
             raise ValueError(f"inner dimensions differ: {A.shape} x {Bx.shape}")
         wl = workload or SpGEMMEngine._infer_workload(A, B)
-        name = client or self.config.default_client
+        name = client or DEFAULT_CLIENT
         req = ServeRequest(
             A=A,
             B=B,
@@ -206,43 +199,13 @@ class SpGEMMServer:
     # Dispatch (scheduler thread)
     # ------------------------------------------------------------------
     def _run_batch(self, groups: "list[list[ServeRequest]]") -> None:
-        """Execute one drained batch: kick cold-fingerprint planning to
-        the planner thread, run warm groups meanwhile, then run the cold
-        groups once their plans land."""
-        cold: list[tuple[list[ServeRequest], Future]] = []
-        warm: list[list[ServeRequest]] = []
-        for group in groups:
-            wl, pdigest, _ = group[0].group_key
-            with self._planned_lock:
-                is_warm = (wl, pdigest) in self._planned
-            if is_warm:
-                warm.append(group)
-            else:
-                cold.append((group, self._planner_pool.submit(self._plan_group, group)))
+        """Execute one drained batch, group by group in arrival order."""
         if self.tracer.enabled:
             self.tracer.event(
-                "serve.batch",
-                groups=len(groups),
-                requests=sum(len(g) for g in groups),
-                cold=len(cold),
+                "serve.batch", groups=len(groups), requests=sum(len(g) for g in groups)
             )
-        for group in warm:
+        for group in groups:
             self._run_group(group)
-        for group, plan_future in cold:
-            plan_future.result()  # planning errors resurface in _run_group
-            self._run_group(group)
-
-    def _plan_group(self, group: "list[ServeRequest]") -> None:
-        """Planner-thread body: resolve (and cache) the group's plan.
-
-        Exceptions are swallowed — a plan that cannot be built fails the
-        group on the execution path, where the futures are in hand.
-        """
-        req = group[0]
-        try:
-            self.engine.plan_for(req.A, req.B, workload=req.workload)
-        except Exception:
-            pass
 
     def _run_group(self, group: "list[ServeRequest]") -> None:
         """One coalesced ``multiply_many`` call; request-level failures
@@ -255,9 +218,6 @@ class SpGEMMServer:
             for req in group:
                 self._fail(req, exc)
             return
-        wl, pdigest, _ = first.group_key
-        with self._planned_lock:
-            self._planned.add((wl, pdigest))
         self._batches.inc()
         self._coalesced.inc(len(group))
         for req, C in zip(group, Cs):
@@ -354,12 +314,11 @@ class SpGEMMServer:
 
     def close(self, *, drain: bool = True) -> None:
         """Graceful shutdown: stop admissions, drain (default) or reject
-        the queue, stop the planner thread, sync the ledger.  Idempotent."""
+        the queue, sync the ledger.  Idempotent."""
         if self._closed:
             return
         self._closed = True
         self._scheduler.close(drain=drain)
-        self._planner_pool.shutdown(wait=True)
         self.sync_stats()
 
     def __enter__(self) -> "SpGEMMServer":

@@ -1,8 +1,8 @@
 """Concurrency hammer for the observability layer and engine ledger.
 
 The serving front-end mutates ``Counter``/``Histogram``/
-``MetricsRegistry``/``EngineStats`` from client threads, the dispatch
-thread and the planner thread at once — these tests drive each primitive
+``MetricsRegistry``/``EngineStats`` from client threads and the
+dispatch thread at once — these tests drive each primitive
 from many threads and assert *exact* final counts (a lost update shows
 up as a wrong total, not a flake).
 """

@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.core.csr import CSRMatrix
 from repro.engine import SpGEMMEngine
 from repro.serve import (
     BatchScheduler,
@@ -26,6 +27,7 @@ from repro.serve import (
     replay_through_server,
     results_identical,
 )
+from repro.serve.server import DEFAULT_CLIENT
 from repro.workloads import synthesize_trace
 
 from conftest import random_csr
@@ -34,7 +36,7 @@ from conftest import random_csr
 def paused_server(**cfg_kw) -> SpGEMMServer:
     """A server whose dispatcher has not started: submissions queue up,
     so the eventual ``start()`` coalesces maximally and deterministically."""
-    kw = {"window_s": 0.0, "autostart": False}
+    kw = {"autostart": False}
     kw.update(cfg_kw)
     return SpGEMMServer(SpGEMMEngine(), ServeConfig(**kw))
 
@@ -76,7 +78,7 @@ class TestCoalescedEqualsSequential:
         A = random_csr(40, 40, 0.1, seed=11)
         Bs = [random_csr(40, 40, 0.1, seed=100 + i) for i in range(12)]
         expected = [SpGEMMEngine().multiply(A, B) for B in Bs]
-        server = SpGEMMServer(SpGEMMEngine(), ServeConfig(window_s=0.005))
+        server = SpGEMMServer(SpGEMMEngine(), ServeConfig())
         got: list = [None] * len(Bs)
         try:
 
@@ -260,7 +262,7 @@ class TestDispatcherRestart:
         # fresh, not closing), bounded by max_restarts, and a restarted
         # scheduler still honours close(drain=True).
         ran: list = []
-        cfg = ServeConfig(window_s=0.0, autostart=False, max_restarts=1)
+        cfg = ServeConfig(autostart=False, max_restarts=1)
         state = {"boom": True}
 
         def run_batch(groups):
@@ -299,16 +301,52 @@ class TestDispatcherRestart:
         assert keys == [("k1",), ("k1",), ("k2",)]  # k1 first (arrived first), split 2+1
         assert sizes == [2, 1, 2]
 
-    def test_window_zero_dispatches_immediately(self):
-        done = threading.Event()
-        cfg = ServeConfig(window_s=0.0, autostart=False)
-        sched = BatchScheduler(lambda g: done.set(), lambda r: None, cfg)
+    def test_requests_queued_during_a_batch_coalesce_into_the_next_drain(self):
+        # No timer: the first request dispatches alone at once, and the
+        # three submitted while its batch executes form the next drain.
+        entered, release = threading.Event(), threading.Event()
+        drains: list = []
+
+        def run_batch(groups):
+            drains.append([len(g) for g in groups])
+            entered.set()
+            release.wait(timeout=10)
+
+        sched = BatchScheduler(run_batch, lambda r: None, ServeConfig(autostart=False))
         sched.start()
         try:
             sched.submit(self.request(("k",)))
-            assert done.wait(timeout=10)
+            assert entered.wait(timeout=10)
+            for _ in range(3):
+                sched.submit(self.request(("k",)))
+            release.set()
         finally:
             sched.close()
+        assert drains == [[1], [3]]
+
+
+class TestOneDispatchThread:
+    def test_server_owns_one_thread_and_plans_a_cold_pattern_once(self):
+        A = random_csr(30, 30, 0.15, seed=12)
+        with SpGEMMServer(SpGEMMEngine()) as server:
+            server.multiply(A, timeout=10)  # cold: planned inline
+            live = [t.name for t in threading.enumerate() if t.name.startswith("repro-serve-")]
+            assert live == ["repro-serve-dispatch"]
+        # One cold pattern under two value digests is two groups in one
+        # drain; the plan cache builds their shared plan once.
+        A2 = CSRMatrix(A.indptr, A.indices, 2.0 * A.values, A.shape)
+        server = paused_server()
+        try:
+            futures = [server.submit(A), server.submit(A2)]
+            server.start()
+            Cs = [f.result(timeout=10) for f in futures]
+            stats = server.stats()
+        finally:
+            server.close()
+        assert stats.serving["batches"] == 2
+        assert stats.plans_built == 1
+        ref = SpGEMMEngine()
+        assert results_identical(Cs, [ref.multiply(A), ref.multiply(A2)])
 
 
 class TestStatsPlumbing:
@@ -326,7 +364,7 @@ class TestStatsPlumbing:
         assert list(clients) == sorted(clients)
         assert clients["alpha"] == {"submitted": 2, "completed": 2, "failed": 0, "shed": 0}
         assert clients["beta"]["completed"] == 1
-        assert clients[server.config.default_client]["completed"] == 1
+        assert clients[DEFAULT_CLIENT]["completed"] == 1
 
     def test_serving_block_lands_in_engine_stats_to_dict(self):
         trace = synthesize_trace(requests=12, seed=3)
@@ -359,7 +397,7 @@ class TestStatsPlumbing:
 class TestServeConfigValidation:
     @pytest.mark.parametrize(
         "kw",
-        [dict(window_s=-0.1), dict(max_batch=0), dict(max_pending=0)],
+        [dict(restart_backoff_s=-0.1), dict(max_batch=0), dict(max_pending=0)],
     )
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):

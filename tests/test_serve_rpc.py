@@ -62,7 +62,7 @@ class TestWireCodec:
 @pytest.fixture()
 def rpc_pair():
     """A served engine on an ephemeral loopback port + connected client."""
-    server = SpGEMMServer(SpGEMMEngine(), ServeConfig(window_s=0.001))
+    server = SpGEMMServer(SpGEMMEngine(), ServeConfig())
     rpc = ServeRPCServer(server).start()
     host, port = rpc.address
     client = ServeClient(host, port, client="test-client")
@@ -116,7 +116,7 @@ class TestRpcEndToEnd:
 class TestTypedErrorsOverWire:
     def test_overload_reconstructs_with_context(self):
         server = SpGEMMServer(
-            SpGEMMEngine(), ServeConfig(window_s=0.0, max_pending=1, autostart=False)
+            SpGEMMEngine(), ServeConfig(max_pending=1, autostart=False)
         )
         rpc = ServeRPCServer(server).start()
         host, port = rpc.address
@@ -133,7 +133,7 @@ class TestTypedErrorsOverWire:
         assert queued.result(timeout=0) is not None
 
     def test_closed_server_reconstructs_server_closed(self):
-        server = SpGEMMServer(SpGEMMEngine(), ServeConfig(window_s=0.0))
+        server = SpGEMMServer(SpGEMMEngine(), ServeConfig())
         rpc = ServeRPCServer(server).start()
         host, port = rpc.address
         try:

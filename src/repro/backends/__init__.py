@@ -16,7 +16,9 @@ parameter-schema machinery and spec addressing
 (``rcm+fixed:8+cluster@scipy``) with reorderings/clusterings/kernels.
 :func:`execute_many` is the **single kernel-dispatch path** of the
 codebase: it hands a whole batch of products on one operand to the
-backend's :meth:`~ExecutionBackend.execute_many`.
+backend's :meth:`~ExecutionBackend.execute_many`.  A right operand of
+``None`` stands for the operand's own source (``operand.A``): the engine
+passes it for every ``A²``.
 :class:`~repro.engine.engine.SpGEMMEngine` calls it directly;
 :func:`execute`, which :meth:`~repro.pipeline.spec.BuiltPipeline.execute`
 routes through, is its batch of one.
@@ -212,14 +214,15 @@ def execute_many(
     ctx: ExecutionContext | None = None,
     original_order: bool = False,
 ) -> list:
-    """The products ``operand @ B`` for every ``B`` in ``Bs``, in input
-    order, through one :meth:`~ExecutionBackend.execute_many` call;
-    arguments as :func:`execute`.
+    """The products ``operand @ B`` for every ``B`` in ``Bs`` (``None``
+    for ``operand.A``), in input order, through one
+    :meth:`~ExecutionBackend.execute_many` call; arguments as
+    :func:`execute`.
 
     The backend may run the batch's products on more than one thread
-    (``scipy`` does for large unhinted batches, DESIGN.md §10); the one
-    ``backend.execute`` span of the batch is tagged with its product and
-    thread counts.
+    (``scipy`` does for large batches with no square, DESIGN.md §10);
+    the one ``backend.execute`` span of the batch is tagged with its
+    product and thread counts.
     """
     be = backend if isinstance(backend, ExecutionBackend) else get_backend(backend, backend_params)
     ctx = ExecutionContext(cfg=cfg) if ctx is None else ctx

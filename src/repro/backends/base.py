@@ -19,10 +19,14 @@ order, with the number of threads that ran them.  Each product is in the
 **operand's row order**, exactly like the
 :class:`~repro.pipeline.registry.KernelBackend` protocol the kernels
 satisfy, or with ``original_order=True`` in the *original* row order
-(``operand.inv`` applied).  ``reference`` runs the products one after
-another and gathers the rows afterwards; ``scipy`` folds the un-permute
-into its own output assembly and may run a batch's products side by
-side.  :func:`repro.backends.execute` is the batch of one.
+(``operand.inv`` applied).  A right operand of ``None`` stands for the
+operand's own source, ``operand.A``: the engine passes it for every
+``A²`` product, so a backend may square data it owns (``scipy`` records
+that square's structure) instead of trusting a caller's ``B``.
+``reference`` runs the products one after another and gathers the rows
+afterwards; ``scipy`` folds the un-permute into its own output assembly
+and may run a batch's products side by side.
+:func:`repro.backends.execute` is the batch of one.
 
 Every backend returns a product **bitwise-equal to**
 :func:`~repro.core.spgemm.spgemm_rowwise` **once exact-zero sums are
@@ -53,8 +57,7 @@ __all__ = ["ExecutionBackend", "ExecutionContext"]
 
 @dataclass
 class ExecutionContext:
-    """Per-execution config, statistics and digest hints, threaded through
-    dispatch.
+    """Per-execution config and statistics, threaded through dispatch.
 
     One context can span many executions (the engine keeps a long-lived
     one), so backends *accumulate* into :attr:`stats` rather than
@@ -69,13 +72,6 @@ class ExecutionContext:
         Counter dict (``{"scipy_calls": 3, "reference_calls": 8, ...}``);
         use :meth:`bump`, which is atomic: a serving engine's dispatch
         and caller threads share one context.
-    operand_tokens:
-        Digest hints installed by the engine: ``id(operand) →
-        "pattern:value"`` token (the same digests its plan/operand
-        cache keys use), scoped to the current call.  The engine hints
-        every ``A²`` product (``B is A``); ``scipy`` keys its recorded
-        product structure by them.  An absent entry means an unhinted
-        product.
     tracer:
         Optional :class:`~repro.obs.Tracer`: when set (and enabled),
         :func:`repro.backends.execute_many` wraps each dispatch in a
@@ -86,7 +82,6 @@ class ExecutionContext:
 
     cfg: Any = None
     stats: dict[str, int] = field(default_factory=dict)
-    operand_tokens: dict[int, str] = field(default_factory=dict)
     tracer: Any = None
 
     def __post_init__(self) -> None:
@@ -137,7 +132,7 @@ class ExecutionBackend(ABC):
         original_order: bool = False,
     ) -> tuple[list, int]:
         """Run ``kernel`` on the prepared ``operand`` against every ``B``
-        in ``Bs``.
+        in ``Bs`` (``operand.A`` for a ``B`` of ``None``).
 
         ``operand`` is a :class:`~repro.pipeline.spec.BuiltPipeline`
         (``Ar`` always, ``Ac`` when the pipeline clustered, ``inv`` when

@@ -31,9 +31,10 @@ class ReferenceBackend(ExecutionBackend):
         ctx: ExecutionContext,
         original_order: bool = False,
     ) -> tuple[list, int]:
-        """The registered kernel on every product, one after another in
-        the calling thread; the rows gathered through ``operand.inv``
-        afterwards when ``original_order`` is set."""
+        """The registered kernel on every product (``operand.A`` for a
+        ``B`` of ``None``), one after another in the calling thread; the
+        rows gathered through ``operand.inv`` afterwards when
+        ``original_order`` is set."""
         from ..pipeline import get_component
 
         run = get_component("kernel", kernel).factory
@@ -41,6 +42,6 @@ class ReferenceBackend(ExecutionBackend):
         Cs = []
         for B in Bs:
             ctx.bump("reference_calls")
-            C = run(operand, B, **kernel_params)
+            C = run(operand, operand.A if B is None else B, **kernel_params)
             Cs.append(C if inv is None else C.permute_rows(inv))
         return Cs, 1

@@ -16,42 +16,43 @@ zeros — the same as raw ``scipy.sparse`` — and identical to it whenever
 nothing cancels.  Keeping the zeros would need a second, symbolic scipy
 product on every call.
 
-One entry point, three paths (DESIGN.md §10).  Every product goes
-through :meth:`ScipyBackend.execute_many`, which validates the operand
-and every right operand first, then picks one path per product from what
-it can observe:
+One entry point, two paths plus a fallback (DESIGN.md §10).  Every
+product goes through :meth:`ScipyBackend.execute_many`, which validates
+the operand and every right operand first, then picks one path per
+product from what it can observe:
 
-* **direct** — an unhinted product (``ctx.operand_tokens`` has no entry
-  for ``B``).  scipy's C++ passes run on the :class:`CSRMatrix` arrays
-  themselves, in their own int64 index dtype: count, numeric pass into
-  fresh buffers of that length, row sort in place, and, for the original
-  row order of a permuted operand, a row gather through ``inv``.  The
-  result is wrapped without a cast; no scipy object is built and nothing
-  is recorded.
-* **recorded square** — a hinted product (the engine hints ``B is A``)
-  whose ``B`` is the operand's source (checked once per token, bitwise),
-  from its second sighting on.  The backend squares its own handle —
-  ``Ar`` as a scipy matrix, or ``L = P A Pᵀ`` for a permuted operand —
-  with scipy's numeric pass alone, its symbolic count taken once, and
-  gathers the canonical product through a structure recorded on the
-  operand's :attr:`backend_state`: where each entry of the canonical
-  result sits in scipy's raw output.  No sort, no row un-permute, no
-  counting pass.  A large square runs in two row halves (below).
-* **plain** — everything else: the public ``@`` of the operand's handle
-  and ``B``, sorted, row-gathered and cast, with nothing recorded.  That
-  is a hinted product's first sighting (a one-off operand pays for no
-  record, and the int32 public product beats the int64 direct chain), a
-  hinted ``B`` that is not the operand's source, a square whose count
-  exceeds :data:`_MAX_RECORDED_NNZ` (counted once, then remembered), and
-  every product when the probe below fails.
+* **square** — a right operand of ``None``: the operand's own source,
+  ``operand.A`` (the engine passes it for every ``A²``), on a rows-mode
+  operand.  Its first sighting runs on the direct path and marks the
+  operand (a one-off operand pays for no record); its second counts the
+  square and records it; every later one squares the backend's own
+  handle — ``Ar`` as a scipy matrix, or ``L = P A Pᵀ`` for a permuted
+  operand — with scipy's numeric pass alone, its symbolic count taken
+  once, and gathers the canonical product through a structure recorded
+  on the operand's :attr:`backend_state`: where each entry of the
+  canonical result sits in scipy's raw output.  No sort, no row
+  un-permute, no counting pass.  A large square runs in two row halves
+  (below).  The state is keyed by ``original_order`` alone, since the
+  square reads nothing but the operand.  A square whose count exceeds
+  :data:`_MAX_RECORDED_NNZ` (counted once, then remembered) and a
+  symmetric-mode operand's ``None`` run on the direct path.
+* **direct** — every other product.  scipy's C++ passes run on the
+  :class:`CSRMatrix` arrays themselves, in their own int64 index dtype:
+  count, numeric pass into fresh buffers of that length, row sort in
+  place, and, for the original row order of a permuted operand, a row
+  gather through ``inv``.  The result is wrapped without a cast; no
+  scipy object is built and nothing is recorded.
+* **plain** — every product when the probe below fails: the public
+  ``@`` of the operand's handle and ``B``, sorted, row-gathered and cast,
+  with nothing recorded.
 
 Private passes: ``csr_matmat`` writes without bounds checks, so its
 buffers are sized by ``csr_matmat_maxnnz`` on the exact index arrays it
 is given — in the same call for a direct product, once per record for a
-recorded square — and both operands are validated first: ``Ar`` once per
-operand, an unhinted ``B`` on every call, a hinted ``B`` once per token.
-The entry points are imported and probed once, at import, against the
-public product on matrices with an exactly cancelling entry.
+recorded square — and every operand is validated first: ``Ar`` and
+``A`` once per operand, every other ``B`` on every call.  The entry
+points are imported and probed once, at import, against the public
+product on matrices with an exactly cancelling entry.
 
 Two threads: scipy's passes and numpy's ``take`` release the GIL, so
 work cut in two overlaps on a process that may run on two cores.  The
@@ -59,10 +60,10 @@ second share runs on a thread started and joined inside the call, and
 every product is computed exactly as in series, so results are bitwise
 those of the serial loop.
 
-* Batches: a batch of two or more direct products whose mean estimated
-  work per product (``A.nrows + A.nnz`` plus the product's flops)
-  reaches :data:`_SPLIT_MIN_WORK` is cut into two shares of near-equal
-  work.
+* Batches: a batch of two or more direct products, none of them a
+  square (``None``), whose mean estimated work per product
+  (``A.nrows + A.nnz`` plus the product's flops) reaches
+  :data:`_SPLIT_MIN_WORK` is cut into two shares of near-equal work.
 * Recorded squares: a square whose work reaches the same threshold is
   recorded with a cut row at its flop midpoint and a symbolic count for
   each row half.  Each half's numeric pass writes into its own slice of
@@ -120,13 +121,13 @@ def scipy_available() -> bool:
     return True
 
 
-#: ``backend_state`` marker: the hinted product was seen once and not
-#: recorded yet (recording on the first call costs memory for operands
-#: that are never multiplied again).
+#: ``backend_state`` key of a square's state, with its ``original_order``.
+_SQUARE = "square"
+#: Square state: seen once and not recorded yet (recording on the first
+#: call costs memory for operands that are never squared again).
 _SEEN = "seen"
-#: ``backend_state`` marker: the hinted product's count exceeded
-#: :data:`_MAX_RECORDED_NNZ`, so every later sighting takes the plain path
-#: without counting again.
+#: Square state: the count exceeded :data:`_MAX_RECORDED_NNZ`, so every
+#: later sighting takes the direct path without counting again.
 _UNRECORDABLE = "unrecordable"
 #: ``backend_state`` keys: the operand's scipy handle of ``Ar`` and its
 #: symmetric handle ``L = P A Pᵀ``.
@@ -196,25 +197,6 @@ def _symmetric_handle(operand, As, state):
         relabelled = operand.inv.astype(As.indices.dtype)[As.indices]
         L = state[_SYMMETRIC] = sp.csr_matrix((As.data, relabelled, As.indptr), shape=As.shape)
     return L
-
-
-def _is_source(operand, B, token, state) -> bool:
-    """Whether the hinted ``B`` is the source of a rows-mode operand:
-    ``B`` with the operand's row gather applied equals ``Ar`` bitwise.
-    Checked once per token."""
-    key = ("source", token)
-    ok = state.get(key)
-    if ok is None:
-        Ar, perm = operand.Ar, operand.perm
-        ok = operand.mode == "rows" and B.shape == Ar.shape
-        if ok:
-            PB = B if perm is None else B.permute_rows(perm)
-            ok = all(
-                np.array_equal(x, y)
-                for x, y in ((PB.indptr, Ar.indptr), (PB.indices, Ar.indices), (PB.values, Ar.values))
-            )
-        state[key] = ok
-    return ok
 
 
 def _count(A, B) -> int:
@@ -311,18 +293,24 @@ def _square(S, cut: int, counts: tuple[int, int], split: bool = False):
 
 
 def _check_operand(operand, state) -> None:
-    """Validate the operand's ``Ar`` once: scipy's passes read it without
-    bounds checks."""
+    """Validate the operand's ``Ar`` and its source ``A`` once: scipy's
+    passes read them without bounds checks (``A`` as a square's right
+    operand on the direct path)."""
     if not state.get(_CHECKED):
         operand.Ar._check()
+        if operand.A is not operand.Ar:
+            operand.A._check()
         state[_CHECKED] = True
 
 
-def _check_right(Ar, B) -> None:
-    """Validate the right operand of ``Ar @ B`` before any scipy call."""
+def _check_right(Ar, B, arrays: bool = True) -> None:
+    """Validate the right operand of ``Ar @ B`` before any scipy call:
+    its shape, and its arrays unless ``arrays`` is false (``operand.A``,
+    which :func:`_check_operand` checked)."""
     if B.shape[0] != Ar.shape[1]:
         raise ValueError(f"dimension mismatch: {Ar.shape} @ {B.shape}")
-    B._check()
+    if arrays:
+        B._check()
 
 
 def _sort_rows(indptr, indices, values) -> None:
@@ -453,16 +441,17 @@ def _probe() -> bool:
         return False
 
 
-#: Whether the direct and recorded-square paths may call scipy's passes
-#: directly; otherwise every product takes the plain path.
+#: Whether the square and direct paths may call scipy's passes directly;
+#: otherwise every product takes the plain path.
 _NUMERIC_ONLY = _probe()
 
 
 def _plain(operand, B, state, inv) -> CSRMatrix:
-    """The plain path: the public ``Ar @ B`` on the operand's scipy
-    handle (both operands when ``B`` is ``Ar``), sorted, rows ``inv`` of
-    it when given, cast."""
+    """The plain path: the public ``Ar @ B`` (``operand.A`` for ``None``)
+    on the operand's scipy handle (both operands when ``B`` is ``Ar``),
+    sorted, rows ``inv`` of it when given, cast."""
     As = _handle(operand, state)
+    B = operand.A if B is None else B
     Cs = As @ (As if B is operand.Ar else _wrap(B))
     Cs.sort_indices()
     if inv is not None:
@@ -547,22 +536,21 @@ def _gather(rec: _Structure, Cs, perm, split: bool):
     return indices, values
 
 
-def _recorded_square(operand, B, token, state, inv, original_order, ctx) -> tuple[CSRMatrix, bool] | None:
-    """The recorded-square path of a hinted product: ``S @ S`` by scipy's
-    numeric pass alone (``S`` the operand's handle, ``L`` when permuted),
-    canonicalised through the structure recorded on the product's second
-    sighting, and whether it was split across two threads.  ``None``
-    sends the product to the plain path: its first sighting, a ``B`` that
-    is not the operand's source, or a count over
-    :data:`_MAX_RECORDED_NNZ` (counted once per key)."""
-    key = (token, original_order)
+def _recorded_square(operand, state, inv, original_order, ctx) -> tuple[CSRMatrix, bool] | None:
+    """The square path: ``S @ S`` by scipy's numeric pass alone (``S``
+    the operand's handle, ``L`` when permuted), canonicalised through the
+    structure recorded on the square's second sighting, and whether it
+    was split across two threads.  ``None`` sends the square to the
+    direct path: a symmetric-mode operand, its first sighting, or a count
+    over :data:`_MAX_RECORDED_NNZ` (counted once per row order)."""
+    if operand.mode != "rows":
+        return None
+    key = (_SQUARE, original_order)
     rec = state.get(key)
     if rec is None:
         state[key] = _SEEN
         return None
     if rec is _UNRECORDABLE:
-        return None
-    if not _is_source(operand, B, token, state):
         return None
     S = _handle(operand, state)
     perm = operand.perm
@@ -624,38 +612,37 @@ class ScipyBackend(ExecutionBackend):
         state = operand.backend_state
         Ar = operand.Ar
         inv = operand.inv if original_order else None
-        tokens = [ctx.operand_tokens.get(id(B)) for B in Bs]
-        # Every operand validated before any product starts; a token
-        # names B's pattern and values, so a hinted B once per token.
+        # Every operand validated before any product starts.
         _check_operand(operand, state)
-        for B, token in zip(Bs, tokens):
-            if token is None or state.get((token, original_order)) is None:
-                _check_right(Ar, B)
-        direct = sum(token is None for token in tokens) if _NUMERIC_ONLY else 0
+        for B in Bs:
+            _check_right(Ar, operand.A if B is None else B, arrays=B is not None)
+        direct = sum(B is not None for B in Bs) if _NUMERIC_ONLY else 0
         shares = [range(len(Bs))]
         if len(Bs) > 1 and direct == len(Bs) and _cores() > 1:
             work = _work(Ar, Bs)
             if work.mean() >= _SPLIT_MIN_WORK:
                 shares = [share for share in _halves(work) if share]
 
-        def product(B, token):
+        def product(B):
             """``A @ B`` and the number of threads that ran it."""
-            if _NUMERIC_ONLY:
-                if token is None:
-                    return _direct(Ar, B, inv), 1
-                got = _recorded_square(operand, B, token, state, inv, original_order, ctx)
+            if not _NUMERIC_ONLY:
+                ctx.bump("scipy_plain_products")
+                return _plain(operand, B, state, inv), 1
+            if B is None:
+                got = _recorded_square(operand, state, inv, original_order, ctx)
                 if got is not None:
                     C, split = got
                     return C, 1 + split
-            ctx.bump("scipy_plain_products")
-            return _plain(operand, B, state, inv), 1
+                ctx.bump("scipy_direct_products")
+                B = operand.A
+            return _direct(Ar, B, inv), 1
 
         Cs = [None] * len(Bs)
         threads = [1] * len(Bs)
 
         def run(share):
             for i in share:
-                Cs[i], threads[i] = product(Bs[i], tokens[i])
+                Cs[i], threads[i] = product(Bs[i])
 
         _run_shares(run, shares)
         ctx.bump("scipy_calls", len(Bs))

@@ -18,7 +18,10 @@ engine
    product in the original row order, bitwise-identical to
    :func:`~repro.core.spgemm.spgemm_rowwise` on the original operands
    once exact-zero sums are dropped (NaNs by position) — ``scipy``
-   drops them, as raw scipy does; ``reference`` keeps them,
+   drops them, as raw scipy does; ``reference`` keeps them.  An ``A²``
+   product's right operand goes to the backend as ``None``, the
+   prepared operand's own source, so ``scipy`` squares data it owns
+   and records that square's structure,
 5. **accounts**: cumulative planning / preprocessing / execution time
    (both wall-clock and model units) and the break-even iteration count
    at which the one-off costs amortise (paper Fig. 10, Table 4).
@@ -87,12 +90,12 @@ class EngineStats:
     investments.
 
     Thread safety: the serving front-end (:mod:`repro.serve`) mutates one
-    stats object from scheduler, planner and fallback (caller) threads
-    concurrently, so every mutation goes through :meth:`bump` /
-    :meth:`bump_plan` — additions under a per-instance lock (``+=`` on
-    an attribute is a read-modify-write and silently drops updates under
-    contention).  The lock is allocated once
-    in ``__post_init__``; single-threaded callers pay one uncontended
+    stats object from its dispatch thread, fallback (caller) threads and
+    RPC handler threads concurrently, so every mutation goes through
+    :meth:`bump` / :meth:`bump_plan` — additions under a per-instance
+    lock (``+=`` on an attribute is a read-modify-write and silently
+    drops updates under contention).  The lock is allocated once in
+    ``__post_init__``; single-threaded callers pay one uncontended
     acquire per counter batch.
     """
 
@@ -245,8 +248,6 @@ class _Bound:
     plan: ExecutionPlan
     built: BuiltPipeline
     kernel_params: dict
-    pdigest: str  # A's pattern digest (plan-cache key, A² hint)
-    vdigest: str  # A's value digest (operand-cache key, A² hint)
     backend: ExecutionBackend  # the plan's backend, resolved once per call
     hit: bool  # the plan came from the cache (ledgered once a batch ran)
     reused: bool  # the operand came from the cache (likewise)
@@ -503,7 +504,7 @@ class SpGEMMEngine:
                 workload=plan.workload,
             )
         backend = get_backend(spec.backend, spec.backend_params)
-        return _Bound(plan, built, kernel_params, pdigest, vdigest, backend, hit, reused)
+        return _Bound(plan, built, kernel_params, backend, hit, reused)
 
     def _run(self, bound: _Bound, A: CSRMatrix, Bs: list, *, reuse: bool = False) -> list[CSRMatrix]:
         """The products ``A @ B`` for every ``B`` in ``Bs`` through the
@@ -523,27 +524,20 @@ class SpGEMMEngine:
         edit.
         """
         t0 = time.perf_counter()
-        plan, ctx = bound.plan, self._exec_ctx
-        # Digest reuse (DESIGN.md §10): every A² product is hinted with
-        # the pattern/value digests the plan and operand caches already
-        # computed — scipy keys its recorded product structure by them.
-        hinted = any(B is A for B in Bs)
-        if hinted:
-            ctx.operand_tokens[id(A)] = f"{bound.pdigest[:20]}:{bound.vdigest[:20]}"
-        try:
-            Cs = backend_execute_many(
-                bound.built,
-                Bs,
-                kernel=plan.spec.kernel,
-                kernel_params=bound.kernel_params,
-                backend=bound.backend,
-                cfg=self.cfg,
-                ctx=ctx,
-                original_order=True,
-            )
-        finally:
-            if hinted:
-                ctx.operand_tokens.pop(id(A), None)
+        plan = bound.plan
+        # Every A² product is passed as ``None``, the operand's own source
+        # (DESIGN.md §10): the operand's value digest equals A's, and
+        # scipy records the structure of the square it computes from it.
+        Cs = backend_execute_many(
+            bound.built,
+            [None if B is A else B for B in Bs],
+            kernel=plan.spec.kernel,
+            kernel_params=bound.kernel_params,
+            backend=bound.backend,
+            cfg=self.cfg,
+            ctx=self._exec_ctx,
+            original_order=True,
+        )
         n = len(Bs)
         self._stats.bump(
             execute_seconds=time.perf_counter() - t0,

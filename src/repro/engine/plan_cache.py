@@ -49,8 +49,9 @@ class PlanCache:
 
         self.capacity = int(capacity)
         self._entries: "OrderedDict[str, ExecutionPlan]" = OrderedDict()
-        # Re-entrant: serve's planner/dispatch threads share one cache,
-        # and put() → _evict_one() nests inside the lock.
+        # Re-entrant: serve's dispatch, fallback (caller) and RPC handler
+        # threads share one cache, and put() → _evict_one() nests inside
+        # the lock.
         self._lock = threading.RLock()
         # Keys whose build is in flight (get_or_build), each with the
         # event its waiters block on.

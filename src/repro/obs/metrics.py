@@ -14,8 +14,8 @@ byte-reproducible from a seed.
 counters and histograms with a sorted, JSON-safe :meth:`snapshot`.
 
 Thread safety: the serving front-end (:mod:`repro.serve`) observes
-latencies and bumps counters from scheduler, planner and RPC handler
-threads concurrently, so :meth:`Counter.inc`, :meth:`Histogram.observe`
+latencies and bumps counters from its dispatch thread, fallback
+(caller) threads and RPC handler threads concurrently, so :meth:`Counter.inc`, :meth:`Histogram.observe`
 and the registry's get-or-create accessors take a per-instance lock
 (allocated once at construction — the hot path acquires, never
 allocates).  ``+=`` on a Python attribute is a read-modify-write and

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_contract_equal
+from conftest import assert_bitwise_equal, assert_contract_equal, square_csr
+from repro.backends import ExecutionContext, execute
 from repro.core import COOMatrix, CSRMatrix, spgemm_rowwise
 from repro.engine import SpGEMMEngine
 from repro.matrices import generators as G
-from repro.pipeline import available_components, enumerate_compatible
+from repro.pipeline import PipelineSpec, available_components, enumerate_compatible
 
 #: Keep the exhaustive pairing affordable: two reordering families are
 #: enough to cover permuted + natural operands (test_pipeline_exec
@@ -55,6 +56,37 @@ def test_backend_axis_enumerates_every_compatible_pair():
 def test_every_backend_pair_matches_reference(matname, spec):
     A = MATRICES[matname]
     assert_contract_equal(spec.run(A), spgemm_rowwise(A, A))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    A=square_csr(max_n=20, max_nnz=90),
+    reordering=st.sampled_from(REORDERINGS),
+    backend=st.sampled_from(available_components("backend")),
+    original_order=st.booleans(),
+)
+def test_none_right_operand_squares_the_operands_source(A, reordering, backend, original_order):
+    """A right operand of ``None`` is the operand's own source: over three
+    sightings (``scipy``'s first, recording and recorded squares) it is
+    bitwise the product with ``built.A`` passed explicitly."""
+    built = PipelineSpec.parse(f"{reordering}@{backend}").build(A)
+
+    def run(B, ctx):
+        spec = built.spec
+        return execute(
+            built,
+            B,
+            kernel=spec.kernel,
+            kernel_params=spec.kernel_info.resolve_params(spec.kernel_params, None),
+            backend=spec.backend,
+            ctx=ctx,
+            original_order=original_order,
+        )
+
+    want = run(built.A, ExecutionContext())
+    ctx = ExecutionContext()
+    for _ in range(3):
+        assert_bitwise_equal(run(None, ctx), want)
 
 
 @st.composite

@@ -290,7 +290,10 @@ def test_plan_cache_lru_eviction():
 
 
 def _plan(invested: float, key: str = "k") -> ExecutionPlan:
-    return make_plan(fingerprint_key=key, pre_cost=invested / 2, planning_cost=invested / 2)
+    # The second half is what the first leaves: halving the smallest
+    # subnormal rounds to 0.0, and two halves of 0.0 would invest nothing.
+    half = invested / 2
+    return make_plan(fingerprint_key=key, pre_cost=half, planning_cost=invested - half)
 
 
 def test_cost_aware_eviction_evicts_cheapest_to_replan_first():

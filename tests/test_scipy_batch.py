@@ -1,11 +1,12 @@
 """The ``scipy`` backend's batch split (DESIGN.md §10).
 
-``execute_many`` validates the operand and every unhinted ``B`` in the
-calling thread, then runs a large batch on two threads, each taking a
-share of near-equal estimated work.  Each product must stay bitwise the
-serial path's; a malformed ``B`` anywhere must raise before any product
-runs; small batches, hinted products and 1-core hosts must start no
-thread; threads never outlive the call (the autouse leak guard).
+``execute_many`` validates the operand and every ``B`` in the calling
+thread, then runs a large batch on two threads, each taking a share of
+near-equal estimated work.  Each product must stay bitwise the serial
+path's; a malformed ``B`` anywhere must raise before any product runs;
+small batches, batches with a hinted square (a ``B`` of ``None``) and
+1-core hosts must start no thread; threads never outlive the call (the
+autouse leak guard).
 
 Most tests force the split on by lowering ``_SPLIT_MIN_WORK`` to 0 and
 reporting two CPUs; ``test_real_affinity_decides_the_split`` reads the
@@ -211,8 +212,7 @@ def test_serial_cases_start_no_thread(monkeypatch, split_on, thread_starts, case
     built = PipelineSpec.parse("rcm@scipy").build(A)
     ctx = ExecutionContext()
     if case == "hinted":
-        ctx.operand_tokens[id(A)] = "pattern:value"
-        Bs = [Bs[0], A, Bs[1]]
+        Bs = [Bs[0], None, Bs[1]]
     elif case == "one_product":
         Bs = Bs[:1]
     else:

@@ -1,15 +1,16 @@
-"""The ``scipy`` backend's three paths and the dispatcher's
-``original_order`` contract.
+"""The ``scipy`` backend's two paths, its failed-probe fallback and the
+dispatcher's ``original_order`` contract.
 
-Each product takes one path, chosen from what the backend can observe:
-an unhinted product runs scipy's C++ passes on the operands' own arrays
-(direct); a hinted product (``ctx.operand_tokens`` names B) whose B is the
-operand's source squares the backend's own handle from its second
-sighting on and gathers through a structure recorded on the operand's
-``backend_state`` (recorded square); everything else takes the public
-``@`` and records nothing (plain).  Every path must be bitwise raw
-scipy's, sorted.  A record that no longer matches the raw output must be
-rebuilt, never trusted.  On a permuted operand the recorded product is
+Each product takes one path, chosen from what the backend can observe: a
+right operand of ``None`` (a *hinted* square: the operand's own source,
+which the engine passes for every ``A²``) squares the backend's own
+handle from its second sighting on and gathers through a structure
+recorded on the operand's ``backend_state`` (recorded square); its first
+sighting, an oversize count and every other right operand run scipy's
+C++ passes on the operands' own arrays (direct); only a failed probe
+sends products to the public ``@`` (plain).  Every path must be bitwise
+raw scipy's, sorted.  A record that no longer matches the raw output must
+be rebuilt, never trusted.  On a permuted operand the recorded product is
 ``L @ L`` with ``L = P A Pᵀ``.  A malformed operand must raise
 ``ValueError`` before any scipy call.
 
@@ -40,9 +41,6 @@ from repro.matrices.perturb import scramble
 from repro.obs import RingSink, Tracer
 from repro.pipeline import PipelineSpec, components
 
-TOKEN = "pattern:value"
-
-
 def _run(built, B, ctx, original_order):
     spec = built.spec
     return execute(
@@ -57,10 +55,9 @@ def _run(built, B, ctx, original_order):
     )
 
 
-def _hinted_ctx(B):
-    ctx = ExecutionContext()
-    ctx.operand_tokens[id(B)] = TOKEN
-    return ctx
+def _square_key(original_order=True):
+    """The ``backend_state`` key of a square's record in one row order."""
+    return (scipy_backend._SQUARE, original_order)
 
 
 @settings(max_examples=60, deadline=None)
@@ -74,10 +71,10 @@ def test_warm_path_bitwise_equal_to_plain_path(A, reordering, hinted, original_o
     spec = PipelineSpec.parse(f"{reordering}@scipy")
     plain = _run(spec.build(A), A, ExecutionContext(), original_order)
     built = spec.build(A)
-    ctx = _hinted_ctx(A) if hinted else ExecutionContext()
-    # First sighting (plain), second (records), third and fourth (reuse).
+    ctx = ExecutionContext()
+    # First sighting (direct), second (records), third and fourth (reuse).
     for _ in range(4):
-        assert_bitwise_equal(_run(built, A, ctx, original_order), plain)
+        assert_bitwise_equal(_run(built, None if hinted else A, ctx, original_order), plain)
     expected = {"scipy_structure_records": 1, "scipy_structure_reuses": 2} if hinted else {}
     assert {k: v for k, v in ctx.stats.items() if k.startswith("scipy_structure")} == expected
 
@@ -85,11 +82,11 @@ def test_warm_path_bitwise_equal_to_plain_path(A, reordering, hinted, original_o
 def _recorded(A, original_order=True):
     """A built ``rcm@scipy`` operand whose hinted A² structure is recorded."""
     built = PipelineSpec.parse("rcm@scipy").build(A)
-    ctx = _hinted_ctx(A)
+    ctx = ExecutionContext()
     for _ in range(2):
-        _run(built, A, ctx, original_order)
+        _run(built, None, ctx, original_order)
     assert ctx.stats["scipy_structure_records"] == 1
-    return built, ctx, (TOKEN, original_order)
+    return built, ctx, _square_key(original_order)
 
 
 def test_shuffled_order_is_rebuilt_not_trusted():
@@ -98,11 +95,11 @@ def test_shuffled_order_is_rebuilt_not_trusted():
     rec = built.backend_state[key]
     shuffled = np.random.default_rng(0).permutation(rec.order).astype(np.int32)
     built.backend_state[key] = rec._replace(order=shuffled)
-    C = _run(built, A, ctx, True)
+    C = _run(built, None, ctx, True)
     assert_contract_equal(C, spgemm_rowwise(A, A))
     assert ctx.stats["scipy_structure_rebuilds"] == 1
     # The rebuilt record is trusted again on the next call.
-    assert_bitwise_equal(_run(built, A, ctx, True), C)
+    assert_bitwise_equal(_run(built, None, ctx, True), C)
     assert ctx.stats["scipy_structure_reuses"] == 1
 
 
@@ -113,7 +110,7 @@ def test_mismatched_raw_row_pointer_is_rebuilt():
     stale = rec.raw_indptr.copy()
     stale[1:-1] = stale[2:]  # one row "moved" its boundary
     built.backend_state[key] = rec._replace(raw_indptr=stale)
-    C = _run(built, A, ctx, False)
+    C = _run(built, None, ctx, False)
     assert_contract_equal(C, spgemm_rowwise(A, A).permute_rows(built.perm))
     assert ctx.stats["scipy_structure_rebuilds"] == 1
     assert "scipy_structure_reuses" not in ctx.stats
@@ -135,9 +132,9 @@ def test_original_order_is_default_then_unpermute(spec):
     expected = _run(built, A, ExecutionContext(), False).permute_rows(built.inv)
     assert_bitwise_equal(_run(built, A, ExecutionContext(), True), expected)
     # Warm scipy calls (hinted, recorded, reused) keep the contract too.
-    ctx = _hinted_ctx(A)
+    ctx = ExecutionContext()
     for _ in range(3):
-        assert_bitwise_equal(_run(built, A, ctx, True), expected)
+        assert_bitwise_equal(_run(built, None, ctx, True), expected)
 
 
 def test_cancellation_drops_exact_zeros_like_raw_scipy():
@@ -203,9 +200,9 @@ def test_symmetric_warm_square_is_bitwise_raw_scipy(A, spec, original_order):
     built = spec.build(A)
     raw = _raw(A, built, original_order)
     assert_bitwise_equal(_run(spec.build(A), A, ExecutionContext(), original_order), raw)
-    ctx = _hinted_ctx(A)
+    ctx = ExecutionContext()
     for _ in range(4):
-        assert_bitwise_equal(_run(built, A, ctx, original_order), raw)
+        assert_bitwise_equal(_run(built, None, ctx, original_order), raw)
     # Calls 2-4 run L @ L whenever the operand is permuted.
     assert ctx.stats.get("scipy_symmetric_products", 0) == (0 if built.perm is None else 3)
     assert ctx.stats["scipy_structure_reuses"] == 2
@@ -215,29 +212,29 @@ def test_symmetric_cancellation_drops_exact_zeros_like_raw_scipy():
     A = scramble(G.grid2d(12, 12), seed=1)
     A = CSRMatrix(A.indptr, A.indices, np.where(A.indices % 2 == 0, 1.0, -1.0), A.shape)
     built = PipelineSpec.parse("rcm@scipy").build(A)
-    ctx = _hinted_ctx(A)
+    ctx = ExecutionContext()
     raw = _raw(A)
     assert raw.nnz < spgemm_rowwise(A, A).nnz  # some sums cancel exactly
     for _ in range(3):
-        assert_bitwise_equal(_run(built, A, ctx, True), raw)
+        assert_bitwise_equal(_run(built, None, ctx, True), raw)
     assert ctx.stats["scipy_symmetric_products"] == 2
 
 
 def test_symmetric_handle_built_only_on_second_sighting():
     A = scramble(G.grid2d(15, 15), seed=2)
     built = PipelineSpec.parse("rcm@scipy").build(A)
-    ctx = _hinted_ctx(A)
-    _run(built, A, ctx, True)
+    ctx = ExecutionContext()
+    _run(built, None, ctx, True)
     assert scipy_backend._SYMMETRIC not in built.backend_state
     assert "scipy_symmetric_products" not in ctx.stats
-    _run(built, A, ctx, True)
+    _run(built, None, ctx, True)
     L = built.backend_state[scipy_backend._SYMMETRIC]
     assert ctx.stats["scipy_symmetric_products"] == 1
     # L is P A Pᵀ, its values shared with the operand.
     expected = A.permute_symmetric(built.perm)
     assert np.shares_memory(L.data, built.Ar.values)
     assert CSRMatrix.from_scipy(L.copy()).same_pattern(expected)
-    _run(built, A, ctx, True)
+    _run(built, None, ctx, True)
     assert built.backend_state[scipy_backend._SYMMETRIC] is L
 
 
@@ -249,20 +246,21 @@ def test_shuffled_order_on_symmetric_record_is_rebuilt_not_trusted():
     shuffled = np.random.default_rng(1).permutation(rec.order).astype(np.int32)
     built.backend_state[key] = rec._replace(order=shuffled)
     raw = _raw(A)
-    assert_bitwise_equal(_run(built, A, ctx, True), raw)
+    assert_bitwise_equal(_run(built, None, ctx, True), raw)
     assert ctx.stats["scipy_structure_rebuilds"] == 1
     assert ctx.stats["scipy_symmetric_products"] == 2  # rebuilt from L @ L
-    assert_bitwise_equal(_run(built, A, ctx, True), raw)
+    assert_bitwise_equal(_run(built, None, ctx, True), raw)
     assert ctx.stats["scipy_structure_reuses"] == 1
 
 
 def test_symmetric_mode_operand_keeps_rows_path():
     A = G.web_graph(150, seed=4)
     built = PipelineSpec.parse("rcm@scipy").build(A, mode="symmetric")
-    ctx = _hinted_ctx(A)
+    ctx = ExecutionContext()
     expected = _run(built, A, ExecutionContext(), False)
     for _ in range(3):
-        assert_bitwise_equal(_run(built, A, ctx, False), expected)
+        assert_bitwise_equal(_run(built, None, ctx, False), expected)
+    assert ctx.stats["scipy_direct_products"] == 3
     assert "scipy_symmetric_products" not in ctx.stats
     assert scipy_backend._SYMMETRIC not in built.backend_state
 
@@ -275,20 +273,22 @@ def test_symmetric_build_refuses_execute():
     assert_bitwise_equal(PipelineSpec.parse("rcm").build(A).execute(A), spgemm_rowwise(A, A))
 
 
-def test_unrecordable_symmetric_product_takes_plain_path(monkeypatch):
+def test_unrecordable_symmetric_product_takes_direct_path(monkeypatch):
     # The count decides before any numeric pass: every sighting of a
-    # square over the limit runs the public ``@`` and records nothing,
+    # square over the limit runs the direct path and records nothing,
     # and the decision is remembered, so each row order counts once.
     monkeypatch.setattr(scipy_backend, "_MAX_RECORDED_NNZ", 0)
-    calls = _spy_count(monkeypatch)
+    calls = []
+    counts = scipy_backend._counts
+    monkeypatch.setattr(scipy_backend, "_counts", lambda S, cut: calls.append(cut) or counts(S, cut))
     A = scramble(G.grid2d(15, 15), seed=6)
     built = PipelineSpec.parse("rcm@scipy").build(A)
-    ctx = _hinted_ctx(A)
+    ctx = ExecutionContext()
     for original_order in (True, False):
         for _ in range(3):
-            assert_bitwise_equal(_run(built, A, ctx, original_order), _raw(A, built, original_order))
+            assert_bitwise_equal(_run(built, None, ctx, original_order), _raw(A, built, original_order))
     assert len(calls) == 2  # sighting 2 of each row order
-    assert ctx.stats["scipy_plain_products"] == 6
+    assert ctx.stats["scipy_direct_products"] == 6
     assert "scipy_symmetric_products" not in ctx.stats
     assert not any(k.startswith("scipy_structure") for k in ctx.stats)
     assert not any(isinstance(v, scipy_backend._Structure) for v in built.backend_state.values())
@@ -324,9 +324,9 @@ def test_operand_handle_is_converted_once(monkeypatch):
     A = G.web_graph(150, seed=4)
     # Unpermuted A²: the operand's handle serves as both operands.
     built = PipelineSpec.parse("original@scipy").build(A)
-    ctx = _hinted_ctx(A)
+    ctx = ExecutionContext()
     for _ in range(4):
-        assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+        assert_bitwise_equal(_run(built, None, ctx, True), _raw(A))
     assert len(calls) == 1
     As = built.backend_state[scipy_backend._HANDLE]
     assert As.indices.dtype == np.int32 and np.shares_memory(As.data, A.values)
@@ -355,9 +355,9 @@ def test_concurrent_hinted_squares_share_one_operand():
 
     def worker():
         try:
-            ctx = _hinted_ctx(A)
+            ctx = ExecutionContext()
             for _ in range(6):
-                results.append(_run(built, A, ctx, True))
+                results.append(_run(built, None, ctx, True))
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
@@ -376,6 +376,51 @@ def test_concurrent_hinted_squares_share_one_operand():
     assert len(results) == 24
     for C in results:
         assert_bitwise_equal(C, raw)
+
+
+def test_concurrent_square_and_product_keep_their_own_paths():
+    # One thread squares A while another multiplies X by that same A on
+    # one engine: X's products never reach a square's path, so none takes
+    # the public ``@`` and X's operand keeps no square state.
+    A = scramble(G.grid2d(30, 30), seed=16)
+    X = scramble(G.grid2d(30, 30), seed=17)
+    eng = SpGEMMEngine(backend="scipy", pipeline="rcm")
+    SA = A.to_scipy()
+    raw_square = CSRMatrix.from_scipy(SA @ SA)
+    raw_product = CSRMatrix.from_scipy(X.to_scipy() @ SA)
+    assert_bitwise_equal(eng.multiply_many(X, [A])[0], raw_product)  # plan X
+    squares, products, errors = [], [], []
+
+    def run(out, call):
+        try:
+            for _ in range(400):
+                out.append(call())
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=run, args=(squares, lambda: eng.multiply(A))),
+            threading.Thread(target=run, args=(products, lambda: eng.multiply_many(X, [A])[0])),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(squares) == len(products) == 400
+    for C in squares:
+        assert_bitwise_equal(C, raw_square)
+    for C in products:
+        assert_bitwise_equal(C, raw_product)
+    assert "scipy_plain_products" not in eng.stats().backend_events
+    X_operand = eng.prepare(X, eng.plan_for(X, A))
+    assert not any(isinstance(k, tuple) and k[0] == scipy_backend._SQUARE for k in X_operand.backend_state)
 
 
 # ----------------------------------------------------------------------
@@ -412,12 +457,12 @@ def test_numeric_only_square_is_bitwise_raw_scipy_and_plain_path(A, reordering, 
     plain = _run(spec.build(A), A, ExecutionContext(), original_order)
     built = spec.build(A)
     raw = _raw(A, built, original_order)
-    ctx = _hinted_ctx(A)
+    ctx = ExecutionContext()
     for _ in range(3):  # first sighting, record, numeric-only reuse
-        C = _run(built, A, ctx, original_order)
+        C = _run(built, None, ctx, original_order)
     assert_bitwise_equal(C, raw)
     assert_bitwise_equal(C, plain)
-    rec = built.backend_state[(TOKEN, original_order)]
+    rec = built.backend_state[_square_key(original_order)]
     assert rec.maxnnz >= C.nnz  # larger whenever a sum cancels
     assert ctx.stats["scipy_numeric_products"] == 1
     assert ctx.stats["scipy_structure_reuses"] == 1
@@ -428,52 +473,51 @@ def test_counting_pass_runs_once_per_record_and_never_on_reuse(monkeypatch, spec
     calls = _spy_count(monkeypatch)
     A = _cancelling_grid()
     built = PipelineSpec.parse(spec).build(A)
-    ctx = _hinted_ctx(A)
+    ctx = ExecutionContext()
     raw = _raw(A)
-    # First sighting, record, three numeric-only reuses.
-    for want in (0, 1, 1, 1, 1):
-        assert_bitwise_equal(_run(built, A, ctx, True), raw)
+    # First sighting (the direct path counts its own product), record,
+    # three numeric-only reuses.
+    for want in (1, 2, 2, 2, 2):
+        assert_bitwise_equal(_run(built, None, ctx, True), raw)
         assert len(calls) == want
-    rec = built.backend_state[(TOKEN, True)]
+    rec = built.backend_state[_square_key(True)]
     assert rec.maxnnz > raw.nnz
     assert ctx.stats["scipy_numeric_products"] == 3
-    # The other row order is a record of its own, counted once too.
+    # The other row order is a record of its own, counted once too (after
+    # its own direct first sighting).
     for _ in range(3):
-        _run(built, A, ctx, False)
-    assert len(calls) == 2
+        _run(built, None, ctx, False)
+    assert len(calls) == 4
     # A rebuilt record keeps the count: it belongs to the handle.
-    key = (TOKEN, True)
+    key = _square_key(True)
     shuffled = np.random.default_rng(0).permutation(rec.order).astype(np.int32)
     built.backend_state[key] = rec._replace(order=shuffled)
-    assert_bitwise_equal(_run(built, A, ctx, True), raw)
+    assert_bitwise_equal(_run(built, None, ctx, True), raw)
     assert ctx.stats["scipy_structure_rebuilds"] == 1
     assert built.backend_state[key].maxnnz == rec.maxnnz
-    assert_bitwise_equal(_run(built, A, ctx, True), raw)
-    assert len(calls) == 2
+    assert_bitwise_equal(_run(built, None, ctx, True), raw)
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("reordering", ["original", "rcm"])
-@pytest.mark.parametrize("kind", ["other_matrix", "other_values"])
-def test_hinted_non_source_never_takes_numeric_only_call(monkeypatch, reordering, kind):
-    # A hinted B that is not the operand's source (a token of another
-    # matrix, or of A's pattern with other values) stays on the plain
-    # path: no count, no symmetric handle, no record.
-    calls = _spy_count(monkeypatch)
+def test_engine_squares_only_the_operand_itself(reordering):
+    # A B equal to A but another object, or of A's pattern with other
+    # values, is a product, not a square: the direct path on every call,
+    # no count of a square, no symmetric handle, no square state.
     A = scramble(G.grid2d(15, 15), seed=3)
-    if kind == "other_matrix":
-        B = scramble(G.grid2d(15, 15), seed=4)
-    else:
-        B = CSRMatrix(A.indptr, A.indices, A.values * 2.0, A.shape)
-    built = PipelineSpec.parse(f"{reordering}@scipy").build(A)
-    ctx = _hinted_ctx(B)
-    expected = CSRMatrix.from_scipy(A.to_scipy() @ B.to_scipy())
-    for _ in range(4):
-        assert_bitwise_equal(_run(built, B, ctx, True), expected)
-    assert calls == []
-    assert built.backend_state[(TOKEN, True)] is scipy_backend._SEEN
+    copy = CSRMatrix(A.indptr.copy(), A.indices.copy(), A.values.copy(), A.shape)
+    other = CSRMatrix(A.indptr, A.indices, A.values * 2.0, A.shape)
+    eng = SpGEMMEngine(backend="scipy", pipeline=reordering)
+    S = A.to_scipy()
+    for _ in range(3):
+        for B in (copy, other):
+            assert_bitwise_equal(eng.multiply(A, B), CSRMatrix.from_scipy(S @ B.to_scipy()))
+    events = eng.stats().backend_events
+    assert events["scipy_direct_products"] == 6
+    assert not any(k.startswith(("scipy_structure", "scipy_numeric", "scipy_symmetric", "scipy_plain")) for k in events)
+    built = eng.prepare(A, eng.plan_for(A, copy))
+    assert _square_key(True) not in built.backend_state
     assert scipy_backend._SYMMETRIC not in built.backend_state
-    assert ctx.stats["scipy_plain_products"] == 4
-    assert not any(k.startswith(("scipy_structure", "scipy_numeric", "scipy_symmetric")) for k in ctx.stats)
 
 
 @pytest.mark.parametrize("broken", ["missing", "raises", "wrong_values"])
@@ -499,12 +543,12 @@ def test_failed_probe_keeps_every_call_on_public_path(monkeypatch, broken):
     raw = _raw(A)
     for spec in ("original@scipy", "rcm@scipy"):
         built = PipelineSpec.parse(spec).build(A)
-        ctx = _hinted_ctx(A)
+        ctx = ExecutionContext()
         for _ in range(4):
-            assert_bitwise_equal(_run(built, A, ctx, True), raw)
+            assert_bitwise_equal(_run(built, None, ctx, True), raw)
         # Every sighting on the public ``@``, nothing recorded.
         assert ctx.stats == {"scipy_calls": 4, "scipy_plain_products": 4}
-        assert (TOKEN, True) not in built.backend_state
+        assert _square_key(True) not in built.backend_state
 
 
 # ----------------------------------------------------------------------
@@ -698,11 +742,14 @@ def test_malformed_left_operand_raises_value_error(monkeypatch, numeric_only):
 
 
 def test_hinted_malformed_right_operand_raises_value_error(no_scipy_pass):
-    A, B = G.grid2d(20, 20), _malformed("ncols")
+    # A square's right operand is the operand's source: a source broken
+    # after the build (its ``Ar`` is a permuted copy, still valid) raises.
+    A = G.grid2d(20, 20)
+    A = CSRMatrix(A.indptr, A.indices.copy(), A.values, A.shape)
     built = PipelineSpec.parse("rcm@scipy").build(A)
-    built.backend_state[scipy_backend._HANDLE] = A.to_scipy()  # no _wrap needed
+    A.indices[5] = A.ncols
     with pytest.raises(ValueError, match="column index out of range"):
-        _run(built, B, _hinted_ctx(B), True)
+        _run(built, None, ExecutionContext(), True)
 
 
 @pytest.mark.parametrize("numeric_only", [True, False])
@@ -711,6 +758,16 @@ def test_unhinted_dimension_mismatch_raises_value_error(monkeypatch, no_scipy_pa
     built = PipelineSpec.parse("rcm@scipy").build(G.grid2d(20, 20))
     with pytest.raises(ValueError, match="dimension mismatch"):
         _run(built, G.grid2d(10, 10), ExecutionContext(), True)
+
+
+@pytest.mark.parametrize("numeric_only", [True, False])
+def test_square_of_non_square_operand_raises_value_error(monkeypatch, no_scipy_pass, numeric_only):
+    # ``None`` is ``operand.A``: a rectangular operand has no square.
+    monkeypatch.setattr(scipy_backend, "_NUMERIC_ONLY", numeric_only)
+    A = CSRMatrix.from_dense(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
+    built = PipelineSpec.parse("original@scipy").build(A)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        _run(built, None, ExecutionContext(), True)
 
 
 @pytest.mark.parametrize("broken", ["missing", "raises", "wrong_values"])
@@ -771,23 +828,22 @@ PATH_COUNTERS = {
     [
         ("unhinted", "direct"),
         ("unhinted_square", "direct"),
-        ("first_sighting", "plain"),
+        ("first_sighting", "direct"),
         ("warm_source", "recorded"),
-        ("non_source", "plain"),
-        ("over_max_recorded_nnz", "plain"),
+        ("over_max_recorded_nnz", "direct"),
         ("failed_probe", "plain"),
     ],
 )
 @pytest.mark.parametrize("reordering", ["original", "rcm"])
 def test_each_product_takes_the_path_its_case_selects(monkeypatch, reordering, case, path):
     A = _cancelling_grid()
-    B = scramble(G.grid2d(12, 12), seed=15) if case in ("unhinted", "non_source") else A
+    B = {"unhinted": scramble(G.grid2d(12, 12), seed=15), "unhinted_square": A}.get(case)
     if case == "over_max_recorded_nnz":
         monkeypatch.setattr(scipy_backend, "_MAX_RECORDED_NNZ", 0)
     elif case == "failed_probe":
         monkeypatch.setattr(scipy_backend, "_NUMERIC_ONLY", False)
     built = PipelineSpec.parse(f"{reordering}@scipy").build(A)
-    ctx = ExecutionContext() if case.startswith("unhinted") else _hinted_ctx(B)
+    ctx = ExecutionContext()
     for _ in range(0 if case == "first_sighting" else 2):  # the earlier sightings
         _run(built, B, ctx, True)
     before = dict(ctx.stats)
@@ -801,7 +857,7 @@ def test_each_product_takes_the_path_its_case_selects(monkeypatch, reordering, c
     assert ran == expected
     if path == "plain":
         assert not any(isinstance(v, scipy_backend._Structure) for v in built.backend_state.values())
-    assert_bitwise_equal(C, _raw_product(A, B))
+    assert_bitwise_equal(C, _raw_product(A, A if B is None else B))
 
 
 # ----------------------------------------------------------------------
@@ -832,22 +888,22 @@ def _squared_handle(built):
 )
 def test_split_square_is_bitwise_serial_square_and_raw_scipy(A, reordering, original_order):
     spec = PipelineSpec.parse(f"{reordering}@scipy")
-    serial_built, serial_ctx = spec.build(A), _hinted_ctx(A)
+    serial_built, serial_ctx = spec.build(A), ExecutionContext()
     for _ in range(3):  # first sighting, record, reuse
-        serial = _run(serial_built, A, serial_ctx, original_order)
+        serial = _run(serial_built, None, serial_ctx, original_order)
     assert "scipy_split_squares" not in serial_ctx.stats  # below the real threshold
     with pytest.MonkeyPatch.context() as mp:
         _force_split(mp)
         mp.setattr(scipy_backend, "_GATHER_CHUNK", 5)
-        built, ctx = spec.build(A), _hinted_ctx(A)
+        built, ctx = spec.build(A), ExecutionContext()
         for _ in range(3):
-            C = _run(built, A, ctx, original_order)
+            C = _run(built, None, ctx, original_order)
     assert_bitwise_equal(C, _raw(A, built, original_order))
     assert_bitwise_equal(C, serial)
     assert ctx.stats["scipy_split_squares"] == 2 and ctx.stats["scipy_structure_reuses"] == 1
     # The halves' counts sum to the whole count, and the split pass's raw
     # output is laid out as one pass over every row: the same record.
-    key = (TOKEN, original_order)
+    key = _square_key(original_order)
     rec, serial_rec = built.backend_state[key], serial_built.backend_state[key]
     assert 0 < rec.cut < A.nrows and serial_rec.cut == A.nrows
     assert rec.maxnnz == serial_rec.maxnnz == serial_rec.counts[0]
@@ -859,9 +915,9 @@ def test_split_square_is_bitwise_serial_square_and_raw_scipy(A, reordering, orig
 def test_top_half_dropping_exact_zeros_leaves_no_gap(split_on, reordering):
     A = _cancelling_grid()
     built = PipelineSpec.parse(f"{reordering}@scipy").build(A)
-    ctx = _hinted_ctx(A)
+    ctx = ExecutionContext()
     for _ in range(3):
-        assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+        assert_bitwise_equal(_run(built, None, ctx, True), _raw(A))
     assert ctx.stats["scipy_structure_reuses"] == 1
     S = _squared_handle(built)
     whole = S @ S  # scipy's raw rows, unsorted
@@ -874,7 +930,7 @@ def test_top_half_dropping_exact_zeros_leaves_no_gap(split_on, reordering):
         for x, y in ((got.indptr, whole.indptr), (got.indices, whole.indices), (got.data, whole.data)):
             assert x.dtype == y.dtype and np.array_equal(x, y), cut
     assert dropped > n // 2
-    rec = built.backend_state[(TOKEN, True)]
+    rec = built.backend_state[_square_key(True)]
     assert whole.indptr[rec.cut] < rec.counts[0]
 
 
@@ -885,17 +941,19 @@ def test_each_half_counted_once_per_record_and_never_on_reuse(monkeypatch, split
     monkeypatch.setattr(scipy_backend, "_csr_matmat", lambda *a: passes.append(a) or matmat(*a))
     A = _cancelling_grid()
     built = PipelineSpec.parse("rcm@scipy").build(A)
-    ctx = _hinted_ctx(A)
-    for want in (0, 2, 2, 2):  # first sighting, record, two reuses
-        assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+    ctx = ExecutionContext()
+    # First sighting (one direct product), record, two reuses.
+    for want in (1, 3, 3, 3):
+        assert_bitwise_equal(_run(built, None, ctx, True), _raw(A))
         assert len(calls) == want
-    rec = built.backend_state[(TOKEN, True)]
+    rec = built.backend_state[_square_key(True)]
     n, S = A.nrows, _squared_handle(built)
-    assert [c[0] for c in calls] == [rec.cut, n - rec.cut]
+    assert [c[0] for c in calls] == [n, rec.cut, n - rec.cut]
     assert sum(rec.counts) == scipy_backend._count(S, S)
-    # Every numeric pass of a half writes into a buffer of exactly the
-    # symbolic count of the index arrays it is given.
-    assert len(passes) == 6
+    # Every numeric pass (of a half, or of the direct product) writes into
+    # a buffer of exactly the symbolic count of the index arrays it is
+    # given.
+    assert len(passes) == 7
     for n_row, n_col, Ap, Aj, _, Bp, Bj, _, _, Cj, Cx in passes:
         count = scipy_backend._csr_matmat_maxnnz(n_row, n_col, Ap, Aj, Bp, Bj)
         assert Cj.size == Cx.size == count
@@ -912,13 +970,13 @@ def test_serial_square_starts_no_thread(monkeypatch, thread_starts, case):
         monkeypatch.setattr(scipy_backend.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert scipy_backend._work(A, [A])[0] < scipy_backend._SPLIT_MIN_WORK
     built = PipelineSpec.parse("rcm@scipy").build(A)
-    ctx = _hinted_ctx(A)
+    ctx = ExecutionContext()
     for _ in range(4):
-        assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+        assert_bitwise_equal(_run(built, None, ctx, True), _raw(A))
     assert thread_starts == []
     assert "scipy_split_squares" not in ctx.stats and ctx.stats["scipy_structure_reuses"] == 2
     # One CPU keeps the halves recorded, run one after the other.
-    rec = built.backend_state[(TOKEN, True)]
+    rec = built.backend_state[_square_key(True)]
     assert (rec.cut < A.nrows) == (case == "one_cpu")
 
 
@@ -927,9 +985,9 @@ def test_square_splits_at_the_real_threshold(monkeypatch, thread_starts):
     A = scramble(G.grid2d(80, 80), seed=1)
     assert scipy_backend._work(A, [A])[0] >= scipy_backend._SPLIT_MIN_WORK
     built = PipelineSpec.parse("rcm@scipy").build(A)
-    ctx = _hinted_ctx(A)
+    ctx = ExecutionContext()
     for _ in range(3):
-        assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+        assert_bitwise_equal(_run(built, None, ctx, True), _raw(A))
     # Record: the numeric pass; reuse: the numeric pass and the gather.
     assert thread_starts == ["repro-scipy-batch"] * 3
     assert ctx.stats["scipy_split_squares"] == 2
@@ -942,9 +1000,9 @@ def test_real_affinity_decides_the_square_split(monkeypatch, thread_starts):
     monkeypatch.setattr(scipy_backend, "_SPLIT_MIN_WORK", 0)
     A = _cancelling_grid()
     built = PipelineSpec.parse("rcm@scipy").build(A)
-    ctx = _hinted_ctx(A)
+    ctx = ExecutionContext()
     for _ in range(3):
-        assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+        assert_bitwise_equal(_run(built, None, ctx, True), _raw(A))
     split = len(os.sched_getaffinity(0)) >= 2
     assert len(thread_starts) == (3 if split else 0)
     assert ctx.stats.get("scipy_split_squares", 0) == (2 if split else 0)
@@ -963,10 +1021,10 @@ class _FailsOffCaller(np.ndarray):
 def test_exception_in_worker_half_is_raised_after_join(monkeypatch, split_on, stage):
     A = _cancelling_grid()
     built = PipelineSpec.parse("rcm@scipy").build(A)
-    ctx = _hinted_ctx(A)
+    ctx = ExecutionContext()
     for _ in range(2):
-        _run(built, A, ctx, True)
-    key = (TOKEN, True)
+        _run(built, None, ctx, True)
+    key = _square_key(True)
     rec = built.backend_state[key]
     if stage == "numeric":
         matmat = scipy_backend._csr_matmat
@@ -981,13 +1039,13 @@ def test_exception_in_worker_half_is_raised_after_join(monkeypatch, split_on, st
         built.backend_state[key] = rec._replace(order=rec.order.view(_FailsOffCaller))
     calls = ctx.stats["scipy_calls"]
     with pytest.raises(MemoryError, match="injected"):
-        _run(built, A, ctx, True)
+        _run(built, None, ctx, True)
     assert not [t for t in threading.enumerate() if t.name.startswith("repro-")]
     assert ctx.stats["scipy_calls"] == calls
     monkeypatch.undo()
     _force_split(monkeypatch)
     built.backend_state[key] = rec
-    assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+    assert_bitwise_equal(_run(built, None, ctx, True), _raw(A))
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 7])
@@ -999,22 +1057,22 @@ def test_gather_checks_rows_across_chunk_boundaries(monkeypatch, split_on, chunk
     monkeypatch.setattr(scipy_backend, "_GATHER_CHUNK", chunk)
     A = _cancelling_grid()
     built = PipelineSpec.parse(f"{reordering}@scipy").build(A)
-    ctx = _hinted_ctx(A)
+    ctx = ExecutionContext()
     for _ in range(3):
-        assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+        assert_bitwise_equal(_run(built, None, ctx, True), _raw(A))
     assert ctx.stats["scipy_structure_reuses"] == 1
-    key = (TOKEN, True)
+    key = _square_key(True)
     rec = built.backend_state[key]
     starts = set(rec.indptr.tolist())
     c = next(c for c in range(chunk * 3, rec.order.size, chunk) if c not in starts)
     swapped = rec.order.copy()
     swapped[[c - 1, c]] = swapped[[c, c - 1]]
     built.backend_state[key] = rec._replace(order=swapped)
-    assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+    assert_bitwise_equal(_run(built, None, ctx, True), _raw(A))
     assert ctx.stats["scipy_structure_rebuilds"] == 1
     rebuilt = built.backend_state[key]
     assert (rebuilt.cut, rebuilt.counts) == (rec.cut, rec.counts)
-    assert_bitwise_equal(_run(built, A, ctx, True), _raw(A))
+    assert_bitwise_equal(_run(built, None, ctx, True), _raw(A))
     assert ctx.stats["scipy_structure_reuses"] == 2
 
 
@@ -1029,9 +1087,9 @@ def test_concurrent_split_squares_share_one_operand(split_on):
 
     def worker():
         try:
-            ctx = _hinted_ctx(A)
+            ctx = ExecutionContext()
             for _ in range(6):
-                results.append(_run(built, A, ctx, True))
+                results.append(_run(built, None, ctx, True))
             splits.append(ctx.stats.get("scipy_split_squares", 0))
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)

@@ -116,7 +116,7 @@ def run_bench() -> dict:
     return results
 
 
-def save_bench() -> dict:
+def save_bench(path: Path = OUT_PATH) -> dict:
     results = run_bench()
     gates = [
         gate_metric(f"summary.{case}", gm, "higher")
@@ -124,7 +124,7 @@ def save_bench() -> dict:
         if not case.endswith("@reference")  # the 1.0 anchor gates nothing
     ]
     save_bench_json(
-        OUT_PATH,
+        path,
         "backends",
         results,
         gate=gates,
@@ -133,17 +133,18 @@ def save_bench() -> dict:
     return results
 
 
-def test_backend_bench_meets_acceptance_bar():
+def test_backend_bench_meets_acceptance_bar(tmp_path):
     """Acceptance: scipy ≥ 2× the reference on at least one
     generator-suite matrix (and the JSON artefact is emitted)."""
-    results = save_bench()
+    out = tmp_path / OUT_PATH.name
+    results = save_bench(out)
     best = max(
         cells["scipy"]["speedup_vs_reference"]
         for mat_cells in results["matrices"].values()
         for cells in mat_cells.values()
     )
     assert best >= 2.0, f"scipy peaked at {best:.2f}x vs reference"
-    assert OUT_PATH.exists()
+    assert out.exists()
 
 
 if __name__ == "__main__":

@@ -123,10 +123,10 @@ def _gates(results: dict) -> list[dict]:
     ]
 
 
-def save_bench() -> dict:
+def save_bench(path: Path = OUT_PATH) -> dict:
     results = run_bench()
     save_bench_json(
-        OUT_PATH,
+        path,
         "serve",
         results,
         gate=_gates(results),
@@ -135,10 +135,11 @@ def save_bench() -> dict:
     return results
 
 
-def test_serve_bench_meets_acceptance_bar():
+def test_serve_bench_meets_acceptance_bar(tmp_path):
     """ISSUE 8 acceptance: coalesced serving is bitwise-faithful and at
     least keeps pace with sequential dispatch on a Zipf replay trace."""
-    results = save_bench()
+    out = tmp_path / OUT_PATH.name
+    results = save_bench(out)
     s = results["summary"]
     assert s["result_mismatches"] == 0, "coalesced serving must stay bitwise-identical"
     assert s["coalesce_ratio"] > 1.0, "a Zipf trace must actually coalesce"
@@ -147,7 +148,7 @@ def test_serve_bench_meets_acceptance_bar():
     assert s["throughput_ratio_coalesced_vs_sequential"] >= 0.8
     for mode in ("coalesced", "sequential"):
         assert set(results[mode]["latency_s"]) == {"p50", "p95", "p99"}
-    assert OUT_PATH.exists()
+    assert out.exists()
 
 
 if __name__ == "__main__":

@@ -91,13 +91,13 @@ def _gates(results: dict) -> list[dict]:
     ]
 
 
-def save_bench() -> dict:
+def save_bench(path: Path = OUT_PATH) -> dict:
     results = run_bench()
     # Wall clock is machine noise — keep it out of the committed file so
     # reruns of this deterministic bench are byte-identical.
     committed = {k: v for k, v in results.items() if k != "wall_seconds_uncommitted"}
     save_bench_json(
-        OUT_PATH,
+        path,
         "trace_replay",
         committed,
         gate=_gates(results),
@@ -106,10 +106,11 @@ def save_bench() -> dict:
     return results
 
 
-def test_trace_replay_meets_acceptance_bar():
+def test_trace_replay_meets_acceptance_bar(tmp_path):
     """ISSUE 6 acceptance: a seeded 500-request replay produces the full
     structured report, byte-reproducible from the same seed."""
-    results = save_bench()
+    out = tmp_path / OUT_PATH.name
+    results = save_bench(out)
     rep = results["report"]
     assert rep["requests"] >= 500
     for pct in ("p50", "p95", "p99"):
@@ -120,7 +121,7 @@ def test_trace_replay_meets_acceptance_bar():
     det = results["determinism"]
     assert det["trace_reproduced"], "same seed must give a byte-identical trace"
     assert det["report_reproduced"], "same seed must give a byte-identical report"
-    assert OUT_PATH.exists()
+    assert out.exists()
 
 
 if __name__ == "__main__":

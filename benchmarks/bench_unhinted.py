@@ -253,10 +253,10 @@ def _gates(results: dict) -> list[dict]:
     ]
 
 
-def save_bench() -> dict:
+def save_bench(path: Path = OUT_PATH) -> dict:
     results = run_bench()
     save_bench_json(
-        OUT_PATH,
+        path,
         "unhinted",
         results,
         gate=_gates(results),
@@ -273,18 +273,19 @@ def save_bench() -> dict:
     return results
 
 
-def test_unhinted_bench_meets_acceptance_bar():
+def test_unhinted_bench_meets_acceptance_bar(tmp_path):
     """Every result of every path is raw scipy's, every input ran the
     direct path, no input is slower direct than public, no input that
     splits loses more than 5% to the serial loop, and no serve member
     splits."""
-    results = save_bench()
+    out = tmp_path / OUT_PATH.name
+    results = save_bench(out)
     assert results["summary"]["result_mismatches"] == 0
     assert all(r["direct_products"] > 0 for r in results["inputs"].values())
     assert results["summary"]["min_public_over_direct"] >= 1.0
     assert results["summary"]["min_split_speedup"] >= MIN_SPLIT_SPEEDUP
     assert results["summary"]["serve_splits"] == 0
-    assert OUT_PATH.exists()
+    assert out.exists()
 
 
 if __name__ == "__main__":

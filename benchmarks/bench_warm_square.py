@@ -171,10 +171,10 @@ def _gates(results: dict) -> list[dict]:
     ]
 
 
-def save_bench() -> dict:
+def save_bench(path: Path = OUT_PATH) -> dict:
     results = run_bench()
     save_bench_json(
-        OUT_PATH,
+        path,
         "warm_square",
         results,
         gate=_gates(results),
@@ -183,17 +183,18 @@ def save_bench() -> dict:
     return results
 
 
-def test_warm_square_bench_meets_acceptance_bar():
+def test_warm_square_bench_meets_acceptance_bar(tmp_path):
     """Every warm product is raw scipy's, every input ran numeric-only
     (split in two when the host has two CPUs), and no input is slower
     numeric-only than on the public path."""
-    results = save_bench()
+    out = tmp_path / OUT_PATH.name
+    results = save_bench(out)
     assert results["summary"]["result_mismatches"] == 0
     assert all(m["numeric_products"] > 0 for m in results["matrices"].values())
     two_cpus = scipy_backend._cores() > 1
     assert all(m["split_taken"] == two_cpus for m in results["matrices"].values())
     assert results["summary"]["min_public_over_numeric"] >= 1.0
-    assert OUT_PATH.exists()
+    assert out.exists()
 
 
 if __name__ == "__main__":

@@ -144,7 +144,7 @@ class JsonlSink(TraceSink):
 
         self.path = Path(path)
         self._fh = None
-        # Serving emits spans from scheduler/planner/RPC threads; a lock
+        # Serving emits spans from the dispatch and RPC threads; a lock
         # keeps each JSON line intact (interleaved writes would corrupt
         # the file mid-line).
         self._lock = threading.Lock()
@@ -275,7 +275,7 @@ class Tracer:
         self._next_id = 1
         self._id_lock = threading.Lock()
         # Span nesting is tracked per thread: the serving front-end opens
-        # spans from scheduler/planner/RPC threads concurrently, and a
+        # spans from the dispatch and RPC threads concurrently, and a
         # shared stack would parent one thread's span under another's.
         self._local = threading.local()
 

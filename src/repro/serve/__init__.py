@@ -2,13 +2,14 @@
 
 The serving tier of the ROADMAP's production north star (DESIGN.md §14):
 a long-lived :class:`SpGEMMServer` accepts concurrent ``multiply``
-submissions; its one dispatch thread drains whatever queued while it
-was busy and coalesces requests that share a fingerprint into single
+submissions.  It owns the bounded request queue and one dispatch thread,
+which drains whatever queued while it was busy and coalesces requests
+that share a fingerprint into single
 :meth:`~repro.engine.engine.SpGEMMEngine.multiply_many` dispatches
-(plan resolved once per group, a cold one built inline), applies
-admission control and typed load shedding, records p50/p95/p99 request
-latency through :mod:`repro.obs`, and degrades to in-process execution
-if its dispatch machinery dies.
+(plan resolved once per group, a cold one built inline).  The server
+applies admission control and typed load shedding, records
+p50/p95/p99 request latency through :mod:`repro.obs`, and, if its
+dispatch thread dies, degrades for good to in-process execution.
 :class:`ServeRPCServer` / :class:`ServeClient` expose the same API over
 a JSONL TCP socket.
 
@@ -26,15 +27,12 @@ from .config import ServeConfig
 from .driver import replay_sequential, replay_through_server, results_identical
 from .errors import ServeError, ServerClosed, ServerOverloaded
 from .rpc import ServeClient, ServeRPCServer
-from .scheduler import BatchScheduler, ServeRequest
 from .server import SpGEMMServer
 from .wire import matrix_from_wire, matrix_to_wire
 
 __all__ = [
     "ServeConfig",
     "SpGEMMServer",
-    "BatchScheduler",
-    "ServeRequest",
     "ServeError",
     "ServerOverloaded",
     "ServerClosed",

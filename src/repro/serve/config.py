@@ -24,32 +24,14 @@ class ServeConfig:
         server paused — submissions queue (up to ``max_pending``) until
         :meth:`~repro.serve.server.SpGEMMServer.start`, which is how
         tests and benchmarks force deterministic maximal coalescing.
-    max_restarts:
-        How many times a dead dispatch thread may be restarted
-        (:meth:`~repro.serve.scheduler.BatchScheduler.restart`) before
-        the server degrades to in-process execution permanently.  ``0``
-        disables restarts (the pre-restart behaviour).
-    restart_backoff_s:
-        Initial restart backoff: after a restart, further attempts are
-        deadline-gated (monotonic clock, never a sleep) and the gate
-        doubles on every restart — a crash-looping dispatcher decays to
-        in-process fallback instead of thrashing threads.
     """
 
     max_batch: int = 32
     max_pending: int = 256
     autostart: bool = True
-    max_restarts: int = 2
-    restart_backoff_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {self.max_pending}")
-        if self.max_restarts < 0:
-            raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
-        if self.restart_backoff_s < 0:
-            raise ValueError(
-                f"restart_backoff_s must be >= 0, got {self.restart_backoff_s}"
-            )

@@ -10,7 +10,7 @@ paths reconstruct operands via the shared
 is a serving bug, not a data-generation artefact.
 
 Batch-op trace requests are deliberately fanned out into individual
-submissions here — re-coalescing them is exactly the scheduler's job,
+submissions here — re-coalescing them is exactly the dispatcher's job,
 and the coalesce ratio it achieves is the benchmark's headline number.
 """
 

@@ -17,9 +17,7 @@ import pytest
 from repro.core.csr import CSRMatrix
 from repro.engine import SpGEMMEngine
 from repro.serve import (
-    BatchScheduler,
     ServeConfig,
-    ServeRequest,
     ServerClosed,
     ServerOverloaded,
     SpGEMMServer,
@@ -148,18 +146,52 @@ class TestShutdown:
         server.close()
         server.close()
 
+    def test_close_drains_a_never_started_server_on_the_closing_thread(self):
+        server = paused_server()
+        ran_on: list = []
+        run_batch = server._run_batch
+
+        def record(groups):
+            ran_on.append(threading.current_thread())
+            run_batch(groups)
+
+        server._run_batch = record
+        A = random_csr(25, 25, 0.15, seed=5)
+        futures = [server.submit(A) for _ in range(3)]
+        server.close()
+        assert server._thread is None  # no dispatch thread was ever made
+        assert ran_on == [threading.current_thread()]  # one drain, here
+        ref = SpGEMMEngine().multiply(A)
+        assert results_identical([f.result(timeout=0) for f in futures], [ref] * 3)
+        stats = server.serving_stats()
+        assert stats["batches"] == 1 and stats["completed"] == 3
+        assert stats["fallbacks"] == 0 and stats["queue_depth"] == 0
+
+    def test_close_without_drain_leaves_cancelled_futures_cancelled(self):
+        server = paused_server()
+        A = random_csr(25, 25, 0.15, seed=5)
+        cancelled, pending = server.submit(A), server.submit(A)
+        assert cancelled.cancel()
+        server.close(drain=False)
+        assert cancelled.cancelled()
+        with pytest.raises(ServerClosed):
+            pending.result(timeout=0)
+        stats = server.serving_stats()
+        assert stats["completed"] == 0 and stats["failed"] == 0
+
 
 class TestWorkerDeathDegradation:
     def kill_dispatcher(self, server: SpGEMMServer) -> None:
         def boom(groups):
             raise RuntimeError("dispatch machinery died")
 
-        server._scheduler._run_batch = boom
+        server._run_batch = boom
 
     def test_queued_requests_survive_dispatcher_death(self):
         server = paused_server()
         A = random_csr(30, 30, 0.12, seed=6)
-        futures = [server.submit(A) for _ in range(5)]
+        futures = [server.submit(A) for _ in range(6)]
+        assert futures.pop().cancel()  # dropped, not run in-process
         self.kill_dispatcher(server)
         try:
             server.start()  # the first drained batch kills the loop
@@ -169,18 +201,19 @@ class TestWorkerDeathDegradation:
         assert server.degraded
         ref = SpGEMMEngine().multiply(A)
         assert results_identical(results, [ref] * 5)
+        stats = server.serving_stats()
+        assert stats["fallbacks"] == stats["completed"] == 5
 
     def test_submissions_after_death_run_in_process(self):
-        # max_restarts=0 pins the permanently-degraded path (restart
-        # recovery has its own tests in TestDispatcherRestart).
-        server = paused_server(max_restarts=0)
+        server = paused_server()
         self.kill_dispatcher(server)
         A = random_csr(30, 30, 0.12, seed=6)
         server.submit(A)  # queued
         server.start()
         try:
             # Wait for the dispatch thread to die draining that batch.
-            server._scheduler._thread.join(timeout=10)
+            server._thread.join(timeout=10)
+            assert not server._thread.is_alive()
             assert server.degraded
             C = server.multiply(A, timeout=0)  # resolved synchronously
         finally:
@@ -188,141 +221,45 @@ class TestWorkerDeathDegradation:
         assert results_identical([C], [SpGEMMEngine().multiply(A)])
         stats = server.serving_stats()
         assert stats["degraded"] is True
-        assert stats["fallbacks"] >= 1
+        assert stats["fallbacks"] == 2
         assert stats["failed"] == 0
 
 
-class TestDispatcherRestart:
-    """Bounded dispatcher recovery: a dead dispatch thread restarts (up
-    to ``max_restarts``) instead of degrading the server forever."""
+    def test_group_dispatched_before_death_runs_in_process(self):
+        # The loop dies after the second group was marked running: the
+        # first group's results stand, the in-flight group and the queue
+        # behind it finish in-process, and a cancelled queued request
+        # is dropped.
+        server = paused_server()
+        A1 = random_csr(30, 30, 0.12, seed=6)
+        A2 = random_csr(30, 30, 0.12, seed=7)
+        run_group = server._run_group
+        calls = {"n": 0}
 
-    def test_restart_recovers_dispatcher_and_clears_degraded(self):
-        server = paused_server(max_restarts=2, restart_backoff_s=0.0)
-        real = server._scheduler._run_batch
-        state = {"n": 0}
+        def die_on_second(group):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                for req in group:
+                    assert req.future.set_running_or_notify_cancel()
+                raise RuntimeError("dispatch machinery died mid-batch")
+            run_group(group)
 
-        def flaky(groups):
-            state["n"] += 1
-            if state["n"] == 1:
-                raise RuntimeError("transient dispatch failure")
-            real(groups)
-
-        server._scheduler._run_batch = flaky
-        A = random_csr(30, 30, 0.12, seed=6)
-        f1 = server.submit(A)  # queued; the first drained batch dies
+        server._run_group = die_on_second
+        futures = [server.submit(A) for A in (A1, A2, A2)]
         server.start()
         try:
-            server._scheduler._thread.join(timeout=10)
-            assert server.degraded
-            assert f1.result(timeout=10) is not None  # drained in-process
-            # The next submission restarts the dispatcher and rides it.
-            C = server.multiply(A, timeout=10)
-        finally:
-            server.close()
-        assert not server.degraded  # restart cleared the flag
-        stats = server.serving_stats()
-        assert stats["dispatcher_restarts"] == 1
-        assert stats["failed"] == 0
-        assert results_identical([C], [SpGEMMEngine().multiply(A)])
-
-    def test_restart_budget_exhausts_to_permanent_fallback(self):
-        server = paused_server(max_restarts=1, restart_backoff_s=0.0)
-
-        def boom(groups):
-            raise RuntimeError("dispatch machinery died")
-
-        server._scheduler._run_batch = boom
-        A = random_csr(30, 30, 0.12, seed=6)
-        f1 = server.submit(A)
-        server.start()
-        try:
-            server._scheduler._thread.join(timeout=10)
-            assert server.degraded
-            # Restart #1: granted; the fresh dispatcher dies again and
-            # drains the request through the fallback path.
-            f2 = server.submit(A)
-            assert f2.result(timeout=10) is not None
-            server._scheduler._thread.join(timeout=10)
-            # Budget spent: this one runs synchronously on our thread.
-            C = server.multiply(A, timeout=0)
+            server._thread.join(timeout=10)
+            assert not server._thread.is_alive()
+            results = [f.result(timeout=10) for f in futures]
         finally:
             server.close()
         assert server.degraded
+        ref = SpGEMMEngine()
+        assert results_identical(results, [ref.multiply(A1), ref.multiply(A2), ref.multiply(A2)])
         stats = server.serving_stats()
-        assert stats["dispatcher_restarts"] == 1
-        # Only the budget-exhausted submission degrades synchronously;
-        # drain-path requests are not counted as fallbacks.
-        assert stats["fallbacks"] == 1
-        assert stats["failed"] == 0
-        assert f1.result(timeout=0) is not None
-        assert results_identical([C], [SpGEMMEngine().multiply(A)])
-
-    def test_scheduler_restart_semantics(self):
-        # Direct scheduler-level contract: restart only from dead (not
-        # fresh, not closing), bounded by max_restarts, and a restarted
-        # scheduler still honours close(drain=True).
-        ran: list = []
-        cfg = ServeConfig(autostart=False, max_restarts=1)
-        state = {"boom": True}
-
-        def run_batch(groups):
-            if state["boom"]:
-                raise RuntimeError("die once")
-            ran.extend(r for g in groups for r in g)
-
-        sched = BatchScheduler(run_batch, lambda r: r.future.set_result(None), cfg)
-        assert not sched.restart()  # not dead: nothing to restart
-        A = random_csr(10, 10, 0.3, seed=1)
-        req = ServeRequest(A=A, B=None, workload="a2", client="c", group_key=("k",))
-        assert sched.submit(req)
-        sched.start()
-        sched._thread.join(timeout=10)
-        assert sched.dead and req.future.result(timeout=1) is None  # drained
-        state["boom"] = False
-        assert sched.restart() and not sched.dead and sched.restarts == 1
-        req2 = ServeRequest(A=A, B=None, workload="a2", client="c", group_key=("k",))
-        assert sched.submit(req2)  # accepted by the restarted dispatcher
-        sched.close(drain=True)  # drains the queue before stopping
-        assert req2 in ran
-        assert not sched.restart()  # closing/closed: never restart
-
-    def request(self, key: tuple) -> ServeRequest:
-        A = random_csr(5, 5, 0.5, seed=8)
-        return ServeRequest(A=A, B=None, workload="a2", client="c", group_key=key)
-
-    def test_groups_preserve_arrival_order_and_split_at_max_batch(self):
-        cfg = ServeConfig(max_batch=2, autostart=False)
-        sched = BatchScheduler(lambda g: None, lambda r: None, cfg)
-        reqs = [self.request(("k1",)), self.request(("k2",)), self.request(("k1",)),
-                self.request(("k1",)), self.request(("k2",))]
-        groups = sched._group(reqs)
-        keys = [g[0].group_key for g in groups]
-        sizes = [len(g) for g in groups]
-        assert keys == [("k1",), ("k1",), ("k2",)]  # k1 first (arrived first), split 2+1
-        assert sizes == [2, 1, 2]
-
-    def test_requests_queued_during_a_batch_coalesce_into_the_next_drain(self):
-        # No timer: the first request dispatches alone at once, and the
-        # three submitted while its batch executes form the next drain.
-        entered, release = threading.Event(), threading.Event()
-        drains: list = []
-
-        def run_batch(groups):
-            drains.append([len(g) for g in groups])
-            entered.set()
-            release.wait(timeout=10)
-
-        sched = BatchScheduler(run_batch, lambda r: None, ServeConfig(autostart=False))
-        sched.start()
-        try:
-            sched.submit(self.request(("k",)))
-            assert entered.wait(timeout=10)
-            for _ in range(3):
-                sched.submit(self.request(("k",)))
-            release.set()
-        finally:
-            sched.close()
-        assert drains == [[1], [3]]
+        assert stats["batches"] == 1
+        assert stats["fallbacks"] == 2
+        assert stats["completed"] == 3 and stats["failed"] == 0
 
 
 class TestOneDispatchThread:
@@ -347,6 +284,102 @@ class TestOneDispatchThread:
         assert stats.plans_built == 1
         ref = SpGEMMEngine()
         assert results_identical(Cs, [ref.multiply(A), ref.multiply(A2)])
+
+    def test_groups_preserve_arrival_order_and_split_at_max_batch(self):
+        A1 = random_csr(5, 5, 0.5, seed=8)
+        A2 = random_csr(5, 5, 0.5, seed=9)
+        server = paused_server(max_batch=2)
+        groups: list = []
+        run_group = server._run_group
+
+        def record(group):
+            groups.append(group)
+            run_group(group)
+
+        server._run_group = record
+        for A in (A1, A2, A1, A1, A2):
+            server.submit(A)
+        server.close()  # never started: drains through the dispatch loop
+        # A1 first (arrived first), split 2+1; then A2.
+        assert [(g[0].A is A1, len(g)) for g in groups] == [(True, 2), (True, 1), (False, 2)]
+        assert server.serving_stats()["completed"] == 5
+
+    def test_requests_queued_during_a_batch_coalesce_into_the_next_drain(self):
+        # No timer: the first request dispatches alone at once, and the
+        # three submitted while its batch executes form the next drain.
+        entered, release = threading.Event(), threading.Event()
+        drains: list = []
+        server = paused_server()
+        run_batch = server._run_batch
+
+        def gated(groups):
+            drains.append([len(g) for g in groups])
+            entered.set()
+            release.wait(timeout=10)
+            run_batch(groups)
+
+        server._run_batch = gated
+        A = random_csr(5, 5, 0.5, seed=8)
+        server.start()
+        try:
+            server.submit(A)
+            assert entered.wait(timeout=10)
+            for _ in range(3):
+                server.submit(A)
+            release.set()
+        finally:
+            server.close()
+        assert drains == [[1], [3]]
+        assert server.serving_stats()["completed"] == 4
+
+    def test_cancelled_request_is_dropped_at_dispatch(self):
+        server = paused_server()
+        A = random_csr(25, 25, 0.15, seed=5)
+        cancelled, kept = server.submit(A), server.submit(A)
+        assert cancelled.cancel()
+        server.start()
+        try:
+            C = kept.result(timeout=10)
+        finally:
+            server.close()
+        assert results_identical([C], [SpGEMMEngine().multiply(A)])
+        stats = server.serving_stats()
+        assert stats["degraded"] is False
+        assert stats["completed"] == 1
+        assert stats["fallbacks"] == 0
+        assert stats["latency_s"]["count"] == 1
+
+
+    def test_failed_group_resolves_its_futures_and_the_dispatcher_lives(self):
+        server = paused_server()
+        bad = random_csr(25, 25, 0.15, seed=5)
+        good = random_csr(25, 25, 0.15, seed=6)
+        multiply_many = server.engine.multiply_many
+
+        def fail_on_bad(A, Bs, **kw):
+            if A is bad:
+                raise RuntimeError("kernel failure")
+            return multiply_many(A, Bs, **kw)
+
+        server.engine.multiply_many = fail_on_bad
+        failing = [server.submit(bad), server.submit(bad)]
+        ok = server.submit(good)
+        server.start()
+        try:
+            for f in failing:
+                with pytest.raises(RuntimeError, match="kernel failure"):
+                    f.result(timeout=10)
+            C = ok.result(timeout=10)
+            assert server._thread.is_alive()
+            C2 = server.multiply(good, timeout=10)  # still served by the dispatcher
+        finally:
+            server.close()
+        ref = SpGEMMEngine().multiply(good)
+        assert results_identical([C, C2], [ref, ref])
+        stats = server.serving_stats()
+        assert stats["degraded"] is False
+        assert stats["failed"] == 2 and stats["completed"] == 2
+        assert stats["fallbacks"] == 0
 
 
 class TestStatsPlumbing:
@@ -397,7 +430,7 @@ class TestStatsPlumbing:
 class TestServeConfigValidation:
     @pytest.mark.parametrize(
         "kw",
-        [dict(restart_backoff_s=-0.1), dict(max_batch=0), dict(max_pending=0)],
+        [dict(max_batch=0), dict(max_pending=0)],
     )
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):

@@ -57,9 +57,6 @@ class SpeedupSummary:
     maximum: float
     count: int
 
-    def table_row(self) -> tuple[float, float, float]:
-        return (self.gm, 100.0 * self.pos_pct, self.pos_gm)
-
 
 def summarize_speedups(values) -> SpeedupSummary:
     """Full summary of a speedup distribution (one Fig. 2/3 box)."""

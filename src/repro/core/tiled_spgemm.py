@@ -27,7 +27,7 @@ import numpy as np
 from .csr import CSRMatrix, _concat_ranges
 from .spgemm import spgemm_rowwise
 
-__all__ = ["TiledSpGEMMStats", "split_column_tiles", "tiled_spgemm", "tiled_flops"]
+__all__ = ["TiledSpGEMMStats", "split_column_tiles", "tiled_spgemm"]
 
 
 @dataclass
@@ -70,14 +70,6 @@ def split_column_tiles(B: CSRMatrix, tile_cols: int) -> list[tuple[int, CSRMatri
         # Entries stay row-major/col-sorted because the mask preserves order.
         tiles.append((lo, CSRMatrix(indptr, t_cols, t_vals, (n, hi - lo), check=False)))
     return tiles
-
-
-def tiled_flops(A: CSRMatrix, B: CSRMatrix, tile_cols: int) -> int:
-    """Multiply-add count of tiled ``A @ B`` (identical to row-wise —
-    tiling repartitions work, it does not add flops)."""
-    from .spgemm import flops_rowwise
-
-    return flops_rowwise(A, B)
 
 
 def tiled_spgemm(

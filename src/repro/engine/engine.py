@@ -61,7 +61,6 @@ from dataclasses import asdict, dataclass, field, replace
 from ..backends import ExecutionBackend, ExecutionContext, execute_many as backend_execute_many, get_backend
 from ..core.csr import CSRMatrix
 from ..experiments.config import ExperimentConfig
-from ..machine import SimulatedMachine
 from ..obs import NOOP_TRACER, Tracer
 from ..pipeline import BuiltPipeline, PipelineSpec
 from .fingerprint import fingerprint, pattern_digest, pattern_key, value_digest
@@ -263,15 +262,13 @@ class SpGEMMEngine:
         :mod:`repro.engine.planner`.
     config:
         :class:`~repro.experiments.config.ExperimentConfig` supplying
-        machine and clustering parameters.
-    machine:
-        Simulated machine used for planning trials and cost accounting.
+        the simulated machine (planning trials and cost accounting),
+        the clustering parameters and the seed for reorderings and
+        feature sampling (plan determinism).
     plan_cache:
         Shared in-memory :class:`~repro.engine.plan_cache.PlanCache`; a
         private one is created when omitted.  Plans are not kept across
         processes.
-    seed:
-        Seed for reorderings and feature sampling (plan determinism).
     pipeline:
         A :class:`~repro.pipeline.spec.PipelineSpec` (or its string
         form, e.g. ``"rcm+hierarchical:max_th=8+cluster"``) to execute
@@ -304,20 +301,14 @@ class SpGEMMEngine:
         policy: str = "heuristic",
         *,
         config: ExperimentConfig | None = None,
-        machine: SimulatedMachine | None = None,
         plan_cache: PlanCache | None = None,
-        seed: int = 0,
         pipeline: "PipelineSpec | str | None" = None,
         backend: str | None = None,
         tracer: "Tracer | None" = None,
     ) -> None:
-        from ..experiments.runner import machine_for
-
         self.cfg = config or ExperimentConfig()
-        self.machine = machine or machine_for(self.cfg)
-        self.seed = int(seed)
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        kw = dict(cfg=self.cfg, machine=self.machine, seed=self.seed, tracer=self.tracer)
+        kw = dict(cfg=self.cfg, tracer=self.tracer)
         if pipeline is not None:
             policy = "pipeline"
             spec = PipelineSpec.parse(pipeline)
@@ -329,17 +320,18 @@ class SpGEMMEngine:
             kw["backend"] = backend
         self.planner: Planner = make_planner(policy, **kw)
         self.policy = policy
+        #: The config's simulated machine (the planner's).
+        self.machine = self.planner.machine
         # Plan-key suffix: plans are made by this planner and embed costs
-        # measured under this config, on this machine model, from this
+        # measured under this config, on its machine model, from its
         # seed — a shared PlanCache must not serve them to an engine that
-        # differs in any of these (the machine may differ from what
-        # cfg.cache_key() implies).  All four are fixed for the engine's
+        # differs in any of these.  All are fixed for the engine's
         # lifetime, so the suffix is serialised once.
         m = self.machine
         cost = ",".join(f"{k}={v}" for k, v in sorted(asdict(m.cost).items()))
         machine_token = f"m{m.n_threads}t{m.cache_lines}l{m.line_bytes}b[{cost}]"
         self._key_suffix = (
-            f"{self.planner.cache_token}|{self.cfg.cache_key()}|{machine_token}|{self.seed}"
+            f"{self.planner.cache_token}|{self.cfg.cache_key()}|{machine_token}|{self.cfg.seed}"
         )
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         if self.tracer.enabled and not self.plan_cache.tracer.enabled:
@@ -412,7 +404,7 @@ class SpGEMMEngine:
         def build() -> ExecutionPlan:
             if count:
                 self._stats.bump(plan_cache_misses=1)
-            fp = fingerprint(A, seed=self.seed, digest=digest)
+            fp = fingerprint(A, seed=self.cfg.seed, digest=digest)
             plan, built = self.planner.plan(A, Bx, fp, workload)
             self._stats.bump(
                 plans_built=1,

@@ -1,16 +1,13 @@
-"""Plan cache: cost-aware, in-memory, bounded.
+"""Plan cache: in-memory, bounded, least-recently-used.
 
 Plans are keyed by the operand's structural fingerprint (plus workload,
 policy and config — see :meth:`repro.engine.engine.SpGEMMEngine`), so a
 "same pattern, new values" matrix reuses its plan without re-planning.
 
-Eviction is cost-aware (DESIGN.md §11): when over capacity, the
-*resident* entry that is cheapest to re-plan (smallest
-``plan.invested_cost`` = preprocessing + planning trials) is evicted
-first, least-recently-used breaking ties — an expensive autotuned plan
-outlives many cheap heuristic ones.  The just-inserted entry is never
-the victim (rejecting inserts would make the engine re-plan the same
-pattern forever).
+Eviction is plain LRU (DESIGN.md §11): past :data:`PLAN_CACHE_SIZE`
+entries the least-recently-used one goes.  The just-inserted entry is
+the most recent, so it is never the victim (rejecting inserts would make
+the engine re-plan the same pattern forever).
 
 Plans live only as long as the cache: engines that share one
 :class:`PlanCache` share its plans, and a new process plans afresh.
@@ -18,7 +15,6 @@ Plans live only as long as the cache: engines that share one
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 
@@ -26,32 +22,24 @@ from .plan import ExecutionPlan
 
 __all__ = ["PlanCache"]
 
-
-def _replan_cost(plan: ExecutionPlan) -> float:
-    """Model units it would take to rebuild ``plan`` from scratch."""
-    cost = plan.invested_cost
-    return cost if math.isfinite(cost) else 0.0
+#: Plan-cache capacity.  Every benchmarked workload builds far fewer
+#: distinct plans than this (DESIGN.md §11), so nothing is evicted.
+PLAN_CACHE_SIZE = 128
 
 
 class PlanCache:
-    """Bounded cache of :class:`~repro.engine.plan.ExecutionPlan` objects.
+    """Bounded LRU cache of :class:`~repro.engine.plan.ExecutionPlan`
+    objects, holding up to :attr:`capacity` (:data:`PLAN_CACHE_SIZE`)
+    entries."""
 
-    Parameters
-    ----------
-    capacity:
-        Maximum entries; past it, the cheapest to re-plan is evicted.
-    """
-
-    def __init__(self, capacity: int = 128) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    def __init__(self) -> None:
         from ..obs import NOOP_TRACER
 
-        self.capacity = int(capacity)
+        self.capacity = PLAN_CACHE_SIZE
         self._entries: "OrderedDict[str, ExecutionPlan]" = OrderedDict()
         # Re-entrant: serve's dispatch, fallback (caller) and RPC handler
-        # threads share one cache, and put() → _evict_one() nests inside
-        # the lock.
+        # threads share one cache, and get_or_build() → get()/put() nest
+        # inside the lock.
         self._lock = threading.RLock()
         # Keys whose build is in flight (get_or_build), each with the
         # event its waiters block on.
@@ -99,7 +87,8 @@ class PlanCache:
         return plan, True
 
     def put(self, key: str, plan: ExecutionPlan) -> None:
-        """Insert (or replace) a plan."""
+        """Insert (or replace) a plan as the most recently used, evicting
+        least-recently-used entries past :attr:`capacity`."""
         with self._lock:
             if self.tracer.enabled:
                 self.tracer.event(
@@ -108,23 +97,10 @@ class PlanCache:
             self._entries[key] = plan
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
-                self._evict_one(protect=key)
-
-    def _evict_one(self, *, protect: str) -> None:
-        # The just-inserted entry is never the victim: a cache that can
-        # reject its own inserts turns put() into a no-op and the engine
-        # would re-plan the same pattern on every multiply forever.
-        # Cheapest-to-replan first; OrderedDict iteration order is the
-        # LRU order, and min() is stable, so among equal costs the
-        # least-recently-used entry loses.
-        victim = min(
-            (k for k in self._entries if k != protect),
-            key=lambda k: _replan_cost(self._entries[k]),
-        )
-        if self.tracer.enabled:
-            self.tracer.event("plan_cache.evict", plan=self._entries[victim].label)
-        del self._entries[victim]
-        self.evictions += 1
+                _, victim = self._entries.popitem(last=False)
+                if self.tracer.enabled:
+                    self.tracer.event("plan_cache.evict", plan=victim.label)
+                self.evictions += 1
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

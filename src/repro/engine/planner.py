@@ -57,7 +57,6 @@ from ..analysis.predictor import FEATURE_NAMES
 from ..core.csr import CSRMatrix
 from ..core.spgemm import flops_rowwise
 from ..experiments.config import ExperimentConfig
-from ..machine import SimulatedMachine
 from ..machine.layout import ENTRY_BYTES
 from ..pipeline import BuiltPipeline, PipelineSpec, components, get_component
 from .fingerprint import MatrixFingerprint
@@ -273,8 +272,6 @@ class Planner:
         self,
         *,
         cfg: ExperimentConfig | None = None,
-        machine: SimulatedMachine | None = None,
-        seed: int = 0,
         backend: "str | tuple | None" = None,
         tracer=None,
     ) -> None:
@@ -282,8 +279,8 @@ class Planner:
         from ..obs import NOOP_TRACER
 
         self.cfg = cfg or ExperimentConfig()
-        self.machine = machine or machine_for(self.cfg)
-        self.seed = int(seed)
+        #: Simulated machine for trials and costs: always the config's.
+        self.machine = machine_for(self.cfg)
         # Read once, so the candidate space and the cache token agree.
         self.reorderings = planner_reorderings()
         #: Observability hook (DESIGN.md §12): an enabled tracer wraps
@@ -359,7 +356,7 @@ class Planner:
     def _measure_impl(
         self, A: CSRMatrix, B: CSRMatrix, spec: PipelineSpec, baseline: float
     ) -> tuple[float, BuiltPipeline, float]:
-        built = spec.build(A, seed=self.seed, mode="rows", cfg=self.cfg)
+        built = spec.build(A, seed=self.cfg.seed, mode="rows", cfg=self.cfg)
         clustered = spec.kernel_info.requires_clustering
         if spec.reordering == "original" and spec.clustering is None and not clustered:
             return baseline, built, 0.0
@@ -409,7 +406,7 @@ class Planner:
             policy=self.name,
             workload=workload,
             fingerprint_key=fp.key,
-            seed=self.seed,
+            seed=self.cfg.seed,
             predicted_cost=predicted,
             baseline_cost=baseline,
             pre_cost=built.pre_cost(self.machine.cost),
@@ -483,7 +480,7 @@ class AutotunePlanner(Planner):
             for spec, _, built, simulated in measured
         )
         if best_built is None:  # baseline won: its "preparation" is a no-op
-            best_built = baseline_spec.build(A, seed=self.seed, mode="rows", cfg=self.cfg)
+            best_built = baseline_spec.build(A, seed=self.cfg.seed, mode="rows", cfg=self.cfg)
         return best_spec, best_time, best_built, extra
 
 

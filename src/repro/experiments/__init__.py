@@ -1,7 +1,7 @@
 """Experiment orchestration for every paper table and figure."""
 
 from .cache import cache_dir, cached_matrix_sweep, cached_tallskinny_sweep, sweep_suite
-from .config import ExperimentConfig, default_config, suite_subset_from_env
+from .config import ExperimentConfig
 from .runner import (
     MatrixSweep,
     RunRecord,
@@ -13,8 +13,6 @@ from .runner import (
 
 __all__ = [
     "ExperimentConfig",
-    "default_config",
-    "suite_subset_from_env",
     "MatrixSweep",
     "RunRecord",
     "TallSkinnyResult",

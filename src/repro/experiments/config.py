@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, field
 
-__all__ = ["ExperimentConfig", "default_config", "suite_subset_from_env"]
+__all__ = ["ExperimentConfig"]
 
 
 @dataclass(frozen=True)
@@ -83,16 +82,3 @@ class ExperimentConfig:
                     specs.append(base.with_clustering(c.name).with_kernel("rowwise"))
         return specs
 
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
-
-
-def suite_subset_from_env(default: str = "standard") -> str:
-    """Benchmark suite subset selector.
-
-    ``REPRO_SUITE`` ∈ {``quick``, ``standard``, ``full``} — ``quick``
-    trims the standard subset to its first 16 matrices for smoke runs,
-    ``full`` sweeps all 110.
-    """
-    return os.environ.get("REPRO_SUITE", default)

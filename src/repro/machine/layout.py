@@ -69,6 +69,3 @@ class BLayout:
     def row_lines(self, k: int) -> np.ndarray:
         """Line ids touched when row ``k`` is read."""
         return np.arange(self.line_start[k], self.line_end[k], dtype=np.int64)
-
-    def lines_per_row(self) -> np.ndarray:
-        return self.line_end - self.line_start

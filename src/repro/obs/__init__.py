@@ -4,14 +4,14 @@ Observability for the serving stack, strictly opt-in: a span-based
 :class:`Tracer` (monotonic-clock spans with parent links, tags and
 pluggable sinks — in-memory ring, JSONL file, stderr summary; the
 default :class:`NullSink` keeps every instrumented path allocation-free)
-plus :class:`Counter` / :class:`Histogram` metric primitives with
-streaming p50/p95/p99.  The engine, planners, execution backends and
+plus the :class:`Histogram` metric primitive with streaming
+p50/p95/p99.  The engine, planners, execution backends and
 plan cache all accept a tracer; the trace-replay harness
 (:mod:`repro.workloads.replay`) builds its latency report on the
-histogram primitives.
+histogram primitive.
 """
 
-from .metrics import Counter, Histogram, MetricsRegistry, P2Quantile
+from .metrics import Histogram, P2Quantile
 from .tracer import (
     NOOP_TRACER,
     JsonlSink,
@@ -32,8 +32,6 @@ __all__ = [
     "StderrSummarySink",
     "SpanRecord",
     "NOOP_TRACER",
-    "Counter",
     "Histogram",
     "P2Quantile",
-    "MetricsRegistry",
 ]

@@ -1,25 +1,20 @@
-"""Metric primitives: counters and histograms with streaming percentiles.
+"""Metric primitive: a histogram with streaming percentiles.
 
 A :class:`Histogram` answers p50/p95/p99 questions over an unbounded
 observation stream in O(1) memory: observations are kept **exactly** up
-to ``exact_cap`` (small streams — a 500-request replay — get the same
-answer :func:`numpy.percentile` would give, to float round-off), and
-beyond the cap each tracked quantile is maintained by the classic P²
+to :data:`EXACT_CAP` (small streams — a 500-request replay — get the
+same answer :func:`numpy.percentile` would give, to float round-off),
+and beyond the cap each of p50/p95/p99 is maintained by the classic P²
 estimator (Jain & Chlamtac, CACM 1985) — five markers per quantile,
 parabolic interpolation, no stored samples.  Everything is deterministic
 in the observation sequence, which is what lets the replay report be
 byte-reproducible from a seed.
 
-:class:`MetricsRegistry` is the per-engine/per-replay bag of named
-counters and histograms with a sorted, JSON-safe :meth:`snapshot`.
-
 Thread safety: the serving front-end (:mod:`repro.serve`) observes
-latencies and bumps counters from its dispatch thread, fallback
-(caller) threads and RPC handler threads concurrently, so :meth:`Counter.inc`, :meth:`Histogram.observe`
-and the registry's get-or-create accessors take a per-instance lock
+latencies from its dispatch thread and fallback (caller) threads
+concurrently, so :meth:`Histogram.observe` takes a per-instance lock
 (allocated once at construction — the hot path acquires, never
-allocates).  ``+=`` on a Python attribute is a read-modify-write and
-drops updates under contention without it.
+allocates).
 
 Pure stdlib — numpy appears only in the test that cross-checks the
 percentile math.
@@ -29,24 +24,15 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
 
-__all__ = ["Counter", "P2Quantile", "Histogram", "MetricsRegistry"]
+__all__ = ["P2Quantile", "Histogram"]
 
+#: Observations a :class:`Histogram` keeps verbatim (exact percentiles)
+#: before its estimate switches to pure P².
+EXACT_CAP = 512
 
-@dataclass
-class Counter:
-    """A named monotonically-adjusted counter (thread-safe)."""
-
-    name: str
-    value: float = 0
-
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def inc(self, n: float = 1) -> None:
-        with self._lock:
-            self.value += n
+#: The quantiles every :class:`Histogram` tracks, by report label.
+QUANTILES = {"p50": 0.5, "p95": 0.95, "p99": 0.99}
 
 
 class P2Quantile:
@@ -140,36 +126,18 @@ def _exact_percentile(xs_sorted: list[float], q: float) -> float:
 
 
 class Histogram:
-    """Streaming distribution summary: count/sum/min/max + percentiles.
+    """Streaming distribution summary: count/sum/min/max + p50/p95/p99.
 
-    Parameters
-    ----------
-    name:
-        Metric name (snapshot key).
-    quantiles:
-        Quantiles tracked by the streaming estimators (and reported by
-        :meth:`percentiles`); defaults to p50/p95/p99.
-    exact_cap:
-        Observations kept verbatim before the estimate switches to pure
-        P².  While ``count <= exact_cap`` percentile queries are exact
-        (numpy-identical linear interpolation), so bounded workloads pay
-        no approximation at all; 0 disables the buffer.
+    While ``count <= EXACT_CAP`` percentile queries are exact
+    (numpy-identical linear interpolation), so bounded workloads pay no
+    approximation at all; past it, the P² estimates of :data:`QUANTILES`
+    answer.
     """
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        quantiles: tuple[float, ...] = (0.5, 0.95, 0.99),
-        exact_cap: int = 512,
-    ) -> None:
-        if exact_cap < 0:
-            raise ValueError(f"exact_cap must be >= 0, got {exact_cap}")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.quantiles = tuple(sorted(set(float(q) for q in quantiles)))
-        self.exact_cap = int(exact_cap)
-        self._exact: list[float] | None = [] if exact_cap else None
-        self._estimators = {q: P2Quantile(q) for q in self.quantiles}
+        self._exact: list[float] | None = []
+        self._estimators = {q: P2Quantile(q) for q in QUANTILES.values()}
         self._lock = threading.Lock()
         self.count = 0
         self.sum = 0.0
@@ -187,7 +155,7 @@ class Histogram:
                 est.observe(x)
             if self._exact is not None:
                 self._exact.append(x)
-                if len(self._exact) > self.exact_cap:
+                if len(self._exact) > EXACT_CAP:
                     self._exact = None  # stream outgrew the buffer: P² takes over
 
     @property
@@ -209,17 +177,13 @@ class Histogram:
                 return est.value()
         raise KeyError(
             f"quantile {q} is not tracked by histogram {self.name!r} "
-            f"(tracked: {list(self.quantiles)}) and the stream has "
+            f"(tracked: {list(QUANTILES.values())}) and the stream has "
             f"outgrown the exact buffer"
         )
 
-    @staticmethod
-    def _label(q: float) -> str:
-        return ("p%g" % (q * 100)).replace(".", "_")  # 0.5 → p50, 0.999 → p99_9
-
     def percentiles(self) -> dict[str, float]:
-        """``{"p50": ..., "p95": ..., "p99": ...}`` for the tracked set."""
-        return {self._label(q): self.percentile(q) for q in self.quantiles}
+        """``{"p50": ..., "p95": ..., "p99": ...}``."""
+        return {label: self.percentile(q) for label, q in QUANTILES.items()}
 
     def to_dict(self) -> dict:
         d: dict = {"count": self.count}
@@ -232,41 +196,3 @@ class Histogram:
                 **self.percentiles(),
             )
         return d
-
-
-class MetricsRegistry:
-    """Named counters + histograms with a JSON-safe snapshot.
-
-    Get-or-create is locked so two threads asking for the same name
-    always share one instance (an unlocked check-then-insert would hand
-    each thread its own metric and silently split the stream).
-    """
-
-    def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._histograms: dict[str, Histogram] = {}
-        self._lock = threading.Lock()
-
-    def counter(self, name: str) -> Counter:
-        with self._lock:
-            c = self._counters.get(name)
-            if c is None:
-                c = self._counters[name] = Counter(name)
-        return c
-
-    def histogram(self, name: str, **kw) -> Histogram:
-        with self._lock:
-            h = self._histograms.get(name)
-            if h is None:
-                h = self._histograms[name] = Histogram(name, **kw)
-        return h
-
-    def snapshot(self) -> dict:
-        """Sorted ``{"counters": {...}, "histograms": {...}}`` projection."""
-        with self._lock:
-            counters = dict(self._counters)
-            histograms = dict(self._histograms)
-        return {
-            "counters": {k: counters[k].value for k in sorted(counters)},
-            "histograms": {k: histograms[k].to_dict() for k in sorted(histograms)},
-        }

@@ -71,10 +71,6 @@ class SpanRecord:
     parent_id: int | None = None
     tags: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def is_event(self) -> bool:
-        return self.duration == 0.0
-
     def to_dict(self) -> dict:
         d: dict[str, Any] = {
             "name": self.name,

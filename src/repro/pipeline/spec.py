@@ -210,7 +210,7 @@ class PipelineSpec:
                     f"pipeline spec {text!r} names two {info.kind}s: "
                     f"{by_kind[info.kind][0]!r} and {name!r}"
                 )
-            by_kind[info.kind] = (name, cls._parse_params(info, ptext))
+            by_kind[info.kind] = (name, info.parse_params_text(ptext))
         if explicit_none and "clustering" in by_kind:
             raise ValueError(f"pipeline spec {text!r} both names a clustering and 'none'")
         reordering, r_params = by_kind.get("reordering", ("original", []))
@@ -227,10 +227,6 @@ class PipelineSpec:
             kernel_params=tuple(k_params),
             backend_params=tuple(b_params),
         )
-
-    @staticmethod
-    def _parse_params(info: ComponentInfo, ptext: str) -> list[tuple[str, Any]]:
-        return info.parse_params_text(ptext)
 
     # ------------------------------------------------------------------
     # Derivation helpers

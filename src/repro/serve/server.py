@@ -25,9 +25,10 @@ bounded FIFO, the condition variable guarding it and the one
 * A request's future is marked running when its group is dispatched; a
   request cancelled before then is dropped, never executed or counted.
 * Per-request latency lands in a :mod:`repro.obs` histogram
-  (p50/p95/p99), per-client counts in a small ledger; everything is
-  mirrored into :attr:`EngineStats.serving` so the CLI's
-  ``--stats-json`` reports the serving tier alongside the engine ledger.
+  (p50/p95/p99) and request outcomes in one per-client ledger, whose
+  sums are the server's totals; everything is mirrored into
+  :attr:`EngineStats.serving` so the CLI's ``--stats-json`` reports the
+  serving tier alongside the engine ledger.
 
 Degradation: if the dispatch loop itself dies, the server turns
 degraded for good.  The in-flight batch and every queued request run
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 from ..core.csr import CSRMatrix
 from ..engine.engine import SpGEMMEngine
 from ..engine.fingerprint import pattern_digest, value_digest
-from ..obs import MetricsRegistry
+from ..obs import Histogram
 from .config import ServeConfig
 from .errors import ServerClosed, ServerOverloaded
 
@@ -56,6 +57,9 @@ __all__ = ["SpGEMMServer"]
 
 #: Client label for per-client stats when a submission names none.
 DEFAULT_CLIENT = "anon"
+
+#: Request outcomes each client's ledger entry counts.
+_OUTCOMES = ("submitted", "completed", "failed", "shed")
 
 
 @dataclass
@@ -84,33 +88,24 @@ class SpGEMMServer:
         The engine to serve; a fresh default engine when omitted.
     config:
         :class:`~repro.serve.config.ServeConfig`; defaults throughout.
-    registry:
-        :class:`~repro.obs.MetricsRegistry` receiving the serving
-        counters and the request-latency histogram; a private registry
-        when omitted (exposed as :attr:`registry`).
     """
 
     def __init__(
         self,
         engine: SpGEMMEngine | None = None,
         config: ServeConfig | None = None,
-        *,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         self.engine = engine if engine is not None else SpGEMMEngine()
         self.config = config if config is not None else ServeConfig()
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = self.engine.tracer
-        self._latency = self.registry.histogram("serve.request_latency_s")
-        self._submitted = self.registry.counter("serve.submitted")
-        self._completed = self.registry.counter("serve.completed")
-        self._shed = self.registry.counter("serve.shed")
-        self._failed = self.registry.counter("serve.failed")
-        self._fallbacks = self.registry.counter("serve.fallbacks")
-        self._batches = self.registry.counter("serve.batches")
-        self._coalesced = self.registry.counter("serve.coalesced_requests")
+        self._latency = Histogram("serve.request_latency_s")
+        # Counts, all guarded by _counts_lock: client → outcome → count
+        # (the totals are its sums), plus the dispatch counters.
         self._clients: dict[str, dict] = {}
-        self._clients_lock = threading.Lock()
+        self._fallbacks = 0
+        self._batches = 0
+        self._coalesced = 0
+        self._counts_lock = threading.Lock()
         # Queue state, all guarded by _cond.
         self._cond = threading.Condition()
         self._queue: "deque[_Request]" = deque()
@@ -169,12 +164,10 @@ class SpGEMMServer:
             group_key=(wl, pattern_digest(A), value_digest(A)),
             submitted=time.perf_counter(),
         )
-        self._submitted.inc()
         self._client_bump(name, "submitted")
         try:
             queued = self._admit(req)
         except ServerOverloaded:
-            self._shed.inc()
             self._client_bump(name, "shed")
             raise
         if not queued:
@@ -277,8 +270,9 @@ class SpGEMMServer:
             for req in group:
                 self._fail(req, exc)
             return
-        self._batches.inc()
-        self._coalesced.inc(len(group))
+        with self._counts_lock:
+            self._batches += 1
+            self._coalesced += len(group)
         for req, C in zip(group, Cs):
             self._finish(req, C)
 
@@ -294,7 +288,8 @@ class SpGEMMServer:
         """
         if not (req.future.running() or req.future.set_running_or_notify_cancel()):
             return
-        self._fallbacks.inc()
+        with self._counts_lock:
+            self._fallbacks += 1
         try:
             C = self.engine.multiply(req.A, req.B, workload=req.workload)
         except Exception as exc:
@@ -304,25 +299,18 @@ class SpGEMMServer:
 
     def _finish(self, req: _Request, C: CSRMatrix) -> None:
         self._latency.observe(time.perf_counter() - req.submitted)
-        self._completed.inc()
         self._client_bump(req.client, "completed")
         req.future.set_result(C)
 
     def _fail(self, req: _Request, exc: Exception) -> None:
-        self._failed.inc()
         self._client_bump(req.client, "failed")
         req.future.set_exception(exc)
 
     def _client_bump(self, name: str, key: str) -> None:
-        with self._clients_lock:
+        with self._counts_lock:
             entry = self._clients.get(name)
             if entry is None:
-                entry = self._clients[name] = {
-                    "submitted": 0,
-                    "completed": 0,
-                    "failed": 0,
-                    "shed": 0,
-                }
+                entry = self._clients[name] = dict.fromkeys(_OUTCOMES, 0)
             entry[key] += 1
 
     # ------------------------------------------------------------------
@@ -336,24 +324,26 @@ class SpGEMMServer:
 
     def client_stats(self) -> dict:
         """Per-client request counts, sorted by client name."""
-        with self._clients_lock:
+        with self._counts_lock:
             return {name: dict(self._clients[name]) for name in sorted(self._clients)}
 
     def serving_stats(self) -> dict:
         """The serving-tier metrics block (JSON-safe): request/shed/
         fallback counts, coalescing ratio, queue depths and latency
-        percentiles."""
-        batches = self._batches.value
-        completed = self._completed.value
-        coalesced = self._coalesced.value
+        percentiles.  Request totals are sums over the per-client
+        ledger."""
+        clients = self.client_stats()
+        with self._counts_lock:
+            fallbacks, batches, coalesced = self._fallbacks, self._batches, self._coalesced
+        total = {k: sum(c[k] for c in clients.values()) for k in _OUTCOMES}
         with self._cond:
             depth, max_depth = len(self._queue), self._max_depth
         return {
-            "requests": self._submitted.value,
-            "completed": completed,
-            "shed": self._shed.value,
-            "failed": self._failed.value,
-            "fallbacks": self._fallbacks.value,
+            "requests": total["submitted"],
+            "completed": total["completed"],
+            "shed": total["shed"],
+            "failed": total["failed"],
+            "fallbacks": fallbacks,
             "batches": batches,
             "coalesced_requests": coalesced,
             # Mean requests per engine dispatch — 1.0 means no
@@ -365,7 +355,7 @@ class SpGEMMServer:
             "max_queue_depth": max_depth,
             "degraded": self._dead,
             "latency_s": self._latency.to_dict(),
-            "clients": self.client_stats(),
+            "clients": clients,
         }
 
     def sync_stats(self) -> None:
@@ -417,7 +407,9 @@ class SpGEMMServer:
         state = "closed" if self._closing else ("degraded" if self.degraded else "open")
         with self._cond:
             depth = len(self._queue)
+        with self._counts_lock:
+            submitted = sum(c["submitted"] for c in self._clients.values())
         return (
-            f"SpGEMMServer({state}, submitted={int(self._submitted.value)}, "
+            f"SpGEMMServer({state}, submitted={submitted}, "
             f"queue={depth}/{self.config.max_pending})"
         )

@@ -403,14 +403,14 @@ def test_planner_valid_with_only_reference_registered(monkeypatch):
     monkeypatch.setattr(reg, "_REGISTRY", only_ref)
     # Without scipy, the default backend falls back to reference.
     assert default_backend() == ("reference", ())
-    planner = HeuristicPlanner(seed=0)
+    planner = HeuristicPlanner()
     plan, built = planner.plan(A, A, fingerprint(A), "asquare")
     assert plan.spec.backend == "reference" and built.spec is plan.spec
     assert {c.backend for c in planner._candidates(A)} == {"reference"}
     # "auto" is an alias of scipy, which this registry lacks: the error
     # names the alias instead of a bare registry miss.
     for make in (
-        lambda: HeuristicPlanner(backend="auto", seed=0),
+        lambda: HeuristicPlanner(backend="auto"),
         lambda: PipelineSpec.parse("rcm").with_backend("auto"),
     ):
         with pytest.raises(ValueError, match="'auto' is an alias of 'scipy', which is not installed"):

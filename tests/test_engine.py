@@ -7,6 +7,8 @@ value-perturbed operands, and amortisation-accounting monotonicity on a
 repeated-multiply (BC-style) run.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -115,8 +117,8 @@ def test_multiply_many_rejects_bad_batch_before_any_work(suite_matrix):
 @pytest.mark.parametrize("policy", ("heuristic", "autotune"))
 def test_plan_deterministic_under_fixed_seed(policy, gainful_matrix):
     A = gainful_matrix
-    p1 = SpGEMMEngine(policy=policy, config=SMALL_CFG, seed=0).plan_for(A)
-    p2 = SpGEMMEngine(policy=policy, config=SMALL_CFG, seed=0).plan_for(A)
+    p1 = SpGEMMEngine(policy=policy, config=SMALL_CFG).plan_for(A)
+    p2 = SpGEMMEngine(policy=policy, config=SMALL_CFG).plan_for(A)
     assert p1 == p2
 
 
@@ -244,21 +246,18 @@ def test_plan_for_is_a_noncounting_peek(gainful_matrix):
     assert eng.stats().plan_cache_hits == before
 
 
-@pytest.mark.parametrize("other", ["machine", "seed"])
+@pytest.mark.parametrize(
+    "other", [replace(SMALL_CFG, cache_lines=8), replace(SMALL_CFG, seed=1)], ids=["machine", "seed"]
+)
 def test_shared_plan_cache_does_not_cross_machines(gainful_matrix, other):
     # Two engines sharing a PlanCache but running different machine
     # models, or planning from different seeds, must not serve each
     # other plans (costs are machine- and seed-bound).
     from repro.engine import PlanCache
-    from repro.machine import SimulatedMachine
 
     shared = PlanCache()
     e1 = SpGEMMEngine(config=SMALL_CFG, plan_cache=shared)
-    if other == "machine":
-        kw = dict(machine=SimulatedMachine(n_threads=2, cache_lines=8))
-    else:
-        kw = dict(seed=1)
-    e2 = SpGEMMEngine(config=SMALL_CFG, plan_cache=shared, **kw)
+    e2 = SpGEMMEngine(config=other, plan_cache=shared)
     e1.multiply(gainful_matrix)
     e2.multiply(gainful_matrix)
     assert e1.stats().plans_built == 1

@@ -1,6 +1,6 @@
 """Unit tests: fingerprints, plan keys, pinned plans and the engine's
-lookup, execution plans, the in-memory plan cache (cost-aware eviction,
-capacity, membership, tracer events, engines sharing one cache), and the
+lookup, execution plans, the in-memory plan cache (LRU eviction,
+membership, tracer events, engines sharing one cache), and the
 experiments cache's corrupt-entry warning."""
 
 import dataclasses
@@ -12,12 +12,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import assert_bitwise_equal
 from repro.core import spgemm_rowwise
 from repro.engine import ExecutionPlan, PlanCache, SpGEMMEngine, fingerprint, value_digest
 from repro.engine import engine as engine_mod
+from repro.engine.plan_cache import PLAN_CACHE_SIZE
 from repro.engine.planner import Planner
 from repro.experiments import ExperimentConfig
 from repro.experiments.cache import _load
@@ -268,18 +268,24 @@ def test_plan_validation():
 def test_plan_cache_hit_miss_counters():
     # Hits and misses are the engine's ledger (EngineStats): the cache
     # returns what it holds and counts only evictions.
-    cache = PlanCache(capacity=4)
+    cache = PlanCache()
     assert cache.get("a") is None and len(cache) == 0
     plan = make_plan()
     cache.put("a", plan)
     assert cache.get("a") is plan and len(cache) == 1
     stats = cache.stats()
     assert "hits" not in stats and "misses" not in stats
-    assert stats == {"size": 1, "capacity": 4, "evictions": 0}
+    assert stats == {"size": 1, "capacity": PLAN_CACHE_SIZE, "evictions": 0}
+
+
+def _cache(capacity: int) -> PlanCache:
+    cache = PlanCache()
+    cache.capacity = capacity
+    return cache
 
 
 def test_plan_cache_lru_eviction():
-    cache = PlanCache(capacity=2)
+    cache = _cache(2)
     cache.put("a", make_plan(fingerprint_key="a"))
     cache.put("b", make_plan(fingerprint_key="b"))
     cache.get("a")  # refresh a → b is now the LRU entry
@@ -289,79 +295,16 @@ def test_plan_cache_lru_eviction():
     assert cache.evictions == 1
 
 
-def _plan(invested: float, key: str = "k") -> ExecutionPlan:
-    # The second half is what the first leaves: halving the smallest
-    # subnormal rounds to 0.0, and two halves of 0.0 would invest nothing.
-    half = invested / 2
-    return make_plan(fingerprint_key=key, pre_cost=half, planning_cost=invested - half)
-
-
-def test_cost_aware_eviction_evicts_cheapest_to_replan_first():
-    cache = PlanCache(capacity=2)
-    cache.put("cheap", _plan(10.0))
-    cache.put("expensive", _plan(1000.0))
-    cache.get("cheap")  # recency must NOT save the cheap entry
-    cache.put("mid", _plan(100.0))
-    assert "expensive" in cache and "mid" in cache
-    assert "cheap" not in cache
-
-
-def test_cost_aware_eviction_breaks_ties_by_lru():
-    cache = PlanCache(capacity=2)
-    cache.put("a", _plan(50.0))
-    cache.put("b", _plan(50.0))
-    cache.get("a")  # equal costs → LRU decides: b is older
-    cache.put("c", _plan(50.0))
-    assert "a" in cache and "c" in cache and "b" not in cache
-
-
-@given(data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_cost_aware_eviction_never_evicts_priciest_while_cheaper_exists(data):
-    capacity = data.draw(st.integers(1, 6), label="capacity")
-    n = data.draw(st.integers(capacity + 1, 20), label="inserts")
-    costs = data.draw(
-        st.lists(
-            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-            min_size=n,
-            max_size=n,
-            unique=True,
-        ),
-        label="costs",
-    )
-    cache = PlanCache(capacity=capacity)
-    for i, cost in enumerate(costs):
-        cache.put(f"k{i}", _plan(cost))
-        # Interleave recency touches: recency must never override cost.
-        if i % 2 and f"k{i - 1}" in cache:
-            cache.get(f"k{i - 1}")
-    # Each insert evicts the cheapest *resident* (the newcomer is
-    # admitted unconditionally — rejecting inserts would no-op put()),
-    # so with all-distinct costs the survivors are exactly the last
-    # insert plus the `capacity - 1` most expensive of the rest: the
-    # priciest resident is never evicted while a cheaper one exists.
-    rest = sorted((i for i in range(n - 1)), key=lambda i: costs[i])
-    expect = {f"k{n - 1}"} | {f"k{i}" for i in rest[len(rest) - (capacity - 1):]}
-    assert {k for k in (f"k{i}" for i in range(n)) if k in cache} == expect
-    assert cache.evictions == n - capacity
-
-
 def test_contains_never_touches_counters_or_recency():
-    cache = PlanCache(capacity=2)
-    cache.put("a", _plan(50.0))
-    cache.put("b", _plan(50.0))
+    cache = _cache(2)
+    cache.put("a", make_plan())
+    cache.put("b", make_plan())
     before = cache.stats()
     assert "a" in cache and "missing" not in cache
     assert cache.stats() == before
     # A get() would have refreshed "a"; membership must not.
-    cache.put("c", _plan(50.0))
+    cache.put("c", make_plan())
     assert "a" not in cache and "b" in cache
-
-
-@pytest.mark.parametrize("capacity", [0, -3])
-def test_nonpositive_capacity_rejected(capacity):
-    with pytest.raises(ValueError, match="capacity"):
-        PlanCache(capacity=capacity)
 
 
 def test_put_event_flags_replacement():
@@ -375,15 +318,6 @@ def test_put_event_flags_replacement():
     assert [e.tags["replaced"] for e in puts] == [False, True]
     assert all(e.tags["plan"] == plan.label for e in puts)
     assert len(cache) == 1 and cache.evictions == 0
-
-
-def test_plan_with_unknown_replan_cost_is_evicted_first():
-    cache = PlanCache(capacity=2)
-    cache.put("unknown", make_plan(pre_cost=float("inf"), planning_cost=0.0))
-    cache.put("cheap", _plan(1.0))
-    cache.put("new", _plan(5.0))
-    assert "unknown" not in cache
-    assert "cheap" in cache and "new" in cache
 
 
 def test_engines_sharing_a_plan_cache_multiply_concurrently():
@@ -461,7 +395,7 @@ def test_engines_sharing_a_plan_cache_build_each_cold_plan_once(monkeypatch):
 
 def test_get_or_build_builds_once_and_retries_after_a_failed_build():
     cache = PlanCache()
-    plan = _plan(10.0)
+    plan = make_plan()
     builds = []
 
     def failing():
@@ -481,8 +415,8 @@ def test_concurrent_writers_of_one_key_never_raise():
     # Serve's planner and dispatch threads put into one cache; replacing
     # one key from many threads at once must neither raise nor leave a
     # second entry behind.
-    plan = _plan(10.0)
-    cache = PlanCache(capacity=2)
+    plan = make_plan()
+    cache = PlanCache()
     barrier = threading.Barrier(4)
     errors: list = []
 
@@ -550,7 +484,7 @@ def test_no_engine_path_writes_plan_files(tmp_path, monkeypatch, kw):
 def test_evicted_plan_is_rebuilt_on_the_next_multiply():
     A = G.grid2d(8, 8, seed=1)
     B = G.grid2d(9, 9, seed=1)
-    eng = SpGEMMEngine(config=SMALL_CFG, plan_cache=PlanCache(capacity=1))
+    eng = SpGEMMEngine(config=SMALL_CFG, plan_cache=_cache(1))
     for M in (A, B, A):
         assert_bitwise_equal(eng.multiply(M), spgemm_rowwise(M, M))
     assert eng.stats().plans_built == 3

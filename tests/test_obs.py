@@ -16,10 +16,8 @@ import pytest
 
 from repro.obs import (
     NOOP_TRACER,
-    Counter,
     Histogram,
     JsonlSink,
-    MetricsRegistry,
     NullSink,
     P2Quantile,
     RingSink,
@@ -27,6 +25,7 @@ from repro.obs import (
     StderrSummarySink,
     Tracer,
 )
+from repro.obs.metrics import EXACT_CAP, QUANTILES
 
 
 # ----------------------------------------------------------------------
@@ -142,15 +141,9 @@ class TestTracer:
 # Metrics
 # ----------------------------------------------------------------------
 class TestMetrics:
-    def test_counter(self):
-        c = Counter("n")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-
     def test_histogram_exact_matches_numpy(self):
         rng = np.random.default_rng(0)
-        xs = rng.lognormal(0.0, 1.0, size=400)  # < exact_cap: exact path
+        xs = rng.lognormal(0.0, 1.0, size=400)  # < EXACT_CAP: exact path
         h = Histogram("lat")
         for x in xs:
             h.observe(float(x))
@@ -163,7 +156,7 @@ class TestMetrics:
     def test_histogram_streaming_within_p2_tolerance(self):
         rng = np.random.default_rng(1)
         xs = rng.lognormal(0.0, 1.0, size=20_000)
-        h = Histogram("lat", exact_cap=512)
+        h = Histogram("lat")
         for x in xs:
             h.observe(float(x))
         for q in (0.5, 0.95, 0.99):
@@ -171,24 +164,25 @@ class TestMetrics:
             assert h.percentile(q) == pytest.approx(exact, rel=0.05)
 
     def test_histogram_untracked_quantile_raises_once_streaming(self):
-        h = Histogram("lat", quantiles=(0.5,), exact_cap=4)
-        for x in range(3):
+        h = Histogram("lat")
+        for x in range(EXACT_CAP):
             h.observe(float(x))
-        assert h.percentile(0.25) >= 0  # exact buffer answers anything
-        for x in range(100):
-            h.observe(float(x))
+        # The exact buffer answers any quantile.
+        assert h.percentile(0.25) == pytest.approx(0.25 * (EXACT_CAP - 1))
+        h.observe(0.0)  # one past the buffer: P² takes over
         with pytest.raises(KeyError):
             h.percentile(0.25)
-        h.percentile(0.5)  # tracked quantile keeps answering
+        for q in QUANTILES.values():
+            h.percentile(q)  # tracked quantiles keep answering
 
     def test_histogram_percentiles_and_to_dict_labels(self):
-        h = Histogram("lat", quantiles=(0.5, 0.999))
-        for x in range(1, 101):
-            h.observe(float(x))
-        p = h.percentiles()
-        assert set(p) == {"p50", "p99_9"}
-        d = h.to_dict()
-        assert d["count"] == 100 and "p50" in d
+        for n in (100, 2 * EXACT_CAP):  # exact, then streaming
+            h = Histogram("lat")
+            for x in range(1, n + 1):
+                h.observe(float(x))
+            assert list(h.percentiles()) == ["p50", "p95", "p99"]
+            d = h.to_dict()
+            assert d["count"] == n and all(k in d for k in QUANTILES)
 
     def test_p2_quantile_deterministic(self):
         xs = [float(x) for x in np.random.default_rng(2).normal(size=5000)]
@@ -198,11 +192,3 @@ class TestMetrics:
             b.observe(x)
         assert a.value() == b.value()
         assert a.value() == pytest.approx(float(np.percentile(xs, 95)), rel=0.05)
-
-    def test_registry_snapshot(self):
-        reg = MetricsRegistry()
-        reg.counter("hits").inc(2)
-        reg.histogram("lat").observe(1.0)
-        snap = reg.snapshot()
-        assert snap["counters"]["hits"] == 2
-        assert snap["histograms"]["lat"]["count"] == 1

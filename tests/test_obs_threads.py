@@ -1,10 +1,9 @@
 """Concurrency hammer for the observability layer and engine ledger.
 
-The serving front-end mutates ``Counter``/``Histogram``/
-``MetricsRegistry``/``EngineStats`` from client threads and the
-dispatch thread at once — these tests drive each primitive
-from many threads and assert *exact* final counts (a lost update shows
-up as a wrong total, not a flake).
+The serving front-end mutates ``Histogram``/``EngineStats`` from
+client threads and the dispatch thread at once — these tests drive
+each primitive from many threads and assert *exact* final counts (a
+lost update shows up as a wrong total, not a flake).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import threading
 
 from repro.engine import SpGEMMEngine
 from repro.engine.engine import EngineStats
-from repro.obs import Counter, Histogram, JsonlSink, MetricsRegistry, Tracer
+from repro.obs import Histogram, JsonlSink, Tracer
 
 from conftest import random_csr
 
@@ -38,16 +37,6 @@ def hammer(fn) -> None:
 
 
 class TestMetricsPrimitives:
-    def test_counter_no_lost_updates(self):
-        c = Counter("hits")
-        hammer(lambda i: [c.inc() for _ in range(ROUNDS)])
-        assert c.value == THREADS * ROUNDS
-
-    def test_counter_weighted_increments(self):
-        c = Counter("weighted")
-        hammer(lambda i: [c.inc(2) for _ in range(ROUNDS)])
-        assert c.value == 2 * THREADS * ROUNDS
-
     def test_histogram_exact_count_and_sane_percentiles(self):
         h = Histogram("lat")
         hammer(lambda i: [h.observe(i + k / ROUNDS) for k in range(ROUNDS)])
@@ -55,20 +44,6 @@ class TestMetricsPrimitives:
         assert d["count"] == THREADS * ROUNDS
         assert 0.0 <= d["min"] <= d["p50"] <= d["p95"] <= d["p99"] <= d["max"] < THREADS
         json.dumps(d, allow_nan=False)
-
-    def test_registry_get_or_create_is_atomic(self):
-        reg = MetricsRegistry()
-        seen: list = [None] * THREADS
-
-        def body(i: int) -> None:
-            c = reg.counter("shared")
-            seen[i] = c
-            for _ in range(ROUNDS):
-                c.inc()
-
-        hammer(body)
-        assert all(c is seen[0] for c in seen)  # one Counter, not N racing ones
-        assert reg.counter("shared").value == THREADS * ROUNDS
 
 
 class TestEngineStatsLedger:

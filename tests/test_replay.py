@@ -167,7 +167,9 @@ class TestEngineTracing:
         from repro.engine.plan_cache import PlanCache
 
         sink = RingSink()
-        eng = SpGEMMEngine(plan_cache=PlanCache(capacity=1), tracer=Tracer(sink))
+        cache = PlanCache()
+        cache.capacity = 1
+        eng = SpGEMMEngine(plan_cache=cache, tracer=Tracer(sink))
         eng.multiply(grid2d(8, 8, seed=0))
         eng.multiply(grid2d(9, 9, seed=0))  # different pattern: evicts
         assert len(sink.by_name("plan_cache.evict")) == 1

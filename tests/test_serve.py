@@ -91,6 +91,10 @@ class TestCoalescedEqualsSequential:
         finally:
             server.close()
         assert results_identical(got, expected)
+        stats = server.serving_stats()
+        assert stats["requests"] == stats["completed"] == len(Bs)
+        for key, total in (("submitted", "requests"), ("completed", "completed")):
+            assert sum(c[key] for c in stats["clients"].values()) == stats[total]
 
 
 class TestAdmissionControl:

@@ -5,13 +5,16 @@ experiments cache's corrupt-entry warning."""
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 import time
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import assert_bitwise_equal
 from repro.core import spgemm_rowwise
@@ -96,6 +99,34 @@ def test_planner_cache_tokens_are_stable(kw, token):
     # Plan-cache keys embed the token, and engines share a cache's plans
     # only when their tokens agree, so the strings are pinned.
     assert SpGEMMEngine(**kw).planner.cache_token == token
+
+
+OTHER_CFG = dataclasses.replace(SMALL_CFG, n_threads=3, cache_lines=8, seed=5)
+
+
+@pytest.mark.parametrize("cfg", [SMALL_CFG, OTHER_CFG], ids=["small", "other"])
+def test_plan_key_suffix_derives_from_the_config(cfg):
+    # The engine and its planner run the config's machine, and every
+    # plan key ends in that machine's token and the config's seed.
+    from repro.experiments.runner import machine_for
+
+    A = G.grid2d(8, 8, seed=1)
+    eng = SpGEMMEngine(config=cfg)
+    m, want = eng.machine, machine_for(cfg)
+    assert eng.planner.machine is m
+    assert (m.n_threads, m.cache_lines, m.line_bytes, m.cost) == (
+        want.n_threads, want.cache_lines, want.line_bytes, want.cost,
+    )
+    key = eng._key_for(A, fingerprint(A).key, "asquare")
+    prefix = re.escape(f"|asquare|{eng.planner.cache_token}|{cfg.cache_key()}|")
+    machine = rf"m{cfg.n_threads}t{cfg.cache_lines}l{m.line_bytes}b\[[^|]*\]"
+    assert re.search(rf"{prefix}{machine}\|{cfg.seed}$", key), key
+
+
+def test_plans_carry_the_configs_seed():
+    A = scramble(G.grid2d(14, 14, seed=0), seed=7)
+    assert SpGEMMEngine(config=OTHER_CFG).plan_for(A).seed == OTHER_CFG.seed
+    assert SpGEMMEngine(config=SMALL_CFG).plan_for(A).seed == SMALL_CFG.seed
 
 
 # Whole plans, costs included, pinned on two inputs: the spec string,
@@ -293,6 +324,70 @@ def test_plan_cache_lru_eviction():
     assert "a" in cache and "c" in cache
     assert "b" not in cache
     assert cache.evictions == 1
+
+
+def test_default_capacity_holds_plan_cache_size_plans():
+    cache = PlanCache()
+    for i in range(PLAN_CACHE_SIZE):
+        cache.put(f"k{i}", make_plan(fingerprint_key=f"k{i}"))
+    assert len(cache) == PLAN_CACHE_SIZE and cache.evictions == 0
+    cache.put("one-more", make_plan(fingerprint_key="one-more"))
+    assert "k0" not in cache and "k1" in cache and "one-more" in cache
+    assert len(cache) == PLAN_CACHE_SIZE and cache.evictions == 1
+
+
+@pytest.mark.parametrize("victim_cost", [0.0, 1e6, float("inf")])
+def test_lru_eviction_ignores_replan_cost(victim_cost):
+    # Recency alone picks the victim: neither a plan that is dear to
+    # rebuild nor one whose rebuild cost is unknown is kept or dropped
+    # for its cost.
+    cache = _cache(2)
+    cache.put("old", make_plan(pre_cost=victim_cost, planning_cost=victim_cost))
+    cache.put("cheap", make_plan(pre_cost=1.0, planning_cost=1.0))
+    cache.put("new", make_plan(pre_cost=5.0, planning_cost=5.0))
+    assert "old" not in cache
+    assert "cheap" in cache and "new" in cache
+
+
+def test_replacing_a_resident_plan_refreshes_it_without_evicting():
+    cache = _cache(2)
+    cache.put("a", make_plan(fingerprint_key="a"))
+    cache.put("b", make_plan(fingerprint_key="b"))
+    fresh = make_plan(fingerprint_key="a2")
+    cache.put("a", fresh)  # replace: a becomes the most recent
+    assert cache.evictions == 0 and len(cache) == 2
+    cache.put("c", make_plan(fingerprint_key="c"))
+    assert "b" not in cache and cache.get("a") is fresh and "c" in cache
+    assert cache.evictions == 1
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_plan_cache_matches_an_lru_model(data):
+    capacity = data.draw(st.integers(1, 6), label="capacity")
+    ops = data.draw(
+        st.lists(st.tuples(st.booleans(), st.integers(0, 9)), max_size=40), label="ops"
+    )
+    cache = _cache(capacity)
+    model: "OrderedDict[str, ExecutionPlan]" = OrderedDict()
+    evictions = 0
+    for is_put, k in ops:
+        key = f"k{k}"
+        if is_put:
+            plan = make_plan(fingerprint_key=key)
+            cache.put(key, plan)
+            model[key] = plan
+            model.move_to_end(key)
+            while len(model) > capacity:
+                model.popitem(last=False)
+                evictions += 1
+        else:
+            got = cache.get(key)
+            assert got is model.get(key)
+            if key in model:
+                model.move_to_end(key)
+    assert {f"k{k}" for k in range(10) if f"k{k}" in cache} == set(model)
+    assert len(cache) == len(model) and cache.evictions == evictions
 
 
 def test_contains_never_touches_counters_or_recency():

@@ -10,6 +10,7 @@ within P² tolerance beyond it.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -183,6 +184,24 @@ class TestMetrics:
             assert list(h.percentiles()) == ["p50", "p95", "p99"]
             d = h.to_dict()
             assert d["count"] == n and all(k in d for k in QUANTILES)
+
+    def test_histogram_empty(self):
+        h = Histogram("lat")
+        assert h.to_dict() == {"count": 0}
+        assert math.isnan(h.percentile(0.5)) and math.isnan(h.mean)
+
+    def test_histogram_moments_stay_exact_once_streaming(self):
+        # Past the exact buffer only the percentiles are estimates:
+        # count, sum, min, max and mean are still exact.
+        xs = [float(x) for x in np.random.default_rng(3).normal(size=4 * EXACT_CAP)]
+        h = Histogram("lat")
+        for x in xs:
+            h.observe(x)
+        d = h.to_dict()
+        assert d["count"] == len(xs)
+        assert d["sum"] == pytest.approx(sum(xs))
+        assert (d["min"], d["max"]) == (min(xs), max(xs))
+        assert d["mean"] == pytest.approx(float(np.mean(xs)))
 
     def test_p2_quantile_deterministic(self):
         xs = [float(x) for x in np.random.default_rng(2).normal(size=5000)]

@@ -1,7 +1,8 @@
-"""Concurrency hammer for the observability layer and engine ledger.
+"""Concurrency hammer for the observability layer and the engine and
+server ledgers.
 
-The serving front-end mutates ``Histogram``/``EngineStats`` from
-client threads and the dispatch thread at once — these tests drive
+The serving front-end mutates ``Histogram``/``EngineStats`` and its
+per-client ledger from client threads and the dispatch thread at once — these tests drive
 each primitive from many threads and assert *exact* final counts (a
 lost update shows up as a wrong total, not a flake).
 """
@@ -14,6 +15,7 @@ import threading
 from repro.engine import SpGEMMEngine
 from repro.engine.engine import EngineStats
 from repro.obs import Histogram, JsonlSink, Tracer
+from repro.serve import ServeConfig, SpGEMMServer
 
 from conftest import random_csr
 
@@ -44,6 +46,43 @@ class TestMetricsPrimitives:
         assert d["count"] == THREADS * ROUNDS
         assert 0.0 <= d["min"] <= d["p50"] <= d["p95"] <= d["p99"] <= d["max"] < THREADS
         json.dumps(d, allow_nan=False)
+
+
+class TestServerClientLedger:
+    """The server's per-client ledger is its only request count: the
+    totals in ``serving_stats`` are sums over it."""
+
+    def _server(self) -> SpGEMMServer:
+        return SpGEMMServer(SpGEMMEngine(), ServeConfig(autostart=False))
+
+    def test_one_client_no_lost_updates(self):
+        server = self._server()
+        try:
+            hammer(lambda i: [server._client_bump("shared", "submitted") for _ in range(ROUNDS)])
+            stats = server.serving_stats()
+        finally:
+            server.close()
+        assert stats["clients"]["shared"]["submitted"] == THREADS * ROUNDS
+        assert stats["requests"] == THREADS * ROUNDS
+
+    def test_first_bumps_create_one_entry_per_client(self):
+        # Every thread's first bump races to create its client's entry:
+        # a lost creation would drop that thread's counts.
+        server = self._server()
+        outcomes = ("submitted", "completed", "failed", "shed")
+
+        def body(i: int) -> None:
+            for k in range(ROUNDS):
+                server._client_bump(f"c{i % 2}", outcomes[k % 4])
+
+        try:
+            hammer(body)
+            stats = server.serving_stats()
+        finally:
+            server.close()
+        per = THREADS // 2 * ROUNDS // 4
+        assert stats["clients"] == {c: dict.fromkeys(outcomes, per) for c in ("c0", "c1")}
+        assert stats["requests"] == stats["completed"] == stats["failed"] == stats["shed"] == 2 * per
 
 
 class TestEngineStatsLedger:

@@ -403,6 +403,36 @@ class TestStatsPlumbing:
         assert clients["beta"]["completed"] == 1
         assert clients[DEFAULT_CLIENT]["completed"] == 1
 
+    def test_totals_are_sums_over_clients_for_every_outcome(self):
+        server = paused_server(max_pending=2)
+        bad = random_csr(20, 20, 0.2, seed=11)
+        good = random_csr(20, 20, 0.2, seed=12)
+        multiply_many = server.engine.multiply_many
+
+        def fail_on_bad(A, Bs, **kw):
+            if A is bad:
+                raise RuntimeError("kernel failure")
+            return multiply_many(A, Bs, **kw)
+
+        server.engine.multiply_many = fail_on_bad
+        failing = server.submit(bad, client="alpha")
+        ok = server.submit(good, client="beta")
+        with pytest.raises(ServerOverloaded):
+            server.submit(good, client="alpha")
+        server.start()
+        try:
+            with pytest.raises(RuntimeError, match="kernel failure"):
+                failing.result(timeout=10)
+            ok.result(timeout=10)
+        finally:
+            server.close()
+        stats = server.serving_stats()
+        assert stats["clients"] == {
+            "alpha": {"submitted": 2, "completed": 0, "failed": 1, "shed": 1},
+            "beta": {"submitted": 1, "completed": 1, "failed": 0, "shed": 0},
+        }
+        assert (stats["requests"], stats["completed"], stats["failed"], stats["shed"]) == (3, 1, 1, 1)
+
     def test_serving_block_lands_in_engine_stats_to_dict(self):
         trace = synthesize_trace(requests=12, seed=3)
         server = paused_server()

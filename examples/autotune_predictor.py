@@ -48,7 +48,9 @@ def main() -> None:
     train_sweeps = [cached_matrix_sweep(n, cfg) for n in TRAIN]
 
     pred = ConfigurationPredictor(k=3).fit(train_mats, train_sweeps)
-    tune_engine = SpGEMMEngine(policy="autotune", config=cfg)
+    # Autotune ranks by the simulated machine, which models the reference
+    # backend's kernels: its ledger's model costs exist only there.
+    tune_engine = SpGEMMEngine(policy="autotune", backend="reference", config=cfg)
 
     print(f"\n{'matrix':<10} {'predictor plan':<26} {'autotune plan':<26} {'achieved':>9} {'oracle':>9}")
     for name in TEST:

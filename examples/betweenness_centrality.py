@@ -33,8 +33,11 @@ def main() -> None:
 
     frontiers = bc_frontiers(A, batch=96, depth=10, seed=1)
 
-    print("\nengine (autotune policy): plan once, execute every BFS wave")
-    engine = SpGEMMEngine(policy="autotune")
+    # Autotune ranks plans by the paper's simulated machine, which models
+    # the reference backend's kernels (scipy ignores the kernel, so its
+    # plans carry no model costs to print).
+    print("\nengine (autotune policy, reference backend): plan once, execute every BFS wave")
+    engine = SpGEMMEngine(policy="autotune", backend="reference")
     products = engine.multiply_many(A, frontiers.frontiers)
     plan = engine.plan_for(A, frontiers.frontiers[0])
 

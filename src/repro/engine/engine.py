@@ -23,8 +23,9 @@ engine
    prepared operand's own source, so ``scipy`` squares data it owns
    and records that square's structure,
 5. **accounts**: cumulative planning / preprocessing / execution time
-   (both wall-clock and model units) and the break-even iteration count
-   at which the one-off costs amortise (paper Fig. 10, Table 4).
+   (wall-clock, plus model units for plans that carry model costs) and
+   the break-even iteration count at which the one-off costs amortise
+   (paper Fig. 10, Table 4).
 
 Steps 1–3 are the *bind* step (``SpGEMMEngine._bind``), run once per
 public call; step 4 is the *run* step (``SpGEMMEngine._run``), run once
@@ -42,7 +43,7 @@ or spec is another :class:`SpGEMMEngine` (engines may share one
 
 Typical use::
 
-    eng = SpGEMMEngine(policy="autotune")
+    eng = SpGEMMEngine()            # heuristic policy on scipy
     C = eng.multiply(A)             # A², planned + preprocessed
     C = eng.multiply(A)             # plan + prepared operand reused
     Cs = eng.multiply_many(A, frontiers)   # BC-style batch
@@ -86,7 +87,12 @@ class EngineStats:
     the break-even computation uses: every multiply is charged its
     plan's ``predicted_cost`` and credited the plan's ``baseline_cost``,
     while planning trials and operand preparation are one-off
-    investments.
+    investments.  Only plans that carry model costs (those for a
+    kernel-honouring backend, ``reference``) reach the ``model_*``
+    fields: a kernel-blind (``scipy``) plan's costs are ``nan``
+    (:mod:`repro.engine.planner`), so an engine with only such plans
+    keeps every ``model_*`` sum at 0 and reports
+    :meth:`break_even_iterations` as ``inf``.
 
     Thread safety: the serving front-end (:mod:`repro.serve`) mutates one
     stats object from its dispatch thread, fallback (caller) threads and
@@ -214,10 +220,15 @@ class EngineStats:
             f"plans built / hits  : {self.plans_built} / {self.plan_cache_hits}",
             f"operands built/reuse: {self.operands_prepared} / {self.operands_reused}",
             f"wall  plan/pre/exec : {self.planning_seconds:.3f}s / {self.preprocess_seconds:.3f}s / {self.execute_seconds:.3f}s",
-            f"model invested      : {self.invested_cost:,.0f} units",
-            f"model gain to date  : {self.cumulative_gain:,.0f} units (speedup {self.speedup_to_date:.2f}x)",
-            f"break-even at       : {be_s} multiplies (progress {self.amortization_progress():.2f})",
         ]
+        if self.invested_cost or self.model_executed_cost:
+            lines += [
+                f"model invested      : {self.invested_cost:,.0f} units",
+                f"model gain to date  : {self.cumulative_gain:,.0f} units (speedup {self.speedup_to_date:.2f}x)",
+                f"break-even at       : {be_s} multiplies (progress {self.amortization_progress():.2f})",
+            ]
+        else:
+            lines.append("model costs         : n/a (no plan carries model costs)")
         for label, n in sorted(self.per_plan.items()):
             lines.append(f"  plan {label}: {n} multiplies")
         for key, n in sorted(self.backend_events.items()):
@@ -259,7 +270,8 @@ class SpGEMMEngine:
     ----------
     policy:
         ``"heuristic"`` or ``"autotune"`` — see
-        :mod:`repro.engine.planner`.
+        :mod:`repro.engine.planner`.  ``"autotune"`` needs
+        ``backend="reference"``.
     config:
         :class:`~repro.experiments.config.ExperimentConfig` supplying
         the simulated machine (planning trials and cost accounting),
@@ -406,12 +418,9 @@ class SpGEMMEngine:
                 self._stats.bump(plan_cache_misses=1)
             fp = fingerprint(A, seed=self.cfg.seed, digest=digest)
             plan, built = self.planner.plan(A, Bx, fp, workload)
-            self._stats.bump(
-                plans_built=1,
-                model_planning_cost=plan.planning_cost,
-                operands_prepared=1,
-                model_pre_cost=plan.pre_cost,
-            )
+            self._stats.bump(plans_built=1, operands_prepared=1)
+            if plan.has_model_costs:
+                self._stats.bump(model_planning_cost=plan.planning_cost, model_pre_cost=plan.pre_cost)
             self._store_operand(self._operand_key(plan, vdigest or value_digest(A)), built)
             return plan
 
@@ -454,11 +463,9 @@ class SpGEMMEngine:
         # Built outside the memo lock: preparation is the expensive step,
         # and a concurrent duplicate build is deterministic-identical.
         built = plan.spec.build(A, seed=plan.seed, mode="rows", cfg=self.cfg)
-        self._stats.bump(
-            preprocess_seconds=time.perf_counter() - t0,
-            operands_prepared=1,
-            model_pre_cost=built.pre_cost(self.machine.cost),
-        )
+        self._stats.bump(preprocess_seconds=time.perf_counter() - t0, operands_prepared=1)
+        if plan.has_model_costs:
+            self._stats.bump(model_pre_cost=built.pre_cost(self.machine.cost))
         self._store_operand(key, built)
         return built, False
 
@@ -537,9 +544,12 @@ class SpGEMMEngine:
             plan_cache_hits=n - 1 + (1 if reuse else int(bound.hit)),
             operands_reused=n - 1 + (1 if reuse else int(bound.reused)),
         )
-        self._stats.bump(
-            repeat=n, model_executed_cost=plan.predicted_cost, model_baseline_cost=plan.baseline_cost
-        )
+        if plan.has_model_costs:
+            self._stats.bump(
+                repeat=n,
+                model_executed_cost=plan.predicted_cost,
+                model_baseline_cost=plan.baseline_cost,
+            )
         self._stats.bump_plan(plan.label, n)
         return Cs
 

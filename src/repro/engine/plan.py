@@ -15,7 +15,13 @@ planner established (the bill for it):
 
 All costs are in simulated-machine model units
 (:class:`~repro.machine.cost.CostModel`); wall-clock never enters a
-plan, which keeps plans deterministic.  The spec validated itself
+plan, which keeps plans deterministic.  The machine model simulates the
+kernels' dataflow, which a kernel-blind backend (``scipy``) does not
+run, so a plan for such a backend is made without simulation: its
+``predicted_cost``, ``baseline_cost`` and ``planning_cost`` are ``nan``
+(:attr:`ExecutionPlan.has_model_costs` is false, its speed-up is
+``nan`` and it never breaks even), and only ``pre_cost``, the
+closed-form preprocessing charge, is a number.  The spec validated itself
 against the component registry when it was built, so a plan holds no
 second copy of the configuration and repeats no check.
 """
@@ -66,6 +72,13 @@ class ExecutionPlan:
     # ------------------------------------------------------------------
     # Cost / amortisation accounting
     # ------------------------------------------------------------------
+    @property
+    def has_model_costs(self) -> bool:
+        """The planner simulated this plan (a kernel-honouring backend):
+        its predicted, baseline and planning costs are numbers, not
+        ``nan``."""
+        return not math.isnan(self.predicted_cost)
+
     @property
     def predicted_gain(self) -> float:
         """Model time saved per multiply vs the row-wise baseline."""

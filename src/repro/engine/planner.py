@@ -22,18 +22,29 @@ search policies are provided, plus a fixed-spec one:
 
 * :class:`HeuristicPlanner` (``"heuristic"``) — ranks a candidate space
   with closed-form :class:`~repro.machine.cost.CostModel` estimates
-  driven by the fingerprint's structural features, then materialises and
-  simulates only the winner.  Cheapest; no training data.
+  driven by the fingerprint's structural features, then materialises
+  only the winner (and, on a kernel-honouring backend, simulates it).
+  Cheapest; no training data.
 * :class:`AutotunePlanner` (``"autotune"``) — measured trial: takes the
   heuristic ranking's top :data:`AUTOTUNE_TRIALS` candidates, actually
   reorders/clusters and simulates each on the machine model, and picks
   the fastest.  The trial
   cost is charged to ``plan.planning_cost`` so the engine's break-even
-  accounting stays honest.
+  accounting stays honest.  Simulated time is evidence only for a
+  backend that runs the modelled dataflow, so ``autotune`` plans on
+  ``reference`` alone and rejects kernel-blind backends.
 * :class:`PipelinePlanner` (``"pipeline"``) — no search: executes one
   explicit :class:`~repro.pipeline.spec.PipelineSpec` (the engine's
-  ``pipeline=`` argument / the CLI's ``--pipeline``), still measured
-  once so cost accounting and plan caching behave like searched plans.
+  ``pipeline=`` argument / the CLI's ``--pipeline``), built (and on a
+  kernel-honouring backend simulated) once, like a searched winner.
+
+The simulated 64-core machine (:mod:`repro.machine`) models the
+kernels' dataflow, which a kernel-blind backend (``scipy``) does not
+run.  So a plan for such a backend is made without simulation: the
+planner builds only the winner, and the plan's ``predicted_cost``,
+``baseline_cost`` and ``planning_cost`` are ``nan``.  Its ``pre_cost``
+stays the closed-form preprocessing charge of the build.  Plans for
+``reference`` carry all four model costs.
 
 The k-NN :class:`~repro.analysis.predictor.ConfigurationPredictor` (the
 paper's §5 learned choice) is not a policy: fitted on sweeps, its
@@ -50,6 +61,8 @@ capturing the cross-row ``B``-reuse locality that reordering buys
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -320,21 +333,31 @@ class Planner:
         ``reordering@backend`` specs, natural order first, which build no
         clustering.
         """
-        from ..backends import get_backend
-
         square = A.nrows == A.ncols
         name, params = self._backend
-        if get_backend(name, params).honours_kernel:
+        if self.honours_kernel:
             return default_candidates(
                 square=square, reorderings=self.reorderings, cfg=self.cfg, backend=self._backend
             )
         orders = ("original", *self.reorderings) if square else ("original",)
         return [PipelineSpec(r, backend=name, backend_params=params) for r in orders]
 
-    def _measure(
-        self, A: CSRMatrix, B: CSRMatrix, spec: PipelineSpec, baseline: float
-    ) -> tuple[float, BuiltPipeline, float]:
-        """Build ``spec`` and simulate one multiply (model time).
+    @property
+    def honours_kernel(self) -> bool:
+        """The planner's backend runs the plan's kernel, so the simulated
+        machine models its dataflow and plans carry model costs.  A
+        kernel-blind backend (``scipy``) is planned without simulation
+        (module docstring)."""
+        from ..backends import get_backend
+
+        return get_backend(*self._backend).honours_kernel
+
+    def _build(self, A: CSRMatrix, spec: PipelineSpec) -> BuiltPipeline:
+        """Materialise ``spec``'s operand for ``A`` (row-gather mode)."""
+        return spec.build(A, seed=self.cfg.seed, mode="rows", cfg=self.cfg)
+
+    def _simulate(self, built: BuiltPipeline, B: CSRMatrix) -> float:
+        """Model time of one multiply over ``built``.
 
         Kernels tagged ``requires_clustering`` are simulated on the
         machine model's cluster-wise path; every other kernel runs on
@@ -342,6 +365,15 @@ class Planner:
         cluster-order-composed) operand — for ``tiled`` this is a proxy
         estimate, since the simulated machine models dataflow through
         row traversal.
+        """
+        if built.spec.kernel_info.requires_clustering:
+            return self.machine.run_clusterwise(built.Ac, B).time
+        return self.machine.run_rowwise(built.Ar, B).time
+
+    def _measure(
+        self, A: CSRMatrix, B: CSRMatrix, spec: PipelineSpec, baseline: float
+    ) -> tuple[float, BuiltPipeline, float]:
+        """Build ``spec`` and simulate one multiply (model time).
 
         Returns ``(time, built, simulated)``.  A natural-order spec
         without clustering and with a row kernel simulates exactly the
@@ -356,30 +388,32 @@ class Planner:
     def _measure_impl(
         self, A: CSRMatrix, B: CSRMatrix, spec: PipelineSpec, baseline: float
     ) -> tuple[float, BuiltPipeline, float]:
-        built = spec.build(A, seed=self.cfg.seed, mode="rows", cfg=self.cfg)
-        clustered = spec.kernel_info.requires_clustering
-        if spec.reordering == "original" and spec.clustering is None and not clustered:
+        built = self._build(A, spec)
+        if spec.reordering == "original" and spec.clustering is None and not spec.kernel_info.requires_clustering:
             return baseline, built, 0.0
-        if clustered:
-            t = self.machine.run_clusterwise(built.Ac, B).time
-        else:
-            t = self.machine.run_rowwise(built.Ar, B).time
+        t = self._simulate(built, B)
         return t, built, t
 
     def _baseline(self, A: CSRMatrix, B: CSRMatrix) -> float:
         return self.machine.run_rowwise(A, B).time
 
+    def choose(self, A: CSRMatrix, B: CSRMatrix, fp: MatrixFingerprint) -> PipelineSpec:
+        """Policy hook: the spec to plan, chosen without simulation."""
+        raise NotImplementedError
+
     def _select(
         self, A: CSRMatrix, B: CSRMatrix, fp: MatrixFingerprint, baseline: float
     ) -> tuple[PipelineSpec, float, BuiltPipeline, float]:
-        """Policy hook: return ``(winner, predicted, built, trial_cost)``.
+        """Return ``(winner, predicted, built, trial_cost)`` on a
+        kernel-honouring backend: :meth:`choose`'s spec, measured.
 
         ``trial_cost`` is the planning cost *beyond* the baseline
         simulation, which the base class always charges: every trial
         simulation the policy ran (the winner's included) plus the
         preprocessing spent on losing trials.
         """
-        raise NotImplementedError
+        spec = self.choose(A, B, fp)
+        return (spec, *self._measure(A, B, spec, baseline))
 
     def plan(
         self,
@@ -389,7 +423,7 @@ class Planner:
         workload: str = "asquare",
     ) -> tuple[ExecutionPlan, BuiltPipeline]:
         """The plan for ``A @ B``-shaped workloads on ``A``'s pattern, and
-        the winning operand built while measuring it (the engine caches
+        the winning operand built while making it (the engine caches
         it, so the preprocessing is never paid twice)."""
         if not self.tracer.enabled:
             return self._plan_impl(A, B, fp, workload, sp=None)
@@ -397,8 +431,16 @@ class Planner:
             return self._plan_impl(A, B, fp, workload, sp=sp)
 
     def _plan_impl(self, A, B, fp, workload, *, sp) -> tuple[ExecutionPlan, BuiltPipeline]:
-        baseline = self._baseline(A, B)
-        spec, predicted, built, trial_cost = self._select(A, B, fp, baseline)
+        if self.honours_kernel:
+            baseline = self._baseline(A, B)
+            spec, predicted, built, trial_cost = self._select(A, B, fp, baseline)
+            # Planning charged: the baseline simulation plus the
+            # policy's trials (see _select).
+            planning = baseline + trial_cost
+        else:
+            spec = self.choose(A, B, fp)
+            built = self._build(A, spec)
+            baseline = predicted = planning = math.nan
         if sp is not None:
             sp.tag(plan=spec.label)
         plan = ExecutionPlan(
@@ -410,9 +452,7 @@ class Planner:
             predicted_cost=predicted,
             baseline_cost=baseline,
             pre_cost=built.pre_cost(self.machine.cost),
-            # Planning charged: the baseline simulation plus the
-            # policy's trials (see _select).
-            planning_cost=baseline + trial_cost,
+            planning_cost=planning,
         )
         return plan, built
 
@@ -427,10 +467,6 @@ class HeuristicPlanner(Planner):
         est = _estimate_candidate_costs(A, B, fp.feature_array(), cands, self.machine.cost, self.cfg)
         return cands[int(np.argmin(est))]
 
-    def _select(self, A, B, fp, baseline):
-        spec = self.choose(A, B, fp)
-        return (spec, *self._measure(A, B, spec, baseline))
-
 
 class AutotunePlanner(Planner):
     """Measured trial of the heuristic ranking's top
@@ -438,9 +474,21 @@ class AutotunePlanner(Planner):
 
     Every trial's simulated time is charged to ``planning_cost``: the
     engine reports break-even iterations *including* the tuning bill.
+    Construction raises ``ValueError`` on a kernel-blind backend
+    (``scipy``, the default), whose products the simulation does not
+    model.
     """
 
     name = "autotune"
+
+    def __init__(self, **kw) -> None:
+        super().__init__(**kw)
+        if not self.honours_kernel:
+            raise ValueError(
+                f"autotune ranks candidates by simulated time, which is no evidence for "
+                f"the kernel-blind backend {self._backend[0]!r}; use policy=\"heuristic\" "
+                f"on it, or autotune with backend=\"reference\""
+            )
 
     @property
     def cache_token(self) -> str:
@@ -451,23 +499,17 @@ class AutotunePlanner(Planner):
         est = _estimate_candidate_costs(A, B, fp.feature_array(), cands, self.machine.cost, self.cfg)
         order = np.argsort(est, kind="stable")[:AUTOTUNE_TRIALS]
         trial_specs = [cands[int(i)] for i in order]
-        # The reference baseline is always a contender (never tune *into*
-        # a slowdown blindly) — its measurement is the baseline
-        # simulation the base class already ran, so it costs no extra
-        # trial.  A non-reference backend is the user's explicit choice,
-        # so the reference baseline leaves the contest (the best measured
-        # candidate on that backend wins).
-        baseline_spec = PipelineSpec()
-        baseline_contends = self._backend[0] == "reference"
+        # The natural order is always a contender (never tune *into* a
+        # slowdown blindly) — its measurement is the baseline simulation
+        # the base class already ran, so it costs no extra trial.
+        name, params = self._backend
+        baseline_spec = PipelineSpec(backend=name, backend_params=params)
         measured = [
             (spec, *self._measure(A, B, spec, baseline))
             for spec in trial_specs
-            if not (baseline_contends and spec == baseline_spec)
+            if spec != baseline_spec
         ]
-        if baseline_contends:
-            best_spec, best_time, best_built = baseline_spec, baseline, None
-        else:
-            best_spec, best_time, best_built, _ = measured[0]
+        best_spec, best_time, best_built = baseline_spec, baseline, None
         for spec, t, built, _ in measured:
             if t < best_time:
                 best_spec, best_time, best_built = spec, t, built
@@ -480,7 +522,7 @@ class AutotunePlanner(Planner):
             for spec, _, built, simulated in measured
         )
         if best_built is None:  # baseline won: its "preparation" is a no-op
-            best_built = baseline_spec.build(A, seed=self.cfg.seed, mode="rows", cfg=self.cfg)
+            best_built = self._build(A, baseline_spec)
         return best_spec, best_time, best_built, extra
 
 
@@ -489,10 +531,11 @@ class PipelinePlanner(Planner):
     :class:`~repro.pipeline.spec.PipelineSpec` instead of searching.
 
     This is how explicit ``--pipeline`` requests flow through the engine
-    with full cost accounting: the spec is built and simulated once
-    (like any candidate), so break-even book-keeping and plan caching
-    behave exactly as for searched plans, and the plan's ``spec`` is
-    this spec, parameters included.
+    with full cost accounting: the spec is built (and, on a
+    kernel-honouring backend, simulated) once like a searched winner, so
+    break-even book-keeping and plan caching behave exactly as for
+    searched plans, and the plan's ``spec`` is this spec, parameters
+    included.  The spec's own backend decides whether it is simulated.
     """
 
     name = "pipeline"
@@ -500,18 +543,19 @@ class PipelinePlanner(Planner):
     def __init__(self, *, spec: PipelineSpec | str, **kw) -> None:
         super().__init__(**kw)
         self.spec = PipelineSpec.parse(spec)
+        self._backend = (self.spec.backend, self.spec.backend_params)
 
     @property
     def cache_token(self) -> str:
         return f"{self.name}:{self.spec}"
 
-    def _select(self, A, B, fp, baseline):
+    def choose(self, A, B, fp):
         spec = self.spec
         if spec.square_only and A.nrows != A.ncols:
             raise ValueError(
                 f"pipeline {spec} needs a square left operand, got {A.shape}"
             )
-        return (spec, *self._measure(A, B, spec, baseline))
+        return spec
 
 
 _POLICIES = {

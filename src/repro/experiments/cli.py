@@ -5,7 +5,8 @@ Usage::
     python -m repro.experiments.cli fig2          # one figure
     python -m repro.experiments.cli table2 --suite quick
     python -m repro.experiments.cli all --suite full
-    python -m repro.experiments.cli engine --matrix pdb1 --policy autotune --iters 5
+    python -m repro.experiments.cli engine --matrix pdb1 --iters 5
+    python -m repro.experiments.cli engine --policy autotune --backend reference
     python -m repro.experiments.cli engine --pipeline rcm+fixed:8+cluster
     python -m repro.experiments.cli engine --pipeline rcm@scipy
     python -m repro.experiments.cli engine --backend reference
@@ -207,10 +208,16 @@ def engine_demo(args) -> str:
     for _ in range(max(1, args.iters)):
         eng.multiply(A)
     plan = eng.plan_for(A)
+    if plan.has_model_costs:
+        model = (
+            f"predicted speedup {plan.predicted_speedup:.2f}x, "
+            f"break-even after {plan.break_even_iterations():.1f} multiplies"
+        )
+    else:
+        model = f"model costs n/a on {plan.spec.backend} (planned without simulation)"
     lines += [
         f"engine demo: {args.matrix} (n={A.nrows}, nnz={A.nnz}), {chosen}",
-        f"plan: {plan.label}   predicted speedup {plan.predicted_speedup:.2f}x, "
-        f"break-even after {plan.break_even_iterations():.1f} multiplies",
+        f"plan: {plan.label}   {model}",
         f"spec: {plan.spec}",
         "",
         eng.stats().summary(),
@@ -233,6 +240,8 @@ def _engine_replay(args, eng, lines) -> None:
     )
     report = replay(trace, eng, progress=lambda done, total: print(f"  {done}/{total}", file=sys.stderr))
     lines.append(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    if not eng.planner.honours_kernel:
+        lines.append("model-unit latencies read 0: scipy plans carry no model costs (use --backend reference)")
     lines.append(f"wall clock: {report.wall_seconds:.2f}s (excluded from the report above)")
 
 
@@ -385,9 +394,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--matrix", default="pdb1", help="suite matrix for the engine command")
     parser.add_argument(
         "--policy",
-        default="autotune",
+        default="heuristic",
         choices=["heuristic", "autotune"],
-        help="planner policy for the engine command",
+        help="planner policy for the engine command (autotune needs --backend reference)",
     )
     parser.add_argument("--iters", type=int, default=5, help="multiplies to run in the engine command")
     parser.add_argument(
@@ -473,6 +482,17 @@ def main(argv: list[str] | None = None) -> int:
         "multiply, print the serving stats and exit (the CI smoke path)",
     )
     args = parser.parse_args(argv)
+    # serve ignores --pipeline; engine's --pipeline overrides --policy.
+    autotuned = args.what == "serve" or (args.what == "engine" and args.pipeline is None)
+    if args.policy == "autotune" and autotuned:
+        from ..backends import default_backend, get_backend, parse_backend
+
+        backend = parse_backend(args.backend) if args.backend else default_backend()
+        if not get_backend(*backend).honours_kernel:
+            parser.error(
+                f"--policy autotune ranks by the simulated machine, which does not model "
+                f"the {backend[0]!r} backend; use --backend reference or --policy heuristic"
+            )
     targets = list(ARTEFACTS) if args.what == "all" else [args.what]
     for t in targets:
         print(COMMANDS[t](args))

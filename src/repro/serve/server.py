@@ -164,7 +164,6 @@ class SpGEMMServer:
             group_key=(wl, pattern_digest(A), value_digest(A)),
             submitted=time.perf_counter(),
         )
-        self._client_bump(name, "submitted")
         try:
             queued = self._admit(req)
         except ServerOverloaded:
@@ -176,11 +175,18 @@ class SpGEMMServer:
         return req.future
 
     def _admit(self, req: _Request) -> bool:
-        """Enqueue ``req``; ``False`` means the dispatcher has died and
-        the caller must run it in-process."""
+        """Count ``req`` submitted and enqueue it; ``False`` means the
+        dispatcher has died and the caller must run it in-process.
+
+        A request that a concurrent ``close()`` turns away here is not
+        counted, so ``requests`` always equals ``completed + failed +
+        shed`` once the server is idle.  The count is taken under the
+        queue lock, before the request is queued, so no dispatcher can
+        complete it uncounted."""
         with self._cond:
             if self._closing:
                 raise ServerClosed("server is shutting down; submission rejected")
+            self._client_bump(req.client, "submitted")
             if self._dead:
                 return False
             depth = len(self._queue)

@@ -21,6 +21,11 @@ from ``TraceSpec.seed``:
   (per-request deltas of the engine's simulated-machine ledger), not
   wall clock — wall clock is recorded separately and deliberately kept
   out of :meth:`ReplayReport.to_dict`.
+
+Only plans for a kernel-honouring backend carry model costs
+(:mod:`repro.engine.planner`), so the latencies and ``model_speedup``
+need an engine on ``reference`` (the default here).  Through a ``scipy``
+engine they read 0; its hit rate and plan counts still hold.
 """
 
 from __future__ import annotations
@@ -328,8 +333,8 @@ def replay(
     *,
     progress=None,
 ) -> ReplayReport:
-    """Replay ``trace`` through ``engine`` (a fresh default engine when
-    omitted) and return the structured report.
+    """Replay ``trace`` through ``engine`` (a fresh engine on the
+    ``reference`` backend when omitted) and return the structured report.
 
     The operand sequence is reconstructed deterministically from the
     trace: each population member starts from its builder, every request
@@ -344,7 +349,7 @@ def replay(
 
     from ..engine import SpGEMMEngine
 
-    eng = engine if engine is not None else SpGEMMEngine()
+    eng = engine if engine is not None else SpGEMMEngine(backend="reference")
     report = ReplayReport(requests=len(trace.requests))
     s0 = eng.stats()
 

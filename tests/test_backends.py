@@ -236,7 +236,7 @@ def test_plan_cache_keys_include_backend():
 
 
 def test_engine_auto_backend_plans_and_matches_pattern():
-    eng = SpGEMMEngine(policy="autotune", backend="auto")
+    eng = SpGEMMEngine(policy="heuristic", backend="auto")
     C = eng.multiply(A)
     plan = eng.plan_for(A)
     # "auto" is scipy: the execution contract holds.

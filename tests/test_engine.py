@@ -7,7 +7,8 @@ value-perturbed operands, and amortisation-accounting monotonicity on a
 repeated-multiply (BC-style) run.
 """
 
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ SMALL_CFG = ExperimentConfig(n_threads=2, cache_lines=128)
 #: configuration predictor picks for these inputs.
 POLICIES = {
     "heuristic": dict(policy="heuristic"),
-    "autotune": dict(policy="autotune"),
+    "autotune": dict(policy="autotune", backend="reference"),
     "pipeline": dict(pipeline="rcm+variable+cluster"),
 }
 
@@ -73,7 +74,7 @@ def test_rectangular_product_matches_rowwise():
 def test_rectangular_left_operand_skips_reorderings():
     # Non-square A: plan must not pick a graph reordering.
     A = G.grid2d(8, 8, seed=3).extract_rows(np.arange(40))
-    eng = SpGEMMEngine(policy="autotune", config=SMALL_CFG)
+    eng = SpGEMMEngine(policy="autotune", backend="reference", config=SMALL_CFG)
     B = G.grid2d(8, 8, seed=3)
     plan = eng.plan_for(A, B)
     assert plan.spec.reordering == "original"
@@ -117,13 +118,17 @@ def test_multiply_many_rejects_bad_batch_before_any_work(suite_matrix):
 @pytest.mark.parametrize("policy", ("heuristic", "autotune"))
 def test_plan_deterministic_under_fixed_seed(policy, gainful_matrix):
     A = gainful_matrix
-    p1 = SpGEMMEngine(policy=policy, config=SMALL_CFG).plan_for(A)
-    p2 = SpGEMMEngine(policy=policy, config=SMALL_CFG).plan_for(A)
-    assert p1 == p2
+    p1 = SpGEMMEngine(config=SMALL_CFG, **POLICIES[policy]).plan_for(A)
+    p2 = SpGEMMEngine(config=SMALL_CFG, **POLICIES[policy]).plan_for(A)
+    # Field by field: a scipy plan's model costs are nan, equal to each
+    # other only as math.isnan, never by value.
+    for f in fields(p1):
+        a, b = getattr(p1, f.name), getattr(p2, f.name)
+        assert a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b)), f.name
 
 
 def test_plan_records_fingerprint_and_policy(gainful_matrix):
-    eng = SpGEMMEngine(policy="autotune", config=SMALL_CFG)
+    eng = SpGEMMEngine(policy="autotune", backend="reference", config=SMALL_CFG)
     plan = eng.plan_for(gainful_matrix)
     assert plan.policy == "autotune"
     assert plan.fingerprint_key
@@ -152,7 +157,7 @@ def test_value_perturbed_matrix_hits_plan_cache(gainful_matrix):
 
 def test_repeated_multiply_reuses_plan_and_operand(gainful_matrix):
     A = gainful_matrix
-    eng = SpGEMMEngine(policy="autotune", config=SMALL_CFG)
+    eng = SpGEMMEngine(policy="autotune", backend="reference", config=SMALL_CFG)
     for _ in range(3):
         eng.multiply(A)
     s = eng.stats()
@@ -185,7 +190,7 @@ def test_same_shape_different_pattern_never_shares_plan():
 # ----------------------------------------------------------------------
 def test_amortization_progress_monotone_and_break_even_finite(gainful_matrix):
     A = gainful_matrix
-    eng = SpGEMMEngine(policy="autotune", config=SMALL_CFG)
+    eng = SpGEMMEngine(policy="autotune", backend="reference", config=SMALL_CFG)
     plan = eng.plan_for(A)
     assert plan.predicted_gain > 0, "autotune should find a win on a scrambled block matrix"
     progress = []
@@ -202,7 +207,7 @@ def test_amortization_progress_monotone_and_break_even_finite(gainful_matrix):
 
 
 def test_plan_break_even_math(gainful_matrix):
-    eng = SpGEMMEngine(policy="autotune", config=SMALL_CFG)
+    eng = SpGEMMEngine(policy="autotune", backend="reference", config=SMALL_CFG)
     plan = eng.plan_for(gainful_matrix)
     assert plan.break_even_iterations() == pytest.approx(
         (plan.pre_cost + plan.planning_cost) / (plan.baseline_cost - plan.predicted_cost)
@@ -214,7 +219,7 @@ def test_baseline_plan_never_amortizes(suite_matrix):
     # pdb1 arrives well-ordered: when the planner keeps the baseline
     # (original order, plain CSR, *row-wise* kernel) the break-even
     # count is infinite (nothing invested to recoup a gain).
-    eng = SpGEMMEngine(policy="autotune", config=SMALL_CFG)
+    eng = SpGEMMEngine(policy="autotune", backend="reference", config=SMALL_CFG)
     plan = eng.plan_for(suite_matrix)
     if (plan.spec.reordering, plan.spec.clustering, plan.spec.kernel) == ("original", None, "rowwise"):
         assert plan.break_even_iterations() == float("inf")
@@ -226,7 +231,7 @@ def test_baseline_plan_never_amortizes(suite_matrix):
 def test_multiply_many_bc_style_run(gainful_matrix):
     A = gainful_matrix
     frontiers = bc_frontiers(A, batch=12, depth=6, seed=2).frontiers
-    eng = SpGEMMEngine(policy="autotune", config=SMALL_CFG)
+    eng = SpGEMMEngine(policy="autotune", backend="reference", config=SMALL_CFG)
     products = eng.multiply_many(A, frontiers)
     assert len(products) == len(frontiers)
     for C, F in zip(products, frontiers):
@@ -289,3 +294,44 @@ def test_operand_cache_holds_ten_round_robin_inputs():
     second = eng.stats()
     assert second.operands_prepared == first.operands_prepared
     assert second.operands_reused - first.operands_reused == 10
+
+
+def test_scipy_only_engine_ledgers_no_model_costs(gainful_matrix):
+    # scipy plans carry no model costs: the model_* sums stay 0 (never
+    # nan) and the engine never claims to break even.
+    eng = SpGEMMEngine(config=SMALL_CFG)
+    for _ in range(3):
+        eng.multiply(gainful_matrix)
+    s = eng.stats()
+    assert s.multiplies == 3 and s.plans_built == 1
+    assert (s.model_planning_cost, s.model_pre_cost) == (0, 0)
+    assert (s.model_executed_cost, s.model_baseline_cost) == (0, 0)
+    assert s.break_even_iterations() == float("inf")
+    assert s.to_dict()["break_even_iterations"] is None
+    assert "model costs         : n/a" in s.summary() and "break-even" not in s.summary()
+
+
+def test_mixed_engine_ledgers_only_the_reference_plans_model_costs(gainful_matrix):
+    # A reference engine that also executes a scipy plan (put in its
+    # cache under its own key; the public API never mixes backends in
+    # one engine) ledgers the model costs of the reference plan alone,
+    # so every model_* sum stays finite.
+    from repro.engine.fingerprint import pattern_digest
+
+    A_ref, A_sp = gainful_matrix, G.web_graph(300, seed=5)
+    eng = SpGEMMEngine(config=SMALL_CFG, backend="reference")
+    sp_plan = SpGEMMEngine(config=SMALL_CFG, backend="scipy").plan_for(A_sp)
+    assert not sp_plan.has_model_costs
+    eng.plan_cache.put(eng._key_for(A_sp, pattern_digest(A_sp), "asquare"), sp_plan)
+    eng.multiply(A_ref)
+    for _ in range(2):
+        assert_bitwise_equal(eng.multiply(A_sp).drop_explicit_zeros(), spgemm_rowwise(A_sp, A_sp).drop_explicit_zeros())
+    ref_plan = eng.plan_for(A_ref)
+    assert ref_plan.has_model_costs and ref_plan.predicted_gain > 0
+    s = eng.stats()
+    assert s.per_plan == {ref_plan.label: 1, sp_plan.label: 2}
+    assert s.model_planning_cost == ref_plan.planning_cost
+    assert s.model_pre_cost == ref_plan.pre_cost
+    assert s.model_executed_cost == ref_plan.predicted_cost
+    assert s.model_baseline_cost == ref_plan.baseline_cost
+    assert np.isfinite(s.break_even_iterations())

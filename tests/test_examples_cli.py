@@ -79,6 +79,46 @@ def test_cli_rejects_predictor_policy(command, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["engine"],
+        ["engine", "--backend", "scipy"],
+        ["serve"],
+        ["serve", "--backend", "scipy"],
+        ["serve", "--pipeline", "rcm"],  # serve ignores --pipeline
+    ],
+    ids=["engine", "engine-scipy", "serve", "serve-scipy", "serve-pipeline"],
+)
+def test_cli_autotune_needs_the_reference_backend(argv, capsys):
+    from repro.experiments.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--policy", "autotune"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--policy autotune" in err and "--backend reference" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        ([], "plan: original+csr/rowwise@scipy   model costs n/a on scipy (planned without simulation)"),
+        (
+            ["--policy", "autotune", "--backend", "reference"],
+            "plan: original+csr/rowwise   predicted speedup 1.00x, break-even after inf multiplies",
+        ),
+    ],
+    ids=["default", "autotune-reference"],
+)
+def test_cli_engine_prints_model_costs_only_when_the_plan_has_them(argv, line, capsys):
+    from repro.experiments.cli import main
+
+    assert main(["engine", "--matrix", "pdb1", "--iters", "1", *argv]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (

@@ -1,6 +1,7 @@
 """The planners' candidate space per backend: a kernel-blind backend
-(``scipy``, and ``auto``, its alias) is searched over reorderings only,
-``reference`` keeps the full kernel × clustering space, and a
+(``scipy``, and ``auto``, its alias) is searched over reorderings only
+and planned without simulation (nan model costs; ``autotune`` refuses
+it), ``reference`` keeps the full kernel × clustering space, and its
 natural-order winner reuses the baseline simulation instead of running
 it twice."""
 
@@ -12,6 +13,7 @@ from repro.backends import get_backend
 from repro.engine import PlanCache, SpGEMMEngine
 from repro.engine.fingerprint import fingerprint
 from repro.engine.planner import (
+    AutotunePlanner,
     HeuristicPlanner,
     default_candidates,
     planner_kernels,
@@ -95,6 +97,14 @@ def test_candidate_params_follow_the_planner_config():
 @pytest.mark.parametrize("policy", ["heuristic", "autotune"])
 def test_auto_and_scipy_engines_share_one_plan(policy):
     cache = PlanCache()
+    if policy == "autotune":
+        # autotune plans on reference only: both spellings of scipy are
+        # refused alike, before anything reaches the shared cache.
+        for backend in ("auto", "scipy"):
+            with pytest.raises(ValueError, match="kernel-blind backend 'scipy'"):
+                SpGEMMEngine(policy=policy, backend=backend, plan_cache=cache)
+        assert len(cache) == 0
+        return
     auto = SpGEMMEngine(policy=policy, backend="auto", plan_cache=cache)
     scipy = SpGEMMEngine(policy=policy, backend="scipy", plan_cache=cache)
     assert auto.planner.cache_token == scipy.planner.cache_token
@@ -127,7 +137,7 @@ def test_auto_engine_builds_no_clustering_for_scipy():
     assert prep.Ac is None
 
 
-@pytest.mark.parametrize("backend", [None, "scipy"])
+@pytest.mark.parametrize("backend", [None, "scipy", "reference"])
 def test_natural_order_winner_reuses_the_baseline_simulation(backend, monkeypatch):
     B = G.grid2d(12, 12, seed=0)
     planner = HeuristicPlanner(cfg=SMALL_CFG, backend=backend)
@@ -143,20 +153,99 @@ def test_natural_order_winner_reuses_the_baseline_simulation(backend, monkeypatc
     plan, built = planner.plan(B, B, fingerprint(B), "asquare")
     assert built.perm is None and built.Ac is None
     assert plan.spec.reordering == "original" and plan.spec.clustering is None
-    assert len(calls) == 1
-    assert plan.predicted_cost == plan.baseline_cost == fresh
-    assert plan.planning_cost == fresh  # the one simulation, charged once
+    if planner.honours_kernel:
+        assert len(calls) == 1
+        assert plan.predicted_cost == plan.baseline_cost == fresh
+        assert plan.planning_cost == fresh  # the one simulation, charged once
+    else:
+        # scipy (the default too) is planned without any simulation, and
+        # the plan carries no model costs.
+        assert calls == []
+        assert not plan.has_model_costs
+        assert all(math.isnan(c) for c in (plan.predicted_cost, plan.baseline_cost, plan.planning_cost))
+        assert plan.pre_cost == 0.0  # closed-form: nothing to reorder
 
 
 @pytest.mark.parametrize("pipeline", ["original", "original@scipy"])
 def test_identity_plan_predicts_no_gain_on_any_backend(pipeline):
     # A plan that neither reorders nor clusters runs the baseline's
-    # dataflow: its predicted cost is the baseline's, whatever backend
-    # executes it, so it never breaks even.  Like a searched
-    # natural-order winner, it reuses the baseline simulation, charged
-    # once.
+    # dataflow: on reference its predicted cost is the baseline's, and
+    # like a searched natural-order winner it reuses the baseline
+    # simulation, charged once.  On scipy it is planned without
+    # simulation, so it predicts nothing.  Either way it never breaks
+    # even.
     A = G.grid2d(40, 40)
     plan = SpGEMMEngine(config=SMALL_CFG, pipeline=pipeline).plan_for(A)
-    assert plan.predicted_cost == plan.baseline_cost == plan.planning_cost
-    assert plan.predicted_speedup == 1.0
+    if plan.spec.backend == "reference":
+        assert plan.predicted_cost == plan.baseline_cost == plan.planning_cost
+        assert plan.predicted_speedup == 1.0
+    else:
+        assert all(math.isnan(c) for c in (plan.predicted_cost, plan.baseline_cost, plan.planning_cost))
+        assert math.isnan(plan.predicted_speedup)
+    assert plan.pre_cost == 0.0
     assert plan.break_even_iterations() == math.inf
+
+
+def _count_simulations(planner, monkeypatch) -> list:
+    """Record every simulated run the planner's machine makes."""
+    calls = []
+    for name in ("run_rowwise", "run_clusterwise"):
+        real = getattr(planner.machine, name)
+
+        def spy(*args, _name=name, _real=real, **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(planner.machine, name, spy)
+    return calls
+
+
+GRID = scramble(G.grid2d(14, 14, seed=0), seed=7)
+
+
+@pytest.mark.parametrize(
+    "kw, label",
+    [
+        (dict(policy="heuristic"), "rcm+csr/rowwise@scipy"),
+        (dict(pipeline="rcm+variable+cluster@scipy"), "rcm+variable/cluster@scipy"),
+    ],
+    ids=["heuristic", "pipeline"],
+)
+def test_cold_scipy_plan_runs_no_simulation(kw, label, monkeypatch):
+    # A cold multiply on scipy builds the winner (here a reordering, and
+    # a clustering the pipeline asks for) but never simulates it, nor
+    # the baseline.
+    eng = SpGEMMEngine(config=SMALL_CFG, **kw)
+    calls = _count_simulations(eng.planner, monkeypatch)
+    eng.multiply(GRID)
+    plan = eng.plan_for(GRID)
+    assert plan.label == label
+    assert calls == []
+    assert not plan.has_model_costs and plan.pre_cost > 0
+
+
+@pytest.mark.parametrize(
+    "kw, winner",
+    [
+        (dict(policy="heuristic", backend="reference"), "run_clusterwise"),
+        (dict(pipeline="rcm+variable+cluster"), "run_clusterwise"),
+        (dict(pipeline="rcm"), "run_rowwise"),
+    ],
+    ids=["heuristic", "pipeline", "pipeline-rowwise"],
+)
+def test_reference_plan_simulates_baseline_and_winner(kw, winner, monkeypatch):
+    eng = SpGEMMEngine(config=SMALL_CFG, **kw)
+    calls = _count_simulations(eng.planner, monkeypatch)
+    plan = eng.plan_for(GRID)
+    assert calls == ["run_rowwise", winner]
+    assert plan.has_model_costs
+    assert plan.planning_cost == plan.baseline_cost + plan.predicted_cost
+
+
+@pytest.mark.parametrize("backend", [None, "scipy", "auto"])
+def test_autotune_refuses_kernel_blind_backends(backend):
+    with pytest.raises(ValueError, match='policy="heuristic".*backend="reference"'):
+        AutotunePlanner(cfg=SMALL_CFG, backend=backend)
+    with pytest.raises(ValueError, match="kernel-blind"):
+        SpGEMMEngine(policy="autotune", backend=backend)
+    assert AutotunePlanner(cfg=SMALL_CFG, backend="reference").honours_kernel

@@ -81,12 +81,12 @@ class TestTraceSynthesis:
 # ----------------------------------------------------------------------
 class TestReplay:
     def test_report_deterministic_across_fresh_engines(self, small_trace):
-        a = replay(small_trace, SpGEMMEngine())
-        b = replay(small_trace, SpGEMMEngine())
+        a = replay(small_trace, SpGEMMEngine(backend="reference"))
+        b = replay(small_trace, SpGEMMEngine(backend="reference"))
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
     def test_report_fields(self, small_trace):
-        rep = replay(small_trace, SpGEMMEngine())
+        rep = replay(small_trace, SpGEMMEngine(backend="reference"))
         d = rep.to_dict()
         assert d["requests"] == 40
         assert d["multiplies"] >= 40
@@ -101,8 +101,8 @@ class TestReplay:
     def test_churn_forces_replanning(self):
         churny = synthesize_trace(requests=30, seed=3, churn_prob=0.5, population=1)
         calm = synthesize_trace(requests=30, seed=3, churn_prob=0.0, population=1)
-        rep_churny = replay(churny, SpGEMMEngine())
-        rep_calm = replay(calm, SpGEMMEngine())
+        rep_churny = replay(churny, SpGEMMEngine(backend="reference"))
+        rep_calm = replay(calm, SpGEMMEngine(backend="reference"))
         assert rep_churny.plans_built > rep_calm.plans_built
         assert rep_churny.hit_rate < rep_calm.hit_rate
 
@@ -219,6 +219,7 @@ class TestReplayCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "hit_rate" in out and "p95" in out
+        assert "scipy plans carry no model costs (use --backend reference)" in out
         stats = json.loads(stats_path.read_text())
         assert stats["multiplies"] >= 5
         spans = [json.loads(ln) for ln in trace_path.read_text().splitlines()]

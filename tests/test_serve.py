@@ -433,6 +433,27 @@ class TestStatsPlumbing:
         }
         assert (stats["requests"], stats["completed"], stats["failed"], stats["shed"]) == (3, 1, 1, 1)
 
+    def test_close_racing_a_submit_leaves_no_request_uncounted(self, monkeypatch):
+        # A close() that lands between submit's own closing check and
+        # admission turns the request away with ServerClosed: it must be
+        # counted under no outcome, not as submitted only.
+        import repro.serve.server as server_mod
+
+        server = paused_server()
+        A = random_csr(20, 20, 0.2, seed=13)
+        digest = server_mod.pattern_digest
+
+        def closing_digest(M):
+            server.close()
+            return digest(M)
+
+        monkeypatch.setattr(server_mod, "pattern_digest", closing_digest)
+        with pytest.raises(ServerClosed):
+            server.submit(A, client="alpha")
+        stats = server.serving_stats()
+        assert (stats["requests"], stats["completed"], stats["failed"], stats["shed"]) == (0, 0, 0, 0)
+        assert stats["clients"] == {}
+
     def test_serving_block_lands_in_engine_stats_to_dict(self):
         trace = synthesize_trace(requests=12, seed=3)
         server = paused_server()
